@@ -130,9 +130,6 @@ class BmProblem:
         """Full recomputation of E(z); the reference for all bookkeeping."""
         return self.clique_energy(states) + self.collision_energy(states)
 
-    def touched_cliques(self, site: int) -> list[int]:
-        return self.site_cliques[site]
-
 
 class BmConfig:
     """A concrete configuration with incrementally maintained energy."""

@@ -262,9 +262,50 @@ def segments_distance(p0, p1, q0, q1):
     return np.where(crossing, 0.0, d)
 
 
+def _point_segment_distance(px, py, ax, ay, bx, by) -> float:
+    dx = bx - ax
+    dy = by - ay
+    dd = dx * dx + dy * dy
+    t = 0.0
+    if dd > 0.0:
+        t = min(max(((px - ax) * dx + (py - ay) * dy) / dd, 0.0), 1.0)
+    return float(np.hypot(px - (ax + t * dx), py - (ay + t * dy)))
+
+
+def segment_distance(p0x, p0y, p1x, p1y, q0x, q0y, q1x, q1y) -> float:
+    """:func:`segments_distance` of one pair of segments given as plain floats.
+
+    It performs the same float operations in the same order, so it returns
+    bit-for-bit the same value without the per-call cost of array dispatch.
+    ``np.hypot`` is kept because ``math.hypot`` can differ in the last bit.
+    """
+    ux = p1x - p0x
+    uy = p1y - p0y
+    vx = q1x - q0x
+    vy = q1y - q0y
+    den = ux * vy - uy * vx
+    if den != 0.0:
+        wx = q0x - p0x
+        wy = q0y - p0y
+        t = (wx * vy - wy * vx) / den
+        s = (wx * uy - wy * ux) / den
+        if 0.0 <= t <= 1.0 and 0.0 <= s <= 1.0:
+            return 0.0
+    return min(
+        min(
+            _point_segment_distance(p0x, p0y, q0x, q0y, q1x, q1y),
+            _point_segment_distance(p1x, p1y, q0x, q0y, q1x, q1y),
+        ),
+        min(
+            _point_segment_distance(q0x, q0y, p0x, p0y, p1x, p1y),
+            _point_segment_distance(q1x, q1y, p0x, p0y, p1x, p1y),
+        ),
+    )
+
+
 def capsule_gap(a: Cell, b: Cell):
     """Clearance between two cell capsules; negative values measure overlap depth."""
-    return float(segments_distance(a.e, a.h, b.e, b.h)) - (a.width + b.width) / 2.0
+    return segment_distance(*a.e, *a.h, *b.e, *b.h) - (a.width + b.width) / 2.0
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import ColonyTrackError, ValidationError
-from .geometry import Cell, Frame, Rect, segments_distance
+from .geometry import Cell, Frame, Rect, segment_distance, segments_distance
 
 
 @dataclass(frozen=True)
@@ -332,21 +332,24 @@ class _Colony:
         gaps = dist - (self.widths[i] + self.widths[j]) / 2.0
         return pairs, gaps
 
+    def _ends(self, i: int) -> tuple[float, float, float, float]:
+        """Endpoints of cell i as plain floats: e then h."""
+        (cx, cy), (ux, uy) = self.centers[i].tolist(), self.axes[i].tolist()
+        length = float(self.lengths[i])
+        hx, hy = ux * length / 2.0, uy * length / 2.0
+        return cx - hx, cy - hy, cx + hx, cy + hy
+
     def _pair_depth(self, i: int, j: int) -> float:
-        half_i = self.axes[i] * self.lengths[i] / 2.0
-        half_j = self.axes[j] * self.lengths[j] / 2.0
-        dist = float(
-            segments_distance(
-                self.centers[i] - half_i,
-                self.centers[i] + half_i,
-                self.centers[j] - half_j,
-                self.centers[j] + half_j,
-            )
-        )
-        return (self.widths[i] + self.widths[j]) / 2.0 - dist
+        dist = segment_distance(*self._ends(i), *self._ends(j))
+        return (float(self.widths[i]) + float(self.widths[j])) / 2.0 - dist
 
     def _relax(self) -> bool:
-        """Push overlapping capsules apart; True when within tolerance."""
+        """Push overlapping capsules apart; True when within tolerance.
+
+        Pairs are pushed one at a time, deepest first, each seeing the moves
+        before it, so a last-bit change in any per-pair float operation can
+        change the colony; tests pin the output by digest.
+        """
         cfg = self.cfg
         for _ in range(cfg.relax_iterations):
             pairs, gaps = self._overlap_pairs()
@@ -354,38 +357,43 @@ class _Colony:
             if not mask.any():
                 return True
             order = np.argsort(gaps[mask])
-            for p in np.flatnonzero(mask)[order]:
-                i, j = int(pairs[p, 0]), int(pairs[p, 1])
+            for i, j in pairs[np.flatnonzero(mask)[order]].tolist():
                 depth = self._pair_depth(i, j)
                 if depth <= cfg.overlap_tol * 0.5:
                     continue
-                d = self.centers[j] - self.centers[i]
-                norm = float(np.hypot(*d))
+                (xi, yi), (xj, yj) = self.centers[i].tolist(), self.centers[j].tolist()
+                dx, dy = xj - xi, yj - yi
+                norm = float(np.hypot(dx, dy))
                 if norm < 1e-9:
                     theta = self.rng.uniform(0, 2 * math.pi)
-                    d = np.array([math.cos(theta), math.sin(theta)])
+                    dx, dy = math.cos(theta), math.sin(theta)
                     norm = 1.0
-                direction = d / norm
-                push = (depth / 2.0 + 0.05) * direction
-                self._budgeted_move(i, -push)
-                self._budgeted_move(j, push)
+                step = depth / 2.0 + 0.05
+                px, py = step * (dx / norm), step * (dy / norm)
+                self._budgeted_move(i, -px, -py)
+                self._budgeted_move(j, px, py)
         _, gaps = self._overlap_pairs()
         return bool((gaps > -cfg.overlap_tol).all()) if gaps.size else True
 
-    def _budgeted_move(self, i: int, offset: np.ndarray) -> None:
-        """Apply an offset to cell i, capped by the per-interframe displacement
+    def _budgeted_move(self, i: int, dx: float, dy: float) -> None:
+        """Move cell i by (dx, dy), capped by the per-interframe displacement
         budget and kept inside the trap."""
         budget = 0.98 * self.cfg.w / 2.0
-        new = self.centers[i] + offset
-        disp = new - self.anchors[i]
-        norm = float(np.hypot(*disp))
+        (cx, cy), (ax, ay) = self.centers[i].tolist(), self.anchors[i].tolist()
+        x, y = cx + dx, cy + dy
+        ox, oy = x - ax, y - ay
+        norm = float(np.hypot(ox, oy))
         if norm > budget:
-            new = self.anchors[i] + disp * (budget / norm)
+            scale = budget / norm
+            x, y = ax + ox * scale, ay + oy * scale
         b = self.cfg.trap_bounds
-        half = np.abs(self.axes[i]) * (self.lengths[i] / 2.0) + self.widths[i] / 2.0
-        lo = np.array([b.xmin, b.ymin]) + half
-        hi = np.array([b.xmax, b.ymax]) - half
-        self.centers[i] = np.clip(new, np.minimum(lo, hi), np.maximum(lo, hi))
+        ux, uy = self.axes[i].tolist()
+        half_len, half_w = float(self.lengths[i]) / 2.0, float(self.widths[i]) / 2.0
+        hx, hy = abs(ux) * half_len + half_w, abs(uy) * half_len + half_w
+        self.centers[i] = (
+            _clip(x, b.xmin + hx, b.xmax - hx),
+            _clip(y, b.ymin + hy, b.ymax - hy),
+        )
 
     def _enforce_budget(self) -> None:
         budget = 0.98 * self.cfg.w / 2.0
@@ -402,6 +410,11 @@ class _Colony:
         lo = np.array([b.xmin, b.ymin]) + half
         hi = np.array([b.xmax, b.ymax]) - half
         self.centers = np.clip(self.centers, np.minimum(lo, hi), np.maximum(lo, hi))
+
+
+def _clip(x: float, a: float, b: float) -> float:
+    """``np.clip(x, min(a, b), max(a, b))`` on floats."""
+    return min(max(x, min(a, b)), max(a, b))
 
 
 def _numeric_suffix(cell_id: str) -> int:

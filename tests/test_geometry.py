@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from colony_track.geometry import (
     Cell,
@@ -9,6 +9,7 @@ from colony_track.geometry import (
     Rect,
     build_neighbor_graph,
     cell_from_pixels,
+    segment_distance,
     segments_distance,
     target_window,
 )
@@ -116,6 +117,60 @@ def test_segments_distance_crossing_and_degenerate():
     assert float(segments_distance([0, 2], [0, 2], [-1, 0], [1, 0])) == pytest.approx(2.0)
     # collinear overlap
     assert float(segments_distance([0, 0], [2, 0], [1, 0], [3, 0])) == 0.0
+
+
+# small integer coordinates make degenerate layouts (zero length, collinear,
+# parallel, touching) common; bounded floats keep the arithmetic finite
+_coord = st.one_of(st.integers(-4, 4).map(float), st.floats(-1e6, 1e6))
+_point = st.tuples(_coord, _coord)
+
+
+def _assert_scalar_matches(p0, p1, q0, q1):
+    # near-zero denominators overflow to inf in both forms alike
+    with np.errstate(over="ignore"):
+        expected = float(segments_distance(p0, p1, q0, q1))
+    assert segment_distance(*p0, *p1, *q0, *q1) == expected
+
+
+@settings(max_examples=500)
+@given(_point, _point, _point, _point)
+def test_segment_distance_equals_broadcast_form(p0, p1, q0, q1):
+    _assert_scalar_matches(p0, p1, q0, q1)
+
+
+def test_segment_distance_equals_broadcast_form_in_bulk():
+    # last-bit differences (e.g. from math.hypot) occur in a few of every
+    # thousand random pairs, too rarely for the example count above
+    rng = np.random.default_rng(0)
+    p0, p1, q0, q1 = rng.uniform(-60.0, 60.0, size=(4, 20_000, 2))
+    expected = segments_distance(p0, p1, q0, q1).tolist()
+    got = [
+        segment_distance(*a, *b, *c, *d)
+        for a, b, c, d in zip(p0.tolist(), p1.tolist(), q0.tolist(), q1.tolist())
+    ]
+    assert got == expected
+
+
+@pytest.mark.parametrize(
+    "p0, p1, q0, q1",
+    [
+        ((1, 1), (1, 1), (2, 3), (2, 3)),  # both zero-length
+        ((1, 1), (1, 1), (-1, 0), (1, 0)),  # one zero-length
+        ((0.5, 0), (0.5, 0), (-1, 0), (1, 0)),  # zero-length lying on the other
+        ((0, 0), (2, 0), (1, 0), (3, 0)),  # collinear, overlapping
+        ((0, 0), (3, 0), (1, 0), (2, 0)),  # collinear, one contains the other
+        ((0, 0), (1, 0), (2.5, 0), (4, 0)),  # collinear, disjoint
+        ((0, 0), (4, 1), (1, 2), (5, 3)),  # parallel, offset
+        ((0, -1), (0, 1), (-1, 0), (1, 0)),  # crossing
+        ((0.1, -0.7), (0.3, 0.9), (-0.4, 0.2), (0.7, 0.1)),  # crossing, off-grid
+        ((0, 0), (2, 0), (1, 0), (1, 5)),  # endpoint touches the interior
+        ((0, 0), (2, 0), (2, 0), (3, 4)),  # shared endpoint
+    ],
+)
+def test_segment_distance_equals_broadcast_form_on_degenerate_layouts(p0, p1, q0, q1):
+    p0, p1, q0, q1 = (tuple(map(float, p)) for p in (p0, p1, q0, q1))
+    _assert_scalar_matches(p0, p1, q0, q1)
+    _assert_scalar_matches(q1, q0, p1, p0)
 
 
 # -- neighbor graph --------------------------------------------------------

@@ -1,9 +1,12 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from colony_track.errors import ValidationError
-from colony_track.geometry import capsule_gap
+from colony_track.geometry import Rect, capsule_gap
 from colony_track.simulator import LineageRecord, SimConfig, simulate, true_motion_bound
 
 from conftest import make_cell, make_frame
@@ -32,6 +35,73 @@ def test_deterministic_given_seed():
             assert np.array_equal(ca.e, cb.e) and np.array_equal(ca.h, cb.h)
     assert [r.moved for r in a.lineage] == [r.moved for r in b.lineage]
     assert [r.divided for r in a.lineage] == [r.divided for r in b.lineage]
+
+
+def _sim_digest(result):
+    """sha256 over every cell's id, endpoint bytes and width, and the lineage."""
+    h = hashlib.sha256()
+    for frame in result.frames:
+        for c in frame.cells:
+            h.update(c.id.encode())
+            h.update(np.asarray(c.e, "<f8").tobytes())
+            h.update(np.asarray(c.h, "<f8").tobytes())
+            h.update(struct.pack("<d", c.width))
+    for r in result.lineage:
+        h.update(
+            repr((r.frame_index, sorted(r.moved.items()), sorted(r.divided.items()))).encode()
+        )
+    return h.hexdigest()
+
+
+def _golden_runs():
+    dividing = simulate(SimConfig(seed=5, n_frames=12, initial_cells=3, motion_sigma=1.5))
+    # divisions off, lengths capped; a small budget and trap make pushes hit
+    # both the displacement cap and the trap clamp
+    adopted = simulate(
+        SimConfig(
+            seed=6,
+            n_frames=10,
+            divide=False,
+            max_length=30.0,
+            interframe_minutes=6.0,
+            w=12.0,
+            growth_rate=1.01,
+            motion_sigma=2.5,
+            substeps=4,
+            trap_bounds=Rect(250.0, 250.0, 350.0, 350.0),
+        ),
+        initial_frame=dividing.frames[-1],
+    )
+    # a dense colony in a small trap: about 13 000 relaxation pushes, enough
+    # that a last-bit change in a distance alters the output
+    crowded = simulate(
+        SimConfig(
+            seed=9,
+            n_frames=50,
+            initial_cells=6,
+            trap_bounds=Rect.of_size(220.0, 220.0),
+            motion_sigma=1.5,
+            substeps=2,
+            relax_iterations=300,
+        )
+    )
+    return {"dividing": dividing, "adopted": adopted, "crowded": crowded}
+
+
+# only a deliberate change to the simulation may re-record these
+GOLDEN_DIGESTS = {
+    "dividing": "c054b3e663458a8e10da4541d313fdff1a769c41f23080ea93abb5f55d72d5f2",
+    "adopted": "a4774549e5b0cf4a04a0390c74f0ffb5ef80bb8a93592a24ec4af95faea8b06c",
+    "crowded": "52b31236d48f0f3e009473788c31523dbeb3a64c9a2a79ec6c6e233d560d0930",
+}
+
+
+def test_simulator_output_matches_golden_digests():
+    # the relaxation is a sequential float computation: a one-ulp change in
+    # any distance can change the colony, which same-code determinism misses
+    runs = _golden_runs()
+    assert not any(r.truncated for r in runs.values())
+    assert {k: _sim_digest(r) for k, r in runs.items()} == GOLDEN_DIGESTS
 
 
 def test_division_at_deterministic_growth_threshold():
