@@ -1,15 +1,16 @@
 """Boltzmann-machine annealing over finite product configuration spaces.
 
-The energy is a sum of small-clique terms plus optional collision terms:
+The energy is a sum of small-clique terms plus one optional collision term:
 
     E(z) = sum_K weight_K * table_K[z restricted to K]
-         + sum_G coef_G * #{unordered site pairs mapped to the same target}
+         + coef * #{unordered site pairs mapped to the same target}
 
-Clique tables are dense numpy arrays indexed by per-site candidate positions,
-so a single-site update touches only the cliques containing that site. The
-collision terms express pairwise equality penalties (one clique per pair of
-sites) through per-target occupancy counts, which keeps their evaluation
-exact while avoiding a quadratic clique list.
+Site i takes one of ``sizes[i]`` candidate positions. Clique tables are dense
+numpy arrays indexed by those positions, so a single-site update touches only
+the cliques containing that site. The collision term expresses pairwise
+equality penalties (one clique per pair of sites) through per-target
+occupancy counts, which keeps its evaluation exact while avoiding a quadratic
+clique list.
 """
 
 from __future__ import annotations
@@ -55,52 +56,58 @@ class Clique:
 class CollisionGroup:
     """Adds coef * #{i<j : target(i, z_i) == target(j, z_j)} to the energy.
 
-    ``targets[i][a]`` is the integer target token reached when site i is in
-    candidate position a; a token of -1 never collides.
+    ``targets[i][a]`` is the non-negative integer target token reached when
+    site i is in candidate position a.
     """
 
     coef: float
     targets: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "targets", tuple(np.asarray(t, dtype=np.int64) for t in self.targets)
-        )
+        targets = tuple(np.asarray(t, dtype=np.int64) for t in self.targets)
+        if any(t.min(initial=0) < 0 for t in targets):
+            raise ValidationError("collision target tokens must be non-negative")
+        object.__setattr__(self, "targets", targets)
 
     @property
     def n_tokens(self) -> int:
         return int(max(int(t.max(initial=-1)) for t in self.targets) + 1)
 
+    def tokens(self, states: np.ndarray) -> np.ndarray:
+        """Target token of every site in configuration ``states``."""
+        return np.array(
+            [t[s] for t, s in zip(self.targets, states)], dtype=np.int64
+        )
+
 
 class BmProblem:
-    """Sites with finite candidate lists and a clique-factored energy."""
+    """Sites with ``sizes[i]`` candidate positions and a clique-factored energy."""
 
     def __init__(
         self,
-        state_spaces: Sequence[Sequence],
+        sizes: Sequence[int],
         cliques: Sequence[Clique],
-        collision_groups: Sequence[CollisionGroup] = (),
+        collision: CollisionGroup | None = None,
     ):
-        self.state_spaces = [list(space) for space in state_spaces]
-        if any(len(space) == 0 for space in self.state_spaces):
+        self.sizes = tuple(int(size) for size in sizes)
+        if any(size < 1 for size in self.sizes):
             raise ValidationError("every site needs at least one candidate state")
-        self.n_sites = len(self.state_spaces)
+        self.n_sites = len(self.sizes)
         self.cliques = list(cliques)
-        self.collision_groups = list(collision_groups)
-        sizes = [len(space) for space in self.state_spaces]
+        self.collision = collision
         for cl in self.cliques:
             if any(s < 0 or s >= self.n_sites for s in cl.sites):
                 raise ValidationError("clique references an unknown site")
-            expected = tuple(sizes[s] for s in cl.sites)
+            expected = tuple(self.sizes[s] for s in cl.sites)
             if cl.table.shape != expected:
                 raise ValidationError(
                     f"clique table shape {cl.table.shape} != candidate counts {expected}"
                 )
-        for grp in self.collision_groups:
-            if len(grp.targets) != self.n_sites:
+        if collision is not None:
+            if len(collision.targets) != self.n_sites:
                 raise ValidationError("collision group must cover every site")
-            for s, t in enumerate(grp.targets):
-                if t.shape != (sizes[s],):
+            for size, t in zip(self.sizes, collision.targets):
+                if t.shape != (size,):
                     raise ValidationError("collision targets misaligned with candidates")
         self.site_cliques: list[list[int]] = [[] for _ in range(self.n_sites)]
         for ci, cl in enumerate(self.cliques):
@@ -113,18 +120,11 @@ class BmProblem:
             total += cl.weight * float(cl.table[tuple(states[s] for s in cl.sites)])
         return total
 
-    def _group_tokens(self, grp: CollisionGroup, states: np.ndarray) -> np.ndarray:
-        return np.array(
-            [grp.targets[i][states[i]] for i in range(self.n_sites)], dtype=np.int64
-        )
-
     def collision_energy(self, states: np.ndarray) -> float:
-        total = 0.0
-        for grp in self.collision_groups:
-            tokens = self._group_tokens(grp, states)
-            counts = np.bincount(tokens[tokens >= 0], minlength=0)
-            total += grp.coef * float((counts * (counts - 1) // 2).sum())
-        return total
+        if self.collision is None:
+            return 0.0
+        counts = np.bincount(self.collision.tokens(states))
+        return self.collision.coef * float((counts * (counts - 1) // 2).sum())
 
     def energy(self, states: np.ndarray) -> float:
         """Full recomputation of E(z); the reference for all bookkeeping."""
@@ -139,30 +139,22 @@ class BmConfig:
         self.states = np.asarray(states, dtype=np.int64).copy()
         if self.states.shape != (problem.n_sites,):
             raise ValidationError("states vector length must match site count")
-        for i, s in enumerate(self.states):
-            if not (0 <= s < len(problem.state_spaces[i])):
-                raise ValidationError(f"state index out of range at site {i}")
-        self._occ = []
-        for grp in problem.collision_groups:
-            occ = np.zeros(grp.n_tokens, dtype=np.int64)
-            tokens = problem._group_tokens(grp, self.states)
-            for t in tokens:
-                if t >= 0:
-                    occ[t] += 1
-            self._occ.append(occ)
+        bad = np.flatnonzero((self.states < 0) | (self.states >= np.array(problem.sizes)))
+        if bad.size:
+            raise ValidationError(f"state index out of range at site {bad[0]}")
+        grp = problem.collision
+        self._occ = (
+            None
+            if grp is None
+            else np.bincount(grp.tokens(self.states), minlength=grp.n_tokens)
+        )
         self.energy = problem.energy(self.states)
-
-    def labels(self) -> list:
-        return [
-            self.problem.state_spaces[i][self.states[i]]
-            for i in range(self.problem.n_sites)
-        ]
 
     def delta_vector(self, site: int) -> np.ndarray:
         """Energy change for moving ``site`` to each of its candidates."""
         problem = self.problem
         cur = self.states[site]
-        out = np.zeros(len(problem.state_spaces[site]))
+        out = np.zeros(problem.sizes[site])
         for ci in problem.site_cliques[site]:
             cl = problem.cliques[ci]
             idx = tuple(
@@ -170,31 +162,29 @@ class BmConfig:
             )
             vec = cl.table[idx]
             out += cl.weight * (vec - vec[cur])
-        for grp, occ in zip(problem.collision_groups, self._occ):
-            if occ.size == 0:
-                continue
-            toks = grp.targets[site]
+        if self._occ is not None:
+            occ = self._occ
+            toks = problem.collision.targets[site]
             cur_tok = toks[cur]
-            occ_cand = np.where(toks >= 0, occ[np.maximum(toks, 0)], 0)
             # exclude this site itself from the counts it sees
-            occ_cand = occ_cand - ((toks == cur_tok) & (toks >= 0))
-            occ_cur = occ[cur_tok] - 1 if cur_tok >= 0 else 0
-            out += grp.coef * (occ_cand - occ_cur)
+            occ_cand = occ[toks] - (toks == cur_tok)
+            out += problem.collision.coef * (occ_cand - (occ[cur_tok] - 1))
         return out
 
-    def apply(self, site: int, new_state: int, delta: float) -> None:
-        old = self.states[site]
-        if new_state == old:
-            return
-        for grp, occ in zip(self.problem.collision_groups, self._occ):
-            old_tok = grp.targets[site][old]
-            new_tok = grp.targets[site][new_state]
-            if old_tok >= 0:
-                occ[old_tok] -= 1
-            if new_tok >= 0:
-                occ[new_tok] += 1
-        self.states[site] = new_state
+    def commit(self, moves: Sequence[tuple[int, int]], delta: float) -> None:
+        """Set every ``(site, state)`` of ``moves`` at once; ``delta`` is the
+        energy change of the joint move."""
+        grp = self.problem.collision
+        for site, new_state in moves:
+            if grp is not None:
+                self._occ[grp.targets[site][self.states[site]]] -= 1
+                self._occ[grp.targets[site][new_state]] += 1
+            self.states[site] = new_state
         self.energy += delta
+
+    def apply(self, site: int, new_state: int, delta: float) -> None:
+        if new_state != self.states[site]:
+            self.commit([(site, new_state)], delta)
 
     def resync_energy(self) -> None:
         """Replace the accumulated energy by a full recomputation."""
@@ -291,6 +281,29 @@ def step_async(config: BmConfig, site: int, temp: float, rng: np.random.Generato
     return False
 
 
+def _joint_delta(config: BmConfig, moves: Sequence[tuple[int, int]]) -> float:
+    """Energy change of setting every ``(site, state)`` of ``moves`` at once:
+    the touched cliques in index order, then the full collision difference."""
+    problem = config.problem
+    old_states = config.states
+    new_states = old_states.copy()
+    for site, z in moves:
+        new_states[site] = z
+    touched = sorted({ci for site, _ in moves for ci in problem.site_cliques[site]})
+    delta = 0.0
+    for ci in touched:
+        cl = problem.cliques[ci]
+        delta += cl.weight * (
+            float(cl.table[tuple(new_states[s] for s in cl.sites)])
+            - float(cl.table[tuple(old_states[s] for s in cl.sites)])
+        )
+    if problem.collision is not None:
+        delta += problem.collision_energy(new_states) - problem.collision_energy(
+            old_states
+        )
+    return delta
+
+
 def step_sync(
     config: BmConfig, temp: float, alpha: float, rng: np.random.Generator
 ) -> int:
@@ -299,8 +312,7 @@ def step_sync(
     Returns the number of sites that changed."""
     if not (0.0 < alpha <= 1.0):
         raise ValidationError("synchrony parameter alpha must lie in (0, 1]")
-    problem = config.problem
-    tags = rng.random(problem.n_sites) < alpha
+    tags = rng.random(config.problem.n_sites) < alpha
     moves: list[tuple[int, int]] = []
     for site in np.flatnonzero(tags):
         proposal = _propose(config, int(site))
@@ -311,81 +323,30 @@ def step_sync(
             moves.append((int(site), z))
     if not moves:
         return 0
-    old_states = config.states.copy()
-    touched = sorted({ci for site, _ in moves for ci in problem.site_cliques[site]})
-    new_states = old_states.copy()
-    for site, z in moves:
-        new_states[site] = z
-    delta = 0.0
-    for ci in touched:
-        cl = problem.cliques[ci]
-        delta += cl.weight * (
-            float(cl.table[tuple(new_states[s] for s in cl.sites)])
-            - float(cl.table[tuple(old_states[s] for s in cl.sites)])
-        )
-    if problem.collision_groups:
-        delta += problem.collision_energy(new_states) - problem.collision_energy(
-            old_states
-        )
-    for site, z in moves:
-        config.states[site] = z
-    config.energy += delta
-    # occupancies are rebuilt rather than patched: several sites moved at once
-    for gi, grp in enumerate(problem.collision_groups):
-        occ = np.zeros(grp.n_tokens, dtype=np.int64)
-        for i in range(problem.n_sites):
-            t = grp.targets[i][config.states[i]]
-            if t >= 0:
-                occ[t] += 1
-        config._occ[gi] = occ
+    config.commit(moves, _joint_delta(config, moves))
     return len(moves)
 
 
 def step_swap(config: BmConfig, temp: float, rng: np.random.Generator) -> bool:
     """Cardinality-preserving update for binary problems: exchange a selected
     site with an unselected one. No-op when either side is empty."""
-    problem = config.problem
     ones = np.flatnonzero(config.states == 1)
     zeros = np.flatnonzero(config.states == 0)
     if len(ones) == 0 or len(zeros) == 0:
         return False
     j = int(ones[rng.integers(len(ones))])
     k = int(zeros[rng.integers(len(zeros))])
-    old_states = config.states
-    new_states = old_states.copy()
-    new_states[j] = 0
-    new_states[k] = 1
-    touched = sorted(set(problem.site_cliques[j]) | set(problem.site_cliques[k]))
-    delta = 0.0
-    for ci in touched:
-        cl = problem.cliques[ci]
-        delta += cl.weight * (
-            float(cl.table[tuple(new_states[s] for s in cl.sites)])
-            - float(cl.table[tuple(old_states[s] for s in cl.sites)])
-        )
-    if problem.collision_groups:
-        delta += problem.collision_energy(new_states) - problem.collision_energy(
-            old_states
-        )
+    moves = [(j, 0), (k, 1)]
+    delta = _joint_delta(config, moves)
     if _accept(max(0.0, delta), temp, rng):
-        for grp, occ in zip(problem.collision_groups, config._occ):
-            for site, old, new in ((j, 1, 0), (k, 0, 1)):
-                ot, nt = grp.targets[site][old], grp.targets[site][new]
-                if ot >= 0:
-                    occ[ot] -= 1
-                if nt >= 0:
-                    occ[nt] += 1
-        config.states[j] = 0
-        config.states[k] = 1
-        config.energy += delta
+        config.commit(moves, delta)
         return True
     return False
 
 
 def _require_binary(problem: BmProblem) -> None:
-    for space in problem.state_spaces:
-        if list(space) != [0, 1]:
-            raise ValidationError("swap dynamics requires binary state spaces [0, 1]")
+    if any(size != 2 for size in problem.sizes):
+        raise ValidationError("swap dynamics requires two candidate states per site")
 
 
 @dataclass
@@ -399,12 +360,6 @@ class AnnealResult:
     n_steps: int
     stopped: str
     step_trace: list[tuple[int, float, float, int]] | None = None
-
-    def best_labels(self, problem: BmProblem) -> list:
-        return [
-            problem.state_spaces[i][self.best_states[i]]
-            for i in range(problem.n_sites)
-        ]
 
 
 def anneal(

@@ -23,13 +23,9 @@ from .errors import InfeasibleError, ValidationError
 
 
 class PenaltyEvaluator(Protocol):
-    """Penalty vector of an assignment, with an optional incremental form."""
+    """Penalty vector of an assignment."""
 
     def cost_terms(self, assignment: np.ndarray) -> tuple: ...
-
-    def delta_terms(
-        self, site: int, new_pos: int, assignment: np.ndarray
-    ) -> np.ndarray: ...
 
 
 @dataclass
@@ -72,8 +68,7 @@ def build_perturbations(
     """
     f = np.asarray(ground_truth, dtype=np.int64)
     rng = np.random.default_rng(rng_seed)
-    use_delta = hasattr(evaluator, "delta_terms")
-    base = None if use_delta else np.asarray(evaluator.cost_terms(f), dtype=np.float64)
+    base = np.asarray(evaluator.cost_terms(f), dtype=np.float64)
     rows: list[np.ndarray] = []
     labels: list[tuple[int, int]] = []
     for site, window in enumerate(windows):
@@ -82,13 +77,9 @@ def build_perturbations(
             continue
         picks = alts if all_alternatives else [alts[rng.integers(len(alts))]]
         for s in picks:
-            if use_delta:
-                row = np.asarray(evaluator.delta_terms(site, s, f), dtype=np.float64)
-            else:
-                g = f.copy()
-                g[site] = s
-                row = np.asarray(evaluator.cost_terms(g), dtype=np.float64) - base
-            rows.append(row)
+            g = f.copy()
+            g[site] = s
+            rows.append(np.asarray(evaluator.cost_terms(g), dtype=np.float64) - base)
             labels.append((site, s))
     if not rows:
         raise ValidationError("no admissible single-point modifications")

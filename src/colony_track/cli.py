@@ -67,16 +67,15 @@ def _load_pipeline_config(args) -> PipelineConfig:
             data["registration_weights"] = wdata["registration"]
         if "division" in wdata:
             data["division_weights"] = wdata["division"]
-    if args.schedule:
+    if getattr(args, "schedule", None):
         sdata = io.load_json(args.schedule)
-        dynamics = sdata.pop("dynamics", None)
+        if "dynamics" in sdata:
+            data["dynamics"] = sdata.pop("dynamics")
         alpha = sdata.pop("alpha", None)
-        data["registration_schedule"] = sdata
-        if dynamics and dynamics != "swap-auto":
-            data["dynamics"] = dynamics
         if alpha is not None:
             data["alpha"] = alpha
-    if getattr(args, "dynamics", None) and args.dynamics != "swap-auto":
+        data["registration_schedule"] = sdata
+    if getattr(args, "dynamics", None) is not None:
         data["dynamics"] = args.dynamics
     if args.seed is not None:
         data["seed"] = args.seed
@@ -240,8 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     track.add_argument("--weights", help="weights JSON")
     track.add_argument("--schedule", help="annealing schedule JSON")
     track.add_argument(
-        "--dynamics", choices=("async", "sync", "swap-auto"), default="swap-auto",
-        help="registration dynamics; children pairing always uses swap",
+        "--dynamics", choices=("async", "sync"), default=None,
+        help="registration dynamics (default: the config value); "
+        "children pairing always uses swap",
     )
     track.add_argument("--seed", type=int, default=None)
     track.add_argument("--out", required=True)
@@ -260,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--ground-truth", required=True)
     cal.add_argument("--config", help="pipeline config JSON")
     cal.add_argument("--weights", help="initial weights JSON")
-    cal.add_argument("--schedule", help=argparse.SUPPRESS)
     cal.add_argument("--pair", type=int, default=None, help="source frame index")
     cal.add_argument("--all-alternatives", action="store_true")
     cal.add_argument("--budget", type=float, default=1000.0)

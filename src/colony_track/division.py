@@ -319,7 +319,7 @@ class ChildrenBmProblem:
             for k in range(j + 1, self.m):
                 if self.q[j, k]:
                     cliques.append(Clique((j, k), pair_table))
-        return BmProblem([[0, 1]] * self.m, cliques)
+        return BmProblem([2] * self.m, cliques)
 
 
 def max_disjoint_candidates(candidates: Sequence[PairCandidate]) -> int:

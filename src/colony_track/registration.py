@@ -150,6 +150,23 @@ def fit_likelihood_model(
     )
 
 
+def _broken(adj: np.ndarray, ti, tj) -> np.ndarray:
+    """Stab indicator: the targets of two source neighbors are not neighbors.
+
+    Index arrays broadcast, so one call scores an assignment or a whole table.
+    """
+    return ~adj[ti, tj]
+
+
+def _flipped(adj: np.ndarray, ct: np.ndarray, ti, tj, tk, sign) -> np.ndarray:
+    """Flip indicator of a triplet (center i, wings j, k): both wings stay
+    neighbors of the center's target, but their orientation around it has the
+    opposite sign to the source orientation ``sign``."""
+    both = adj[tj, ti] & adj[tk, ti]
+    cr = cross2(ct[tj] - ct[ti], ct[tk] - ct[ti])
+    return both & (sign * cr < 0.0)
+
+
 @dataclass
 class RegistrationProblem:
     """Precompiled registration instance over a reduced frame pair.
@@ -188,15 +205,8 @@ class RegistrationProblem:
 
     def touched_cliques_per_site(self) -> np.ndarray:
         """Diagnostic r(j): cliques containing each site."""
-        counts = np.ones(self.n, dtype=np.int64)
-        for i, j in self.stab_pairs:
-            counts[i] += 1
-            counts[j] += 1
-        for i, j, k in self.flip_triplets:
-            counts[i] += 1
-            counts[j] += 1
-            counts[k] += 1
-        return counts
+        sites = np.concatenate([self.stab_pairs.ravel(), self.flip_triplets.ravel()])
+        return 1 + np.bincount(sites, minlength=self.n)
 
     # -- cost evaluation ----------------------------------------------------
 
@@ -213,67 +223,17 @@ class RegistrationProblem:
         adj = self.target_graph.adj
         stab = 0.0
         if self.stab_pairs.shape[0]:
-            broken = ~adj[a[self.stab_pairs[:, 0]], a[self.stab_pairs[:, 1]]]
+            broken = _broken(adj, *a[self.stab_pairs.T])
             stab = float((self.stab_weights * broken).sum())
         flip = 0.0
         if self.flip_triplets.shape[0]:
             ct = self.target.centers()
-            ti = a[self.flip_triplets[:, 0]]
-            tj = a[self.flip_triplets[:, 1]]
-            tk = a[self.flip_triplets[:, 2]]
-            both = adj[tj, ti] & adj[tk, ti]
-            cr = cross2(ct[tj] - ct[ti], ct[tk] - ct[ti])
-            flipped = both & (self.flip_signs * cr < 0.0)
+            flipped = _flipped(adj, ct, *a[self.flip_triplets.T], self.flip_signs)
             flip = float((self.flip_weights * flipped).sum())
         return match, over, stab, flip
 
     def cost(self, assignment: np.ndarray) -> float:
         return float(self.weights.as_array() @ np.array(self.cost_terms(assignment)))
-
-    def delta_terms(self, site: int, new_pos: int, assignment: np.ndarray) -> np.ndarray:
-        """Per-term cost change of moving one source cell to a new target."""
-        a = np.asarray(assignment, dtype=np.int64)
-        old_pos = a[site]
-        if new_pos == old_pos:
-            return np.zeros(4)
-        match = float(self.match_cost[site, new_pos] - self.match_cost[site, old_pos])
-        others = np.delete(a, site)
-        over = 2.0 * float((others == new_pos).sum() - (others == old_pos).sum()) / self.n
-        adj = self.target_graph.adj
-        stab = 0.0
-        mask = (self.stab_pairs[:, 0] == site) | (self.stab_pairs[:, 1] == site)
-        if mask.any():
-            pairs = self.stab_pairs[mask]
-            wts = self.stab_weights[mask]
-            partner = np.where(pairs[:, 0] == site, pairs[:, 1], pairs[:, 0])
-            stab = float(
-                (wts * (~adj[new_pos, a[partner]])).sum()
-                - (wts * (~adj[old_pos, a[partner]])).sum()
-            )
-        flip = 0.0
-        tmask = (
-            (self.flip_triplets[:, 0] == site)
-            | (self.flip_triplets[:, 1] == site)
-            | (self.flip_triplets[:, 2] == site)
-        )
-        if tmask.any():
-            idx = np.flatnonzero(tmask)
-            flip = self._flip_subset(a, idx, site, new_pos) - self._flip_subset(
-                a, idx, site, old_pos
-            )
-        return np.array([match, over, stab, flip])
-
-    def _flip_subset(self, a: np.ndarray, idx: np.ndarray, site: int, pos: int) -> float:
-        trip = self.flip_triplets[idx]
-        ti = np.where(trip[:, 0] == site, pos, a[trip[:, 0]])
-        tj = np.where(trip[:, 1] == site, pos, a[trip[:, 1]])
-        tk = np.where(trip[:, 2] == site, pos, a[trip[:, 2]])
-        adj = self.target_graph.adj
-        ct = self.target.centers()
-        both = adj[tj, ti] & adj[tk, ti]
-        cr = cross2(ct[tj] - ct[ti], ct[tk] - ct[ti])
-        flipped = both & (self.flip_signs[idx] * cr < 0.0)
-        return float((self.flip_weights[idx] * flipped).sum())
 
     # -- BM compilation -----------------------------------------------------
 
@@ -288,7 +248,7 @@ class RegistrationProblem:
                 Clique((i,), lam.match * self.match_cost[i, self.windows[i]])
             )
         for (i, j), wt in zip(self.stab_pairs, self.stab_weights):
-            broken = ~adj[np.ix_(self.windows[i], self.windows[j])]
+            broken = _broken(adj, self.windows[i][:, None], self.windows[j][None, :])
             cliques.append(
                 Clique((int(i), int(j)), broken.astype(np.int8), lam.stab * float(wt))
             )
@@ -296,20 +256,14 @@ class RegistrationProblem:
             self.flip_triplets, self.flip_weights, self.flip_signs
         ):
             wi, wj, wk = self.windows[i], self.windows[j], self.windows[k]
-            both = adj[wj[None, :, None], wi[:, None, None]] & adj[
-                wk[None, None, :], wi[:, None, None]
-            ]
-            dxj = ct[wj, 0][None, :, None] - ct[wi, 0][:, None, None]
-            dyj = ct[wj, 1][None, :, None] - ct[wi, 1][:, None, None]
-            dxk = ct[wk, 0][None, None, :] - ct[wi, 0][:, None, None]
-            dyk = ct[wk, 1][None, None, :] - ct[wi, 1][:, None, None]
-            cr = dxj * dyk - dyj * dxk
-            table = (both & (sign * cr < 0.0)).astype(np.int8)
+            table = _flipped(
+                adj, ct, wi[:, None, None], wj[None, :, None], wk[None, None, :], sign
+            ).astype(np.int8)
             cliques.append(Clique((int(i), int(j), int(k)), table, lam.flip * float(wt)))
-        group = CollisionGroup(
+        collision = CollisionGroup(
             coef=lam.over * 2.0 / self.n, targets=tuple(self.windows)
         )
-        return BmProblem([w.tolist() for w in self.windows], cliques, [group])
+        return BmProblem([len(w) for w in self.windows], cliques, collision)
 
     def states_for(self, assignment: np.ndarray) -> np.ndarray:
         """Window-relative state indices of a target-position assignment."""
@@ -411,10 +365,6 @@ def build_problem(
         flip_signs=np.array(flip_signs),
         padded_sites=padded,
     )
-
-
-def cost_terms(assignment, problem: RegistrationProblem) -> tuple[float, float, float, float]:
-    return problem.cost_terms(assignment)
 
 
 def initial_assignment(problem: RegistrationProblem) -> np.ndarray:

@@ -163,7 +163,7 @@ def test_incremental_delta_consistency_all_dynamics():
     config = BmConfig(bm, np.zeros(bm.n_sites, dtype=np.int64))
     for _ in range(10_000):
         site = int(rng.integers(bm.n_sites))
-        cand = int(rng.integers(len(bm.state_spaces[site])))
+        cand = int(rng.integers(bm.sizes[site]))
         deltas = config.delta_vector(site)
         config.apply(site, cand, float(deltas[cand]))
         if rng.random() < 0.02:
@@ -343,7 +343,7 @@ def test_property_swap_conserves_cardinality(seed):
     rng = np.random.default_rng(seed)
     m = int(rng.integers(2, 10))
     cliques = [Clique((j,), rng.normal(size=2)) for j in range(m)]
-    problem = BmProblem([[0, 1]] * m, cliques)
+    problem = BmProblem([2] * m, cliques)
     states = (rng.random(m) < 0.5).astype(np.int64)
     config = BmConfig(problem, states)
     weight = int(states.sum())
@@ -359,7 +359,7 @@ def test_property_anneal_deterministic_under_seed(seed):
     m = int(rng.integers(2, 6))
     sizes = [int(rng.integers(2, 4)) for _ in range(m)]
     cliques = [Clique((j,), rng.normal(size=sizes[j])) for j in range(m)]
-    problem = BmProblem([list(range(s)) for s in sizes], cliques)
+    problem = BmProblem(sizes, cliques)
     sched = Schedule(c=2.0, eta=0.995, epoch_cap=8)
     a = anneal(problem, "async", sched, rng_seed=seed, record_steps=True)
     b = anneal(problem, "async", sched, rng_seed=seed, record_steps=True)

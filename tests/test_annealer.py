@@ -29,18 +29,18 @@ def random_problem(rng, n_sites=6, max_states=4, n_cliques=10, with_collisions=T
         sites = tuple(int(s) for s in rng.choice(n_sites, size=k, replace=False))
         table = rng.normal(size=tuple(sizes[s] for s in sites))
         cliques.append(Clique(sites, table, weight=float(rng.uniform(0.2, 2.0))))
-    groups = []
+    collision = None
     if with_collisions:
         targets = tuple(
             rng.integers(0, 5, size=sizes[s]).astype(np.int64) for s in range(n_sites)
         )
-        groups.append(CollisionGroup(coef=float(rng.uniform(0.1, 1.0)), targets=targets))
-    return BmProblem([list(range(s)) for s in sizes], cliques, groups)
+        collision = CollisionGroup(coef=float(rng.uniform(0.1, 1.0)), targets=targets)
+    return BmProblem(sizes, cliques, collision)
 
 
 def brute_force_min(problem):
     best, best_states = math.inf, None
-    for states in itertools.product(*[range(len(s)) for s in problem.state_spaces]):
+    for states in itertools.product(*[range(size) for size in problem.sizes]):
         e = problem.energy(np.array(states))
         if e < best:
             best, best_states = e, states
@@ -52,9 +52,9 @@ def brute_force_min(problem):
 
 def test_problem_validation():
     with pytest.raises(ValidationError):
-        BmProblem([[0, 1]], [Clique((0,), np.zeros((3,)))])  # wrong table size
+        BmProblem([2], [Clique((0,), np.zeros((3,)))])  # wrong table size
     with pytest.raises(ValidationError):
-        BmProblem([[0, 1]], [Clique((1,), np.zeros(2))])  # unknown site
+        BmProblem([2], [Clique((1,), np.zeros(2))])  # unknown site
     with pytest.raises(ValidationError):
         Clique((0, 0), np.zeros((2, 2)))  # duplicate sites
     with pytest.raises(ValidationError):
@@ -65,11 +65,11 @@ def test_problem_validation():
 def test_delta_vector_matches_full_recompute(seed):
     rng = np.random.default_rng(seed)
     problem = random_problem(rng)
-    states = np.array([rng.integers(len(s)) for s in problem.state_spaces])
+    states = np.array([rng.integers(size) for size in problem.sizes])
     config = BmConfig(problem, states)
     site = int(rng.integers(problem.n_sites))
     deltas = config.delta_vector(site)
-    for cand in range(len(problem.state_spaces[site])):
+    for cand in range(problem.sizes[site]):
         other = states.copy()
         other[site] = cand
         assert deltas[cand] == pytest.approx(
@@ -84,10 +84,43 @@ def test_energy_bookkeeping_over_moves(seed):
     config = BmConfig(problem, np.zeros(problem.n_sites, dtype=np.int64))
     for _ in range(30):
         site = int(rng.integers(problem.n_sites))
-        cand = int(rng.integers(len(problem.state_spaces[site])))
+        cand = int(rng.integers(problem.sizes[site]))
         deltas = config.delta_vector(site)
         config.apply(site, cand, float(deltas[cand]))
         assert config.energy == pytest.approx(problem.energy(config.states), abs=1e-9)
+
+
+def assert_deltas_exact(config):
+    """delta_vector at every site equals the full energy differences."""
+    problem = config.problem
+    base = problem.energy(config.states)
+    for site in range(problem.n_sites):
+        deltas = config.delta_vector(site)
+        for cand in range(problem.sizes[site]):
+            other = config.states.copy()
+            other[site] = cand
+            assert deltas[cand] == pytest.approx(problem.energy(other) - base, abs=1e-9)
+
+
+@given(st.integers(0, 200))
+def test_joint_moves_keep_collision_occupancy_exact(seed):
+    rng = np.random.default_rng(seed)
+    problem = random_problem(rng)
+    config = BmConfig(problem, np.zeros(problem.n_sites, dtype=np.int64))
+    for _ in range(5):
+        step_sync(config, temp=5.0, alpha=0.5, rng=rng)
+        assert_deltas_exact(config)
+    binary = random_problem(rng, n_sites=8, max_states=2)
+    config = BmConfig(binary, (rng.random(8) < 0.5).astype(np.int64))
+    for _ in range(5):
+        step_swap(config, temp=5.0, rng=rng)
+        assert_deltas_exact(config)
+    assert config.energy == pytest.approx(binary.energy(config.states), abs=1e-9)
+
+
+def test_negative_collision_token_rejected():
+    with pytest.raises(ValidationError):
+        CollisionGroup(coef=1.0, targets=(np.array([0, -1]),))
 
 
 def test_swap_then_reverse_restores_energy():
@@ -112,7 +145,7 @@ def test_swap_then_reverse_restores_energy():
 
 def test_improving_moves_always_accepted():
     # a two-state single-site problem where state 1 is strictly better
-    problem = BmProblem([[0, 1]], [Clique((0,), np.array([1.0, 0.0]))])
+    problem = BmProblem([2], [Clique((0,), np.array([1.0, 0.0]))])
     rng = np.random.default_rng(0)
     for _ in range(50):
         config = BmConfig(problem, [0])
@@ -121,7 +154,7 @@ def test_improving_moves_always_accepted():
 
 
 def test_high_temperature_accepts_uphill():
-    problem = BmProblem([[0, 1]], [Clique((0,), np.array([0.0, 5.0]))])
+    problem = BmProblem([2], [Clique((0,), np.array([0.0, 5.0]))])
     rng = np.random.default_rng(1)
     accepted = sum(
         step_async(BmConfig(problem, [0]), 0, temp=1e9, rng=rng) for _ in range(500)
@@ -130,7 +163,7 @@ def test_high_temperature_accepts_uphill():
 
 
 def test_zero_temperature_rejects_uphill():
-    problem = BmProblem([[0, 1]], [Clique((0,), np.array([0.0, 5.0]))])
+    problem = BmProblem([2], [Clique((0,), np.array([0.0, 5.0]))])
     rng = np.random.default_rng(2)
     accepted = sum(
         step_async(BmConfig(problem, [0]), 0, temp=0.0, rng=rng) for _ in range(200)
@@ -189,7 +222,7 @@ def test_swap_matches_exhaustive_subset_minimum():
                     cliques.append(
                         Clique((j, k), np.array([[0.0, 0.0], [0.0, 2.0 * lam_q]]))
                     )
-        problem = BmProblem([[0, 1]] * m, cliques)
+        problem = BmProblem([2] * m, cliques)
         best = min(
             problem.energy(np.array([1 if i in comb else 0 for i in range(m)]))
             for comb in itertools.combinations(range(m), div)
@@ -221,7 +254,7 @@ def test_swap_conserves_cardinality(seed):
 
 
 def test_swap_noop_when_all_selected():
-    problem = BmProblem([[0, 1]] * 3, [Clique((j,), np.array([0.0, 1.0])) for j in range(3)])
+    problem = BmProblem([2] * 3, [Clique((j,), np.array([0.0, 1.0])) for j in range(3)])
     config = BmConfig(problem, [1, 1, 1])
     rng = np.random.default_rng(0)
     assert not step_swap(config, 1.0, rng)
@@ -238,7 +271,7 @@ def test_sync_alpha_small_changes_few_sites():
 
 def test_sync_single_site_alpha_one_matches_async_in_law():
     problem = BmProblem(
-        [[0, 1, 2]], [Clique((0,), np.array([0.0, 0.4, 1.0]))]
+        [3], [Clique((0,), np.array([0.0, 0.4, 1.0]))]
     )
 
     def terminal_counts(stepper):
@@ -287,7 +320,7 @@ def test_bookkeeping_consistency_during_anneal():
 
 def test_constant_energy_stops_after_one_window():
     problem = BmProblem(
-        [[0, 1]] * 4, [Clique((j,), np.zeros(2)) for j in range(4)]
+        [2] * 4, [Clique((j,), np.zeros(2)) for j in range(4)]
     )
     result = anneal(problem, "async", Schedule(c=1.0, eta=0.995, epoch_cap=100), rng_seed=0)
     assert result.stopped == "stable"
@@ -326,16 +359,16 @@ def test_schedule_defaults_and_validation():
 
 
 def test_swap_requires_binary_spaces_and_initial():
-    problem = BmProblem([[0, 1, 2]], [Clique((0,), np.zeros(3))])
+    problem = BmProblem([3], [Clique((0,), np.zeros(3))])
     with pytest.raises(ValidationError):
         anneal(problem, "swap", rng_seed=0, initial_states=[0])
-    binary = BmProblem([[0, 1]], [Clique((0,), np.zeros(2))])
+    binary = BmProblem([2], [Clique((0,), np.zeros(2))])
     with pytest.raises(ValidationError):
         anneal(binary, "swap", rng_seed=0)
 
 
 def test_trace_csv_roundtrip(tmp_path):
-    problem = BmProblem([[0, 1]] * 3, [Clique((j,), np.array([0.0, 1.0])) for j in range(3)])
+    problem = BmProblem([2] * 3, [Clique((j,), np.array([0.0, 1.0])) for j in range(3)])
     result = anneal(
         problem, "async", Schedule(c=1.0, eta=0.995, epoch_cap=5), rng_seed=0,
         record_steps=True,

@@ -344,3 +344,23 @@ def test_cli_weights_and_schedule_files(tmp_path, small_run):
     assert code == 0
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["dynamics"] == "async"
+
+    code = main(
+        [
+            "track",
+            "--frames", str(frames_path),
+            "--schedule", str(schedule_path),
+            "--dynamics", "sync",
+            "--out", str(out),
+            "--quiet",
+        ]
+    )
+    assert code == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["dynamics"] == "sync"
+    schedule_path.write_text(json.dumps({"c": 20.0, "dynamics": "swap-auto"}))
+    code = main(
+        ["track", "--frames", str(frames_path), "--schedule", str(schedule_path),
+         "--out", str(out), "--quiet"]
+    )
+    assert code == 2

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from colony_track.annealer import Schedule
+from colony_track.annealer import BmConfig, Schedule
 from colony_track.errors import ValidationError
 from colony_track.geometry import cross2
 from colony_track.registration import (
@@ -14,7 +14,6 @@ from colony_track.registration import (
     LikelihoodModel,
     RegistrationWeights,
     build_problem,
-    cost_terms,
     fit_likelihood_model,
     initial_assignment,
     pair_penalties,
@@ -231,18 +230,28 @@ def test_match_monotone_in_penalties():
 
 
 @given(st.integers(0, 150))
-def test_delta_terms_match_recompute(seed):
+def test_bm_delta_vector_matches_cost_difference(seed):
     problem = small_problem(seed=10, n=8)
+    bm = problem.to_bm()
     rng = np.random.default_rng(seed)
     a = np.array([rng.choice(w) for w in problem.windows])
     site = int(rng.integers(len(a)))
-    new_pos = int(rng.choice(problem.windows[site]))
-    before = np.array(problem.cost_terms(a))
-    delta = problem.delta_terms(site, new_pos, a)
-    b = a.copy()
-    b[site] = new_pos
-    after = np.array(problem.cost_terms(b))
-    assert np.allclose(after - before, delta, atol=1e-9)
+    partners = [j for j in range(len(a)) if j != site and a[site] in problem.windows[j]]
+    if partners:  # put a second cell on the site's target
+        a[partners[int(rng.integers(len(partners)))]] = a[site]
+    deltas = BmConfig(bm, problem.states_for(a)).delta_vector(site)
+    for s, pos in enumerate(problem.windows[site]):
+        b = a.copy()
+        b[site] = pos
+        assert deltas[s] == pytest.approx(problem.cost(b) - problem.cost(a), abs=1e-9)
+
+
+def test_touched_cliques_per_site_matches_bm():
+    for seed in range(3):
+        problem = small_problem(seed=seed, n=9)
+        assert problem.touched_cliques_per_site().tolist() == [
+            len(c) for c in problem.to_bm().site_cliques
+        ]
 
 
 # -- BM compilation ------------------------------------------------------------
