@@ -118,6 +118,7 @@ def _cmd_track(args) -> int:
                     k: v for k, v in d.registration.items() if k != "energy_trace"
                 },
                 "seconds": d.seconds,
+                "invalid": d.invalid,
             }
             for d in diags
         ],
@@ -138,6 +139,8 @@ def _cmd_track(args) -> int:
             f"energy={d.registration.get('energy', float('nan')):.4f} "
             f"epochs={d.registration.get('epochs')} ({d.seconds:.1f}s)",
         )
+        if d.invalid:
+            print(f"warning: pair {d.frame_index} is invalid: {d.invalid}", file=sys.stderr)
     _say(args, f"wrote tracking results -> {out}")
     return 0
 
@@ -157,6 +160,7 @@ def _cmd_score(args) -> int:
         f"mean pcp={report.mean_pcp} mean registration={report.mean_registration} "
         f"min registration={report.min_registration}",
     )
+    _say(args, f"registration histogram: {report.registration_histogram()}")
     return 0
 
 

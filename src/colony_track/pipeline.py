@@ -85,6 +85,7 @@ class PairDiagnostics:
     max_touched_cliques: int = 0
     registration: dict = field(default_factory=dict)
     seconds: float = 0.0
+    invalid: str | None = None  # why the returned record fails validation
 
 
 def _pair_seed(base: int, k: int, salt: int) -> int:
@@ -94,7 +95,11 @@ def _pair_seed(base: int, k: int, salt: int) -> int:
 def track_pair(
     frame: Frame, next_frame: Frame, config: PipelineConfig, k: int = 0
 ) -> tuple[LineageRecord, PairDiagnostics]:
-    """Track one consecutive frame pair: division stage, then registration."""
+    """Track one consecutive frame pair: division stage, then registration.
+
+    The record is returned as tracked even when it fails
+    ``LineageRecord.validate``; ``diag.invalid`` then holds the reason.
+    """
     started = time.perf_counter()
     n, n_plus = len(frame), len(next_frame)
     if n_plus < n:
@@ -134,33 +139,37 @@ def track_pair(
         )
         diag.dropped_pairs = dropped
         red_b, red_b_plus, div_map = division.reduce_frames(frame, next_frame, lineages)
-    if len(red_b) == 0:
-        # every source cell divided; nothing left to register
-        diag.seconds = time.perf_counter() - started
-        return LineageRecord(frame.index, {}, div_map), diag
-    problem = registration.build_problem(
-        red_b,
-        red_b_plus,
-        w=config.w,
-        rho=config.rho,
-        weights=config.registration_weights,
-        g_rate=config.g_rate,
-    )
-    diag.padded_windows = len(problem.padded_sites)
-    diag.clique_counts = problem.clique_counts
-    diag.max_touched_cliques = int(problem.touched_cliques_per_site().max())
-    result = registration.register(
-        problem,
-        schedule=config.registration_schedule,
-        rng_seed=_pair_seed(config.seed, k, 1),
-        dynamics=config.dynamics,
-        alpha=config.alpha,
-        restarts=config.restarts,
-    )
-    diag.registration = result.to_metadata()
-    diag.registration["energy_trace"] = result.energy_trace
+    mapping: dict[str, str] = {}
+    # when every source cell divided there is nothing left to register
+    if len(red_b) > 0:
+        problem = registration.build_problem(
+            red_b,
+            red_b_plus,
+            w=config.w,
+            rho=config.rho,
+            weights=config.registration_weights,
+            g_rate=config.g_rate,
+        )
+        diag.padded_windows = len(problem.padded_sites)
+        diag.clique_counts = problem.clique_counts
+        diag.max_touched_cliques = int(problem.touched_cliques_per_site().max())
+        result = registration.register(
+            problem,
+            schedule=config.registration_schedule,
+            rng_seed=_pair_seed(config.seed, k, 1),
+            dynamics=config.dynamics,
+            alpha=config.alpha,
+            restarts=config.restarts,
+        )
+        diag.registration = result.to_metadata()
+        diag.registration["energy_trace"] = result.energy_trace
+        mapping = dict(result.mapping)
+    record = LineageRecord(frame.index, mapping, div_map)
+    try:
+        record.validate(frame, next_frame)
+    except ValidationError as exc:
+        diag.invalid = str(exc)
     diag.seconds = time.perf_counter() - started
-    record = LineageRecord(frame.index, dict(result.mapping), div_map)
     return record, diag
 
 
@@ -273,6 +282,7 @@ class AccuracyReport:
             "frac_pcp_perfect": self.frac_pcp_perfect,
             "mean_registration": self.mean_registration,
             "min_registration": self.min_registration,
+            "registration_histogram": self.registration_histogram(),
         }
 
 

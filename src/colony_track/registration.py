@@ -368,17 +368,16 @@ def build_problem(
 
 
 def initial_assignment(problem: RegistrationProblem) -> np.ndarray:
-    """Per-cell likelihood argmax over the window; ties break by smaller
-    kinetic penalty, then by target id."""
+    """Per-cell likelihood argmax (match-cost argmin) over the window; ties
+    break by smaller kinetic penalty, then by target id."""
+    sc, tc = problem.source.centers(), problem.target.centers()
+    ids = problem.target.ids
     out = np.zeros(problem.n, dtype=np.int64)
-    for i, cell in enumerate(problem.source.cells):
-        cands = [problem.target.cells[int(p)] for p in problem.windows[i]]
-        liks = problem.likelihood.lik_against(cell, cands)
-        kins = np.array([((t.center - cell.center) ** 2).sum() for t in cands])
-        best = min(
-            range(len(cands)), key=lambda s: (-liks[s], kins[s], cands[s].id)
-        )
-        out[i] = problem.windows[i][best]
+    for i, win in enumerate(problem.windows):
+        cost = problem.match_cost[i, win]
+        kins = ((tc[win] - sc[i]) ** 2).sum(axis=1)
+        best = min(range(len(win)), key=lambda s: (cost[s], kins[s], ids[win[s]]))
+        out[i] = win[best]
     return out
 
 

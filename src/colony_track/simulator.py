@@ -144,7 +144,6 @@ class _Colony:
         self.axes = np.zeros((0, 2))
         self.lengths = np.zeros(0)
         self.widths = np.zeros(0)
-        self.birth = np.zeros(0)  # length at birth
         self.div_len = np.zeros(0)
         self.anchors = np.zeros((0, 2))  # frame-start reference positions
         self._id_counter = 0
@@ -171,7 +170,7 @@ class _Colony:
             axis = np.array([math.cos(theta), math.sin(theta)])
             length = cfg.birth_length * self.rng.uniform(1.0, 1.8)
             if self._fits(pos, axis, length):
-                self._append(pos, axis, length, birth=cfg.birth_length)
+                self._append(pos, axis, length)
                 placed += 1
         self.anchors = self.centers.copy()
 
@@ -184,7 +183,7 @@ class _Colony:
             self._id_counter = max(self._id_counter, _numeric_suffix(c.id))
             eps = self.rng.uniform(*cfg.division_eps_range)
             self._push_arrays(
-                c.center, c.axis_dir, c.length, c.width, c.length, 2 * c.length + eps
+                c.center, c.axis_dir, c.length, c.width, 2 * c.length + eps
             )
         self.anchors = self.centers.copy()
 
@@ -198,20 +197,19 @@ class _Colony:
         gaps = segments_distance(e, h, e_all, h_all) - (self.widths + self.cfg.cell_width) / 2.0
         return bool((gaps > 0.5).all())
 
-    def _append(self, pos, axis, length, birth) -> str:
+    def _append(self, pos, axis, length) -> str:
         cfg = self.cfg
         eps = self.rng.uniform(*cfg.division_eps_range)
         cid = self.next_id()
         self.ids.append(cid)
-        self._push_arrays(pos, axis, length, cfg.cell_width, birth, 2 * birth + eps)
+        self._push_arrays(pos, axis, length, cfg.cell_width, 2 * cfg.birth_length + eps)
         return cid
 
-    def _push_arrays(self, pos, axis, length, width, birth, div_len) -> None:
+    def _push_arrays(self, pos, axis, length, width, div_len) -> None:
         self.centers = np.vstack([self.centers, np.asarray(pos, float)[None]])
         self.axes = np.vstack([self.axes, np.asarray(axis, float)[None]])
         self.lengths = np.append(self.lengths, float(length))
         self.widths = np.append(self.widths, float(width))
-        self.birth = np.append(self.birth, float(birth))
         self.div_len = np.append(self.div_len, float(div_len))
 
     # -- stepping ---------------------------------------------------------
@@ -299,10 +297,10 @@ class _Colony:
             eps1 = self.rng.uniform(*cfg.division_eps_range)
             eps2 = self.rng.uniform(*cfg.division_eps_range)
             children.append(
-                (id1, c1, u.copy(), l1, self.widths[i], l1, 2 * l1 + eps1, self.anchors[i].copy())
+                (id1, c1, u.copy(), l1, self.widths[i], 2 * l1 + eps1, self.anchors[i].copy())
             )
             children.append(
-                (id2, c2, u.copy(), l2, self.widths[i], l2, 2 * l2 + eps2, self.anchors[i].copy())
+                (id2, c2, u.copy(), l2, self.widths[i], 2 * l2 + eps2, self.anchors[i].copy())
             )
             divided[parent_id] = (id1, id2)
         self.ids = [cid for k, cid in enumerate(self.ids) if keep[k]]
@@ -310,12 +308,11 @@ class _Colony:
         self.axes = self.axes[keep]
         self.lengths = self.lengths[keep]
         self.widths = self.widths[keep]
-        self.birth = self.birth[keep]
         self.div_len = self.div_len[keep]
         self.anchors = self.anchors[keep]
-        for cid, c, u, length, width, birth, div_len, anchor in children:
+        for cid, c, u, length, width, div_len, anchor in children:
             self.ids.append(cid)
-            self._push_arrays(c, u, length, width, birth, div_len)
+            self._push_arrays(c, u, length, width, div_len)
             self.anchors = np.vstack([self.anchors, anchor[None]])
 
     def _overlap_pairs(self) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,8 @@ from colony_track.registration import (
     build_problem,
     register,
 )
-from colony_track.simulator import SimConfig, simulate
+from colony_track.simulator import LineageRecord, SimConfig, simulate
+from trackbench import measure, workloads
 
 from conftest import (
     jittered_copy,
@@ -35,6 +36,12 @@ from conftest import (
 
 BENCHMARK_SCHEDULE = Schedule(c=30.0, eta=0.9995, epoch_cap=400)
 REFERENCE_WEIGHTS = RegistrationWeights(110.0, 300.0, 300.0, 290.0)
+SIX_MINUTE_G_RATE = 1.005**6
+PIPELINE_SIM = SimConfig(
+    seed=21, n_frames=51, initial_cells=8, w=45.0, interframe_minutes=1.0,
+    motion_sigma=1.0, substeps=3,
+)
+PIPELINE_CONFIG = PipelineConfig(w=45.0, rho=80.0, tau=45.0, g_rate=1.05, seed=9)
 
 
 def _report(name, ok, detail=""):
@@ -207,23 +214,22 @@ def test_incremental_delta_consistency_all_dynamics():
 def test_six_minute_registration_accuracy(six_minute_run):
     started = time.perf_counter()
     frames, lineage = six_minute_run.frames, six_minute_run.lineage
-    g_rate = 1.005**6
-    accs = []
+    records = []
     for k in range(2, 22):
         src, dst = frames[k], frames[k + 1]
-        truth = np.array([dst.position(lineage[k].moved[c.id]) for c in src.cells])
         problem = build_problem(
-            src, dst, w=100.0, rho=80.0, weights=REFERENCE_WEIGHTS, g_rate=g_rate
+            src, dst, w=100.0, rho=80.0, weights=REFERENCE_WEIGHTS, g_rate=SIX_MINUTE_G_RATE
         )
         result = register(problem, schedule=BENCHMARK_SCHEDULE, rng_seed=5, restarts=2)
-        accs.append(float((result.assignment == truth).mean()))
-    accs = np.array(accs)
+        records.append(LineageRecord(src.index, result.mapping, {}))
+    report = score(records, lineage[2:22])
+    mean, low = report.mean_registration, report.min_registration
     elapsed = time.perf_counter() - started
     _report(
         "six-minute-registration",
-        len(accs) == 20 and accs.min() >= 0.94 and accs.mean() >= 0.97 and elapsed < 1800,
-        f"20 pairs, mean {accs.mean():.4f} (>=0.97), min {accs.min():.4f} (>=0.94), "
-        f"{elapsed:.0f}s (<1800s)",
+        len(report.pairs) == 20 and low >= 0.94 and mean >= 0.97 and elapsed < 1800,
+        f"20 pairs, mean {mean:.4f} (>=0.97), min {low:.4f} (>=0.94), "
+        f"{elapsed:.0f}s (<1800s), histogram {report.registration_histogram()}",
     )
 
 
@@ -261,14 +267,9 @@ def test_children_pairing_accuracy(minute_run):
 
 
 def test_full_pipeline_end_to_end_accuracy():
-    sim = SimConfig(
-        seed=21, n_frames=51, initial_cells=8, w=45.0, interframe_minutes=1.0,
-        motion_sigma=1.0, substeps=3,
-    )
-    run = simulate(sim)
+    run = simulate(PIPELINE_SIM)
     assert not run.truncated
-    config = PipelineConfig(w=45.0, rho=80.0, tau=45.0, g_rate=1.05, seed=9)
-    records, _ = track_sequence(run.frames, config)
+    records, _ = track_sequence(run.frames, PIPELINE_CONFIG)
     report = score(records, run.lineage)
     _report(
         "full-pipeline",
@@ -278,13 +279,40 @@ def test_full_pipeline_end_to_end_accuracy():
     )
 
 
+# -- benchmark inputs: trackbench's seed-0 workloads are the gates' inputs -------
+
+
+def _assert_same_run(frames, lineage, ref_frames, ref_lineage):
+    assert len(frames) == len(ref_frames)
+    for f, ref in zip(frames, ref_frames):
+        assert (f.index, f.ids) == (ref.index, ref.ids)
+        assert [(c.e.tobytes(), c.h.tobytes(), c.width) for c in f] == [
+            (c.e.tobytes(), c.h.tobytes(), c.width) for c in ref
+        ]
+    assert lineage == ref_lineage
+
+
+def test_benchmark_inputs_equal_gate_inputs(six_minute_run):
+    wl = workloads.reg6min(0)
+    _assert_same_run(wl.frames, wl.lineage, six_minute_run.frames, six_minute_run.lineage)
+    assert wl.pairs == list(range(2, 22))
+    wl = workloads.pipeline21(0)
+    ref = simulate(PIPELINE_SIM)
+    _assert_same_run(wl.frames, wl.lineage, ref.frames, ref.lineage)
+    assert wl.pairs == list(range(len(ref.frames) - 1))
+    assert measure.REG6MIN_WEIGHTS == REFERENCE_WEIGHTS
+    assert measure.REG6MIN_SCHEDULE == BENCHMARK_SCHEDULE
+    assert measure.REG6MIN_G_RATE == SIX_MINUTE_G_RATE
+    assert measure.PIPELINE_CONFIG == PIPELINE_CONFIG
+
+
 # -- criterion: calibration sanity ----------------------------------------------
 
 
 def test_calibration_sanity(six_minute_run):
     frames, lineage = six_minute_run.frames, six_minute_run.lineage
     src, dst = frames[2], frames[3]
-    problem = build_problem(src, dst, w=100.0, rho=80.0, g_rate=1.005**6)
+    problem = build_problem(src, dst, w=100.0, rho=80.0, g_rate=SIX_MINUTE_G_RATE)
     truth = np.array([dst.position(lineage[2].moved[c.id]) for c in src.cells])
     instance = build_perturbations(
         truth, problem, problem.windows, all_alternatives=True

@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from colony_track import io
+from colony_track import io, registration
 from colony_track.cli import main
 from colony_track.errors import InfeasibleError, ValidationError
-from colony_track.pipeline import PipelineConfig, score, track_sequence
+from colony_track.pipeline import PipelineConfig, score, track_pair, track_sequence
 from colony_track.simulator import LineageRecord, SimConfig, simulate
 
 from conftest import make_cell, make_frame
@@ -271,8 +271,11 @@ def test_cli_simulate_track_score_calibrate(tmp_path, capsys):
     assert code == 0
     report = json.loads((score_out / "report.json").read_text())
     assert report["mean_registration"] >= 0.8
+    scored = [p for p in report["pairs"] if p["registration_accuracy"] is not None]
+    assert sum(report["registration_histogram"].values()) == len(scored)
     out = capsys.readouterr().out
     assert "mean registration" in out
+    assert "registration histogram" in out
 
     cal_out = tmp_path / "cal"
     code = main(
@@ -290,6 +293,32 @@ def test_cli_simulate_track_score_calibrate(tmp_path, capsys):
     weights = json.loads((cal_out / "weights.json").read_text())
     assert set(weights["registration"]) == {"match", "over", "stab", "flip"}
     assert (cal_out / "calibration_report.csv").exists()
+
+
+def test_invalid_record_is_reported(tmp_path, monkeypatch, capsys):
+    cells = [make_cell(f"c{i}", (30.0 * i, 0.0)) for i in range(3)]
+    f0, f1 = make_frame(cells, index=0), make_frame(cells, index=1)
+    assert track_pair(f0, f1, small_config())[1].invalid is None
+    real = registration.register
+
+    def many_to_one(problem, **kwargs):
+        result = real(problem, **kwargs)
+        result.mapping = {c.id: "c0" for c in problem.source.cells}
+        return result
+
+    monkeypatch.setattr(registration, "register", many_to_one)
+    record, diag = track_pair(f0, f1, small_config())
+    assert record.moved == {"c0": "c0", "c1": "c0", "c2": "c0"}
+    assert diag.invalid == "targets do not cover the next frame exactly once"
+
+    frames_path = tmp_path / "frames.jsonl"
+    io.write_frames_jsonl([f0, f1], frames_path)
+    out = tmp_path / "track"
+    assert main(["track", "--frames", str(frames_path), "--out", str(out), "--quiet"]) == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["pairs"][0]["invalid"] == diag.invalid
+    assert "warning: pair 0 is invalid" in capsys.readouterr().err
+    assert io.read_lineage_csv(out / "tracking.csv")[0].moved == record.moved
 
 
 def test_cli_exit_codes(tmp_path):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from colony_track.annealer import BmConfig, Schedule
 from colony_track.errors import ValidationError
@@ -308,6 +308,36 @@ def test_size_mismatch_warns():
 
 
 # -- initialization and annealing ----------------------------------------------
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10**6))
+def test_initial_assignment_is_likelihood_argmax(seed):
+    problem = small_problem(seed=seed, n=10, w=70.0, shift=6.0)
+    expected = []
+    for i, cell in enumerate(problem.source.cells):
+        cands = [problem.target.cells[int(p)] for p in problem.windows[i]]
+        liks = problem.likelihood.lik_against(cell, cands)
+        kins = [((t.center - cell.center) ** 2).sum() for t in cands]
+        best = min(range(len(cands)), key=lambda s: (-liks[s], kins[s], cands[s].id))
+        expected.append(int(problem.windows[i][best]))
+    assert initial_assignment(problem).tolist() == expected
+
+
+@pytest.mark.filterwarnings("ignore:source and target sizes differ")
+def test_initial_assignment_ties_break_by_distance_then_id():
+    # All cells share one axis, so every candidate's rotation penalty is the
+    # largest CDF sample and every likelihood sits at the floor: a tie.
+    src = make_frame([make_cell("s", (0, 0))])
+    near_far = make_frame(
+        [make_cell("a", (6, 0), length=21.0), make_cell("b", (2, 0), length=30.0)], index=1
+    )
+    problem = build_problem(src, near_far, w=30.0, rho=80.0, g_rate=1.05)
+    assert np.all(problem.match_cost[0] == problem.match_cost[0, 0])
+    assert initial_assignment(problem).tolist() == [1]
+    mirrored = make_frame([make_cell("z", (3, 0)), make_cell("y", (-3, 0))], index=1)
+    problem = build_problem(src, mirrored, w=30.0, rho=80.0, g_rate=1.05)
+    assert initial_assignment(problem).tolist() == [1]
 
 
 def test_initial_assignment_singleton_windows():
