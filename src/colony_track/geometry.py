@@ -216,48 +216,55 @@ def cell_from_pixels(pixels, cell_id: str = "px") -> Cell:
     return Cell(cell_id, e, h, width)
 
 
-def point_segment_distance(points, s0, s1):
-    """Distance from point(s) to the segment s0-s1, broadcasting over points."""
-    points = np.asarray(points, dtype=np.float64)
-    s0 = np.asarray(s0, dtype=np.float64)
-    s1 = np.asarray(s1, dtype=np.float64)
-    d = s1 - s0
-    dd = (d * d).sum(axis=-1)
+def _xy(p) -> tuple[np.ndarray, np.ndarray]:
+    a = np.asarray(p, np.float64)
+    return a[..., 0], a[..., 1]
+
+
+def _points_segments_distance(px, py, ax, ay, bx, by):
+    """Distance from points (px, py) to segments a-b, on broadcasting components."""
+    dx = bx - ax
+    dy = by - ay
+    dd = dx * dx + dy * dy
     safe = np.where(dd > 0.0, dd, 1.0)
-    t = np.clip(((points - s0) * d).sum(axis=-1) / safe, 0.0, 1.0)
+    t = np.clip(((px - ax) * dx + (py - ay) * dy) / safe, 0.0, 1.0)
     t = np.where(dd > 0.0, t, 0.0)
-    closest = s0 + t[..., None] * d
-    return np.hypot(*(np.moveaxis(points - closest, -1, 0)))
+    return np.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
 def segments_distance(p0, p1, q0, q1):
-    """Minimum distance between segments p0-p1 and q0-q1 (broadcasting).
+    """Minimum distance between segments p0-p1 and q0-q1.
 
-    Non-crossing segments attain their minimum at an endpoint of one segment
-    against the other, so four point-segment distances suffice; properly
-    crossing pairs get distance zero.
+    The arguments are points of shape ``(..., 2)`` that broadcast against each
+    other over their leading axes, e.g. one segment ``(2,)`` against many
+    ``(N, 2)``. Non-crossing segments attain their minimum at an endpoint of
+    one segment against the other, so four point-segment distances suffice;
+    properly crossing pairs get distance zero.
     """
-    p0, p1, q0, q1 = np.broadcast_arrays(
-        np.asarray(p0, np.float64),
-        np.asarray(p1, np.float64),
-        np.asarray(q0, np.float64),
-        np.asarray(q1, np.float64),
-    )
+    p0x, p0y = _xy(p0)
+    p1x, p1y = _xy(p1)
+    q0x, q0y = _xy(q0)
+    q1x, q1y = _xy(q1)
     d = np.minimum(
         np.minimum(
-            point_segment_distance(p0, q0, q1), point_segment_distance(p1, q0, q1)
+            _points_segments_distance(p0x, p0y, q0x, q0y, q1x, q1y),
+            _points_segments_distance(p1x, p1y, q0x, q0y, q1x, q1y),
         ),
         np.minimum(
-            point_segment_distance(q0, p0, p1), point_segment_distance(q1, p0, p1)
+            _points_segments_distance(q0x, q0y, p0x, p0y, p1x, p1y),
+            _points_segments_distance(q1x, q1y, p0x, p0y, p1x, p1y),
         ),
     )
-    u = p1 - p0
-    v = q1 - q0
-    w = q0 - p0
-    den = cross2(u, v)
+    ux = p1x - p0x
+    uy = p1y - p0y
+    vx = q1x - q0x
+    vy = q1y - q0y
+    wx = q0x - p0x
+    wy = q0y - p0y
+    den = ux * vy - uy * vx
     safe = np.where(den != 0.0, den, 1.0)
-    t = cross2(w, v) / safe
-    s = cross2(w, u) / safe
+    t = (wx * vy - wy * vx) / safe
+    s = (wx * uy - wy * ux) / safe
     crossing = (den != 0.0) & (t >= 0.0) & (t <= 1.0) & (s >= 0.0) & (s <= 1.0)
     return np.where(crossing, 0.0, d)
 

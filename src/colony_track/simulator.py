@@ -6,12 +6,21 @@ their per-cell division length, and resolve pairwise overlaps by symmetric
 pushes along the center-center direction. Per-interframe center displacement
 is hard-bounded by half the motion-window width, so the true successor of a
 cell always lies inside its target window.
+
+Overlap relaxation finds its candidate pairs in a Verlet neighbour list: the
+pairs whose centers lie within ``reach + RELAX_SKIN``, where ``reach`` (longest
+cell + widest cell + 1) exceeds the center distance of any overlapping pair.
+The list is rebuilt only once some cell has moved half the skin since it was
+built, so a pair left out is always still more than ``reach`` apart and cannot
+overlap; between rebuilds only the gaps of pairs with a moved cell are
+recomputed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import astuple, dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -19,6 +28,9 @@ from scipy.spatial import cKDTree
 
 from .errors import ColonyTrackError, ValidationError
 from .geometry import Cell, Frame, Rect, segment_distance, segments_distance
+
+# Margin (pixels) of the relaxation's neighbour list beyond the overlap reach.
+RELAX_SKIN = 4.0
 
 
 @dataclass(frozen=True)
@@ -53,6 +65,33 @@ class SimConfig:
     overlap_tol: float = 0.45
 
     def __post_init__(self):
+        for name in ("seed", "n_frames", "initial_cells", "substeps", "relax_iterations"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        reals = {
+            name: getattr(self, name)
+            for name in (
+                "growth_rate", "growth_jitter", "interframe_minutes", "birth_length",
+                "cell_width", "motion_sigma", "rotation_sigma", "w", "overlap_tol",
+            )
+        }
+        if self.max_length is not None:
+            reals["max_length"] = self.max_length
+        for name, value in reals.items():
+            if not _finite_real(value):
+                raise ValidationError(f"{name} must be a finite number, got {value!r}")
+        for name in ("split_ratio_range", "division_eps_range"):
+            pair = tuple(getattr(self, name))
+            if len(pair) != 2 or not all(map(_finite_real, pair)):
+                raise ValidationError(f"{name} must be two finite numbers, got {pair!r}")
+        b = self.trap_bounds
+        if not (isinstance(b, Rect) and all(map(_finite_real, astuple(b)))):
+            raise ValidationError(f"trap_bounds must be a Rect of finite numbers, got {b!r}")
+        if self.seed < 0 or self.relax_iterations < 0:
+            raise ValidationError("seed and relax_iterations must be non-negative")
+        if self.overlap_tol <= 0:
+            raise ValidationError("overlap_tol must be positive")
         if self.growth_rate <= 1.0:
             raise ValidationError("growth_rate must exceed 1")
         lo, hi = self.split_ratio_range
@@ -77,14 +116,14 @@ class SimConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
         data = dict(data)
-        if "trap_bounds" in data:
-            data["trap_bounds"] = Rect(*map(float, data["trap_bounds"]))
-        for key in ("split_ratio_range", "division_eps_range"):
-            if key in data:
-                data[key] = tuple(map(float, data[key]))
         try:
+            if "trap_bounds" in data:
+                data["trap_bounds"] = Rect(*map(float, data["trap_bounds"]))
+            for key in ("split_ratio_range", "division_eps_range"):
+                if key in data:
+                    data[key] = tuple(map(float, data[key]))
             return cls(**data)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValidationError(f"bad simulator config: {exc}") from exc
 
 
@@ -315,51 +354,75 @@ class _Colony:
             self._push_arrays(c, u, length, width, div_len)
             self.anchors = np.vstack([self.anchors, anchor[None]])
 
-    def _overlap_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        n = len(self.ids)
-        if n < 2:
-            return np.zeros(0, int), np.zeros(0)
-        reach = float(self.lengths.max() + self.widths.max()) + 1.0
-        pairs = cKDTree(self.centers).query_pairs(reach, output_type="ndarray")
-        if pairs.shape[0] == 0:
-            return pairs, np.zeros(0)
-        e_all, h_all = self.endpoints()
-        i, j = pairs[:, 0], pairs[:, 1]
-        dist = segments_distance(e_all[i], h_all[i], e_all[j], h_all[j])
-        gaps = dist - (self.widths[i] + self.widths[j]) / 2.0
-        return pairs, gaps
-
-    def _ends(self, i: int) -> tuple[float, float, float, float]:
-        """Endpoints of cell i as plain floats: e then h."""
-        (cx, cy), (ux, uy) = self.centers[i].tolist(), self.axes[i].tolist()
-        length = float(self.lengths[i])
-        hx, hy = ux * length / 2.0, uy * length / 2.0
-        return cx - hx, cy - hy, cx + hx, cy + hy
-
-    def _pair_depth(self, i: int, j: int) -> float:
-        dist = segment_distance(*self._ends(i), *self._ends(j))
-        return (float(self.widths[i]) + float(self.widths[j])) / 2.0 - dist
-
     def _relax(self) -> bool:
         """Push overlapping capsules apart; True when within tolerance.
 
         Pairs are pushed one at a time, deepest first, each seeing the moves
         before it, so a last-bit change in any per-pair float operation can
-        change the colony; tests pin the output by digest.
+        change the colony; tests pin the output by digest. Each push is capped
+        by the displacement budget, then clamped to the trap.
+
+        Candidate pairs come from a Verlet neighbour list (:class:`_PairList`):
+        the pairs whose centers were at most ``reach + RELAX_SKIN`` apart when
+        the list was built, with ``reach`` = longest cell + widest cell + 1.
+        Capsules whose centers are ``reach`` or more apart cannot overlap. The
+        list is rebuilt once some cell has moved ``RELAX_SKIN / 2`` or more
+        since the last build; until then every pair left out is still more
+        than ``reach`` apart, so the list holds every overlapping pair. After
+        each iteration only the gaps of pairs with a moved cell are
+        recomputed. A pair is pushed by the gap that selected it while neither
+        of its cells has moved in this iteration, and is measured anew after.
         """
         cfg = self.cfg
+        n = len(self.ids)
+        if n < 2:
+            return True
+        half_tol = cfg.overlap_tol * 0.5
+        budget = 0.98 * cfg.w / 2.0
+        # lengths, axes and anchors are fixed during relaxation
+        half = self.axes * (self.lengths[:, None] / 2.0)
+        offx, offy = half.T.tolist()
+        (lox, loy), (hix, hiy) = (a.T.tolist() for a in self._trap_limits())
+        ax, ay = self.anchors.T.tolist()
+        xs, ys = self.centers.T.tolist()
+        reach = float(self.lengths.max() + self.widths.max()) + 1.0
+        pl = _PairList(self.centers, half, self.widths, reach)
+
+        def move(i: int, dx: float, dy: float) -> None:
+            x, y = xs[i] + dx, ys[i] + dy
+            ox, oy = x - ax[i], y - ay[i]
+            norm = float(np.hypot(ox, oy))
+            if norm > budget:
+                scale = budget / norm
+                x, y = ax[i] + ox * scale, ay[i] + oy * scale
+            x, y = min(max(x, lox[i]), hix[i]), min(max(y, loy[i]), hiy[i])
+            xs[i], ys[i] = x, y
+            self.centers[i] = (x, y)
+            if not is_moved[i]:
+                is_moved[i] = True
+                moved.append(i)
+
         for _ in range(cfg.relax_iterations):
-            pairs, gaps = self._overlap_pairs()
-            mask = gaps < -cfg.overlap_tol * 0.5
-            if not mask.any():
+            masked = np.flatnonzero(pl.gaps < -half_tol)
+            if masked.size == 0:
                 return True
-            order = np.argsort(gaps[mask])
-            for i, j in pairs[np.flatnonzero(mask)[order]].tolist():
-                depth = self._pair_depth(i, j)
-                if depth <= cfg.overlap_tol * 0.5:
+            ks = masked[np.argsort(pl.gaps[masked])]
+            # cells moved in this iteration, in the order of their first move
+            is_moved, moved = [False] * n, []
+            for i, j, gap, hw in zip(
+                pl.i[ks].tolist(), pl.j[ks].tolist(), pl.gaps[ks].tolist(), pl.hw[ks].tolist()
+            ):
+                if is_moved[i] or is_moved[j]:
+                    xi, yi, xj, yj = xs[i], ys[i], xs[j], ys[j]
+                    depth = hw - segment_distance(
+                        xi - offx[i], yi - offy[i], xi + offx[i], yi + offy[i],
+                        xj - offx[j], yj - offy[j], xj + offx[j], yj + offy[j],
+                    )
+                else:
+                    depth = -gap
+                if depth <= half_tol:
                     continue
-                (xi, yi), (xj, yj) = self.centers[i].tolist(), self.centers[j].tolist()
-                dx, dy = xj - xi, yj - yi
+                dx, dy = xs[j] - xs[i], ys[j] - ys[i]
                 norm = float(np.hypot(dx, dy))
                 if norm < 1e-9:
                     theta = self.rng.uniform(0, 2 * math.pi)
@@ -367,30 +430,18 @@ class _Colony:
                     norm = 1.0
                 step = depth / 2.0 + 0.05
                 px, py = step * (dx / norm), step * (dy / norm)
-                self._budgeted_move(i, -px, -py)
-                self._budgeted_move(j, px, py)
-        _, gaps = self._overlap_pairs()
-        return bool((gaps > -cfg.overlap_tol).all()) if gaps.size else True
+                move(i, -px, -py)
+                move(j, px, py)
+            pl.update(self.centers, moved)
+        return bool((pl.gaps > -cfg.overlap_tol).all())
 
-    def _budgeted_move(self, i: int, dx: float, dy: float) -> None:
-        """Move cell i by (dx, dy), capped by the per-interframe displacement
-        budget and kept inside the trap."""
-        budget = 0.98 * self.cfg.w / 2.0
-        (cx, cy), (ax, ay) = self.centers[i].tolist(), self.anchors[i].tolist()
-        x, y = cx + dx, cy + dy
-        ox, oy = x - ax, y - ay
-        norm = float(np.hypot(ox, oy))
-        if norm > budget:
-            scale = budget / norm
-            x, y = ax + ox * scale, ay + oy * scale
+    def _trap_limits(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-cell lowest and highest center that keeps the capsule in the trap."""
         b = self.cfg.trap_bounds
-        ux, uy = self.axes[i].tolist()
-        half_len, half_w = float(self.lengths[i]) / 2.0, float(self.widths[i]) / 2.0
-        hx, hy = abs(ux) * half_len + half_w, abs(uy) * half_len + half_w
-        self.centers[i] = (
-            _clip(x, b.xmin + hx, b.xmax - hx),
-            _clip(y, b.ymin + hy, b.ymax - hy),
-        )
+        half = np.abs(self.axes) * (self.lengths[:, None] / 2.0) + self.widths[:, None] / 2.0
+        lo = np.array([b.xmin, b.ymin]) + half
+        hi = np.array([b.xmax, b.ymax]) - half
+        return np.minimum(lo, hi), np.maximum(lo, hi)
 
     def _enforce_budget(self) -> None:
         budget = 0.98 * self.cfg.w / 2.0
@@ -402,16 +453,48 @@ class _Colony:
             self.centers[over] = self.anchors[over] + disp[over] * scale[:, None]
 
     def _clamp_to_trap(self) -> None:
-        b = self.cfg.trap_bounds
-        half = np.abs(self.axes) * (self.lengths[:, None] / 2.0) + self.widths[:, None] / 2.0
-        lo = np.array([b.xmin, b.ymin]) + half
-        hi = np.array([b.xmax, b.ymax]) - half
-        self.centers = np.clip(self.centers, np.minimum(lo, hi), np.maximum(lo, hi))
+        self.centers = np.clip(self.centers, *self._trap_limits())
 
 
-def _clip(x: float, a: float, b: float) -> float:
-    """``np.clip(x, min(a, b), max(a, b))`` on floats."""
-    return min(max(x, min(a, b)), max(a, b))
+class _PairList:
+    """Verlet neighbour list of one :meth:`_Colony._relax` call and each pair's gap.
+
+    Pairs ``i < j`` within ``reach + RELAX_SKIN`` at the last build; the list
+    is rebuilt once a cell has moved ``RELAX_SKIN / 2`` since then. Endpoint
+    offsets ``half`` and widths must not change while the list is in use.
+    """
+
+    def __init__(self, centers: np.ndarray, half: np.ndarray, widths: np.ndarray, reach: float):
+        self.half, self.widths, self.cutoff = half, widths, reach + RELAX_SKIN
+        self._build(centers)
+
+    def _build(self, centers: np.ndarray) -> None:
+        self.built = centers.copy()
+        pairs = cKDTree(centers).query_pairs(self.cutoff, output_type="ndarray")
+        self.i, self.j = pairs[:, 0], pairs[:, 1]
+        self.hw = (self.widths[self.i] + self.widths[self.j]) / 2.0
+        self.gaps = self._distances(centers, self.i, self.j) - self.hw
+
+    def _distances(self, centers, i, j) -> np.ndarray:
+        e, h = centers - self.half, centers + self.half
+        return segments_distance(e[i], h[i], e[j], h[j])
+
+    def update(self, centers: np.ndarray, moved: list[int]) -> None:
+        """Bring the gaps up to date after the cells ``moved`` were moved."""
+        d = centers[moved] - self.built[moved]
+        if (np.hypot(d[:, 0], d[:, 1]) >= RELAX_SKIN / 2.0).any():
+            self._build(centers)
+            return
+        touched = np.zeros(len(centers), bool)
+        touched[moved] = True
+        k = np.flatnonzero(touched[self.i] | touched[self.j])
+        self.gaps[k] = self._distances(centers, self.i[k], self.j[k]) - self.hw[k]
+
+
+def _finite_real(value) -> bool:
+    return (
+        isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    )
 
 
 def _numeric_suffix(cell_id: str) -> int:

@@ -33,6 +33,7 @@ from conftest import (
     random_frame,
     small_registration_problem,
 )
+from test_simulator import _sim_digest
 
 BENCHMARK_SCHEDULE = Schedule(c=30.0, eta=0.9995, epoch_cap=400)
 REFERENCE_WEIGHTS = RegistrationWeights(110.0, 300.0, 300.0, 290.0)
@@ -292,12 +293,23 @@ def _assert_same_run(frames, lineage, ref_frames, ref_lineage):
     assert lineage == ref_lineage
 
 
+# Both sides of the comparison below come from the same simulator, so a change
+# to it would move them together; these digests pin the inputs themselves.
+GATE_INPUT_DIGESTS = {
+    "six_minute_run": "537beade14e527a314a7d8a4a32cfc9b184f1bfaee064afa7e1adf73d39c8cab",
+    "pipeline_sim": "8b81bb4c8f59f25718fcc3c4f208d2415dc09b3798027ea28bfce6ee791fb68c",
+}
+
+
 def test_benchmark_inputs_equal_gate_inputs(six_minute_run):
     wl = workloads.reg6min(0)
     _assert_same_run(wl.frames, wl.lineage, six_minute_run.frames, six_minute_run.lineage)
     assert wl.pairs == list(range(2, 22))
     wl = workloads.pipeline21(0)
     ref = simulate(PIPELINE_SIM)
+    assert {"six_minute_run": _sim_digest(six_minute_run), "pipeline_sim": _sim_digest(ref)} == (
+        GATE_INPUT_DIGESTS
+    )
     _assert_same_run(wl.frames, wl.lineage, ref.frames, ref.lineage)
     assert wl.pairs == list(range(len(ref.frames) - 1))
     assert measure.REG6MIN_WEIGHTS == REFERENCE_WEIGHTS

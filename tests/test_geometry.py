@@ -173,6 +173,25 @@ def test_segment_distance_equals_broadcast_form_on_degenerate_layouts(p0, p1, q0
     _assert_scalar_matches(q1, q0, p1, p0)
 
 
+@pytest.mark.parametrize(
+    "p_shape, q_shape, shape",
+    [
+        ((2,), (2,), ()),  # one pair
+        ((2,), (6, 2), (6,)),  # one segment against many: _Colony._fits, build_neighbor_graph
+        ((6, 2), (2,), (6,)),
+        ((6, 2), (6, 2), (6,)),  # pair lists
+    ],
+)
+def test_segments_distance_broadcast_shapes(p_shape, q_shape, shape):
+    rng = np.random.default_rng(3)
+    p0, p1 = rng.uniform(-20.0, 20.0, size=(2, *p_shape))
+    q0, q1 = rng.uniform(-20.0, 20.0, size=(2, *q_shape))
+    got = segments_distance(p0, p1, q0, q1)
+    assert got.shape == shape
+    rows = [np.broadcast_to(a, (*shape, 2)).reshape(-1, 2).tolist() for a in (p0, p1, q0, q1)]
+    assert got.ravel().tolist() == [segment_distance(*a, *b, *c, *d) for a, b, c, d in zip(*rows)]
+
+
 # -- neighbor graph --------------------------------------------------------
 
 

@@ -348,6 +348,29 @@ def test_cli_exit_codes(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"relax_iterations": "5"},
+        {"substeps": 2.5},
+        {"n_frames": 3.0},
+        {"initial_cells": True},
+        {"relax_iterations": -1},
+        {"overlap_tol": -2.0},
+        {"overlap_tol": 0.0},
+        {"growth_rate": float("nan")},
+        {"motion_sigma": float("inf")},
+        {"split_ratio_range": [0.5]},
+        {"trap_bounds": [0.0, 0.0, "wide", 100.0]},
+    ],
+)
+def test_cli_simulate_rejects_bad_config(tmp_path, capsys, bad):
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({"n_frames": 3, **bad}))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_cli_weights_and_schedule_files(tmp_path, small_run):
     frames_path = tmp_path / "frames.jsonl"
     io.write_frames_jsonl(small_run.frames[:3], frames_path)

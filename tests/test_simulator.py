@@ -1,13 +1,22 @@
 import hashlib
+import math
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from colony_track.errors import ValidationError
-from colony_track.geometry import Rect, capsule_gap
-from colony_track.simulator import LineageRecord, SimConfig, simulate, true_motion_bound
+from colony_track.geometry import Rect, capsule_gap, segments_distance
+from colony_track.simulator import (
+    RELAX_SKIN,
+    LineageRecord,
+    SimConfig,
+    _Colony,
+    simulate,
+    true_motion_bound,
+)
 
 from conftest import make_cell, make_frame
 
@@ -102,6 +111,121 @@ def test_simulator_output_matches_golden_digests():
     runs = _golden_runs()
     assert not any(r.truncated for r in runs.values())
     assert {k: _sim_digest(r) for k, r in runs.items()} == GOLDEN_DIGESTS
+
+
+def _reference_relax(colony):
+    """All-pairs relaxation: a fresh KD-tree and broadcast gaps on every iteration.
+
+    Returns the exit flag and how many pushes hit the budget cap and the trap.
+    """
+    cfg, w, hits = colony.cfg, colony.widths, {"capped": 0, "clamped": 0}
+    reach = float(colony.lengths.max() + w.max()) + 1.0
+    half = colony.axes * (colony.lengths[:, None] / 2.0)
+    b = cfg.trap_bounds
+    ext = np.abs(colony.axes) * (colony.lengths[:, None] / 2.0) + w[:, None] / 2.0
+    lo, hi = np.array([b.xmin, b.ymin]) + ext, np.array([b.xmax, b.ymax]) - ext
+    lo, hi, budget = np.minimum(lo, hi), np.maximum(lo, hi), 0.98 * cfg.w / 2.0
+
+    def pair_gaps(pairs):
+        e, h = colony.centers - half, colony.centers + half
+        i, j = pairs[:, 0], pairs[:, 1]
+        return segments_distance(e[i], h[i], e[j], h[j]) - (w[i] + w[j]) / 2.0
+
+    def move(i, d):
+        p = colony.centers[i] + d
+        off = p - colony.anchors[i]
+        norm = np.hypot(*off)
+        if norm > budget:
+            p, hits["capped"] = colony.anchors[i] + off * (budget / norm), hits["capped"] + 1
+        colony.centers[i] = np.clip(p, lo[i], hi[i])
+        hits["clamped"] += bool((colony.centers[i] != p).any())
+
+    def all_gaps():
+        pairs = cKDTree(colony.centers).query_pairs(reach, output_type="ndarray")
+        return pairs, pair_gaps(pairs)
+
+    for _ in range(cfg.relax_iterations):
+        pairs, gaps = all_gaps()
+        mask = gaps < -cfg.overlap_tol * 0.5
+        if not mask.any():
+            return True, hits
+        for i, j in pairs[np.flatnonzero(mask)[np.argsort(gaps[mask])]]:
+            depth = -float(pair_gaps(np.array([[i, j]]))[0])
+            if depth <= cfg.overlap_tol * 0.5:
+                continue
+            d = colony.centers[j] - colony.centers[i]
+            norm = np.hypot(*d)
+            if norm < 1e-9:
+                theta = colony.rng.uniform(0, 2 * math.pi)
+                d, norm = np.array([math.cos(theta), math.sin(theta)]), 1.0
+            step = (depth / 2.0 + 0.05) * (d / norm)
+            move(i, -step)
+            move(j, step)
+    return bool((all_gaps()[1] > -cfg.overlap_tol).all()), hits
+
+
+def _crowded_colony(seed):
+    """Rods thrown into a small trap, some on top of each other, or equal rods
+    laid end to end, where an overlap forms at a center distance close to the
+    neighbour list's reach."""
+    rng = np.random.default_rng(seed)
+    if rng.random() < 0.5:
+        n = int(rng.integers(2, 16))
+        side = float(rng.uniform(35.0, 110.0))
+        centers = rng.uniform(0.15 * side, 0.85 * side, size=(n, 2))
+        theta = rng.uniform(0.0, math.pi, size=n)
+        lengths = rng.uniform(8.0, 40.0, size=n)
+        widths = rng.uniform(5.0, 8.0, size=n)
+    else:
+        n = int(rng.integers(3, 10))
+        length = float(rng.uniform(15.0, 40.0))
+        theta = np.full(n, rng.uniform(0.0, math.pi))
+        lengths, widths = np.full(n, length), np.full(n, 7.0)
+        along = np.cumsum(rng.uniform(0.2, 1.4, size=n) * (length + 7.0))
+        side = float(along[-1] - along[0]) + 2.0 * length + 20.0
+        axis = np.array([math.cos(theta[0]), math.sin(theta[0])])
+        centers = side / 2.0 + (along - along.mean())[:, None] * axis
+    cfg = SimConfig(
+        trap_bounds=Rect.of_size(side, side),
+        w=float(rng.uniform(3.0, 50.0)),
+        relax_iterations=int(rng.integers(1, 60)),
+    )
+    colony = _Colony(cfg, np.random.default_rng(seed))
+    colony.ids = [f"c{k:06d}" for k in range(n)]
+    if rng.random() < 0.3:
+        centers[1] = centers[0]  # coincident centers draw a direction
+    colony.centers = centers
+    colony.axes = np.column_stack([np.cos(theta), np.sin(theta)])
+    colony.lengths, colony.widths, colony.div_len = lengths, widths, 2.0 * lengths
+    colony.anchors = centers + rng.normal(0.0, 2.0, size=(n, 2))
+    return colony
+
+
+def _relax_against_reference(seed):
+    """Assert ``_relax`` equals the reference bit for bit; report what it exercised."""
+    colony, reference = _crowded_colony(seed), _crowded_colony(seed)
+    start = colony.centers.copy()
+    ok = colony._relax()
+    ref_ok, hits = _reference_relax(reference)
+    assert ok == ref_ok
+    assert colony.centers.tobytes() == reference.centers.tobytes()
+    assert colony.rng.bit_generator.state == reference.rng.bit_generator.state
+    moved = np.hypot(*(colony.centers - start).T).max()
+    # a cell that ends half the skin away from its start forced a list rebuild
+    return {"rebuilt": bool(moved >= RELAX_SKIN / 2.0), **hits}
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 2**32 - 1))
+def test_relax_matches_all_pairs_reference(seed):
+    _relax_against_reference(seed)
+
+
+def test_relax_reference_cases_rebuild_cap_and_clamp():
+    seen = [_relax_against_reference(seed) for seed in range(30)]
+    assert sum(s["rebuilt"] for s in seen) >= 5
+    assert sum(s["capped"] > 0 for s in seen) >= 5
+    assert sum(s["clamped"] > 0 for s in seen) >= 5
 
 
 def test_division_at_deterministic_growth_threshold():
