@@ -23,7 +23,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_fields
 
 Dynamics = Literal["async", "sync", "swap"]
 
@@ -208,6 +208,9 @@ class Schedule:
     stability_tol: float = 1e-6
 
     def __post_init__(self):
+        check_fields(self, integers=("epoch_cap",), reals=("c", "eta", "stability_tol"))
+        if self.stability_window is not None:
+            check_fields(self, integers=("stability_window",))
         if self.c <= 0:
             raise ValidationError("initial temperature c must be positive")
         if not (0.0 < self.eta < 1.0):

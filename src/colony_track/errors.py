@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the value rules configs check."""
+
+from __future__ import annotations
+
+import math
+import numbers
 
 
 class ColonyTrackError(Exception):
@@ -11,3 +16,23 @@ class ValidationError(ColonyTrackError):
 
 class InfeasibleError(ColonyTrackError):
     """A constrained problem has no admissible solution (CLI exit 3)."""
+
+
+def finite_real(value) -> bool:
+    """Whether ``value`` is a finite real number; a bool is not a number here."""
+    return (
+        isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    )
+
+
+def check_fields(config, integers=(), reals=()) -> None:
+    """Raise :class:`ValidationError` unless the named fields of ``config`` are
+    integers (not bools) and finite real numbers respectively."""
+    for name in integers:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+    for name in reals:
+        value = getattr(config, name)
+        if not finite_real(value):
+            raise ValidationError(f"{name} must be a finite number, got {value!r}")

@@ -17,7 +17,7 @@ import numpy as np
 from . import division, registration
 from .annealer import Schedule
 from .division import DivisionWeights
-from .errors import InfeasibleError, ValidationError
+from .errors import InfeasibleError, ValidationError, check_fields
 from .geometry import Frame
 from .registration import RegistrationWeights
 from .simulator import LineageRecord
@@ -44,6 +44,11 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(
+            self, integers=("restarts", "seed"), reals=("w", "rho", "tau", "g_rate", "alpha")
+        )
+        if self.seed < 0 or self.restarts < 1:
+            raise ValidationError("seed must be non-negative and restarts at least 1")
         if min(self.w, self.rho, self.tau) <= 0:
             raise ValidationError("w, rho, and tau must be positive")
         if self.g_rate <= 0:

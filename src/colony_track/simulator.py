@@ -12,25 +12,44 @@ pairs whose centers lie within ``reach + RELAX_SKIN``, where ``reach`` (longest
 cell + widest cell + 1) exceeds the center distance of any overlapping pair.
 The list is rebuilt only once some cell has moved half the skin since it was
 built, so a pair left out is always still more than ``reach`` apart and cannot
-overlap; between rebuilds only the gaps of pairs with a moved cell are
-recomputed.
+overlap. Each listed pair also keeps a certified lower bound on its gap, which
+the moves of its cells lower; only pairs whose bound comes near the push
+threshold are measured again. Every pushed pair, and every float it is pushed
+by, is the same as when each listed pair is measured after every iteration,
+so the frames are byte for byte those of that simpler scheme.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import astuple, dataclass, field
 from typing import Iterable
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ColonyTrackError, ValidationError
-from .geometry import Cell, Frame, Rect, segment_distance, segments_distance
+from .errors import ColonyTrackError, ValidationError, check_fields, finite_real
+from .geometry import (
+    Cell,
+    Frame,
+    Rect,
+    segment_distance,
+    segments_distance,
+    stacked_segments_distance,
+)
 
 # Margin (pixels) of the relaxation's neighbour list beyond the overlap reach.
+# The build times it sets decide the order of pairs of equal gap, and which
+# pairs whose crossing test misfires (see _PairList) are listed, so another
+# value can change the frames.
 RELAX_SKIN = 4.0
+# Safety margins (pixels) of the relaxation's gap bounds (see _PairList).
+RELAX_MARGIN = 1e-6
+RELAX_PAD = 1e-9
+# Pairs whose axes meet at an angle with a smaller sine count as parallel.
+PARALLEL_SIN = 1e-6
+# Signs of the endpoint offsets from the centers, by row of the stacked form.
+_END_SIGNS = np.array([[-1.0], [1.0], [-1.0], [1.0]])
 
 
 @dataclass(frozen=True)
@@ -65,28 +84,22 @@ class SimConfig:
     overlap_tol: float = 0.45
 
     def __post_init__(self):
-        for name in ("seed", "n_frames", "initial_cells", "substeps", "relax_iterations"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-        reals = {
-            name: getattr(self, name)
-            for name in (
+        check_fields(
+            self,
+            integers=("seed", "n_frames", "initial_cells", "substeps", "relax_iterations"),
+            reals=(
                 "growth_rate", "growth_jitter", "interframe_minutes", "birth_length",
                 "cell_width", "motion_sigma", "rotation_sigma", "w", "overlap_tol",
-            )
-        }
+            ),
+        )
         if self.max_length is not None:
-            reals["max_length"] = self.max_length
-        for name, value in reals.items():
-            if not _finite_real(value):
-                raise ValidationError(f"{name} must be a finite number, got {value!r}")
+            check_fields(self, reals=("max_length",))
         for name in ("split_ratio_range", "division_eps_range"):
             pair = tuple(getattr(self, name))
-            if len(pair) != 2 or not all(map(_finite_real, pair)):
+            if len(pair) != 2 or not all(map(finite_real, pair)):
                 raise ValidationError(f"{name} must be two finite numbers, got {pair!r}")
         b = self.trap_bounds
-        if not (isinstance(b, Rect) and all(map(_finite_real, astuple(b)))):
+        if not (isinstance(b, Rect) and all(map(finite_real, astuple(b)))):
             raise ValidationError(f"trap_bounds must be a Rect of finite numbers, got {b!r}")
         if self.seed < 0 or self.relax_iterations < 0:
             raise ValidationError("seed and relax_iterations must be non-negative")
@@ -362,16 +375,18 @@ class _Colony:
         change the colony; tests pin the output by digest. Each push is capped
         by the displacement budget, then clamped to the trap.
 
-        Candidate pairs come from a Verlet neighbour list (:class:`_PairList`):
-        the pairs whose centers were at most ``reach + RELAX_SKIN`` apart when
-        the list was built, with ``reach`` = longest cell + widest cell + 1.
-        Capsules whose centers are ``reach`` or more apart cannot overlap. The
-        list is rebuilt once some cell has moved ``RELAX_SKIN / 2`` or more
-        since the last build; until then every pair left out is still more
-        than ``reach`` apart, so the list holds every overlapping pair. After
-        each iteration only the gaps of pairs with a moved cell are
-        recomputed. A pair is pushed by the gap that selected it while neither
-        of its cells has moved in this iteration, and is measured anew after.
+        Each iteration pushes the listed pairs whose gap is below
+        ``-overlap_tol / 2``. :class:`_PairList` holds the candidates: a Verlet
+        neighbour list of every pair that can overlap, each pair with a
+        certified lower bound on its gap, measured exactly once the bound falls
+        below ``-overlap_tol / 2 + RELAX_MARGIN``. A pair whose bound stays
+        above that is not pushed and passes the final check (``overlap_tol``
+        is positive), and every pair below it holds its gap measured at the
+        current centers. So the pushed pairs, the gaps they are pushed by,
+        their order and the return value are those of measuring every listed
+        pair after every iteration, bit for bit. A pair is pushed by the gap
+        that selected it while neither of its cells has moved in this
+        iteration, and is measured anew after.
         """
         cfg = self.cfg
         n = len(self.ids)
@@ -379,25 +394,27 @@ class _Colony:
             return True
         half_tol = cfg.overlap_tol * 0.5
         budget = 0.98 * cfg.w / 2.0
+        # a squared displacement up to this is certainly within the budget
+        within_budget = budget * budget * (1.0 - 1e-9)
         # lengths, axes and anchors are fixed during relaxation
         half = self.axes * (self.lengths[:, None] / 2.0)
-        offx, offy = half.T.tolist()
         (lox, loy), (hix, hiy) = (a.T.tolist() for a in self._trap_limits())
         ax, ay = self.anchors.T.tolist()
         xs, ys = self.centers.T.tolist()
         reach = float(self.lengths.max() + self.widths.max()) + 1.0
-        pl = _PairList(self.centers, half, self.widths, reach)
+        offx, offy = half.T.tolist()
+        pl = _PairList(xs, ys, half, self.widths, reach, -half_tol + RELAX_MARGIN)
 
         def move(i: int, dx: float, dy: float) -> None:
             x, y = xs[i] + dx, ys[i] + dy
             ox, oy = x - ax[i], y - ay[i]
-            norm = float(np.hypot(ox, oy))
-            if norm > budget:
-                scale = budget / norm
-                x, y = ax[i] + ox * scale, ay[i] + oy * scale
+            if ox * ox + oy * oy > within_budget:
+                norm = float(np.hypot(ox, oy))
+                if norm > budget:
+                    scale = budget / norm
+                    x, y = ax[i] + ox * scale, ay[i] + oy * scale
             x, y = min(max(x, lox[i]), hix[i]), min(max(y, loy[i]), hiy[i])
             xs[i], ys[i] = x, y
-            self.centers[i] = (x, y)
             if not is_moved[i]:
                 is_moved[i] = True
                 moved.append(i)
@@ -405,10 +422,11 @@ class _Colony:
         for _ in range(cfg.relax_iterations):
             masked = np.flatnonzero(pl.gaps < -half_tol)
             if masked.size == 0:
-                return True
+                break
             ks = masked[np.argsort(pl.gaps[masked])]
             # cells moved in this iteration, in the order of their first move
             is_moved, moved = [False] * n, []
+            start = xs[:], ys[:]
             for i, j, gap, hw in zip(
                 pl.i[ks].tolist(), pl.j[ks].tolist(), pl.gaps[ks].tolist(), pl.hw[ks].tolist()
             ):
@@ -432,7 +450,8 @@ class _Colony:
                 px, py = step * (dx / norm), step * (dy / norm)
                 move(i, -px, -py)
                 move(j, px, py)
-            pl.update(self.centers, moved)
+            pl.update(moved, *start)
+        self.centers = np.column_stack((xs, ys))
         return bool((pl.gaps > -cfg.overlap_tol).all())
 
     def _trap_limits(self) -> tuple[np.ndarray, np.ndarray]:
@@ -457,44 +476,102 @@ class _Colony:
 
 
 class _PairList:
-    """Verlet neighbour list of one :meth:`_Colony._relax` call and each pair's gap.
+    """Neighbour list of one :meth:`_Colony._relax` call, with a gap bound per pair.
 
-    Pairs ``i < j`` within ``reach + RELAX_SKIN`` at the last build; the list
-    is rebuilt once a cell has moved ``RELAX_SKIN / 2`` since then. Endpoint
-    offsets ``half`` and widths must not change while the list is in use.
+    ``xs`` and ``ys`` are the relaxation's center coordinates; the caller moves
+    cells by writing them in place and reports each iteration's moves to
+    :meth:`update`. Endpoint offsets ``half`` and widths must not change while
+    the list is in use.
+
+    The list holds the pairs ``i < j`` whose centers were within ``reach +
+    RELAX_SKIN`` at the last build, in the order of the KD-tree query, and is
+    rebuilt once a cell has moved ``RELAX_SKIN / 2`` since then, so every pair
+    left out stays more than ``reach`` apart and cannot overlap.
+
+    Each pair's ``gaps`` entry is a lower bound on its gap, and exact for every
+    pair whose bound is below ``threshold``. A pair's ``slack`` bounds how far
+    its two cells have moved since its gap was recorded: each iteration adds
+    ``|dx| + |dy| + RELAX_PAD`` of the net move of each of its cells. The
+    distance between two segments changes by at most the length of a
+    translation of either, so ``gaps - slack`` bounds the current gap from
+    below; a pair is measured anew, and its slack cleared, once that bound
+    falls below ``threshold``. A rebuild keeps the bound of every pair listed
+    before and bounds a newly listed pair by ``|c_i - c_j| - r_i - r_j - hw``
+    (``r`` the half-lengths, ``hw`` the mean width), measuring it at once when
+    that is below ``threshold``. ``RELAX_PAD`` covers the rounding of the
+    slack sums and ``RELAX_MARGIN`` in ``threshold`` that of the distances
+    compared; both are far above float error at trap scale.
+
+    The computed distance of two nearly parallel segments need not obey the
+    bound: their crossing test divides rounding noise by rounding noise and
+    can report 0 for collinear segments far apart. Pairs whose axes are
+    within ``PARALLEL_SIN`` of parallel are therefore measured whenever one
+    of their cells moves, as every listed pair used to be.
     """
 
-    def __init__(self, centers: np.ndarray, half: np.ndarray, widths: np.ndarray, reach: float):
-        self.half, self.widths, self.cutoff = half, widths, reach + RELAX_SKIN
-        self._build(centers)
+    def __init__(self, xs, ys, half: np.ndarray, widths: np.ndarray, reach: float, threshold):
+        self.xs, self.ys, self.threshold = xs, ys, threshold
+        self.hx, self.hy = half.T
+        self.widths, self.cutoff = widths, reach + RELAX_SKIN
+        self.radius = np.hypot(half[:, 0], half[:, 1])
+        self.order = np.zeros(0, np.intp)  # of the listed pairs by key i * n + j
+        self._build()
 
-    def _build(self, centers: np.ndarray) -> None:
-        self.built = centers.copy()
-        pairs = cKDTree(centers).query_pairs(self.cutoff, output_type="ndarray")
-        self.i, self.j = pairs[:, 0], pairs[:, 1]
-        self.hw = (self.widths[self.i] + self.widths[self.j]) / 2.0
-        self.gaps = self._distances(centers, self.i, self.j) - self.hw
+    def _build(self) -> None:
+        """List the pairs within the cutoff; keep the bounds of pairs listed before."""
+        self.bx, self.by = self.xs[:], self.ys[:]
+        x, y = np.array(self.xs), np.array(self.ys)
+        pairs = cKDTree(np.column_stack((x, y))).query_pairs(self.cutoff, output_type="ndarray")
+        i, j = pairs[:, 0], pairs[:, 1]
+        keys = i * len(x) + j
+        hw = (self.widths[i] + self.widths[j]) / 2.0
+        gaps = np.hypot(x[j] - x[i], y[j] - y[i]) - self.radius[i] - self.radius[j] - hw
+        # nearly parallel pairs are measured whenever a cell of theirs moves
+        cross = np.abs(self.hx[i] * self.hy[j] - self.hy[i] * self.hx[j])
+        parallel = cross < PARALLEL_SIN * self.radius[i] * self.radius[j]
+        slack = np.zeros(len(i))
+        fresh = np.ones(len(i), bool)
+        order = np.argsort(keys)
+        if len(self.order):
+            # a pair listed before keeps its bound, which is still valid
+            at = np.minimum(np.searchsorted(self.sorted_keys, keys[order]), len(self.order) - 1)
+            kept = self.sorted_keys[at] == keys[order]
+            new, old = order[kept], self.order[at[kept]]
+            gaps[new], slack[new] = self.gaps[old], self.slack[old]
+            fresh[new] = False
+        self.i, self.j, self.hw, self.gaps, self.slack = i, j, hw, gaps, slack
+        self.order, self.sorted_keys, self.parallel = order, keys[order], parallel
+        self._measure(np.flatnonzero(fresh & ((gaps < self.threshold) | parallel)))
 
-    def _distances(self, centers, i, j) -> np.ndarray:
-        e, h = centers - self.half, centers + self.half
-        return segments_distance(e[i], h[i], e[j], h[j])
-
-    def update(self, centers: np.ndarray, moved: list[int]) -> None:
-        """Bring the gaps up to date after the cells ``moved`` were moved."""
-        d = centers[moved] - self.built[moved]
-        if (np.hypot(d[:, 0], d[:, 1]) >= RELAX_SKIN / 2.0).any():
-            self._build(centers)
+    def _measure(self, k: np.ndarray) -> None:
+        """Record the exact gaps of pairs ``k``."""
+        if k.size == 0:
             return
-        touched = np.zeros(len(centers), bool)
-        touched[moved] = True
-        k = np.flatnonzero(touched[self.i] | touched[self.j])
-        self.gaps[k] = self._distances(centers, self.i[k], self.j[k]) - self.hw[k]
+        i, j = self.i[k], self.j[k]
+        ends = np.concatenate((i, i, j, j)).reshape(4, -1)  # cells of p0, p1, q0, q1
+        # x + (-h) rounds exactly as x - h
+        x = np.array(self.xs)[ends] + _END_SIGNS * self.hx[ends]
+        y = np.array(self.ys)[ends] + _END_SIGNS * self.hy[ends]
+        self.gaps[k] = stacked_segments_distance(x, y) - self.hw[k]
+        self.slack[k] = 0.0
 
+    def _drifted(self, moved: list[int]) -> bool:
+        """Whether a cell in ``moved`` is ``RELAX_SKIN / 2`` or more from where
+        it was at the last build."""
+        dx = np.array([self.xs[m] - self.bx[m] for m in moved])
+        dy = np.array([self.ys[m] - self.by[m] for m in moved])
+        return bool((np.hypot(dx, dy) >= RELAX_SKIN / 2.0).any())
 
-def _finite_real(value) -> bool:
-    return (
-        isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-    )
+    def update(self, moved: list[int], x0: list[float], y0: list[float]) -> None:
+        """Bring the bounds up to date after the cells ``moved`` moved from ``x0, y0``."""
+        xs, ys = self.xs, self.ys
+        step = np.zeros(len(xs))
+        step[moved] = [abs(xs[m] - x0[m]) + abs(ys[m] - y0[m]) + RELAX_PAD for m in moved]
+        self.slack += step[self.i] + step[self.j]
+        if self._drifted(moved):
+            self._build()
+        stale = (self.slack > 0.0) & ((self.gaps - self.slack < self.threshold) | self.parallel)
+        self._measure(np.flatnonzero(stale))
 
 
 def _numeric_suffix(cell_id: str) -> int:

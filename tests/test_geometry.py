@@ -11,6 +11,7 @@ from colony_track.geometry import (
     cell_from_pixels,
     segment_distance,
     segments_distance,
+    stacked_segments_distance,
     target_window,
 )
 
@@ -171,6 +172,14 @@ def test_segment_distance_equals_broadcast_form_on_degenerate_layouts(p0, p1, q0
     p0, p1, q0, q1 = (tuple(map(float, p)) for p in (p0, p1, q0, q1))
     _assert_scalar_matches(p0, p1, q0, q1)
     _assert_scalar_matches(q1, q0, p1, p0)
+
+
+def test_stacked_segments_distance_equals_broadcast_form():
+    rng = np.random.default_rng(1)
+    pts = rng.uniform(-60.0, 60.0, size=(4, 5000, 2))
+    pts[:, :1000] = np.round(pts[:, :1000] / 20.0)  # small integers: degenerate layouts
+    got = stacked_segments_distance(pts[..., 0], pts[..., 1])
+    assert got.tobytes() == segments_distance(*pts).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -371,6 +371,33 @@ def test_cli_simulate_rejects_bad_config(tmp_path, capsys, bad):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"restarts": 1.5},
+        {"restarts": True},
+        {"restarts": 0},
+        {"seed": "x"},
+        {"seed": -1},
+        {"w": float("nan")},
+        {"alpha": "x"},
+        {"g_rate": float("inf")},
+        {"registration_schedule": {"c": "hot"}},
+        {"registration_schedule": {"eta": None}},
+        {"children_schedule": {"epoch_cap": 2.5}},
+        {"children_schedule": {"stability_window": "n"}},
+    ],
+)
+def test_cli_track_rejects_bad_config(tmp_path, capsys, small_run, bad):
+    frames_path = tmp_path / "frames.jsonl"
+    io.write_frames_jsonl(small_run.frames[:4], frames_path)
+    config = tmp_path / "pipe.json"
+    config.write_text(json.dumps({"w": 45.0, **bad}))
+    args = ["track", "--frames", str(frames_path), "--config", str(config)]
+    assert main([*args, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_cli_weights_and_schedule_files(tmp_path, small_run):
     frames_path = tmp_path / "frames.jsonl"
     io.write_frames_jsonl(small_run.frames[:3], frames_path)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from colony_track.simulator import (
     LineageRecord,
     SimConfig,
     _Colony,
+    _PairList,
     simulate,
     true_motion_bound,
 )
@@ -81,20 +83,21 @@ def _golden_runs():
         ),
         initial_frame=dividing.frames[-1],
     )
-    # a dense colony in a small trap: about 13 000 relaxation pushes, enough
-    # that a last-bit change in a distance alters the output
-    crowded = simulate(
-        SimConfig(
-            seed=9,
-            n_frames=50,
-            initial_cells=6,
-            trap_bounds=Rect.of_size(220.0, 220.0),
-            motion_sigma=1.5,
-            substeps=2,
-            relax_iterations=300,
-        )
-    )
+    crowded = simulate(CROWDED)
     return {"dividing": dividing, "adopted": adopted, "crowded": crowded}
+
+
+# a dense colony in a small trap: about 13 000 relaxation pushes, enough that a
+# last-bit change in a distance alters the output
+CROWDED = SimConfig(
+    seed=9,
+    n_frames=50,
+    initial_cells=6,
+    trap_bounds=Rect.of_size(220.0, 220.0),
+    motion_sigma=1.5,
+    substeps=2,
+    relax_iterations=300,
+)
 
 
 # only a deliberate change to the simulation may re-record these
@@ -201,9 +204,41 @@ def _crowded_colony(seed):
     return colony
 
 
-def _relax_against_reference(seed):
+def _chain_colony(seed):
+    """A chain of rods at random angles joined by point-like cells on their
+    axis lines. Each rod and point overlap by exactly ``overlap_tol / 2``, so
+    rounding decides which of them are pushed, and the bounds that let the
+    relaxation skip a pair are tried at their edge."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 10))
+    theta = rng.uniform(0.0, math.pi, size=n)
+    lengths = np.where(np.arange(n) % 2 == 0, rng.uniform(15.0, 40.0, size=n), 0.0)
+    # a point this far beyond a rod's end overlaps it by overlap_tol / 2
+    beyond = 7.0 - SimConfig.overlap_tol / 2.0
+    centers = np.zeros((n, 2))
+    for k in range(1, n):
+        rod = k if k % 2 == 0 else k - 1
+        axis = np.array([math.cos(theta[rod]), math.sin(theta[rod])])
+        centers[k] = centers[k - 1] + axis * (lengths[rod] / 2.0 + beyond)
+    lo, hi = centers.min(axis=0) - 30.0, centers.max(axis=0) + 30.0
+    side = float((hi - lo).max())
+    cfg = SimConfig(
+        trap_bounds=Rect.of_size(side, side),
+        w=float(rng.uniform(3.0, 50.0)),
+        relax_iterations=int(rng.integers(1, 60)),
+    )
+    colony = _Colony(cfg, np.random.default_rng(seed))
+    colony.ids = [f"c{k:06d}" for k in range(n)]
+    colony.centers = centers + (side - lo - hi) / 2.0
+    colony.axes = np.column_stack([np.cos(theta), np.sin(theta)])
+    colony.lengths, colony.widths, colony.div_len = lengths, np.full(n, 7.0), 2.0 * lengths
+    colony.anchors = colony.centers + rng.normal(0.0, 2.0, size=(n, 2))
+    return colony
+
+
+def _relax_against_reference(seed, make=_crowded_colony):
     """Assert ``_relax`` equals the reference bit for bit; report what it exercised."""
-    colony, reference = _crowded_colony(seed), _crowded_colony(seed)
+    colony, reference = make(seed), make(seed)
     start = colony.centers.copy()
     ok = colony._relax()
     ref_ok, hits = _reference_relax(reference)
@@ -221,11 +256,102 @@ def test_relax_matches_all_pairs_reference(seed):
     _relax_against_reference(seed)
 
 
+@settings(max_examples=100)
+@given(st.integers(0, 2**32 - 1))
+def test_relax_matches_all_pairs_reference_on_chains(seed):
+    _relax_against_reference(seed, _chain_colony)
+
+
 def test_relax_reference_cases_rebuild_cap_and_clamp():
     seen = [_relax_against_reference(seed) for seed in range(30)]
     assert sum(s["rebuilt"] for s in seen) >= 5
     assert sum(s["capped"] > 0 for s in seen) >= 5
     assert sum(s["clamped"] > 0 for s in seen) >= 5
+
+
+def _collinear_row(seed):
+    """Rods on one line with one axis, each overlapping the next by exactly
+    ``overlap_tol / 2``. Rounding noise decides whether the crossing test of
+    such a pair reports distance 0, so a pair's computed gap can fall far
+    below its bound."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 10))
+    lengths = rng.uniform(15.0, 40.0, size=n)
+    spacing = (lengths[:-1] + lengths[1:]) / 2.0 + 7.0 - SimConfig.overlap_tol / 2.0
+    along = np.concatenate(([0.0], np.cumsum(spacing)))
+    theta = np.full(n, rng.uniform(0.0, math.pi))
+    axis = np.array([math.cos(theta[0]), math.sin(theta[0])])
+    side = float(along[-1]) + 2.0 * lengths.max() + 20.0
+    colony = _Colony(
+        SimConfig(trap_bounds=Rect.of_size(side, side), relax_iterations=60),
+        np.random.default_rng(seed),
+    )
+    colony.ids = [f"c{k:06d}" for k in range(n)]
+    colony.centers = side / 2.0 + (along - along.mean())[:, None] * axis
+    colony.axes = np.column_stack([np.cos(theta), np.sin(theta)])
+    colony.lengths, colony.widths, colony.div_len = lengths, np.full(n, 7.0), 2.0 * lengths
+    colony.anchors = colony.centers + rng.normal(0.0, 2.0, size=(n, 2))
+    return colony
+
+
+def _watch_pair_list(on_update):
+    """Patch ``_PairList.update`` to call ``on_update(pair_list, moved, before)``
+    before and after it."""
+    update = _PairList.update
+
+    def watched(self, moved, x0, y0):
+        on_update(self, moved, before=True)
+        update(self, moved, x0, y0)
+        on_update(self, moved, before=False)
+
+    return mock.patch.object(_PairList, "update", watched)
+
+
+def _fresh_gaps(pl):
+    x, y = np.array(pl.xs), np.array(pl.ys)
+    e, h = np.column_stack((x - pl.hx, y - pl.hy)), np.column_stack((x + pl.hx, y + pl.hy))
+    return segments_distance(e[pl.i], h[pl.i], e[pl.j], h[pl.j]) - pl.hw
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([_crowded_colony, _chain_colony, _collinear_row]))
+def test_pair_list_holds_every_gap_below_threshold_exactly(seed, make):
+    # what makes the relaxation exact: after every iteration, each listed pair
+    # whose gap, measured afresh, is below the threshold holds exactly that
+    # gap, and no other pair holds a value below it
+    def check(pl, moved, before):
+        if not before:
+            fresh = _fresh_gaps(pl)
+            below = fresh < pl.threshold
+            assert pl.gaps[below].tobytes() == fresh[below].tobytes()
+            assert (pl.gaps[~below] >= pl.threshold).all()
+
+    colony = make(seed)
+    with _watch_pair_list(check):
+        colony._relax()
+
+
+def test_relax_remeasures_fewer_than_half_of_touched_pairs():
+    # the gap bounds spare most pairs with a moved cell from being measured
+    counts = {"touched": 0, "measured": 0}
+    measure = _PairList._measure
+
+    def count_touched(pl, moved, before):
+        if before:
+            touched = np.zeros(len(pl.xs), bool)
+            touched[moved] = True
+            counts["touched"] += int((touched[pl.i] | touched[pl.j]).sum())
+        counts["updating"] = before
+
+    def counted(self, k):
+        if counts.get("updating"):
+            counts["measured"] += len(k)
+        measure(self, k)
+
+    with _watch_pair_list(count_touched), mock.patch.object(_PairList, "_measure", counted):
+        assert _sim_digest(simulate(CROWDED)) == GOLDEN_DIGESTS["crowded"]
+    assert counts["touched"] > 100_000
+    assert counts["measured"] < counts["touched"] / 2
 
 
 def test_division_at_deterministic_growth_threshold():
