@@ -17,7 +17,6 @@ from typing import Protocol, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .errors import InfeasibleError, ValidationError
 
@@ -98,7 +97,12 @@ def objective(instance: CalibrationInstance, lam: np.ndarray) -> float:
 def _solve_linearized(
     instance: CalibrationInstance, subgrad: np.ndarray, literal_equality: bool
 ) -> np.ndarray:
-    """One LP round: min gamma*sum(y) - <subgrad, Lambda> over the constraint set."""
+    """One LP round: min gamma*sum(y) - <subgrad, Lambda> over the constraint set.
+
+    scipy.optimize is imported here, so only a run that calibrates loads it.
+    """
+    from scipy.optimize import linprog
+
     v = instance.perturbations
     n, m = v.shape
     cost = np.concatenate([-subgrad, np.full(n, instance.gamma)])

@@ -63,6 +63,9 @@ def _load_pipeline_config(args) -> PipelineConfig:
     data = io.load_json(args.config) if args.config else {}
     if args.weights:
         wdata = io.load_json(args.weights)
+        unknown = set(wdata) - {"registration", "division"}
+        if unknown:
+            raise ValidationError(f"unknown weights sections: {sorted(unknown)}")
         if "registration" in wdata:
             data["registration_weights"] = wdata["registration"]
         if "division" in wdata:
@@ -206,7 +209,8 @@ def _cmd_calibrate(args) -> int:
     )
     lam = calibration.calibrate(instance)
     out = _outdir(args)
-    weights = registration.RegistrationWeights(*map(float, lam))
+    # the LP may leave a zero weight a rounding error below its bound
+    weights = registration.RegistrationWeights(*map(float, np.maximum(lam, 0.0)))
     io.dump_json({"registration": weights.to_dict()}, out / "weights.json")
     with open(out / "calibration_report.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -12,12 +12,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-import networkx as nx
 import numpy as np
 
 from . import annealer
 from .annealer import BmProblem, Clique, Schedule
-from .errors import InfeasibleError, ValidationError
+from .errors import InfeasibleError, ValidationError, check_fields
 from .geometry import Cell, Frame, cross2, line_angle
 
 PENALTY_NAMES = ("lin", "gap", "dev", "ratio", "rank")
@@ -30,6 +29,9 @@ class DistortionWeights:
     cen: float = 0.255
     siz: float = 0.05
     ang: float = 0.05
+
+    def __post_init__(self):
+        check_fields(self, nonnegative=("cen", "siz", "ang"))
 
 
 @dataclass(frozen=True)
@@ -44,13 +46,18 @@ class DivisionWeights:
     rank: float = 0.05
     q: float | None = None  # None: 10x the largest combined penalty
 
+    def __post_init__(self):
+        check_fields(self, nonnegative=("lin", "gap", "dev", "ratio", "rank"))
+        if self.q is not None:
+            check_fields(self, nonnegative=("q",))
+
     @classmethod
     def from_dict(cls, data: dict) -> "DivisionWeights":
-        data = dict(data)
-        dist = DistortionWeights(**data.pop("distortion", {}))
         try:
+            data = dict(data)
+            dist = DistortionWeights(**data.pop("distortion", {}))
             return cls(distortion=dist, **data)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValidationError(f"bad division weights: {exc}") from exc
 
     def to_dict(self) -> dict:
@@ -293,18 +300,28 @@ def scatter_rows(
 
 @dataclass
 class ChildrenBmProblem:
-    """Binary BM over candidate pairs: E(z) = <V, z> + lambda_Q <z, Qz>."""
+    """Binary BM over candidate pairs: E(z) = <V, z> + lambda_Q <z, Qz>.
+
+    ``max_disjoint`` is the exact maximum number of disjoint candidates when
+    :func:`build_children_bm` had to compute it (its greedy certificate fell
+    short of ``div_count``), else None.
+    """
 
     candidates: list[PairCandidate]
     v: np.ndarray
     q: np.ndarray
     div_count: int
     lambda_q: float
-    infeasible: bool
+    max_disjoint: int | None = None
 
     @property
     def m(self) -> int:
         return len(self.candidates)
+
+    @property
+    def infeasible(self) -> bool:
+        """No ``div_count`` pairwise-disjoint candidates exist."""
+        return self.max_disjoint is not None and self.max_disjoint < self.div_count
 
     def energy(self, z: Sequence[int]) -> float:
         z = np.asarray(z, dtype=np.float64)
@@ -324,10 +341,34 @@ class ChildrenBmProblem:
 
 def max_disjoint_candidates(candidates: Sequence[PairCandidate]) -> int:
     """Largest number of pairwise-disjoint candidates: a maximum matching in
-    the graph whose vertices are target cells and edges are candidates."""
+    the graph whose vertices are target cells and edges are candidates.
+
+    Edmonds' blossom matching from networkx, imported here so that a run
+    loads networkx only if it calls this. :func:`build_children_bm` calls it
+    once per problem, and only when its greedy disjoint set is smaller than
+    the division count.
+    """
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_edges_from(cand.pair for cand in candidates)
     return len(nx.max_weight_matching(graph, maxcardinality=True))
+
+
+def _greedy_disjoint(
+    candidates: Sequence[PairCandidate], v: np.ndarray, limit: int
+) -> list[int]:
+    """Up to ``limit`` pairwise-disjoint candidates, taken greedily by lowest
+    penalty, then lowest index."""
+    used: set[str] = set()
+    chosen: list[int] = []
+    for j in np.lexsort((np.arange(len(candidates)), v)):
+        if len(chosen) == limit:
+            break
+        if not used & set(candidates[j].pair):
+            chosen.append(int(j))
+            used.update(candidates[j].pair)
+    return chosen
 
 
 def build_children_bm(
@@ -339,7 +380,11 @@ def build_children_bm(
 
     The conflict matrix marks candidate pairs sharing exactly one cell. The
     problem is flagged infeasible when no disjoint subset of the requested
-    cardinality exists.
+    cardinality exists. A greedy disjoint set (the pass and order of the
+    annealer's start) of ``div_count`` candidates certifies feasibility;
+    only when it falls short does the exact maximum matching
+    (:func:`max_disjoint_candidates`) run, once, with its count kept in
+    ``max_disjoint``.
     """
     if div_count < 1:
         raise ValidationError("division count must be at least 1")
@@ -356,25 +401,19 @@ def build_children_bm(
             if len(sj & set(candidates[k].pair)) == 1:
                 q[j, k] = q[k, j] = 1
     lambda_q = weights.q if weights.q is not None else 10.0 * max(float(v.max()), 1.0)
-    infeasible = max_disjoint_candidates(candidates) < div_count
-    return ChildrenBmProblem(list(candidates), v, q, div_count, lambda_q, infeasible)
+    max_disjoint = None
+    if len(_greedy_disjoint(candidates, v, div_count)) < div_count:
+        max_disjoint = max_disjoint_candidates(candidates)
+    return ChildrenBmProblem(list(candidates), v, q, div_count, lambda_q, max_disjoint)
 
 
 def _greedy_initial(problem: ChildrenBmProblem, card: int) -> np.ndarray:
     """Deterministic start: lowest-penalty candidates, preferring disjoint ones."""
-    order = np.lexsort((np.arange(problem.m), problem.v))
     z = np.zeros(problem.m, dtype=np.int64)
-    used: set[str] = set()
-    chosen = 0
-    for j in order:
-        if chosen == card:
-            break
-        if not used & set(problem.candidates[j].pair):
-            z[j] = 1
-            used.update(problem.candidates[j].pair)
-            chosen += 1
+    z[_greedy_disjoint(problem.candidates, problem.v, card)] = 1
+    chosen = int(z.sum())
     if chosen < card:
-        for j in order:
+        for j in np.lexsort((np.arange(problem.m), problem.v)):
             if chosen == card:
                 break
             if not z[j]:
@@ -397,11 +436,11 @@ def solve_children_bm(
     """
     card = problem.div_count
     if problem.infeasible:
-        if relax_cardinality and max_disjoint_candidates(problem.candidates) >= card - 1:
+        if relax_cardinality and problem.max_disjoint >= card - 1:
             card = card - 1
         else:
             raise InfeasibleError(
-                f"only {max_disjoint_candidates(problem.candidates)} disjoint "
+                f"only {problem.max_disjoint} disjoint "
                 f"children pairs available for {problem.div_count} divisions"
             )
     if card == 0:

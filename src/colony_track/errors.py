@@ -25,9 +25,10 @@ def finite_real(value) -> bool:
     )
 
 
-def check_fields(config, integers=(), reals=()) -> None:
+def check_fields(config, integers=(), reals=(), nonnegative=()) -> None:
     """Raise :class:`ValidationError` unless the named fields of ``config`` are
-    integers (not bools) and finite real numbers respectively."""
+    integers (not bools), finite real numbers and finite non-negative real
+    numbers respectively."""
     for name in integers:
         value = getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -36,3 +37,7 @@ def check_fields(config, integers=(), reals=()) -> None:
         value = getattr(config, name)
         if not finite_real(value):
             raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    for name in nonnegative:
+        value = getattr(config, name)
+        if not finite_real(value) or value < 0:
+            raise ValidationError(f"{name} must be a finite non-negative number, got {value!r}")

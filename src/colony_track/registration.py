@@ -19,7 +19,7 @@ import numpy as np
 
 from . import annealer
 from .annealer import BmProblem, Clique, CollisionGroup, Schedule
-from .errors import ValidationError
+from .errors import ValidationError, check_fields
 from .geometry import Cell, Frame, NeighborGraph, build_neighbor_graph, cross2, window_mask
 
 LIK_FLOOR = 1e-6
@@ -31,6 +31,9 @@ class RegistrationWeights:
     over: float = 300.0
     stab: float = 300.0
     flip: float = 290.0
+
+    def __post_init__(self):
+        check_fields(self, nonnegative=("match", "over", "stab", "flip"))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.match, self.over, self.stab, self.flip])

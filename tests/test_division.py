@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -362,6 +363,38 @@ def test_children_bm_validation_and_infeasibility():
         solve_children_bm(problem, rng_seed=0)
     relaxed = solve_children_bm(problem, rng_seed=0, relax_cardinality=True)
     assert len(relaxed) == 1
+
+
+@given(st.integers(0, 10**6))
+def test_feasibility_certificate_matches_matching_oracle(seed):
+    import networkx as nx
+
+    rng = np.random.default_rng(seed)
+    cells = int(rng.integers(2, 7))
+    cands = _toy_candidates(rng, int(rng.integers(1, cells * (cells - 1) // 2 + 1)), cells)
+    graph = nx.Graph([c.pair for c in cands])
+    oracle = len(nx.max_weight_matching(graph, maxcardinality=True))
+    for div_count in range(1, len(cands) + 1):
+        with mock.patch.object(
+            division, "max_disjoint_candidates", wraps=division.max_disjoint_candidates
+        ) as matching:
+            problem = build_children_bm(cands, div_count)
+            assert problem.infeasible == (oracle < div_count)
+            order = sorted(range(len(cands)), key=lambda j: (problem.v[j], j))
+            used, greedy = set(), 0
+            for j in order:
+                if not used & set(cands[j].pair):
+                    used.update(cands[j].pair)
+                    greedy += 1
+            assert matching.call_count == int(greedy < div_count)
+            if problem.infeasible:
+                text = f"only {oracle} disjoint children pairs available for {div_count}"
+                with pytest.raises(InfeasibleError, match=text):
+                    solve_children_bm(problem)
+                if oracle < div_count - 1:
+                    with pytest.raises(InfeasibleError, match=text):
+                        solve_children_bm(problem, relax_cardinality=True)
+            assert matching.call_count <= 1
 
 
 def test_selected_pairs_disjoint_when_possible(minute_run):

@@ -398,6 +398,32 @@ def test_cli_track_rejects_bad_config(tmp_path, capsys, small_run, bad):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"division": {"distortion": {"bogus": 1}}},
+        {"division": {"distortion": 3}},
+        {"division": {"lin": -1.0}},
+        {"division": {"q": float("nan")}},
+        {"division": {"rank": "x"}},
+        {"registration": {"match": "x"}},
+        {"registration": {"over": float("nan")}},
+        {"registration": {"stab": -2.0}},
+        {"registration": {"flip": True}},
+        {"registration": {"bogus": 1.0}},
+        {"registation": {"match": 1.0}},
+    ],
+)
+def test_cli_track_rejects_bad_weights(tmp_path, capsys, small_run, bad):
+    frames_path = tmp_path / "frames.jsonl"
+    io.write_frames_jsonl(small_run.frames[:4], frames_path)
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps(bad))
+    args = ["track", "--frames", str(frames_path), "--weights", str(weights)]
+    assert main([*args, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_cli_weights_and_schedule_files(tmp_path, small_run):
     frames_path = tmp_path / "frames.jsonl"
     io.write_frames_jsonl(small_run.frames[:3], frames_path)
