@@ -1,6 +1,15 @@
 """Cell tracking in dense rod-cell colonies by Boltzmann-machine annealing."""
 
-from .annealer import AnnealResult, BmConfig, BmProblem, Clique, CollisionGroup, Schedule, anneal
+from .annealer import (
+    AnnealResult,
+    BmConfig,
+    BmProblem,
+    Clique,
+    CollisionGroup,
+    QuadraticBm,
+    Schedule,
+    anneal,
+)
 from .calibration import CalibrationInstance, build_perturbations, calibrate
 from .division import (
     ChildrenBmProblem,

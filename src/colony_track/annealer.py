@@ -1,6 +1,7 @@
-"""Boltzmann-machine annealing over finite product configuration spaces.
+"""Boltzmann-machine annealing: two energies, one update rule each.
 
-The energy is a sum of small-clique terms plus one optional collision term:
+Registration uses :class:`BmProblem`, a sum of small-clique terms plus one
+optional collision term over finite product configuration spaces:
 
     E(z) = sum_K weight_K * table_K[z restricted to K]
          + coef * #{unordered site pairs mapped to the same target}
@@ -10,7 +11,16 @@ numpy arrays indexed by those positions, so a single-site update touches only
 the cliques containing that site. The collision term expresses pairwise
 equality penalties (one clique per pair of sites) through per-target
 occupancy counts, which keeps its evaluation exact while avoiding a quadratic
-clique list.
+clique list. Its dynamics is ``async``: one site at a time.
+
+Children selection uses :class:`QuadraticBm`, the binary quadratic energy
+
+    E(z) = v . z + lambda * z^T Q z
+
+annealed by ``swap`` moves that exchange a selected and an unselected site,
+so the number of selected sites never changes. The chain keeps the local
+field h = Q z (Aarts & Korst, *Simulated Annealing and Boltzmann Machines*,
+1989), which makes the energy change of a swap an O(1) expression.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ import numpy as np
 
 from .errors import ValidationError, check_fields
 
-Dynamics = Literal["async", "sync", "swap"]
+Dynamics = Literal["async", "swap"]
 
 
 @dataclass(frozen=True)
@@ -131,6 +141,59 @@ class BmProblem:
         return self.clique_energy(states) + self.collision_energy(states)
 
 
+class QuadraticBm:
+    """Binary BM with energy E(z) = v . z + lambda_q * z^T Q z.
+
+    ``q`` is symmetric with a zero diagonal and is used as given: it is never
+    copied into a wider dtype.
+    """
+
+    def __init__(self, v: np.ndarray, q: np.ndarray, lambda_q: float):
+        self.v = np.asarray(v, dtype=np.float64)
+        self.q = q
+        self.lambda_q = float(lambda_q)
+        self.n_sites = len(self.v)
+        if q.shape != (self.n_sites, self.n_sites):
+            raise ValidationError("Q must be square with one row per site")
+
+    def energy(self, states: np.ndarray) -> float:
+        """Full recomputation of E(z) over the selected sites S only:
+        v[S].sum() + lambda_q * Q[S, S].sum()."""
+        sel = np.flatnonzero(states)
+        return float(self.v[sel].sum() + self.lambda_q * self.q[np.ix_(sel, sel)].sum())
+
+
+class QuadraticConfig:
+    """A binary configuration of a :class:`QuadraticBm` with its local field
+    h = Q z and incrementally maintained energy."""
+
+    def __init__(self, problem: QuadraticBm, states: Sequence[int]):
+        self.problem = problem
+        self.states = np.asarray(states, dtype=np.int64).copy()
+        if self.states.shape != (problem.n_sites,):
+            raise ValidationError("states vector length must match site count")
+        if np.any((self.states != 0) & (self.states != 1)):
+            raise ValidationError("swap dynamics needs a 0/1 configuration")
+        field_dtype = np.result_type(problem.q.dtype, np.int64)
+        self.h = problem.q[self.states == 1].sum(axis=0, dtype=field_dtype)
+        self.energy = problem.energy(self.states)
+
+    def swap_delta(self, j: int, k: int) -> float:
+        """Energy change of deselecting site j and selecting site k."""
+        p, h = self.problem, self.h
+        return float(p.v[k] - p.v[j]) + 2.0 * p.lambda_q * float(h[k] - h[j] - p.q[j, k])
+
+    def swap(self, j: int, k: int, delta: float) -> None:
+        self.states[j], self.states[k] = 0, 1
+        self.h += self.problem.q[k]
+        self.h -= self.problem.q[j]
+        self.energy += delta
+
+    def resync_energy(self) -> None:
+        """Replace the accumulated energy by a full recomputation."""
+        self.energy = self.problem.energy(self.states)
+
+
 class BmConfig:
     """A concrete configuration with incrementally maintained energy."""
 
@@ -171,20 +234,16 @@ class BmConfig:
             out += problem.collision.coef * (occ_cand - (occ[cur_tok] - 1))
         return out
 
-    def commit(self, moves: Sequence[tuple[int, int]], delta: float) -> None:
-        """Set every ``(site, state)`` of ``moves`` at once; ``delta`` is the
-        energy change of the joint move."""
-        grp = self.problem.collision
-        for site, new_state in moves:
-            if grp is not None:
-                self._occ[grp.targets[site][self.states[site]]] -= 1
-                self._occ[grp.targets[site][new_state]] += 1
-            self.states[site] = new_state
-        self.energy += delta
-
     def apply(self, site: int, new_state: int, delta: float) -> None:
-        if new_state != self.states[site]:
-            self.commit([(site, new_state)], delta)
+        """Move ``site`` to ``new_state``; ``delta`` is the energy change."""
+        if new_state == self.states[site]:
+            return
+        grp = self.problem.collision
+        if grp is not None:
+            self._occ[grp.targets[site][self.states[site]]] -= 1
+            self._occ[grp.targets[site][new_state]] += 1
+        self.states[site] = new_state
+        self.energy += delta
 
     def resync_energy(self) -> None:
         """Replace the accumulated energy by a full recomputation."""
@@ -195,10 +254,9 @@ class BmConfig:
 class Schedule:
     """Geometric temperature schedule Temp(t) = c * eta**t over update steps.
 
-    ``stability_window`` counts update events (single-site moves for the
-    asynchronous and swap dynamics, parallel steps for the synchronous one);
-    it defaults to the site count N, stopping once the energy stayed within
-    the relative tolerance over the last N events.
+    ``stability_window`` counts update events (single-site moves or swap
+    attempts); it defaults to the site count N, stopping once the energy
+    stayed within the relative tolerance over the last N events.
     """
 
     c: float = 50.0
@@ -237,7 +295,7 @@ class Schedule:
     @classmethod
     def from_dict(cls, data: dict) -> "Schedule":
         keys = {"c", "eta", "epoch_cap", "stability_window", "stability_tol"}
-        unknown = set(data) - keys - {"dynamics", "alpha"}
+        unknown = set(data) - keys
         if unknown:
             raise ValidationError(f"unknown schedule keys: {sorted(unknown)}")
         return cls(**{k: data[k] for k in keys if k in data})
@@ -253,103 +311,43 @@ def _accept(d: float, temp: float, rng: np.random.Generator) -> bool:
     return math.log(max(u, 1e-300)) <= -d / temp
 
 
-def _propose(config: BmConfig, site: int) -> tuple[int, float] | None:
-    """Best alternative state for a site: the delta-minimizing candidate other
-    than the current one. None when the site has a single candidate.
-
-    The current state always has delta zero, so including it would make the
-    acceptance test vacuous; proposing the best alternative keeps improving
-    moves always accepted while uphill moves face exp(-delta/Temp).
-    """
-    deltas = config.delta_vector(site)
-    if deltas.size < 2:
-        return None
-    cur = int(config.states[site])
-    deltas[cur] = np.inf
-    z = int(np.argmin(deltas))
-    return z, float(deltas[z])
-
-
 def step_async(config: BmConfig, site: int, temp: float, rng: np.random.Generator) -> bool:
     """Single-site update: propose the best alternative candidate, accept with
     probability exp(-max(0, delta)/Temp). Returns True when the configuration
-    changed."""
-    proposal = _propose(config, site)
-    if proposal is None:
+    changed.
+
+    The current state always has delta zero, so including it would make the
+    acceptance test vacuous; proposing the delta-minimizing alternative keeps
+    improving moves always accepted while uphill moves face exp(-delta/Temp).
+    A site with a single candidate never moves.
+    """
+    deltas = config.delta_vector(site)
+    if deltas.size < 2:
         return False
-    z, d = proposal
+    deltas[config.states[site]] = np.inf
+    z = int(np.argmin(deltas))
+    d = float(deltas[z])
     if _accept(max(0.0, d), temp, rng):
         config.apply(site, z, d)
         return True
     return False
 
 
-def _joint_delta(config: BmConfig, moves: Sequence[tuple[int, int]]) -> float:
-    """Energy change of setting every ``(site, state)`` of ``moves`` at once:
-    the touched cliques in index order, then the full collision difference."""
-    problem = config.problem
-    old_states = config.states
-    new_states = old_states.copy()
-    for site, z in moves:
-        new_states[site] = z
-    touched = sorted({ci for site, _ in moves for ci in problem.site_cliques[site]})
-    delta = 0.0
-    for ci in touched:
-        cl = problem.cliques[ci]
-        delta += cl.weight * (
-            float(cl.table[tuple(new_states[s] for s in cl.sites)])
-            - float(cl.table[tuple(old_states[s] for s in cl.sites)])
-        )
-    if problem.collision is not None:
-        delta += problem.collision_energy(new_states) - problem.collision_energy(
-            old_states
-        )
-    return delta
-
-
-def step_sync(
-    config: BmConfig, temp: float, alpha: float, rng: np.random.Generator
-) -> int:
-    """Tag each site independently with probability alpha; tagged sites run the
-    single-site update against the frozen configuration and commit jointly.
-    Returns the number of sites that changed."""
-    if not (0.0 < alpha <= 1.0):
-        raise ValidationError("synchrony parameter alpha must lie in (0, 1]")
-    tags = rng.random(config.problem.n_sites) < alpha
-    moves: list[tuple[int, int]] = []
-    for site in np.flatnonzero(tags):
-        proposal = _propose(config, int(site))
-        if proposal is None:
-            continue
-        z, d = proposal
-        if _accept(max(0.0, d), temp, rng):
-            moves.append((int(site), z))
-    if not moves:
-        return 0
-    config.commit(moves, _joint_delta(config, moves))
-    return len(moves)
-
-
-def step_swap(config: BmConfig, temp: float, rng: np.random.Generator) -> bool:
-    """Cardinality-preserving update for binary problems: exchange a selected
-    site with an unselected one. No-op when either side is empty."""
+def step_swap(config: QuadraticConfig, temp: float, rng: np.random.Generator) -> bool:
+    """Cardinality-preserving update: exchange a selected site j with an
+    unselected one k, priced through the local field as
+    (v_k - v_j) + 2 lambda (h_k - h_j - Q_jk). No-op when either side is empty."""
     ones = np.flatnonzero(config.states == 1)
     zeros = np.flatnonzero(config.states == 0)
     if len(ones) == 0 or len(zeros) == 0:
         return False
     j = int(ones[rng.integers(len(ones))])
     k = int(zeros[rng.integers(len(zeros))])
-    moves = [(j, 0), (k, 1)]
-    delta = _joint_delta(config, moves)
+    delta = config.swap_delta(j, k)
     if _accept(max(0.0, delta), temp, rng):
-        config.commit(moves, delta)
+        config.swap(j, k, delta)
         return True
     return False
-
-
-def _require_binary(problem: BmProblem) -> None:
-    if any(size != 2 for size in problem.sizes):
-        raise ValidationError("swap dynamics requires two candidate states per site")
 
 
 @dataclass
@@ -366,20 +364,21 @@ class AnnealResult:
 
 
 def anneal(
-    problem: BmProblem,
+    problem: BmProblem | QuadraticBm,
     dynamics: Dynamics = "async",
     schedule: Schedule | None = None,
     rng_seed: int | np.random.Generator = 0,
     initial_states: Sequence[int] | None = None,
-    alpha: float = 0.5,
     record_steps: bool = False,
 ) -> AnnealResult:
     """Run one annealing chain and return the best configuration seen.
 
-    One epoch is N single-site updates (async), N swap attempts (swap), or one
-    tagged parallel update (sync). The chain stops when the energy spread over
-    the trailing stability window stays below the relative tolerance, or at
-    the epoch cap. Deterministic given the seed.
+    ``async`` anneals a :class:`BmProblem` (from all zeros by default);
+    ``swap`` anneals a :class:`QuadraticBm` from a given configuration. One
+    epoch is N single-site updates (async) or N swap attempts (swap). The
+    chain stops when the energy spread over the trailing stability window
+    stays below the relative tolerance, or at the epoch cap. Deterministic
+    given the seed.
     """
     if schedule is None:
         schedule = Schedule()
@@ -388,52 +387,40 @@ def anneal(
         if isinstance(rng_seed, np.random.Generator)
         else np.random.default_rng(rng_seed)
     )
-    if initial_states is None:
-        if dynamics == "swap":
+    if dynamics == "async" and isinstance(problem, BmProblem):
+        if initial_states is None:
+            initial_states = np.zeros(problem.n_sites, dtype=np.int64)
+        config = BmConfig(problem, initial_states)
+    elif dynamics == "swap" and isinstance(problem, QuadraticBm):
+        if initial_states is None:
             raise ValidationError("swap dynamics needs an initial configuration")
-        initial_states = np.zeros(problem.n_sites, dtype=np.int64)
-    if dynamics == "swap":
-        _require_binary(problem)
-    if dynamics not in ("async", "sync", "swap"):
+        config = QuadraticConfig(problem, initial_states)
+    elif dynamics in ("async", "swap"):
+        raise ValidationError(f"{dynamics} dynamics cannot anneal a {type(problem).__name__}")
+    else:
         raise ValidationError(f"unknown dynamics {dynamics!r}")
-    config = BmConfig(problem, initial_states)
     n = problem.n_sites
     window = schedule.stability_window if schedule.stability_window else n
     best_states = config.states.copy()
     best_energy = config.energy
     epoch_energies: list[float] = []
     trace: list[tuple[int, float, float, int]] | None = [] if record_steps else None
-    # per-epoch records: (site-update opportunities, min E, max E)
-    spans: list[tuple[int, float, float]] = []
+    # per-epoch (min E, max E); each epoch covers n update events
+    spans: list[tuple[float, float]] = []
     t = 0
     stopped = "epoch_cap"
     for epoch in range(schedule.epoch_cap):
         emin = emax = config.energy
-        updates = 0
-        if dynamics in ("async", "swap"):
-            sites = rng.permutation(n) if dynamics == "async" else None
-            for s in range(n):
-                temp = schedule.temperature(t)
-                if dynamics == "async":
-                    changed = step_async(config, int(sites[s]), temp, rng)
-                else:
-                    changed = step_swap(config, temp, rng)
-                t += 1
-                updates += 1
-                if trace is not None:
-                    trace.append((t, temp, config.energy, int(changed)))
-                emin = min(emin, config.energy)
-                emax = max(emax, config.energy)
-                if config.energy < best_energy - 1e-15:
-                    best_energy = config.energy
-                    best_states = config.states.copy()
-        else:
+        sites = rng.permutation(n) if dynamics == "async" else None
+        for s in range(n):
             temp = schedule.temperature(t)
-            changed = step_sync(config, temp, alpha, rng)
+            if dynamics == "async":
+                changed = step_async(config, int(sites[s]), temp, rng)
+            else:
+                changed = step_swap(config, temp, rng)
             t += 1
-            updates = 1  # one parallel update event
             if trace is not None:
-                trace.append((t, temp, config.energy, int(changed > 0)))
+                trace.append((t, temp, config.energy, int(changed)))
             emin = min(emin, config.energy)
             emax = max(emax, config.energy)
             if config.energy < best_energy - 1e-15:
@@ -441,10 +428,10 @@ def anneal(
                 best_states = config.states.copy()
         config.resync_energy()
         epoch_energies.append(config.energy)
-        spans.append((updates, emin, emax))
+        spans.append((emin, emax))
         covered, lo, hi = 0, math.inf, -math.inf
-        for cnt, mn, mx in reversed(spans):
-            covered += cnt
+        for mn, mx in reversed(spans):
+            covered += n
             lo = min(lo, mn)
             hi = max(hi, mx)
             if covered >= window:

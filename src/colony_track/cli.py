@@ -71,15 +71,7 @@ def _load_pipeline_config(args) -> PipelineConfig:
         if "division" in wdata:
             data["division_weights"] = wdata["division"]
     if getattr(args, "schedule", None):
-        sdata = io.load_json(args.schedule)
-        if "dynamics" in sdata:
-            data["dynamics"] = sdata.pop("dynamics")
-        alpha = sdata.pop("alpha", None)
-        if alpha is not None:
-            data["alpha"] = alpha
-        data["registration_schedule"] = sdata
-    if getattr(args, "dynamics", None) is not None:
-        data["dynamics"] = args.dynamics
+        data["registration_schedule"] = io.load_json(args.schedule)
     if args.seed is not None:
         data["seed"] = args.seed
     return PipelineConfig.from_dict(data)
@@ -126,7 +118,6 @@ def _cmd_track(args) -> int:
             for d in diags
         ],
         "seed": config.seed,
-        "dynamics": config.dynamics,
         "registration_schedule": {
             "c": sched.c,
             "eta": sched.eta,
@@ -246,11 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     track.add_argument("--config", help="pipeline config JSON")
     track.add_argument("--weights", help="weights JSON")
     track.add_argument("--schedule", help="annealing schedule JSON")
-    track.add_argument(
-        "--dynamics", choices=("async", "sync"), default=None,
-        help="registration dynamics (default: the config value); "
-        "children pairing always uses swap",
-    )
     track.add_argument("--seed", type=int, default=None)
     track.add_argument("--out", required=True)
     track.add_argument("--quiet", action="store_true")

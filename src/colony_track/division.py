@@ -2,21 +2,24 @@
 
 Candidate children pairs are target-frame cell pairs with nearby centers.
 Each carries five penalties (lineage, gap, alignment deviation, length ratio,
-length rank); a binary Boltzmann machine selects the subset of pairs matching
-the known division count while penalizing pairs that share a cell.
+length rank). A binary Boltzmann machine with the quadratic energy
+E(z) = v . z + lambda * z^T Q z selects the subset of pairs matching the known
+division count: v holds the combined penalties and Q marks pairs that share a
+cell. Swap annealing keeps the count fixed and prices each swap through the
+local field h = Q z (see :mod:`colony_track.annealer`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import annealer
-from .annealer import BmProblem, Clique, Schedule
-from .errors import InfeasibleError, ValidationError, check_fields
+from .annealer import QuadraticBm, Schedule
+from .errors import InfeasibleError, ValidationError, check_fields, finite_real
 from .geometry import Cell, Frame, cross2, line_angle
 
 PENALTY_NAMES = ("lin", "gap", "dev", "ratio", "rank")
@@ -247,6 +250,19 @@ def build_pch(
 DEFAULT_TRIM_THRESHOLDS = {"gap": 12.0, "dev": 0.6, "rank": 1.2}
 
 
+def check_trim_thresholds(thresholds) -> None:
+    """Raise :class:`ValidationError` unless ``thresholds`` maps known penalty
+    names to finite numbers."""
+    if not isinstance(thresholds, Mapping):
+        raise ValidationError(f"trim thresholds must be a mapping, got {thresholds!r}")
+    unknown = set(thresholds) - set(PENALTY_NAMES) - {"rat"}
+    if unknown:
+        raise ValidationError(f"unknown trim penalty names: {sorted(unknown)}")
+    for name, bound in thresholds.items():
+        if not finite_real(bound):
+            raise ValidationError(f"trim threshold {name} must be a finite number, got {bound!r}")
+
+
 def trim_candidates(
     candidates: Sequence[PairCandidate],
     thresholds: dict[str, float] | None = None,
@@ -260,9 +276,7 @@ def trim_candidates(
     """
     if thresholds is None:
         thresholds = DEFAULT_TRIM_THRESHOLDS
-    unknown = set(thresholds) - set(PENALTY_NAMES) - {"rat"}
-    if unknown:
-        raise ValidationError(f"unknown trim penalty names: {sorted(unknown)}")
+    check_trim_thresholds(thresholds)
     if not thresholds:
         return list(candidates)
     kept = []
@@ -300,7 +314,12 @@ def scatter_rows(
 
 @dataclass
 class ChildrenBmProblem:
-    """Binary BM over candidate pairs: E(z) = <V, z> + lambda_Q <z, Qz>.
+    """Binary BM over candidate pairs: E(z) = v . z + lambda_q * z^T Q z.
+
+    ``v[j]`` is candidate j's combined penalty and ``q`` the symmetric 0/1
+    (uint8) matrix of candidates sharing exactly one cell, so a selection pays
+    2 lambda_q per conflicting pair. :meth:`to_bm` hands the same arrays to
+    the swap annealer, which keeps the local field h = Q z.
 
     ``max_disjoint`` is the exact maximum number of disjoint candidates when
     :func:`build_children_bm` had to compute it (its greedy certificate fell
@@ -324,19 +343,10 @@ class ChildrenBmProblem:
         return self.max_disjoint is not None and self.max_disjoint < self.div_count
 
     def energy(self, z: Sequence[int]) -> float:
-        z = np.asarray(z, dtype=np.float64)
-        return float(self.v @ z + self.lambda_q * (z @ self.q @ z))
+        return self.to_bm().energy(z)
 
-    def to_bm(self) -> BmProblem:
-        cliques = [
-            Clique((j,), np.array([0.0, self.v[j]])) for j in range(self.m)
-        ]
-        pair_table = np.array([[0.0, 0.0], [0.0, 2.0 * self.lambda_q]])
-        for j in range(self.m):
-            for k in range(j + 1, self.m):
-                if self.q[j, k]:
-                    cliques.append(Clique((j, k), pair_table))
-        return BmProblem([2] * self.m, cliques)
+    def to_bm(self) -> QuadraticBm:
+        return QuadraticBm(self.v, self.q, self.lambda_q)
 
 
 def max_disjoint_candidates(candidates: Sequence[PairCandidate]) -> int:

@@ -25,10 +25,10 @@ def finite_real(value) -> bool:
     )
 
 
-def check_fields(config, integers=(), reals=(), nonnegative=()) -> None:
+def check_fields(config, integers=(), reals=(), nonnegative=(), booleans=()) -> None:
     """Raise :class:`ValidationError` unless the named fields of ``config`` are
-    integers (not bools), finite real numbers and finite non-negative real
-    numbers respectively."""
+    integers (not bools), finite real numbers, finite non-negative real
+    numbers and bools respectively."""
     for name in integers:
         value = getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -41,3 +41,7 @@ def check_fields(config, integers=(), reals=(), nonnegative=()) -> None:
         value = getattr(config, name)
         if not finite_real(value) or value < 0:
             raise ValidationError(f"{name} must be a finite non-negative number, got {value!r}")
+    for name in booleans:
+        value = getattr(config, name)
+        if not isinstance(value, bool):
+            raise ValidationError(f"{name} must be true or false, got {value!r}")

@@ -38,14 +38,15 @@ class PipelineConfig:
     relax_cardinality: bool = False
     registration_schedule: Schedule = field(default_factory=Schedule.registration_default)
     children_schedule: Schedule = field(default_factory=Schedule.children_default)
-    dynamics: str = "async"
-    alpha: float = 0.5
     restarts: int = 1
     seed: int = 0
 
     def __post_init__(self):
         check_fields(
-            self, integers=("restarts", "seed"), reals=("w", "rho", "tau", "g_rate", "alpha")
+            self,
+            integers=("restarts", "seed"),
+            reals=("w", "rho", "tau", "g_rate"),
+            booleans=("trim_reject_if_any", "relax_cardinality"),
         )
         if self.seed < 0 or self.restarts < 1:
             raise ValidationError("seed must be non-negative and restarts at least 1")
@@ -53,8 +54,8 @@ class PipelineConfig:
             raise ValidationError("w, rho, and tau must be positive")
         if self.g_rate <= 0:
             raise ValidationError("g_rate must be positive")
-        if self.dynamics not in ("async", "sync"):
-            raise ValidationError("pipeline dynamics must be 'async' or 'sync'")
+        if self.trim_thresholds is not None:
+            division.check_trim_thresholds(self.trim_thresholds)
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
@@ -162,8 +163,6 @@ def track_pair(
             problem,
             schedule=config.registration_schedule,
             rng_seed=_pair_seed(config.seed, k, 1),
-            dynamics=config.dynamics,
-            alpha=config.alpha,
             restarts=config.restarts,
         )
         diag.registration = result.to_metadata()

@@ -413,15 +413,11 @@ def register(
     problem: RegistrationProblem,
     schedule: Schedule | None = None,
     rng_seed: int = 0,
-    dynamics: str = "async",
-    alpha: float = 0.5,
     restarts: int = 1,
 ) -> RegistrationResult:
     """Anneal the compiled BM from the likelihood-argmax start and decode the
     best configuration seen into a registration mapping. With ``restarts`` > 1
     several independently seeded chains run and the lowest-energy one wins."""
-    if dynamics not in ("async", "sync"):
-        raise ValidationError("registration dynamics must be 'async' or 'sync'")
     if restarts < 1:
         raise ValidationError("restarts must be at least 1")
     if schedule is None:
@@ -432,11 +428,10 @@ def register(
     for chain in range(restarts):
         cand = annealer.anneal(
             bm,
-            dynamics=dynamics,
+            dynamics="async",
             schedule=schedule,
             rng_seed=rng_seed + 997 * chain,
             initial_states=init,
-            alpha=alpha,
         )
         if result is None or cand.best_energy < result.best_energy:
             result = cand

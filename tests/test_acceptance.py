@@ -12,7 +12,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from colony_track import division, registration
-from colony_track.annealer import BmConfig, BmProblem, Clique, Schedule, anneal, step_swap
+from colony_track.annealer import (
+    BmConfig,
+    BmProblem,
+    Clique,
+    QuadraticBm,
+    QuadraticConfig,
+    Schedule,
+    anneal,
+    step_swap,
+)
 from colony_track.calibration import CalibrationInstance, build_perturbations, calibrate, objective
 from colony_track.division import build_children_bm, solve_children_bm
 from colony_track.geometry import build_neighbor_graph
@@ -163,7 +172,7 @@ def test_energy_identity_cost_equals_clique_energy():
 
 
 def test_incremental_delta_consistency_all_dynamics():
-    worst = {"async": 0.0, "sync": 0.0, "swap": 0.0}
+    worst = {"async": 0.0, "swap": 0.0}
 
     problem = small_registration_problem(seed=1234, n=30, w=80.0, shift=4.0)
     bm = problem.to_bm()
@@ -178,28 +187,18 @@ def test_incremental_delta_consistency_all_dynamics():
             worst["async"] = max(worst["async"], abs(config.energy - bm.energy(config.states)))
     worst["async"] = max(worst["async"], abs(config.energy - bm.energy(config.states)))
 
-    # synchronous: tagged joint commits, checked against full recomputation
-    from colony_track.annealer import step_sync
-
-    config = BmConfig(bm, np.zeros(bm.n_sites, dtype=np.int64))
-    updates = 0
-    while updates < 10_000:
-        step_sync(config, temp=5.0, alpha=0.5, rng=rng)
-        updates += int(0.5 * bm.n_sites)
-        worst["sync"] = max(worst["sync"], abs(config.energy - bm.energy(config.states)))
-
+    # swap: the children chain's local-field deltas against the children energy
     rng2 = np.random.default_rng(7)
     cands = _toy_candidates(np.random.default_rng(11), 40, cells=30)
     children = build_children_bm(cands, 5)
-    cbm = children.to_bm()
     states = np.zeros(40, dtype=np.int64)
     states[:5] = 1
-    config = BmConfig(cbm, states)
+    config = QuadraticConfig(children.to_bm(), states)
     for step in range(10_000):
         step_swap(config, temp=2.0, rng=rng2)
         if step % 100 == 0:
-            worst["swap"] = max(worst["swap"], abs(config.energy - cbm.energy(config.states)))
-    worst["swap"] = max(worst["swap"], abs(config.energy - cbm.energy(config.states)))
+            worst["swap"] = max(worst["swap"], abs(config.energy - children.energy(config.states)))
+    worst["swap"] = max(worst["swap"], abs(config.energy - children.energy(config.states)))
 
     bad = max(worst.values())
     _report(
@@ -382,10 +381,10 @@ def test_property_neighbor_graph_symmetry_rho(seed):
 def test_property_swap_conserves_cardinality(seed):
     rng = np.random.default_rng(seed)
     m = int(rng.integers(2, 10))
-    cliques = [Clique((j,), rng.normal(size=2)) for j in range(m)]
-    problem = BmProblem([2] * m, cliques)
+    upper = np.triu(rng.random((m, m)) < 0.3, k=1)
+    problem = QuadraticBm(rng.uniform(0, 3, size=m), (upper | upper.T).astype(np.uint8), 5.0)
     states = (rng.random(m) < 0.5).astype(np.int64)
-    config = BmConfig(problem, states)
+    config = QuadraticConfig(problem, states)
     weight = int(states.sum())
     for _ in range(12):
         step_swap(config, temp=1.0, rng=rng)

@@ -11,11 +11,12 @@ from colony_track.annealer import (
     BmProblem,
     Clique,
     CollisionGroup,
+    QuadraticBm,
+    QuadraticConfig,
     Schedule,
     anneal,
     step_async,
     step_swap,
-    step_sync,
     write_trace_csv,
 )
 from colony_track.errors import ValidationError
@@ -36,6 +37,21 @@ def random_problem(rng, n_sites=6, max_states=4, n_cliques=10, with_collisions=T
         )
         collision = CollisionGroup(coef=float(rng.uniform(0.1, 1.0)), targets=targets)
     return BmProblem(sizes, cliques, collision)
+
+
+def random_quadratic(rng, m=8, density=0.3):
+    """v >= 0, a symmetric 0/1 uint8 Q with zero diagonal, lambda as in the
+    children BM."""
+    v = rng.uniform(0, 3, size=m)
+    upper = np.triu(rng.random((m, m)) < density, k=1)
+    q = (upper | upper.T).astype(np.uint8)
+    return QuadraticBm(v, q, 10.0 * max(v.max(), 1.0))
+
+
+def quadratic_energy(problem, states):
+    """Independent oracle: v.z + lambda z^T Q z in float64."""
+    z = np.asarray(states, dtype=np.float64)
+    return float(problem.v @ z + problem.lambda_q * (z @ problem.q.astype(np.float64) @ z))
 
 
 def brute_force_min(problem):
@@ -102,20 +118,44 @@ def assert_deltas_exact(config):
             assert deltas[cand] == pytest.approx(problem.energy(other) - base, abs=1e-9)
 
 
+def assert_field_exact(config):
+    """The swap chain's local field is Q z and its energy the full one."""
+    problem = config.problem
+    assert np.array_equal(config.h, problem.q.astype(np.int64) @ config.states)
+    assert config.energy == pytest.approx(quadratic_energy(problem, config.states), abs=1e-9)
+
+
 @given(st.integers(0, 200))
 def test_joint_moves_keep_collision_occupancy_exact(seed):
+    # single-site moves keep the collision occupancy counts exact; swaps,
+    # the one joint (two-site) move, keep the local field exact
     rng = np.random.default_rng(seed)
     problem = random_problem(rng)
     config = BmConfig(problem, np.zeros(problem.n_sites, dtype=np.int64))
     for _ in range(5):
-        step_sync(config, temp=5.0, alpha=0.5, rng=rng)
+        for site in rng.permutation(problem.n_sites):
+            step_async(config, int(site), temp=5.0, rng=rng)
         assert_deltas_exact(config)
-    binary = random_problem(rng, n_sites=8, max_states=2)
-    config = BmConfig(binary, (rng.random(8) < 0.5).astype(np.int64))
+    binary = random_quadratic(rng)
+    config = QuadraticConfig(binary, (rng.random(8) < 0.5).astype(np.int64))
     for _ in range(5):
         step_swap(config, temp=5.0, rng=rng)
-        assert_deltas_exact(config)
-    assert config.energy == pytest.approx(binary.energy(config.states), abs=1e-9)
+        assert_field_exact(config)
+
+
+@given(st.integers(0, 400))
+def test_swap_delta_matches_full_recompute(seed):
+    rng = np.random.default_rng(seed)
+    problem = random_quadratic(rng, m=int(rng.integers(2, 10)))
+    states = (rng.random(problem.n_sites) < 0.5).astype(np.int64)
+    config = QuadraticConfig(problem, states)
+    for j in np.flatnonzero(states == 1):
+        for k in np.flatnonzero(states == 0):
+            other = states.copy()
+            other[j], other[k] = 0, 1
+            assert config.swap_delta(int(j), int(k)) == pytest.approx(
+                quadratic_energy(problem, other) - quadratic_energy(problem, states), abs=1e-9
+            )
 
 
 def test_negative_collision_token_rejected():
@@ -125,19 +165,14 @@ def test_negative_collision_token_rejected():
 
 def test_swap_then_reverse_restores_energy():
     rng = np.random.default_rng(0)
-    problem = random_problem(rng, n_sites=8, max_states=2, with_collisions=False)
-    states = np.array([1, 1, 0, 0, 1, 0, 0, 0])
-    config = BmConfig(problem, states)
-    e0 = config.energy
-    d1 = config.delta_vector(0)
-    config.apply(0, 0, float(d1[0]))
-    d2 = config.delta_vector(2)
-    config.apply(2, 1, float(d2[1]))
-    d3 = config.delta_vector(2)
-    config.apply(2, 0, float(d3[0]))
-    d4 = config.delta_vector(0)
-    config.apply(0, 1, float(d4[1]))
+    problem = random_quadratic(rng, density=0.5)
+    config = QuadraticConfig(problem, [1, 1, 0, 0, 1, 0, 0, 0])
+    e0, h0 = config.energy, config.h.copy()
+    config.swap(0, 2, config.swap_delta(0, 2))
+    config.swap(2, 0, config.swap_delta(2, 0))
     assert config.energy == pytest.approx(e0, abs=1e-12)
+    assert config.states.tolist() == [1, 1, 0, 0, 1, 0, 0, 0]
+    assert np.array_equal(config.h, h0)
 
 
 # -- acceptance rule ---------------------------------------------------------
@@ -214,17 +249,10 @@ def test_swap_matches_exhaustive_subset_minimum():
             for k in range(j + 1, m):
                 if rng.random() < 0.3:
                     q[j, k] = q[k, j] = 1.0
-        cliques = [Clique((j,), np.array([0.0, v[j]])) for j in range(m)]
         lam_q = 10.0 * v.max()
-        for j in range(m):
-            for k in range(j + 1, m):
-                if q[j, k]:
-                    cliques.append(
-                        Clique((j, k), np.array([[0.0, 0.0], [0.0, 2.0 * lam_q]]))
-                    )
-        problem = BmProblem([2] * m, cliques)
+        problem = QuadraticBm(v, q, lam_q)
         best = min(
-            problem.energy(np.array([1 if i in comb else 0 for i in range(m)]))
+            quadratic_energy(problem, [1 if i in comb else 0 for i in range(m)])
             for comb in itertools.combinations(range(m), div)
         )
         init = np.zeros(m, dtype=np.int64)
@@ -244,9 +272,9 @@ def test_swap_matches_exhaustive_subset_minimum():
 @given(st.integers(0, 200))
 def test_swap_conserves_cardinality(seed):
     rng = np.random.default_rng(seed)
-    problem = random_problem(rng, n_sites=10, max_states=2, with_collisions=False)
+    problem = random_quadratic(rng, m=10)
     states = (rng.random(10) < 0.4).astype(np.int64)
-    config = BmConfig(problem, states)
+    config = QuadraticConfig(problem, states)
     weight = int(states.sum())
     for _ in range(40):
         step_swap(config, temp=2.0, rng=rng)
@@ -254,57 +282,11 @@ def test_swap_conserves_cardinality(seed):
 
 
 def test_swap_noop_when_all_selected():
-    problem = BmProblem([2] * 3, [Clique((j,), np.array([0.0, 1.0])) for j in range(3)])
-    config = BmConfig(problem, [1, 1, 1])
+    problem = QuadraticBm(np.ones(3), np.zeros((3, 3), dtype=np.uint8), 1.0)
+    config = QuadraticConfig(problem, [1, 1, 1])
     rng = np.random.default_rng(0)
     assert not step_swap(config, 1.0, rng)
     assert config.states.tolist() == [1, 1, 1]
-
-
-def test_sync_alpha_small_changes_few_sites():
-    rng = np.random.default_rng(3)
-    problem = random_problem(rng, n_sites=20, n_cliques=15)
-    config = BmConfig(problem, np.zeros(20, dtype=np.int64))
-    changed = sum(step_sync(config, 5.0, alpha=0.002, rng=rng) for _ in range(100))
-    assert changed <= 12  # expected tagged sites: 100 * 20 * 0.002 = 4
-
-
-def test_sync_single_site_alpha_one_matches_async_in_law():
-    problem = BmProblem(
-        [3], [Clique((0,), np.array([0.0, 0.4, 1.0]))]
-    )
-
-    def terminal_counts(stepper):
-        counts = np.zeros(3)
-        for seed in range(2000):
-            rng = np.random.default_rng(seed)
-            config = BmConfig(problem, [0])
-            stepper(config, rng)
-            counts[config.states[0]] += 1
-        return counts / counts.sum()
-
-    async_freq = terminal_counts(lambda c, r: step_async(c, 0, 1.0, r))
-    sync_freq = terminal_counts(lambda c, r: step_sync(c, 1.0, 1.0, r))
-    assert np.allclose(async_freq, sync_freq, atol=0.04)
-
-
-def test_sync_terminal_energies_match_async_distribution(recwarn):
-    from scipy.stats import mannwhitneyu
-
-    rng = np.random.default_rng(17)
-    problem = random_problem(rng, n_sites=6, max_states=3, n_cliques=8)
-    # one async epoch is N single-site updates but one sync epoch is a single
-    # tagged parallel step, so equal cooling horizons need scaled caps
-    sched_async = Schedule(c=5.0, eta=0.995, epoch_cap=300)
-    sched_sync = Schedule(c=5.0, eta=0.995, epoch_cap=300 * problem.n_sites)
-    finals_async = [
-        anneal(problem, "async", sched_async, rng_seed=s).best_energy for s in range(100)
-    ]
-    finals_sync = [
-        anneal(problem, "sync", sched_sync, rng_seed=s).best_energy for s in range(100)
-    ]
-    stat = mannwhitneyu(finals_async, finals_sync)
-    assert stat.pvalue > 0.05
 
 
 def test_bookkeeping_consistency_during_anneal():
@@ -359,12 +341,22 @@ def test_schedule_defaults_and_validation():
 
 
 def test_swap_requires_binary_spaces_and_initial():
-    problem = BmProblem([3], [Clique((0,), np.zeros(3))])
+    cliques = BmProblem([2], [Clique((0,), np.zeros(2))])
     with pytest.raises(ValidationError):
-        anneal(problem, "swap", rng_seed=0, initial_states=[0])
-    binary = BmProblem([2], [Clique((0,), np.zeros(2))])
+        anneal(cliques, "swap", rng_seed=0, initial_states=[0])
+    quadratic = QuadraticBm(np.zeros(2), np.zeros((2, 2), dtype=np.uint8), 1.0)
     with pytest.raises(ValidationError):
-        anneal(binary, "swap", rng_seed=0)
+        anneal(quadratic, "swap", rng_seed=0)
+    with pytest.raises(ValidationError):
+        anneal(quadratic, "swap", rng_seed=0, initial_states=[2, 0])
+    with pytest.raises(ValidationError):
+        anneal(quadratic, "async", rng_seed=0)
+
+
+def test_anneal_rejects_unknown_dynamics():
+    problem = BmProblem([2], [Clique((0,), np.zeros(2))])
+    with pytest.raises(ValidationError):
+        anneal(problem, "sync", rng_seed=0)
 
 
 def test_trace_csv_roundtrip(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from unittest import mock
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from colony_track import division
+from colony_track import division, pipeline
 from colony_track.division import (
     DEFAULT_TRIM_THRESHOLDS,
     DistortionWeights,
@@ -407,6 +408,39 @@ def test_selected_pairs_disjoint_when_possible(minute_run):
     used = [cid for j in picked for cid in cands[j].pair]
     assert len(used) == len(set(used))
     assert len(picked) == rec.n_divisions
+
+
+# sha256 over (pair index, selected candidate pairs) of every division pair
+# of the full-pipeline gate run; pins the swap chain's trajectory bit for bit
+GOLDEN_SELECTION_DIGEST = "72c9e0292d930baa96fb81deca9c9a369b79573467779512adc9d768f37fc8de"
+
+
+def test_children_selections_match_golden_digest():
+    from test_acceptance import PIPELINE_CONFIG
+    from trackbench import workloads
+
+    cfg = PIPELINE_CONFIG
+    wl = workloads.pipeline21(0)
+    h = hashlib.sha256()
+    for k in wl.pairs:
+        frame, next_frame = wl.frames[k], wl.frames[k + 1]
+        div_count = len(next_frame) - len(frame)
+        if div_count == 0:
+            continue
+        cands = trim_candidates(
+            build_pch(frame, next_frame, cfg.tau, cfg.w, cfg.division_weights.distortion),
+            cfg.trim_thresholds,
+            cfg.trim_reject_if_any,
+        )
+        problem = build_children_bm(cands, div_count, cfg.division_weights)
+        picked = solve_children_bm(
+            problem,
+            cfg.children_schedule,
+            rng_seed=pipeline._pair_seed(cfg.seed, k, 0),
+            relax_cardinality=cfg.relax_cardinality,
+        )
+        h.update(repr((k, [cands[j].pair for j in picked])).encode())
+    assert h.hexdigest() == GOLDEN_SELECTION_DIGEST
 
 
 # -- lineages and reduction ---------------------------------------------------

@@ -386,6 +386,13 @@ def test_cli_simulate_rejects_bad_config(tmp_path, capsys, bad):
         {"registration_schedule": {"eta": None}},
         {"children_schedule": {"epoch_cap": 2.5}},
         {"children_schedule": {"stability_window": "n"}},
+        {"trim_thresholds": {"gap": "x"}},
+        {"trim_thresholds": 5},
+        {"trim_thresholds": {"gap": float("nan")}},
+        {"trim_thresholds": {"bogus": 1.0}},
+        {"trim_reject_if_any": "no"},
+        {"relax_cardinality": "no"},
+        {"dynamics": "async"},
     ],
 )
 def test_cli_track_rejects_bad_config(tmp_path, capsys, small_run, bad):
@@ -432,9 +439,7 @@ def test_cli_weights_and_schedule_files(tmp_path, small_run):
         json.dumps({"registration": {"match": 50.0, "over": 100.0, "stab": 20.0, "flip": 10.0}})
     )
     schedule_path = tmp_path / "sched.json"
-    schedule_path.write_text(
-        json.dumps({"c": 20.0, "eta": 0.995, "epoch_cap": 60, "dynamics": "async", "alpha": 0.5})
-    )
+    schedule_path.write_text(json.dumps({"c": 20.0, "eta": 0.995, "epoch_cap": 60}))
     out = tmp_path / "out"
     code = main(
         [
@@ -448,24 +453,14 @@ def test_cli_weights_and_schedule_files(tmp_path, small_run):
     )
     assert code == 0
     meta = json.loads((out / "metadata.json").read_text())
-    assert meta["dynamics"] == "async"
-
-    code = main(
-        [
-            "track",
-            "--frames", str(frames_path),
-            "--schedule", str(schedule_path),
-            "--dynamics", "sync",
-            "--out", str(out),
-            "--quiet",
-        ]
-    )
-    assert code == 0
-    meta = json.loads((out / "metadata.json").read_text())
-    assert meta["dynamics"] == "sync"
-    schedule_path.write_text(json.dumps({"c": 20.0, "dynamics": "swap-auto"}))
-    code = main(
-        ["track", "--frames", str(frames_path), "--schedule", str(schedule_path),
-         "--out", str(out), "--quiet"]
-    )
-    assert code == 2
+    assert meta["registration_schedule"]["c"] == 20.0
+    assert meta["registration_schedule"]["epoch_cap"] == 60
+    assert "dynamics" not in meta
+    # the registration dynamics is fixed: these keys are unknown schedule keys
+    for extra in ({"dynamics": "async"}, {"alpha": 0.5}):
+        schedule_path.write_text(json.dumps({"c": 20.0, **extra}))
+        code = main(
+            ["track", "--frames", str(frames_path), "--schedule", str(schedule_path),
+             "--out", str(out), "--quiet"]
+        )
+        assert code == 2

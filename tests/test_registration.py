@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colony_track.annealer import BmConfig, Schedule
+from colony_track.annealer import BmConfig
 from colony_track.errors import ValidationError
 from colony_track.geometry import cross2
 from colony_track.registration import (
@@ -410,17 +410,3 @@ def test_register_result_energy_is_recomputed_cost():
     for i, pos in enumerate(result.assignment):
         assert pos in problem.windows[i]
     assert result.epochs == len(result.energy_trace)
-
-
-def test_register_sync_dynamics_reaches_good_state():
-    problem = small_problem(seed=12, n=7)
-    sched = Schedule(c=30.0, eta=0.999, epoch_cap=2500)
-    result = register(problem, schedule=sched, rng_seed=4, dynamics="sync")
-    baseline = register(problem, rng_seed=4)
-    assert result.energy <= baseline.energy * 1.1 + 1e-9
-
-
-def test_register_rejects_unknown_dynamics():
-    problem = small_problem(seed=13, n=5)
-    with pytest.raises(ValidationError):
-        register(problem, dynamics="swap")
