@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InfeasibleError, ValidationError
 
@@ -99,8 +98,10 @@ def _solve_linearized(
 ) -> np.ndarray:
     """One LP round: min gamma*sum(y) - <subgrad, Lambda> over the constraint set.
 
-    scipy.optimize is imported here, so only a run that calibrates loads it.
+    scipy.optimize and scipy.sparse are imported here, so only a run that
+    calibrates loads scipy.
     """
+    import scipy.sparse as sp
     from scipy.optimize import linprog
 
     v = instance.perturbations

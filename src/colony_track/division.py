@@ -388,13 +388,13 @@ def build_children_bm(
 ) -> ChildrenBmProblem:
     """Assemble the children-selection BM.
 
-    The conflict matrix marks candidate pairs sharing exactly one cell. The
-    problem is flagged infeasible when no disjoint subset of the requested
-    cardinality exists. A greedy disjoint set (the pass and order of the
-    annealer's start) of ``div_count`` candidates certifies feasibility;
-    only when it falls short does the exact maximum matching
-    (:func:`max_disjoint_candidates`) run, once, with its count kept in
-    ``max_disjoint``.
+    The conflict matrix marks candidate pairs sharing exactly one cell; the
+    candidates must be distinct pairs of two cells. The problem is flagged
+    infeasible when no disjoint subset of the requested cardinality exists.
+    A greedy disjoint set (the pass and order of the annealer's start) of
+    ``div_count`` candidates certifies feasibility; only when it falls short
+    does the exact maximum matching (:func:`max_disjoint_candidates`) run,
+    once, with its count kept in ``max_disjoint``.
     """
     if div_count < 1:
         raise ValidationError("division count must be at least 1")
@@ -404,12 +404,18 @@ def build_children_bm(
     v = np.array([cand.combined(weights) for cand in candidates])
     if not np.all(np.isfinite(v)) or np.any(v < 0):
         raise ValidationError("candidate penalties must be finite and non-negative")
+    pairs = {frozenset(cand.pair) for cand in candidates}
+    if len(pairs) < m or any(len(pair) != 2 for pair in pairs):
+        raise ValidationError("candidates must be distinct pairs of two cells")
+    # two distinct pairs of two cells share exactly one cell iff they share one
+    by_cell: dict[str, list[int]] = {}
+    for j, cand in enumerate(candidates):
+        for cid in cand.pair:
+            by_cell.setdefault(cid, []).append(j)
     q = np.zeros((m, m), dtype=np.uint8)
-    for j in range(m):
-        sj = set(candidates[j].pair)
-        for k in range(j + 1, m):
-            if len(sj & set(candidates[k].pair)) == 1:
-                q[j, k] = q[k, j] = 1
+    for group in by_cell.values():
+        q[np.ix_(group, group)] = 1
+    np.fill_diagonal(q, 0)
     lambda_q = weights.q if weights.q is not None else 10.0 * max(float(v.max()), 1.0)
     max_disjoint = None
     if len(_greedy_disjoint(candidates, v, div_count)) < div_count:

@@ -10,9 +10,12 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError
 
 DEFAULT_NEIGHBOR_RADIUS = 80.0
+# Elements per temporary array of the Delaunay edge test (128 KB of float64).
+# About ten such arrays are alive at once; larger chunks raise the peak
+# memory of a run without making the test faster.
+_EDGE_TEST_ELEMENTS = 1 << 14
 
 
 def _pt(p) -> np.ndarray:
@@ -379,51 +382,100 @@ class NeighborGraph:
         return list(zip(i.tolist(), j.tolist()))
 
 
-def _delaunay_edges(centers: np.ndarray) -> set[tuple[int, int]] | None:
-    """Delaunay edge set of the centers, or None when triangulation fails."""
-    if centers.shape[0] < 3:
-        return None
-    try:
-        tri = Delaunay(centers)
-    except (QhullError, ValueError):
-        return None
-    edges: set[tuple[int, int]] = set()
-    for simplex in tri.simplices:
-        for a in range(3):
-            i, j = int(simplex[a]), int(simplex[(a + 1) % 3])
-            edges.add((min(i, j), max(i, j)))
-    return edges
+def pairs_within(x, y, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs ``i < j`` of points with ``dx² + dy² <= r²``, as index arrays.
+
+    The pairs come in ``(i, j)`` order. The points are sorted by x; each
+    one's candidates are the points after it in that order whose x lies
+    within ``r`` (widened by a rounding margin), and each candidate pair then
+    passes the exact test.
+    """
+    x = np.asarray(x, np.float64)
+    y = np.asarray(y, np.float64)
+    n = x.shape[0]
+    if n < 2:
+        return np.zeros(0, np.intp), np.zeros(0, np.intp)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    pad = 1e-9 * (abs(r) + float(np.abs(xs).max()))
+    counts = np.searchsorted(xs, xs + (r + pad), side="right") - np.arange(1, n + 1)
+    a = np.repeat(np.arange(n), counts)
+    starts = np.cumsum(counts) - counts
+    b = np.arange(a.shape[0]) - np.repeat(starts, counts) + a + 1
+    i = np.minimum(order[a], order[b])
+    j = np.maximum(order[a], order[b])
+    dx = x[j] - x[i]
+    dy = y[j] - y[i]
+    near = dx * dx + dy * dy <= r * r
+    i, j = i[near], j[near]
+    k = np.argsort(i * n + j)
+    return i[k], j[k]
+
+
+def _is_delaunay_edge(centers: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Whether each pair ``i, j`` of centers is a Delaunay edge (empty-circle test).
+
+    With ``m`` the midpoint and ``n`` the normal of the edge, a third center k
+    lies strictly inside the circle through both ends centred at ``m + t n``
+    iff ``q_k < 2 t s_k``, where ``s_k = n·(c_k − m)`` and
+    ``q_k = |c_k − m|² − |c_j − c_i|²/4``. Some such circle holds no center
+    inside iff ``max q_k/s_k`` over ``s_k < 0`` is at most ``min q_k/s_k`` over
+    ``s_k > 0``, and no k on the edge's line lies between its ends
+    (``s_k = 0``, ``q_k < 0``). Centers on the circle do not count, so
+    cocircular ties keep the edge (a square gets both diagonals), and a
+    center coincident with ``c_i`` or ``c_j`` is no witness against it.
+    Pairs are tested in chunks of about ``_EDGE_TEST_ELEMENTS / n``.
+    """
+    x, y = centers[:, 0], centers[:, 1]
+    out = np.zeros(i.shape[0], dtype=bool)
+    chunk = max(1, _EDGE_TEST_ELEMENTS // max(1, x.shape[0]))
+    for lo in range(0, i.shape[0], chunk):
+        ci, cj = centers[i[lo : lo + chunk]], centers[j[lo : lo + chunk]]
+        d = cj - ci
+        m = (ci + cj) / 2.0
+        rx = x - m[:, :1]
+        ry = y - m[:, 1:]
+        s = rx * -d[:, 1:] + ry * d[:, :1]
+        q = rx * rx + ry * ry - ((d * d).sum(axis=1) / 4.0)[:, None]
+        twin = ((x == ci[:, :1]) & (y == ci[:, 1:])) | ((x == cj[:, :1]) & (y == cj[:, 1:]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = q / s
+        below = np.where((s < 0.0) & ~twin, ratio, -np.inf).max(axis=1)
+        above = np.where((s > 0.0) & ~twin, ratio, np.inf).min(axis=1)
+        between = ((s == 0.0) & (q < 0.0) & ~twin).any(axis=1)
+        out[lo : lo + chunk] = (below <= above) & ~between
+    return out
 
 
 def build_neighbor_graph(frame: Frame, rho: float = DEFAULT_NEIGHBOR_RADIUS) -> NeighborGraph:
     """Neighbor graph of a frame.
 
-    Two cells are neighbors when (1) their centers are joined by a Delaunay
-    edge, (2) that edge crosses no third cell's capsule, and (3) the centers
-    are at most ``rho`` apart. Frames whose centers admit no triangulation
-    (fewer than three cells, collinear layouts) fall back to testing all pairs
-    against conditions (2) and (3).
+    Two cells are neighbors when (1) their centers are at most ``rho`` apart,
+    (2) they are joined by an edge of the Delaunay triangulation of the
+    centers, and (3) that edge crosses no third cell's capsule. Condition (2)
+    is the empty-circle test of :func:`_is_delaunay_edge`: some circle
+    through both centers holds no other center strictly inside. Centers on
+    the circle do not count, so exactly cocircular layouts keep every tied
+    edge, and cells with coincident centers share their edges. Collinear
+    layouts and frames of fewer than three cells need no special case.
     """
     n = len(frame)
     adj = np.zeros((n, n), dtype=bool)
     if n < 2:
         return NeighborGraph(frame.ids, adj)
     centers = frame.centers()
-    candidates = _delaunay_edges(centers)
-    if candidates is None:
-        candidates = {(i, j) for i in range(n) for j in range(i + 1, n)}
+    i, j = pairs_within(centers[:, 0], centers[:, 1], rho)
+    keep = _is_delaunay_edge(centers, i, j)
     e_all = np.array([c.e for c in frame.cells])
     h_all = np.array([c.h for c in frame.cells])
     half_w = np.array([c.width for c in frame.cells]) / 2.0
-    for i, j in candidates:
-        if np.hypot(*(centers[i] - centers[j])) > rho:
-            continue
-        dist = segments_distance(centers[i], centers[j], e_all, h_all)
+    for a, b in zip(i[keep].tolist(), j[keep].tolist()):
+        dist = segments_distance(centers[a], centers[b], e_all, h_all)
         blocked = dist < half_w
-        blocked[[i, j]] = False
+        blocked[[a, b]] = False
         if blocked.any():
             continue
-        adj[i, j] = adj[j, i] = True
+        adj[a, b] = adj[b, a] = True
     return NeighborGraph(frame.ids, adj)
 
 

@@ -17,6 +17,11 @@ the moves of its cells lower; only pairs whose bound comes near the push
 threshold are measured again. Every pushed pair, and every float it is pushed
 by, is the same as when each listed pair is measured after every iteration,
 so the frames are byte for byte those of that simpler scheme.
+
+The push order is defined by the pairs alone: deepest gap first, and pairs of
+equal gap (common: crossing capsules of equal width all have gap -width) in
+``(i, j)`` order of their cell indices. It depends on neither the neighbour
+list's build times nor the sort kernel numpy picks for the CPU.
 """
 
 from __future__ import annotations
@@ -26,22 +31,21 @@ from dataclasses import astuple, dataclass, field
 from typing import Iterable
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ColonyTrackError, ValidationError, check_fields, finite_real
 from .geometry import (
     Cell,
     Frame,
     Rect,
+    pairs_within,
     segment_distance,
     segments_distance,
     stacked_segments_distance,
 )
 
 # Margin (pixels) of the relaxation's neighbour list beyond the overlap reach.
-# The build times it sets decide the order of pairs of equal gap, and which
-# pairs whose crossing test misfires (see _PairList) are listed, so another
-# value can change the frames.
+# The build times it sets decide which pairs whose crossing test misfires (see
+# _PairList) are listed, so another value can change the frames.
 RELAX_SKIN = 4.0
 # Safety margins (pixels) of the relaxation's gap bounds (see _PairList).
 RELAX_MARGIN = 1e-6
@@ -370,10 +374,11 @@ class _Colony:
     def _relax(self) -> bool:
         """Push overlapping capsules apart; True when within tolerance.
 
-        Pairs are pushed one at a time, deepest first, each seeing the moves
-        before it, so a last-bit change in any per-pair float operation can
-        change the colony; tests pin the output by digest. Each push is capped
-        by the displacement budget, then clamped to the trap.
+        Pairs are pushed one at a time, deepest first and, at equal gaps, in
+        ``(i, j)`` order (a stable sort of the list's ``(i, j)`` order), each
+        seeing the moves before it, so a last-bit change in any per-pair float
+        operation can change the colony; tests pin the output by digest. Each
+        push is capped by the displacement budget, then clamped to the trap.
 
         Each iteration pushes the listed pairs whose gap is below
         ``-overlap_tol / 2``. :class:`_PairList` holds the candidates: a Verlet
@@ -423,7 +428,8 @@ class _Colony:
             masked = np.flatnonzero(pl.gaps < -half_tol)
             if masked.size == 0:
                 break
-            ks = masked[np.argsort(pl.gaps[masked])]
+            # deepest first; pairs of equal gap keep the list's (i, j) order
+            ks = masked[np.argsort(pl.gaps[masked], kind="stable")]
             # cells moved in this iteration, in the order of their first move
             is_moved, moved = [False] * n, []
             start = xs[:], ys[:]
@@ -484,9 +490,9 @@ class _PairList:
     the list is in use.
 
     The list holds the pairs ``i < j`` whose centers were within ``reach +
-    RELAX_SKIN`` at the last build, in the order of the KD-tree query, and is
-    rebuilt once a cell has moved ``RELAX_SKIN / 2`` since then, so every pair
-    left out stays more than ``reach`` apart and cannot overlap.
+    RELAX_SKIN`` at the last build, in ``(i, j)`` order, and is rebuilt once
+    a cell has moved ``RELAX_SKIN / 2`` since then, so every pair left out
+    stays more than ``reach`` apart and cannot overlap.
 
     Each pair's ``gaps`` entry is a lower bound on its gap, and exact for every
     pair whose bound is below ``threshold``. A pair's ``slack`` bounds how far
@@ -514,15 +520,14 @@ class _PairList:
         self.hx, self.hy = half.T
         self.widths, self.cutoff = widths, reach + RELAX_SKIN
         self.radius = np.hypot(half[:, 0], half[:, 1])
-        self.order = np.zeros(0, np.intp)  # of the listed pairs by key i * n + j
+        self.keys = np.zeros(0, np.intp)  # i * n + j of the listed pairs, ascending
         self._build()
 
     def _build(self) -> None:
         """List the pairs within the cutoff; keep the bounds of pairs listed before."""
         self.bx, self.by = self.xs[:], self.ys[:]
         x, y = np.array(self.xs), np.array(self.ys)
-        pairs = cKDTree(np.column_stack((x, y))).query_pairs(self.cutoff, output_type="ndarray")
-        i, j = pairs[:, 0], pairs[:, 1]
+        i, j = pairs_within(x, y, self.cutoff)
         keys = i * len(x) + j
         hw = (self.widths[i] + self.widths[j]) / 2.0
         gaps = np.hypot(x[j] - x[i], y[j] - y[i]) - self.radius[i] - self.radius[j] - hw
@@ -531,16 +536,14 @@ class _PairList:
         parallel = cross < PARALLEL_SIN * self.radius[i] * self.radius[j]
         slack = np.zeros(len(i))
         fresh = np.ones(len(i), bool)
-        order = np.argsort(keys)
-        if len(self.order):
+        if len(self.keys):
             # a pair listed before keeps its bound, which is still valid
-            at = np.minimum(np.searchsorted(self.sorted_keys, keys[order]), len(self.order) - 1)
-            kept = self.sorted_keys[at] == keys[order]
-            new, old = order[kept], self.order[at[kept]]
-            gaps[new], slack[new] = self.gaps[old], self.slack[old]
-            fresh[new] = False
+            at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+            kept = self.keys[at] == keys
+            gaps[kept], slack[kept] = self.gaps[at[kept]], self.slack[at[kept]]
+            fresh[kept] = False
         self.i, self.j, self.hw, self.gaps, self.slack = i, j, hw, gaps, slack
-        self.order, self.sorted_keys, self.parallel = order, keys[order], parallel
+        self.keys, self.parallel = keys, parallel
         self._measure(np.flatnonzero(fresh & ((gaps < self.threshold) | parallel)))
 
     def _measure(self, k: np.ndarray) -> None:

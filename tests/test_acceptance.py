@@ -6,12 +6,13 @@ summary lines.
 
 import itertools
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colony_track import division, registration
+from colony_track import division, registration, simulator
 from colony_track.annealer import (
     BmConfig,
     BmProblem,
@@ -42,7 +43,7 @@ from conftest import (
     random_frame,
     small_registration_problem,
 )
-from test_simulator import _sim_digest
+from test_simulator import _kdtree_pairs, _sim_digest
 
 BENCHMARK_SCHEDULE = Schedule(c=30.0, eta=0.9995, epoch_cap=400)
 REFERENCE_WEIGHTS = RegistrationWeights(110.0, 300.0, 300.0, 290.0)
@@ -295,7 +296,7 @@ def _assert_same_run(frames, lineage, ref_frames, ref_lineage):
 # Both sides of the comparison below come from the same simulator, so a change
 # to it would move them together; these digests pin the inputs themselves.
 GATE_INPUT_DIGESTS = {
-    "six_minute_run": "537beade14e527a314a7d8a4a32cfc9b184f1bfaee064afa7e1adf73d39c8cab",
+    "six_minute_run": "d3e4b948fe0a336dbec0213b4aa7b6656f1380d165ede0bb65998f66299a3b61",
     "pipeline_sim": "8b81bb4c8f59f25718fcc3c4f208d2415dc09b3798027ea28bfce6ee791fb68c",
 }
 
@@ -315,6 +316,16 @@ def test_benchmark_inputs_equal_gate_inputs(six_minute_run):
     assert measure.REG6MIN_SCHEDULE == BENCHMARK_SCHEDULE
     assert measure.REG6MIN_G_RATE == SIX_MINUTE_G_RATE
     assert measure.PIPELINE_CONFIG == PIPELINE_CONFIG
+
+
+def test_gate_inputs_equal_kdtree_pairs_in_ij_order():
+    # the simulator fed cKDTree's pair list in (i, j) order gives the pinned
+    # inputs bit for bit, so the defined push order is the only change from
+    # the scipy pair search
+    with mock.patch.object(simulator, "pairs_within", _kdtree_pairs):
+        six, pipe = workloads.reg6min(0), simulate(PIPELINE_SIM)
+    digests = {"six_minute_run": _sim_digest(six), "pipeline_sim": _sim_digest(pipe)}
+    assert digests == GATE_INPUT_DIGESTS
 
 
 # -- criterion: calibration sanity ----------------------------------------------

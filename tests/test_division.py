@@ -367,6 +367,30 @@ def test_children_bm_validation_and_infeasibility():
 
 
 @given(st.integers(0, 10**6))
+def test_conflict_matrix_matches_pairwise_loop(seed):
+    rng = np.random.default_rng(seed)
+    cells = int(rng.integers(2, 12))
+    cands = _toy_candidates(rng, int(rng.integers(1, cells * (cells - 1) // 2 + 1)), cells)
+    m = len(cands)
+    expected = np.zeros((m, m), dtype=np.uint8)
+    for j in range(m):
+        for k in range(j + 1, m):
+            if len(set(cands[j].pair) & set(cands[k].pair)) == 1:
+                expected[j, k] = expected[k, j] = 1
+    q = build_children_bm(cands, 1).q
+    assert q.dtype == np.uint8 and np.array_equal(q, expected)
+
+
+def test_children_bm_rejects_repeated_or_one_cell_pairs():
+    cands = _toy_candidates(np.random.default_rng(1), 3)
+    flipped = PairCandidate(cands[0].pair[::-1], 0.0, 0.0, 0.0, 0.0, 0.0, None)
+    one_cell = PairCandidate(("t0", "t0"), 0.0, 0.0, 0.0, 0.0, 0.0, None)
+    for bad in (flipped, one_cell):
+        with pytest.raises(ValidationError, match="distinct pairs of two cells"):
+            build_children_bm(cands + [bad], 1)
+
+
+@given(st.integers(0, 10**6))
 def test_feasibility_certificate_matches_matching_oracle(seed):
     import networkx as nx
 

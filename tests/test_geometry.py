@@ -7,8 +7,10 @@ from colony_track.geometry import (
     Frame,
     NeighborGraph,
     Rect,
+    _is_delaunay_edge,
     build_neighbor_graph,
     cell_from_pixels,
+    pairs_within,
     segment_distance,
     segments_distance,
     stacked_segments_distance,
@@ -302,6 +304,86 @@ def test_fallback_collinear_centers():
     for i in range(3):
         assert g.are_neighbors(f"c{i}", f"c{i+1}")
     assert not g.are_neighbors("c0", "c2")
+
+
+def test_cocircular_square_keeps_both_diagonals():
+    # Qhull picks one diagonal of a square arbitrarily; the empty-circle test
+    # keeps every edge whose circle has the tied centers on it
+    cells = [make_cell(f"s{k}", p) for k, p in enumerate([(0, 0), (40, 0), (40, 40), (0, 40)])]
+    g = build_neighbor_graph(make_frame(cells), rho=80.0)
+    assert g.n_edges() == 6
+
+
+def _empty_circle_edges(centers, rho):
+    i, j = pairs_within(centers[:, 0], centers[:, 1], rho)
+    keep = _is_delaunay_edge(centers, i, j)
+    return set(zip(i[keep].tolist(), j[keep].tolist()))
+
+
+def _qhull_edges(centers, rho):
+    from scipy.spatial import Delaunay
+
+    edges = set()
+    for simplex in Delaunay(centers).simplices:
+        for a in range(3):
+            i, j = sorted((int(simplex[a]), int(simplex[(a + 1) % 3])))
+            d = centers[j] - centers[i]
+            if d @ d <= rho * rho:
+                edges.add((i, j))
+    return edges
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 2**32 - 1))
+def test_delaunay_edges_match_qhull_on_float_frames(seed):
+    # up to 150 centers, so the edge test runs in several chunks
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(0.0, 300.0, size=(int(rng.integers(3, 150)), 2))
+    rho = float(rng.uniform(20.0, 450.0))
+    assert _empty_circle_edges(centers, rho) == _qhull_edges(centers, rho)
+
+
+@settings(max_examples=50)
+@given(st.integers(0, 2**32 - 1))
+def test_coincident_centers_share_their_edges(seed):
+    # a twin of a pair's end must not act as a witness against the pair
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(0.0, 200.0, size=(int(rng.integers(3, 40)), 2))
+    n = len(centers)
+    twin = int(rng.integers(n))
+    edges = _qhull_edges(centers, 1e9)
+    got = _empty_circle_edges(np.vstack([centers, centers[twin]]), 1e9)
+    others = [i + j - twin for i, j in edges if twin in (i, j)]
+    assert got == edges | {(k, n) for k in others} | {(twin, n)}
+
+
+# -- pair search -----------------------------------------------------------
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 2**32 - 1), st.integers(-1, 2))
+def test_pairs_within_matches_kdtree(seed, decimals):
+    # rounded coordinates put coincident points and pairs exactly r apart
+    from scipy.spatial import cKDTree
+
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-50.0, 50.0, size=(int(rng.integers(2, 60)), 2))
+    if decimals >= 0:
+        pts = np.round(pts, decimals)
+    r = float(rng.choice([rng.uniform(0.0, 40.0), 5.0, 1.0, 0.0]))
+    i, j = pairs_within(pts[:, 0], pts[:, 1], r)
+    got = list(zip(i.tolist(), j.tolist()))
+    assert got == sorted(got) and all(a < b for a, b in got)
+    expected = cKDTree(pts).query_pairs(r, output_type="ndarray")
+    assert set(got) == set(map(tuple, expected.tolist()))
+
+
+def test_pairs_within_pinned_cases():
+    x, y = np.array([6.0, 0.0, 3.0, 3.0]), np.array([8.0, 0.0, 4.0, 4.0])
+    i, j = pairs_within(x, y, 5.0)
+    assert list(zip(i.tolist(), j.tolist())) == [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    assert all(len(a) == 0 for a in pairs_within(x[:1], y[:1], 5.0))
+    assert all(len(a) == 0 for a in pairs_within(x[:0], y[:0], 5.0))
 
 
 # -- target window ---------------------------------------------------------

@@ -116,10 +116,19 @@ def test_simulator_output_matches_golden_digests():
     assert {k: _sim_digest(r) for k, r in runs.items()} == GOLDEN_DIGESTS
 
 
+def _kdtree_pairs(x, y, r):
+    """cKDTree's pairs within ``r``, sorted into ``(i, j)`` order."""
+    pairs = cKDTree(np.column_stack((x, y))).query_pairs(r, output_type="ndarray")
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    return pairs[:, 0], pairs[:, 1]
+
+
 def _reference_relax(colony):
     """All-pairs relaxation: a fresh KD-tree and broadcast gaps on every iteration.
 
-    Returns the exit flag and how many pushes hit the budget cap and the trap.
+    Pairs are listed in ``(i, j)`` order and pushed deepest first by a stable
+    sort, so pairs of equal gap go in ``(i, j)`` order. Returns the exit flag
+    and how many pushes hit the budget cap and the trap.
     """
     cfg, w, hits = colony.cfg, colony.widths, {"capped": 0, "clamped": 0}
     reach = float(colony.lengths.max() + w.max()) + 1.0
@@ -144,7 +153,7 @@ def _reference_relax(colony):
         hits["clamped"] += bool((colony.centers[i] != p).any())
 
     def all_gaps():
-        pairs = cKDTree(colony.centers).query_pairs(reach, output_type="ndarray")
+        pairs = np.column_stack(_kdtree_pairs(*colony.centers.T, reach))
         return pairs, pair_gaps(pairs)
 
     for _ in range(cfg.relax_iterations):
@@ -152,7 +161,7 @@ def _reference_relax(colony):
         mask = gaps < -cfg.overlap_tol * 0.5
         if not mask.any():
             return True, hits
-        for i, j in pairs[np.flatnonzero(mask)[np.argsort(gaps[mask])]]:
+        for i, j in pairs[np.flatnonzero(mask)[np.argsort(gaps[mask], kind="stable")]]:
             depth = -float(pair_gaps(np.array([[i, j]]))[0])
             if depth <= cfg.overlap_tol * 0.5:
                 continue
