@@ -200,8 +200,7 @@ def _cmd_calibrate(args) -> int:
     )
     lam = calibration.calibrate(instance)
     out = _outdir(args)
-    # the LP may leave a zero weight a rounding error below its bound
-    weights = registration.RegistrationWeights(*map(float, np.maximum(lam, 0.0)))
+    weights = registration.RegistrationWeights(*map(float, lam))
     io.dump_json({"registration": weights.to_dict()}, out / "weights.json")
     with open(out / "calibration_report.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

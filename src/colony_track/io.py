@@ -111,14 +111,23 @@ def read_lineage_csv(path) -> list:
         for row in reader:
             if not row:
                 continue
-            idx, src, kind = int(row[0]), row[1], row[2]
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(LINEAGE_HEADER):
+                raise ValidationError(
+                    f"{where}: expected {len(LINEAGE_HEADER)} fields, got {len(row)}"
+                )
+            try:
+                idx = int(row[0])
+            except ValueError as exc:
+                raise ValidationError(f"{where}: bad frame index {row[0]!r}") from exc
+            src, kind = row[1], row[2]
             moved, divided = per_frame.setdefault(idx, ({}, {}))
             if kind == "MOVE":
                 moved[src] = row[3]
             elif kind == "DIV":
                 divided[src] = (row[3], row[4])
             else:
-                raise ValidationError(f"{path}: unknown lineage kind {kind!r}")
+                raise ValidationError(f"{where}: unknown lineage kind {kind!r}")
     return [
         LineageRecord(idx, per_frame[idx][0], per_frame[idx][1])
         for idx in sorted(per_frame)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from colony_track import calibration
 from colony_track.calibration import (
     CalibrationInstance,
     build_perturbations,
@@ -7,7 +10,8 @@ from colony_track.calibration import (
     calibration_report,
     objective,
 )
-from colony_track.errors import ValidationError
+from colony_track.errors import InfeasibleError, ValidationError
+from colony_track.registration import build_problem
 
 
 class ToyEvaluator:
@@ -30,8 +34,11 @@ def test_instance_validation():
         CalibrationInstance(np.zeros((0, 2)))
     with pytest.raises(ValidationError):
         CalibrationInstance(np.array([[np.inf, 0.0]]))
-    with pytest.raises(ValidationError):
-        CalibrationInstance(np.ones((2, 2)), gamma=-1.0)
+    for bad in (-1.0, 0.0, float("nan"), float("inf"), True, "1"):
+        with pytest.raises(ValidationError):
+            CalibrationInstance(np.ones((2, 2)), gamma=bad)
+        with pytest.raises(ValidationError):
+            CalibrationInstance(np.ones((2, 2)), budget=bad)
 
 
 def test_build_perturbations_matches_direct_difference():
@@ -77,9 +84,10 @@ def test_feasibility_always_exact():
     for _ in range(20):
         rows = rng.normal(size=(rng.integers(1, 30), rng.integers(1, 5)))
         inst = CalibrationInstance(rows, gamma=10.0, budget=500.0)
-        lam = calibrate(inst)
-        assert np.all(lam >= -1e-12)
-        assert lam.sum() <= 500.0 + 1e-6
+        for literal in (False, True):
+            lam = calibrate(inst, literal_equality=literal)
+            assert np.all(lam >= 0.0) and not np.signbit(lam).any()
+            assert lam.sum() <= 500.0
 
 
 def test_objective_trace_monotone():
@@ -141,3 +149,107 @@ def test_report_rows():
     assert report[0] == ["0->3", pytest.approx(2.0), pytest.approx(0.0)]
     assert report[1][1] == pytest.approx(-0.8)
     assert report[1][2] == pytest.approx(0.8)
+
+
+# -- the LP round against HiGHS -------------------------------------------------
+
+
+def _highs(inst, subgrad, literal):
+    """The LP round in its primal form, solved by HiGHS: the test oracle."""
+    from scipy.optimize import linprog
+
+    v = inst.perturbations
+    n, m = v.shape
+    cost = np.concatenate([-subgrad, np.full(n, inst.gamma)])
+    block = np.hstack([-v, -np.eye(n)])  # <Lambda, V_a> + y_a >= 0
+    budget_row = np.concatenate([np.ones(m), np.zeros(n)])[None]
+    if literal:
+        return linprog(cost, A_ub=budget_row, b_ub=[inst.budget], A_eq=block,
+                       b_eq=np.zeros(n), method="highs")
+    return linprog(cost, A_ub=np.vstack([block, budget_row]),
+                   b_ub=np.r_[np.zeros(n), inst.budget], method="highs")
+
+
+def _round_objective(inst, subgrad, lam):
+    """The LP round's objective at ``lam`` with its optimal slacks y = [-V lam]^+.
+
+    A margin within rounding of zero counts as zero: with gamma = 1e10 its
+    last bit would move the objective by about 1e-6. For the same reason
+    HiGHS's own objective value is compared at its weights, not as reported.
+    """
+    v = inst.perturbations
+    margins, noise = v @ lam, 1e-12 * (np.abs(v) @ lam)
+    return inst.gamma * np.clip(-margins - noise, 0.0, None).sum() - subgrad @ lam
+
+
+def _assert_round_optimal(inst, subgrad, literal, res):
+    """The simplex's weights are feasible and reach HiGHS's optimum ``res``
+    within 1e-9 of the round's scale: the larger of the optimum and the largest
+    linear term, budget * max|subgrad|."""
+    lam = calibration._solve_linearized(inst, subgrad, literal)
+    assert np.all(lam >= 0.0) and not np.signbit(lam).any()
+    assert lam.sum() <= inst.budget
+    v = inst.perturbations
+    if literal:
+        assert np.all(v @ lam <= 1e-12 * (np.abs(v) @ lam))
+    got = _round_objective(inst, subgrad, lam)
+    want = _round_objective(inst, subgrad, res.x[: inst.m])
+    scale = max(abs(want), inst.budget * (1.0 + np.abs(subgrad).max()))
+    assert abs(got - want) <= 1e-9 * scale
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 5),
+    st.sampled_from([1.0, 10.0, 1e10]),
+    st.booleans(),
+)
+def test_lp_round_matches_highs(seed, m, gamma, literal):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    # coarse values make ties and degenerate vertices common
+    rows = np.round(rng.normal(size=(n, m)), int(rng.integers(0, 3)))
+    rows[rng.random(n) < 0.2] = 0.0
+    negative = rng.random(n) < 0.2
+    rows[negative] = -np.abs(rows[negative]) - 0.5
+    rows = np.vstack([rows, rows[rng.integers(n, size=int(rng.integers(0, n + 1)))]])
+    inst = CalibrationInstance(rows, gamma=gamma, budget=float(rng.choice([1.0, 10.0, 1000.0])))
+    if rng.random() < 0.5:  # calibrate's linearization at a random point
+        subgrad = rows[rows @ rng.random(m) > 0.0].sum(axis=0)
+    else:
+        subgrad = np.round(rng.normal(scale=3.0, size=m), 1)
+    res = _highs(inst, subgrad, literal)
+    assume(res.success)
+    _assert_round_optimal(inst, subgrad, literal, res)
+
+
+def test_reg6min_pair_2_pinned(six_minute_run):
+    frames, lineage = six_minute_run.frames, six_minute_run.lineage
+    src, dst = frames[2], frames[3]
+    problem = build_problem(src, dst, w=100.0, rho=80.0, g_rate=1.005**6)
+    truth = np.array([dst.position(lineage[2].moved[c.id]) for c in src.cells])
+    inst = build_perturbations(truth, problem, problem.windows, all_alternatives=True)
+    assert inst.perturbations.shape == (1366, 4)
+    lam, trace = calibrate(inst, return_trace=True)
+    # the weights and objective that HiGHS's linprog rounds give on this instance
+    assert lam == pytest.approx([374.4733614799883, 625.5266385200118, 0.0, 0.0], rel=1e-9)
+    assert objective(inst, lam) == pytest.approx(-65865.45349816777, rel=1e-9)
+    assert len(trace) == 3
+    # the two rounds calibrate solves: linearized at the uniform start, then at lam
+    start = np.full(4, inst.budget / 4)
+    for point in (start, lam):
+        subgrad = inst.perturbations[inst.perturbations @ point > 0.0].sum(axis=0)
+        res = _highs(inst, subgrad, literal=False)
+        assert res.success
+        _assert_round_optimal(inst, subgrad, False, res)
+
+
+def test_pivot_cap_raises(monkeypatch):
+    rng = np.random.default_rng(1)
+    inst = CalibrationInstance(rng.normal(size=(30, 4)), gamma=10.0, budget=100.0)
+    subgrad = np.ones(4)
+    calibration._solve_linearized(inst, subgrad, False)
+    monkeypatch.setattr(calibration, "PIVOTS_PER_COLUMN", 0)
+    with pytest.raises(InfeasibleError, match="weight calibration LP failed: .* 0 pivots"):
+        calibration._solve_linearized(inst, subgrad, False)

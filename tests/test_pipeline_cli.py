@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -220,6 +221,19 @@ def test_lineage_csv_roundtrip(tmp_path, small_run):
         assert orig.divided == copy.divided
 
 
+@pytest.mark.parametrize(
+    "row, problem",
+    [("0,c1,MOVE", "expected 5 fields, got 3"), ("x,c1,MOVE,c2,", "bad frame index 'x'")],
+)
+def test_lineage_csv_rejects_malformed_row(tmp_path, capsys, row, problem):
+    path = tmp_path / "lineage.csv"
+    path.write_text(",".join(io.LINEAGE_HEADER) + "\n0,c0,MOVE,c0,\n" + row + "\n")
+    with pytest.raises(ValidationError, match=re.escape(f"{path}:3: {problem}")):
+        io.read_lineage_csv(path)
+    assert main(["score", "--predicted", str(path), "--ground-truth", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 # -- CLI ---------------------------------------------------------------------
 
 
@@ -429,6 +443,16 @@ def test_cli_track_rejects_bad_weights(tmp_path, capsys, small_run, bad):
     args = ["track", "--frames", str(frames_path), "--weights", str(weights)]
     assert main([*args, "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("budget", ["nan", "inf"])
+def test_cli_calibrate_rejects_bad_budget(tmp_path, capsys, small_run, budget):
+    frames_path, truth_path = tmp_path / "frames.jsonl", tmp_path / "lineage.csv"
+    io.write_frames_jsonl(small_run.frames, frames_path)
+    io.write_lineage_csv(small_run.lineage, truth_path)
+    args = ["calibrate", "--frames", str(frames_path), "--ground-truth", str(truth_path)]
+    assert main([*args, "--budget", budget, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("error: budget must be a finite positive number")
 
 
 def test_cli_weights_and_schedule_files(tmp_path, small_run):
