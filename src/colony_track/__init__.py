@@ -2,11 +2,8 @@
 
 from .annealer import (
     AnnealResult,
-    BmConfig,
-    BmProblem,
-    Clique,
-    CollisionGroup,
     QuadraticBm,
+    RegistrationBm,
     Schedule,
     anneal,
 )

@@ -1,17 +1,21 @@
 """Boltzmann-machine annealing: two energies, one update rule each.
 
-Registration uses :class:`BmProblem`, a sum of small-clique terms plus one
-optional collision term over finite product configuration spaces:
+Registration uses :class:`RegistrationBm`, the registration cost compiled
+into flat arrays over finite per-site candidate lists:
 
-    E(z) = sum_K weight_K * table_K[z restricted to K]
+    E(z) = sum_i match_i[z_i] + sum_K weight_K * table_K[z restricted to K]
          + coef * #{unordered site pairs mapped to the same target}
 
-Site i takes one of ``sizes[i]`` candidate positions. Clique tables are dense
-numpy arrays indexed by those positions, so a single-site update touches only
-the cliques containing that site. The collision term expresses pairwise
-equality penalties (one clique per pair of sites) through per-target
-occupancy counts, which keeps its evaluation exact while avoiding a quadratic
-clique list. Its dynamics is ``async``: one site at a time.
+Match rows are float64; the 2-site (stab) and 3-site (flip) 0/1 tables sit
+in one int8 array, and a per-site incidence list in CSR form (compressed
+sparse rows: one start index per site) names the cliques of each site. The
+collision term is kept through per-target occupancy counts. Its dynamics is
+``async``: one site at a time, priced by one gather over the site's tables
+and one reduction. Deltas and full energies add their terms in one fixed
+order, match, then stab, then flip cliques, then collision, each a
+sequential sum rather than a pairwise one, so the incremental and the full
+energy are the same float operations and every chain is reproducible bit
+for bit.
 
 Children selection uses :class:`QuadraticBm`, the binary quadratic energy
 
@@ -25,7 +29,6 @@ field h = Q z (Aarts & Korst, *Simulated Annealing and Boltzmann Machines*,
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -38,107 +41,141 @@ from .errors import ValidationError, check_fields
 Dynamics = Literal["async", "swap"]
 
 
-@dataclass(frozen=True)
-class Clique:
-    """Energy term over 1-3 sites: value = weight * table[local states]."""
+class RegistrationBm:
+    """Flat compiled registration energy over sites with finite candidate lists.
 
-    sites: tuple[int, ...]
-    table: np.ndarray
-    weight: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "sites", tuple(int(s) for s in self.sites))
-        table = np.asarray(self.table)
-        if table.ndim != len(self.sites):
-            raise ValidationError("clique table rank must equal the site count")
-        if len(set(self.sites)) != len(self.sites):
-            raise ValidationError("clique sites must be distinct")
-        if not (1 <= len(self.sites) <= 3):
-            raise ValidationError("cliques must have 1 to 3 sites")
-        if table.dtype != bool and not np.all(np.isfinite(table)):
-            raise ValidationError("clique table has non-finite values")
-        if not math.isfinite(self.weight):
-            raise ValidationError("clique weight must be finite")
-        object.__setattr__(self, "table", table)
-
-
-@dataclass(frozen=True)
-class CollisionGroup:
-    """Adds coef * #{i<j : target(i, z_i) == target(j, z_j)} to the energy.
-
-    ``targets[i][a]`` is the non-negative integer target token reached when
-    site i is in candidate position a.
+    Site i takes one of ``sizes[i]`` candidate positions; candidate a of site
+    i lies at ``offsets[i] + a`` in the per-candidate arrays ``match`` (the
+    weighted match cost) and ``targets`` (the target position it reaches).
+    Clique c has two or three sites (``sites[c]``, padded with -1), a weight,
+    and a 0/1 int8 table stored C-ordered from ``tables[base[c]]`` with
+    per-site element strides ``strides[c]`` (0 for padding); :meth:`table`
+    hands out that slice to be filled in place. Entries ``ptr[i]:ptr[i + 1]``
+    of the ``inc_*`` arrays are site i's incident cliques in clique order:
+    table base, the site's own stride, the two other sites with their
+    strides, and the clique weight.
     """
-
-    coef: float
-    targets: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        targets = tuple(np.asarray(t, dtype=np.int64) for t in self.targets)
-        if any(t.min(initial=0) < 0 for t in targets):
-            raise ValidationError("collision target tokens must be non-negative")
-        object.__setattr__(self, "targets", targets)
-
-    @property
-    def n_tokens(self) -> int:
-        return int(max(int(t.max(initial=-1)) for t in self.targets) + 1)
-
-    def tokens(self, states: np.ndarray) -> np.ndarray:
-        """Target token of every site in configuration ``states``."""
-        return np.array(
-            [t[s] for t, s in zip(self.targets, states)], dtype=np.int64
-        )
-
-
-class BmProblem:
-    """Sites with ``sizes[i]`` candidate positions and a clique-factored energy."""
 
     def __init__(
         self,
-        sizes: Sequence[int],
-        cliques: Sequence[Clique],
-        collision: CollisionGroup | None = None,
+        targets: Sequence[np.ndarray],
+        match: np.ndarray,
+        sites: np.ndarray,
+        weights: np.ndarray,
+        coef: float,
     ):
-        self.sizes = tuple(int(size) for size in sizes)
-        if any(size < 1 for size in self.sizes):
-            raise ValidationError("every site needs at least one candidate state")
+        self.sizes = np.array([len(t) for t in targets], dtype=np.int64)
         self.n_sites = len(self.sizes)
-        self.cliques = list(cliques)
-        self.collision = collision
-        for cl in self.cliques:
-            if any(s < 0 or s >= self.n_sites for s in cl.sites):
-                raise ValidationError("clique references an unknown site")
-            expected = tuple(self.sizes[s] for s in cl.sites)
-            if cl.table.shape != expected:
-                raise ValidationError(
-                    f"clique table shape {cl.table.shape} != candidate counts {expected}"
-                )
-        if collision is not None:
-            if len(collision.targets) != self.n_sites:
-                raise ValidationError("collision group must cover every site")
-            for size, t in zip(self.sizes, collision.targets):
-                if t.shape != (size,):
-                    raise ValidationError("collision targets misaligned with candidates")
-        self.site_cliques: list[list[int]] = [[] for _ in range(self.n_sites)]
-        for ci, cl in enumerate(self.cliques):
-            for s in cl.sites:
-                self.site_cliques[s].append(ci)
+        self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
+        self.targets = np.concatenate(targets).astype(np.int64)
+        self.match = np.asarray(match, dtype=np.float64)
+        self.sites = np.asarray(sites, dtype=np.int64).reshape(-1, 3)
+        self.weights = np.asarray(weights, dtype=np.float64)
+        self.coef = float(coef)
+        real = self.sites >= 0
+        dims = np.where(real, self.sizes[self.sites], 1)
+        # C order: a site's stride is the product of the later sites' sizes
+        self.strides = np.where(real, dims[:, ::-1].cumprod(axis=1)[:, ::-1] // dims, 0)
+        cells = dims.prod(axis=1)
+        self.base = np.cumsum(cells) - cells
+        self.tables = np.zeros(int(cells.sum()), dtype=np.int8)
+        # site i's incidence list, in clique order within each site
+        clique, pos = np.nonzero(real)
+        order = np.argsort(self.sites[clique, pos], kind="stable")
+        clique, pos = clique[order], pos[order]
+        self.ptr = np.concatenate([[0], np.cumsum(np.bincount(
+            self.sites[clique, pos], minlength=self.n_sites))])
+        others = (pos[:, None] + np.array([1, 2])) % 3
+        self.inc_base = self.base[clique]
+        self.inc_stride = self.strides[clique, pos][:, None]
+        self.inc_other = self.sites[clique[:, None], others]
+        self.inc_other_stride = self.strides[clique[:, None], others]
+        self.inc_weight = self.weights[clique][:, None]
+        self.positions = np.arange(int(self.sizes.max(initial=1)))
 
-    def clique_energy(self, states: np.ndarray) -> float:
-        total = 0.0
-        for cl in self.cliques:
-            total += cl.weight * float(cl.table[tuple(states[s] for s in cl.sites)])
-        return total
-
-    def collision_energy(self, states: np.ndarray) -> float:
-        if self.collision is None:
-            return 0.0
-        counts = np.bincount(self.collision.tokens(states))
-        return self.collision.coef * float((counts * (counts - 1) // 2).sum())
+    def table(self, c: int) -> np.ndarray:
+        """Writable view of clique c's table, shaped by its sites' sizes."""
+        shape = tuple(self.sizes[s] for s in self.sites[c] if s >= 0)
+        return self.tables[self.base[c]: self.base[c] + math.prod(shape)].reshape(shape)
 
     def energy(self, states: np.ndarray) -> float:
-        """Full recomputation of E(z); the reference for all bookkeeping."""
-        return self.clique_energy(states) + self.collision_energy(states)
+        """Full recomputation of E(z); the reference for all bookkeeping.
+
+        Match, then clique terms are added one after another from 0.0
+        (a cumulative sum, never a pairwise one), then the collision term.
+        """
+        n = self.n_sites
+        chosen = self.offsets[:-1] + states
+        idx = self.base + (states[self.sites] * self.strides).sum(axis=1)
+        terms = np.empty(1 + n + len(idx))
+        terms[0] = 0.0
+        terms[1 : n + 1] = self.match[chosen]
+        np.multiply(self.weights, self.tables[idx], out=terms[n + 1 :])
+        counts = np.bincount(self.targets[chosen])
+        pairs = float((counts * (counts - 1) // 2).sum())
+        return float(np.cumsum(terms)[-1]) + self.coef * pairs
+
+
+class RegistrationConfig:
+    """A configuration of a :class:`RegistrationBm` with per-target occupancy
+    counts and incrementally maintained energy."""
+
+    def __init__(self, problem: RegistrationBm, states: Sequence[int]):
+        self.problem = problem
+        self.states = np.asarray(states, dtype=np.int64).copy()
+        if self.states.shape != (problem.n_sites,):
+            raise ValidationError("states vector length must match site count")
+        bad = np.flatnonzero((self.states < 0) | (self.states >= problem.sizes))
+        if bad.size:
+            raise ValidationError(f"state index out of range at site {bad[0]}")
+        self._occ = np.bincount(
+            problem.targets[problem.offsets[:-1] + self.states],
+            minlength=int(problem.targets.max(initial=-1)) + 1,
+        )
+        self.energy = problem.energy(self.states)
+
+    def delta_vector(self, site: int) -> np.ndarray:
+        """Energy change for moving ``site`` to each of its candidates.
+
+        One gather over the site's incident tables, then one reduction over
+        the rows (match, then cliques in order) added one after another,
+        then the collision term: the summation order of :meth:`energy`.
+        """
+        p, z = self.problem, self.states
+        cur = z[site]
+        a, b = p.offsets[site], p.offsets[site + 1]
+        lo, hi = p.ptr[site], p.ptr[site + 1]
+        at = p.inc_base[lo:hi] + (z[p.inc_other[lo:hi]] * p.inc_other_stride[lo:hi]).sum(1)
+        vals = p.tables[at[:, None] + p.positions[: b - a] * p.inc_stride[lo:hi]]
+        rows = np.empty((1 + hi - lo, b - a))
+        match = p.match[a:b]
+        np.subtract(match, match[cur], out=rows[0])
+        np.multiply(p.inc_weight[lo:hi], vals - vals[:, cur, None], out=rows[1:])
+        # along axis 0 numpy adds whole rows one after another (pairwise
+        # summation runs only along the contiguous axis); a site with one
+        # candidate has all-zero rows, so its order cannot matter
+        out = np.add.reduce(rows, axis=0)
+        occ = self._occ
+        toks = p.targets[a:b]
+        cur_tok = toks[cur]
+        # exclude this site itself from the counts it sees
+        occ_cand = occ[toks] - (toks == cur_tok)
+        out += p.coef * (occ_cand - (occ[cur_tok] - 1))
+        return out
+
+    def apply(self, site: int, new_state: int, delta: float) -> None:
+        """Move ``site`` to ``new_state``; ``delta`` is the energy change."""
+        if new_state == self.states[site]:
+            return
+        toks = self.problem.targets[self.problem.offsets[site]:]
+        self._occ[toks[self.states[site]]] -= 1
+        self._occ[toks[new_state]] += 1
+        self.states[site] = new_state
+        self.energy += delta
+
+    def resync_energy(self) -> None:
+        """Replace the accumulated energy by a full recomputation."""
+        self.energy = self.problem.energy(self.states)
 
 
 class QuadraticBm:
@@ -194,62 +231,6 @@ class QuadraticConfig:
         self.energy = self.problem.energy(self.states)
 
 
-class BmConfig:
-    """A concrete configuration with incrementally maintained energy."""
-
-    def __init__(self, problem: BmProblem, states: Sequence[int]):
-        self.problem = problem
-        self.states = np.asarray(states, dtype=np.int64).copy()
-        if self.states.shape != (problem.n_sites,):
-            raise ValidationError("states vector length must match site count")
-        bad = np.flatnonzero((self.states < 0) | (self.states >= np.array(problem.sizes)))
-        if bad.size:
-            raise ValidationError(f"state index out of range at site {bad[0]}")
-        grp = problem.collision
-        self._occ = (
-            None
-            if grp is None
-            else np.bincount(grp.tokens(self.states), minlength=grp.n_tokens)
-        )
-        self.energy = problem.energy(self.states)
-
-    def delta_vector(self, site: int) -> np.ndarray:
-        """Energy change for moving ``site`` to each of its candidates."""
-        problem = self.problem
-        cur = self.states[site]
-        out = np.zeros(problem.sizes[site])
-        for ci in problem.site_cliques[site]:
-            cl = problem.cliques[ci]
-            idx = tuple(
-                slice(None) if s == site else self.states[s] for s in cl.sites
-            )
-            vec = cl.table[idx]
-            out += cl.weight * (vec - vec[cur])
-        if self._occ is not None:
-            occ = self._occ
-            toks = problem.collision.targets[site]
-            cur_tok = toks[cur]
-            # exclude this site itself from the counts it sees
-            occ_cand = occ[toks] - (toks == cur_tok)
-            out += problem.collision.coef * (occ_cand - (occ[cur_tok] - 1))
-        return out
-
-    def apply(self, site: int, new_state: int, delta: float) -> None:
-        """Move ``site`` to ``new_state``; ``delta`` is the energy change."""
-        if new_state == self.states[site]:
-            return
-        grp = self.problem.collision
-        if grp is not None:
-            self._occ[grp.targets[site][self.states[site]]] -= 1
-            self._occ[grp.targets[site][new_state]] += 1
-        self.states[site] = new_state
-        self.energy += delta
-
-    def resync_energy(self) -> None:
-        """Replace the accumulated energy by a full recomputation."""
-        self.energy = self.problem.energy(self.states)
-
-
 @dataclass
 class Schedule:
     """Geometric temperature schedule Temp(t) = c * eta**t over update steps.
@@ -266,7 +247,9 @@ class Schedule:
     stability_tol: float = 1e-6
 
     def __post_init__(self):
-        check_fields(self, integers=("epoch_cap",), reals=("c", "eta", "stability_tol"))
+        check_fields(
+            self, integers=("epoch_cap",), reals=("c", "eta"), nonnegative=("stability_tol",)
+        )
         if self.stability_window is not None:
             check_fields(self, integers=("stability_window",))
         if self.c <= 0:
@@ -280,6 +263,8 @@ class Schedule:
             )
         if self.epoch_cap < 1:
             raise ValidationError("epoch_cap must be at least 1")
+        if self.stability_window is not None and self.stability_window < 1:
+            raise ValidationError("stability_window must be at least 1")
 
     def temperature(self, t: int) -> float:
         return self.c * self.eta**t
@@ -311,7 +296,9 @@ def _accept(d: float, temp: float, rng: np.random.Generator) -> bool:
     return math.log(max(u, 1e-300)) <= -d / temp
 
 
-def step_async(config: BmConfig, site: int, temp: float, rng: np.random.Generator) -> bool:
+def step_async(
+    config: RegistrationConfig, site: int, temp: float, rng: np.random.Generator
+) -> bool:
     """Single-site update: propose the best alternative candidate, accept with
     probability exp(-max(0, delta)/Temp). Returns True when the configuration
     changed.
@@ -360,20 +347,18 @@ class AnnealResult:
     n_epochs: int
     n_steps: int
     stopped: str
-    step_trace: list[tuple[int, float, float, int]] | None = None
 
 
 def anneal(
-    problem: BmProblem | QuadraticBm,
+    problem: RegistrationBm | QuadraticBm,
     dynamics: Dynamics = "async",
     schedule: Schedule | None = None,
     rng_seed: int | np.random.Generator = 0,
     initial_states: Sequence[int] | None = None,
-    record_steps: bool = False,
 ) -> AnnealResult:
     """Run one annealing chain and return the best configuration seen.
 
-    ``async`` anneals a :class:`BmProblem` (from all zeros by default);
+    ``async`` anneals a :class:`RegistrationBm` (from all zeros by default);
     ``swap`` anneals a :class:`QuadraticBm` from a given configuration. One
     epoch is N single-site updates (async) or N swap attempts (swap). The
     chain stops when the energy spread over the trailing stability window
@@ -387,10 +372,10 @@ def anneal(
         if isinstance(rng_seed, np.random.Generator)
         else np.random.default_rng(rng_seed)
     )
-    if dynamics == "async" and isinstance(problem, BmProblem):
+    if dynamics == "async" and isinstance(problem, RegistrationBm):
         if initial_states is None:
             initial_states = np.zeros(problem.n_sites, dtype=np.int64)
-        config = BmConfig(problem, initial_states)
+        config = RegistrationConfig(problem, initial_states)
     elif dynamics == "swap" and isinstance(problem, QuadraticBm):
         if initial_states is None:
             raise ValidationError("swap dynamics needs an initial configuration")
@@ -400,11 +385,10 @@ def anneal(
     else:
         raise ValidationError(f"unknown dynamics {dynamics!r}")
     n = problem.n_sites
-    window = schedule.stability_window if schedule.stability_window else n
+    window = n if schedule.stability_window is None else schedule.stability_window
     best_states = config.states.copy()
     best_energy = config.energy
     epoch_energies: list[float] = []
-    trace: list[tuple[int, float, float, int]] | None = [] if record_steps else None
     # per-epoch (min E, max E); each epoch covers n update events
     spans: list[tuple[float, float]] = []
     t = 0
@@ -415,12 +399,10 @@ def anneal(
         for s in range(n):
             temp = schedule.temperature(t)
             if dynamics == "async":
-                changed = step_async(config, int(sites[s]), temp, rng)
+                step_async(config, int(sites[s]), temp, rng)
             else:
-                changed = step_swap(config, temp, rng)
+                step_swap(config, temp, rng)
             t += 1
-            if trace is not None:
-                trace.append((t, temp, config.energy, int(changed)))
             emin = min(emin, config.energy)
             emax = max(emax, config.energy)
             if config.energy < best_energy - 1e-15:
@@ -453,15 +435,5 @@ def anneal(
         n_epochs=len(epoch_energies),
         n_steps=t,
         stopped=stopped,
-        step_trace=trace,
     )
 
-
-def write_trace_csv(result: AnnealResult, path) -> None:
-    """Per-step trace: step,temperature,energy,accepted."""
-    if result.step_trace is None:
-        raise ValidationError("anneal() was run without record_steps=True")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "temperature", "energy", "accepted"])
-        writer.writerows(result.step_trace)

@@ -4,9 +4,11 @@ Each source cell carries a finite candidate list (its motion window in the
 target frame). A mapping is scored by four penalties: an empirical-CDF
 matching log-likelihood, an overlap count penalizing many-to-one collisions,
 a neighbor-stability term, and a neighbor-flip term detecting orientation
-reversals of neighbor pairs around a cell. The same penalties are compiled
-into clique energy tables so that the Boltzmann-machine energy of a
-configuration equals the cost of the decoded mapping exactly.
+reversals of neighbor pairs around a cell. The weighted penalties compile
+into one flat Boltzmann-machine energy (float64 match rows, 0/1 stab and flip
+tables in one int8 array, occupancy counts for collisions) whose value at a
+configuration equals the cost of the decoded mapping; it sums match, stab,
+flip, then collision terms sequentially, so every chain is reproducible.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import annealer
-from .annealer import BmProblem, Clique, CollisionGroup, Schedule
+from .annealer import RegistrationBm, Schedule
 from .errors import ValidationError, check_fields
 from .geometry import Cell, Frame, NeighborGraph, build_neighbor_graph, cross2, window_mask
 
@@ -240,33 +242,37 @@ class RegistrationProblem:
 
     # -- BM compilation -----------------------------------------------------
 
-    def to_bm(self) -> BmProblem:
-        """Compile the weighted cost into clique tables plus a collision term."""
-        lam = self.weights
+    def to_bm(self) -> RegistrationBm:
+        """Compile the weighted cost into one flat registration energy.
+
+        Each stab and flip table is written straight into the energy's int8
+        array, one clique at a time, so no float copy of the tables exists.
+        """
+        lam, wins = self.weights, self.windows
         adj = self.target_graph.adj
         ct = self.target.centers()
-        cliques: list[Clique] = []
-        for i in range(self.n):
-            cliques.append(
-                Clique((i,), lam.match * self.match_cost[i, self.windows[i]])
-            )
-        for (i, j), wt in zip(self.stab_pairs, self.stab_weights):
-            broken = _broken(adj, self.windows[i][:, None], self.windows[j][None, :])
-            cliques.append(
-                Clique((int(i), int(j)), broken.astype(np.int8), lam.stab * float(wt))
-            )
-        for (i, j, k), wt, sign in zip(
-            self.flip_triplets, self.flip_weights, self.flip_signs
-        ):
-            wi, wj, wk = self.windows[i], self.windows[j], self.windows[k]
-            table = _flipped(
-                adj, ct, wi[:, None, None], wj[None, :, None], wk[None, None, :], sign
-            ).astype(np.int8)
-            cliques.append(Clique((int(i), int(j), int(k)), table, lam.flip * float(wt)))
-        collision = CollisionGroup(
-            coef=lam.over * 2.0 / self.n, targets=tuple(self.windows)
+        n_stab = self.stab_pairs.shape[0]
+        sites = np.full((n_stab + self.flip_triplets.shape[0], 3), -1, dtype=np.int64)
+        sites[:n_stab, :2] = self.stab_pairs
+        sites[n_stab:] = self.flip_triplets
+        rows = np.repeat(np.arange(self.n), [len(w) for w in wins])
+        bm = RegistrationBm(
+            wins,
+            lam.match * self.match_cost[rows, np.concatenate(wins)],
+            sites,
+            np.concatenate([lam.stab * self.stab_weights, lam.flip * self.flip_weights]),
+            coef=lam.over * 2.0 / self.n,
         )
-        return BmProblem([len(w) for w in self.windows], cliques, collision)
+        for c, (i, j) in enumerate(self.stab_pairs):
+            bm.table(c)[...] = _broken(adj, wins[i][:, None], wins[j][None, :])
+        for c, ((i, j, k), sign) in enumerate(
+            zip(self.flip_triplets, self.flip_signs), start=n_stab
+        ):
+            bm.table(c)[...] = _flipped(
+                adj, ct, wins[i][:, None, None], wins[j][None, :, None],
+                wins[k][None, None, :], sign,
+            )
+        return bm
 
     def states_for(self, assignment: np.ndarray) -> np.ndarray:
         """Window-relative state indices of a target-position assignment."""

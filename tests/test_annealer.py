@@ -6,37 +6,48 @@ import pytest
 from hypothesis import given, strategies as st
 
 from colony_track.annealer import (
-    AnnealResult,
-    BmConfig,
-    BmProblem,
-    Clique,
-    CollisionGroup,
     QuadraticBm,
     QuadraticConfig,
+    RegistrationConfig,
     Schedule,
     anneal,
     step_async,
     step_swap,
-    write_trace_csv,
 )
 from colony_track.errors import ValidationError
+from colony_track.registration import RegistrationWeights, build_problem
+
+from conftest import make_cell, make_frame, small_registration_problem
+
+# Weights that put registration energies on the unit scale the schedules
+# below were chosen for.
+UNIT_WEIGHTS = RegistrationWeights(1.1, 3.0, 3.0, 2.9)
 
 
-def random_problem(rng, n_sites=6, max_states=4, n_cliques=10, with_collisions=True):
-    sizes = [int(rng.integers(2, max_states + 1)) for _ in range(n_sites)]
-    cliques = []
-    for _ in range(n_cliques):
-        k = int(rng.integers(1, 4))
-        sites = tuple(int(s) for s in rng.choice(n_sites, size=k, replace=False))
-        table = rng.normal(size=tuple(sizes[s] for s in sites))
-        cliques.append(Clique(sites, table, weight=float(rng.uniform(0.2, 2.0))))
-    collision = None
-    if with_collisions:
-        targets = tuple(
-            rng.integers(0, 5, size=sizes[s]).astype(np.int64) for s in range(n_sites)
-        )
-        collision = CollisionGroup(coef=float(rng.uniform(0.1, 1.0)), targets=targets)
-    return BmProblem(sizes, cliques, collision)
+def random_problem(rng, n_sites=6, weights=UNIT_WEIGHTS):
+    """Compiled registration energy of a random frame against its jittered
+    copy; the windows overlap, so random states collide."""
+    problem = small_registration_problem(
+        seed=int(rng.integers(2**31)), n=n_sites, w=60.0, shift=8.0, weights=weights
+    )
+    return problem.to_bm()
+
+
+def one_cell_problem():
+    """One source cell with two candidates: state 1 is strictly better."""
+    src = make_frame([make_cell("a", (0, 0), length=20.0)])
+    dst = make_frame(
+        [
+            make_cell("t1", (9, 2), angle=0.5, length=24.0),
+            make_cell("t2", (2, 1), angle=0.05, length=21.0),
+        ],
+        index=1,
+    )
+    with pytest.warns(UserWarning, match="differ"):
+        problem = build_problem(src, dst, w=60.0, rho=80.0, g_rate=1.05)
+    bm = problem.to_bm()
+    assert bm.sizes.tolist() == [2] and bm.energy(np.array([1])) < bm.energy(np.array([0]))
+    return bm
 
 
 def random_quadratic(rng, m=8, density=0.3):
@@ -66,15 +77,14 @@ def brute_force_min(problem):
 # -- construction and bookkeeping -------------------------------------------
 
 
-def test_problem_validation():
+def test_config_validation():
+    problem = random_problem(np.random.default_rng(0))
     with pytest.raises(ValidationError):
-        BmProblem([2], [Clique((0,), np.zeros((3,)))])  # wrong table size
+        RegistrationConfig(problem, np.zeros(problem.n_sites + 1, dtype=np.int64))
+    states = np.zeros(problem.n_sites, dtype=np.int64)
+    states[0] = problem.sizes[0]
     with pytest.raises(ValidationError):
-        BmProblem([2], [Clique((1,), np.zeros(2))])  # unknown site
-    with pytest.raises(ValidationError):
-        Clique((0, 0), np.zeros((2, 2)))  # duplicate sites
-    with pytest.raises(ValidationError):
-        Clique((0,), np.array([np.nan, 0.0]))
+        RegistrationConfig(problem, states)
 
 
 @given(st.integers(0, 400))
@@ -82,7 +92,7 @@ def test_delta_vector_matches_full_recompute(seed):
     rng = np.random.default_rng(seed)
     problem = random_problem(rng)
     states = np.array([rng.integers(size) for size in problem.sizes])
-    config = BmConfig(problem, states)
+    config = RegistrationConfig(problem, states)
     site = int(rng.integers(problem.n_sites))
     deltas = config.delta_vector(site)
     for cand in range(problem.sizes[site]):
@@ -97,13 +107,20 @@ def test_delta_vector_matches_full_recompute(seed):
 def test_energy_bookkeeping_over_moves(seed):
     rng = np.random.default_rng(seed)
     problem = random_problem(rng)
-    config = BmConfig(problem, np.zeros(problem.n_sites, dtype=np.int64))
+    config = RegistrationConfig(problem, np.zeros(problem.n_sites, dtype=np.int64))
     for _ in range(30):
         site = int(rng.integers(problem.n_sites))
         cand = int(rng.integers(problem.sizes[site]))
         deltas = config.delta_vector(site)
         config.apply(site, cand, float(deltas[cand]))
         assert config.energy == pytest.approx(problem.energy(config.states), abs=1e-9)
+
+
+def assert_occupancy_exact(config):
+    """The chain's per-target occupancy counts are those of its states."""
+    problem = config.problem
+    tokens = problem.targets[problem.offsets[:-1] + config.states]
+    assert np.array_equal(config._occ, np.bincount(tokens, minlength=len(config._occ)))
 
 
 def assert_deltas_exact(config):
@@ -131,10 +148,11 @@ def test_joint_moves_keep_collision_occupancy_exact(seed):
     # the one joint (two-site) move, keep the local field exact
     rng = np.random.default_rng(seed)
     problem = random_problem(rng)
-    config = BmConfig(problem, np.zeros(problem.n_sites, dtype=np.int64))
+    config = RegistrationConfig(problem, np.zeros(problem.n_sites, dtype=np.int64))
     for _ in range(5):
         for site in rng.permutation(problem.n_sites):
             step_async(config, int(site), temp=5.0, rng=rng)
+        assert_occupancy_exact(config)
         assert_deltas_exact(config)
     binary = random_quadratic(rng)
     config = QuadraticConfig(binary, (rng.random(8) < 0.5).astype(np.int64))
@@ -158,11 +176,6 @@ def test_swap_delta_matches_full_recompute(seed):
             )
 
 
-def test_negative_collision_token_rejected():
-    with pytest.raises(ValidationError):
-        CollisionGroup(coef=1.0, targets=(np.array([0, -1]),))
-
-
 def test_swap_then_reverse_restores_energy():
     rng = np.random.default_rng(0)
     problem = random_quadratic(rng, density=0.5)
@@ -179,29 +192,28 @@ def test_swap_then_reverse_restores_energy():
 
 
 def test_improving_moves_always_accepted():
-    # a two-state single-site problem where state 1 is strictly better
-    problem = BmProblem([2], [Clique((0,), np.array([1.0, 0.0]))])
+    problem = one_cell_problem()
     rng = np.random.default_rng(0)
     for _ in range(50):
-        config = BmConfig(problem, [0])
+        config = RegistrationConfig(problem, [0])
         assert step_async(config, 0, temp=1e-12, rng=rng)
         assert config.states[0] == 1
 
 
 def test_high_temperature_accepts_uphill():
-    problem = BmProblem([2], [Clique((0,), np.array([0.0, 5.0]))])
+    problem = one_cell_problem()
     rng = np.random.default_rng(1)
     accepted = sum(
-        step_async(BmConfig(problem, [0]), 0, temp=1e9, rng=rng) for _ in range(500)
+        step_async(RegistrationConfig(problem, [1]), 0, temp=1e9, rng=rng) for _ in range(500)
     )
-    assert accepted >= 495  # p = exp(-5/1e9) ~ 1
+    assert accepted >= 495  # p = exp(-delta/1e9) ~ 1
 
 
 def test_zero_temperature_rejects_uphill():
-    problem = BmProblem([2], [Clique((0,), np.array([0.0, 5.0]))])
+    problem = one_cell_problem()
     rng = np.random.default_rng(2)
     accepted = sum(
-        step_async(BmConfig(problem, [0]), 0, temp=0.0, rng=rng) for _ in range(200)
+        step_async(RegistrationConfig(problem, [1]), 0, temp=0.0, rng=rng) for _ in range(200)
     )
     assert accepted == 0
 
@@ -222,10 +234,14 @@ def test_acceptance_monotone_in_temperature():
 
 
 def test_async_reaches_exhaustive_optimum():
-    hits = 0
-    for seed in range(100):
-        rng = np.random.default_rng(seed + 1000)
-        problem = random_problem(rng, n_sites=6, max_states=3, n_cliques=8)
+    hits = tried = 0
+    for seed in itertools.count():
+        if tried == 100:
+            break
+        problem = random_problem(np.random.default_rng(seed + 1000))
+        if not 64 <= np.prod(problem.sizes) <= 729:
+            continue  # too few states to test anything, or too many to enumerate
+        tried += 1
         best, _ = brute_force_min(problem)
         result = anneal(
             problem,
@@ -291,7 +307,7 @@ def test_swap_noop_when_all_selected():
 
 def test_bookkeeping_consistency_during_anneal():
     rng = np.random.default_rng(5)
-    problem = random_problem(rng, n_sites=8, n_cliques=12)
+    problem = random_problem(rng, n_sites=8)
     result = anneal(problem, "async", Schedule(c=3.0, eta=0.995, epoch_cap=40), rng_seed=8)
     assert result.final_energy == pytest.approx(problem.energy(result.final_states), abs=1e-9)
     assert result.best_energy == pytest.approx(problem.energy(result.best_states), abs=1e-9)
@@ -301,9 +317,8 @@ def test_bookkeeping_consistency_during_anneal():
 
 
 def test_constant_energy_stops_after_one_window():
-    problem = BmProblem(
-        [2] * 4, [Clique((j,), np.zeros(2)) for j in range(4)]
-    )
+    rng = np.random.default_rng(0)
+    problem = random_problem(rng, n_sites=4, weights=RegistrationWeights(0.0, 0.0, 0.0, 0.0))
     result = anneal(problem, "async", Schedule(c=1.0, eta=0.995, epoch_cap=100), rng_seed=0)
     assert result.stopped == "stable"
     assert result.n_epochs == 1
@@ -311,16 +326,20 @@ def test_constant_energy_stops_after_one_window():
     assert result.best_states.tolist() == [0, 0, 0, 0]
 
 
+def chain(result):
+    """What a chain did: its epoch energies, best states and step count."""
+    return result.epoch_energies, result.best_states.tolist(), result.n_steps
+
+
 def test_determinism_bit_for_bit():
     rng = np.random.default_rng(9)
-    problem = random_problem(rng, n_sites=7, n_cliques=10)
+    problem = random_problem(rng, n_sites=7)
     sched = Schedule(c=4.0, eta=0.995, epoch_cap=30)
-    a = anneal(problem, "async", sched, rng_seed=77, record_steps=True)
-    b = anneal(problem, "async", sched, rng_seed=77, record_steps=True)
-    assert a.step_trace == b.step_trace
-    assert a.best_states.tolist() == b.best_states.tolist()
-    c = anneal(problem, "async", sched, rng_seed=78, record_steps=True)
-    assert a.step_trace != c.step_trace
+    a = anneal(problem, "async", sched, rng_seed=77)
+    b = anneal(problem, "async", sched, rng_seed=77)
+    assert chain(a) == chain(b)
+    c = anneal(problem, "async", sched, rng_seed=78)
+    assert chain(a) != chain(c)
 
 
 def test_schedule_defaults_and_validation():
@@ -338,12 +357,16 @@ def test_schedule_defaults_and_validation():
         Schedule(eta=0.5)
     with pytest.raises(ValidationError):
         Schedule.from_dict({"c": 10.0, "bogus": 1})
+    for bad in ({"stability_window": 0}, {"stability_window": -3}, {"stability_tol": -1.0}):
+        with pytest.raises(ValidationError):
+            Schedule.from_dict(bad)
+    assert Schedule(stability_window=1, stability_tol=0.0).stability_window == 1
 
 
 def test_swap_requires_binary_spaces_and_initial():
-    cliques = BmProblem([2], [Clique((0,), np.zeros(2))])
+    registration = one_cell_problem()
     with pytest.raises(ValidationError):
-        anneal(cliques, "swap", rng_seed=0, initial_states=[0])
+        anneal(registration, "swap", rng_seed=0, initial_states=[0])
     quadratic = QuadraticBm(np.zeros(2), np.zeros((2, 2), dtype=np.uint8), 1.0)
     with pytest.raises(ValidationError):
         anneal(quadratic, "swap", rng_seed=0)
@@ -354,19 +377,7 @@ def test_swap_requires_binary_spaces_and_initial():
 
 
 def test_anneal_rejects_unknown_dynamics():
-    problem = BmProblem([2], [Clique((0,), np.zeros(2))])
+    problem = one_cell_problem()
     with pytest.raises(ValidationError):
         anneal(problem, "sync", rng_seed=0)
 
-
-def test_trace_csv_roundtrip(tmp_path):
-    problem = BmProblem([2] * 3, [Clique((j,), np.array([0.0, 1.0])) for j in range(3)])
-    result = anneal(
-        problem, "async", Schedule(c=1.0, eta=0.995, epoch_cap=5), rng_seed=0,
-        record_steps=True,
-    )
-    path = tmp_path / "trace.csv"
-    write_trace_csv(result, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "step,temperature,energy,accepted"
-    assert len(lines) == result.n_steps + 1

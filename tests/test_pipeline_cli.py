@@ -407,6 +407,9 @@ def test_cli_simulate_rejects_bad_config(tmp_path, capsys, bad):
         {"trim_reject_if_any": "no"},
         {"relax_cardinality": "no"},
         {"dynamics": "async"},
+        {"registration_schedule": {"stability_window": -3}},
+        {"registration_schedule": {"stability_window": 0}},
+        {"registration_schedule": {"stability_tol": -1.0}},
     ],
 )
 def test_cli_track_rejects_bad_config(tmp_path, capsys, small_run, bad):

@@ -1,11 +1,14 @@
+import hashlib
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colony_track.annealer import BmConfig
+from colony_track import annealer
+from colony_track.annealer import RegistrationConfig, Schedule
 from colony_track.errors import ValidationError
 from colony_track.geometry import cross2
 from colony_track.registration import (
@@ -239,7 +242,7 @@ def test_bm_delta_vector_matches_cost_difference(seed):
     partners = [j for j in range(len(a)) if j != site and a[site] in problem.windows[j]]
     if partners:  # put a second cell on the site's target
         a[partners[int(rng.integers(len(partners)))]] = a[site]
-    deltas = BmConfig(bm, problem.states_for(a)).delta_vector(site)
+    deltas = RegistrationConfig(bm, problem.states_for(a)).delta_vector(site)
     for s, pos in enumerate(problem.windows[site]):
         b = a.copy()
         b[site] = pos
@@ -249,9 +252,9 @@ def test_bm_delta_vector_matches_cost_difference(seed):
 def test_touched_cliques_per_site_matches_bm():
     for seed in range(3):
         problem = small_problem(seed=seed, n=9)
-        assert problem.touched_cliques_per_site().tolist() == [
-            len(c) for c in problem.to_bm().site_cliques
-        ]
+        # the match term plus the site's entries in the CSR incidence list
+        ptr = problem.to_bm().ptr
+        assert problem.touched_cliques_per_site().tolist() == (1 + np.diff(ptr)).tolist()
 
 
 # -- BM compilation ------------------------------------------------------------
@@ -274,7 +277,7 @@ def test_single_cell_problem_has_only_match_cliques():
     problem = build_problem(src, dst, w=40.0, rho=80.0, g_rate=1.05)
     assert problem.clique_counts == (1, 0, 0)
     bm = problem.to_bm()
-    assert len(bm.cliques) == 1
+    assert bm.sites.shape == (0, 3) and bm.tables.size == 0
     a = np.array([0])
     assert bm.energy(problem.states_for(a)) == pytest.approx(
         problem.weights.match * problem.cost_terms(a)[0], abs=1e-12
@@ -410,3 +413,53 @@ def test_register_result_energy_is_recomputed_cost():
     for i, pos in enumerate(result.assignment):
         assert pos in problem.windows[i]
     assert result.epochs == len(result.energy_trace)
+
+
+# sha256 over (pair, assignment, n_epochs, n_steps, best_energy bytes, epoch
+# energy bytes) of every chain of register runs on reg6min gate pairs and
+# division-free pipeline21 pairs; pins the async chain's trajectory bit for bit
+GOLDEN_REGISTRATION_DIGEST = "8f0d95aca8e2cb5244645300589cbcba6232136658ec9478dc00f877491086d5"
+
+
+def test_registration_chains_match_golden_digest():
+    from test_acceptance import PIPELINE_CONFIG
+    from trackbench import measure, workloads
+
+    schedule = Schedule(c=30.0, eta=0.995, epoch_cap=25)
+    cases = []
+    six = workloads.reg6min(0, pairs=3)
+    for k in six.pairs:
+        cases.append(("reg6min", k, build_problem(
+            six.frames[k], six.frames[k + 1], w=100.0, rho=80.0,
+            weights=measure.REG6MIN_WEIGHTS, g_rate=measure.REG6MIN_G_RATE,
+        )))
+    pipe = workloads.pipeline21(0)
+    cfg = PIPELINE_CONFIG
+    for k in (22, 27, 31, 35):
+        assert len(pipe.frames[k]) == len(pipe.frames[k + 1])  # division-free
+        cases.append(("pipeline21", k, build_problem(
+            pipe.frames[k], pipe.frames[k + 1], w=cfg.w, rho=cfg.rho,
+            weights=cfg.registration_weights, g_rate=cfg.g_rate,
+        )))
+    # the chains start from colliding maps, so they pass through over > 0
+    assert any(p.cost_terms(initial_assignment(p))[1] > 0 for _, _, p in cases)
+    chains = []
+    anneal = annealer.anneal
+
+    def recording(*args, **kwargs):
+        result = anneal(*args, **kwargs)
+        chains.append(result)
+        return result
+
+    h = hashlib.sha256()
+    with mock.patch.object(annealer, "anneal", recording):
+        for name, k, problem in cases:
+            chains.clear()
+            result = register(problem, schedule=schedule, rng_seed=5, restarts=2)
+            assert len(chains) == 2
+            h.update(repr((name, k, result.assignment.tolist())).encode())
+            for c in chains:
+                h.update(repr((c.n_epochs, c.n_steps)).encode())
+                h.update(np.float64(c.best_energy).tobytes())
+                h.update(np.array(c.epoch_energies, dtype=np.float64).tobytes())
+    assert h.hexdigest() == GOLDEN_REGISTRATION_DIGEST
