@@ -48,7 +48,8 @@ def line_angle(u, v) -> float:
     nv = float(np.hypot(v[0], v[1]))
     if nu == 0.0 or nv == 0.0:
         return 0.0
-    c = abs(float(np.dot(u, v))) / (nu * nv)
+    # elementwise, not np.dot: BLAS kernels differ in FMA use across CPUs
+    c = abs(float(u[0] * v[0] + u[1] * v[1])) / (nu * nv)
     return float(np.arccos(min(1.0, c)))
 
 
