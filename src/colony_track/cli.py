@@ -97,7 +97,6 @@ def _cmd_track(args) -> int:
                     ["candidate_id", "is_true_pair", "lin", "gap", "dev", "ratio", "rank"]
                 )
                 writer.writerows(diag.scatter)
-    sched = config.registration_schedule
     meta = {
         "pairs": [
             {
@@ -118,12 +117,8 @@ def _cmd_track(args) -> int:
             for d in diags
         ],
         "seed": config.seed,
-        "registration_schedule": {
-            "c": sched.c,
-            "eta": sched.eta,
-            "epoch_cap": sched.epoch_cap,
-            "stability_window": sched.stability_window,
-        },
+        "registration_schedule": dataclasses.asdict(config.registration_schedule),
+        "children_schedule": dataclasses.asdict(config.children_schedule),
     }
     io.dump_json(meta, out / "metadata.json")
     for d in diags:

@@ -11,7 +11,6 @@ local field h = Q z (see :mod:`colony_track.annealer`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -20,7 +19,7 @@ import numpy as np
 from . import annealer
 from .annealer import QuadraticBm, Schedule
 from .errors import InfeasibleError, ValidationError, check_fields, finite_real
-from .geometry import Cell, Frame, cross2, line_angle
+from .geometry import CHUNK_ELEMENTS, Cell, Frame, cross2, line_angle, pairs_within
 
 PENALTY_NAMES = ("lin", "gap", "dev", "ratio", "rank")
 
@@ -95,7 +94,7 @@ class PairCandidate:
         return (self.lin, self.gap, self.dev, self.ratio, self.rank)
 
     def penalty(self, name: str) -> float:
-        return getattr(self, "ratio" if name == "rat" else name)
+        return getattr(self, name)
 
     def combined(self, weights: DivisionWeights) -> float:
         return (
@@ -114,6 +113,26 @@ class ShortLineage:
     distortion: float
 
 
+# one row per cell: the fields that the children-pair penalties read
+_ROD = np.dtype(
+    [("center", "f8", 2), ("axis", "f8", 2), ("length", "f8"), ("e", "f8", 2), ("h", "f8", 2)]
+)
+
+
+def _rods(cells: Sequence[Cell]) -> np.ndarray:
+    return np.array([(c.center, c.axis_dir, c.length, c.e, c.h) for c in cells], _ROD)
+
+
+def _distortion(parent: np.ndarray, c1: np.ndarray, c2: np.ndarray, weights):
+    """:func:`distortion` of the rows of the :data:`_ROD` arrays ``parent``, ``c1``, ``c2``."""
+    axis, mid = parent["axis"], (c1["center"] + c2["center"]) / 2.0
+    cen = np.hypot(*(parent["center"] - mid).T)
+    siz = np.abs(parent["length"] - (c1["length"] + c2["length"]))
+    sep = c2["center"] - c1["center"]
+    ang = line_angle(axis, c1["axis"]) + line_angle(axis, c2["axis"]) + line_angle(axis, sep)
+    return weights.cen * cen + weights.siz * siz + weights.ang * ang
+
+
 def distortion(
     parent: Cell, c1: Cell, c2: Cell, weights: DistortionWeights = DistortionWeights()
 ) -> float:
@@ -124,25 +143,36 @@ def distortion(
     axis, and the children separation direction against the parent axis).
     Angles of coincident children centers count as zero.
     """
-    cen = float(np.hypot(*(parent.center - (c1.center + c2.center) / 2.0)))
-    siz = abs(parent.length - (c1.length + c2.length))
-    sep = c2.center - c1.center
-    ang = (
-        line_angle(parent.axis_dir, c1.axis_dir)
-        + line_angle(parent.axis_dir, c2.axis_dir)
-        + line_angle(parent.axis_dir, sep)
-    )
-    return weights.cen * cen + weights.siz * siz + weights.ang * ang
+    rods = _rods([parent, c1, c2])
+    return float(_distortion(rods[:1], rods[1:2], rods[2:], weights)[0])
 
 
-def shlin_admits(parent: Cell, c1: Cell, c2: Cell, w: float) -> bool:
-    """Short-lineage feasibility: both children centers within w + L/4 of the
-    parent center, L the parent length."""
-    reach = w + parent.length / 4.0
-    return (
-        float(np.hypot(*(c1.center - parent.center))) <= reach
-        and float(np.hypot(*(c2.center - parent.center))) <= reach
-    )
+def _best_parents(c1: np.ndarray, c2: np.ndarray, cells: Sequence[Cell], w, weights):
+    """Most likely parent among ``cells`` of each children pair (rows of
+    ``c1``, ``c2``): an index into ``cells`` and its distortion, or -1.
+
+    A cell of length L is feasible when both children centers lie within
+    ``w + L/4`` of its center; ties break toward the lowest parent id. Pairs
+    are searched in chunks of about ``CHUNK_ELEMENTS / len(cells)``.
+    """
+    source = _rods(cells)
+    rank = np.empty(len(cells), np.intp)
+    rank[sorted(range(len(cells)), key=lambda k: cells[k].id)] = np.arange(len(cells))
+    x, y = source["center"].T
+    reach = w + source["length"] / 4.0
+    parent, value = np.full(len(c1), -1), np.full(len(c1), np.nan)
+    chunk = max(1, CHUNK_ELEMENTS // max(1, len(cells)))
+    for lo in range(0, len(c1), chunk):
+        near = True
+        for kid in (c1["center"][lo : lo + chunk], c2["center"][lo : lo + chunk]):
+            near = near & (np.hypot(kid[:, :1] - x, kid[:, 1:] - y) <= reach)
+        a, p = np.nonzero(near)
+        a += lo
+        v = _distortion(source[p], c1[a], c2[a], weights)
+        order = np.lexsort((rank[p], v, a))
+        best = order[np.unique(a[order], return_index=True)[1]]
+        parent[a[best]], value[a[best]] = p[best], v[best]
+    return parent, value
 
 
 def estimate_parent(
@@ -153,50 +183,41 @@ def estimate_parent(
     weights: DistortionWeights = DistortionWeights(),
     exclude: set[str] | None = None,
 ) -> tuple[str, float] | None:
-    """Most likely parent: brute-force distortion minimum over the feasible
-    cells of ``frame``. Ties break toward the lowest parent id. Returns None
-    when no cell is feasible."""
-    best: tuple[float, str] | None = None
-    for cell in frame.cells:
-        if exclude and cell.id in exclude:
-            continue
-        if not shlin_admits(cell, b1, b2, w):
-            continue
-        value = distortion(cell, b1, b2, weights)
-        key = (value, cell.id)
-        if best is None or key < best:
-            best = key
-    if best is None:
-        return None
-    return best[1], best[0]
+    """Most likely parent: the distortion minimum over the feasible cells of
+    ``frame`` (see :func:`_best_parents`), or None when no cell is feasible."""
+    cells = [c for c in frame.cells if not (exclude and c.id in exclude)]
+    kids = _rods([b1, b2])
+    parent, value = _best_parents(kids[:1], kids[1:], cells, w, weights)
+    return None if parent[0] < 0 else (cells[parent[0]].id, float(value[0]))
+
+
+def _pair_penalties(b1: np.ndarray, b2: np.ndarray, l_min: float):
+    """:func:`pair_penalties` of the rows of the :data:`_ROD` arrays ``b1``, ``b2``."""
+    x, y = np.stack([b1["e"], b1["e"], b1["h"], b1["h"]]), np.stack([b2["e"], b2["h"]] * 2)
+    tips = np.hypot(x[..., 0] - y[..., 0], x[..., 1] - y[..., 1])
+    k, rows = tips.argmin(axis=0), np.arange(len(b1))
+    sep, c1 = b2["center"] - b1["center"], b1["center"]
+    norm = np.hypot(*sep.T)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d1 = np.abs(cross2(sep, x[k, rows] - c1)) / norm
+        d2 = np.abs(cross2(sep, y[k, rows] - c1)) / norm
+        dev = np.where(norm == 0.0, np.inf, (d1 + d2) / norm)
+    l1, l2 = b1["length"], b2["length"]
+    ratio = np.abs(l1 / l2 + l2 / l1 - 2.0)
+    rank = np.abs(l1 / l_min - 1.0) + np.abs(l2 / l_min - 1.0)
+    return tips[k, rows], dev, ratio, rank
 
 
 def pair_penalties(b1: Cell, b2: Cell, l_min: float) -> tuple[float, float, float, float]:
     """(gap, dev, ratio, rank) for a candidate children pair.
 
     ``l_min`` is the minimum cell length over the whole target frame. The
-    deviation penalty uses the two closest endpoints against the line through
-    the centers; coincident centers yield an infinite deviation sentinel.
+    deviation penalty uses the two closest endpoints (the first of ee, eh,
+    he, hh on ties) against the line through the centers; coincident centers
+    yield an infinite deviation sentinel.
     """
-    tips1, tips2 = b1.tips, b2.tips
-    best = None
-    for x in tips1:
-        for y in tips2:
-            d = float(np.hypot(*(x - y)))
-            if best is None or d < best[0]:
-                best = (d, x, y)
-    gap, x1, x2 = best
-    sep = b2.center - b1.center
-    norm = float(np.hypot(*sep))
-    if norm == 0.0:
-        dev = math.inf
-    else:
-        d1 = abs(float(cross2(sep, x1 - b1.center))) / norm
-        d2 = abs(float(cross2(sep, x2 - b1.center))) / norm
-        dev = (d1 + d2) / norm
-    ratio = abs(b1.length / b2.length + b2.length / b1.length - 2.0)
-    rank = abs(b1.length / l_min - 1.0) + abs(b2.length / l_min - 1.0)
-    return gap, dev, ratio, rank
+    rods = _rods([b1, b2])
+    return tuple(float(a[0]) for a in _pair_penalties(rods[:1], rods[1:], l_min))
 
 
 def build_pch(
@@ -214,35 +235,22 @@ def build_pch(
     """
     if len(next_frame) == 0:
         raise ValidationError("next frame is empty")
-    l_min = min(c.length for c in next_frame.cells)
-    centers = next_frame.centers()
-    out: list[PairCandidate] = []
-    cells = next_frame.cells
-    n = len(cells)
-    for i in range(n):
-        dists = np.hypot(*(centers[i + 1 :] - centers[i]).T) if i + 1 < n else []
-        for off, d in enumerate(dists):
-            if d >= tau:
-                continue
-            b1, b2 = cells[i], cells[i + 1 + off]
-            gap, dev, ratio, rank = pair_penalties(b1, b2, l_min)
-            if not math.isfinite(dev):
-                continue
-            parent = estimate_parent(b1, b2, frame, w, weights)
-            if parent is None:
-                continue
-            out.append(
-                PairCandidate(
-                    pair=(b1.id, b2.id),
-                    lin=parent[1],
-                    gap=gap,
-                    dev=dev,
-                    ratio=ratio,
-                    rank=rank,
-                    parent=parent[0],
-                )
-            )
-    return out
+    kids = _rods(next_frame.cells)
+    x, y = kids["center"].T
+    i, j = pairs_within(x, y, tau * (1.0 + 1e-9))
+    near = np.hypot(x[j] - x[i], y[j] - y[i]) < tau
+    i, j = i[near], j[near]
+    b1, b2 = kids[i], kids[j]
+    gap, dev, ratio, rank = _pair_penalties(b1, b2, kids["length"].min())
+    parent, lin = _best_parents(b1, b2, frame.cells, w, weights)
+    keep = np.isfinite(dev) & (parent >= 0)
+    ids, parent_ids = next_frame.ids, frame.ids
+    return [
+        PairCandidate((ids[a], ids[b]), *values, parent_ids[p])
+        for a, b, p, *values in zip(
+            *(v[keep].tolist() for v in (i, j, parent, lin, gap, dev, ratio, rank))
+        )
+    ]
 
 
 # touching siblings have endpoint distance ~ width (the rounded caps), so the
@@ -255,7 +263,7 @@ def check_trim_thresholds(thresholds) -> None:
     names to finite numbers."""
     if not isinstance(thresholds, Mapping):
         raise ValidationError(f"trim thresholds must be a mapping, got {thresholds!r}")
-    unknown = set(thresholds) - set(PENALTY_NAMES) - {"rat"}
+    unknown = set(thresholds) - set(PENALTY_NAMES)
     if unknown:
         raise ValidationError(f"unknown trim penalty names: {sorted(unknown)}")
     for name, bound in thresholds.items():

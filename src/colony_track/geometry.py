@@ -12,10 +12,11 @@ from typing import Iterable
 import numpy as np
 
 DEFAULT_NEIGHBOR_RADIUS = 80.0
-# Elements per temporary array of the Delaunay edge test (128 KB of float64).
-# About ten such arrays are alive at once; larger chunks raise the peak
-# memory of a run without making the test faster.
-_EDGE_TEST_ELEMENTS = 1 << 14
+# Elements per temporary array of a chunked pairwise pass (128 KB of float64):
+# the Delaunay edge test here and the parent search of ``division``. About ten
+# such arrays are alive at once; larger chunks raise the peak memory of a run
+# without making the passes faster.
+CHUNK_ELEMENTS = 1 << 14
 
 
 def _pt(p) -> np.ndarray:
@@ -25,32 +26,25 @@ def _pt(p) -> np.ndarray:
     return a
 
 
-def unit(v: np.ndarray) -> np.ndarray:
-    n = float(np.hypot(v[0], v[1]))
-    if n == 0.0:
-        raise ValueError("cannot normalize a zero vector")
-    return v / n
-
-
 def cross2(a: np.ndarray, b: np.ndarray):
     """z-component of the 2D cross product, broadcasting over leading axes."""
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
-def line_angle(u, v) -> float:
-    """Angle in [0, pi/2] between the non-oriented lines carried by u and v.
+def line_angle(u, v):
+    """Angle in [0, pi/2] between the non-oriented lines carried by u and v,
+    broadcasting over leading axes.
 
-    A zero-length argument is treated as parallel (angle 0).
+    A zero-length argument is treated as parallel (angle 0). The dot product
+    is elementwise, not ``np.dot``: BLAS kernels differ in FMA use across CPUs.
     """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    nu = float(np.hypot(u[0], u[1]))
-    nv = float(np.hypot(v[0], v[1]))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    # elementwise, not np.dot: BLAS kernels differ in FMA use across CPUs
-    c = abs(float(u[0] * v[0] + u[1] * v[1])) / (nu * nv)
-    return float(np.arccos(min(1.0, c)))
+    ux, uy = _xy(u)
+    vx, vy = _xy(v)
+    nu = np.hypot(ux, uy)
+    nv = np.hypot(vx, vy)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.abs(ux * vx + uy * vy) / (nu * nv)
+    return np.where((nu == 0.0) | (nv == 0.0), 0.0, np.arccos(np.fmin(1.0, c)))[()]
 
 
 @dataclass(frozen=True)
@@ -117,10 +111,6 @@ class Cell:
         object.__setattr__(self, "length", length)
         object.__setattr__(self, "center", (e + h) / 2.0)
         object.__setattr__(self, "axis_dir", (h - e) / length)
-
-    @property
-    def tips(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.e, self.h
 
     def translated(self, offset) -> "Cell":
         off = _pt(offset)
@@ -425,11 +415,11 @@ def _is_delaunay_edge(centers: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.n
     (``s_k = 0``, ``q_k < 0``). Centers on the circle do not count, so
     cocircular ties keep the edge (a square gets both diagonals), and a
     center coincident with ``c_i`` or ``c_j`` is no witness against it.
-    Pairs are tested in chunks of about ``_EDGE_TEST_ELEMENTS / n``.
+    Pairs are tested in chunks of about ``CHUNK_ELEMENTS / n``.
     """
     x, y = centers[:, 0], centers[:, 1]
     out = np.zeros(i.shape[0], dtype=bool)
-    chunk = max(1, _EDGE_TEST_ELEMENTS // max(1, x.shape[0]))
+    chunk = max(1, CHUNK_ELEMENTS // max(1, x.shape[0]))
     for lo in range(0, i.shape[0], chunk):
         ci, cj = centers[i[lo : lo + chunk]], centers[j[lo : lo + chunk]]
         d = cj - ci

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from colony_track import io, registration
+from colony_track.annealer import Schedule
 from colony_track.cli import main
 from colony_track.errors import InfeasibleError, ValidationError
 from colony_track.pipeline import PipelineConfig, score, track_pair, track_sequence
@@ -410,6 +411,7 @@ def test_cli_simulate_rejects_bad_config(tmp_path, capsys, bad):
         {"registration_schedule": {"stability_window": -3}},
         {"registration_schedule": {"stability_window": 0}},
         {"registration_schedule": {"stability_tol": -1.0}},
+        {"trim_thresholds": {"rat": 1.0}},
     ],
 )
 def test_cli_track_rejects_bad_config(tmp_path, capsys, small_run, bad):
@@ -482,6 +484,14 @@ def test_cli_weights_and_schedule_files(tmp_path, small_run):
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["registration_schedule"]["c"] == 20.0
     assert meta["registration_schedule"]["epoch_cap"] == 60
+    # both schedules are written in full and read back as they ran
+    assert Schedule.from_dict(meta["registration_schedule"]) == Schedule(
+        c=20.0, eta=0.995, epoch_cap=60
+    )
+    assert Schedule.from_dict(meta["children_schedule"]) == Schedule.children_default()
+    assert set(meta["children_schedule"]) == {
+        "c", "eta", "epoch_cap", "stability_window", "stability_tol"
+    }
     assert "dynamics" not in meta
     # the registration dynamics is fixed: these keys are unknown schedule keys
     for extra in ({"dynamics": "async"}, {"alpha": 0.5}):
