@@ -376,15 +376,15 @@ class NeighborGraph:
 def pairs_within(x, y, r: float) -> tuple[np.ndarray, np.ndarray]:
     """The pairs ``i < j`` of points with ``dx² + dy² <= r²``, as index arrays.
 
-    The pairs come in ``(i, j)`` order. The points are sorted by x; each
-    one's candidates are the points after it in that order whose x lies
-    within ``r`` (widened by a rounding margin), and each candidate pair then
-    passes the exact test.
+    The pairs come in ``(i, j)`` order; a negative ``r`` gives none. The
+    points are sorted by x; each one's candidates are the points after it in
+    that order whose x lies within ``r`` (widened by a rounding margin), and
+    each candidate pair then passes the exact test.
     """
     x = np.asarray(x, np.float64)
     y = np.asarray(y, np.float64)
     n = x.shape[0]
-    if n < 2:
+    if n < 2 or not r >= 0.0:
         return np.zeros(0, np.intp), np.zeros(0, np.intp)
     order = np.argsort(x, kind="stable")
     xs = x[order]

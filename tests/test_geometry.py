@@ -384,6 +384,7 @@ def test_pairs_within_pinned_cases():
     assert list(zip(i.tolist(), j.tolist())) == [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     assert all(len(a) == 0 for a in pairs_within(x[:1], y[:1], 5.0))
     assert all(len(a) == 0 for a in pairs_within(x[:0], y[:0], 5.0))
+    assert all(len(a) == 0 for a in pairs_within(x, y, -5.0))
 
 
 # -- target window ---------------------------------------------------------

@@ -192,6 +192,7 @@ def test_pair_exactly_tau_apart_is_excluded():
     kids = make_frame([make_cell("a", (0, 0), length=20.0), make_cell("b", (27, 36), length=20.0)])
     assert assert_matches_reference(frame, kids, tau=45.0, w=45.0) == []
     assert len(assert_matches_reference(frame, kids, tau=np.nextafter(45.0, 50.0), w=45.0)) == 1
+    assert assert_matches_reference(frame, kids, tau=-45.0, w=45.0) == []
 
 
 def test_child_exactly_at_the_reach_is_admitted():
@@ -202,7 +203,7 @@ def test_child_exactly_at_the_reach_is_admitted():
     assert assert_matches_reference(frame, kids, tau=45.0, w=9.999999) == []
 
 
-def test_equidistant_tips_take_the_first_pair_of_tips():
+def test_equidistant_tips_match_the_reference():
     frame = make_frame([make_cell("p", (5, 1), angle=np.pi / 2, length=40.0)])
     kids = make_frame(
         [Cell("a", (0, -10), (0, 10), 7.0), Cell("b", (10, -8), (10, 12), 7.0)]
