@@ -19,12 +19,12 @@ for bit.
 
 Children selection uses :class:`QuadraticBm`, the binary quadratic energy
 
-    E(z) = v . z + lambda * z^T Q z
+    E(z) = v . z + lambda * z^T Q z = v . z + lambda * sum_c g_c (g_c - 1)
 
-annealed by ``swap`` moves that exchange a selected and an unselected site,
-so the number of selected sites never changes. The chain keeps the local
-field h = Q z (Aarts & Korst, *Simulated Annealing and Boltzmann Machines*,
-1989), which makes the energy change of a swap an O(1) expression.
+over sites holding two cells each (g_c selected sites hold cell c), annealed
+by ``swap`` moves that exchange a selected and an unselected site, keeping the
+number selected. A site's local field h = Q z (Aarts & Korst, *Simulated
+Annealing and Boltzmann Machines*, 1989) is its cells' counts: O(1) swaps, no Q.
 """
 
 from __future__ import annotations
@@ -173,36 +173,37 @@ class RegistrationConfig:
         self.states[site] = new_state
         self.energy += delta
 
-    def resync_energy(self) -> None:
-        """Replace the accumulated energy by a full recomputation."""
-        self.energy = self.problem.energy(self.states)
-
 
 class QuadraticBm:
-    """Binary BM with energy E(z) = v . z + lambda_q * z^T Q z.
+    """Binary BM with energy E(z) = v . z + lambda_q * sum_c g_c (g_c - 1).
 
-    ``q`` is symmetric with a zero diagonal and is used as given: it is never
-    copied into a wider dtype.
+    Site j holds the distinct cells ``cells[j]`` (small ints); for distinct
+    pairs this is v . z + lambda_q z^T Q z, Q_jk = 1 when j and k share a cell.
     """
 
-    def __init__(self, v: np.ndarray, q: np.ndarray, lambda_q: float):
+    def __init__(self, v: np.ndarray, cells: np.ndarray, lambda_q: float):
         self.v = np.asarray(v, dtype=np.float64)
-        self.q = q
+        self.cells = np.asarray(cells, dtype=np.int64)
         self.lambda_q = float(lambda_q)
         self.n_sites = len(self.v)
-        if q.shape != (self.n_sites, self.n_sites):
-            raise ValidationError("Q must be square with one row per site")
+        if self.cells.shape != (self.n_sites, 2) or np.any(self.cells[:, 0] == self.cells[:, 1]):
+            raise ValidationError("cells must hold two distinct ids per site")
+
+    def counts(self, states: np.ndarray) -> np.ndarray:
+        """g: the number of selected sites holding each cell."""
+        sel = self.cells[np.flatnonzero(states)].ravel()
+        return np.bincount(sel, minlength=int(self.cells.max(initial=-1)) + 1)
 
     def energy(self, states: np.ndarray) -> float:
         """Full recomputation of E(z) over the selected sites S only:
-        v[S].sum() + lambda_q * Q[S, S].sum()."""
-        sel = np.flatnonzero(states)
-        return float(self.v[sel].sum() + self.lambda_q * self.q[np.ix_(sel, sel)].sum())
+        v[S].sum() + lambda_q * sum(g * (g - 1)), the count an exact integer."""
+        g = self.counts(states)
+        return float(self.v[np.flatnonzero(states)].sum() + self.lambda_q * (g * (g - 1)).sum())
 
 
 class QuadraticConfig:
-    """A binary configuration of a :class:`QuadraticBm` with its local field
-    h = Q z and incrementally maintained energy."""
+    """A binary configuration of a :class:`QuadraticBm` with its per-cell
+    counts g and incrementally maintained energy."""
 
     def __init__(self, problem: QuadraticBm, states: Sequence[int]):
         self.problem = problem
@@ -211,24 +212,25 @@ class QuadraticConfig:
             raise ValidationError("states vector length must match site count")
         if np.any((self.states != 0) & (self.states != 1)):
             raise ValidationError("swap dynamics needs a 0/1 configuration")
-        field_dtype = np.result_type(problem.q.dtype, np.int64)
-        self.h = problem.q[self.states == 1].sum(axis=0, dtype=field_dtype)
+        # lists: a swap reads and writes a few scalars, several times faster
+        self._cells = problem.cells.tolist()
+        self.g = problem.counts(self.states).tolist()
         self.energy = problem.energy(self.states)
 
     def swap_delta(self, j: int, k: int) -> float:
-        """Energy change of deselecting site j and selecting site k."""
-        p, h = self.problem, self.h
-        return float(p.v[k] - p.v[j]) + 2.0 * p.lambda_q * float(h[k] - h[j] - p.q[j, k])
+        """Energy change (v_k - v_j) + 2 lambda (h_k - h_j - Q_jk) of deselecting j and
+        selecting k: h_k = g[a_k] + g[b_k], h_j = g[a_j] + g[b_j] - 2."""
+        p, g, (aj, bj), (ak, bk) = self.problem, self.g, self._cells[j], self._cells[k]
+        shared = (aj == ak) + (aj == bk) + (bj == ak) + (bj == bk)
+        h = g[ak] + g[bk] - (g[aj] + g[bj] - 2) - shared
+        return float(p.v[k] - p.v[j]) + 2.0 * p.lambda_q * float(h)
 
     def swap(self, j: int, k: int, delta: float) -> None:
         self.states[j], self.states[k] = 0, 1
-        self.h += self.problem.q[k]
-        self.h -= self.problem.q[j]
+        g, (aj, bj), (ak, bk) = self.g, self._cells[j], self._cells[k]
+        g[aj], g[bj] = g[aj] - 1, g[bj] - 1
+        g[ak], g[bk] = g[ak] + 1, g[bk] + 1
         self.energy += delta
-
-    def resync_energy(self) -> None:
-        """Replace the accumulated energy by a full recomputation."""
-        self.energy = self.problem.energy(self.states)
 
 
 @dataclass
@@ -322,7 +324,7 @@ def step_async(
 
 def step_swap(config: QuadraticConfig, temp: float, rng: np.random.Generator) -> bool:
     """Cardinality-preserving update: exchange a selected site j with an
-    unselected one k, priced through the local field as
+    unselected one k, priced through the per-cell counts as
     (v_k - v_j) + 2 lambda (h_k - h_j - Q_jk). No-op when either side is empty."""
     ones = np.flatnonzero(config.states == 1)
     zeros = np.flatnonzero(config.states == 0)
@@ -408,7 +410,7 @@ def anneal(
             if config.energy < best_energy - 1e-15:
                 best_energy = config.energy
                 best_states = config.states.copy()
-        config.resync_energy()
+        config.energy = problem.energy(config.states)
         epoch_energies.append(config.energy)
         spans.append((emin, emax))
         covered, lo, hi = 0, math.inf, -math.inf

@@ -6,7 +6,7 @@ length rank). A binary Boltzmann machine with the quadratic energy
 E(z) = v . z + lambda * z^T Q z selects the subset of pairs matching the known
 division count: v holds the combined penalties and Q marks pairs that share a
 cell. Swap annealing keeps the count fixed and prices each swap through the
-local field h = Q z (see :mod:`colony_track.annealer`).
+number of selected pairs holding each cell (see :mod:`colony_track.annealer`).
 """
 
 from __future__ import annotations
@@ -324,10 +324,10 @@ def scatter_rows(
 class ChildrenBmProblem:
     """Binary BM over candidate pairs: E(z) = v . z + lambda_q * z^T Q z.
 
-    ``v[j]`` is candidate j's combined penalty and ``q`` the symmetric 0/1
-    (uint8) matrix of candidates sharing exactly one cell, so a selection pays
-    2 lambda_q per conflicting pair. :meth:`to_bm` hands the same arrays to
-    the swap annealer, which keeps the local field h = Q z.
+    ``v[j]`` is candidate j's combined penalty and ``cells[j]`` its two cells
+    as small ints; Q_jk = 1 when candidates j and k share a cell, so a
+    selection pays 2 lambda_q per conflicting pair. :meth:`to_bm` hands the
+    same arrays to the swap annealer, which counts selections per cell.
 
     ``max_disjoint`` is the exact maximum number of disjoint candidates when
     :func:`build_children_bm` had to compute it (its greedy certificate fell
@@ -336,7 +336,7 @@ class ChildrenBmProblem:
 
     candidates: list[PairCandidate]
     v: np.ndarray
-    q: np.ndarray
+    cells: np.ndarray
     div_count: int
     lambda_q: float
     max_disjoint: int | None = None
@@ -350,11 +350,20 @@ class ChildrenBmProblem:
         """No ``div_count`` pairwise-disjoint candidates exist."""
         return self.max_disjoint is not None and self.max_disjoint < self.div_count
 
+    @property
+    def q(self) -> np.ndarray:
+        """Dense 0/1 uint8 Q, built on each read for inspection and tests; it
+        is quadratic in ``m`` and tracking never reads it."""
+        a, b = self.cells[:, :1], self.cells[:, 1:]
+        q = ((a == a.T) | (a == b.T) | (b == a.T) | (b == b.T)).view(np.uint8)
+        np.fill_diagonal(q, 0)
+        return q
+
     def energy(self, z: Sequence[int]) -> float:
         return self.to_bm().energy(z)
 
     def to_bm(self) -> QuadraticBm:
-        return QuadraticBm(self.v, self.q, self.lambda_q)
+        return QuadraticBm(self.v, self.cells, self.lambda_q)
 
 
 def max_disjoint_candidates(candidates: Sequence[PairCandidate]) -> int:
@@ -396,8 +405,8 @@ def build_children_bm(
 ) -> ChildrenBmProblem:
     """Assemble the children-selection BM.
 
-    The conflict matrix marks candidate pairs sharing exactly one cell; the
-    candidates must be distinct pairs of two cells. The problem is flagged
+    Candidates conflict when they share a cell; they must be distinct pairs
+    of two cells, so two of them share at most one. The problem is flagged
     infeasible when no disjoint subset of the requested cardinality exists.
     A greedy disjoint set (the pass and order of the annealer's start) of
     ``div_count`` candidates certifies feasibility; only when it falls short
@@ -415,34 +424,21 @@ def build_children_bm(
     pairs = {frozenset(cand.pair) for cand in candidates}
     if len(pairs) < m or any(len(pair) != 2 for pair in pairs):
         raise ValidationError("candidates must be distinct pairs of two cells")
-    # two distinct pairs of two cells share exactly one cell iff they share one
-    by_cell: dict[str, list[int]] = {}
-    for j, cand in enumerate(candidates):
-        for cid in cand.pair:
-            by_cell.setdefault(cid, []).append(j)
-    q = np.zeros((m, m), dtype=np.uint8)
-    for group in by_cell.values():
-        q[np.ix_(group, group)] = 1
-    np.fill_diagonal(q, 0)
+    ids: dict[str, int] = {}
+    cells = np.array([[ids.setdefault(cid, len(ids)) for cid in cand.pair] for cand in candidates])
     lambda_q = weights.q if weights.q is not None else 10.0 * max(float(v.max()), 1.0)
     max_disjoint = None
     if len(_greedy_disjoint(candidates, v, div_count)) < div_count:
         max_disjoint = max_disjoint_candidates(candidates)
-    return ChildrenBmProblem(list(candidates), v, q, div_count, lambda_q, max_disjoint)
+    return ChildrenBmProblem(list(candidates), v, cells, div_count, lambda_q, max_disjoint)
 
 
 def _greedy_initial(problem: ChildrenBmProblem, card: int) -> np.ndarray:
     """Deterministic start: lowest-penalty candidates, preferring disjoint ones."""
     z = np.zeros(problem.m, dtype=np.int64)
     z[_greedy_disjoint(problem.candidates, problem.v, card)] = 1
-    chosen = int(z.sum())
-    if chosen < card:
-        for j in np.lexsort((np.arange(problem.m), problem.v)):
-            if chosen == card:
-                break
-            if not z[j]:
-                z[j] = 1
-                chosen += 1
+    rest = [j for j in np.lexsort((np.arange(problem.m), problem.v)) if not z[j]]
+    z[rest[: card - int(z.sum())]] = 1
     return z
 
 

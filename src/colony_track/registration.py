@@ -176,11 +176,12 @@ def _flipped(adj: np.ndarray, ct: np.ndarray, ti, tj, tk, sign) -> np.ndarray:
 class RegistrationProblem:
     """Precompiled registration instance over a reduced frame pair.
 
-    ``windows[i]`` holds target-frame positions admissible for source cell i.
-    ``match_cost[i, p]`` is the per-cell negative average log-likelihood of
-    matching source i to target position p. Stab pairs, flip triplets, and
-    the occupancy coefficient carry the ordered-double-sum weights of the
-    cost terms, so clique sums reproduce the cost exactly.
+    ``windows[i]`` holds target-frame positions admissible for source cell i,
+    ascending. ``match_cost[match_offsets[i] + s]`` is the per-cell negative
+    average log-likelihood of matching source i to ``windows[i][s]``, keyed
+    ``i * len(target) + windows[i][s]`` in ``match_keys``. Stab pairs, flip
+    triplets, and the occupancy coefficient carry the ordered-double-sum
+    weights of the cost terms, so clique sums reproduce the cost exactly.
     """
 
     source: Frame
@@ -193,6 +194,8 @@ class RegistrationProblem:
     source_graph: NeighborGraph
     target_graph: NeighborGraph
     match_cost: np.ndarray
+    match_offsets: np.ndarray
+    match_keys: np.ndarray  # ascending, as the windows are
     stab_pairs: np.ndarray  # columns: i, j
     stab_weights: np.ndarray
     flip_triplets: np.ndarray  # columns: center i, wings j, k
@@ -215,27 +218,35 @@ class RegistrationProblem:
 
     # -- cost evaluation ----------------------------------------------------
 
+    def _flat_positions(self, assignment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each cell's entry in ``match_cost``, and whether it is in the cell's window."""
+        keys, want = self.match_keys, np.arange(self.n) * len(self.target) + assignment
+        at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        return at, keys[at] == want
+
     def cost_terms(self, assignment: np.ndarray) -> tuple[float, float, float, float]:
         """(match, over, stab, flip) of a total assignment, unweighted.
 
-        ``assignment[i]`` is the target-frame position for source cell i.
+        ``assignment[i]`` is the target-frame position for source cell i,
+        scored on the spot, as ``match_cost`` is filled, when outside its window.
         """
         a = np.asarray(assignment, dtype=np.int64)
         n = self.n
-        match = float(self.match_cost[np.arange(n), a].sum())
+        at, inside = self._flat_positions(a)
+        costs = self.match_cost[at]
+        for i in np.flatnonzero(~inside):
+            lik = self.likelihood.lik_against(self.source.cells[i], [self.target.cells[a[i]]])
+            costs[i] = (-np.log(lik) / n)[0]
         counts = np.bincount(a, minlength=len(self.target))
-        over = float((counts * (counts - 1)).sum()) / n
-        adj = self.target_graph.adj
-        stab = 0.0
-        if self.stab_pairs.shape[0]:
-            broken = _broken(adj, *a[self.stab_pairs.T])
-            stab = float((self.stab_weights * broken).sum())
-        flip = 0.0
-        if self.flip_triplets.shape[0]:
-            ct = self.target.centers()
-            flipped = _flipped(adj, ct, *a[self.flip_triplets.T], self.flip_signs)
-            flip = float((self.flip_weights * flipped).sum())
-        return match, over, stab, flip
+        adj, ct = self.target_graph.adj, self.target.centers()
+        broken = _broken(adj, *a[self.stab_pairs.T])
+        flipped = _flipped(adj, ct, *a[self.flip_triplets.T], self.flip_signs)
+        return (
+            float(costs.sum()),
+            float((counts * (counts - 1)).sum()) / n,
+            float((self.stab_weights * broken).sum()),
+            float((self.flip_weights * flipped).sum()),
+        )
 
     def cost(self, assignment: np.ndarray) -> float:
         return float(self.weights.as_array() @ np.array(self.cost_terms(assignment)))
@@ -255,10 +266,9 @@ class RegistrationProblem:
         sites = np.full((n_stab + self.flip_triplets.shape[0], 3), -1, dtype=np.int64)
         sites[:n_stab, :2] = self.stab_pairs
         sites[n_stab:] = self.flip_triplets
-        rows = np.repeat(np.arange(self.n), [len(w) for w in wins])
         bm = RegistrationBm(
             wins,
-            lam.match * self.match_cost[rows, np.concatenate(wins)],
+            lam.match * self.match_cost,
             sites,
             np.concatenate([lam.stab * self.stab_weights, lam.flip * self.flip_weights]),
             coef=lam.over * 2.0 / self.n,
@@ -276,20 +286,14 @@ class RegistrationProblem:
 
     def states_for(self, assignment: np.ndarray) -> np.ndarray:
         """Window-relative state indices of a target-position assignment."""
-        states = np.zeros(self.n, dtype=np.int64)
-        for i, pos in enumerate(assignment):
-            hits = np.flatnonzero(self.windows[i] == pos)
-            if hits.size == 0:
-                raise ValidationError(
-                    f"assignment for site {i} lies outside its window"
-                )
-            states[i] = hits[0]
-        return states
+        at, ok = self._flat_positions(np.asarray(assignment, dtype=np.int64))
+        if not ok.all():
+            raise ValidationError(f"assignment for site {np.argmin(ok)} lies outside its window")
+        return at - self.match_offsets[:-1]
 
     def assignment_for(self, states: np.ndarray) -> np.ndarray:
-        return np.array(
-            [self.windows[i][s] for i, s in enumerate(states)], dtype=np.int64
-        )
+        at = self.match_offsets[:-1] + states
+        return self.match_keys[at] - np.arange(self.n) * len(self.target)
 
     def mapping(self, assignment: np.ndarray) -> dict[str, str]:
         return {
@@ -334,17 +338,16 @@ def build_problem(
         windows.append(pos)
     window_cells = [[red_b_plus.cells[int(p)] for p in pos] for pos in windows]
     likelihood = fit_likelihood_model(red_b, window_cells, g_rate)
-    match_cost = np.empty((n, len(red_b_plus)))
-    for i, cell in enumerate(red_b.cells):
-        match_cost[i] = -np.log(likelihood.lik_against(cell, red_b_plus.cells)) / n
+    liks = [likelihood.lik_against(cell, cands) for cell, cands in zip(red_b.cells, window_cells)]
+    match_cost = -np.log(np.concatenate(liks)) / n
+    match_offsets = np.concatenate([[0], np.cumsum([len(pos) for pos in windows])])
+    match_keys = np.concatenate([i * len(red_b_plus) + pos for i, pos in enumerate(windows)])
     source_graph = build_neighbor_graph(red_b, rho)
     target_graph = build_neighbor_graph(red_b_plus, rho)
     degrees = source_graph.degrees
     sc = red_b.centers()
-    stab_pairs, stab_weights = [], []
-    for i, j in source_graph.edges():
-        stab_pairs.append((i, j))
-        stab_weights.append(2.0 / (n * degrees[i] * degrees[j]))
+    stab_pairs = np.array(source_graph.edges(), dtype=np.int64).reshape(-1, 2)
+    stab_weights = 2.0 / (n * degrees[stab_pairs[:, 0]] * degrees[stab_pairs[:, 1]])
     flip_triplets, flip_weights, flip_signs = [], [], []
     for i in range(n):
         nbrs = np.flatnonzero(source_graph.adj[i])
@@ -367,8 +370,10 @@ def build_problem(
         source_graph=source_graph,
         target_graph=target_graph,
         match_cost=match_cost,
-        stab_pairs=np.array(stab_pairs, dtype=np.int64).reshape(-1, 2),
-        stab_weights=np.array(stab_weights),
+        match_offsets=match_offsets,
+        match_keys=match_keys,
+        stab_pairs=stab_pairs,
+        stab_weights=stab_weights,
         flip_triplets=np.array(flip_triplets, dtype=np.int64).reshape(-1, 3),
         flip_weights=np.array(flip_weights),
         flip_signs=np.array(flip_signs),
@@ -379,15 +384,12 @@ def build_problem(
 def initial_assignment(problem: RegistrationProblem) -> np.ndarray:
     """Per-cell likelihood argmax (match-cost argmin) over the window; ties
     break by smaller kinetic penalty, then by target id."""
-    sc, tc = problem.source.centers(), problem.target.centers()
-    ids = problem.target.ids
-    out = np.zeros(problem.n, dtype=np.int64)
-    for i, win in enumerate(problem.windows):
-        cost = problem.match_cost[i, win]
-        kins = ((tc[win] - sc[i]) ** 2).sum(axis=1)
-        best = min(range(len(win)), key=lambda s: (cost[s], kins[s], ids[win[s]]))
-        out[i] = win[best]
-    return out
+    cell = np.repeat(np.arange(problem.n), np.diff(problem.match_offsets))
+    win = problem.match_keys - cell * len(problem.target)
+    kins = ((problem.target.centers()[win] - problem.source.centers()[cell]) ** 2).sum(axis=1)
+    id_rank = np.argsort(np.argsort(problem.target.ids))
+    first = np.lexsort((id_rank[win], kins, problem.match_cost, cell))[problem.match_offsets[:-1]]
+    return win[first]
 
 
 @dataclass

@@ -71,6 +71,13 @@ def jittered_copy(frame, rng, shift=3.0, grow=1.05, index=1):
     return make_frame(cells, index=index)
 
 
+def random_cells(rng, m, n_cells):
+    """``m`` distinct two-cell candidates over ``n_cells`` cells, as an
+    ``(m, 2)`` array of cell ids in random order."""
+    pairs = np.array([(a, b) for a in range(n_cells) for b in range(a + 1, n_cells)])
+    return rng.permuted(pairs[rng.choice(len(pairs), size=m, replace=False)], axis=1)
+
+
 def small_registration_problem(seed=0, n=8, w=60.0, shift=3.0, weights=None):
     """Division-free instance: a random frame against its jittered copy."""
     from colony_track.registration import RegistrationWeights, build_problem

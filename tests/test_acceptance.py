@@ -39,6 +39,7 @@ from conftest import (
     jittered_copy,
     make_cell,
     make_frame,
+    random_cells,
     random_frame,
     small_registration_problem,
 )
@@ -391,8 +392,7 @@ def test_property_neighbor_graph_symmetry_rho(seed):
 def test_property_swap_conserves_cardinality(seed):
     rng = np.random.default_rng(seed)
     m = int(rng.integers(2, 10))
-    upper = np.triu(rng.random((m, m)) < 0.3, k=1)
-    problem = QuadraticBm(rng.uniform(0, 3, size=m), (upper | upper.T).astype(np.uint8), 5.0)
+    problem = QuadraticBm(rng.uniform(0, 3, size=m), random_cells(rng, m, 12), 5.0)
     states = (rng.random(m) < 0.5).astype(np.int64)
     config = QuadraticConfig(problem, states)
     weight = int(states.sum())

@@ -17,7 +17,7 @@ from colony_track.annealer import (
 from colony_track.errors import ValidationError
 from colony_track.registration import RegistrationWeights, build_problem
 
-from conftest import make_cell, make_frame, small_registration_problem
+from conftest import make_cell, make_frame, random_cells, small_registration_problem
 
 # Weights that put registration energies on the unit scale the schedules
 # below were chosen for.
@@ -50,19 +50,43 @@ def one_cell_problem():
     return bm
 
 
-def random_quadratic(rng, m=8, density=0.3):
-    """v >= 0, a symmetric 0/1 uint8 Q with zero diagonal, lambda as in the
+def random_quadratic(rng, m=8, n_cells=6):
+    """v >= 0 over ``m`` distinct two-cell candidates, lambda as in the
     children BM."""
     v = rng.uniform(0, 3, size=m)
-    upper = np.triu(rng.random((m, m)) < density, k=1)
-    q = (upper | upper.T).astype(np.uint8)
-    return QuadraticBm(v, q, 10.0 * max(v.max(), 1.0))
+    return QuadraticBm(v, random_cells(rng, m, n_cells), 10.0 * max(v.max(), 1.0))
+
+
+def dense_q(cells):
+    """Oracle conflict matrix: Q_jk = 1 when distinct sites j and k share a cell."""
+    m = len(cells)
+    q = np.zeros((m, m), dtype=np.int64)
+    for j, k in itertools.permutations(range(m), 2):
+        q[j, k] = bool(set(cells[j]) & set(cells[k]))
+    return q
 
 
 def quadratic_energy(problem, states):
-    """Independent oracle: v.z + lambda z^T Q z in float64."""
-    z = np.asarray(states, dtype=np.float64)
-    return float(problem.v @ z + problem.lambda_q * (z @ problem.q.astype(np.float64) @ z))
+    """Independent oracle: v.z + lambda z^T Q z over the dense Q, the
+    quadratic form an exact integer."""
+    z = np.asarray(states, dtype=np.int64)
+    quad = int(z @ dense_q(problem.cells) @ z)
+    return float(problem.v[np.flatnonzero(z)].sum() + problem.lambda_q * quad)
+
+
+def oracle_swap_delta(problem, states, j, k):
+    """The swap delta through the dense local field h = Q z."""
+    q = dense_q(problem.cells)
+    h = q @ np.asarray(states, dtype=np.int64)
+    return float(problem.v[k] - problem.v[j]) + 2.0 * problem.lambda_q * float(
+        h[k] - h[j] - q[j, k]
+    )
+
+
+def derived_field(config):
+    """h = Q z from the chain's per-cell counts: a site's two cells' counts,
+    less the site itself when selected."""
+    return np.asarray(config.g)[config.problem.cells].sum(axis=1) - 2 * config.states
 
 
 def brute_force_min(problem):
@@ -138,7 +162,7 @@ def assert_deltas_exact(config):
 def assert_field_exact(config):
     """The swap chain's local field is Q z and its energy the full one."""
     problem = config.problem
-    assert np.array_equal(config.h, problem.q.astype(np.int64) @ config.states)
+    assert np.array_equal(derived_field(config), dense_q(problem.cells) @ config.states)
     assert config.energy == pytest.approx(quadratic_energy(problem, config.states), abs=1e-9)
 
 
@@ -176,16 +200,40 @@ def test_swap_delta_matches_full_recompute(seed):
             )
 
 
+@given(st.integers(0, 10**6))
+def test_cell_count_energy_equals_dense_oracle(seed):
+    # random sets of distinct two-cell candidates: the energy, every swap
+    # delta and the field derived from the counts equal the dense Q forms
+    rng = np.random.default_rng(seed)
+    n_cells = int(rng.integers(2, 9))
+    m = int(rng.integers(1, n_cells * (n_cells - 1) // 2 + 1))
+    problem = random_quadratic(rng, m=m, n_cells=n_cells)
+    states = (rng.random(m) < 0.5).astype(np.int64)
+    config = QuadraticConfig(problem, states)
+    assert problem.energy(states) == quadratic_energy(problem, states)
+    assert config.energy == quadratic_energy(problem, states)
+    assert np.array_equal(derived_field(config), dense_q(problem.cells) @ states)
+    for j in np.flatnonzero(states == 1):
+        for k in np.flatnonzero(states == 0):
+            assert config.swap_delta(int(j), int(k)) == oracle_swap_delta(problem, states, j, k)
+
+
+def test_quadratic_bm_rejects_bad_cells():
+    for cells in ([[0, 1]], [[0, 1], [1, 1]], [[0, 1, 2], [1, 2, 3]]):
+        with pytest.raises(ValidationError):
+            QuadraticBm(np.zeros(2), np.array(cells), 1.0)
+
+
 def test_swap_then_reverse_restores_energy():
     rng = np.random.default_rng(0)
-    problem = random_quadratic(rng, density=0.5)
+    problem = random_quadratic(rng, n_cells=5)
     config = QuadraticConfig(problem, [1, 1, 0, 0, 1, 0, 0, 0])
-    e0, h0 = config.energy, config.h.copy()
+    e0, g0 = config.energy, list(config.g)
     config.swap(0, 2, config.swap_delta(0, 2))
     config.swap(2, 0, config.swap_delta(2, 0))
     assert config.energy == pytest.approx(e0, abs=1e-12)
     assert config.states.tolist() == [1, 1, 0, 0, 1, 0, 0, 0]
-    assert np.array_equal(config.h, h0)
+    assert config.g == g0
 
 
 # -- acceptance rule ---------------------------------------------------------
@@ -260,13 +308,9 @@ def test_swap_matches_exhaustive_subset_minimum():
         rng = np.random.default_rng(seed + 2000)
         m, div = 10, 3
         v = rng.uniform(0, 3, size=m)
-        q = np.zeros((m, m))
-        for j in range(m):
-            for k in range(j + 1, m):
-                if rng.random() < 0.3:
-                    q[j, k] = q[k, j] = 1.0
         lam_q = 10.0 * v.max()
-        problem = QuadraticBm(v, q, lam_q)
+        # over 12 cells, about 0.3 of the candidate pairs conflict
+        problem = QuadraticBm(v, random_cells(rng, m, 12), lam_q)
         best = min(
             quadratic_energy(problem, [1 if i in comb else 0 for i in range(m)])
             for comb in itertools.combinations(range(m), div)
@@ -298,7 +342,7 @@ def test_swap_conserves_cardinality(seed):
 
 
 def test_swap_noop_when_all_selected():
-    problem = QuadraticBm(np.ones(3), np.zeros((3, 3), dtype=np.uint8), 1.0)
+    problem = QuadraticBm(np.ones(3), np.array([[0, 1], [1, 2], [0, 2]]), 1.0)
     config = QuadraticConfig(problem, [1, 1, 1])
     rng = np.random.default_rng(0)
     assert not step_swap(config, 1.0, rng)
@@ -367,7 +411,7 @@ def test_swap_requires_binary_spaces_and_initial():
     registration = one_cell_problem()
     with pytest.raises(ValidationError):
         anneal(registration, "swap", rng_seed=0, initial_states=[0])
-    quadratic = QuadraticBm(np.zeros(2), np.zeros((2, 2), dtype=np.uint8), 1.0)
+    quadratic = QuadraticBm(np.zeros(2), np.array([[0, 1], [2, 3]]), 1.0)
     with pytest.raises(ValidationError):
         anneal(quadratic, "swap", rng_seed=0)
     with pytest.raises(ValidationError):

@@ -467,6 +467,31 @@ def test_children_selections_match_golden_digest():
     assert h.hexdigest() == GOLDEN_SELECTION_DIGEST
 
 
+def test_children_bm_memory_linear_in_candidates():
+    # the energy keeps two cell ids per candidate; a dense m x m conflict
+    # matrix on this pair (m = 1 616) would take 2.6 MB
+    import tracemalloc
+
+    from trackbench import measure, workloads
+
+    cfg = measure.PIPELINE_CONFIG
+    wl = workloads.tiled_large(0)
+    frame, next_frame = wl.frames[wl.pairs[0]], wl.frames[wl.pairs[0] + 1]
+    cands = trim_candidates(
+        build_pch(frame, next_frame, cfg.tau, cfg.w, cfg.division_weights.distortion),
+        cfg.trim_thresholds,
+        cfg.trim_reject_if_any,
+    )
+    assert len(cands) > 1000
+    tracemalloc.start()
+    try:
+        build_children_bm(cands, len(next_frame) - len(frame), cfg.division_weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
+
+
 # -- lineages and reduction ---------------------------------------------------
 
 

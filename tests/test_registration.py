@@ -179,10 +179,54 @@ def test_cost_terms_match_bruteforce(seed):
 
 def test_ideal_registration_scores_zero():
     problem = small_problem(seed=5, n=7, shift=0.5)
-    problem.match_cost = np.zeros_like(problem.match_cost)  # all LIK = 1
     identity = np.arange(len(problem.source))
+    assert all(i in win for i, win in enumerate(problem.windows))
+    problem.match_cost = np.zeros_like(problem.match_cost)  # all LIK = 1 in the windows
     match, over, stab, flip = problem.cost_terms(identity)
     assert (match, over, stab, flip) == (0.0, 0.0, 0.0, 0.0)
+
+
+def dense_match_cost(problem):
+    """Oracle: every source cell scored against every target cell."""
+    return np.array([
+        -np.log(problem.likelihood.lik_against(cell, problem.target.cells)) / problem.n
+        for cell in problem.source.cells
+    ])
+
+
+def test_window_sparse_match_costs_equal_dense_oracle():
+    from test_acceptance import PIPELINE_CONFIG
+    from trackbench import measure, workloads
+
+    six = workloads.reg6min(0, pairs=3)
+    problems = [
+        build_problem(
+            six.frames[k], six.frames[k + 1], w=100.0, rho=80.0,
+            weights=measure.REG6MIN_WEIGHTS, g_rate=measure.REG6MIN_G_RATE,
+        )
+        for k in six.pairs
+    ]
+    pipe, cfg = workloads.pipeline21(0), PIPELINE_CONFIG
+    problems.append(build_problem(
+        pipe.frames[22], pipe.frames[23], w=cfg.w, rho=cfg.rho,
+        weights=cfg.registration_weights, g_rate=cfg.g_rate,
+    ))
+    rng = np.random.default_rng(0)
+    for problem in problems:
+        n, dense = problem.n, dense_match_cost(problem)
+        sizes = [len(win) for win in problem.windows]
+        assert problem.match_cost.shape == (sum(sizes),)
+        assert problem.match_offsets.tolist() == [0, *np.cumsum(sizes).tolist()]
+        for i, win in enumerate(problem.windows):
+            costs = problem.match_cost[problem.match_offsets[i]: problem.match_offsets[i + 1]]
+            assert costs.tobytes() == dense[i, win].tobytes()
+        # a third of the cells sent outside their windows are scored on the spot
+        a = initial_assignment(problem)
+        for i in rng.choice(n, size=n // 3, replace=False):
+            outside = np.setdiff1d(np.arange(len(problem.target)), problem.windows[i])
+            a[i] = rng.choice(outside)
+        assert any(a[i] not in win for i, win in enumerate(problem.windows))
+        assert problem.cost_terms(a)[0] == float(dense[np.arange(n), a].sum())
 
 
 def test_collision_counts_ordered_pairs():
@@ -336,7 +380,8 @@ def test_initial_assignment_ties_break_by_distance_then_id():
         [make_cell("a", (6, 0), length=21.0), make_cell("b", (2, 0), length=30.0)], index=1
     )
     problem = build_problem(src, near_far, w=30.0, rho=80.0, g_rate=1.05)
-    assert np.all(problem.match_cost[0] == problem.match_cost[0, 0])
+    assert problem.windows[0].tolist() == [0, 1]
+    assert np.all(problem.match_cost == problem.match_cost[0])
     assert initial_assignment(problem).tolist() == [1]
     mirrored = make_frame([make_cell("z", (3, 0)), make_cell("y", (-3, 0))], index=1)
     problem = build_problem(src, mirrored, w=30.0, rho=80.0, g_rate=1.05)
