@@ -44,9 +44,10 @@ Dynamics = Literal["async", "swap"]
 class RegistrationBm:
     """Flat compiled registration energy over sites with finite candidate lists.
 
-    Site i takes one of ``sizes[i]`` candidate positions; candidate a of site
-    i lies at ``offsets[i] + a`` in the per-candidate arrays ``match`` (the
-    weighted match cost) and ``targets`` (the target position it reaches).
+    Site i takes one of ``sizes[i] = offsets[i + 1] - offsets[i]`` candidate
+    positions; candidate a of site i lies at ``offsets[i] + a`` in the flat
+    per-candidate arrays ``match`` (the weighted match cost) and ``targets``
+    (the target position it reaches).
     Clique c has two or three sites (``sites[c]``, padded with -1), a weight,
     and a 0/1 int8 table stored C-ordered from ``tables[base[c]]`` with
     per-site element strides ``strides[c]`` (0 for padding); :meth:`table`
@@ -58,16 +59,17 @@ class RegistrationBm:
 
     def __init__(
         self,
-        targets: Sequence[np.ndarray],
+        offsets: np.ndarray,
+        targets: np.ndarray,
         match: np.ndarray,
         sites: np.ndarray,
         weights: np.ndarray,
         coef: float,
     ):
-        self.sizes = np.array([len(t) for t in targets], dtype=np.int64)
+        self.offsets = np.asarray(offsets, dtype=np.int64)
+        self.sizes = np.diff(self.offsets)
         self.n_sites = len(self.sizes)
-        self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
-        self.targets = np.concatenate(targets).astype(np.int64)
+        self.targets = np.asarray(targets, dtype=np.int64)
         self.match = np.asarray(match, dtype=np.float64)
         self.sites = np.asarray(sites, dtype=np.int64).reshape(-1, 3)
         self.weights = np.asarray(weights, dtype=np.float64)
@@ -281,6 +283,8 @@ class Schedule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Schedule":
+        if not isinstance(data, dict):
+            raise ValidationError(f"a schedule must be a JSON object, not {data!r}")
         keys = {"c", "eta", "epoch_cap", "stability_window", "stability_tol"}
         unknown = set(data) - keys
         if unknown:

@@ -180,6 +180,10 @@ def _cmd_calibrate(args) -> int:
             f"pair {pair_index} has divisions; calibration needs a division-free pair"
         )
     source, target = by_index[pair_index], by_index[pair_index + 1]
+    try:
+        rec.validate(source, target)
+    except ValidationError as exc:
+        raise ValidationError(f"{args.ground_truth}: pair {pair_index}: {exc}") from exc
     problem = registration.build_problem(
         source, target, w=config.w, rho=config.rho,
         weights=config.registration_weights, g_rate=config.g_rate,

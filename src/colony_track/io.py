@@ -77,7 +77,10 @@ def read_frames_jsonl(path, bounds: Rect | None = None) -> list[Frame]:
             )
         else:
             box = bounds
-        frames.append(Frame(idx, tuple(cells), box))
+        try:
+            frames.append(Frame(idx, tuple(cells), box))
+        except ValueError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
     if not frames:
         raise ValidationError(f"{path}: no cells found")
     return frames

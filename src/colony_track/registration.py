@@ -1,12 +1,15 @@
 """Division-free frame-pair registration.
 
 Each source cell carries a finite candidate list (its motion window in the
-target frame). A mapping is scored by four penalties: an empirical-CDF
-matching log-likelihood, an overlap count penalizing many-to-one collisions,
-a neighbor-stability term, and a neighbor-flip term detecting orientation
-reversals of neighbor pairs around a cell. The weighted penalties compile
-into one flat Boltzmann-machine energy (float64 match rows, 0/1 stab and flip
-tables in one int8 array, occupancy counts for collisions) whose value at a
+target frame), all held in one flat layout: per-cell offsets into one array
+of target positions. One array pass over it gives every entry's penalties,
+which give both the empirical-CDF likelihood and the match costs. A mapping
+is scored by four penalties: the matching log-likelihood, an overlap count
+penalizing many-to-one collisions, a neighbor-stability term, and a
+neighbor-flip term detecting orientation reversals of neighbor pairs around
+a cell. The weighted penalties compile, on the same layout, into one flat
+Boltzmann-machine energy (float64 match rows, 0/1 stab and flip tables in
+one int8 array, occupancy counts for collisions) whose value at a
 configuration equals the cost of the decoded mapping; it sums match, stab,
 flip, then collision terms sequentially, so every chain is reproducible.
 """
@@ -15,7 +18,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -51,21 +53,28 @@ class RegistrationWeights:
         return {"match": self.match, "over": self.over, "stab": self.stab, "flip": self.flip}
 
 
-def _penalty_arrays(b: Cell, centers, lengths, axes, g_rate: float):
-    """Vectorized (kin, dis, rot) of one source cell against target arrays.
+def _rods(frame: Frame, rows: np.ndarray):
+    """(centers, lengths, axes) of the frame's cells at positions ``rows``."""
+    lengths = np.array([c.length for c in frame.cells])
+    axes = np.array([c.axis_dir for c in frame.cells])
+    return frame.centers()[rows], lengths[rows], axes[rows]
+
+
+def _penalty_arrays(src, dst, g_rate: float):
+    """Vectorized (kin, dis, rot) of source against target rods, each given as
+    (centers, lengths, axes) broadcasting together.
 
     Written with element-wise ufuncs only so that scalar and batch
     evaluations are bitwise identical; the empirical CDFs are sampled at
     exactly these values and re-queried with them, so a one-ulp discrepancy
     would shift a CDF count.
     """
-    dx = centers[..., 0] - b.center[0]
-    dy = centers[..., 1] - b.center[1]
+    (sc, sl, sa), (tc, tl, ta) = src, dst
+    dx = tc[..., 0] - sc[..., 0]
+    dy = tc[..., 1] - sc[..., 1]
     kin = dx * dx + dy * dy
-    dis = (np.log(lengths / b.length) - np.log(g_rate)) ** 2
-    cosang = np.minimum(
-        1.0, np.abs(axes[..., 0] * b.axis_dir[0] + axes[..., 1] * b.axis_dir[1])
-    )
+    dis = (np.log(tl / sl) - np.log(g_rate)) ** 2
+    cosang = np.minimum(1.0, np.abs(ta[..., 0] * sa[..., 0] + ta[..., 1] * sa[..., 1]))
     return kin, dis, np.arccos(cosang)
 
 
@@ -77,7 +86,9 @@ def pair_penalties(b: Cell, b_plus: Cell, g_rate: float) -> tuple[float, float, 
     the (non-oriented) long axes in [0, pi/2].
     """
     kin, dis, rot = _penalty_arrays(
-        b, b_plus.center, np.float64(b_plus.length), b_plus.axis_dir, g_rate
+        (b.center, b.length, b.axis_dir),
+        (b_plus.center, np.float64(b_plus.length), b_plus.axis_dir),
+        g_rate,
     )
     return float(kin), float(dis), float(rot)
 
@@ -103,56 +114,24 @@ class LikelihoodModel:
     cdf_dis: EmpiricalCdf
     cdf_rot: EmpiricalCdf
     growth_rate: float
-    floor: float = LIK_FLOOR
 
-    def lik_against(self, b: Cell, targets: Sequence[Cell]) -> np.ndarray:
-        """Joint likelihood of matching ``b`` to each target, floored."""
-        if not targets:
-            return np.zeros(0)
-        centers = np.array([t.center for t in targets])
-        lengths = np.array([t.length for t in targets])
-        axes = np.array([t.axis_dir for t in targets])
-        kin, dis, rot = _penalty_arrays(b, centers, lengths, axes, self.growth_rate)
-        joint = (
-            (1.0 - self.cdf_kin(kin))
-            * (1.0 - self.cdf_dis(dis))
-            * (1.0 - self.cdf_rot(rot))
-        )
-        return np.maximum(joint, self.floor)
-
-    def lik(self, b: Cell, b_plus: Cell) -> float:
-        return float(self.lik_against(b, [b_plus])[0])
+    def lik(self, kin, dis, rot) -> np.ndarray:
+        """Joint likelihood of matches with these penalties, floored at LIK_FLOOR."""
+        joint = (1.0 - self.cdf_kin(kin)) * (1.0 - self.cdf_dis(dis)) * (1.0 - self.cdf_rot(rot))
+        return np.maximum(joint, LIK_FLOOR)
 
 
-def fit_likelihood_model(
-    source: Frame,
-    windows: Sequence[Sequence[Cell]],
-    g_rate: float,
-    floor: float = LIK_FLOOR,
-) -> LikelihoodModel:
-    """Build the three empirical CDFs from the two smallest penalty values per
-    source cell over its window (all available values when a window holds
-    fewer than two candidates)."""
-    if len(windows) != len(source):
-        raise ValidationError("one window per source cell required")
-    lows: dict[str, list[float]] = {"kin": [], "dis": [], "rot": []}
-    for b, cands in zip(source.cells, windows):
-        if not cands:
-            raise ValidationError(f"empty window for cell {b.id!r}")
-        centers = np.array([t.center for t in cands])
-        lengths = np.array([t.length for t in cands])
-        axes = np.array([t.axis_dir for t in cands])
-        vals = _penalty_arrays(b, centers, lengths, axes, g_rate)
-        take = min(2, len(cands))
-        for col, name in enumerate(("kin", "dis", "rot")):
-            lows[name].extend(np.partition(vals[col], take - 1)[:take])
-    return LikelihoodModel(
-        cdf_kin=EmpiricalCdf(lows["kin"]),
-        cdf_dis=EmpiricalCdf(lows["dis"]),
-        cdf_rot=EmpiricalCdf(lows["rot"]),
-        growth_rate=g_rate,
-        floor=floor,
-    )
+def fit_likelihood_model(penalties, offsets: np.ndarray, g_rate: float) -> LikelihoodModel:
+    """Build the three empirical CDFs from the two smallest of each source
+    cell's (kin, dis, rot) ``penalties`` over its window (the one value of a
+    singleton window); cell i's values lie at ``offsets[i]:offsets[i + 1]``."""
+    sizes = np.diff(offsets)
+    if not np.all(sizes):
+        raise ValidationError(f"empty window for source cell {int(np.argmin(sizes))}")
+    cell = np.repeat(np.arange(len(sizes)), sizes)
+    lows = np.concatenate([offsets[:-1], offsets[:-1][sizes > 1] + 1])
+    cdfs = [EmpiricalCdf(vals[np.lexsort((vals, cell))][lows]) for vals in penalties]
+    return LikelihoodModel(*cdfs, growth_rate=g_rate)
 
 
 def _broken(adj: np.ndarray, ti, tj) -> np.ndarray:
@@ -176,10 +155,11 @@ def _flipped(adj: np.ndarray, ct: np.ndarray, ti, tj, tk, sign) -> np.ndarray:
 class RegistrationProblem:
     """Precompiled registration instance over a reduced frame pair.
 
-    ``windows[i]`` holds target-frame positions admissible for source cell i,
-    ascending. ``match_cost[match_offsets[i] + s]`` is the per-cell negative
-    average log-likelihood of matching source i to ``windows[i][s]``, keyed
-    ``i * len(target) + windows[i][s]`` in ``match_keys``. Stab pairs, flip
+    One flat window layout serves build, anneal and decode: source cell i may
+    map to the target positions ``match_targets[match_offsets[i]:
+    match_offsets[i + 1]]``, ascending, at per-cell negative average
+    log-likelihoods ``match_cost`` in the same order, keyed
+    ``i * len(target) + position`` in ``match_keys``. Stab pairs, flip
     triplets, and the occupancy coefficient carry the ordered-double-sum
     weights of the cost terms, so clique sums reproduce the cost exactly.
     """
@@ -190,12 +170,12 @@ class RegistrationProblem:
     rho: float
     weights: RegistrationWeights
     likelihood: LikelihoodModel
-    windows: list[np.ndarray]
     source_graph: NeighborGraph
     target_graph: NeighborGraph
-    match_cost: np.ndarray
     match_offsets: np.ndarray
+    match_targets: np.ndarray
     match_keys: np.ndarray  # ascending, as the windows are
+    match_cost: np.ndarray
     stab_pairs: np.ndarray  # columns: i, j
     stab_weights: np.ndarray
     flip_triplets: np.ndarray  # columns: center i, wings j, k
@@ -206,6 +186,11 @@ class RegistrationProblem:
     @property
     def n(self) -> int:
         return len(self.source)
+
+    @property
+    def windows(self) -> list[np.ndarray]:
+        """Each cell's slice of ``match_targets`` (views)."""
+        return np.split(self.match_targets, self.match_offsets[1:-1])
 
     @property
     def clique_counts(self) -> tuple[int, int, int]:
@@ -219,7 +204,7 @@ class RegistrationProblem:
     # -- cost evaluation ----------------------------------------------------
 
     def _flat_positions(self, assignment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each cell's entry in ``match_cost``, and whether it is in the cell's window."""
+        """Each cell's entry in the flat layout, and whether it is in the cell's window."""
         keys, want = self.match_keys, np.arange(self.n) * len(self.target) + assignment
         at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
         return at, keys[at] == want
@@ -234,9 +219,12 @@ class RegistrationProblem:
         n = self.n
         at, inside = self._flat_positions(a)
         costs = self.match_cost[at]
-        for i in np.flatnonzero(~inside):
-            lik = self.likelihood.lik_against(self.source.cells[i], [self.target.cells[a[i]]])
-            costs[i] = (-np.log(lik) / n)[0]
+        out = np.flatnonzero(~inside)
+        if out.size:
+            pen = _penalty_arrays(
+                _rods(self.source, out), _rods(self.target, a[out]), self.likelihood.growth_rate
+            )
+            costs[out] = -np.log(self.likelihood.lik(*pen)) / n
         counts = np.bincount(a, minlength=len(self.target))
         adj, ct = self.target_graph.adj, self.target.centers()
         broken = _broken(adj, *a[self.stab_pairs.T])
@@ -260,14 +248,14 @@ class RegistrationProblem:
         array, one clique at a time, so no float copy of the tables exists.
         """
         lam, wins = self.weights, self.windows
-        adj = self.target_graph.adj
-        ct = self.target.centers()
+        adj, ct = self.target_graph.adj, self.target.centers()
         n_stab = self.stab_pairs.shape[0]
         sites = np.full((n_stab + self.flip_triplets.shape[0], 3), -1, dtype=np.int64)
         sites[:n_stab, :2] = self.stab_pairs
         sites[n_stab:] = self.flip_triplets
         bm = RegistrationBm(
-            wins,
+            self.match_offsets,
+            self.match_targets,
             lam.match * self.match_cost,
             sites,
             np.concatenate([lam.stab * self.stab_weights, lam.flip * self.flip_weights]),
@@ -292,8 +280,7 @@ class RegistrationProblem:
         return at - self.match_offsets[:-1]
 
     def assignment_for(self, states: np.ndarray) -> np.ndarray:
-        at = self.match_offsets[:-1] + states
-        return self.match_keys[at] - np.arange(self.n) * len(self.target)
+        return self.match_targets[self.match_offsets[:-1] + states]
 
     def mapping(self, assignment: np.ndarray) -> dict[str, str]:
         return {
@@ -313,9 +300,10 @@ def build_problem(
     """Assemble a registration problem for a (reduced) frame pair.
 
     Windows come from the motion-window query; a source cell with an empty
-    window is padded with its nearest target cell and flagged. Likelihood
-    CDFs, per-candidate match costs, neighbor cliques, and flip triplets are
-    all precomputed here.
+    window is padded with its nearest target cell and flagged. The penalties
+    of every (cell, window target) entry are computed once, in one flat
+    array pass, and give both the likelihood CDFs and the match costs;
+    neighbor cliques and flip triplets are array passes too.
     """
     n = len(red_b)
     if n == 0 or len(red_b_plus) == 0:
@@ -326,39 +314,28 @@ def build_problem(
             "a bijective registration is impossible",
             stacklevel=2,
         )
-    tc = red_b_plus.centers()
-    windows: list[np.ndarray] = []
-    padded: list[int] = []
-    for i, cell in enumerate(red_b.cells):
-        pos = np.flatnonzero(window_mask(cell.center, tc, w))
-        if pos.size == 0:
-            nearest = int(np.argmin(((tc - cell.center) ** 2).sum(axis=1)))
-            pos = np.array([nearest])
-            padded.append(i)
-        windows.append(pos)
-    window_cells = [[red_b_plus.cells[int(p)] for p in pos] for pos in windows]
-    likelihood = fit_likelihood_model(red_b, window_cells, g_rate)
-    liks = [likelihood.lik_against(cell, cands) for cell, cands in zip(red_b.cells, window_cells)]
-    match_cost = -np.log(np.concatenate(liks)) / n
-    match_offsets = np.concatenate([[0], np.cumsum([len(pos) for pos in windows])])
-    match_keys = np.concatenate([i * len(red_b_plus) + pos for i, pos in enumerate(windows)])
+    sc, tc = red_b.centers(), red_b_plus.centers()
+    windows = [np.flatnonzero(window_mask(center, tc, w)) for center in sc]
+    padded = [i for i, pos in enumerate(windows) if pos.size == 0]
+    for i in padded:
+        windows[i] = np.array([np.argmin(((tc - sc[i]) ** 2).sum(axis=1))])
+    sizes = [len(pos) for pos in windows]
+    match_offsets = np.concatenate([[0], np.cumsum(sizes)])
+    match_targets = np.concatenate(windows)
+    cell = np.repeat(np.arange(n), sizes)
+    penalties = _penalty_arrays(_rods(red_b, cell), _rods(red_b_plus, match_targets), g_rate)
+    likelihood = fit_likelihood_model(penalties, match_offsets, g_rate)
     source_graph = build_neighbor_graph(red_b, rho)
     target_graph = build_neighbor_graph(red_b_plus, rho)
     degrees = source_graph.degrees
-    sc = red_b.centers()
     stab_pairs = np.array(source_graph.edges(), dtype=np.int64).reshape(-1, 2)
-    stab_weights = 2.0 / (n * degrees[stab_pairs[:, 0]] * degrees[stab_pairs[:, 1]])
-    flip_triplets, flip_weights, flip_signs = [], [], []
-    for i in range(n):
-        nbrs = np.flatnonzero(source_graph.adj[i])
-        for a in range(len(nbrs)):
-            for b in range(a + 1, len(nbrs)):
-                j, k = int(nbrs[a]), int(nbrs[b])
-                flip_triplets.append((i, j, k))
-                flip_weights.append(2.0 / (n * degrees[i] ** 2))
-                flip_signs.append(
-                    float(np.sign(cross2(sc[j] - sc[i], sc[k] - sc[i])))
-                )
+    # flip triplets (i, then j < k among i's sorted neighbors): each entry p
+    # of the row-major neighbor list pairs with the later entries q of its row
+    rows, cols = np.nonzero(source_graph.adj)
+    later = np.repeat(np.cumsum(degrees), degrees) - np.arange(len(rows)) - 1
+    p = np.repeat(np.arange(len(rows)), later)
+    q = p + 1 + np.arange(len(p)) - np.repeat(np.cumsum(later) - later, later)
+    i, j, k = rows[p], cols[p], cols[q]
     return RegistrationProblem(
         source=red_b,
         target=red_b_plus,
@@ -366,17 +343,17 @@ def build_problem(
         rho=rho,
         weights=weights,
         likelihood=likelihood,
-        windows=windows,
         source_graph=source_graph,
         target_graph=target_graph,
-        match_cost=match_cost,
         match_offsets=match_offsets,
-        match_keys=match_keys,
+        match_targets=match_targets,
+        match_keys=cell * len(red_b_plus) + match_targets,
+        match_cost=-np.log(likelihood.lik(*penalties)) / n,
         stab_pairs=stab_pairs,
-        stab_weights=stab_weights,
-        flip_triplets=np.array(flip_triplets, dtype=np.int64).reshape(-1, 3),
-        flip_weights=np.array(flip_weights),
-        flip_signs=np.array(flip_signs),
+        stab_weights=2.0 / (n * degrees[stab_pairs[:, 0]] * degrees[stab_pairs[:, 1]]),
+        flip_triplets=np.stack([i, j, k], axis=1),
+        flip_weights=2.0 / (n * degrees[i] ** 2),
+        flip_signs=np.sign(cross2(sc[j] - sc[i], sc[k] - sc[i])),
         padded_sites=padded,
     )
 
@@ -385,7 +362,7 @@ def initial_assignment(problem: RegistrationProblem) -> np.ndarray:
     """Per-cell likelihood argmax (match-cost argmin) over the window; ties
     break by smaller kinetic penalty, then by target id."""
     cell = np.repeat(np.arange(problem.n), np.diff(problem.match_offsets))
-    win = problem.match_keys - cell * len(problem.target)
+    win = problem.match_targets
     kins = ((problem.target.centers()[win] - problem.source.centers()[cell]) ** 2).sum(axis=1)
     id_rank = np.argsort(np.argsort(problem.target.ids))
     first = np.lexsort((id_rank[win], kins, problem.match_cost, cell))[problem.match_offsets[:-1]]

@@ -201,7 +201,7 @@ def test_frames_jsonl_roundtrip(tmp_path, small_run):
         assert np.allclose(orig.centers(), copy.centers(), atol=1e-8)
 
 
-def test_frames_jsonl_rejects_garbage(tmp_path):
+def test_frames_jsonl_rejects_garbage(tmp_path, capsys):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"frame": 0, "id": "a", "e": [0, 0]}\n')
     with pytest.raises(ValidationError):
@@ -209,6 +209,13 @@ def test_frames_jsonl_rejects_garbage(tmp_path):
     path.write_text("")
     with pytest.raises(ValidationError):
         io.read_frames_jsonl(path)
+    cell = '{"frame": 0, "id": "a", "e": [0, 0], "h": [20, 0], "width": 8}\n'
+    path.write_text(cell * 2)
+    duplicate = re.escape(f"{path}: duplicate cell id 'a' in frame 0")
+    with pytest.raises(ValidationError, match=duplicate):
+        io.read_frames_jsonl(path)
+    assert main(["track", "--frames", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_lineage_csv_roundtrip(tmp_path, small_run):
@@ -412,6 +419,8 @@ def test_cli_simulate_rejects_bad_config(tmp_path, capsys, bad):
         {"registration_schedule": {"stability_window": 0}},
         {"registration_schedule": {"stability_tol": -1.0}},
         {"trim_thresholds": {"rat": 1.0}},
+        {"registration_schedule": 5},
+        {"children_schedule": ["c"]},
     ],
 )
 def test_cli_track_rejects_bad_config(tmp_path, capsys, small_run, bad):
@@ -458,6 +467,34 @@ def test_cli_calibrate_rejects_bad_budget(tmp_path, capsys, small_run, budget):
     args = ["calibrate", "--frames", str(frames_path), "--ground-truth", str(truth_path)]
     assert main([*args, "--budget", budget, "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("error: budget must be a finite positive number")
+
+
+@pytest.mark.parametrize(
+    "damage, problem",
+    [
+        ("drop", "sources do not cover the frame"),
+        ("retarget", "targets do not cover the next frame"),
+    ],
+)
+def test_cli_calibrate_rejects_incomplete_ground_truth(
+    tmp_path, capsys, small_run, damage, problem
+):
+    frames_path, truth_path = tmp_path / "frames.jsonl", tmp_path / "lineage.csv"
+    io.write_frames_jsonl(small_run.frames, frames_path)
+    rec = next(r for r in small_run.lineage if r.n_divisions == 0)
+    moved = dict(rec.moved)
+    src = sorted(moved)[0]
+    if damage == "drop":
+        del moved[src]
+    else:
+        moved[src] = "zz"
+    bad = LineageRecord(rec.frame_index, moved, {})
+    io.write_lineage_csv([bad if r is rec else r for r in small_run.lineage], truth_path)
+    args = ["calibrate", "--frames", str(frames_path), "--ground-truth", str(truth_path)]
+    args += ["--pair", str(rec.frame_index), "--out", str(tmp_path / "o"), "--quiet"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {truth_path}: pair {rec.frame_index}: {problem}")
 
 
 def test_cli_weights_and_schedule_files(tmp_path, small_run):

@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from colony_track import annealer
 from colony_track.annealer import RegistrationConfig, Schedule
+from colony_track.division import ShortLineage, reduce_frames
 from colony_track.errors import ValidationError
 from colony_track.geometry import cross2
 from colony_track.registration import (
     EmpiricalCdf,
     LIK_FLOOR,
-    LikelihoodModel,
     RegistrationWeights,
     build_problem,
     fit_likelihood_model,
@@ -85,42 +85,68 @@ def test_ecdf_monotone(samples, x, dx):
     assert cdf(x) <= cdf(x + dx) + 1e-12
 
 
+def flat_penalties(src, dst, windows, g_rate=1.05):
+    """(kin, dis, rot) rows over the windows, flat in window order, scored one
+    pair at a time, and the per-cell offsets."""
+    pens = [
+        pair_penalties(b, dst.cells[t], g_rate) for b, win in zip(src.cells, windows) for t in win
+    ]
+    offsets = np.cumsum([0, *map(len, windows)])
+    return np.array(pens).reshape(-1, 3).T, offsets
+
+
 def test_likelihood_floor_and_tails():
     rng = np.random.default_rng(2)
     src = random_frame(rng, 6, span=90.0)
     dst = jittered_copy(src, rng)
-    windows = [[c for c in dst.cells] for _ in src.cells]
-    model = fit_likelihood_model(src, windows, g_rate=1.05)
+    model = fit_likelihood_model(*flat_penalties(src, dst, [range(len(dst))] * len(src)), 1.05)
     # below every sample: all three survival factors are 1
     good = make_cell("g", src.cells[0].center, angle=0.0, length=20.0)
     target = make_cell("t", good.center - 1e-9, angle=0.0, length=20.0 * 1.05)
-    assert model.lik(good, target) <= 1.0
+    assert model.lik(*pair_penalties(good, target, 1.05)) <= 1.0
     # a hopeless candidate is floored at exactly the configured value
     far = make_cell("f", good.center + 500.0, angle=np.pi / 2, length=80.0)
-    assert model.lik(good, far) == LIK_FLOOR
+    assert model.lik(*pair_penalties(good, far, 1.05)) == LIK_FLOOR
 
 
 def test_fit_model_requires_windows():
-    rng = np.random.default_rng(3)
-    src = random_frame(rng, 3, span=60.0)
-    with pytest.raises(ValidationError):
-        fit_likelihood_model(src, [[]] * 3, g_rate=1.05)
-    with pytest.raises(ValidationError):
-        fit_likelihood_model(src, [[src.cells[0]]], g_rate=1.05)
+    with pytest.raises(ValidationError, match="empty window for source cell 1"):
+        fit_likelihood_model(np.zeros((3, 2)), np.array([0, 1, 1, 2]), g_rate=1.05)
+    with pytest.raises(ValidationError, match="at least one sample"):
+        fit_likelihood_model(np.zeros((3, 0)), np.array([0]), g_rate=1.05)
+
+
+def partition_oracle(penalties, offsets):
+    """Sorted CDF samples: each cell's two smallest values by np.partition."""
+    lows = []
+    for vals in penalties:
+        per_cell = [vals[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+        take = [min(2, len(v)) for v in per_cell]
+        lows.append(np.sort(np.concatenate(
+            [np.partition(v, t - 1)[:t] for v, t in zip(per_cell, take)]
+        )))
+    return lows
 
 
 def test_two_smallest_values_per_cell():
     rng = np.random.default_rng(4)
     src = random_frame(rng, 5, span=80.0)
     dst = jittered_copy(src, rng)
-    windows = [list(dst.cells) for _ in src.cells]
-    model = fit_likelihood_model(src, windows, g_rate=1.05)
-    assert model.cdf_kin.samples.size == 2 * len(src)
-    expected = []
-    for b in src.cells:
-        kins = sorted(float(((t.center - b.center) ** 2).sum()) for t in dst.cells)
-        expected.extend(kins[:2])
-    assert np.allclose(np.sort(expected), model.cdf_kin.samples)
+    windows = [range(5), [2], [4, 0, 3], range(5), [1, 3]]  # one singleton
+    penalties, offsets = flat_penalties(src, dst, windows)
+    model = fit_likelihood_model(penalties, offsets, g_rate=1.05)
+    assert model.cdf_kin.samples.size == 2 * len(src) - 1
+    models = [(model, penalties, offsets)]
+    # and the models build_problem fits on the registration digest's frames
+    for _, _, problem in digest_problems():
+        g = problem.likelihood.growth_rate
+        models.append((problem.likelihood, *flat_penalties(
+            problem.source, problem.target, problem.windows, g
+        )))
+    for model, penalties, offsets in models:
+        cdfs = (model.cdf_kin, model.cdf_dis, model.cdf_rot)
+        for cdf, want in zip(cdfs, partition_oracle(penalties, offsets)):
+            assert cdf.samples.tobytes() == want.tobytes()
 
 
 # -- cost terms ---------------------------------------------------------------
@@ -132,8 +158,9 @@ def brute_force_terms(problem, assignment):
     dst = problem.target
     n = len(src)
     a = np.asarray(assignment)
+    lik, g = problem.likelihood, problem.likelihood.growth_rate
     match = -sum(
-        math.log(problem.likelihood.lik(src.cells[i], dst.cells[a[i]])) for i in range(n)
+        math.log(lik.lik(*pair_penalties(src.cells[i], dst.cells[a[i]], g))) for i in range(n)
     ) / n
     over = sum(
         1.0
@@ -187,10 +214,12 @@ def test_ideal_registration_scores_zero():
 
 
 def dense_match_cost(problem):
-    """Oracle: every source cell scored against every target cell."""
+    """Oracle: every source cell scored against every target cell, one pair
+    at a time."""
+    lik, g = problem.likelihood, problem.likelihood.growth_rate
     return np.array([
-        -np.log(problem.likelihood.lik_against(cell, problem.target.cells)) / problem.n
-        for cell in problem.source.cells
+        [-np.log(lik.lik(*pair_penalties(b, t, g))) / problem.n for t in problem.target.cells]
+        for b in problem.source.cells
     ])
 
 
@@ -206,11 +235,24 @@ def test_window_sparse_match_costs_equal_dense_oracle():
         )
         for k in six.pairs
     ]
-    pipe, cfg = workloads.pipeline21(0), PIPELINE_CONFIG
+    # a window width that leaves 31 of 99 cells padded
     problems.append(build_problem(
-        pipe.frames[22], pipe.frames[23], w=cfg.w, rho=cfg.rho,
-        weights=cfg.registration_weights, g_rate=cfg.g_rate,
+        six.frames[2], six.frames[3], w=18.0, rho=80.0,
+        weights=measure.REG6MIN_WEIGHTS, g_rate=measure.REG6MIN_G_RATE,
     ))
+    assert len(problems[-1].padded_sites) == 31
+    pipe, cfg = workloads.pipeline21(0), PIPELINE_CONFIG
+    # pair 22 is division-free; pair 46 is reduced by its 7 true divisions
+    rec = pipe.lineage[46]
+    lineages = [ShortLineage(p, kids, 0.0) for p, kids in rec.divided.items()]
+    for red_b, red_b_plus in (
+        (pipe.frames[22], pipe.frames[23]),
+        reduce_frames(pipe.frames[46], pipe.frames[47], lineages)[:2],
+    ):
+        problems.append(build_problem(
+            red_b, red_b_plus, w=cfg.w, rho=cfg.rho,
+            weights=cfg.registration_weights, g_rate=cfg.g_rate,
+        ))
     rng = np.random.default_rng(0)
     for problem in problems:
         n, dense = problem.n, dense_match_cost(problem)
@@ -362,9 +404,10 @@ def test_size_mismatch_warns():
 def test_initial_assignment_is_likelihood_argmax(seed):
     problem = small_problem(seed=seed, n=10, w=70.0, shift=6.0)
     expected = []
+    lik, g = problem.likelihood, problem.likelihood.growth_rate
     for i, cell in enumerate(problem.source.cells):
         cands = [problem.target.cells[int(p)] for p in problem.windows[i]]
-        liks = problem.likelihood.lik_against(cell, cands)
+        liks = [lik.lik(*pair_penalties(cell, t, g)) for t in cands]
         kins = [((t.center - cell.center) ** 2).sum() for t in cands]
         best = min(range(len(cands)), key=lambda s: (-liks[s], kins[s], cands[s].id))
         expected.append(int(problem.windows[i][best]))
@@ -460,17 +503,12 @@ def test_register_result_energy_is_recomputed_cost():
     assert result.epochs == len(result.energy_trace)
 
 
-# sha256 over (pair, assignment, n_epochs, n_steps, best_energy bytes, epoch
-# energy bytes) of every chain of register runs on reg6min gate pairs and
-# division-free pipeline21 pairs; pins the async chain's trajectory bit for bit
-GOLDEN_REGISTRATION_DIGEST = "8f0d95aca8e2cb5244645300589cbcba6232136658ec9478dc00f877491086d5"
-
-
-def test_registration_chains_match_golden_digest():
+def digest_problems():
+    """(workload, pair, problem) of the registration digest: reg6min gate
+    pairs and division-free pipeline21 pairs."""
     from test_acceptance import PIPELINE_CONFIG
     from trackbench import measure, workloads
 
-    schedule = Schedule(c=30.0, eta=0.995, epoch_cap=25)
     cases = []
     six = workloads.reg6min(0, pairs=3)
     for k in six.pairs:
@@ -486,6 +524,44 @@ def test_registration_chains_match_golden_digest():
             pipe.frames[k], pipe.frames[k + 1], w=cfg.w, rho=cfg.rho,
             weights=cfg.registration_weights, g_rate=cfg.g_rate,
         )))
+    return cases
+
+
+def loop_flip_triplets(problem):
+    """Reference: flip triplets, weights and signs by the per-cell double loop."""
+    sg, sc, n = problem.source_graph, problem.source.centers(), problem.n
+    degrees = sg.degrees
+    triplets, weights, signs = [], [], []
+    for i in range(n):
+        nbrs = np.flatnonzero(sg.adj[i])
+        for a in range(len(nbrs)):
+            for b in range(a + 1, len(nbrs)):
+                j, k = int(nbrs[a]), int(nbrs[b])
+                triplets.append((i, j, k))
+                weights.append(2.0 / (n * degrees[i] ** 2))
+                signs.append(float(np.sign(cross2(sc[j] - sc[i], sc[k] - sc[i]))))
+    return np.array(triplets, dtype=np.int64).reshape(-1, 3), np.array(weights), np.array(signs)
+
+
+def test_flip_triplets_equal_loop_reference():
+    problems = [p for _, _, p in digest_problems()]
+    for problem in problems + [small_problem(seed=s, n=9) for s in range(3)]:
+        triplets, weights, signs = loop_flip_triplets(problem)
+        assert problem.flip_triplets.dtype == np.int64
+        assert problem.flip_triplets.tobytes() == triplets.tobytes()
+        assert problem.flip_weights.tobytes() == weights.tobytes()
+        assert problem.flip_signs.tobytes() == signs.tobytes()
+
+
+# sha256 over (pair, assignment, n_epochs, n_steps, best_energy bytes, epoch
+# energy bytes) of every chain of register runs on reg6min gate pairs and
+# division-free pipeline21 pairs; pins the async chain's trajectory bit for bit
+GOLDEN_REGISTRATION_DIGEST = "8f0d95aca8e2cb5244645300589cbcba6232136658ec9478dc00f877491086d5"
+
+
+def test_registration_chains_match_golden_digest():
+    schedule = Schedule(c=30.0, eta=0.995, epoch_cap=25)
+    cases = digest_problems()
     # the chains start from colliding maps, so they pass through over > 0
     assert any(p.cost_terms(initial_assignment(p))[1] > 0 for _, _, p in cases)
     chains = []
