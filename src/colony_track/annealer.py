@@ -6,13 +6,15 @@ into flat arrays over finite per-site candidate lists:
     E(z) = sum_i match_i[z_i] + sum_K weight_K * table_K[z restricted to K]
          + coef * #{unordered site pairs mapped to the same target}
 
-Match rows are float64; the 2-site (stab) and 3-site (flip) 0/1 tables sit
-in one int8 array, and a per-site incidence list in CSR form (compressed
-sparse rows: one start index per site) names the cliques of each site. The
-collision term is kept through per-target occupancy counts. Its dynamics is
-``async``: one site at a time, priced by one gather over the site's tables
-and one reduction. Deltas and full energies add their terms in one fixed
-order, match, then stab, then flip cliques, then collision, each a
+Match rows are float64; the 2-site (stab) and 3-site (flip) 0/1 tables are
+packed as bits into one uint8 array: each clique's table is C-ordered and
+starts on a byte boundary, and entry e of the packed bits is bit ``e & 7``
+(little bit order) of byte ``e >> 3``. A per-site incidence list in CSR form
+(compressed sparse rows: one start index per site) names the cliques of each
+site. The collision term is kept through per-target occupancy counts. Its
+dynamics is ``async``: one site at a time, priced by one bit gather over the
+site's tables and one reduction. Deltas and full energies add their terms in
+one fixed order, match, then stab, then flip cliques, then collision, each a
 sequential sum rather than a pairwise one, so the incremental and the full
 energy are the same float operations and every chain is reproducible bit
 for bit.
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -41,20 +43,34 @@ from .errors import ValidationError, check_fields
 Dynamics = Literal["async", "swap"]
 
 
+# Bits of clique tables staged before one np.packbits call (64 KiB of bool).
+# Small on purpose: the buffer adds to the peak memory of a registration
+# pass, which packing the tables exists to lower.
+_STAGE_BITS = 1 << 16
+
+
+def _bits_at(bits: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The 0/1 entries (int64) at bit positions ``at`` of the packed tables."""
+    return (bits[at >> 3] >> (at & 7)) & 1
+
+
 class RegistrationBm:
     """Flat compiled registration energy over sites with finite candidate lists.
 
     Site i takes one of ``sizes[i] = offsets[i + 1] - offsets[i]`` candidate
     positions; candidate a of site i lies at ``offsets[i] + a`` in the flat
     per-candidate arrays ``match`` (the weighted match cost) and ``targets``
-    (the target position it reaches).
+    (the target position it reaches; distinct among a site's candidates).
     Clique c has two or three sites (``sites[c]``, padded with -1), a weight,
-    and a 0/1 int8 table stored C-ordered from ``tables[base[c]]`` with
-    per-site element strides ``strides[c]`` (0 for padding); :meth:`table`
-    hands out that slice to be filled in place. Entries ``ptr[i]:ptr[i + 1]``
-    of the ``inc_*`` arrays are site i's incident cliques in clique order:
-    table base, the site's own stride, the two other sites with their
-    strides, and the clique weight.
+    and a 0/1 table, the c-th of ``tables`` (any iterable of arrays shaped by
+    the clique's sites' sizes, consumed once). The tables are packed as bits
+    into the uint8 array ``bits``: clique c's table is C-ordered from bit
+    ``base[c]``, a multiple of 8, with per-site element strides
+    ``strides[c]`` (0 for padding), and bit e is bit ``e & 7`` of byte
+    ``e >> 3`` (little bit order). :meth:`table` unpacks one table. Entries
+    ``ptr[i]:ptr[i + 1]`` of the ``inc_*`` arrays are site i's incident
+    cliques in clique order: table base, the site's own stride, the two other
+    sites with their strides, and the clique weight.
     """
 
     def __init__(
@@ -65,6 +81,7 @@ class RegistrationBm:
         sites: np.ndarray,
         weights: np.ndarray,
         coef: float,
+        tables: Iterable[np.ndarray],
     ):
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.sizes = np.diff(self.offsets)
@@ -79,8 +96,10 @@ class RegistrationBm:
         # C order: a site's stride is the product of the later sites' sizes
         self.strides = np.where(real, dims[:, ::-1].cumprod(axis=1)[:, ::-1] // dims, 0)
         cells = dims.prod(axis=1)
-        self.base = np.cumsum(cells) - cells
-        self.tables = np.zeros(int(cells.sum()), dtype=np.int8)
+        padded = -(-cells // 8) * 8
+        self.base = np.cumsum(padded) - padded
+        self.bits = np.zeros(int(padded.sum()) // 8, dtype=np.uint8)
+        self._pack(tables, cells, padded)
         # site i's incidence list, in clique order within each site
         clique, pos = np.nonzero(real)
         order = np.argsort(self.sites[clique, pos], kind="stable")
@@ -95,10 +114,32 @@ class RegistrationBm:
         self.inc_weight = self.weights[clique][:, None]
         self.positions = np.arange(int(self.sizes.max(initial=1)))
 
+    def _pack(self, tables: Iterable[np.ndarray], cells: np.ndarray, padded: np.ndarray):
+        """Pack the clique tables into ``bits``: runs of consecutive tables
+        are copied into one small staging buffer, each padded with zeros to
+        a whole byte, and packed by one ``np.packbits`` call per run."""
+        stage = np.empty(max(_STAGE_BITS, int(padded.max(initial=0))), dtype=bool)
+        start = used = given = 0  # the run's first byte in ``bits``, its staged bits
+        for c, table in enumerate(tables):
+            if used + padded[c] > stage.size:
+                self.bits[start: start + used // 8] = np.packbits(stage[:used], bitorder="little")
+                start, used = start + used // 8, 0
+            stage[used: used + cells[c]] = np.ravel(table)
+            stage[used + cells[c]: used + padded[c]] = False
+            used, given = used + padded[c], c + 1
+        if given != len(self.sites):
+            raise ValidationError(f"{given} clique tables for {len(self.sites)} cliques")
+        self.bits[start:] = np.packbits(stage[:used], bitorder="little")
+
     def table(self, c: int) -> np.ndarray:
-        """Writable view of clique c's table, shaped by its sites' sizes."""
+        """Clique c's 0/1 table (uint8, read-only), shaped by its sites' sizes."""
         shape = tuple(self.sizes[s] for s in self.sites[c] if s >= 0)
-        return self.tables[self.base[c]: self.base[c] + math.prod(shape)].reshape(shape)
+        cells, start = math.prod(shape), self.base[c] // 8
+        out = np.unpackbits(
+            self.bits[start: start + -(-cells // 8)], count=cells, bitorder="little"
+        ).reshape(shape)
+        out.flags.writeable = False
+        return out
 
     def energy(self, states: np.ndarray) -> float:
         """Full recomputation of E(z); the reference for all bookkeeping.
@@ -108,11 +149,11 @@ class RegistrationBm:
         """
         n = self.n_sites
         chosen = self.offsets[:-1] + states
-        idx = self.base + (states[self.sites] * self.strides).sum(axis=1)
-        terms = np.empty(1 + n + len(idx))
+        at = self.base + (states[self.sites] * self.strides).sum(axis=1)
+        terms = np.empty(1 + n + len(at))
         terms[0] = 0.0
         terms[1 : n + 1] = self.match[chosen]
-        np.multiply(self.weights, self.tables[idx], out=terms[n + 1 :])
+        np.multiply(self.weights, _bits_at(self.bits, at), out=terms[n + 1 :])
         counts = np.bincount(self.targets[chosen])
         pairs = float((counts * (counts - 1) // 2).sum())
         return float(np.cumsum(terms)[-1]) + self.coef * pairs
@@ -139,31 +180,30 @@ class RegistrationConfig:
     def delta_vector(self, site: int) -> np.ndarray:
         """Energy change for moving ``site`` to each of its candidates.
 
-        One gather over the site's incident tables, then one reduction over
-        the rows (match, then cliques in order) added one after another,
-        then the collision term: the summation order of :meth:`energy`.
+        One bit gather over the site's incident tables, then one reduction
+        over the rows (match, then cliques in order, then collision) added
+        one after another: the summation order of :meth:`energy`.
         """
         p, z = self.problem, self.states
         cur = z[site]
         a, b = p.offsets[site], p.offsets[site + 1]
         lo, hi = p.ptr[site], p.ptr[site + 1]
-        at = p.inc_base[lo:hi] + (z[p.inc_other[lo:hi]] * p.inc_other_stride[lo:hi]).sum(1)
-        vals = p.tables[at[:, None] + p.positions[: b - a] * p.inc_stride[lo:hi]]
-        rows = np.empty((1 + hi - lo, b - a))
+        zs = z[p.inc_other[lo:hi]] * p.inc_other_stride[lo:hi]
+        at = p.inc_base[lo:hi] + zs[:, 0] + zs[:, 1]
+        vals = _bits_at(p.bits, at[:, None] + p.positions[: b - a] * p.inc_stride[lo:hi])
+        rows = np.empty((2 + hi - lo, b - a))
         match = p.match[a:b]
         np.subtract(match, match[cur], out=rows[0])
-        np.multiply(p.inc_weight[lo:hi], vals - vals[:, cur, None], out=rows[1:])
+        np.multiply(p.inc_weight[lo:hi], vals - vals[:, cur, None], out=rows[1:-1])
+        # the site does not count against its own target (its candidates'
+        # targets are distinct)
+        occ = self._occ[p.targets[a:b]]
+        occ[cur] -= 1
+        np.multiply(p.coef, occ - occ[cur], out=rows[-1])
         # along axis 0 numpy adds whole rows one after another (pairwise
         # summation runs only along the contiguous axis); a site with one
         # candidate has all-zero rows, so its order cannot matter
-        out = np.add.reduce(rows, axis=0)
-        occ = self._occ
-        toks = p.targets[a:b]
-        cur_tok = toks[cur]
-        # exclude this site itself from the counts it sees
-        occ_cand = occ[toks] - (toks == cur_tok)
-        out += p.coef * (occ_cand - (occ[cur_tok] - 1))
-        return out
+        return np.add.reduce(rows, axis=0)
 
     def apply(self, site: int, new_state: int, delta: float) -> None:
         """Move ``site`` to ``new_state``; ``delta`` is the energy change."""

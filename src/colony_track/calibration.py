@@ -87,9 +87,22 @@ def build_perturbations(
     return CalibrationInstance(np.vstack(rows), gamma=gamma, budget=budget, labels=labels)
 
 
+def _weighted_sum(values, weights) -> np.ndarray:
+    """sum_k values[..., k] * weights[k], added left to right per element.
+
+    Not ``values @ weights``: that product goes through BLAS, whose kernels
+    (FMA, blocking) round it differently from one CPU to another.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    total = np.zeros(values.shape[:-1])
+    for k in range(values.shape[-1]):
+        total += values[..., k] * weights[k]
+    return total
+
+
 def objective(instance: CalibrationInstance, lam: np.ndarray) -> float:
     """Exact objective with the slack vector at its optimum y = [-V lam]^+."""
-    margins = instance.perturbations @ lam
+    margins = _weighted_sum(instance.perturbations, lam)
     return float(
         instance.gamma * np.clip(-margins, 0.0, None).sum()
         - np.clip(margins, 0.0, None).sum()
@@ -218,7 +231,7 @@ def calibrate(
     for lam in starts:
         trace = [objective(instance, lam)]
         for _ in range(max_rounds):
-            active = (instance.perturbations @ lam) > 0.0
+            active = _weighted_sum(instance.perturbations, lam) > 0.0
             subgrad = instance.perturbations[active].sum(axis=0)
             lam = _solve_linearized(instance, subgrad, literal_equality)
             trace.append(objective(instance, lam))
@@ -234,7 +247,7 @@ def calibration_report(
     instance: CalibrationInstance, lam: np.ndarray
 ) -> list[list]:
     """Rows a,<Lambda,V_a>,y(a) describing the calibrated margins."""
-    margins = instance.perturbations @ lam
+    margins = _weighted_sum(instance.perturbations, lam)
     slack = np.clip(-margins, 0.0, None)
     labels = instance.labels or [(i, -1) for i in range(len(margins))]
     return [

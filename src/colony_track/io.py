@@ -125,6 +125,8 @@ def read_lineage_csv(path) -> list:
                 raise ValidationError(f"{where}: bad frame index {row[0]!r}") from exc
             src, kind = row[1], row[2]
             moved, divided = per_frame.setdefault(idx, ({}, {}))
+            if src in moved or src in divided:
+                raise ValidationError(f"{where}: source {src!r} repeated in frame {idx}")
             if kind == "MOVE":
                 moved[src] = row[3]
             elif kind == "DIV":

@@ -8,14 +8,16 @@ is scored by four penalties: the matching log-likelihood, an overlap count
 penalizing many-to-one collisions, a neighbor-stability term, and a
 neighbor-flip term detecting orientation reversals of neighbor pairs around
 a cell. The weighted penalties compile, on the same layout, into one flat
-Boltzmann-machine energy (float64 match rows, 0/1 stab and flip tables in
-one int8 array, occupancy counts for collisions) whose value at a
-configuration equals the cost of the decoded mapping; it sums match, stab,
-flip, then collision terms sequentially, so every chain is reproducible.
+Boltzmann-machine energy (float64 match rows, 0/1 stab and flip tables
+packed as bits in one uint8 array, occupancy counts for collisions) whose
+value at a configuration equals the cost of the decoded mapping; it sums
+match, stab, flip, then collision terms sequentially, so every chain is
+reproducible.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -23,6 +25,7 @@ import numpy as np
 
 from . import annealer
 from .annealer import RegistrationBm, Schedule
+from .calibration import _weighted_sum
 from .errors import ValidationError, check_fields
 from .geometry import Cell, Frame, NeighborGraph, build_neighbor_graph, cross2, window_mask
 
@@ -237,15 +240,16 @@ class RegistrationProblem:
         )
 
     def cost(self, assignment: np.ndarray) -> float:
-        return float(self.weights.as_array() @ np.array(self.cost_terms(assignment)))
+        return float(_weighted_sum(self.cost_terms(assignment), self.weights.as_array()))
 
     # -- BM compilation -----------------------------------------------------
 
     def to_bm(self) -> RegistrationBm:
         """Compile the weighted cost into one flat registration energy.
 
-        Each stab and flip table is written straight into the energy's int8
-        array, one clique at a time, so no float copy of the tables exists.
+        Each stab and flip table is built by the broadcast ``cost_terms``
+        uses and handed to the energy one clique at a time, which packs it
+        as bits, so no dense copy of all the tables exists.
         """
         lam, wins = self.weights, self.windows
         adj, ct = self.target_graph.adj, self.target.centers()
@@ -253,24 +257,23 @@ class RegistrationProblem:
         sites = np.full((n_stab + self.flip_triplets.shape[0], 3), -1, dtype=np.int64)
         sites[:n_stab, :2] = self.stab_pairs
         sites[n_stab:] = self.flip_triplets
-        bm = RegistrationBm(
+        stab = (_broken(adj, wins[i][:, None], wins[j][None, :]) for i, j in self.stab_pairs)
+        flip = (
+            _flipped(
+                adj, ct, wins[i][:, None, None], wins[j][None, :, None],
+                wins[k][None, None, :], sign,
+            )
+            for (i, j, k), sign in zip(self.flip_triplets, self.flip_signs)
+        )
+        return RegistrationBm(
             self.match_offsets,
             self.match_targets,
             lam.match * self.match_cost,
             sites,
             np.concatenate([lam.stab * self.stab_weights, lam.flip * self.flip_weights]),
             coef=lam.over * 2.0 / self.n,
+            tables=itertools.chain(stab, flip),
         )
-        for c, (i, j) in enumerate(self.stab_pairs):
-            bm.table(c)[...] = _broken(adj, wins[i][:, None], wins[j][None, :])
-        for c, ((i, j, k), sign) in enumerate(
-            zip(self.flip_triplets, self.flip_signs), start=n_stab
-        ):
-            bm.table(c)[...] = _flipped(
-                adj, ct, wins[i][:, None, None], wins[j][None, :, None],
-                wins[k][None, None, :], sign,
-            )
-        return bm
 
     def states_for(self, assignment: np.ndarray) -> np.ndarray:
         """Window-relative state indices of a target-position assignment."""
@@ -422,7 +425,7 @@ def register(
             result = cand
     assignment = problem.assignment_for(result.best_states)
     terms = problem.cost_terms(assignment)
-    energy = float(problem.weights.as_array() @ np.array(terms))
+    energy = float(_weighted_sum(terms, problem.weights.as_array()))
     return RegistrationResult(
         mapping=problem.mapping(assignment),
         assignment=assignment,

@@ -245,6 +245,30 @@ def test_reg6min_pair_2_pinned(six_minute_run):
         _assert_round_optimal(inst, subgrad, False, res)
 
 
+def test_weighted_sums_equal_python_float_loop(six_minute_run):
+    frames, lineage = six_minute_run.frames, six_minute_run.lineage
+    src, dst = frames[2], frames[3]
+    problem = build_problem(src, dst, w=100.0, rho=80.0, g_rate=1.005**6)
+    truth = np.array([dst.position(lineage[2].moved[c.id]) for c in src.cells])
+    inst = build_perturbations(truth, problem, problem.windows, all_alternatives=True)
+
+    def loop(row, weights):
+        total = 0.0
+        for v, w in zip(row.tolist(), weights.tolist()):
+            total += v * w
+        return total
+
+    weights = problem.weights.as_array()
+    for lam in (calibrate(inst), np.full(4, inst.budget / 4), weights):
+        want = np.array([loop(row, lam) for row in inst.perturbations])
+        assert calibration._weighted_sum(inst.perturbations, lam).tobytes() == want.tobytes()
+        margins = [row[1] for row in calibration_report(inst, lam)]
+        assert np.array(margins).tobytes() == want.tobytes()
+    for a in (truth, problem.match_targets[problem.match_offsets[:-1]]):
+        terms = np.array(problem.cost_terms(a))
+        assert problem.cost(a) == loop(terms, weights)
+
+
 def test_pivot_cap_raises(monkeypatch):
     rng = np.random.default_rng(1)
     inst = CalibrationInstance(rng.normal(size=(30, 4)), gamma=10.0, budget=100.0)

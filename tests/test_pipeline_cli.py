@@ -231,7 +231,12 @@ def test_lineage_csv_roundtrip(tmp_path, small_run):
 
 @pytest.mark.parametrize(
     "row, problem",
-    [("0,c1,MOVE", "expected 5 fields, got 3"), ("x,c1,MOVE,c2,", "bad frame index 'x'")],
+    [
+        ("0,c1,MOVE", "expected 5 fields, got 3"),
+        ("x,c1,MOVE,c2,", "bad frame index 'x'"),
+        ("0,c0,MOVE,c1,", "source 'c0' repeated in frame 0"),
+        ("0,c0,DIV,c1,c2", "source 'c0' repeated in frame 0"),
+    ],
 )
 def test_lineage_csv_rejects_malformed_row(tmp_path, capsys, row, problem):
     path = tmp_path / "lineage.csv"
@@ -240,6 +245,24 @@ def test_lineage_csv_rejects_malformed_row(tmp_path, capsys, row, problem):
         io.read_lineage_csv(path)
     assert main(["score", "--predicted", str(path), "--ground-truth", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_lineage_csv_rejects_source_moved_twice(tmp_path, capsys, small_run):
+    # kept row by row in a dict, the second MOVE of a would replace the first
+    path = tmp_path / "lineage.csv"
+    rows = ["0,a,MOVE,a1,", "0,a,MOVE,b1,", "0,b,MOVE,b1,"]
+    path.write_text("\n".join([",".join(io.LINEAGE_HEADER), *rows]) + "\n")
+    with pytest.raises(ValidationError, match=re.escape(f"{path}:3: source 'a' repeated")):
+        io.read_lineage_csv(path)
+    frames_path = tmp_path / "frames.jsonl"
+    io.write_frames_jsonl(small_run.frames, frames_path)
+    for args in (
+        ["score", "--predicted", str(path), "--ground-truth", str(path)],
+        ["calibrate", "--frames", str(frames_path), "--ground-truth", str(path),
+         "--out", str(tmp_path / "o"), "--quiet"],
+    ):
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:3: source 'a' repeated")
 
 
 # -- CLI ---------------------------------------------------------------------

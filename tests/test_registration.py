@@ -16,6 +16,8 @@ from colony_track.registration import (
     EmpiricalCdf,
     LIK_FLOOR,
     RegistrationWeights,
+    _broken,
+    _flipped,
     build_problem,
     fit_likelihood_model,
     initial_assignment,
@@ -363,11 +365,69 @@ def test_single_cell_problem_has_only_match_cliques():
     problem = build_problem(src, dst, w=40.0, rho=80.0, g_rate=1.05)
     assert problem.clique_counts == (1, 0, 0)
     bm = problem.to_bm()
-    assert bm.sites.shape == (0, 3) and bm.tables.size == 0
+    assert bm.sites.shape == (0, 3) and bm.bits.size == 0
     a = np.array([0])
     assert bm.energy(problem.states_for(a)) == pytest.approx(
         problem.weights.match * problem.cost_terms(a)[0], abs=1e-12
     )
+
+
+def padded_window_problem():
+    src = make_frame([make_cell("a", (0, 0)), make_cell("b", (500, 500))])
+    dst = make_frame([make_cell("a+", (1, 1)), make_cell("b+", (430, 430))], index=1)
+    return build_problem(src, dst, w=40.0, rho=80.0, g_rate=1.05)
+
+
+def test_packed_tables_equal_broadcast_oracle():
+    small = [small_problem(seed=s, n=9, w=40.0) for s in range(3)] + [padded_window_problem()]
+    # the small problems have single-candidate windows and tables whose
+    # sizes are not multiples of 8
+    assert any(np.any(np.diff(p.match_offsets) == 1) for p in small)
+    assert any(np.prod([len(p.windows[i]) for i in ijk]) % 8
+               for p in small for ijk in p.flip_triplets)
+    for problem in [p for _, _, p in digest_problems()] + small:
+        bm, wins = problem.to_bm(), problem.windows
+        adj, ct = problem.target_graph.adj, problem.target.centers()
+        want = [_broken(adj, wins[i][:, None], wins[j][None, :]) for i, j in problem.stab_pairs]
+        want += [
+            _flipped(adj, ct, wins[i][:, None, None], wins[j][None, :, None],
+                     wins[k][None, None, :], sign)
+            for (i, j, k), sign in zip(problem.flip_triplets, problem.flip_signs)
+        ]
+        assert len(want) == len(bm.sites)
+        for c, table in enumerate(want):
+            got = bm.table(c)
+            assert not got.flags.writeable
+            assert got.shape == table.shape and got.tobytes() == table.tobytes()
+        # a staging buffer smaller than any table packs one table per call
+        with mock.patch.object(annealer, "_STAGE_BITS", 8):
+            assert problem.to_bm().bits.tobytes() == bm.bits.tobytes()
+    bm = small[0].to_bm()
+    args = (bm.offsets, bm.targets, bm.match, bm.sites, bm.weights, bm.coef)
+    with pytest.raises(ValidationError, match="63 clique tables for 64 cliques"):
+        annealer.RegistrationBm(*args, tables=[bm.table(c) for c in range(63)])
+
+
+def test_to_bm_memory_packed():
+    # reg6min gate pair 2: its 214 stab and 750 flip tables (windows of up to
+    # 23 cells) took 2.9 MiB as int8 and take 0.36 MiB as bits
+    import tracemalloc
+
+    from trackbench import measure, workloads
+
+    six = workloads.reg6min(0, pairs=1)
+    problem = build_problem(
+        six.frames[2], six.frames[3], w=100.0, rho=80.0,
+        weights=measure.REG6MIN_WEIGHTS, g_rate=measure.REG6MIN_G_RATE,
+    )
+    assert len(problem.flip_triplets) > 700
+    tracemalloc.start()
+    try:
+        problem.to_bm()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
 
 
 def test_clique_counts_on_benchmark_frame(six_minute_chain):
@@ -382,9 +442,7 @@ def test_clique_counts_on_benchmark_frame(six_minute_chain):
 
 
 def test_empty_window_padding_flagged():
-    src = make_frame([make_cell("a", (0, 0)), make_cell("b", (500, 500))])
-    dst = make_frame([make_cell("a+", (1, 1)), make_cell("b+", (430, 430))], index=1)
-    problem = build_problem(src, dst, w=40.0, rho=80.0, g_rate=1.05)
+    problem = padded_window_problem()
     assert problem.padded_sites == [1]
     assert problem.windows[1].tolist() == [1]  # nearest target
 
