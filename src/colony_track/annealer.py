@@ -277,25 +277,15 @@ class QuadraticConfig:
 
 @dataclass
 class Schedule:
-    """Geometric temperature schedule Temp(t) = c * eta**t over update steps.
-
-    ``stability_window`` counts update events (single-site moves or swap
-    attempts); it defaults to the site count N, stopping once the energy
-    stayed within the relative tolerance over the last N events.
-    """
+    """Geometric temperature schedule Temp(t) = c * eta**t over update steps,
+    run for at most ``epoch_cap`` epochs of N update events each."""
 
     c: float = 50.0
     eta: float = 0.997
     epoch_cap: int = 400
-    stability_window: int | None = None
-    stability_tol: float = 1e-6
 
     def __post_init__(self):
-        check_fields(
-            self, integers=("epoch_cap",), reals=("c", "eta"), nonnegative=("stability_tol",)
-        )
-        if self.stability_window is not None:
-            check_fields(self, integers=("stability_window",))
+        check_fields(self, integers=("epoch_cap",), reals=("c", "eta"))
         if self.c <= 0:
             raise ValidationError("initial temperature c must be positive")
         if not (0.0 < self.eta < 1.0):
@@ -307,8 +297,6 @@ class Schedule:
             )
         if self.epoch_cap < 1:
             raise ValidationError("epoch_cap must be at least 1")
-        if self.stability_window is not None and self.stability_window < 1:
-            raise ValidationError("stability_window must be at least 1")
 
     def temperature(self, t: int) -> float:
         return self.c * self.eta**t
@@ -325,11 +313,16 @@ class Schedule:
     def from_dict(cls, data: dict) -> "Schedule":
         if not isinstance(data, dict):
             raise ValidationError(f"a schedule must be a JSON object, not {data!r}")
-        keys = {"c", "eta", "epoch_cap", "stability_window", "stability_tol"}
+        keys = {"c", "eta", "epoch_cap"}
         unknown = set(data) - keys
         if unknown:
             raise ValidationError(f"unknown schedule keys: {sorted(unknown)}")
         return cls(**{k: data[k] for k in keys if k in data})
+
+
+# A chain is stable, and stops, once its energy spread over one epoch is at
+# most this fraction of max(1, |E|).
+STABILITY_TOL = 1e-6
 
 
 def _accept(d: float, temp: float, rng: np.random.Generator) -> bool:
@@ -397,9 +390,9 @@ class AnnealResult:
 
 def anneal(
     problem: RegistrationBm | QuadraticBm,
-    dynamics: Dynamics = "async",
-    schedule: Schedule | None = None,
-    rng_seed: int | np.random.Generator = 0,
+    dynamics: Dynamics,
+    schedule: Schedule,
+    rng_seed: int = 0,
     initial_states: Sequence[int] | None = None,
 ) -> AnnealResult:
     """Run one annealing chain and return the best configuration seen.
@@ -407,17 +400,11 @@ def anneal(
     ``async`` anneals a :class:`RegistrationBm` (from all zeros by default);
     ``swap`` anneals a :class:`QuadraticBm` from a given configuration. One
     epoch is N single-site updates (async) or N swap attempts (swap). The
-    chain stops when the energy spread over the trailing stability window
-    stays below the relative tolerance, or at the epoch cap. Deterministic
+    chain stops once the energy spread over one epoch is at most
+    ``STABILITY_TOL`` times max(1, |E|), or at the epoch cap. Deterministic
     given the seed.
     """
-    if schedule is None:
-        schedule = Schedule()
-    rng = (
-        rng_seed
-        if isinstance(rng_seed, np.random.Generator)
-        else np.random.default_rng(rng_seed)
-    )
+    rng = np.random.default_rng(rng_seed)
     if dynamics == "async" and isinstance(problem, RegistrationBm):
         if initial_states is None:
             initial_states = np.zeros(problem.n_sites, dtype=np.int64)
@@ -431,12 +418,9 @@ def anneal(
     else:
         raise ValidationError(f"unknown dynamics {dynamics!r}")
     n = problem.n_sites
-    window = n if schedule.stability_window is None else schedule.stability_window
     best_states = config.states.copy()
     best_energy = config.energy
     epoch_energies: list[float] = []
-    # per-epoch (min E, max E); each epoch covers n update events
-    spans: list[tuple[float, float]] = []
     t = 0
     stopped = "epoch_cap"
     for epoch in range(schedule.epoch_cap):
@@ -456,17 +440,7 @@ def anneal(
                 best_states = config.states.copy()
         config.energy = problem.energy(config.states)
         epoch_energies.append(config.energy)
-        spans.append((emin, emax))
-        covered, lo, hi = 0, math.inf, -math.inf
-        for mn, mx in reversed(spans):
-            covered += n
-            lo = min(lo, mn)
-            hi = max(hi, mx)
-            if covered >= window:
-                break
-        if covered >= window and hi - lo <= schedule.stability_tol * max(
-            1.0, abs(config.energy)
-        ):
+        if emax - emin <= STABILITY_TOL * max(1.0, abs(config.energy)):
             stopped = "stable"
             break
     if config.energy < best_energy:

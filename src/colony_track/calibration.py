@@ -131,7 +131,13 @@ def _bland_simplex(a, b, cost, upper, basis) -> np.ndarray:
     max_pivots = PIVOTS_PER_COLUMN * a.shape[1]
     for _ in range(max_pivots + 1):
         bmat = a[:, basis]
-        if np.linalg.cond(bmat) > 1e12:
+        # 1-norm condition number ||B||_1 ||B^-1||_1, the inverse's columns
+        # from the LU solve below (no SVD); an exactly zero pivot raises
+        try:
+            inv_norm = max(np.abs(np.linalg.solve(bmat, e)).sum() for e in np.eye(len(basis)))
+        except np.linalg.LinAlgError:
+            inv_norm = np.inf
+        if not np.abs(bmat).sum(axis=0).max() * inv_norm <= 1e12:
             raise InfeasibleError("singular basis")
         pi = np.linalg.solve(bmat.T, cost[basis])
         reduced = cost - pi @ a
@@ -164,26 +170,20 @@ def _bland_simplex(a, b, cost, upper, basis) -> np.ndarray:
     raise InfeasibleError(f"no optimum within {max_pivots} pivots")
 
 
-def _solve_linearized(
-    instance: CalibrationInstance, subgrad: np.ndarray, literal_equality: bool
-) -> np.ndarray:
+def _solve_linearized(instance: CalibrationInstance, subgrad: np.ndarray) -> np.ndarray:
     """One LP round: min gamma*sum(y) - <subgrad, Lambda> over the constraint set.
 
     The LP is solved through its dual, which has one row per penalty term:
     minimize budget*t over V^T u - t*1 + s = -subgrad with 0 <= u <= gamma and
-    t, s >= 0. With literal equalities u is only bounded above by gamma;
-    written as gamma - u the rows become -V^T u - t*1 + s =
-    -(subgrad + gamma*sum_a V_a) with u >= 0. The weights are minus the
-    optimal basis' row multipliers, which gamma never enters.
+    t, s >= 0. The weights are minus the optimal basis' row multipliers,
+    which gamma never enters.
     """
     v = instance.perturbations
     n, m = v.shape
-    sign = -1.0 if literal_equality else 1.0
-    a = np.hstack([sign * v.T, -np.ones((m, 1)), np.eye(m)])
-    rhs = -subgrad - (instance.gamma * v.sum(axis=0) if literal_equality else 0.0)
+    a = np.hstack([v.T, -np.ones((m, 1)), np.eye(m)])
+    rhs = -subgrad
     upper = np.full(n + 1 + m, np.inf)
-    if not literal_equality:
-        upper[:n] = instance.gamma
+    upper[:n] = instance.gamma
     cost = np.zeros(n + 1 + m)
     cost[n] = instance.budget
     # slack basis, t basic in the row of the most negative right-hand side
@@ -195,8 +195,7 @@ def _solve_linearized(
     except InfeasibleError as exc:
         raise InfeasibleError(
             f"weight calibration LP failed: {exc} (constraints: non-negativity, slack "
-            f"{'equalities' if literal_equality else 'inequalities'}, budget "
-            f"{instance.budget})"
+            f"inequalities, budget {instance.budget})"
         ) from exc
     return _in_budget(-pi, instance.budget)
 
@@ -211,7 +210,6 @@ def _in_budget(lam: np.ndarray, budget: float) -> np.ndarray:
 
 def calibrate(
     instance: CalibrationInstance,
-    literal_equality: bool = False,
     max_rounds: int = 100,
     tol: float = 1e-6,
     return_trace: bool = False,
@@ -233,7 +231,7 @@ def calibrate(
         for _ in range(max_rounds):
             active = _weighted_sum(instance.perturbations, lam) > 0.0
             subgrad = instance.perturbations[active].sum(axis=0)
-            lam = _solve_linearized(instance, subgrad, literal_equality)
+            lam = _solve_linearized(instance, subgrad)
             trace.append(objective(instance, lam))
             if abs(trace[-2] - trace[-1]) <= tol * max(1.0, abs(trace[-1])):
                 break

@@ -46,12 +46,9 @@ class DivisionWeights:
     dev: float = 1.0
     ratio: float = 0.0001
     rank: float = 0.05
-    q: float | None = None  # None: 10x the largest combined penalty
 
     def __post_init__(self):
         check_fields(self, nonnegative=("lin", "gap", "dev", "ratio", "rank"))
-        if self.q is not None:
-            check_fields(self, nonnegative=("q",))
 
     @classmethod
     def from_dict(cls, data: dict) -> "DivisionWeights":
@@ -74,7 +71,6 @@ class DivisionWeights:
             "dev": self.dev,
             "ratio": self.ratio,
             "rank": self.rank,
-            "q": self.q,
         }
 
 
@@ -426,19 +422,20 @@ def build_children_bm(
         raise ValidationError("candidates must be distinct pairs of two cells")
     ids: dict[str, int] = {}
     cells = np.array([[ids.setdefault(cid, len(ids)) for cid in cand.pair] for cand in candidates])
-    lambda_q = weights.q if weights.q is not None else 10.0 * max(float(v.max()), 1.0)
+    lambda_q = 10.0 * max(float(v.max()), 1.0)
     max_disjoint = None
     if len(_greedy_disjoint(candidates, v, div_count)) < div_count:
         max_disjoint = max_disjoint_candidates(candidates)
     return ChildrenBmProblem(list(candidates), v, cells, div_count, lambda_q, max_disjoint)
 
 
-def _greedy_initial(problem: ChildrenBmProblem, card: int) -> np.ndarray:
-    """Deterministic start: lowest-penalty candidates, preferring disjoint ones."""
+def _greedy_initial(problem: ChildrenBmProblem) -> np.ndarray:
+    """Deterministic start: the ``div_count`` lowest-penalty candidates,
+    preferring disjoint ones."""
     z = np.zeros(problem.m, dtype=np.int64)
-    z[_greedy_disjoint(problem.candidates, problem.v, card)] = 1
+    z[_greedy_disjoint(problem.candidates, problem.v, problem.div_count)] = 1
     rest = [j for j in np.lexsort((np.arange(problem.m), problem.v)) if not z[j]]
-    z[rest[: card - int(z.sum())]] = 1
+    z[rest[: problem.div_count - int(z.sum())]] = 1
     return z
 
 
@@ -446,26 +443,19 @@ def solve_children_bm(
     problem: ChildrenBmProblem,
     schedule: Schedule | None = None,
     rng_seed: int = 0,
-    relax_cardinality: bool = False,
 ) -> list[int]:
-    """Select the candidate subset by cardinality-constrained swap annealing.
+    """Select exactly ``div_count`` candidates by cardinality-constrained swap
+    annealing and return their indices.
 
-    Returns indices of the selected candidates. With ``relax_cardinality`` an
-    infeasible exact count falls back to one fewer division; anything beyond
-    that margin raises InfeasibleError.
+    Raises InfeasibleError when no ``div_count`` disjoint candidates exist:
+    any smaller selection leaves a target cell that no source maps to.
     """
-    card = problem.div_count
     if problem.infeasible:
-        if relax_cardinality and problem.max_disjoint >= card - 1:
-            card = card - 1
-        else:
-            raise InfeasibleError(
-                f"only {problem.max_disjoint} disjoint "
-                f"children pairs available for {problem.div_count} divisions"
-            )
-    if card == 0:
-        return []
-    if card > problem.m:
+        raise InfeasibleError(
+            f"only {problem.max_disjoint} disjoint "
+            f"children pairs available for {problem.div_count} divisions"
+        )
+    if problem.div_count > problem.m:
         raise InfeasibleError("fewer candidates than requested divisions")
     if schedule is None:
         schedule = Schedule.children_default()
@@ -474,7 +464,7 @@ def solve_children_bm(
         dynamics="swap",
         schedule=schedule,
         rng_seed=rng_seed,
-        initial_states=_greedy_initial(problem, card),
+        initial_states=_greedy_initial(problem),
     )
     return [int(j) for j in np.flatnonzero(result.best_states)]
 

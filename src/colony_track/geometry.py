@@ -358,10 +358,6 @@ class NeighborGraph:
     def degree(self, cell_id: str) -> int:
         return int(self.adj[self._index[cell_id]].sum())
 
-    def neighbors(self, cell_id: str) -> tuple[str, ...]:
-        row = self.adj[self._index[cell_id]]
-        return tuple(self.ids[k] for k in np.flatnonzero(row))
-
     def are_neighbors(self, a: str, b: str) -> bool:
         return bool(self.adj[self._index[a], self._index[b]])
 

@@ -53,7 +53,9 @@ def read_frames_jsonl(path, bounds: Rect | None = None) -> list[Frame]:
                 continue
             try:
                 rec = json.loads(line)
-                idx = int(rec["frame"])
+                idx = rec["frame"]
+                if isinstance(idx, bool) or not isinstance(idx, int):
+                    raise ValueError(f"frame index must be an integer, got {idx!r}")
                 cell = Cell(str(rec["id"]), rec["e"], rec["h"], float(rec["width"]))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValidationError(f"{path}:{lineno}: bad cell record ({exc})") from exc

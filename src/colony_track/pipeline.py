@@ -35,7 +35,6 @@ class PipelineConfig:
     division_weights: DivisionWeights = field(default_factory=DivisionWeights)
     trim_thresholds: dict | None = None
     trim_reject_if_any: bool = False
-    relax_cardinality: bool = False
     registration_schedule: Schedule = field(default_factory=Schedule.registration_default)
     children_schedule: Schedule = field(default_factory=Schedule.children_default)
     restarts: int = 1
@@ -46,7 +45,7 @@ class PipelineConfig:
             self,
             integers=("restarts", "seed"),
             reals=("w", "rho", "tau", "g_rate"),
-            booleans=("trim_reject_if_any", "relax_cardinality"),
+            booleans=("trim_reject_if_any",),
         )
         if self.seed < 0 or self.restarts < 1:
             raise ValidationError("seed must be non-negative and restarts at least 1")
@@ -137,7 +136,6 @@ def track_pair(
             problem,
             config.children_schedule,
             rng_seed=_pair_seed(config.seed, k, 0),
-            relax_cardinality=config.relax_cardinality,
         )
         lineages, dropped = division.select_short_lineages(
             frame, next_frame, kept, selected, config.w,

@@ -362,8 +362,6 @@ def test_children_bm_validation_and_infeasibility():
     assert problem.infeasible
     with pytest.raises(InfeasibleError):
         solve_children_bm(problem, rng_seed=0)
-    relaxed = solve_children_bm(problem, rng_seed=0, relax_cardinality=True)
-    assert len(relaxed) == 1
 
 
 @given(st.integers(0, 10**6))
@@ -416,9 +414,6 @@ def test_feasibility_certificate_matches_matching_oracle(seed):
                 text = f"only {oracle} disjoint children pairs available for {div_count}"
                 with pytest.raises(InfeasibleError, match=text):
                     solve_children_bm(problem)
-                if oracle < div_count - 1:
-                    with pytest.raises(InfeasibleError, match=text):
-                        solve_children_bm(problem, relax_cardinality=True)
             assert matching.call_count <= 1
 
 
@@ -461,7 +456,6 @@ def test_children_selections_match_golden_digest():
             problem,
             cfg.children_schedule,
             rng_seed=pipeline._pair_seed(cfg.seed, k, 0),
-            relax_cardinality=cfg.relax_cardinality,
         )
         h.update(repr((k, [cands[j].pair for j in picked])).encode())
     assert h.hexdigest() == GOLDEN_SELECTION_DIGEST
@@ -559,8 +553,11 @@ def test_reduction_matches_ground_truth(minute_run):
 
 
 def test_weights_roundtrip():
-    w = DivisionWeights(lin=2.0, q=50.0)
+    w = DivisionWeights(lin=2.0)
     again = DivisionWeights.from_dict(w.to_dict())
     assert again == w
     with pytest.raises(ValidationError):
         DivisionWeights.from_dict({"bogus": 1.0})
+    # lambda is derived from the penalties; no weight sets it
+    with pytest.raises(ValidationError, match="'q'"):
+        DivisionWeights.from_dict({"q": 50.0})

@@ -216,6 +216,13 @@ def test_frames_jsonl_rejects_garbage(tmp_path, capsys):
         io.read_frames_jsonl(path)
     assert main(["track", "--frames", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    # a non-integer frame index is an error, not merged into a nearby frame
+    for frame in ("0.5", "true", '"1"'):
+        path.write_text(cell.replace('"frame": 0', f'"frame": {frame}'))
+        with pytest.raises(ValidationError, match="frame index must be an integer"):
+            io.read_frames_jsonl(path)
+        assert main(["track", "--frames", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "frame index must be an integer" in capsys.readouterr().err
 
 
 def test_lineage_csv_roundtrip(tmp_path, small_run):
@@ -416,6 +423,18 @@ def test_cli_simulate_rejects_bad_config(tmp_path, capsys, bad):
     assert capsys.readouterr().err.startswith("error:")
 
 
+# settings the tracker derives or never varies; a file that sets one is rejected
+REMOVED_KEYS = ("relax_cardinality", "stability_window", "stability_tol", "q")
+
+
+def assert_names_removed_keys(err, bad):
+    """``err`` is an error message that names each removed key ``bad`` sets."""
+    assert err.startswith("error:")
+    for key in REMOVED_KEYS:
+        if f'"{key}"' in json.dumps(bad):
+            assert f"'{key}'" in err
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -444,6 +463,8 @@ def test_cli_simulate_rejects_bad_config(tmp_path, capsys, bad):
         {"trim_thresholds": {"rat": 1.0}},
         {"registration_schedule": 5},
         {"children_schedule": ["c"]},
+        {"relax_cardinality": True},
+        {"registration_schedule": {"stability_window": 5}},
     ],
 )
 def test_cli_track_rejects_bad_config(tmp_path, capsys, small_run, bad):
@@ -453,7 +474,7 @@ def test_cli_track_rejects_bad_config(tmp_path, capsys, small_run, bad):
     config.write_text(json.dumps({"w": 45.0, **bad}))
     args = ["track", "--frames", str(frames_path), "--config", str(config)]
     assert main([*args, "--out", str(tmp_path / "o"), "--quiet"]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    assert_names_removed_keys(capsys.readouterr().err, bad)
 
 
 @pytest.mark.parametrize(
@@ -470,6 +491,7 @@ def test_cli_track_rejects_bad_config(tmp_path, capsys, small_run, bad):
         {"registration": {"flip": True}},
         {"registration": {"bogus": 1.0}},
         {"registation": {"match": 1.0}},
+        {"division": {"q": 50}},
     ],
 )
 def test_cli_track_rejects_bad_weights(tmp_path, capsys, small_run, bad):
@@ -479,7 +501,7 @@ def test_cli_track_rejects_bad_weights(tmp_path, capsys, small_run, bad):
     weights.write_text(json.dumps(bad))
     args = ["track", "--frames", str(frames_path), "--weights", str(weights)]
     assert main([*args, "--out", str(tmp_path / "o"), "--quiet"]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    assert_names_removed_keys(capsys.readouterr().err, bad)
 
 
 @pytest.mark.parametrize("budget", ["nan", "inf"])
@@ -520,7 +542,7 @@ def test_cli_calibrate_rejects_incomplete_ground_truth(
     assert err.startswith(f"error: {truth_path}: pair {rec.frame_index}: {problem}")
 
 
-def test_cli_weights_and_schedule_files(tmp_path, small_run):
+def test_cli_weights_and_schedule_files(tmp_path, capsys, small_run):
     frames_path = tmp_path / "frames.jsonl"
     io.write_frames_jsonl(small_run.frames[:3], frames_path)
     weights_path = tmp_path / "weights.json"
@@ -549,15 +571,17 @@ def test_cli_weights_and_schedule_files(tmp_path, small_run):
         c=20.0, eta=0.995, epoch_cap=60
     )
     assert Schedule.from_dict(meta["children_schedule"]) == Schedule.children_default()
-    assert set(meta["children_schedule"]) == {
-        "c", "eta", "epoch_cap", "stability_window", "stability_tol"
-    }
+    assert set(meta["children_schedule"]) == {"c", "eta", "epoch_cap"}
     assert "dynamics" not in meta
-    # the registration dynamics is fixed: these keys are unknown schedule keys
-    for extra in ({"dynamics": "async"}, {"alpha": 0.5}):
+    capsys.readouterr()
+    # the registration dynamics and the stop rule are fixed: these keys are
+    # unknown schedule keys
+    for extra in ({"dynamics": "async"}, {"alpha": 0.5}, {"stability_window": 5},
+                  {"stability_tol": 1e-6}):
         schedule_path.write_text(json.dumps({"c": 20.0, **extra}))
         code = main(
             ["track", "--frames", str(frames_path), "--schedule", str(schedule_path),
              "--out", str(out), "--quiet"]
         )
         assert code == 2
+        assert_names_removed_keys(capsys.readouterr().err, extra)
