@@ -309,16 +309,6 @@ class Schedule:
     def children_default(cls) -> "Schedule":
         return cls(c=1000.0, eta=0.995, epoch_cap=5000)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Schedule":
-        if not isinstance(data, dict):
-            raise ValidationError(f"a schedule must be a JSON object, not {data!r}")
-        keys = {"c", "eta", "epoch_cap"}
-        unknown = set(data) - keys
-        if unknown:
-            raise ValidationError(f"unknown schedule keys: {sorted(unknown)}")
-        return cls(**{k: data[k] for k in keys if k in data})
-
 
 # A chain is stable, and stops, once its energy spread over one epoch is at
 # most this fraction of max(1, |E|).

@@ -34,7 +34,7 @@ def _cmd_simulate(args) -> int:
     data = io.load_json(args.config) if args.config else {}
     if args.seed is not None:
         data["seed"] = args.seed
-    config = SimConfig.from_dict(data)
+    config = io.from_json(SimConfig, data, "simulator config")
     result = simulate(config)
     out = _outdir(args)
     io.write_frames_jsonl(result.frames, out / "frames.jsonl")
@@ -74,7 +74,7 @@ def _load_pipeline_config(args) -> PipelineConfig:
         data["registration_schedule"] = io.load_json(args.schedule)
     if args.seed is not None:
         data["seed"] = args.seed
-    return PipelineConfig.from_dict(data)
+    return io.from_json(PipelineConfig, data, "pipeline config")
 
 
 def _cmd_track(args) -> int:
@@ -200,7 +200,7 @@ def _cmd_calibrate(args) -> int:
     lam = calibration.calibrate(instance)
     out = _outdir(args)
     weights = registration.RegistrationWeights(*map(float, lam))
-    io.dump_json({"registration": weights.to_dict()}, out / "weights.json")
+    io.dump_json({"registration": dataclasses.asdict(weights)}, out / "weights.json")
     with open(out / "calibration_report.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["a", "margin", "slack"])

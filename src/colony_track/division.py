@@ -50,29 +50,6 @@ class DivisionWeights:
     def __post_init__(self):
         check_fields(self, nonnegative=("lin", "gap", "dev", "ratio", "rank"))
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "DivisionWeights":
-        try:
-            data = dict(data)
-            dist = DistortionWeights(**data.pop("distortion", {}))
-            return cls(distortion=dist, **data)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"bad division weights: {exc}") from exc
-
-    def to_dict(self) -> dict:
-        return {
-            "distortion": {
-                "cen": self.distortion.cen,
-                "siz": self.distortion.siz,
-                "ang": self.distortion.ang,
-            },
-            "lin": self.lin,
-            "gap": self.gap,
-            "dev": self.dev,
-            "ratio": self.ratio,
-            "rank": self.rank,
-        }
-
 
 @dataclass(frozen=True)
 class PairCandidate:
@@ -85,12 +62,6 @@ class PairCandidate:
     ratio: float
     rank: float
     parent: str | None
-
-    def penalties(self) -> tuple[float, float, float, float, float]:
-        return (self.lin, self.gap, self.dev, self.ratio, self.rank)
-
-    def penalty(self, name: str) -> float:
-        return getattr(self, name)
 
     def combined(self, weights: DivisionWeights) -> float:
         return (
@@ -270,14 +241,9 @@ def check_trim_thresholds(thresholds) -> None:
 def trim_candidates(
     candidates: Sequence[PairCandidate],
     thresholds: dict[str, float] | None = None,
-    reject_if_any: bool = False,
 ) -> list[PairCandidate]:
-    """Trim implausible pairs by empirical penalty thresholds.
-
-    Default rule: a candidate is rejected only when ALL thresholded penalties
-    exceed their bounds. ``reject_if_any`` switches to the stricter rule that
-    rejects as soon as one penalty exceeds its bound.
-    """
+    """Trim implausible pairs by empirical penalty thresholds: a candidate is
+    rejected only when ALL thresholded penalties exceed their bounds."""
     if thresholds is None:
         thresholds = DEFAULT_TRIM_THRESHOLDS
     check_trim_thresholds(thresholds)
@@ -285,9 +251,7 @@ def trim_candidates(
         return list(candidates)
     kept = []
     for cand in candidates:
-        exceeds = [cand.penalty(name) > bound for name, bound in thresholds.items()]
-        reject = any(exceeds) if reject_if_any else all(exceeds)
-        if not reject:
+        if not all(getattr(cand, name) > bound for name, bound in thresholds.items()):
             kept.append(cand)
     return kept
 

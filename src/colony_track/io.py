@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
+import typing
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, finite_real
 from .geometry import Cell, Frame, Rect
 
 LINEAGE_HEADER = ["frame_index", "source_id", "kind", "target_id_1", "target_id_2"]
@@ -35,11 +37,23 @@ def write_frames_jsonl(frames: Sequence[Frame], path) -> None:
                 )
 
 
-def read_frames_jsonl(path, bounds: Rect | None = None) -> list[Frame]:
+def _numbers(value, name: str, count: int | None = None) -> list[float]:
+    """``value``, a JSON array of finite numbers that are not bools (``count``
+    of them, when given), as floats."""
+    if not (
+        isinstance(value, list)
+        and count in (None, len(value))
+        and all(map(finite_real, value))
+    ):
+        size = "" if count is None else f"{count} "
+        raise ValueError(f"{name} must be an array of {size}finite numbers, got {value!r}")
+    return [float(v) for v in value]
+
+
+def read_frames_jsonl(path) -> list[Frame]:
     """Parse a JSON-lines frame file into frames sorted by index.
 
-    When no bounds are given, each frame gets the bounding box of its cell
-    capsules padded by one pixel.
+    Each frame gets the bounding box of its cell capsules padded by one pixel.
     """
     per_frame: dict[int, list[Cell]] = {}
     try:
@@ -53,13 +67,18 @@ def read_frames_jsonl(path, bounds: Rect | None = None) -> list[Frame]:
                 continue
             try:
                 rec = json.loads(line)
-                idx = rec["frame"]
+                idx, cell_id, width = rec["frame"], rec["id"], rec["width"]
                 if isinstance(idx, bool) or not isinstance(idx, int):
                     raise ValueError(f"frame index must be an integer, got {idx!r}")
-                cell = Cell(str(rec["id"]), rec["e"], rec["h"], float(rec["width"]))
-            except (KeyError, TypeError, ValueError) as exc:
+                if not isinstance(cell_id, str):
+                    raise ValueError(f"id must be a string, got {cell_id!r}")
+                if not finite_real(width):
+                    raise ValueError(f"width must be a finite number, got {width!r}")
+                cell = Cell(cell_id, _numbers(rec["e"], "e", 2), _numbers(rec["h"], "h", 2),
+                            float(width))
+                stated = _numbers(rec["center"], "center", 2) if "center" in rec else cell.center
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValidationError(f"{path}:{lineno}: bad cell record ({exc})") from exc
-            stated = np.asarray(rec.get("center", cell.center), dtype=float)
             if np.hypot(*(stated - cell.center)) > 1e-3:
                 raise ValidationError(
                     f"{path}:{lineno}: center is not the endpoint midpoint"
@@ -68,17 +87,14 @@ def read_frames_jsonl(path, bounds: Rect | None = None) -> list[Frame]:
     frames = []
     for idx in sorted(per_frame):
         cells = per_frame[idx]
-        if bounds is None:
-            pts = np.array([p for c in cells for p in (c.e, c.h)])
-            pad = max(c.width for c in cells) / 2.0 + 1.0
-            box = Rect(
-                float(pts[:, 0].min()) - pad,
-                float(pts[:, 1].min()) - pad,
-                float(pts[:, 0].max()) + pad,
-                float(pts[:, 1].max()) + pad,
-            )
-        else:
-            box = bounds
+        pts = np.array([p for c in cells for p in (c.e, c.h)])
+        pad = max(c.width for c in cells) / 2.0 + 1.0
+        box = Rect(
+            float(pts[:, 0].min()) - pad,
+            float(pts[:, 1].min()) - pad,
+            float(pts[:, 0].max()) + pad,
+            float(pts[:, 1].max()) + pad,
+        )
         try:
             frames.append(Frame(idx, tuple(cells), box))
         except ValueError as exc:
@@ -150,6 +166,37 @@ def load_json(path) -> dict:
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: expected a JSON object")
     return data
+
+
+def from_json(cls, data, what: str):
+    """Build the settings dataclass ``cls`` from the JSON value ``data``.
+
+    ``data`` must be an object whose keys are fields of ``cls``. A field
+    whose type is another settings dataclass takes an object, loaded the same
+    way; a ``Rect`` or tuple field takes an array of finite numbers, stored as
+    floats. Other values go to ``cls`` as they are: its ``__post_init__``
+    checks their types and ranges. ``what`` names ``data`` in the
+    :class:`ValidationError` raised for any input it rejects.
+    """
+    if not isinstance(data, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {data!r}")
+    types = typing.get_type_hints(cls)
+    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ValidationError(f"unknown {what} keys: {unknown}")
+    kwargs = {}
+    try:
+        for name, value in data.items():
+            kind = types[name]
+            if kind is Rect or typing.get_origin(kind) is tuple:
+                value = _numbers(value, name)
+                value = Rect(*value) if kind is Rect else tuple(value)
+            elif dataclasses.is_dataclass(kind):
+                value = from_json(kind, value, name.replace("_", " "))
+            kwargs[name] = value
+        return cls(**kwargs)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"bad {what}: {exc}") from exc
 
 
 def dump_json(data: dict, path) -> None:

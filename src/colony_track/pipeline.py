@@ -34,7 +34,6 @@ class PipelineConfig:
     registration_weights: RegistrationWeights = field(default_factory=RegistrationWeights)
     division_weights: DivisionWeights = field(default_factory=DivisionWeights)
     trim_thresholds: dict | None = None
-    trim_reject_if_any: bool = False
     registration_schedule: Schedule = field(default_factory=Schedule.registration_default)
     children_schedule: Schedule = field(default_factory=Schedule.children_default)
     restarts: int = 1
@@ -45,7 +44,6 @@ class PipelineConfig:
             self,
             integers=("restarts", "seed"),
             reals=("w", "rho", "tau", "g_rate"),
-            booleans=("trim_reject_if_any",),
         )
         if self.seed < 0 or self.restarts < 1:
             raise ValidationError("seed must be non-negative and restarts at least 1")
@@ -55,26 +53,6 @@ class PipelineConfig:
             raise ValidationError("g_rate must be positive")
         if self.trim_thresholds is not None:
             division.check_trim_thresholds(self.trim_thresholds)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PipelineConfig":
-        data = dict(data)
-        kwargs = {}
-        if "registration_weights" in data:
-            kwargs["registration_weights"] = RegistrationWeights.from_dict(
-                data.pop("registration_weights")
-            )
-        if "division_weights" in data:
-            kwargs["division_weights"] = DivisionWeights.from_dict(
-                data.pop("division_weights")
-            )
-        for key in ("registration_schedule", "children_schedule"):
-            if key in data:
-                kwargs[key] = Schedule.from_dict(data.pop(key))
-        try:
-            return cls(**data, **kwargs)
-        except TypeError as exc:
-            raise ValidationError(f"bad pipeline config: {exc}") from exc
 
 
 @dataclass
@@ -121,9 +99,7 @@ def track_pair(
             frame, next_frame, config.tau, config.w, config.division_weights.distortion
         )
         diag.n_candidates = len(candidates)
-        kept = division.trim_candidates(
-            candidates, config.trim_thresholds, config.trim_reject_if_any
-        )
+        kept = division.trim_candidates(candidates, config.trim_thresholds)
         diag.n_trimmed = len(candidates) - len(kept)
         diag.scatter = division.scatter_rows(kept)
         if not kept:

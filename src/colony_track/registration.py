@@ -45,16 +45,6 @@ class RegistrationWeights:
     def as_array(self) -> np.ndarray:
         return np.array([self.match, self.over, self.stab, self.flip])
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RegistrationWeights":
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ValidationError(f"bad registration weights: {exc}") from exc
-
-    def to_dict(self) -> dict:
-        return {"match": self.match, "over": self.over, "stab": self.stab, "flip": self.flip}
-
 
 def _rods(frame: Frame, rows: np.ndarray):
     """(centers, lengths, axes) of the frame's cells at positions ``rows``."""

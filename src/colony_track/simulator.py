@@ -95,6 +95,7 @@ class SimConfig:
                 "growth_rate", "growth_jitter", "interframe_minutes", "birth_length",
                 "cell_width", "motion_sigma", "rotation_sigma", "w", "overlap_tol",
             ),
+            booleans=("divide",),
         )
         if self.max_length is not None:
             check_fields(self, reals=("max_length",))
@@ -124,24 +125,15 @@ class SimConfig:
             raise ValidationError("w and substeps must be positive")
         if min(self.growth_jitter, self.motion_sigma, self.rotation_sigma) < 0:
             raise ValidationError("noise magnitudes must be non-negative")
-        if self.divide and self.growth_rate**self.interframe_minutes >= 1.9:
+        try:
+            growth = self.growth_rate**self.interframe_minutes
+        except OverflowError:  # far beyond 2x
+            growth = math.inf
+        if self.divide and growth >= 1.9:
             raise ValidationError(
                 "growth per interframe too close to 2x: cells could divide twice "
                 "within one interframe"
             )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SimConfig":
-        data = dict(data)
-        try:
-            if "trap_bounds" in data:
-                data["trap_bounds"] = Rect(*map(float, data["trap_bounds"]))
-            for key in ("split_ratio_range", "division_eps_range"):
-                if key in data:
-                    data[key] = tuple(map(float, data[key]))
-            return cls(**data)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"bad simulator config: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -301,6 +301,7 @@ GATE_INPUT_DIGESTS = {
 }
 
 
+@pytest.mark.kernels
 def test_benchmark_inputs_equal_gate_inputs(six_minute_run):
     wl = workloads.reg6min(0)
     _assert_same_run(wl.frames, wl.lineage, six_minute_run.frames, six_minute_run.lineage)
@@ -318,6 +319,7 @@ def test_benchmark_inputs_equal_gate_inputs(six_minute_run):
     assert measure.PIPELINE_CONFIG == PIPELINE_CONFIG
 
 
+@pytest.mark.kernels
 def test_gate_inputs_equal_kdtree_pairs_in_ij_order():
     # the simulator fed cKDTree's pair list in (i, j) order gives the pinned
     # inputs bit for bit, so the defined push order is the only change from

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from colony_track import io
 from colony_track.annealer import (
     QuadraticBm,
     QuadraticConfig,
@@ -400,11 +401,11 @@ def test_schedule_defaults_and_validation():
     with pytest.warns(UserWarning):
         Schedule(eta=0.5)
     with pytest.raises(ValidationError):
-        Schedule.from_dict({"c": 10.0, "bogus": 1})
+        io.from_json(Schedule, {"c": 10.0, "bogus": 1}, "schedule")
     # the stop rule's window is one epoch and its tolerance a module constant
     for removed in ("stability_window", "stability_tol"):
         with pytest.raises(ValidationError, match=removed):
-            Schedule.from_dict({removed: 5})
+            io.from_json(Schedule, {removed: 5}, "schedule")
 
 
 def test_swap_requires_binary_spaces_and_initial():

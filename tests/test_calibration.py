@@ -206,6 +206,7 @@ def test_lp_round_matches_highs(seed, m, gamma):
     _assert_round_optimal(inst, subgrad, res)
 
 
+@pytest.mark.kernels
 @pytest.mark.parametrize("eps, singular", [(0.0, True), (4e-14, True), (1e-10, False)])
 def test_singular_basis_raises(eps, singular):
     # the basis [[1, 1], [1, 1 + eps]] is exactly singular at eps = 0, has
@@ -240,6 +241,7 @@ def test_reg6min_pair_2_pinned(six_minute_run):
         _assert_round_optimal(inst, subgrad, res)
 
 
+@pytest.mark.kernels
 def test_weighted_sums_equal_python_float_loop(six_minute_run):
     frames, lineage = six_minute_run.frames, six_minute_run.lineage
     src, dst = frames[2], frames[3]

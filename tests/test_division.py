@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from colony_track import division, pipeline
+from colony_track import division, io, pipeline
 from colony_track.division import (
     DEFAULT_TRIM_THRESHOLDS,
     DistortionWeights,
@@ -256,39 +257,9 @@ def test_trim_rejects_only_when_all_exceed():
     assert kept == [saved]
 
 
-def test_trim_strict_mode_rejects_any_exceed():
-    thresholds = {"gap": 5.0, "dev": 0.5}
-    cand = _candidate(("a", "b"), gap=9.0, dev=0.1)
-    assert trim_candidates([cand], thresholds, reject_if_any=True) == []
-    assert trim_candidates([cand], thresholds) == [cand]
-
-
 def test_trim_unknown_name_rejected():
     with pytest.raises(ValidationError):
         trim_candidates([_candidate(("a", "b"))], {"bogus": 1.0})
-
-
-def test_trim_on_simulator_batch(minute_run):
-    frames, lineage = minute_run.frames, minute_run.lineage
-    true_pairs, invalid = [], []
-    for rec in lineage:
-        if not rec.divided:
-            continue
-        f0, f1 = frames[rec.frame_index], frames[rec.frame_index + 1]
-        cands = build_pch(f0, f1, tau=45.0, w=45.0)
-        truth = {frozenset(kids) for kids in rec.divided.values()}
-        for c in cands:
-            (true_pairs if frozenset(c.pair) in truth else invalid).append(c)
-    # calibration-style thresholds: padded maxima of the true-pair penalties;
-    # the strict any-exceeds mode then prunes hard without losing true pairs
-    thr = {
-        name: float(np.max([getattr(c, name) for c in true_pairs])) * 1.15
-        for name in ("lin", "gap", "dev", "ratio", "rank")
-    }
-    kept_true = trim_candidates(true_pairs, thr, reject_if_any=True)
-    kept_bad = trim_candidates(invalid, thr, reject_if_any=True)
-    assert len(kept_true) == len(true_pairs)  # every true pair retained
-    assert len(kept_bad) <= 0.10 * len(invalid)  # >= 90% of invalid removed
 
 
 # -- children BM --------------------------------------------------------------
@@ -434,6 +405,7 @@ def test_selected_pairs_disjoint_when_possible(minute_run):
 GOLDEN_SELECTION_DIGEST = "72c9e0292d930baa96fb81deca9c9a369b79573467779512adc9d768f37fc8de"
 
 
+@pytest.mark.kernels
 def test_children_selections_match_golden_digest():
     from test_acceptance import PIPELINE_CONFIG
     from trackbench import workloads
@@ -449,7 +421,6 @@ def test_children_selections_match_golden_digest():
         cands = trim_candidates(
             build_pch(frame, next_frame, cfg.tau, cfg.w, cfg.division_weights.distortion),
             cfg.trim_thresholds,
-            cfg.trim_reject_if_any,
         )
         problem = build_children_bm(cands, div_count, cfg.division_weights)
         picked = solve_children_bm(
@@ -474,7 +445,6 @@ def test_children_bm_memory_linear_in_candidates():
     cands = trim_candidates(
         build_pch(frame, next_frame, cfg.tau, cfg.w, cfg.division_weights.distortion),
         cfg.trim_thresholds,
-        cfg.trim_reject_if_any,
     )
     assert len(cands) > 1000
     tracemalloc.start()
@@ -554,10 +524,10 @@ def test_reduction_matches_ground_truth(minute_run):
 
 def test_weights_roundtrip():
     w = DivisionWeights(lin=2.0)
-    again = DivisionWeights.from_dict(w.to_dict())
+    again = io.from_json(DivisionWeights, dataclasses.asdict(w), "division weights")
     assert again == w
     with pytest.raises(ValidationError):
-        DivisionWeights.from_dict({"bogus": 1.0})
+        io.from_json(DivisionWeights, {"bogus": 1.0}, "division weights")
     # lambda is derived from the penalties; no weight sets it
     with pytest.raises(ValidationError, match="'q'"):
-        DivisionWeights.from_dict({"q": 50.0})
+        io.from_json(DivisionWeights, {"q": 50.0}, "division weights")

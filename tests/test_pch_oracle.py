@@ -15,12 +15,15 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from colony_track.division import DistortionWeights, PairCandidate, build_pch, estimate_parent
 from colony_track.geometry import Cell
 
 from conftest import make_cell, make_frame
+
+pytestmark = pytest.mark.kernels
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -1,14 +1,21 @@
+import dataclasses
 import json
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from colony_track import io, registration
 from colony_track.annealer import Schedule
 from colony_track.cli import main
+from colony_track.division import DistortionWeights, DivisionWeights
 from colony_track.errors import InfeasibleError, ValidationError
+from colony_track.geometry import Rect
 from colony_track.pipeline import PipelineConfig, score, track_pair, track_sequence
+from colony_track.registration import RegistrationWeights
 from colony_track.simulator import LineageRecord, SimConfig, simulate
 
 from conftest import make_cell, make_frame
@@ -105,22 +112,72 @@ def test_pipeline_decisions_deterministic(small_run):
     assert [(r.moved, r.divided) for r in r1] == [(r.moved, r.divided) for r in r2]
 
 
+SETTINGS_CLASSES = (PipelineConfig, SimConfig, Schedule, RegistrationWeights, DivisionWeights)
+# keys of the settings classes (and of the nested distortion weights), and one no class has
+SETTINGS_KEYS = st.sampled_from(sorted(
+    {f.name for cls in (*SETTINGS_CLASSES, DistortionWeights) for f in dataclasses.fields(cls)}
+    | {"bogus"}
+))
+JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 10**400])
+)
+JSON_VALUES = JSON_LEAVES | st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(SETTINGS_KEYS, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def as_json(value):
+    """A settings dataclass, or one of its values, as the JSON the loader reads."""
+    if isinstance(value, Rect):
+        return list(dataclasses.astuple(value))
+    if dataclasses.is_dataclass(value):
+        return {f.name: as_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return list(value) if isinstance(value, tuple) else value
+
+
+@settings(max_examples=300, deadline=None)
+@given(changes=st.dictionaries(SETTINGS_KEYS, JSON_VALUES, max_size=3), data=JSON_VALUES)
+@example(changes={"interframe_minutes": 1e308}, data=None)
+def test_settings_loader_loads_or_rejects_any_json(changes, data):
+    # only a ValidationError may escape, which the CLI turns into exit 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a legal but unusual schedule decay rate
+        for cls in SETTINGS_CLASSES:
+            # the defaults with the changes to this class's settings, then any JSON value
+            names = {f.name for f in dataclasses.fields(cls)}
+            own = {k: v for k, v in changes.items() if k in names}
+            for value in ({**as_json(cls()), **own}, data):
+                try:
+                    assert isinstance(io.from_json(cls, value, "settings"), cls)
+                except ValidationError:
+                    pass
+
+
 def test_pipeline_config_from_dict_roundtrip():
-    config = PipelineConfig.from_dict(
+    config = io.from_json(
+        PipelineConfig,
         {
             "w": 45.0,
             "tau": 30.0,
             "registration_weights": {"match": 100.0, "over": 200.0, "stab": 10.0, "flip": 5.0},
             "registration_schedule": {"c": 10.0, "eta": 0.997, "epoch_cap": 50},
-        }
+        },
+        "pipeline config",
     )
     assert config.tau == 30.0
     assert config.registration_weights.over == 200.0
     assert config.registration_schedule.epoch_cap == 50
+    assert io.from_json(PipelineConfig, as_json(config), "pipeline config") == config
+    for cls in SETTINGS_CLASSES:
+        assert io.from_json(cls, as_json(cls()), "settings") == cls()
+    unknown = re.escape("unknown pipeline config keys: ['a', 'b']")
+    with pytest.raises(ValidationError, match=unknown):
+        io.from_json(PipelineConfig, {"w": 45.0, "b": 1, "a": 2}, "pipeline config")
     with pytest.raises(ValidationError):
-        PipelineConfig.from_dict({"bogus": 1})
-    with pytest.raises(ValidationError):
-        PipelineConfig.from_dict({"w": -1.0})
+        io.from_json(PipelineConfig, {"w": -1.0}, "pipeline config")
 
 
 # -- score -------------------------------------------------------------------
@@ -223,6 +280,19 @@ def test_frames_jsonl_rejects_garbage(tmp_path, capsys):
             io.read_frames_jsonl(path)
         assert main(["track", "--frames", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "frame index must be an integer" in capsys.readouterr().err
+    # fields are not coerced: each bad value is an error at its line
+    for field, value in [
+        ("id", None), ("id", 5), ("width", True), ("width", "8"), ("width", float("inf")),
+        ("e", ["10", 10.0]), ("e", [0, 0, 0]), ("h", [True, 0]), ("center", [10, "0"]),
+        ("center", [10]),
+    ]:
+        record = json.loads(cell) | {field: value}
+        path.write_text(cell.replace('"a"', '"b"') + json.dumps(record) + "\n")
+        where = re.escape(f"{path}:2: bad cell record ({field} ")
+        with pytest.raises(ValidationError, match=where):
+            io.read_frames_jsonl(path)
+        assert main(["track", "--frames", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:2: bad cell record")
 
 
 def test_lineage_csv_roundtrip(tmp_path, small_run):
@@ -413,18 +483,24 @@ def test_cli_exit_codes(tmp_path):
         {"growth_rate": float("nan")},
         {"motion_sigma": float("inf")},
         {"split_ratio_range": [0.5]},
+        {"split_ratio_range": [True, 0.55]},
         {"trap_bounds": [0.0, 0.0, "wide", 100.0]},
+        {"trap_bounds": ["0", "0", "600", "600"]},
+        {"divide": "false"},
+        {"interframe_minutes": 1e308},
     ],
 )
 def test_cli_simulate_rejects_bad_config(tmp_path, capsys, bad):
     config = tmp_path / "sim.json"
     config.write_text(json.dumps({"n_frames": 3, **bad}))
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert next(iter(bad)) in err or "growth per interframe too close to 2x" in err
 
 
 # settings the tracker derives or never varies; a file that sets one is rejected
-REMOVED_KEYS = ("relax_cardinality", "stability_window", "stability_tol", "q")
+REMOVED_KEYS = ("relax_cardinality", "stability_window", "stability_tol", "q", "trim_reject_if_any")
 
 
 def assert_names_removed_keys(err, bad):
@@ -455,6 +531,7 @@ def assert_names_removed_keys(err, bad):
         {"trim_thresholds": {"gap": float("nan")}},
         {"trim_thresholds": {"bogus": 1.0}},
         {"trim_reject_if_any": "no"},
+        {"trim_reject_if_any": True},
         {"relax_cardinality": "no"},
         {"dynamics": "async"},
         {"registration_schedule": {"stability_window": -3}},
@@ -567,10 +644,12 @@ def test_cli_weights_and_schedule_files(tmp_path, capsys, small_run):
     assert meta["registration_schedule"]["c"] == 20.0
     assert meta["registration_schedule"]["epoch_cap"] == 60
     # both schedules are written in full and read back as they ran
-    assert Schedule.from_dict(meta["registration_schedule"]) == Schedule(
+    assert io.from_json(Schedule, meta["registration_schedule"], "schedule") == Schedule(
         c=20.0, eta=0.995, epoch_cap=60
     )
-    assert Schedule.from_dict(meta["children_schedule"]) == Schedule.children_default()
+    assert io.from_json(Schedule, meta["children_schedule"], "schedule") == (
+        Schedule.children_default()
+    )
     assert set(meta["children_schedule"]) == {"c", "eta", "epoch_cap"}
     assert "dynamics" not in meta
     capsys.readouterr()

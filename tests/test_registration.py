@@ -130,6 +130,7 @@ def partition_oracle(penalties, offsets):
     return lows
 
 
+@pytest.mark.kernels
 def test_two_smallest_values_per_cell():
     rng = np.random.default_rng(4)
     src = random_frame(rng, 5, span=80.0)
@@ -225,6 +226,7 @@ def dense_match_cost(problem):
     ])
 
 
+@pytest.mark.kernels
 def test_window_sparse_match_costs_equal_dense_oracle():
     from test_acceptance import PIPELINE_CONFIG
     from trackbench import measure, workloads
@@ -378,6 +380,7 @@ def padded_window_problem():
     return build_problem(src, dst, w=40.0, rho=80.0, g_rate=1.05)
 
 
+@pytest.mark.kernels
 def test_packed_tables_equal_broadcast_oracle():
     small = [small_problem(seed=s, n=9, w=40.0) for s in range(3)] + [padded_window_problem()]
     # the small problems have single-candidate windows and tables whose
@@ -601,6 +604,7 @@ def loop_flip_triplets(problem):
     return np.array(triplets, dtype=np.int64).reshape(-1, 3), np.array(weights), np.array(signs)
 
 
+@pytest.mark.kernels
 def test_flip_triplets_equal_loop_reference():
     problems = [p for _, _, p in digest_problems()]
     for problem in problems + [small_problem(seed=s, n=9) for s in range(3)]:
@@ -617,6 +621,7 @@ def test_flip_triplets_equal_loop_reference():
 GOLDEN_REGISTRATION_DIGEST = "8f0d95aca8e2cb5244645300589cbcba6232136658ec9478dc00f877491086d5"
 
 
+@pytest.mark.kernels
 def test_registration_chains_match_golden_digest():
     schedule = Schedule(c=30.0, eta=0.995, epoch_cap=25)
     cases = digest_problems()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
+from colony_track import io
 from colony_track.errors import ValidationError
 from colony_track.geometry import Rect, capsule_gap, segments_distance
 from colony_track.simulator import (
@@ -22,6 +23,8 @@ from colony_track.simulator import (
 
 from conftest import make_cell, make_frame
 
+pytestmark = pytest.mark.kernels
+
 
 def test_config_validation():
     with pytest.raises(ValidationError):
@@ -31,7 +34,7 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         SimConfig(growth_rate=1.2, interframe_minutes=4.0)  # could divide twice
     with pytest.raises(ValidationError):
-        SimConfig.from_dict({"nonsense": 1})
+        io.from_json(SimConfig, {"nonsense": 1}, "simulator config")
 
 
 def test_deterministic_given_seed():
