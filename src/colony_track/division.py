@@ -119,26 +119,40 @@ def _best_parents(c1: np.ndarray, c2: np.ndarray, cells: Sequence[Cell], w, weig
     ``c1``, ``c2``): an index into ``cells`` and its distortion, or -1.
 
     A cell of length L is feasible when both children centers lie within
-    ``w + L/4`` of its center; ties break toward the lowest parent id. Pairs
-    are searched in chunks of about ``CHUNK_ELEMENTS / len(cells)``.
+    ``w + L/4`` of its center; ties break toward the lowest parent id. The
+    pairs are searched in order of the first child's x, in chunks of about
+    ``CHUNK_ELEMENTS`` (pair, cell) tests: each chunk against the cells whose
+    x lies within the largest reach of the chunk's x range.
     """
-    source = _rods(cells)
+    parent, value = np.full(len(c1), -1), np.full(len(c1), np.nan)
+    if len(cells) == 0 or len(c1) == 0:
+        return parent, value
     rank = np.empty(len(cells), np.intp)
     rank[sorted(range(len(cells)), key=lambda k: cells[k].id)] = np.arange(len(cells))
+    source = _rods(cells)
+    by_x = np.argsort(source["center"][:, 0], kind="stable")
+    source, rank = source[by_x], rank[by_x]
     x, y = source["center"].T
     reach = w + source["length"] / 4.0
-    parent, value = np.full(len(c1), -1), np.full(len(c1), np.nan)
-    chunk = max(1, CHUNK_ELEMENTS // max(1, len(cells)))
-    for lo in range(0, len(c1), chunk):
+    rows = np.argsort(c1["center"][:, 0], kind="stable")
+    k1, k2 = c1["center"][rows], c2["center"][rows]
+    far = reach.max()  # widened by a rounding margin, as in pairs_within
+    far += 1e-9 * (abs(far) + max(np.abs(x).max(), np.abs(k1).max()))
+    first = np.searchsorted(x, k1[:, 0] - far, side="left")
+    last = np.searchsorted(x, k1[:, 0] + far, side="right")
+    chunk = max(1, CHUNK_ELEMENTS // max(1, int((last - first).max())))
+    for lo in range(0, len(rows), chunk):
+        band = slice(first[lo], last[lo : lo + chunk].max())
         near = True
-        for kid in (c1["center"][lo : lo + chunk], c2["center"][lo : lo + chunk]):
-            near = near & (np.hypot(kid[:, :1] - x, kid[:, 1:] - y) <= reach)
+        for kid in (k1[lo : lo + chunk], k2[lo : lo + chunk]):
+            near = near & (np.hypot(kid[:, :1] - x[band], kid[:, 1:] - y[band]) <= reach[band])
         a, p = np.nonzero(near)
-        a += lo
+        a, p = rows[lo + a], band.start + p
         v = _distortion(source[p], c1[a], c2[a], weights)
         order = np.lexsort((rank[p], v, a))
-        best = order[np.unique(a[order], return_index=True)[1]]
-        parent[a[best]], value[a[best]] = p[best], v[best]
+        a, p, v = a[order], p[order], v[order]
+        best = np.diff(a, prepend=-1) != 0
+        parent[a[best]], value[a[best]] = by_x[p[best]], v[best]
     return parent, value
 
 

@@ -19,10 +19,14 @@ class InfeasibleError(ColonyTrackError):
 
 
 def finite_real(value) -> bool:
-    """Whether ``value`` is a finite real number; a bool is not a number here."""
-    return (
-        isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-    )
+    """Whether ``value`` is a finite real number; a bool is not a number here,
+    nor is an integer too large for a float."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def check_fields(config, integers=(), reals=(), nonnegative=(), booleans=()) -> None:

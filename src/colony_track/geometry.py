@@ -12,11 +12,14 @@ from typing import Iterable
 import numpy as np
 
 DEFAULT_NEIGHBOR_RADIUS = 80.0
-# Elements per temporary array of a chunked pairwise pass (128 KB of float64):
-# the Delaunay edge test here and the parent search of ``division``. About ten
-# such arrays are alive at once; larger chunks raise the peak memory of a run
-# without making the passes faster.
-CHUNK_ELEMENTS = 1 << 14
+# Elements per temporary array of a chunked pairwise pass (16 KB of float64):
+# the neighbor graph here and the parent search of ``division``. About ten
+# such arrays are alive at once. On the last pipeline21 pair (95 target cells)
+# chunks of 1 << 14 elements gave tracemalloc peaks of 1 083 KiB in
+# ``build_neighbor_graph`` and 842 KiB in ``division.build_pch``; 1 << 11
+# gives 216 and 322 KiB. The extra chunks cost some time: the parent search
+# takes up to about 10% longer on pipeline21's small frames.
+CHUNK_ELEMENTS = 1 << 11
 
 
 def _pt(p) -> np.ndarray:
@@ -331,25 +334,31 @@ def capsule_gap(a: Cell, b: Cell):
     return segment_distance(*a.e, *a.h, *b.e, *b.h) - (a.width + b.width) / 2.0
 
 
-@dataclass(frozen=True)
 class NeighborGraph:
-    """Symmetric, irreflexive neighbor relation over the cells of one frame."""
+    """Symmetric, irreflexive neighbor relation over the cells of one frame.
 
-    ids: tuple[str, ...]
-    adj: np.ndarray
-    _index: dict = field(init=False, repr=False, compare=False)
+    The relation is kept as bits, one packed row per cell: a registration
+    problem holds both frames' graphs through its annealing, and the bits
+    take an eighth of the memory of a bool matrix. :attr:`adj` unpacks a
+    dense copy on each read.
+    """
 
-    def __post_init__(self):
-        adj = np.asarray(self.adj, dtype=bool)
-        n = len(self.ids)
+    def __init__(self, ids: tuple[str, ...], adj):
+        adj = np.asarray(adj, dtype=bool)
+        n = len(ids)
         if adj.shape != (n, n):
             raise ValueError("adjacency shape does not match id count")
         if np.any(adj != adj.T):
             raise ValueError("adjacency must be symmetric")
         if np.any(np.diag(adj)):
             raise ValueError("adjacency must be irreflexive")
-        object.__setattr__(self, "adj", adj)
-        object.__setattr__(self, "_index", {cid: k for k, cid in enumerate(self.ids)})
+        self.ids = tuple(ids)
+        self._bits = np.packbits(adj, axis=1)
+        self._index = {cid: k for k, cid in enumerate(self.ids)}
+
+    @property
+    def adj(self) -> np.ndarray:
+        return np.unpackbits(self._bits, axis=1, count=len(self.ids)).view(bool)
 
     @property
     def degrees(self) -> np.ndarray:
@@ -399,70 +408,84 @@ def pairs_within(x, y, r: float) -> tuple[np.ndarray, np.ndarray]:
     return i[k], j[k]
 
 
-def _is_delaunay_edge(centers: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Whether each pair ``i, j`` of centers is a Delaunay edge (empty-circle test).
-
-    With ``m`` the midpoint and ``n`` the normal of the edge, a third center k
-    lies strictly inside the circle through both ends centred at ``m + t n``
-    iff ``q_k < 2 t s_k``, where ``s_k = n·(c_k − m)`` and
-    ``q_k = |c_k − m|² − |c_j − c_i|²/4``. Some such circle holds no center
-    inside iff ``max q_k/s_k`` over ``s_k < 0`` is at most ``min q_k/s_k`` over
-    ``s_k > 0``, and no k on the edge's line lies between its ends
-    (``s_k = 0``, ``q_k < 0``). Centers on the circle do not count, so
-    cocircular ties keep the edge (a square gets both diagonals), and a
-    center coincident with ``c_i`` or ``c_j`` is no witness against it.
-    Pairs are tested in chunks of about ``CHUNK_ELEMENTS / n``.
-    """
-    x, y = centers[:, 0], centers[:, 1]
-    out = np.zeros(i.shape[0], dtype=bool)
-    chunk = max(1, CHUNK_ELEMENTS // max(1, x.shape[0]))
-    for lo in range(0, i.shape[0], chunk):
-        ci, cj = centers[i[lo : lo + chunk]], centers[j[lo : lo + chunk]]
-        d = cj - ci
-        m = (ci + cj) / 2.0
-        rx = x - m[:, :1]
-        ry = y - m[:, 1:]
-        s = rx * -d[:, 1:] + ry * d[:, :1]
-        q = rx * rx + ry * ry - ((d * d).sum(axis=1) / 4.0)[:, None]
-        twin = ((x == ci[:, :1]) & (y == ci[:, 1:])) | ((x == cj[:, :1]) & (y == cj[:, 1:]))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = q / s
-        below = np.where((s < 0.0) & ~twin, ratio, -np.inf).max(axis=1)
-        above = np.where((s > 0.0) & ~twin, ratio, np.inf).min(axis=1)
-        between = ((s == 0.0) & (q < 0.0) & ~twin).any(axis=1)
-        out[lo : lo + chunk] = (below <= above) & ~between
-    return out
-
-
 def build_neighbor_graph(frame: Frame, rho: float = DEFAULT_NEIGHBOR_RADIUS) -> NeighborGraph:
     """Neighbor graph of a frame.
 
     Two cells are neighbors when (1) their centers are at most ``rho`` apart,
     (2) they are joined by an edge of the Delaunay triangulation of the
     centers, and (3) that edge crosses no third cell's capsule. Condition (2)
-    is the empty-circle test of :func:`_is_delaunay_edge`: some circle
-    through both centers holds no other center strictly inside. Centers on
-    the circle do not count, so exactly cocircular layouts keep every tied
-    edge, and cells with coincident centers share their edges. Collinear
-    layouts and frames of fewer than three cells need no special case.
+    is an empty-circle test: some circle through both centers holds no other
+    center strictly inside. Centers on the circle do not count, so exactly
+    cocircular layouts keep every tied edge, and cells with coincident
+    centers share their edges. Collinear layouts and frames of fewer than
+    three cells need no special case.
+
+    The pairs within ``rho`` are tested in one pass, in chunks of about
+    ``CHUNK_ELEMENTS / len(frame)`` pairs, each against every center. With
+    ``m`` the midpoint and ``n`` the normal of the pair's segment, a third
+    center k lies strictly inside the circle through both ends centred at
+    ``m + t n`` iff ``q_k < 2 t s_k``, where ``s_k = n·(c_k − m)`` and
+    ``q_k = |c_k − m|² − |c_j − c_i|²/4``. Some such circle holds no center
+    inside iff ``max q_k/s_k`` over ``s_k < 0`` is at most ``min q_k/s_k``
+    over ``s_k > 0``, and no k on the pair's line lies between its ends
+    (``s_k = 0``, ``q_k < 0``); a center coincident with an end is no
+    witness. (3) then measures the segment of each kept
+    pair against the cells that can reach it, those whose center lies within
+    ``|c_j − c_i|/2 + length/2 + width/2`` (plus 1 px for rounding) of
+    ``m``. These tests wait until about ``CHUNK_ELEMENTS / 16`` of them have
+    gathered, so that one :func:`stacked_segments_distance` call, whose
+    temporaries hold four elements per test, serves several chunks.
     """
     n = len(frame)
     adj = np.zeros((n, n), dtype=bool)
     if n < 2:
         return NeighborGraph(frame.ids, adj)
     centers = frame.centers()
-    i, j = pairs_within(centers[:, 0], centers[:, 1], rho)
-    keep = _is_delaunay_edge(centers, i, j)
-    e_all = np.array([c.e for c in frame.cells])
-    h_all = np.array([c.h for c in frame.cells])
+    x, y = centers[:, 0], centers[:, 1]
+    i, j = pairs_within(x, y, rho)
+    e = np.array([c.e for c in frame.cells])
+    h = np.array([c.h for c in frame.cells])
     half_w = np.array([c.width for c in frame.cells]) / 2.0
-    for a, b in zip(i[keep].tolist(), j[keep].tolist()):
-        dist = segments_distance(centers[a], centers[b], e_all, h_all)
-        blocked = dist < half_w
-        blocked[[a, b]] = False
-        if blocked.any():
-            continue
-        adj[a, b] = adj[b, a] = True
+    extent = np.array([c.length for c in frame.cells]) / 2.0 + half_w + 1.0
+    # cells with one center share a group: no center of an end's group is a witness
+    order = np.lexsort((y, x))
+    group = np.empty(n, np.intp)
+    group[order] = np.cumsum(np.r_[0, (np.diff(x[order]) != 0.0) | (np.diff(y[order]) != 0.0)])
+    kept = np.zeros(i.shape[0], dtype=bool)
+    tests, waiting = [], 0  # (pair, cell) crossing tests for one batched distance call
+    chunk = max(1, CHUNK_ELEMENTS // n)
+    for lo in range(0, i.shape[0], chunk):
+        a, b = i[lo : lo + chunk], j[lo : lo + chunk]
+        ci, cj = centers[a], centers[b]
+        d = cj - ci
+        m = (ci + cj) / 2.0
+        rx = x - m[:, :1]
+        ry = y - m[:, 1:]
+        s = rx * -d[:, 1:] + ry * d[:, :1]
+        s[(group == group[a][:, None]) | (group == group[b][:, None])] = np.nan
+        r2 = rx * rx + ry * ry
+        half2 = (d * d).sum(axis=1) / 4.0
+        q = r2 - half2[:, None]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ratio = q / s
+        below = np.where(s < 0.0, ratio, -np.inf).max(axis=1)
+        above = np.where(s > 0.0, ratio, np.inf).min(axis=1)
+        between = ((s == 0.0) & (q < 0.0)).any(axis=1)
+        rows = np.flatnonzero((below <= above) & ~between)
+        kept[lo + rows] = True
+        near = r2[rows] <= (np.sqrt(half2[rows])[:, None] + extent) ** 2
+        own = np.arange(rows.shape[0])
+        near[own, a[rows]] = near[own, b[rows]] = False
+        r, k = np.nonzero(near)
+        tests.append((lo + rows[r], k))
+        waiting += k.shape[0]
+        if 16 * waiting >= CHUNK_ELEMENTS or lo + chunk >= i.shape[0]:
+            pair, k = (np.concatenate(t) for t in zip(*tests))
+            ends = np.stack([centers[i[pair]], centers[j[pair]], e[k], h[k]])
+            dist = stacked_segments_distance(ends[..., 0], ends[..., 1])
+            kept[pair[dist < half_w[k]]] = False
+            tests, waiting = [], 0
+    adj[i[kept], j[kept]] = adj[j[kept], i[kept]] = True
     return NeighborGraph(frame.ids, adj)
 
 

@@ -1,4 +1,5 @@
-"""No command loads scipy, and simulation, tracking and scoring load no networkx.
+"""No command loads scipy, simulation, tracking and scoring load no networkx,
+and the chunked pairwise passes keep their working sets small.
 
 The commands run in a fresh interpreter, since this test session has already
 imported both packages elsewhere.
@@ -7,6 +8,7 @@ imported both packages elsewhere.
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -56,3 +58,29 @@ def test_commands_leave_scipy_and_networkx_unloaded(tmp_path):
     *commands, divisions = done.stdout.splitlines()
     assert commands == [f"{name} []" for name in ("simulate", "track", "score", "calibrate")]
     assert int(divisions) > 0
+
+
+def _peak_kib(run) -> float:
+    """Peak of traced memory while ``run()`` runs, above what was allocated
+    before it, in KiB; a first untraced call warms any caches."""
+    run()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return (tracemalloc.get_traced_memory()[1] - base) / 1024
+    finally:
+        tracemalloc.stop()
+
+
+def test_pairwise_passes_stay_within_their_memory_budget():
+    # the last pipeline21 pair, 95 target cells: with chunks of 1 << 14
+    # elements the graph peaked at 1 084 KiB and build_pch at 850 KiB
+    from colony_track.division import build_pch
+    from colony_track.geometry import build_neighbor_graph
+    from trackbench import workloads
+
+    wl = workloads.pipeline21(0)
+    frame, next_frame = wl.frames[wl.pairs[-1]], wl.frames[wl.pairs[-1] + 1]
+    assert _peak_kib(lambda: build_neighbor_graph(next_frame)) < 400
+    assert _peak_kib(lambda: build_pch(frame, next_frame)) < 500

@@ -1,13 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from colony_track import geometry
 from colony_track.geometry import (
     Cell,
     Frame,
     NeighborGraph,
     Rect,
-    _is_delaunay_edge,
     build_neighbor_graph,
     cell_from_pixels,
     pairs_within,
@@ -188,7 +190,7 @@ def test_stacked_segments_distance_equals_broadcast_form():
     "p_shape, q_shape, shape",
     [
         ((2,), (2,), ()),  # one pair
-        ((2,), (6, 2), (6,)),  # one segment against many: _Colony._fits, build_neighbor_graph
+        ((2,), (6, 2), (6,)),  # one segment against many: _Colony._fits
         ((6, 2), (2,), (6,)),
         ((6, 2), (6, 2), (6,)),  # pair lists
     ],
@@ -314,10 +316,134 @@ def test_cocircular_square_keeps_both_diagonals():
     assert g.n_edges() == 6
 
 
-def _empty_circle_edges(centers, rho):
+# -- neighbor graph against the per-edge reference -------------------------
+
+
+def _ref_is_delaunay_edge(centers, i, j):
+    """The empty-circle test of each pair ``i, j`` as a separate pass, in
+    chunks of ``1 << 14`` elements (see ``build_neighbor_graph``)."""
+    x, y = centers[:, 0], centers[:, 1]
+    out = np.zeros(i.shape[0], dtype=bool)
+    chunk = max(1, (1 << 14) // max(1, x.shape[0]))
+    for lo in range(0, i.shape[0], chunk):
+        ci, cj = centers[i[lo : lo + chunk]], centers[j[lo : lo + chunk]]
+        d = cj - ci
+        m = (ci + cj) / 2.0
+        rx = x - m[:, :1]
+        ry = y - m[:, 1:]
+        s = rx * -d[:, 1:] + ry * d[:, :1]
+        q = rx * rx + ry * ry - ((d * d).sum(axis=1) / 4.0)[:, None]
+        twin = ((x == ci[:, :1]) & (y == ci[:, 1:])) | ((x == cj[:, :1]) & (y == cj[:, 1:]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = q / s
+        below = np.where((s < 0.0) & ~twin, ratio, -np.inf).max(axis=1)
+        above = np.where((s > 0.0) & ~twin, ratio, np.inf).min(axis=1)
+        between = ((s == 0.0) & (q < 0.0) & ~twin).any(axis=1)
+        out[lo : lo + chunk] = (below <= above) & ~between
+    return out
+
+
+def ref_neighbor_graph(frame, rho):
+    """Adjacency of ``build_neighbor_graph`` by the per-edge loop: each kept
+    Delaunay edge against every cell with one broadcast ``segments_distance``."""
+    n = len(frame)
+    adj = np.zeros((n, n), dtype=bool)
+    if n < 2:
+        return adj
+    centers = frame.centers()
     i, j = pairs_within(centers[:, 0], centers[:, 1], rho)
-    keep = _is_delaunay_edge(centers, i, j)
-    return set(zip(i[keep].tolist(), j[keep].tolist()))
+    keep = _ref_is_delaunay_edge(centers, i, j)
+    e_all = np.array([c.e for c in frame.cells])
+    h_all = np.array([c.h for c in frame.cells])
+    half_w = np.array([c.width for c in frame.cells]) / 2.0
+    for a, b in zip(i[keep].tolist(), j[keep].tolist()):
+        blocked = segments_distance(centers[a], centers[b], e_all, h_all) < half_w
+        blocked[[a, b]] = False
+        if not blocked.any():
+            adj[a, b] = adj[b, a] = True
+    return adj
+
+
+@pytest.mark.kernels
+@pytest.mark.parametrize("name", ["reg6min", "pipeline21", "tiled-large"])
+def test_neighbor_graph_matches_reference_on_every_workload_frame(name):
+    from trackbench import workloads
+
+    for frame in workloads.GENERATORS[name](0).frames:
+        got = build_neighbor_graph(frame, 80.0).adj
+        assert got.tobytes() == ref_neighbor_graph(frame, 80.0).tobytes(), frame.index
+
+
+_turn = st.integers(0, 7)  # eighth turns; turn 0 lays a row's cells along the row
+
+
+@st.composite
+def degenerate_layouts(draw):
+    """Frames of collinear rows, cocircular squares, cells sharing a center
+    and cells at float positions, on small integer coordinates."""
+    spots = []
+    corner = st.tuples(st.integers(0, 150), st.integers(0, 150))
+    rows = st.tuples(corner, st.integers(6, 40), st.integers(2, 6))
+    for (x0, y0), step, count in draw(st.lists(rows, min_size=1, max_size=3)):
+        turn = draw(_turn)
+        spots += [((x0 + k * step, y0), turn) for k in range(count)]
+    for (x0, y0), side in draw(st.lists(st.tuples(corner, st.integers(6, 60)), max_size=2)):
+        for dx, dy in ((0, 0), (side, 0), (side, side), (0, side)):
+            spots.append(((x0 + dx, y0 + dy), draw(_turn)))
+    floats = st.floats(0.0, 200.0)
+    spots += [((draw(floats), draw(floats)), draw(_turn)) for _ in range(draw(st.integers(0, 5)))]
+    for k in draw(st.lists(st.integers(0, len(spots) - 1), max_size=2)):
+        spots.append((spots[k][0], draw(_turn)))
+    lengths, widths = st.integers(4, 40), st.sampled_from([0.0, 3.0, 7.0, 12.0])
+    return make_frame(
+        [
+            make_cell(f"c{k:02d}", p, turn * np.pi / 4, float(draw(lengths)), draw(widths))
+            for k, (p, turn) in enumerate(spots)
+        ]
+    )
+
+
+@pytest.mark.kernels
+@settings(max_examples=200)
+@given(
+    degenerate_layouts(),
+    st.sampled_from([20.0, 45.0, 80.0, 1e9]),
+    st.sampled_from([1, 5, 64, geometry.CHUNK_ELEMENTS]),
+)
+def test_neighbor_graph_matches_reference_on_degenerate_layouts(frame, rho, budget):
+    # tiny float coordinates overflow the same divisions in both forms alike
+    with mock.patch.object(geometry, "CHUNK_ELEMENTS", budget), np.errstate(over="ignore"):
+        got = build_neighbor_graph(frame, rho).adj
+        assert got.tobytes() == ref_neighbor_graph(frame, rho).tobytes()
+
+
+def test_blocked_edge_across_chunk_boundaries():
+    # a-b is a Delaunay edge that only x's capsule blocks; the budgets move
+    # the boundaries of the chunks, and of the batched crossing tests,
+    # across every position of the pair
+    cells = [
+        *(make_cell(f"r{k}", (40.0 * k, 60.0)) for k in range(4)),
+        make_cell("a", (0, 0)),
+        make_cell("x", (25, 12), angle=np.pi / 2, length=40.0, width=8.0),
+        make_cell("b", (50, 0)),
+    ]
+    a, x, b = 4, 5, 6
+    thin = Cell("x", cells[x].e, cells[x].h, 0.0)
+    assert ref_neighbor_graph(make_frame([*cells[:x], thin, cells[b]]), 80.0)[a, b]
+    frame = make_frame(cells)
+    want = ref_neighbor_graph(frame, 80.0)
+    assert not want[a, b] and want[a, x] and want[x, b]
+    for budget in range(1, 8 * len(frame)):
+        with mock.patch.object(geometry, "CHUNK_ELEMENTS", budget):
+            assert build_neighbor_graph(frame, 80.0).adj.tobytes() == want.tobytes(), budget
+
+
+def _empty_circle_edges(centers, rho):
+    """Edges of the neighbor graph of zero-width cells centred at ``centers``,
+    which no capsule can block, and the cells' centers."""
+    cells = [Cell(f"c{k}", (x - 0.5, y), (x + 0.5, y), 0.0) for k, (x, y) in enumerate(centers)]
+    frame = make_frame(cells)
+    return set(build_neighbor_graph(frame, rho).edges()), frame.centers()
 
 
 def _qhull_edges(centers, rho):
@@ -340,7 +466,8 @@ def test_delaunay_edges_match_qhull_on_float_frames(seed):
     rng = np.random.default_rng(seed)
     centers = rng.uniform(0.0, 300.0, size=(int(rng.integers(3, 150)), 2))
     rho = float(rng.uniform(20.0, 450.0))
-    assert _empty_circle_edges(centers, rho) == _qhull_edges(centers, rho)
+    got, centers = _empty_circle_edges(centers, rho)
+    assert got == _qhull_edges(centers, rho)
 
 
 @settings(max_examples=50)
@@ -351,8 +478,8 @@ def test_coincident_centers_share_their_edges(seed):
     centers = rng.uniform(0.0, 200.0, size=(int(rng.integers(3, 40)), 2))
     n = len(centers)
     twin = int(rng.integers(n))
-    edges = _qhull_edges(centers, 1e9)
-    got = _empty_circle_edges(np.vstack([centers, centers[twin]]), 1e9)
+    got, centers = _empty_circle_edges(np.vstack([centers, centers[twin]]), 1e9)
+    edges = _qhull_edges(centers[:n], 1e9)
     others = [i + j - twin for i, j in edges if twin in (i, j)]
     assert got == edges | {(k, n) for k in others} | {(twin, n)}
 

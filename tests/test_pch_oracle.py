@@ -18,10 +18,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from colony_track import division
 from colony_track.division import DistortionWeights, PairCandidate, build_pch, estimate_parent
 from colony_track.geometry import Cell
 
-from conftest import make_cell, make_frame
+from conftest import make_cell, make_frame, random_frame
 
 pytestmark = pytest.mark.kernels
 
@@ -206,6 +207,17 @@ def test_child_exactly_at_the_reach_is_admitted():
     assert assert_matches_reference(frame, kids, tau=45.0, w=9.999999) == []
 
 
+def test_child_at_the_reach_after_rounding_is_admitted():
+    # |-14.22 - 2.55| rounds to the reach 6.77 + 40/4 = 16.77, while
+    # -14.22 + 16.77 rounds below 2.55: the parent search's x-band must
+    # allow for rounding to keep this parent
+    frame = make_frame([Cell("p", (2.55, -20.0), (2.55, 20.0), 7.0)])
+    kids = make_frame(
+        [Cell("a", (-14.22, -10.0), (-14.22, 10.0), 7.0), Cell("b", (2.55, 0.0), (2.55, 20.0), 7.0)]
+    )
+    assert [c.parent for c in assert_matches_reference(frame, kids, tau=45.0, w=6.77)] == ["p"]
+
+
 def test_equidistant_tips_match_the_reference():
     frame = make_frame([make_cell("p", (5, 1), angle=np.pi / 2, length=40.0)])
     kids = make_frame(
@@ -228,6 +240,26 @@ def test_pair_without_admissible_parent_is_dropped():
     kids = make_frame([make_cell("a", (-10, 0), length=20.0), make_cell("b", (10, 0), length=20.0)])
     assert assert_matches_reference(frame, kids, tau=45.0, w=45.0) == []
     assert estimate_parent(*kids.cells, frame, 45.0) is None
+
+
+def test_parent_search_chunks_keep_the_lowest_id_tie_rule(monkeypatch):
+    # 300 children give candidates over several chunks of the parent search,
+    # whose rows it sorts by x; twins of every fifth parent, with ids sorting
+    # before and after it, tie with it on distortion
+    rng = np.random.default_rng(5)
+    kids = random_frame(rng, 300, span=600.0, index=1)
+    parents = random_frame(rng, 150, span=600.0).cells
+    twins = [Cell(tag + c.id, c.e, c.h, c.width) for c in parents[::5] for tag in ("a", "z")]
+    frame = make_frame(list(parents) + twins)
+    calls = []
+    distortion = division._distortion
+    with monkeypatch.context() as patch:
+        patch.setattr(division, "_distortion", lambda *args: calls.append(1) or distortion(*args))
+        build_pch(frame, kids, 45.0, 45.0)
+    assert len(calls) >= 3
+    got = assert_matches_reference(frame, kids, tau=45.0, w=45.0)
+    winners = {c.parent[0] for c in got}
+    assert "a" in winners and "z" not in winners
 
 
 # integer centers, eighth-turn angles and integer lengths make exact ties

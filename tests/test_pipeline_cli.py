@@ -156,6 +156,20 @@ def test_settings_loader_loads_or_rejects_any_json(changes, data):
                     pass
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PipelineConfig(w=10**400),
+        lambda: PipelineConfig(tau=-(10**400)),
+        lambda: SimConfig(growth_rate=10**400),
+    ],
+)
+def test_settings_reject_an_integer_too_large_for_a_float(build):
+    # math.isfinite raises OverflowError for such an int; a caller gets ValidationError
+    with pytest.raises(ValidationError, match="must be a finite"):
+        build()
+
+
 def test_pipeline_config_from_dict_roundtrip():
     config = io.from_json(
         PipelineConfig,
