@@ -19,7 +19,15 @@ import numpy as np
 from . import annealer
 from .annealer import QuadraticBm, Schedule
 from .errors import InfeasibleError, ValidationError, check_fields, finite_real
-from .geometry import CHUNK_ELEMENTS, Cell, Frame, cross2, line_angle, pairs_within
+from .geometry import (
+    CHUNK_ELEMENTS,
+    Cell,
+    Frame,
+    cross2,
+    line_angle,
+    pairs_within,
+    rod_arrays,
+)
 
 PENALTY_NAMES = ("lin", "gap", "dev", "ratio", "rank")
 
@@ -80,14 +88,18 @@ class ShortLineage:
     distortion: float
 
 
-# one row per cell: the fields that the children-pair penalties read
+# one row per cell: the fields that the children-pair penalties read, in the
+# order that geometry.rod_arrays returns them
 _ROD = np.dtype(
     [("center", "f8", 2), ("axis", "f8", 2), ("length", "f8"), ("e", "f8", 2), ("h", "f8", 2)]
 )
 
 
 def _rods(cells: Sequence[Cell]) -> np.ndarray:
-    return np.array([(c.center, c.axis_dir, c.length, c.e, c.h) for c in cells], _ROD)
+    rods = np.empty(len(cells), _ROD)
+    for name, values in zip(_ROD.names, rod_arrays(cells)):
+        rods[name] = values
+    return rods
 
 
 def _distortion(parent: np.ndarray, c1: np.ndarray, c2: np.ndarray, weights):

@@ -59,7 +59,7 @@ class Rect:
 
     def __post_init__(self):
         if not (self.xmax > self.xmin and self.ymax > self.ymin):
-            raise ValueError("empty rectangle")
+            raise ValueError(f"empty rectangle {self}")
 
     @classmethod
     def of_size(cls, width: float, height: float) -> "Rect":
@@ -77,28 +77,30 @@ class Rect:
     def center(self) -> np.ndarray:
         return np.array([(self.xmin + self.xmax) / 2.0, (self.ymin + self.ymax) / 2.0])
 
-    def contains(self, p, tol: float = 1e-9) -> bool:
-        x, y = float(p[0]), float(p[1])
-        return (self.xmin - tol <= x <= self.xmax + tol) and (
-            self.ymin - tol <= y <= self.ymax + tol
-        )
+    def contains(self, p, tol: float = 1e-9):
+        """Whether point ``p`` lies in the rectangle widened by ``tol``,
+        broadcasting over the leading axes of ``p``; NaN lies outside."""
+        x, y = _xy(p)
+        within_x = (self.xmin - tol <= x) & (x <= self.xmax + tol)
+        return within_x & (self.ymin - tol <= y) & (y <= self.ymax + tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Cell:
     """A rod-shaped cell: segment from endpoint ``e`` to endpoint ``h`` plus width.
 
-    ``center``, ``axis_dir`` (unit, unoriented) and ``length`` are derived from
-    the endpoints at construction time.
+    A cell stores its id, endpoints, width and ``length``, which is checked at
+    construction. ``center`` and ``axis_dir`` (unit, unoriented) are derived
+    from the endpoints on each access; array code takes them for many cells
+    at once from :func:`rod_arrays`, bit for bit. Cells compare and hash
+    by id, width and endpoint values.
     """
 
     id: str
     e: np.ndarray
     h: np.ndarray
     width: float
-    center: np.ndarray = field(init=False, repr=False, compare=False)
-    axis_dir: np.ndarray = field(init=False, repr=False, compare=False)
-    length: float = field(init=False, repr=False, compare=False)
+    length: float = field(init=False, repr=False)
 
     def __post_init__(self):
         e = _pt(self.e)
@@ -107,22 +109,56 @@ class Cell:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "width", float(self.width))
         length = float(np.hypot(*(h - e)))
-        if not np.isfinite(length) or length <= 0.0:
+        if not np.isfinite(length):
+            raise ValueError("degenerate cell: length is not a finite number")
+        if length <= 0.0:
             raise ValueError("degenerate cell: endpoints coincide")
         if self.width < 0.0 or not np.isfinite(self.width):
             raise ValueError("cell width must be a finite non-negative number")
         object.__setattr__(self, "length", length)
-        object.__setattr__(self, "center", (e + h) / 2.0)
-        object.__setattr__(self, "axis_dir", (h - e) / length)
+
+    @property
+    def center(self) -> np.ndarray:
+        return (self.e + self.h) / 2.0
+
+    @property
+    def axis_dir(self) -> np.ndarray:
+        return (self.h - self.e) / self.length
+
+    def __eq__(self, other):
+        if not isinstance(other, Cell):
+            return NotImplemented
+        return (
+            self.id == other.id
+            and self.width == other.width
+            and np.array_equal(self.e, other.e)
+            and np.array_equal(self.h, other.h)
+        )
+
+    def __hash__(self):
+        return hash((self.id, self.width, *self.e.tolist(), *self.h.tolist()))
 
     def translated(self, offset) -> "Cell":
         off = _pt(offset)
         return Cell(self.id, self.e + off, self.h + off, self.width)
 
 
+def rod_arrays(cells) -> tuple[np.ndarray, ...]:
+    """(centers, axes, lengths, E, H) of ``cells`` in one stacked pass, each
+    (n, 2) but ``lengths`` (n,): row k is cell k's ``center``, ``axis_dir``,
+    ``length``, ``e`` and ``h``, bit for bit."""
+    e = np.array([c.e for c in cells], np.float64).reshape(-1, 2)
+    h = np.array([c.h for c in cells], np.float64).reshape(-1, 2)
+    lengths = np.array([c.length for c in cells], np.float64)
+    return (e + h) / 2.0, (h - e) / lengths[:, None], lengths, e, h
+
+
 @dataclass(frozen=True)
 class Frame:
-    """An indexed set of cells observed at one time point."""
+    """An indexed set of cells observed at one time point.
+
+    Frames compare and hash by index, cells and bounds.
+    """
 
     index: int
     cells: tuple[Cell, ...]
@@ -138,16 +174,11 @@ class Frame:
             if c.id in by_id:
                 raise ValueError(f"duplicate cell id {c.id!r} in frame {self.index}")
             by_id[c.id] = pos
-        for c in cells:
-            if not self.bounds.contains(c.center, tol=1e-6):
-                raise ValueError(
-                    f"cell {c.id!r} center {c.center} outside frame bounds"
-                )
-        centers = (
-            np.array([c.center for c in cells], dtype=np.float64)
-            if cells
-            else np.zeros((0, 2))
-        )
+        centers = rod_arrays(cells)[0]
+        inside = self.bounds.contains(centers, tol=1e-6)
+        if not inside.all():
+            c = cells[int(np.argmin(inside))]
+            raise ValueError(f"cell {c.id!r} center {c.center} outside frame bounds")
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_centers", centers)
 

@@ -60,7 +60,8 @@ def read_frames_jsonl(path) -> list[Frame]:
         fh = open(path)
     except OSError as exc:
         raise ValidationError(f"cannot read frames file {path}: {exc}") from exc
-    with fh:
+    # coordinates near the float limit overflow; the checks below reject them
+    with fh, np.errstate(over="ignore"):
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -76,10 +77,13 @@ def read_frames_jsonl(path) -> list[Frame]:
                     raise ValueError(f"width must be a finite number, got {width!r}")
                 cell = Cell(cell_id, _numbers(rec["e"], "e", 2), _numbers(rec["h"], "h", 2),
                             float(width))
-                stated = _numbers(rec["center"], "center", 2) if "center" in rec else cell.center
+                center = cell.center
+                if not np.isfinite(center).all():
+                    raise ValueError("the endpoint midpoint overflows a float")
+                stated = _numbers(rec["center"], "center", 2) if "center" in rec else center
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValidationError(f"{path}:{lineno}: bad cell record ({exc})") from exc
-            if np.hypot(*(stated - cell.center)) > 1e-3:
+            if np.hypot(*(stated - center)) > 1e-3:
                 raise ValidationError(
                     f"{path}:{lineno}: center is not the endpoint midpoint"
                 )
@@ -89,13 +93,13 @@ def read_frames_jsonl(path) -> list[Frame]:
         cells = per_frame[idx]
         pts = np.array([p for c in cells for p in (c.e, c.h)])
         pad = max(c.width for c in cells) / 2.0 + 1.0
-        box = Rect(
-            float(pts[:, 0].min()) - pad,
-            float(pts[:, 1].min()) - pad,
-            float(pts[:, 0].max()) + pad,
-            float(pts[:, 1].max()) + pad,
-        )
         try:
+            box = Rect(
+                float(pts[:, 0].min()) - pad,
+                float(pts[:, 1].min()) - pad,
+                float(pts[:, 0].max()) + pad,
+                float(pts[:, 1].max()) + pad,
+            )
             frames.append(Frame(idx, tuple(cells), box))
         except ValueError as exc:
             raise ValidationError(f"{path}: {exc}") from exc

@@ -27,7 +27,15 @@ from . import annealer
 from .annealer import RegistrationBm, Schedule
 from .calibration import _weighted_sum
 from .errors import ValidationError, check_fields
-from .geometry import Cell, Frame, NeighborGraph, build_neighbor_graph, cross2, window_mask
+from .geometry import (
+    Cell,
+    Frame,
+    NeighborGraph,
+    build_neighbor_graph,
+    cross2,
+    rod_arrays,
+    window_mask,
+)
 
 LIK_FLOOR = 1e-6
 
@@ -48,9 +56,8 @@ class RegistrationWeights:
 
 def _rods(frame: Frame, rows: np.ndarray):
     """(centers, lengths, axes) of the frame's cells at positions ``rows``."""
-    lengths = np.array([c.length for c in frame.cells])
-    axes = np.array([c.axis_dir for c in frame.cells])
-    return frame.centers()[rows], lengths[rows], axes[rows]
+    centers, axes, lengths, _, _ = rod_arrays(frame.cells)
+    return centers[rows], lengths[rows], axes[rows]
 
 
 def _penalty_arrays(src, dst, g_rate: float):

@@ -558,6 +558,36 @@ def test_frame_rejects_duplicate_ids():
 def test_frame_rejects_center_outside_bounds():
     with pytest.raises(ValueError, match="outside"):
         Frame(0, (make_cell("a", (100, 0)),), Rect(0, -10, 50, 10))
+    # the message names the first offending cell; a center within 1e-6 is inside
+    cells = [make_cell("a", (50 + 9e-7, 0)), make_cell("b", (25, -10.1)), make_cell("c", (-1, 0))]
+    first = r"^cell 'b' center \[ 25.  -10.1\] outside frame bounds$"
+    with pytest.raises(ValueError, match=first):
+        Frame(0, cells, Rect(0, -10, 50, 10))
+    assert Frame(0, cells[:1], Rect(0, -10, 50, 10)).centers().shape == (1, 2)
+    assert Frame(0, (), Rect(0, -10, 50, 10)).centers().shape == (0, 2)
+
+
+def test_cells_and_frames_compare_and_hash_by_value():
+    a = Cell("a", [0, 0], [10, 0], 8)
+    same = Cell("a", np.array([-0.0, 0.0]), (10.0, 0.0), 8.0)
+    assert a == same and hash(a) == hash(same) and len({a, same}) == 1
+    for other in [
+        Cell("b", [0, 0], [10, 0], 8),
+        Cell("a", [0, 0], [10, 0], 7),
+        Cell("a", [0, 1e-12], [10, 0], 8),
+        Cell("a", [0, 0], [10, 1e-12], 8),
+        Cell("a", [10, 0], [0, 0], 8),
+    ]:
+        assert a != other and not a == other
+    assert a != "a"
+    bounds = Rect(-5, -5, 20, 5)
+    frame = Frame(0, (a, make_cell("b", (10, 0))), bounds)
+    copy = Frame(0, (same, make_cell("b", (10, 0))), Rect(-5.0, -5.0, 20.0, 5.0))
+    assert frame == copy and hash(frame) == hash(copy)
+    assert frame != Frame(1, frame.cells, bounds)
+    assert frame != Frame(0, frame.cells, Rect(-5, -5, 20, 6))
+    assert frame != Frame(0, frame.cells[::-1], bounds)
+    assert frame != frame.without(["b"])
 
 
 def test_neighbor_graph_validation():
@@ -565,6 +595,33 @@ def test_neighbor_graph_validation():
         NeighborGraph(("a", "b"), np.array([[False, True], [False, False]]))
     with pytest.raises(ValueError, match="irreflexive"):
         NeighborGraph(("a",), np.array([[True]]))
+
+
+@pytest.mark.kernels
+@pytest.mark.parametrize("name", ["reg6min", "pipeline21", "tiled-large"])
+def test_stacked_geometry_is_bit_identical_to_the_per_cell_formulas(name):
+    # Frame.centers and the penalty builders' stacked passes against each
+    # cell's center, axis_dir and length as one cell's arithmetic gives them
+    from colony_track import division, registration
+    from trackbench import workloads
+
+    for frame in workloads.GENERATORS[name](0).frames:
+        cells = frame.cells
+        lengths = np.array([float(np.hypot(*(c.h - c.e))) for c in cells])
+        centers = np.array([(c.e + c.h) / 2.0 for c in cells])
+        axes = np.array([(c.h - c.e) / length for c, length in zip(cells, lengths.tolist())])
+        assert np.array([c.length for c in cells]).tobytes() == lengths.tobytes()
+        assert np.array([c.center for c in cells]).tobytes() == centers.tobytes()
+        assert np.array([c.axis_dir for c in cells]).tobytes() == axes.tobytes()
+        assert frame.centers().tobytes() == centers.tobytes(), frame.index
+        rods = division._rods(cells)
+        assert rods["center"].tobytes() == centers.tobytes(), frame.index
+        assert rods["axis"].tobytes() == axes.tobytes(), frame.index
+        assert rods["length"].tobytes() == lengths.tobytes(), frame.index
+        rows = np.arange(len(frame))[::-1]
+        got = registration._rods(frame, rows)
+        for value, want in zip(got, (centers, lengths, axes)):
+            assert value.tobytes() == want[rows].tobytes(), frame.index
 
 
 def test_cell_invariants():

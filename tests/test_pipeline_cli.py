@@ -266,10 +266,12 @@ def test_frames_jsonl_roundtrip(tmp_path, small_run):
     path = tmp_path / "frames.jsonl"
     io.write_frames_jsonl(small_run.frames[:3], path)
     back = io.read_frames_jsonl(path)
-    assert len(back) == 3
-    for orig, copy in zip(small_run.frames[:3], back):
-        assert orig.ids == copy.ids
-        assert np.allclose(orig.centers(), copy.centers(), atol=1e-8)
+    # the reader bounds each frame by its cells, the simulator by its trap
+    assert [(f.index, f.cells) for f in back] == [
+        (f.index, f.cells) for f in small_run.frames[:3]
+    ]
+    io.write_frames_jsonl(back, path)
+    assert io.read_frames_jsonl(path) == back
 
 
 def test_frames_jsonl_rejects_garbage(tmp_path, capsys):
@@ -307,6 +309,67 @@ def test_frames_jsonl_rejects_garbage(tmp_path, capsys):
             io.read_frames_jsonl(path)
         assert main(["track", "--frames", str(path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}:2: bad cell record")
+
+
+_CELLS = st.tuples(
+    st.integers(0, 2), st.sampled_from("abc"), st.floats(0, 200), st.floats(0, 200),
+    st.floats(0, 3.2),
+)
+# a fault sets a field of a cell record to a drawn value, moves its stated
+# center off the endpoint midpoint, or drops the center
+_FAULTS = st.tuples(
+    st.integers(0, 5),
+    st.sampled_from([("e", 0), ("e", 1), ("h", 0), ("h", 1), ("center", 0), ("width",),
+                     ("off",), ("missing",)]),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0]),
+)
+
+
+@st.composite
+def frames_files(draw):
+    """The text of a frames file: up to six valid cell records, distinct in
+    (frame, id), in up to three frames, then up to two faults."""
+    records = []
+    for frame, cell_id, x, y, angle in draw(st.lists(_CELLS, max_size=6,
+                                                    unique_by=lambda c: c[:2])):
+        dx, dy = 10.0 * math.cos(angle), 10.0 * math.sin(angle)
+        records.append({
+            "frame": frame, "id": cell_id, "center": [x, y], "e": [x - dx, y - dy],
+            "h": [x + dx, y + dy], "width": 7.0,
+        })
+    faults = draw(st.lists(_FAULTS, max_size=2)) if records else []
+    for at, (key, *k), value in faults:
+        rec = records[at % len(records)]
+        if key == "missing":
+            rec.pop("center", None)
+        elif key == "off":
+            rec.setdefault("center", [0.0, 0.0])[1] += 1.0
+        elif key == "width":
+            rec[key] = value
+        elif key in rec:
+            rec[key][k[0]] = value
+    return "".join(json.dumps(rec) + "\n" for rec in records)
+
+
+@settings(max_examples=200)
+@given(text=frames_files())
+@example(text="")
+@example(text='{"frame": 0, "id": "a", "e": [1e308, 0], "h": [1e308, 10], "width": 7}\n')
+@example(text='{"frame": 0, "id": "a", "e": [1e308, 0], "h": [0, 0], "width": 7}\n'
+              '{"frame": 1, "id": "a", "e": [1e308, 0], "h": [0, 1], "width": 7}\n')
+def test_frames_reader_loads_or_rejects_any_file(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "frames.jsonl"
+    path.write_text(text)
+    try:
+        frames = io.read_frames_jsonl(path)
+        assert all(f.cells and np.isfinite(f.centers()).all() for f in frames)
+    except ValidationError:
+        frames = None
+    out = str(path.parent / "out")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # frames of different sizes
+        code = main(["track", "--frames", str(path), "--out", out, "--quiet"])
+    assert code in ((0, 2, 3) if frames else (2,))
 
 
 def test_lineage_csv_roundtrip(tmp_path, small_run):
