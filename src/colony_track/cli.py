@@ -188,7 +188,7 @@ def _cmd_calibrate(args) -> int:
         source, target, w=config.w, rho=config.rho,
         weights=config.registration_weights, g_rate=config.g_rate,
     )
-    f = np.array([target.position(rec.moved[c.id]) for c in source.cells])
+    f = np.array([target.position(rec.moved[cid]) for cid in source.ids])
     instance = calibration.build_perturbations(
         f,
         problem,

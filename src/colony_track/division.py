@@ -95,9 +95,11 @@ _ROD = np.dtype(
 )
 
 
-def _rods(cells: Sequence[Cell]) -> np.ndarray:
-    rods = np.empty(len(cells), _ROD)
-    for name, values in zip(_ROD.names, rod_arrays(cells)):
+def _rods(cells: Frame | Sequence[Cell]) -> np.ndarray:
+    """The :data:`_ROD` rows of a frame's cells, or of a sequence of cells."""
+    arrays = rod_arrays(cells)
+    rods = np.empty(len(arrays[0]), _ROD)
+    for name, values in zip(_ROD.names, arrays):
         rods[name] = values
     return rods
 
@@ -126,9 +128,10 @@ def distortion(
     return float(_distortion(rods[:1], rods[1:2], rods[2:], weights)[0])
 
 
-def _best_parents(c1: np.ndarray, c2: np.ndarray, cells: Sequence[Cell], w, weights):
-    """Most likely parent among ``cells`` of each children pair (rows of
-    ``c1``, ``c2``): an index into ``cells`` and its distortion, or -1.
+def _best_parents(c1: np.ndarray, c2: np.ndarray, source: np.ndarray, ids, w, weights):
+    """Most likely parent of each children pair (rows of ``c1``, ``c2``)
+    among the cells of the :data:`_ROD` rows ``source``, whose ids are
+    ``ids``: a row of ``source`` and its distortion, or -1.
 
     A cell of length L is feasible when both children centers lie within
     ``w + L/4`` of its center; ties break toward the lowest parent id. The
@@ -137,11 +140,10 @@ def _best_parents(c1: np.ndarray, c2: np.ndarray, cells: Sequence[Cell], w, weig
     x lies within the largest reach of the chunk's x range.
     """
     parent, value = np.full(len(c1), -1), np.full(len(c1), np.nan)
-    if len(cells) == 0 or len(c1) == 0:
+    if len(source) == 0 or len(c1) == 0:
         return parent, value
-    rank = np.empty(len(cells), np.intp)
-    rank[sorted(range(len(cells)), key=lambda k: cells[k].id)] = np.arange(len(cells))
-    source = _rods(cells)
+    rank = np.empty(len(source), np.intp)
+    rank[sorted(range(len(source)), key=ids.__getitem__)] = np.arange(len(source))
     by_x = np.argsort(source["center"][:, 0], kind="stable")
     source, rank = source[by_x], rank[by_x]
     x, y = source["center"].T
@@ -178,10 +180,13 @@ def estimate_parent(
 ) -> tuple[str, float] | None:
     """Most likely parent: the distortion minimum over the feasible cells of
     ``frame`` (see :func:`_best_parents`), or None when no cell is feasible."""
-    cells = [c for c in frame.cells if not (exclude and c.id in exclude)]
+    source, ids = _rods(frame), frame.ids
+    if exclude:
+        keep = [k for k, cid in enumerate(ids) if cid not in exclude]
+        source, ids = source[keep], [ids[k] for k in keep]
     kids = _rods([b1, b2])
-    parent, value = _best_parents(kids[:1], kids[1:], cells, w, weights)
-    return None if parent[0] < 0 else (cells[parent[0]].id, float(value[0]))
+    parent, value = _best_parents(kids[:1], kids[1:], source, ids, w, weights)
+    return None if parent[0] < 0 else (ids[parent[0]], float(value[0]))
 
 
 def _pair_penalties(b1: np.ndarray, b2: np.ndarray, l_min: float):
@@ -228,14 +233,14 @@ def build_pch(
     """
     if len(next_frame) == 0:
         raise ValidationError("next frame is empty")
-    kids = _rods(next_frame.cells)
+    kids = _rods(next_frame)
     x, y = kids["center"].T
     i, j = pairs_within(x, y, tau * (1.0 + 1e-9))
     near = np.hypot(x[j] - x[i], y[j] - y[i]) < tau
     i, j = i[near], j[near]
     b1, b2 = kids[i], kids[j]
     gap, dev, ratio, rank = _pair_penalties(b1, b2, kids["length"].min())
-    parent, lin = _best_parents(b1, b2, frame.cells, w, weights)
+    parent, lin = _best_parents(b1, b2, _rods(frame), frame.ids, w, weights)
     keep = np.isfinite(dev) & (parent >= 0)
     ids, parent_ids = next_frame.ids, frame.ids
     return [

@@ -2,10 +2,14 @@
 
 A cell is modeled as a capsule: the segment between its two endpoints dilated
 by half its width. All coordinates are pixels with y increasing downward.
+A :class:`Frame` holds its cells as read-only arrays, one row per cell, and
+the tracker computes on those arrays; :class:`Cell` objects are views of one
+row, built on request.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -23,9 +27,11 @@ CHUNK_ELEMENTS = 1 << 11
 
 
 def _pt(p) -> np.ndarray:
-    a = np.asarray(p, dtype=np.float64)
+    """A read-only float64 copy of the 2D point ``p``."""
+    a = np.array(p, dtype=np.float64)
     if a.shape != (2,):
         raise ValueError(f"expected a 2D point, got shape {a.shape}")
+    a.flags.writeable = False
     return a
 
 
@@ -89,11 +95,12 @@ class Rect:
 class Cell:
     """A rod-shaped cell: segment from endpoint ``e`` to endpoint ``h`` plus width.
 
-    A cell stores its id, endpoints, width and ``length``, which is checked at
-    construction. ``center`` and ``axis_dir`` (unit, unoriented) are derived
-    from the endpoints on each access; array code takes them for many cells
-    at once from :func:`rod_arrays`, bit for bit. Cells compare and hash
-    by id, width and endpoint values.
+    A cell stores its id, read-only copies of its endpoints, its width and
+    ``length``, which is checked at construction. ``center`` and ``axis_dir``
+    (unit, unoriented) are derived from the endpoints on each access. Frames
+    hold their cells as arrays and build a cell from its row only when asked
+    for it (see :class:`Frame`). Cells compare and hash by id, width and
+    endpoint values.
     """
 
     id: str
@@ -109,13 +116,19 @@ class Cell:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "width", float(self.width))
         length = float(np.hypot(*(h - e)))
-        if not np.isfinite(length):
-            raise ValueError("degenerate cell: length is not a finite number")
-        if length <= 0.0:
-            raise ValueError("degenerate cell: endpoints coincide")
-        if self.width < 0.0 or not np.isfinite(self.width):
-            raise ValueError("cell width must be a finite non-negative number")
+        error = _rod_error(length, self.width)
+        if error:
+            raise ValueError(error)
         object.__setattr__(self, "length", length)
+
+    @classmethod
+    def _checked(cls, cell_id: str, e: np.ndarray, h: np.ndarray, width: float, length: float):
+        """A cell of values that a frame has already checked; ``e`` and ``h``
+        are read-only rows of its arrays."""
+        cell = object.__new__(cls)
+        for name, value in zip(("id", "e", "h", "width", "length"), (cell_id, e, h, width, length)):
+            object.__setattr__(cell, name, value)
+        return cell
 
     @property
     def center(self) -> np.ndarray:
@@ -143,54 +156,140 @@ class Cell:
         return Cell(self.id, self.e + off, self.h + off, self.width)
 
 
-def rod_arrays(cells) -> tuple[np.ndarray, ...]:
-    """(centers, axes, lengths, E, H) of ``cells`` in one stacked pass, each
-    (n, 2) but ``lengths`` (n,): row k is cell k's ``center``, ``axis_dir``,
-    ``length``, ``e`` and ``h``, bit for bit."""
-    e = np.array([c.e for c in cells], np.float64).reshape(-1, 2)
-    h = np.array([c.h for c in cells], np.float64).reshape(-1, 2)
-    lengths = np.array([c.length for c in cells], np.float64)
-    return (e + h) / 2.0, (h - e) / lengths[:, None], lengths, e, h
+def _rod_error(length: float, width: float) -> str | None:
+    """Why a cell of this length and width is invalid, or None."""
+    if not np.isfinite(length):
+        return "degenerate cell: length is not a finite number"
+    if length <= 0.0:
+        return "degenerate cell: endpoints coincide"
+    if width < 0.0 or not np.isfinite(width):
+        return "cell width must be a finite non-negative number"
+    return None
 
 
-@dataclass(frozen=True)
+def _stacked(cells) -> tuple[np.ndarray, ...]:
+    """(E, H, widths, lengths) of ``cells``, one row per cell."""
+    return (
+        np.array([c.e for c in cells], np.float64).reshape(-1, 2),
+        np.array([c.h for c in cells], np.float64).reshape(-1, 2),
+        np.array([c.width for c in cells], np.float64),
+        np.array([c.length for c in cells], np.float64),
+    )
+
+
 class Frame:
-    """An indexed set of cells observed at one time point.
+    """The cells observed at one time point, held as read-only arrays.
 
-    Frames compare and hash by index, cells and bounds.
+    Row k of ``e`` and ``h`` (each ``(n, 2)``), of ``widths`` and ``lengths``
+    (each ``(n,)``) and of :meth:`centers` belongs to the cell ``ids[k]``.
+    ``Frame(index, cells, bounds)`` stacks the given cells once and keeps no
+    reference to them; :meth:`from_arrays` takes the arrays themselves, with
+    the same checks and the same float operations, so both give equal
+    frames. ``cells``, iteration and :meth:`cell` build :class:`Cell` objects
+    from the rows on request and do not keep them; tracking reads the arrays
+    (see :func:`rod_arrays`). Frames compare and hash by index, bounds, ids
+    and row values.
     """
 
+    __slots__ = ("index", "bounds", "ids", "e", "h", "widths", "lengths", "_centers", "_by_id")
     index: int
-    cells: tuple[Cell, ...]
     bounds: Rect
-    _by_id: dict = field(init=False, repr=False, compare=False)
-    _centers: np.ndarray = field(init=False, repr=False, compare=False)
+    ids: tuple[str, ...]
+    e: np.ndarray
+    h: np.ndarray
+    widths: np.ndarray
+    lengths: np.ndarray
 
-    def __post_init__(self):
-        cells = tuple(self.cells)
-        object.__setattr__(self, "cells", cells)
-        by_id = {}
-        for pos, c in enumerate(cells):
-            if c.id in by_id:
-                raise ValueError(f"duplicate cell id {c.id!r} in frame {self.index}")
-            by_id[c.id] = pos
-        centers = rod_arrays(cells)[0]
-        inside = self.bounds.contains(centers, tol=1e-6)
+    def __init__(self, index: int, cells: Iterable[Cell], bounds: Rect):
+        cells = tuple(cells)
+        self._fill(index, tuple(c.id for c in cells), *_stacked(cells), bounds)
+
+    @classmethod
+    def from_arrays(cls, index: int, ids, e, h, widths, bounds: Rect) -> "Frame":
+        """The frame of the cells ``Cell(ids[k], e[k], h[k], widths[k])``,
+        built without them: the arrays are copied, the lengths take the
+        cells' float operations, and the first invalid row raises its cell's
+        error, prefixed by its id."""
+        ids = tuple(ids)
+        e, h = np.array(e, np.float64), np.array(h, np.float64)
+        widths = np.array(widths, np.float64)
+        n = len(ids)
+        if e.shape != (n, 2) or h.shape != (n, 2) or widths.shape != (n,):
+            raise ValueError(f"expected {n} ids, endpoints of shape ({n}, 2) and {n} widths")
+        d = h - e
+        lengths = np.hypot(d[:, 0], d[:, 1])
+        valid = np.isfinite(lengths) & (lengths > 0.0) & np.isfinite(widths) & (widths >= 0.0)
+        if not valid.all():
+            k = int(np.argmin(valid))
+            raise ValueError(f"cell {ids[k]!r}: {_rod_error(lengths[k], widths[k])}")
+        return cls._of(index, ids, e, h, widths, lengths, bounds)
+
+    @classmethod
+    def _of(cls, index, ids, e, h, widths, lengths, bounds) -> "Frame":
+        frame = object.__new__(cls)
+        frame._fill(index, ids, e, h, widths, lengths, bounds)
+        return frame
+
+    def _fill(self, index, ids, e, h, widths, lengths, bounds) -> None:
+        """Check ids and bounds, then store the arrays read-only."""
+        by_id = dict(zip(ids, range(len(ids))))
+        if len(by_id) < len(ids):
+            seen = set()
+            for cid in ids:
+                if cid in seen:
+                    raise ValueError(f"duplicate cell id {cid!r} in frame {index}")
+                seen.add(cid)
+        centers = (e + h) / 2.0
+        inside = bounds.contains(centers, tol=1e-6)
         if not inside.all():
-            c = cells[int(np.argmin(inside))]
-            raise ValueError(f"cell {c.id!r} center {c.center} outside frame bounds")
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_centers", centers)
+            k = int(np.argmin(inside))
+            raise ValueError(f"cell {ids[k]!r} center {centers[k]} outside frame bounds")
+        for a in (e, h, widths, lengths, centers):
+            a.flags.writeable = False
+        values = (index, bounds, ids, e, h, widths, lengths, centers, by_id)
+        for name, value in zip(Frame.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frame")
+
+    def __reduce__(self):
+        return Frame._of, (self.index, self.ids, self.e, self.h, self.widths, self.lengths, self.bounds)
+
+    def __repr__(self) -> str:
+        return f"Frame(index={self.index!r}, cells={len(self)}, bounds={self.bounds!r})"
+
+    def __eq__(self, other):
+        if not isinstance(other, Frame):
+            return NotImplemented
+        return (
+            self.index == other.index
+            and self.bounds == other.bounds
+            and self.ids == other.ids
+            and np.array_equal(self.e, other.e)
+            and np.array_equal(self.h, other.h)
+            and np.array_equal(self.widths, other.widths)
+        )
+
+    def __hash__(self):
+        rows = (*self.e.ravel().tolist(), *self.h.ravel().tolist(), *self.widths.tolist())
+        return hash((self.index, self.bounds, self.ids, rows))
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.ids)
+
+    @property
+    def cells(self) -> "FrameCells":
+        return FrameCells(self)
 
     def __iter__(self):
         return iter(self.cells)
 
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(c.id for c in self.cells)
+    def _cell(self, pos: int) -> Cell:
+        return Cell._checked(
+            self.ids[pos], self.e[pos], self.h[pos],
+            self.widths[pos].item(), self.lengths[pos].item(),
+        )
 
     def centers(self) -> np.ndarray:
         return self._centers
@@ -199,18 +298,65 @@ class Frame:
         return self._by_id[cell_id]
 
     def cell(self, cell_id: str) -> Cell:
-        return self.cells[self._by_id[cell_id]]
+        return self._cell(self._by_id[cell_id])
 
     def __contains__(self, cell_id: str) -> bool:
         return cell_id in self._by_id
 
     def without(self, removed_ids: Iterable[str]) -> "Frame":
         gone = set(removed_ids)
-        missing = gone - set(self._by_id)
+        missing = gone - self._by_id.keys()
         if missing:
             raise KeyError(f"ids not in frame {self.index}: {sorted(missing)}")
-        kept = tuple(c for c in self.cells if c.id not in gone)
-        return Frame(self.index, kept, self.bounds)
+        keep = [k for k, cid in enumerate(self.ids) if cid not in gone]
+        return Frame._of(
+            self.index, tuple(self.ids[k] for k in keep),
+            self.e[keep], self.h[keep], self.widths[keep], self.lengths[keep], self.bounds,
+        )
+
+
+class FrameCells(Sequence):
+    """A frame's cells as a read-only sequence: each item read builds its
+    :class:`Cell` from the frame's rows."""
+
+    __slots__ = ("_frame",)
+
+    def __init__(self, frame: Frame):
+        self._frame = frame
+
+    def __len__(self) -> int:
+        return len(self._frame)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self._frame._cell, range(len(self))[k]))
+        return self._frame._cell(range(len(self))[k])
+
+    def __iter__(self):
+        return map(self._frame._cell, range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, (FrameCells, tuple)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+def rod_arrays(rods) -> tuple[np.ndarray, ...]:
+    """(centers, axes, lengths, E, H) of a frame or a sequence of cells, each
+    (n, 2) but ``lengths`` (n,): row k is cell k's ``center``, ``axis_dir``,
+    ``length``, ``e`` and ``h``, bit for bit. A frame hands out its own
+    read-only arrays; only the axes are computed on each call."""
+    if isinstance(rods, Frame):
+        e, h, lengths, centers = rods.e, rods.h, rods.lengths, rods.centers()
+    else:
+        e, h, _, lengths = _stacked(rods)
+        centers = (e + h) / 2.0
+    return centers, (h - e) / lengths[:, None], lengths, e, h
 
 
 def cell_from_pixels(pixels, cell_id: str = "px") -> Cell:
@@ -474,10 +620,9 @@ def build_neighbor_graph(frame: Frame, rho: float = DEFAULT_NEIGHBOR_RADIUS) -> 
     centers = frame.centers()
     x, y = centers[:, 0], centers[:, 1]
     i, j = pairs_within(x, y, rho)
-    e = np.array([c.e for c in frame.cells])
-    h = np.array([c.h for c in frame.cells])
-    half_w = np.array([c.width for c in frame.cells]) / 2.0
-    extent = np.array([c.length for c in frame.cells]) / 2.0 + half_w + 1.0
+    e, h = frame.e, frame.h
+    half_w = frame.widths / 2.0
+    extent = frame.lengths / 2.0 + half_w + 1.0
     # cells with one center share a group: no center of an end's group is a witness
     order = np.lexsort((y, x))
     group = np.empty(n, np.intp)
@@ -532,4 +677,5 @@ def target_window(cell: Cell, next_frame: Frame, w: float) -> list[Cell]:
     """Cells of the next frame whose centers lie in the square window of width
     ``w`` centered on ``cell`` (boundary inclusive). May be empty."""
     mask = window_mask(cell.center, next_frame.centers(), w)
-    return [next_frame.cells[k] for k in np.flatnonzero(mask)]
+    cells = next_frame.cells
+    return [cells[k] for k in np.flatnonzero(mask).tolist()]

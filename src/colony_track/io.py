@@ -21,16 +21,17 @@ def write_frames_jsonl(frames: Sequence[Frame], path) -> None:
     """One cell per line: {"frame", "id", "center", "e", "h", "width"}."""
     with open(path, "w") as fh:
         for frame in frames:
-            for c in frame.cells:
+            rows = (frame.centers(), frame.e, frame.h, frame.widths)
+            for cid, center, e, h, width in zip(frame.ids, *(a.tolist() for a in rows)):
                 fh.write(
                     json.dumps(
                         {
                             "frame": frame.index,
-                            "id": c.id,
-                            "center": [round(float(c.center[0]), 9), round(float(c.center[1]), 9)],
-                            "e": [float(c.e[0]), float(c.e[1])],
-                            "h": [float(c.h[0]), float(c.h[1])],
-                            "width": float(c.width),
+                            "id": cid,
+                            "center": [round(center[0], 9), round(center[1], 9)],
+                            "e": e,
+                            "h": h,
+                            "width": width,
                         }
                     )
                     + "\n"
@@ -55,7 +56,8 @@ def read_frames_jsonl(path) -> list[Frame]:
 
     Each frame gets the bounding box of its cell capsules padded by one pixel.
     """
-    per_frame: dict[int, list[Cell]] = {}
+    # per frame: ids, e and h points, widths
+    per_frame: dict[int, tuple[list, list, list, list]] = {}
     try:
         fh = open(path)
     except OSError as exc:
@@ -75,9 +77,8 @@ def read_frames_jsonl(path) -> list[Frame]:
                     raise ValueError(f"id must be a string, got {cell_id!r}")
                 if not finite_real(width):
                     raise ValueError(f"width must be a finite number, got {width!r}")
-                cell = Cell(cell_id, _numbers(rec["e"], "e", 2), _numbers(rec["h"], "h", 2),
-                            float(width))
-                center = cell.center
+                e, h = _numbers(rec["e"], "e", 2), _numbers(rec["h"], "h", 2)
+                center = Cell(cell_id, e, h, width).center
                 if not np.isfinite(center).all():
                     raise ValueError("the endpoint midpoint overflows a float")
                 stated = _numbers(rec["center"], "center", 2) if "center" in rec else center
@@ -87,12 +88,16 @@ def read_frames_jsonl(path) -> list[Frame]:
                 raise ValidationError(
                     f"{path}:{lineno}: center is not the endpoint midpoint"
                 )
-            per_frame.setdefault(idx, []).append(cell)
+            ids, es, hs, widths = per_frame.setdefault(idx, ([], [], [], []))
+            ids.append(cell_id)
+            es.append(e)
+            hs.append(h)
+            widths.append(float(width))
     frames = []
     for idx in sorted(per_frame):
-        cells = per_frame[idx]
-        pts = np.array([p for c in cells for p in (c.e, c.h)])
-        pad = max(c.width for c in cells) / 2.0 + 1.0
+        ids, e, h, widths = per_frame[idx]
+        pts = np.array(e + h)
+        pad = max(widths) / 2.0 + 1.0
         try:
             box = Rect(
                 float(pts[:, 0].min()) - pad,
@@ -100,7 +105,7 @@ def read_frames_jsonl(path) -> list[Frame]:
                 float(pts[:, 0].max()) + pad,
                 float(pts[:, 1].max()) + pad,
             )
-            frames.append(Frame(idx, tuple(cells), box))
+            frames.append(Frame.from_arrays(idx, ids, e, h, widths, box))
         except ValueError as exc:
             raise ValidationError(f"{path}: {exc}") from exc
     if not frames:

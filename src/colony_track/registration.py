@@ -56,7 +56,7 @@ class RegistrationWeights:
 
 def _rods(frame: Frame, rows: np.ndarray):
     """(centers, lengths, axes) of the frame's cells at positions ``rows``."""
-    centers, axes, lengths, _, _ = rod_arrays(frame.cells)
+    centers, axes, lengths, _, _ = rod_arrays(frame)
     return centers[rows], lengths[rows], axes[rows]
 
 
@@ -283,10 +283,8 @@ class RegistrationProblem:
         return self.match_targets[self.match_offsets[:-1] + states]
 
     def mapping(self, assignment: np.ndarray) -> dict[str, str]:
-        return {
-            self.source.cells[i].id: self.target.cells[int(p)].id
-            for i, p in enumerate(assignment)
-        }
+        targets = self.target.ids
+        return {cid: targets[p] for cid, p in zip(self.source.ids, np.asarray(assignment).tolist())}
 
 
 def build_problem(

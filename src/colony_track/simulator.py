@@ -34,10 +34,10 @@ import numpy as np
 
 from .errors import ColonyTrackError, ValidationError, check_fields, finite_real
 from .geometry import (
-    Cell,
     Frame,
     Rect,
     pairs_within,
+    rod_arrays,
     segment_distance,
     segments_distance,
     stacked_segments_distance,
@@ -226,12 +226,14 @@ class _Colony:
         """Resume from an existing frame; adopted cells count as newborn at
         their current length (division at twice that length plus noise)."""
         cfg = self.cfg
-        for c in frame.cells:
-            self.ids.append(c.id)
-            self._id_counter = max(self._id_counter, _numeric_suffix(c.id))
+        centers, axes, lengths, _, _ = rod_arrays(frame)
+        for k, cid in enumerate(frame.ids):
+            self.ids.append(cid)
+            self._id_counter = max(self._id_counter, _numeric_suffix(cid))
             eps = self.rng.uniform(*cfg.division_eps_range)
+            length = float(lengths[k])
             self._push_arrays(
-                c.center, c.axis_dir, c.length, c.width, 2 * c.length + eps
+                centers[k], axes[k], length, frame.widths[k], 2 * length + eps
             )
         self.anchors = self.centers.copy()
 
@@ -268,11 +270,7 @@ class _Colony:
 
     def to_frame(self, index: int) -> Frame:
         e_all, h_all = self.endpoints()
-        cells = tuple(
-            Cell(self.ids[i], e_all[i], h_all[i], self.widths[i])
-            for i in range(len(self.ids))
-        )
-        return Frame(index, cells, self.cfg.trap_bounds)
+        return Frame.from_arrays(index, self.ids, e_all, h_all, self.widths, self.cfg.trap_bounds)
 
     def step_interframe(self) -> tuple[dict[str, tuple[str, str]], bool]:
         """Advance one interframe. Returns (divisions, relaxation_ok)."""
@@ -616,9 +614,10 @@ def true_motion_bound(frames: list[Frame], lineage: Iterable[LineageRecord]) -> 
     for rec in lineage:
         src = frame_by_index[rec.frame_index]
         dst = frame_by_index[rec.frame_index + 1]
+        sc, dc = src.centers(), dst.centers()
         for a, b in rec.moved.items():
-            bound = max(bound, float(np.hypot(*(dst.cell(b).center - src.cell(a).center))))
+            bound = max(bound, float(np.hypot(*(dc[dst.position(b)] - sc[src.position(a)]))))
         for a, (b1, b2) in rec.divided.items():
-            mid = (dst.cell(b1).center + dst.cell(b2).center) / 2.0
-            bound = max(bound, float(np.hypot(*(mid - src.cell(a).center))))
+            mid = (dc[dst.position(b1)] + dc[dst.position(b2)]) / 2.0
+            bound = max(bound, float(np.hypot(*(mid - sc[src.position(a)]))))
     return bound

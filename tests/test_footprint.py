@@ -105,13 +105,15 @@ def _held_bytes_per_cell(build) -> float:
 
 
 def test_frames_hold_few_bytes_per_cell(tmp_path):
-    # a cell stores its id, endpoints, width and length; center and axis are
-    # derived. Storing them too held 776 B per simulated cell and 819 B per
-    # cell read from a file; without them these read 457 and 499 B.
+    # a frame holds its cells as rows of endpoint, width, length and center
+    # arrays plus an id tuple and an id index, and builds Cell objects only
+    # on request: 140 B per simulated cell and 186 B per cell read from a
+    # file (distinct id strings). Frames that kept a Cell per cell, with two
+    # endpoint arrays each, held 457 and 499 B.
     from colony_track.io import read_frames_jsonl, write_frames_jsonl
     from trackbench import workloads
 
-    assert _held_bytes_per_cell(lambda: workloads.pipeline21(0).frames) < 560
+    assert _held_bytes_per_cell(lambda: workloads.pipeline21(0).frames) < 250
     path = tmp_path / "frames.jsonl"
     write_frames_jsonl(workloads.pipeline21(0).frames, path)
-    assert _held_bytes_per_cell(lambda: read_frames_jsonl(path)) < 560
+    assert _held_bytes_per_cell(lambda: read_frames_jsonl(path)) < 250

@@ -1,3 +1,5 @@
+import pickle
+from copy import deepcopy
 from unittest import mock
 
 import numpy as np
@@ -588,6 +590,97 @@ def test_cells_and_frames_compare_and_hash_by_value():
     assert frame != Frame(0, frame.cells, Rect(-5, -5, 20, 6))
     assert frame != Frame(0, frame.cells[::-1], bounds)
     assert frame != frame.without(["b"])
+    for again in (pickle.loads(pickle.dumps(frame)), deepcopy(frame)):
+        assert again == frame and not again.e.flags.writeable
+
+
+def test_cells_and_frames_hold_read_only_endpoints():
+    # a cell copies the caller's array: writing to it afterwards changes
+    # neither the cell (its length, center and hash) nor a frame built from it
+    a = np.array([0.0, 0.0])
+    c = Cell("a", a, [10, 0], 8)
+    bounds = Rect(-5, -5, 15, 5)
+    frame = Frame(0, (c,), bounds)
+    before = hash(c)
+    a[0] = 6.0
+    assert c.e.tolist() == [0.0, 0.0] and c.length == 10.0 and hash(c) == before
+    assert c.center.tolist() == frame.centers()[0].tolist() == [5.0, 0.0]
+    assert frame.cell("a") == c and frame.cells[0] == c
+    e = np.array([[0.0, 0.0]])
+    copied = Frame.from_arrays(0, ["a"], e, [[10.0, 0.0]], [8.0], bounds)
+    e[0, 0] = 6.0
+    assert copied == frame
+    centers, axes, lengths, e_all, h_all = geometry.rod_arrays(frame)
+    for array in (
+        c.e, c.h, frame.e, frame.h, frame.widths, frame.lengths, frame.centers(),
+        frame.cells[0].e, centers, lengths, e_all, h_all,
+    ):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    with pytest.raises(AttributeError):
+        frame.index = 1
+
+
+@pytest.mark.kernels
+@pytest.mark.parametrize("seed", range(4))
+def test_frames_from_arrays_equal_frames_from_cells(seed):
+    # the two constructors give equal frames with bit-identical lengths,
+    # centers and axes, also for rods a few ulps or subnormals long, far
+    # from the origin, axis-aligned or of zero width
+    rng = np.random.default_rng(seed)
+    n = 400
+    e = rng.uniform(-1.0, 1.0, (n, 2)) * 10.0 ** rng.integers(-3, 8, (n, 1))
+    h = e + rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-12, 3, (n, 1))
+    h[::7, 1] = e[::7, 1]
+    h[::11] = np.nextafter(e[::11], np.inf)
+    h[::13] = np.nextafter(np.nextafter(e[::13], -np.inf), -np.inf)
+    e[:3] = 0.0
+    h[:3] = [[5e-324, 0.0], [5e-324, 5e-324], [1e-310, -3e-310]]
+    widths = rng.uniform(0.0, 10.0, n)
+    widths[::5] = 0.0
+    d = h - e
+    keep = np.hypot(d[:, 0], d[:, 1]) > 0.0
+    e, h, widths = e[keep], h[keep], widths[keep]
+    ids = [f"c{k}" for k in range(len(e))]
+    lo, hi = np.minimum(e, h).min(axis=0) - 1.0, np.maximum(e, h).max(axis=0) + 1.0
+    bounds = Rect(lo[0], lo[1], hi[0], hi[1])
+    cells = [Cell(cid, a, b, w) for cid, a, b, w in zip(ids, e, h, widths)]
+    by_cells = Frame(seed, cells, bounds)
+    by_arrays = Frame.from_arrays(seed, ids, e, h, widths, bounds)
+    assert by_arrays == by_cells and hash(by_arrays) == hash(by_cells)
+    per_cell = (
+        np.array([c.center for c in cells]),
+        np.array([c.axis_dir for c in cells]),
+        np.array([c.length for c in cells]),
+    )
+    for frame in (by_arrays, by_cells):
+        got = geometry.rod_arrays(frame)
+        for value, want in zip(got, per_cell):
+            assert value.tobytes() == want.tobytes()
+        assert got[3].tobytes() == e.tobytes() and got[4].tobytes() == h.tobytes()
+
+
+def test_from_arrays_rejects_what_cells_reject():
+    bounds = Rect(-50, -50, 50, 50)
+    for e, h, width in [
+        ([0, 0], [0, 0], 1.0),
+        ([0, 0], [np.inf, 0], 1.0),
+        ([1e308, 0], [-1e308, 0], 1.0),
+        ([0, 0], [1, 0], -1.0),
+        ([0, 0], [1, 0], np.nan),
+    ]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError) as cell_error:
+                Cell("b", e, h, width)
+            with pytest.raises(ValueError) as frame_error:
+                Frame.from_arrays(0, ["a", "b"], [[0, 0], e], [[5, 0], h], [1.0, width], bounds)
+        assert str(frame_error.value) == f"cell 'b': {cell_error.value}"
+    with pytest.raises(ValueError, match="duplicate cell id 'a'"):
+        Frame.from_arrays(0, ["a", "a"], [[0, 0], [1, 0]], [[5, 0], [6, 0]], [1.0, 1.0], bounds)
+    with pytest.raises(ValueError, match="^cell 'a' center .* outside frame bounds$"):
+        Frame.from_arrays(0, ["a"], [[95, 0]], [[105, 0]], [1.0], bounds)
+    with pytest.raises(ValueError, match="shape"):
+        Frame.from_arrays(0, ["a", "b"], [[0, 0]], [[5, 0]], [1.0], bounds)
 
 
 def test_neighbor_graph_validation():
@@ -614,6 +707,11 @@ def test_stacked_geometry_is_bit_identical_to_the_per_cell_formulas(name):
         assert np.array([c.center for c in cells]).tobytes() == centers.tobytes()
         assert np.array([c.axis_dir for c in cells]).tobytes() == axes.tobytes()
         assert frame.centers().tobytes() == centers.tobytes(), frame.index
+        # a frame's own arrays against freshly built cells, which compute
+        # their lengths one at a time (a frame's cells carry its lengths)
+        fresh = [Cell(c.id, c.e, c.h, c.width) for c in cells]
+        for value, want in zip(geometry.rod_arrays(frame), geometry.rod_arrays(fresh)):
+            assert value.tobytes() == want.tobytes(), frame.index
         rods = division._rods(cells)
         assert rods["center"].tobytes() == centers.tobytes(), frame.index
         assert rods["axis"].tobytes() == axes.tobytes(), frame.index

@@ -13,7 +13,7 @@ from colony_track.annealer import Schedule
 from colony_track.cli import main
 from colony_track.division import DistortionWeights, DivisionWeights
 from colony_track.errors import InfeasibleError, ValidationError
-from colony_track.geometry import Rect
+from colony_track.geometry import Frame, Rect
 from colony_track.pipeline import PipelineConfig, score, track_pair, track_sequence
 from colony_track.registration import RegistrationWeights
 from colony_track.simulator import LineageRecord, SimConfig, simulate
@@ -192,6 +192,39 @@ def test_pipeline_config_from_dict_roundtrip():
         io.from_json(PipelineConfig, {"w": 45.0, "b": 1, "a": 2}, "pipeline config")
     with pytest.raises(ValidationError):
         io.from_json(PipelineConfig, {"w": -1.0}, "pipeline config")
+
+
+def test_tracking_reads_frames_as_arrays(monkeypatch):
+    # frames refuse to hand out Cell objects, and a dividing pipeline21 pair
+    # and a reg6min registration still end with the same results: a .cells
+    # read on a hot path would build a Python object per cell on each call
+    from trackbench import measure, workloads
+
+    pipe, six = workloads.pipeline21(0), workloads.reg6min(0, pairs=1)
+    k = six.pairs[0]
+
+    def run():
+        record, _ = track_pair(pipe.frames[16], pipe.frames[17], measure.PIPELINE_CONFIG, 16)
+        problem = registration.build_problem(
+            six.frames[k], six.frames[k + 1], w=100.0, rho=80.0,
+            weights=measure.REG6MIN_WEIGHTS, g_rate=measure.REG6MIN_G_RATE,
+        )
+        result = registration.register(
+            problem, schedule=Schedule(c=30.0, eta=0.995, epoch_cap=25), rng_seed=5
+        )
+        return record, result.mapping, result.assignment.tolist(), result.energy
+
+    want = run()
+    assert len(want[0].divided) == 2
+
+    def refuse(*args):
+        raise AssertionError("tracking built Cell objects from a frame")
+
+    monkeypatch.setattr(Frame, "cells", property(refuse))
+    monkeypatch.setattr(Frame, "__iter__", refuse)
+    with pytest.raises(AssertionError, match="built Cell"):
+        list(pipe.frames[16])
+    assert run() == want
 
 
 # -- score -------------------------------------------------------------------
