@@ -13,6 +13,7 @@ from .division import (
     DivisionWeights,
     DistortionWeights,
     PairCandidate,
+    PairCandidates,
     ShortLineage,
     build_children_bm,
     build_pch,

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import calibration, io, pipeline, registration
+from . import calibration, division, io, pipeline, registration
 from .errors import InfeasibleError, ValidationError
 from .pipeline import PipelineConfig
 from .simulator import SimConfig, simulate, true_motion_bound
@@ -90,13 +90,13 @@ def _cmd_track(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "energy"])
             writer.writerows(enumerate(trace))
-        if diag.scatter:
+        if diag.kept:
             with open(out / f"scatter_{diag.frame_index:04d}.csv", "w", newline="") as fh:
                 writer = csv.writer(fh)
-                writer.writerow(
-                    ["candidate_id", "is_true_pair", "lin", "gap", "dev", "ratio", "rank"]
-                )
-                writer.writerows(diag.scatter)
+                writer.writerow(["candidate_id", "is_true_pair", *division.PENALTY_NAMES])
+                ids = diag.kept.ids
+                for (a, b), values in zip(diag.kept.cells.tolist(), diag.kept.penalties.tolist()):
+                    writer.writerow([f"{ids[a]}+{ids[b]}", "", *values])
     meta = {
         "pairs": [
             {

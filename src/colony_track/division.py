@@ -2,7 +2,9 @@
 
 Candidate children pairs are target-frame cell pairs with nearby centers.
 Each carries five penalties (lineage, gap, alignment deviation, length ratio,
-length rank). A binary Boltzmann machine with the quadratic energy
+length rank). The candidates of one frame pair are held as arrays
+(:class:`PairCandidates`); :class:`PairCandidate` rows are built only on
+request. A binary Boltzmann machine with the quadratic energy
 E(z) = v . z + lambda * z^T Q z selects the subset of pairs matching the known
 division count: v holds the combined penalties and Q marks pairs that share a
 cell. Swap annealing keeps the count fixed and prices each swap through the
@@ -19,15 +21,7 @@ import numpy as np
 from . import annealer
 from .annealer import QuadraticBm, Schedule
 from .errors import InfeasibleError, ValidationError, check_fields, finite_real
-from .geometry import (
-    CHUNK_ELEMENTS,
-    Cell,
-    Frame,
-    cross2,
-    line_angle,
-    pairs_within,
-    rod_arrays,
-)
+from .geometry import CHUNK_ELEMENTS, Cell, Frame, cross2, line_angle, pairs_within, rod_arrays
 
 PENALTY_NAMES = ("lin", "gap", "dev", "ratio", "rank")
 
@@ -61,7 +55,8 @@ class DivisionWeights:
 
 @dataclass(frozen=True)
 class PairCandidate:
-    """A plausible children pair with its penalty vector and estimated parent."""
+    """A plausible children pair with its penalty vector and estimated parent:
+    one row of :class:`PairCandidates`."""
 
     pair: tuple[str, str]
     lin: float
@@ -71,14 +66,81 @@ class PairCandidate:
     rank: float
     parent: str | None
 
-    def combined(self, weights: DivisionWeights) -> float:
-        return (
-            weights.lin * self.lin
-            + weights.gap * self.gap
-            + weights.dev * self.dev
-            + weights.ratio * self.ratio
-            + weights.rank * self.rank
-        )
+
+class PairCandidates(Sequence):
+    """The candidate children pairs of one frame pair, held as read-only arrays.
+
+    Candidate j pairs the cells ``ids[cells[j, 0]]`` and ``ids[cells[j, 1]]``
+    (``cells`` is ``(m, 2)``), has the penalties ``penalties[j]`` (``(m, 5)``,
+    in :data:`PENALTY_NAMES` order) and the estimated parent
+    ``parent_ids[parent[j]]``, or none where ``parent[j]`` is -1.
+    ``PairCandidates(rows)`` stacks :class:`PairCandidate` rows once, numbering
+    ids by first appearance; :meth:`from_arrays` takes the arrays themselves.
+    An integer index or iteration builds rows on request; a slice, index
+    array or mask gives the candidates it selects.
+    """
+
+    __slots__ = ("ids", "cells", "parent_ids", "parent", "penalties")
+
+    def __init__(self, rows: Iterable[PairCandidate] = ()):
+        rows, ids, pids = list(rows), {}, {}
+        cells = [[ids.setdefault(cid, len(ids)) for cid in row.pair] for row in rows]
+        parent = [-1 if r.parent is None else pids.setdefault(r.parent, len(pids)) for r in rows]
+        penalties = [[getattr(row, name) for name in PENALTY_NAMES] for row in rows]
+        self._fill(tuple(ids), np.reshape(cells, (-1, 2)), tuple(pids), parent, penalties)
+
+    @classmethod
+    def from_arrays(cls, ids, cells, parent_ids, parent, penalties) -> "PairCandidates":
+        """The candidates of copies of the given arrays; ``ids`` must be distinct."""
+        cands = object.__new__(cls)
+        cands._fill(tuple(ids), cells, tuple(parent_ids), parent, penalties)
+        return cands
+
+    def _fill(self, ids, cells, parent_ids, parent, penalties) -> None:
+        cells, parent = np.array(cells, np.intp), np.array(parent, np.intp)
+        penalties = np.array(penalties, np.float64).reshape(-1, len(PENALTY_NAMES))
+        m = len(penalties)
+        if cells.shape != (m, 2) or parent.shape != (m,) or len(set(ids)) < len(ids):
+            raise ValueError(f"expected {m} cell pairs and parents, and distinct ids")
+        for a in (cells, parent, penalties):
+            a.flags.writeable = False
+        for name, value in zip(self.__slots__, (ids, cells, parent_ids, parent, penalties)):
+            setattr(self, name, value)
+
+    def __len__(self) -> int:
+        return len(self.parent)
+
+    def pair(self, j: int) -> tuple[str, str]:
+        a, b = self.cells[j].tolist()
+        return self.ids[a], self.ids[b]
+
+    def parent_id(self, j: int) -> str | None:
+        p = int(self.parent[j])
+        return None if p < 0 else self.parent_ids[p]
+
+    def _row(self, j: int) -> PairCandidate:
+        return PairCandidate(self.pair(j), *self.penalties[j].tolist(), self.parent_id(j))
+
+    def __getitem__(self, j):
+        if isinstance(j, (slice, np.ndarray)):
+            return PairCandidates.from_arrays(
+                self.ids, self.cells[j], self.parent_ids, self.parent[j], self.penalties[j]
+            )
+        return self._row(range(len(self))[j])
+
+    def __iter__(self):
+        return map(self._row, range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, (PairCandidates, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+
+def _columnar(candidates: Iterable[PairCandidate]) -> PairCandidates:
+    return candidates if isinstance(candidates, PairCandidates) else PairCandidates(candidates)
 
 
 @dataclass(frozen=True)
@@ -171,12 +233,8 @@ def _best_parents(c1: np.ndarray, c2: np.ndarray, source: np.ndarray, ids, w, we
 
 
 def estimate_parent(
-    b1: Cell,
-    b2: Cell,
-    frame: Frame,
-    w: float,
-    weights: DistortionWeights = DistortionWeights(),
-    exclude: set[str] | None = None,
+    b1: Cell, b2: Cell, frame: Frame, w: float,
+    weights: DistortionWeights = DistortionWeights(), exclude: set[str] | None = None,
 ) -> tuple[str, float] | None:
     """Most likely parent: the distortion minimum over the feasible cells of
     ``frame`` (see :func:`_best_parents`), or None when no cell is feasible."""
@@ -219,14 +277,12 @@ def pair_penalties(b1: Cell, b2: Cell, l_min: float) -> tuple[float, float, floa
 
 
 def build_pch(
-    frame: Frame,
-    next_frame: Frame,
-    tau: float = 45.0,
-    w: float = 45.0,
+    frame: Frame, next_frame: Frame, tau: float = 45.0, w: float = 45.0,
     weights: DistortionWeights = DistortionWeights(),
-) -> list[PairCandidate]:
+) -> PairCandidates:
     """Plausible children pairs: unordered target pairs with center distance
-    strictly below ``tau``, each with its five penalties.
+    strictly below ``tau``, each with its five penalties, built as arrays
+    whose ids are the two frames' own id tuples.
 
     Pairs with no feasible parent or with coincident centers cannot be true
     children pairs and are dropped, keeping all penalty vectors finite.
@@ -242,13 +298,9 @@ def build_pch(
     gap, dev, ratio, rank = _pair_penalties(b1, b2, kids["length"].min())
     parent, lin = _best_parents(b1, b2, _rods(frame), frame.ids, w, weights)
     keep = np.isfinite(dev) & (parent >= 0)
-    ids, parent_ids = next_frame.ids, frame.ids
-    return [
-        PairCandidate((ids[a], ids[b]), *values, parent_ids[p])
-        for a, b, p, *values in zip(
-            *(v[keep].tolist() for v in (i, j, parent, lin, gap, dev, ratio, rank))
-        )
-    ]
+    cells = np.stack([i[keep], j[keep]], axis=1)
+    penalties = np.stack([v[keep] for v in (lin, gap, dev, ratio, rank)], axis=1)
+    return PairCandidates.from_arrays(next_frame.ids, cells, frame.ids, parent[keep], penalties)
 
 
 # touching siblings have endpoint distance ~ width (the rounded caps), so the
@@ -270,45 +322,17 @@ def check_trim_thresholds(thresholds) -> None:
 
 
 def trim_candidates(
-    candidates: Sequence[PairCandidate],
-    thresholds: dict[str, float] | None = None,
-) -> list[PairCandidate]:
+    candidates: Iterable[PairCandidate], thresholds: dict[str, float] | None = None
+) -> PairCandidates:
     """Trim implausible pairs by empirical penalty thresholds: a candidate is
     rejected only when ALL thresholded penalties exceed their bounds."""
-    if thresholds is None:
-        thresholds = DEFAULT_TRIM_THRESHOLDS
+    candidates = _columnar(candidates)
+    thresholds = DEFAULT_TRIM_THRESHOLDS if thresholds is None else thresholds
     check_trim_thresholds(thresholds)
-    if not thresholds:
-        return list(candidates)
-    kept = []
-    for cand in candidates:
-        if not all(getattr(cand, name) > bound for name, bound in thresholds.items()):
-            kept.append(cand)
-    return kept
-
-
-def scatter_rows(
-    candidates: Sequence[PairCandidate], true_pairs: set[frozenset] | None = None
-) -> list[list]:
-    """Rows for the penalty-tandem scatter CSV:
-    candidate_id,is_true_pair,lin,gap,dev,ratio,rank."""
-    rows = []
-    for cand in candidates:
-        flag = ""
-        if true_pairs is not None:
-            flag = int(frozenset(cand.pair) in true_pairs)
-        rows.append(
-            [
-                "+".join(cand.pair),
-                flag,
-                cand.lin,
-                cand.gap,
-                cand.dev,
-                cand.ratio,
-                cand.rank,
-            ]
-        )
-    return rows
+    reject = np.full(len(candidates), bool(thresholds))
+    for name, bound in thresholds.items():
+        reject &= candidates.penalties[:, PENALTY_NAMES.index(name)] > bound
+    return candidates[~reject]
 
 
 @dataclass
@@ -316,16 +340,17 @@ class ChildrenBmProblem:
     """Binary BM over candidate pairs: E(z) = v . z + lambda_q * z^T Q z.
 
     ``v[j]`` is candidate j's combined penalty and ``cells[j]`` its two cells
-    as small ints; Q_jk = 1 when candidates j and k share a cell, so a
-    selection pays 2 lambda_q per conflicting pair. :meth:`to_bm` hands the
-    same arrays to the swap annealer, which counts selections per cell.
+    as indices into ``candidates.ids``; Q_jk = 1 when candidates j and k
+    share a cell, so a selection pays 2 lambda_q per conflicting pair.
+    :meth:`to_bm` hands the same arrays to the swap annealer, which counts
+    selections per cell.
 
     ``max_disjoint`` is the exact maximum number of disjoint candidates when
     :func:`build_children_bm` had to compute it (its greedy certificate fell
     short of ``div_count``), else None.
     """
 
-    candidates: list[PairCandidate]
+    candidates: PairCandidates
     v: np.ndarray
     cells: np.ndarray
     div_count: int
@@ -357,7 +382,7 @@ class ChildrenBmProblem:
         return QuadraticBm(self.v, self.cells, self.lambda_q)
 
 
-def max_disjoint_candidates(candidates: Sequence[PairCandidate]) -> int:
+def max_disjoint_candidates(candidates: Iterable[PairCandidate]) -> int:
     """Largest number of pairwise-disjoint candidates: a maximum matching in
     the graph whose vertices are target cells and edges are candidates.
 
@@ -368,76 +393,73 @@ def max_disjoint_candidates(candidates: Sequence[PairCandidate]) -> int:
     """
     import networkx as nx
 
-    graph = nx.Graph()
-    graph.add_edges_from(cand.pair for cand in candidates)
+    graph = nx.Graph(_columnar(candidates).cells.tolist())
     return len(nx.max_weight_matching(graph, maxcardinality=True))
 
 
-def _greedy_disjoint(
-    candidates: Sequence[PairCandidate], v: np.ndarray, limit: int
-) -> list[int]:
-    """Up to ``limit`` pairwise-disjoint candidates, taken greedily by lowest
-    penalty, then lowest index."""
-    used: set[str] = set()
-    chosen: list[int] = []
-    for j in np.lexsort((np.arange(len(candidates)), v)):
+def _greedy_disjoint(cells: np.ndarray, v: np.ndarray, limit: int) -> list[int]:
+    """Up to ``limit`` pairwise-disjoint candidates, with the cell index pairs
+    ``cells``, taken greedily by lowest penalty, then lowest index."""
+    used = bytearray(int(cells.max(initial=-1)) + 1)  # a 0/1 flag per cell
+    pairs, chosen = cells.tolist(), []
+    for j in np.lexsort((np.arange(len(v)), v)).tolist():
         if len(chosen) == limit:
             break
-        if not used & set(candidates[j].pair):
-            chosen.append(int(j))
-            used.update(candidates[j].pair)
+        a, b = pairs[j]
+        if not (used[a] or used[b]):
+            chosen.append(j)
+            used[a] = used[b] = 1
     return chosen
 
 
 def build_children_bm(
-    candidates: Sequence[PairCandidate],
-    div_count: int,
+    candidates: Iterable[PairCandidate], div_count: int,
     weights: DivisionWeights = DivisionWeights(),
 ) -> ChildrenBmProblem:
-    """Assemble the children-selection BM.
+    """Assemble the children-selection BM from the candidates' arrays.
 
-    Candidates conflict when they share a cell; they must be distinct pairs
-    of two cells, so two of them share at most one. The problem is flagged
-    infeasible when no disjoint subset of the requested cardinality exists.
-    A greedy disjoint set (the pass and order of the annealer's start) of
-    ``div_count`` candidates certifies feasibility; only when it falls short
-    does the exact maximum matching (:func:`max_disjoint_candidates`) run,
-    once, with its count kept in ``max_disjoint``.
+    ``v`` weighs each candidate's penalties, summed elementwise in
+    :data:`PENALTY_NAMES` order. Candidates must be distinct pairs of two
+    cells, so two of them share at most one. The problem is infeasible when
+    no ``div_count`` disjoint candidates exist. A greedy disjoint set (the
+    annealer's start) of ``div_count`` candidates certifies feasibility; only
+    when it falls short does the exact maximum matching
+    (:func:`max_disjoint_candidates`) run, once, its count kept in
+    ``max_disjoint``.
     """
     if div_count < 1:
         raise ValidationError("division count must be at least 1")
+    candidates = _columnar(candidates)
     if not candidates:
         raise ValidationError("no candidate children pairs")
-    m = len(candidates)
-    v = np.array([cand.combined(weights) for cand in candidates])
+    lin, gap, dev, ratio, rank, w = *candidates.penalties.T, weights
+    v = lin * w.lin + gap * w.gap + dev * w.dev + ratio * w.ratio + rank * w.rank
     if not np.all(np.isfinite(v)) or np.any(v < 0):
         raise ValidationError("candidate penalties must be finite and non-negative")
-    pairs = {frozenset(cand.pair) for cand in candidates}
-    if len(pairs) < m or any(len(pair) != 2 for pair in pairs):
+    cells = candidates.cells
+    lo, hi = np.sort(cells, axis=1).T
+    keys = np.sort(lo * len(candidates.ids) + hi)  # one key per unordered pair
+    if np.any(lo == hi) or np.any(keys[1:] == keys[:-1]):
         raise ValidationError("candidates must be distinct pairs of two cells")
-    ids: dict[str, int] = {}
-    cells = np.array([[ids.setdefault(cid, len(ids)) for cid in cand.pair] for cand in candidates])
     lambda_q = 10.0 * max(float(v.max()), 1.0)
     max_disjoint = None
-    if len(_greedy_disjoint(candidates, v, div_count)) < div_count:
+    if len(_greedy_disjoint(cells, v, div_count)) < div_count:
         max_disjoint = max_disjoint_candidates(candidates)
-    return ChildrenBmProblem(list(candidates), v, cells, div_count, lambda_q, max_disjoint)
+    return ChildrenBmProblem(candidates, v, cells, div_count, lambda_q, max_disjoint)
 
 
 def _greedy_initial(problem: ChildrenBmProblem) -> np.ndarray:
     """Deterministic start: the ``div_count`` lowest-penalty candidates,
     preferring disjoint ones."""
     z = np.zeros(problem.m, dtype=np.int64)
-    z[_greedy_disjoint(problem.candidates, problem.v, problem.div_count)] = 1
+    z[_greedy_disjoint(problem.cells, problem.v, problem.div_count)] = 1
     rest = [j for j in np.lexsort((np.arange(problem.m), problem.v)) if not z[j]]
     z[rest[: problem.div_count - int(z.sum())]] = 1
     return z
 
 
 def solve_children_bm(
-    problem: ChildrenBmProblem,
-    schedule: Schedule | None = None,
-    rng_seed: int = 0,
+    problem: ChildrenBmProblem, schedule: Schedule | None = None, rng_seed: int = 0
 ) -> list[int]:
     """Select exactly ``div_count`` candidates by cardinality-constrained swap
     annealing and return their indices.
@@ -446,31 +468,20 @@ def solve_children_bm(
     any smaller selection leaves a target cell that no source maps to.
     """
     if problem.infeasible:
-        raise InfeasibleError(
-            f"only {problem.max_disjoint} disjoint "
-            f"children pairs available for {problem.div_count} divisions"
-        )
+        raise InfeasibleError(f"only {problem.max_disjoint} disjoint children pairs "
+                              f"available for {problem.div_count} divisions")
     if problem.div_count > problem.m:
         raise InfeasibleError("fewer candidates than requested divisions")
-    if schedule is None:
-        schedule = Schedule.children_default()
     result = annealer.anneal(
-        problem.to_bm(),
-        dynamics="swap",
-        schedule=schedule,
-        rng_seed=rng_seed,
-        initial_states=_greedy_initial(problem),
+        problem.to_bm(), dynamics="swap", schedule=schedule or Schedule.children_default(),
+        rng_seed=rng_seed, initial_states=_greedy_initial(problem),
     )
-    return [int(j) for j in np.flatnonzero(result.best_states)]
+    return np.flatnonzero(result.best_states).tolist()
 
 
 def select_short_lineages(
-    frame: Frame,
-    next_frame: Frame,
-    candidates: Sequence[PairCandidate],
-    selected: Iterable[int],
-    w: float,
-    weights: DistortionWeights = DistortionWeights(),
+    frame: Frame, next_frame: Frame, candidates: Iterable[PairCandidate],
+    selected: Iterable[int], w: float, weights: DistortionWeights = DistortionWeights(),
 ) -> tuple[list[ShortLineage], list[tuple[str, str]]]:
     """Turn selected candidates into short lineages with distinct parents.
 
@@ -479,27 +490,18 @@ def select_short_lineages(
     remaining feasible parents. Pairs left without any parent are dropped and
     reported in the second return value.
     """
-    chosen = sorted(selected, key=lambda j: (candidates[j].lin, j))
-    taken: set[str] = set()
-    lineages: list[ShortLineage] = []
-    dropped: list[tuple[str, str]] = []
-    for j in chosen:
-        cand = candidates[j]
-        parent, value = cand.parent, cand.lin
+    candidates = _columnar(candidates)
+    lin = candidates.penalties[:, 0]
+    taken, lineages, dropped = set(), [], []
+    for j in sorted(selected, key=lambda j: (lin[j], j)):
+        pair, parent, value = candidates.pair(j), candidates.parent_id(j), float(lin[j])
         if parent in taken:
-            alt = estimate_parent(
-                next_frame.cell(cand.pair[0]),
-                next_frame.cell(cand.pair[1]),
-                frame,
-                w,
-                weights,
-                exclude=taken,
-            )
+            alt = estimate_parent(*map(next_frame.cell, pair), frame, w, weights, exclude=taken)
             if alt is None:
-                dropped.append(cand.pair)
+                dropped.append(pair)
                 continue
             parent, value = alt
-        lineages.append(ShortLineage(parent, cand.pair, value))
+        lineages.append(ShortLineage(parent, pair, value))
         taken.add(parent)
     return lineages, dropped
 
@@ -516,7 +518,5 @@ def reduce_frames(
     children = [cid for sl in lineages for cid in sl.children]
     if len(set(parents)) != len(parents) or len(set(children)) != len(children):
         raise ValidationError("non-disjoint lineages")
-    red_b = frame.without(parents)
-    red_b_plus = next_frame.without(children)
     div_map = {sl.parent: sl.children for sl in lineages}
-    return red_b, red_b_plus, div_map
+    return frame.without(parents), next_frame.without(children), div_map

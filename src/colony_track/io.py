@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import json
 import typing
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -15,6 +16,16 @@ from .errors import ValidationError, finite_real
 from .geometry import Cell, Frame, Rect
 
 LINEAGE_HEADER = ["frame_index", "source_id", "kind", "target_id_1", "target_id_2"]
+
+
+@contextmanager
+def _reading(path, what: str):
+    """Raise :class:`ValidationError` for text that is not UTF-8, or for a
+    CSV field over the csv module's size limit, met while reading ``path``."""
+    try:
+        yield
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"{path}: unreadable {what} ({exc})") from exc
 
 
 def write_frames_jsonl(frames: Sequence[Frame], path) -> None:
@@ -63,7 +74,7 @@ def read_frames_jsonl(path) -> list[Frame]:
     except OSError as exc:
         raise ValidationError(f"cannot read frames file {path}: {exc}") from exc
     # coordinates near the float limit overflow; the checks below reject them
-    with fh, np.errstate(over="ignore"):
+    with fh, np.errstate(over="ignore"), _reading(path, "frames file"):
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -133,7 +144,7 @@ def read_lineage_csv(path) -> list:
         fh = open(path, newline="")
     except OSError as exc:
         raise ValidationError(f"cannot read lineage file {path}: {exc}") from exc
-    with fh:
+    with fh, _reading(path, "lineage file"):
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != LINEAGE_HEADER:

@@ -62,7 +62,7 @@ class PairDiagnostics:
     n_candidates: int = 0
     n_trimmed: int = 0
     dropped_pairs: list = field(default_factory=list)
-    scatter: list = field(default_factory=list)
+    kept: division.PairCandidates | None = None  # the candidates that survive trimming
     padded_windows: int = 0
     clique_counts: tuple[int, int, int] = (0, 0, 0)
     max_touched_cliques: int = 0
@@ -101,7 +101,7 @@ def track_pair(
         diag.n_candidates = len(candidates)
         kept = division.trim_candidates(candidates, config.trim_thresholds)
         diag.n_trimmed = len(candidates) - len(kept)
-        diag.scatter = division.scatter_rows(kept)
+        diag.kept = kept
         if not kept:
             raise InfeasibleError(
                 f"frame {frame.index}: {div_count} divisions expected but no "

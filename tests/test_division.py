@@ -6,14 +6,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from colony_track import division, io, pipeline
+from colony_track.annealer import Schedule
 from colony_track.division import (
     DEFAULT_TRIM_THRESHOLDS,
+    PENALTY_NAMES,
     DistortionWeights,
     DivisionWeights,
     PairCandidate,
+    PairCandidates,
     ShortLineage,
     build_children_bm,
     build_pch,
@@ -350,13 +353,68 @@ def test_conflict_matrix_matches_pairwise_loop(seed):
     assert q.dtype == np.uint8 and np.array_equal(q, expected)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_candidates_from_rows_and_from_arrays_build_the_same_problem(seed):
+    # the rows number their cells by first appearance, the arrays in reverse
+    # id order: the problems must agree up to that relabelling
+    rng = np.random.default_rng(seed)
+    cells = int(rng.integers(2, 8))
+    rows = _toy_candidates(rng, int(rng.integers(1, cells * (cells - 1) // 2 + 1)), cells)
+    div_count = int(rng.integers(1, len(rows) + 1))
+    weights = DivisionWeights(**{name: float(rng.uniform(0, 2)) for name in PENALTY_NAMES})
+    ids = sorted({cid for row in rows for cid in row.pair}, reverse=True)
+    parents = sorted({row.parent for row in rows})
+    arrays = PairCandidates.from_arrays(
+        ids,
+        [[ids.index(cid) for cid in row.pair] for row in rows],
+        parents,
+        [parents.index(row.parent) for row in rows],
+        [[getattr(row, name) for name in PENALTY_NAMES] for row in rows],
+    )
+    assert list(arrays) == rows == list(PairCandidates(rows))
+    w = weights
+    combined = [
+        w.lin * r.lin + w.gap * r.gap + w.dev * r.dev + w.ratio * r.ratio + w.rank * r.rank
+        for r in rows
+    ]
+    problems = [build_children_bm(cands, div_count, weights) for cands in (rows, arrays)]
+    schedule = Schedule(c=5.0, eta=0.995, epoch_cap=30)
+    picks = []
+    for problem in problems:
+        assert problem.v.tolist() == combined  # bit for bit
+        named = [[problem.candidates.ids[c] for c in pair] for pair in problem.cells.tolist()]
+        assert named == [list(row.pair) for row in rows]
+        feasible = not problem.infeasible and div_count <= problem.m
+        picks.append(solve_children_bm(problem, schedule, rng_seed=seed) if feasible else None)
+    first, second = problems
+    assert np.array_equal(first.q, second.q)
+    assert (first.max_disjoint, first.lambda_q) == (second.max_disjoint, second.lambda_q)
+    assert picks[0] == picks[1]
+
+
+def test_candidate_arrays_select_by_slice_mask_and_index():
+    rows = _toy_candidates(np.random.default_rng(4), 6)
+    cands = PairCandidates(rows)
+    assert len(cands) == 6 and cands[-1] == rows[-1] and cands.pair(2) == rows[2].pair
+    assert list(cands[1:4]) == rows[1:4]
+    assert list(cands[np.array([5, 0])]) == [rows[5], rows[0]]
+    assert list(cands[cands.penalties[:, 0] > 1.0]) == [r for r in rows if r.lin > 1.0]
+    assert list(trim_candidates(cands, {})) == rows and len(PairCandidates()) == 0
+    with pytest.raises(ValueError):
+        cands.cells[0, 0] = 1  # read-only
+    with pytest.raises(ValueError, match="distinct ids"):
+        PairCandidates.from_arrays(["a", "a"], [[0, 1]], ["p"], [0], [[0.0] * 5])
+
+
 def test_children_bm_rejects_repeated_or_one_cell_pairs():
     cands = _toy_candidates(np.random.default_rng(1), 3)
     flipped = PairCandidate(cands[0].pair[::-1], 0.0, 0.0, 0.0, 0.0, 0.0, None)
     one_cell = PairCandidate(("t0", "t0"), 0.0, 0.0, 0.0, 0.0, 0.0, None)
     for bad in (flipped, one_cell):
-        with pytest.raises(ValidationError, match="distinct pairs of two cells"):
-            build_children_bm(cands + [bad], 1)
+        for given_as in (list, PairCandidates):
+            with pytest.raises(ValidationError, match="distinct pairs of two cells"):
+                build_children_bm(given_as(cands + [bad]), 1)
 
 
 @given(st.integers(0, 10**6))

@@ -1,6 +1,7 @@
-"""No command loads scipy, simulation, tracking and scoring load no networkx,
-the chunked pairwise passes keep their working sets small, and frames hold
-few bytes per cell.
+"""No command loads scipy, networkx or numpy.ma (which ``np.unique`` and
+numpy's set functions import, at about 1 MB of RSS), the chunked pairwise
+passes keep their working sets small, and frames and children candidates hold
+few bytes per cell and per candidate.
 
 The commands run in a fresh interpreter, since this test session has already
 imported both packages elsewhere.
@@ -25,7 +26,7 @@ from colony_track.io import read_lineage_csv
 
 def loaded():
     names = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
-    return names + [m for m in sys.modules if m == "networkx"]
+    return names + [m for m in sys.modules if m in ("networkx", "numpy.ma")]
 
 out = Path(sys.argv[1])
 (out / "sim.json").write_text(json.dumps({
@@ -88,19 +89,24 @@ def test_pairwise_passes_stay_within_their_memory_budget():
     assert _peak_kib(lambda: build_pch(frame, next_frame)) < 500
 
 
-def _held_bytes_per_cell(build) -> float:
-    """Traced memory still held once ``build()`` has returned its frames, per
-    cell; a first untraced call warms any caches."""
+def _held_bytes(build):
+    """Traced memory still held once ``build()`` has returned, with what it
+    returned; a first untraced call warms any caches."""
     build()
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        frames = build()
+        built = build()
         gc.collect()
-        held = tracemalloc.get_traced_memory()[0] - base
+        return tracemalloc.get_traced_memory()[0] - base, built
     finally:
         tracemalloc.stop()
+
+
+def _held_bytes_per_cell(build) -> float:
+    """:func:`_held_bytes` of ``build()``'s frames, per cell."""
+    held, frames = _held_bytes(build)
     return held / sum(len(f) for f in frames)
 
 
@@ -117,3 +123,18 @@ def test_frames_hold_few_bytes_per_cell(tmp_path):
     path = tmp_path / "frames.jsonl"
     write_frames_jsonl(workloads.pipeline21(0).frames, path)
     assert _held_bytes_per_cell(lambda: read_frames_jsonl(path)) < 250
+
+
+def test_children_candidates_hold_few_bytes_each():
+    # build_pch returns its candidates as arrays (two cell indices, a parent
+    # index and five penalties) beside the frames' own id tuples: 64 B per
+    # candidate and the array headers. A frozen PairCandidate per candidate
+    # held about 328 B on this pair.
+    from colony_track.division import build_pch
+    from trackbench import workloads
+
+    wl = workloads.pipeline21(0)
+    frame, next_frame = wl.frames[wl.pairs[-1]], wl.frames[wl.pairs[-1] + 1]
+    held, candidates = _held_bytes(lambda: build_pch(frame, next_frame))
+    assert len(candidates) > 300
+    assert held / len(candidates) <= 120

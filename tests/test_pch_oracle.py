@@ -2,9 +2,10 @@
 
 The reference is the per-candidate, per-parent scalar code that
 ``division.build_pch`` ran before its array passes: one ``estimate_parent``
-scan over the source frame per candidate and a 2 x 2 tip loop per pair. The
-array passes keep its float operations, so candidates must come out equal,
-not merely close. No golden float hash is pinned: numpy's SIMD ``arccos``
+scan over the source frame per candidate and a 2 x 2 tip loop per pair,
+building one ``PairCandidate`` per candidate. The array passes keep its float
+operations, so the rows of ``build_pch``'s arrays must come out equal to the
+reference's objects, not merely close. No golden float hash is pinned: numpy's SIMD ``arccos``
 moves the last bits of ``lin`` across CPUs, in both codes alike.
 """
 
@@ -117,8 +118,11 @@ def ref_build_pch(frame, next_frame, tau, w, weights):
 
 
 def assert_same(got, want):
-    """Equal lists. A failure shows the first difference only: pytest's full
-    diff of two long candidate lists takes minutes."""
+    """Equal sequences: the rows of ``got`` (for candidates, the row view of
+    ``build_pch``'s arrays) against ``want``. A failure shows the first
+    difference only: pytest's full diff of two long candidate lists takes
+    minutes."""
+    got = list(got)
     diff = [(g, w) for g, w in zip(got, want) if g != w]
     assert (len(got), len(diff)) == (len(want), 0), diff[:1]
 

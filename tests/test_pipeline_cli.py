@@ -1,14 +1,16 @@
+import contextlib
 import dataclasses
 import json
 import math
 import re
 import warnings
+from io import StringIO
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from colony_track import io, registration
+from colony_track import division, io, registration
 from colony_track.annealer import Schedule
 from colony_track.cli import main
 from colony_track.division import DistortionWeights, DivisionWeights
@@ -227,6 +229,30 @@ def test_tracking_reads_frames_as_arrays(monkeypatch):
     assert run() == want
 
 
+def test_tracking_builds_no_candidate_rows(monkeypatch):
+    # PairCandidate rows refuse to be built, and a dividing pipeline21 pair
+    # still ends with the same record and the same kept candidates: the
+    # children stage reads build_pch's arrays, never one object per candidate
+    from trackbench import measure, workloads
+
+    pipe = workloads.pipeline21(0)
+
+    def run():
+        record, diag = track_pair(pipe.frames[16], pipe.frames[17], measure.PIPELINE_CONFIG, 16)
+        return record, diag.kept.cells.tolist(), diag.kept.penalties.tolist()
+
+    want = run()
+    assert len(want[0].divided) == 2
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("tracking built a PairCandidate")
+
+    monkeypatch.setattr(division.PairCandidate, "__init__", refuse)
+    with pytest.raises(AssertionError, match="built a PairCandidate"):
+        list(division.build_pch(pipe.frames[16], pipe.frames[17]))
+    assert run() == want
+
+
 # -- score -------------------------------------------------------------------
 
 
@@ -322,6 +348,9 @@ def test_frames_jsonl_rejects_garbage(tmp_path, capsys):
         io.read_frames_jsonl(path)
     assert main(["track", "--frames", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    path.write_bytes(cell.encode() + cell.replace('"a"', '"\xff"').encode("latin-1"))
+    assert main(["track", "--frames", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: unreadable frames file")
     # a non-integer frame index is an error, not merged into a nearby frame
     for frame in ("0.5", "true", '"1"'):
         path.write_text(cell.replace('"frame": 0', f'"frame": {frame}'))
@@ -450,6 +479,78 @@ def test_lineage_csv_rejects_source_moved_twice(tmp_path, capsys, small_run):
     ):
         assert main(args) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}:3: source 'a' repeated")
+
+
+# a fault that makes a lineage file malformed: its header, a row's field
+# count, frame index or kind, a repeated source, bytes that are not UTF-8, a
+# field over the csv module's size limit, or a frame the other file lacks
+_LINEAGE_FAULTS = st.one_of(
+    st.tuples(st.just("header"), st.sampled_from(["", "frame_index,source_id,kind",
+                                                  "FRAME_INDEX,source_id,kind,t1,t2"])),
+    st.tuples(st.just("fields"), st.sampled_from([-2, -1, 1, 3])),
+    st.tuples(st.just("index"), st.sampled_from(["", "x", "1.5", "1e3", "nan", "--1", "0x1"])),
+    st.tuples(st.just("kind"), st.sampled_from(["", "move", "DIV ", "SPLIT", "MOVE\t"])),
+    st.tuples(st.just("repeat"), st.just(None)),
+    st.tuples(st.just("bytes"), st.sampled_from([b"\xff", b"\xc3\x28", b"\xed\xa0\x80"])),
+    st.tuples(st.just("huge"), st.just(None)),
+    st.tuples(st.just("frame"), st.just(None)),
+)
+
+
+@st.composite
+def lineage_files(draw):
+    """A valid lineage file's rows, over up to three frames of up to four
+    cells, in some of which every cell divided; and a fault for them."""
+    rows = []
+    for frame in range(draw(st.integers(1, 3))):
+        every = draw(st.booleans())
+        for k in range(draw(st.integers(1, 4))):
+            if every or draw(st.booleans()):
+                rows.append([str(frame), f"c{k}", "DIV", f"c{k}a", f"c{k}b"])
+            else:
+                rows.append([str(frame), f"c{k}", "MOVE", f"c{k}", ""])
+    return rows, draw(st.integers(0, len(rows) - 1)), draw(_LINEAGE_FAULTS)
+
+
+def _lineage_bytes(rows, at=None, fault=None) -> bytes:
+    header = ",".join(io.LINEAGE_HEADER)
+    rows = [list(row) for row in rows]
+    kind, value = fault or (None, None)
+    if kind == "header":
+        header = value
+    elif kind == "fields":
+        rows[at] = rows[at][:value] if value < 0 else rows[at] + ["x"] * value
+    elif kind == "index":
+        rows[at][0] = value
+    elif kind == "kind":
+        rows[at][2] = value
+    elif kind == "repeat":
+        rows.append(rows[at])
+    elif kind == "huge":
+        rows[at][3] = "c" * 131_073
+    elif kind == "frame":
+        rows[at][0] = "9"
+    lines = [header.encode()] + [",".join(row).encode() for row in rows]
+    if kind == "bytes":
+        lines[at + 1] = lines[at + 1].replace(b",", b"," + value, 1)
+    return b"".join(line + b"\n" for line in lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=lineage_files())
+def test_score_rejects_any_malformed_lineage_file(tmp_path_factory, drawn):
+    rows, at, fault = drawn
+    where = tmp_path_factory.mktemp("lineage")
+    truth, bad = where / "truth.csv", where / "bad.csv"
+    truth.write_bytes(_lineage_bytes(rows))
+    bad.write_bytes(_lineage_bytes(rows, at, fault))
+    assert main(["score", "--predicted", str(truth), "--ground-truth", str(truth),
+                 "--quiet"]) == 0
+    for predicted, ground_truth in ((bad, truth), (truth, bad)):
+        args = ["score", "--predicted", str(predicted), "--ground-truth", str(ground_truth)]
+        with contextlib.redirect_stderr(StringIO()) as err:
+            assert main(args) == 2, fault
+        assert err.getvalue().startswith("error:"), fault
 
 
 # -- CLI ---------------------------------------------------------------------
