@@ -139,10 +139,6 @@ class PairCandidates(Sequence):
     __hash__ = None
 
 
-def _columnar(candidates: Iterable[PairCandidate]) -> PairCandidates:
-    return candidates if isinstance(candidates, PairCandidates) else PairCandidates(candidates)
-
-
 @dataclass(frozen=True)
 class ShortLineage:
     parent: str
@@ -322,11 +318,10 @@ def check_trim_thresholds(thresholds) -> None:
 
 
 def trim_candidates(
-    candidates: Iterable[PairCandidate], thresholds: dict[str, float] | None = None
+    candidates: PairCandidates, thresholds: dict[str, float] | None = None
 ) -> PairCandidates:
     """Trim implausible pairs by empirical penalty thresholds: a candidate is
     rejected only when ALL thresholded penalties exceed their bounds."""
-    candidates = _columnar(candidates)
     thresholds = DEFAULT_TRIM_THRESHOLDS if thresholds is None else thresholds
     check_trim_thresholds(thresholds)
     reject = np.full(len(candidates), bool(thresholds))
@@ -382,7 +377,7 @@ class ChildrenBmProblem:
         return QuadraticBm(self.v, self.cells, self.lambda_q)
 
 
-def max_disjoint_candidates(candidates: Iterable[PairCandidate]) -> int:
+def max_disjoint_candidates(candidates: PairCandidates) -> int:
     """Largest number of pairwise-disjoint candidates: a maximum matching in
     the graph whose vertices are target cells and edges are candidates.
 
@@ -393,7 +388,7 @@ def max_disjoint_candidates(candidates: Iterable[PairCandidate]) -> int:
     """
     import networkx as nx
 
-    graph = nx.Graph(_columnar(candidates).cells.tolist())
+    graph = nx.Graph(candidates.cells.tolist())
     return len(nx.max_weight_matching(graph, maxcardinality=True))
 
 
@@ -413,8 +408,7 @@ def _greedy_disjoint(cells: np.ndarray, v: np.ndarray, limit: int) -> list[int]:
 
 
 def build_children_bm(
-    candidates: Iterable[PairCandidate], div_count: int,
-    weights: DivisionWeights = DivisionWeights(),
+    candidates: PairCandidates, div_count: int, weights: DivisionWeights = DivisionWeights(),
 ) -> ChildrenBmProblem:
     """Assemble the children-selection BM from the candidates' arrays.
 
@@ -429,7 +423,6 @@ def build_children_bm(
     """
     if div_count < 1:
         raise ValidationError("division count must be at least 1")
-    candidates = _columnar(candidates)
     if not candidates:
         raise ValidationError("no candidate children pairs")
     lin, gap, dev, ratio, rank, w = *candidates.penalties.T, weights
@@ -480,7 +473,7 @@ def solve_children_bm(
 
 
 def select_short_lineages(
-    frame: Frame, next_frame: Frame, candidates: Iterable[PairCandidate],
+    frame: Frame, next_frame: Frame, candidates: PairCandidates,
     selected: Iterable[int], w: float, weights: DistortionWeights = DistortionWeights(),
 ) -> tuple[list[ShortLineage], list[tuple[str, str]]]:
     """Turn selected candidates into short lineages with distinct parents.
@@ -490,7 +483,6 @@ def select_short_lineages(
     remaining feasible parents. Pairs left without any parent are dropped and
     reported in the second return value.
     """
-    candidates = _columnar(candidates)
     lin = candidates.penalties[:, 0]
     taken, lineages, dropped = set(), [], []
     for j in sorted(selected, key=lambda j: (lin[j], j)):

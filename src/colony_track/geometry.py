@@ -24,6 +24,9 @@ DEFAULT_NEIGHBOR_RADIUS = 80.0
 # gives 216 and 322 KiB. The extra chunks cost some time: the parent search
 # takes up to about 10% longer on pipeline21's small frames.
 CHUNK_ELEMENTS = 1 << 11
+# Segments whose directions meet at an angle with a smaller sine do not
+# cross properly (see stacked_segments_distance).
+CROSSING_SIN = 1e-12
 
 
 def _pt(p) -> np.ndarray:
@@ -411,57 +414,39 @@ def segments_distance(p0, p1, q0, q1):
 
     The arguments are points of shape ``(..., 2)`` that broadcast against each
     other over their leading axes, e.g. one segment ``(2,)`` against many
-    ``(N, 2)``. Non-crossing segments attain their minimum at an endpoint of
-    one segment against the other, so four point-segment distances suffice;
-    properly crossing pairs get distance zero.
+    ``(N, 2)``. The points are broadcast and stacked for
+    :func:`stacked_segments_distance`, which defines the distance.
     """
-    p0x, p0y = _xy(p0)
-    p1x, p1y = _xy(p1)
-    q0x, q0y = _xy(q0)
-    q1x, q1y = _xy(q1)
-    d = np.minimum(
-        np.minimum(
-            _points_segments_distance(p0x, p0y, q0x, q0y, q1x, q1y),
-            _points_segments_distance(p1x, p1y, q0x, q0y, q1x, q1y),
-        ),
-        np.minimum(
-            _points_segments_distance(q0x, q0y, p0x, p0y, p1x, p1y),
-            _points_segments_distance(q1x, q1y, p0x, p0y, p1x, p1y),
-        ),
-    )
-    return _zero_where_crossing(d, p0x, p0y, p1x, p1y, q0x, q0y, q1x, q1y)
+    pts = np.stack(np.broadcast_arrays(*(np.asarray(p, np.float64) for p in (p0, p1, q0, q1))))
+    return stacked_segments_distance(pts[..., 0], pts[..., 1])
 
 
 def stacked_segments_distance(x, y):
-    """:func:`segments_distance` of equal-shape pairs, endpoints stacked on axis 0.
+    """Minimum distance between segments p0-p1 and q0-q1, endpoints stacked on axis 0.
 
     ``x[0], y[0]`` hold the coordinates of p0, and rows 1 to 3 those of p1,
-    q0 and q1. The four endpoint-segment distances come from one elementwise
-    call on four times the rows instead of four calls, so each is bit-for-bit
-    the same, and a batch of a few dozen pairs, as a relaxation update
-    measures, takes fewer array operations. One segment against many, which
-    :func:`segments_distance` broadcasts, runs slower this way.
+    q0 and q1. Segments that do not cross attain their minimum at an endpoint
+    of one against the other, so four point-segment distances suffice; they
+    come from one elementwise call on four times the rows. A pair crosses,
+    and is at distance zero, when its segments meet at an angle whose sine
+    exceeds ``CROSSING_SIN``: ``den² > CROSSING_SIN² |u|² |v|²``, with ``den``
+    the cross product of the directions ``u`` and ``v``. Nearer parallel,
+    ``den`` can be rounding noise and so can the crossing parameters; such a
+    pair takes its endpoint distance, which a true crossing keeps below
+    ``CROSSING_SIN`` times a segment length.
     """
     # rows: p0 and p1 against segment q, then q0 and q1 against segment p
     a, b = [2, 2, 0, 0], [3, 3, 1, 1]
     d4 = _points_segments_distance(x, y, x[a], y[a], x[b], y[b])
     d = np.minimum(np.minimum(d4[0], d4[1]), np.minimum(d4[2], d4[3]))
-    return _zero_where_crossing(d, x[0], y[0], x[1], y[1], x[2], y[2], x[3], y[3])
-
-
-def _zero_where_crossing(d, p0x, p0y, p1x, p1y, q0x, q0y, q1x, q1y):
-    """``d`` with zero where segments p0-p1 and q0-q1 properly cross."""
-    ux = p1x - p0x
-    uy = p1y - p0y
-    vx = q1x - q0x
-    vy = q1y - q0y
-    wx = q0x - p0x
-    wy = q0y - p0y
+    ux, uy, vx, vy = x[1] - x[0], y[1] - y[0], x[3] - x[2], y[3] - y[2]
+    wx, wy = x[2] - x[0], y[2] - y[0]
     den = ux * vy - uy * vx
-    safe = np.where(den != 0.0, den, 1.0)
+    crossing = den * den > CROSSING_SIN * CROSSING_SIN * (ux * ux + uy * uy) * (vx * vx + vy * vy)
+    safe = np.where(crossing, den, 1.0)
     t = (wx * vy - wy * vx) / safe
     s = (wx * uy - wy * ux) / safe
-    crossing = (den != 0.0) & (t >= 0.0) & (t <= 1.0) & (s >= 0.0) & (s <= 1.0)
+    crossing &= (t >= 0.0) & (t <= 1.0) & (s >= 0.0) & (s <= 1.0)
     return np.where(crossing, 0.0, d)
 
 
@@ -476,20 +461,16 @@ def _point_segment_distance(px, py, ax, ay, bx, by) -> float:
 
 
 def segment_distance(p0x, p0y, p1x, p1y, q0x, q0y, q1x, q1y) -> float:
-    """:func:`segments_distance` of one pair of segments given as plain floats.
+    """:func:`stacked_segments_distance` of one pair of segments given as plain floats.
 
     It performs the same float operations in the same order, so it returns
     bit-for-bit the same value without the per-call cost of array dispatch.
     ``np.hypot`` is kept because ``math.hypot`` can differ in the last bit.
     """
-    ux = p1x - p0x
-    uy = p1y - p0y
-    vx = q1x - q0x
-    vy = q1y - q0y
+    ux, uy, vx, vy = p1x - p0x, p1y - p0y, q1x - q0x, q1y - q0y
     den = ux * vy - uy * vx
-    if den != 0.0:
-        wx = q0x - p0x
-        wy = q0y - p0y
+    if den * den > CROSSING_SIN * CROSSING_SIN * (ux * ux + uy * uy) * (vx * vx + vy * vy):
+        wx, wy = q0x - p0x, q0y - p0y
         t = (wx * vy - wy * vx) / den
         s = (wx * uy - wy * ux) / den
         if 0.0 <= t <= 1.0 and 0.0 <= s <= 1.0:

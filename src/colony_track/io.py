@@ -84,8 +84,8 @@ def read_frames_jsonl(path) -> list[Frame]:
                 idx, cell_id, width = rec["frame"], rec["id"], rec["width"]
                 if isinstance(idx, bool) or not isinstance(idx, int):
                     raise ValueError(f"frame index must be an integer, got {idx!r}")
-                if not isinstance(cell_id, str):
-                    raise ValueError(f"id must be a string, got {cell_id!r}")
+                if not isinstance(cell_id, str) or not cell_id:
+                    raise ValueError(f"id must be a non-empty string, got {cell_id!r}")
                 if not finite_real(width):
                     raise ValueError(f"width must be a finite number, got {width!r}")
                 e, h = _numbers(rec["e"], "e", 2), _numbers(rec["h"], "h", 2)
@@ -161,16 +161,22 @@ def read_lineage_csv(path) -> list:
                 idx = int(row[0])
             except ValueError as exc:
                 raise ValidationError(f"{where}: bad frame index {row[0]!r}") from exc
-            src, kind = row[1], row[2]
+            src, kind, t1, t2 = row[1:]
             moved, divided = per_frame.setdefault(idx, ({}, {}))
             if src in moved or src in divided:
                 raise ValidationError(f"{where}: source {src!r} repeated in frame {idx}")
-            if kind == "MOVE":
-                moved[src] = row[3]
-            elif kind == "DIV":
-                divided[src] = (row[3], row[4])
-            else:
+            if kind not in ("MOVE", "DIV"):
                 raise ValidationError(f"{where}: unknown lineage kind {kind!r}")
+            if kind == "MOVE" and t2:
+                raise ValidationError(f"{where}: a MOVE row has no second target, got {t2!r}")
+            if not (src and t1 and (t2 or kind == "MOVE")):
+                raise ValidationError(f"{where}: empty cell id")
+            if t1 == t2:
+                raise ValidationError(f"{where}: a DIV row names target {t1!r} twice")
+            if kind == "MOVE":
+                moved[src] = t1
+            else:
+                divided[src] = (t1, t2)
     return [
         LineageRecord(idx, per_frame[idx][0], per_frame[idx][1])
         for idx in sorted(per_frame)

@@ -44,14 +44,10 @@ from .geometry import (
 )
 
 # Margin (pixels) of the relaxation's neighbour list beyond the overlap reach.
-# The build times it sets decide which pairs whose crossing test misfires (see
-# _PairList) are listed, so another value can change the frames.
 RELAX_SKIN = 4.0
 # Safety margins (pixels) of the relaxation's gap bounds (see _PairList).
 RELAX_MARGIN = 1e-6
 RELAX_PAD = 1e-9
-# Pairs whose axes meet at an angle with a smaller sine count as parallel.
-PARALLEL_SIN = 1e-6
 # Signs of the endpoint offsets from the centers, by row of the stacked form.
 _END_SIGNS = np.array([[-1.0], [1.0], [-1.0], [1.0]])
 
@@ -242,10 +238,8 @@ class _Colony:
             return True
         e = pos - axis * length / 2.0
         h = pos + axis * length / 2.0
-        e_all = self.centers - self.axes * (self.lengths[:, None] / 2.0)
-        h_all = self.centers + self.axes * (self.lengths[:, None] / 2.0)
-        gaps = segments_distance(e, h, e_all, h_all) - (self.widths + self.cfg.cell_width) / 2.0
-        return bool((gaps > 0.5).all())
+        half_w = (self.widths + self.cfg.cell_width) / 2.0
+        return bool((segments_distance(e, h, *self.endpoints()) - half_w > 0.5).all())
 
     def _append(self, pos, axis, length) -> str:
         cfg = self.cfg
@@ -379,9 +373,10 @@ class _Colony:
         is positive), and every pair below it holds its gap measured at the
         current centers. So the pushed pairs, the gaps they are pushed by,
         their order and the return value are those of measuring every listed
-        pair after every iteration, bit for bit. A pair is pushed by the gap
-        that selected it while neither of its cells has moved in this
-        iteration, and is measured anew after.
+        pair after every iteration, bit for bit, whatever ``RELAX_SKIN`` and
+        the times the list is rebuilt. A pair is pushed by the gap that
+        selected it while neither of its cells has moved in this iteration,
+        and is measured anew after.
         """
         cfg = self.cfg
         n = len(self.ids)
@@ -496,13 +491,11 @@ class _PairList:
     (``r`` the half-lengths, ``hw`` the mean width), measuring it at once when
     that is below ``threshold``. ``RELAX_PAD`` covers the rounding of the
     slack sums and ``RELAX_MARGIN`` in ``threshold`` that of the distances
-    compared; both are far above float error at trap scale.
-
-    The computed distance of two nearly parallel segments need not obey the
-    bound: their crossing test divides rounding noise by rounding noise and
-    can report 0 for collinear segments far apart. Pairs whose axes are
-    within ``PARALLEL_SIN`` of parallel are therefore measured whenever one
-    of their cells moves, as every listed pair used to be.
+    compared; both are far above float error at trap scale. They also cover
+    the one place where the computed distance departs from the true one by
+    more than rounding: a near-parallel crossing, which measures at most
+    ``CROSSING_SIN`` times a segment length instead of 0 (see
+    :func:`~colony_track.geometry.stacked_segments_distance`).
     """
 
     def __init__(self, xs, ys, half: np.ndarray, widths: np.ndarray, reach: float, threshold):
@@ -521,9 +514,6 @@ class _PairList:
         keys = i * len(x) + j
         hw = (self.widths[i] + self.widths[j]) / 2.0
         gaps = np.hypot(x[j] - x[i], y[j] - y[i]) - self.radius[i] - self.radius[j] - hw
-        # nearly parallel pairs are measured whenever a cell of theirs moves
-        cross = np.abs(self.hx[i] * self.hy[j] - self.hy[i] * self.hx[j])
-        parallel = cross < PARALLEL_SIN * self.radius[i] * self.radius[j]
         slack = np.zeros(len(i))
         fresh = np.ones(len(i), bool)
         if len(self.keys):
@@ -532,9 +522,8 @@ class _PairList:
             kept = self.keys[at] == keys
             gaps[kept], slack[kept] = self.gaps[at[kept]], self.slack[at[kept]]
             fresh[kept] = False
-        self.i, self.j, self.hw, self.gaps, self.slack = i, j, hw, gaps, slack
-        self.keys, self.parallel = keys, parallel
-        self._measure(np.flatnonzero(fresh & ((gaps < self.threshold) | parallel)))
+        self.i, self.j, self.hw, self.gaps, self.slack, self.keys = i, j, hw, gaps, slack, keys
+        self._measure(np.flatnonzero(fresh & (gaps < self.threshold)))
 
     def _measure(self, k: np.ndarray) -> None:
         """Record the exact gaps of pairs ``k``."""
@@ -563,7 +552,7 @@ class _PairList:
         self.slack += step[self.i] + step[self.j]
         if self._drifted(moved):
             self._build()
-        stale = (self.slack > 0.0) & ((self.gaps - self.slack < self.threshold) | self.parallel)
+        stale = (self.slack > 0.0) & (self.gaps - self.slack < self.threshold)
         self._measure(np.flatnonzero(stale))
 
 

@@ -115,7 +115,7 @@ def _toy_candidates(rng, m, cells=8):
                 parent=f"p{len(cands)}",
             )
         )
-    return cands
+    return division.PairCandidates(cands)
 
 
 def test_children_exhaustive_oracle_equivalence():

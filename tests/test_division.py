@@ -256,13 +256,13 @@ def test_trim_rejects_only_when_all_exceed():
     thresholds = {"gap": 5.0, "dev": 0.5, "rank": 1.0}
     bad = _candidate(("a", "b"), gap=9.0, dev=2.0, rank=3.0)
     saved = _candidate(("a", "c"), gap=9.0, dev=0.2, rank=3.0)
-    kept = trim_candidates([bad, saved], thresholds)
+    kept = trim_candidates(PairCandidates([bad, saved]), thresholds)
     assert kept == [saved]
 
 
 def test_trim_unknown_name_rejected():
     with pytest.raises(ValidationError):
-        trim_candidates([_candidate(("a", "b"))], {"bogus": 1.0})
+        trim_candidates(PairCandidates([_candidate(("a", "b"))]), {"bogus": 1.0})
 
 
 # -- children BM --------------------------------------------------------------
@@ -294,7 +294,7 @@ def _toy_candidates(rng, m, cells=8):
 
 def test_children_bm_energy_contract():
     rng = np.random.default_rng(0)
-    cands = _toy_candidates(rng, 6)
+    cands = PairCandidates(_toy_candidates(rng, 6))
     problem = build_children_bm(cands, div_count=2)
     assert problem.energy(np.zeros(6)) == 0.0
     # two candidates sharing exactly one cell score the quadratic penalty
@@ -315,7 +315,7 @@ def test_children_bm_energy_contract():
 
 def test_children_bm_exhaustive_small():
     rng = np.random.default_rng(5)
-    cands = _toy_candidates(rng, 5)
+    cands = PairCandidates(_toy_candidates(rng, 5))
     problem = build_children_bm(cands, div_count=2)
     best = min(
         problem.energy(np.array([1 if i in comb else 0 for i in range(5)]))
@@ -329,9 +329,9 @@ def test_children_bm_exhaustive_small():
 
 def test_children_bm_validation_and_infeasibility():
     with pytest.raises(ValidationError):
-        build_children_bm([], 1)
+        build_children_bm(PairCandidates(), 1)
     rng = np.random.default_rng(2)
-    cands = _toy_candidates(rng, 3, cells=3)  # only 3 cells: max 1 disjoint pair
+    cands = PairCandidates(_toy_candidates(rng, 3, cells=3))  # only 3 cells: max 1 disjoint
     problem = build_children_bm(cands, div_count=2)
     assert problem.infeasible
     with pytest.raises(InfeasibleError):
@@ -349,7 +349,7 @@ def test_conflict_matrix_matches_pairwise_loop(seed):
         for k in range(j + 1, m):
             if len(set(cands[j].pair) & set(cands[k].pair)) == 1:
                 expected[j, k] = expected[k, j] = 1
-    q = build_children_bm(cands, 1).q
+    q = build_children_bm(PairCandidates(cands), 1).q
     assert q.dtype == np.uint8 and np.array_equal(q, expected)
 
 
@@ -378,7 +378,9 @@ def test_candidates_from_rows_and_from_arrays_build_the_same_problem(seed):
         w.lin * r.lin + w.gap * r.gap + w.dev * r.dev + w.ratio * r.ratio + w.rank * r.rank
         for r in rows
     ]
-    problems = [build_children_bm(cands, div_count, weights) for cands in (rows, arrays)]
+    problems = [
+        build_children_bm(cands, div_count, weights) for cands in (PairCandidates(rows), arrays)
+    ]
     schedule = Schedule(c=5.0, eta=0.995, epoch_cap=30)
     picks = []
     for problem in problems:
@@ -412,9 +414,8 @@ def test_children_bm_rejects_repeated_or_one_cell_pairs():
     flipped = PairCandidate(cands[0].pair[::-1], 0.0, 0.0, 0.0, 0.0, 0.0, None)
     one_cell = PairCandidate(("t0", "t0"), 0.0, 0.0, 0.0, 0.0, 0.0, None)
     for bad in (flipped, one_cell):
-        for given_as in (list, PairCandidates):
-            with pytest.raises(ValidationError, match="distinct pairs of two cells"):
-                build_children_bm(given_as(cands + [bad]), 1)
+        with pytest.raises(ValidationError, match="distinct pairs of two cells"):
+            build_children_bm(PairCandidates(cands + [bad]), 1)
 
 
 @given(st.integers(0, 10**6))
@@ -430,7 +431,7 @@ def test_feasibility_certificate_matches_matching_oracle(seed):
         with mock.patch.object(
             division, "max_disjoint_candidates", wraps=division.max_disjoint_candidates
         ) as matching:
-            problem = build_children_bm(cands, div_count)
+            problem = build_children_bm(PairCandidates(cands), div_count)
             assert problem.infeasible == (oracle < div_count)
             order = sorted(range(len(cands)), key=lambda j: (problem.v[j], j))
             used, greedy = set(), 0

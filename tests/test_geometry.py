@@ -118,12 +118,82 @@ def test_segments_distance_matches_dense_sampling(seed):
     assert sampled - exact < 0.05  # grid resolution bound
 
 
+# two segments 10 px apart on one line, whose crossing test once saw a
+# rounding-noise denominator and an s of -0.0, and reported distance 0
+_COLLINEAR_10PX = (
+    (38.90220687652984, 49.057698770500316), (65.35345911959502, 66.732787908638),
+    (73.668020571766, 72.288691782723), (100.11927281483116, 89.96378092086069),
+)
+
+
+def _three_forms(p0, p1, q0, q1):
+    """The distances of segments p0-p1 and q0-q1, arrays of points ``(..., 2)``,
+    by :func:`segments_distance`, :func:`stacked_segments_distance` and
+    :func:`segment_distance` row by row, each flattened to a list."""
+    pts = np.stack(np.broadcast_arrays(p0, p1, q0, q1)).reshape(4, -1, 2)
+    rows = pts.transpose(1, 0, 2).reshape(-1, 8).tolist()
+    return (
+        np.ravel(segments_distance(p0, p1, q0, q1)).tolist(),
+        stacked_segments_distance(pts[..., 0], pts[..., 1]).tolist(),
+        [segment_distance(*row) for row in rows],
+    )
+
+
 def test_segments_distance_crossing_and_degenerate():
     assert segments_distance([0, -1], [0, 1], [-1, 0], [1, 0]) == 0.0
     # point against segment
     assert float(segments_distance([0, 2], [0, 2], [-1, 0], [1, 0])) == pytest.approx(2.0)
     # collinear overlap
     assert float(segments_distance([0, 0], [2, 0], [1, 0], [3, 0])) == 0.0
+    # collinear, apart
+    for form in _three_forms(*np.array(_COLLINEAR_10PX)):
+        assert form == [pytest.approx(10.0, abs=1e-9)]
+
+
+def _collinear_pairs(rng, m, gap):
+    """``m`` pairs of segments on one line, ``gap`` apart, each segment in a
+    random orientation: (p0, p1, q0, q1), each ``(m, 2)``."""
+    origin = rng.uniform(0.0, 600.0, size=(m, 1, 2))
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=(m, 1))
+    axis = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    l1, l2 = rng.uniform(5.0, 60.0, size=(2, m, 1))
+    along = np.concatenate([np.zeros((m, 1)), l1, l1 + gap, l1 + gap + l2], axis=1)
+    pts = origin + along[..., None] * axis  # (m, 4, 2)
+    flip = rng.random((m, 2)) < 0.5
+    pts[flip[:, 0], :2] = pts[flip[:, 0], 1::-1]
+    pts[flip[:, 1], 2:] = pts[flip[:, 1], :1:-1]
+    return tuple(pts.transpose(1, 0, 2))
+
+
+@pytest.mark.kernels
+@settings(max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.floats(0.5, 10.0))
+def test_collinear_segments_measure_their_gap(seed, gap):
+    # up to 1 in 40 such pairs once measured 0: the crossing test divided
+    # rounding noise by rounding noise
+    pairs = _collinear_pairs(np.random.default_rng(seed), 100, gap)
+    for form in _three_forms(*pairs):
+        assert np.allclose(form, gap, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.kernels
+@settings(max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.floats(-5.0, 10.0), st.sampled_from([1e-12, 1e-6, 1.0]))
+def test_distance_near_collinear_layouts_moves_less_than_its_segments(seed, gap, scale):
+    # the relaxation's gap bounds assume that moving one segment by (dx, dy)
+    # changes the distance by at most |dx| + |dy|; a negative gap overlaps
+    # the segments along their line
+    rng = np.random.default_rng(seed)
+    p0, p1, q0, q1 = _collinear_pairs(rng, 100, gap)
+    # turn segment q slightly about q0, or leave it on the line
+    turn = rng.choice([0.0, 1e-13, 1e-9, 1e-6], size=(100, 1)) * rng.choice([-1.0, 1.0], (100, 1))
+    d = q1 - q0
+    q1 = q0 + np.column_stack([d[:, 0] - turn[:, 0] * d[:, 1], d[:, 1] + turn[:, 0] * d[:, 0]])
+    delta = rng.uniform(-scale, scale, size=(100, 2))
+    bound = np.abs(delta).sum(axis=1) + 1e-9
+    moved = _three_forms(p0, p1, q0 + delta, q1 + delta)
+    for before, after in zip(_three_forms(p0, p1, q0, q1), moved):
+        assert (np.abs(np.subtract(after, before)) <= bound).all()
 
 
 # small integer coordinates make degenerate layouts (zero length, collinear,
@@ -139,12 +209,14 @@ def _assert_scalar_matches(p0, p1, q0, q1):
     assert segment_distance(*p0, *p1, *q0, *q1) == expected
 
 
+@pytest.mark.kernels
 @settings(max_examples=500)
 @given(_point, _point, _point, _point)
 def test_segment_distance_equals_broadcast_form(p0, p1, q0, q1):
     _assert_scalar_matches(p0, p1, q0, q1)
 
 
+@pytest.mark.kernels
 def test_segment_distance_equals_broadcast_form_in_bulk():
     # last-bit differences (e.g. from math.hypot) occur in a few of every
     # thousand random pairs, too rarely for the example count above
@@ -158,6 +230,7 @@ def test_segment_distance_equals_broadcast_form_in_bulk():
     assert got == expected
 
 
+@pytest.mark.kernels
 @pytest.mark.parametrize(
     "p0, p1, q0, q1",
     [
@@ -172,6 +245,7 @@ def test_segment_distance_equals_broadcast_form_in_bulk():
         ((0.1, -0.7), (0.3, 0.9), (-0.4, 0.2), (0.7, 0.1)),  # crossing, off-grid
         ((0, 0), (2, 0), (1, 0), (1, 5)),  # endpoint touches the interior
         ((0, 0), (2, 0), (2, 0), (3, 4)),  # shared endpoint
+        _COLLINEAR_10PX,  # collinear, apart, with a rounding-noise cross product
     ],
 )
 def test_segment_distance_equals_broadcast_form_on_degenerate_layouts(p0, p1, q0, q1):
@@ -180,14 +254,17 @@ def test_segment_distance_equals_broadcast_form_on_degenerate_layouts(p0, p1, q0
     _assert_scalar_matches(q1, q0, p1, p0)
 
 
-def test_stacked_segments_distance_equals_broadcast_form():
+@pytest.mark.kernels
+def test_stacked_segments_distance_equals_scalar_form():
     rng = np.random.default_rng(1)
     pts = rng.uniform(-60.0, 60.0, size=(4, 5000, 2))
     pts[:, :1000] = np.round(pts[:, :1000] / 20.0)  # small integers: degenerate layouts
     got = stacked_segments_distance(pts[..., 0], pts[..., 1])
-    assert got.tobytes() == segments_distance(*pts).tobytes()
+    rows = pts.transpose(1, 0, 2).reshape(-1, 8).tolist()
+    assert got.tobytes() == np.array([segment_distance(*row) for row in rows]).tobytes()
 
 
+@pytest.mark.kernels
 @pytest.mark.parametrize(
     "p_shape, q_shape, shape",
     [

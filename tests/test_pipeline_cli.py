@@ -360,9 +360,9 @@ def test_frames_jsonl_rejects_garbage(tmp_path, capsys):
         assert "frame index must be an integer" in capsys.readouterr().err
     # fields are not coerced: each bad value is an error at its line
     for field, value in [
-        ("id", None), ("id", 5), ("width", True), ("width", "8"), ("width", float("inf")),
-        ("e", ["10", 10.0]), ("e", [0, 0, 0]), ("h", [True, 0]), ("center", [10, "0"]),
-        ("center", [10]),
+        ("id", None), ("id", 5), ("id", ""), ("width", True), ("width", "8"),
+        ("width", float("inf")), ("e", ["10", 10.0]), ("e", [0, 0, 0]), ("h", [True, 0]),
+        ("center", [10, "0"]), ("center", [10]),
     ]:
         record = json.loads(cell) | {field: value}
         path.write_text(cell.replace('"a"', '"b"') + json.dumps(record) + "\n")
@@ -483,7 +483,9 @@ def test_lineage_csv_rejects_source_moved_twice(tmp_path, capsys, small_run):
 
 # a fault that makes a lineage file malformed: its header, a row's field
 # count, frame index or kind, a repeated source, bytes that are not UTF-8, a
-# field over the csv module's size limit, or a frame the other file lacks
+# field over the csv module's size limit, a frame the other file lacks, an
+# empty source or target id, a second target on a MOVE row or none on a DIV
+# row, or a DIV row that names one target twice
 _LINEAGE_FAULTS = st.one_of(
     st.tuples(st.just("header"), st.sampled_from(["", "frame_index,source_id,kind",
                                                   "FRAME_INDEX,source_id,kind,t1,t2"])),
@@ -494,6 +496,9 @@ _LINEAGE_FAULTS = st.one_of(
     st.tuples(st.just("bytes"), st.sampled_from([b"\xff", b"\xc3\x28", b"\xed\xa0\x80"])),
     st.tuples(st.just("huge"), st.just(None)),
     st.tuples(st.just("frame"), st.just(None)),
+    st.tuples(st.just("empty"), st.sampled_from([1, 3])),
+    st.tuples(st.just("second"), st.sampled_from([("MOVE", "x"), ("DIV", "")])),
+    st.tuples(st.just("twins"), st.just(None)),
 )
 
 
@@ -530,6 +535,12 @@ def _lineage_bytes(rows, at=None, fault=None) -> bytes:
         rows[at][3] = "c" * 131_073
     elif kind == "frame":
         rows[at][0] = "9"
+    elif kind == "empty":
+        rows[at][value] = ""
+    elif kind == "second":
+        rows[at][2], rows[at][4] = value
+    elif kind == "twins":
+        rows[at][2], rows[at][4] = "DIV", rows[at][3]
     lines = [header.encode()] + [",".join(row).encode() for row in rows]
     if kind == "bytes":
         lines[at + 1] = lines[at + 1].replace(b",", b"," + value, 1)
