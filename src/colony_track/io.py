@@ -194,15 +194,17 @@ def load_json(path) -> dict:
     return data
 
 
-def from_json(cls, data, what: str):
+def from_json(cls, data, what: str, base=None):
     """Build the settings dataclass ``cls`` from the JSON value ``data``.
 
-    ``data`` must be an object whose keys are fields of ``cls``. A field
+    ``data`` must be an object whose keys are fields of ``cls``; a field it
+    leaves out keeps its value in ``base``, by default ``cls()``. A field
     whose type is another settings dataclass takes an object, loaded the same
-    way; a ``Rect`` or tuple field takes an array of finite numbers, stored as
-    floats. Other values go to ``cls`` as they are: its ``__post_init__``
-    checks their types and ranges. ``what`` names ``data`` in the
-    :class:`ValidationError` raised for any input it rejects.
+    way over the field's value in ``base``, so a partial schedule keeps the
+    rest of its own default. A ``Rect`` or tuple field takes an array of
+    finite numbers, stored as floats. Other values go to ``cls`` as they are:
+    its ``__post_init__`` checks their types and ranges. ``what`` names
+    ``data`` in the :class:`ValidationError` raised for any input it rejects.
     """
     if not isinstance(data, dict):
         raise ValidationError(f"{what} must be a JSON object, got {data!r}")
@@ -210,6 +212,7 @@ def from_json(cls, data, what: str):
     unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ValidationError(f"unknown {what} keys: {unknown}")
+    base = cls() if base is None else base
     kwargs = {}
     try:
         for name, value in data.items():
@@ -218,9 +221,9 @@ def from_json(cls, data, what: str):
                 value = _numbers(value, name)
                 value = Rect(*value) if kind is Rect else tuple(value)
             elif dataclasses.is_dataclass(kind):
-                value = from_json(kind, value, name.replace("_", " "))
+                value = from_json(kind, value, name.replace("_", " "), getattr(base, name))
             kwargs[name] = value
-        return cls(**kwargs)
+        return dataclasses.replace(base, **kwargs)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad {what}: {exc}") from exc
 

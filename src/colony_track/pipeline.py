@@ -154,9 +154,18 @@ def track_pair(
 def track_sequence(
     frames: Sequence[Frame], config: PipelineConfig
 ) -> tuple[list[LineageRecord], list[PairDiagnostics]]:
-    """Track every consecutive pair of a frame sequence."""
+    """Track every consecutive pair of a frame sequence.
+
+    The frame indices must be consecutive: a missing frame would map the
+    cells of one frame onto those of a later one.
+    """
     if len(frames) < 2:
         raise ValidationError("tracking needs at least two frames")
+    for a, b in zip(frames, frames[1:]):
+        if b.index != a.index + 1:
+            raise ValidationError(
+                f"frame indices must be consecutive: frame {a.index} is followed by {b.index}"
+            )
     records: list[LineageRecord] = []
     diagnostics: list[PairDiagnostics] = []
     for k in range(len(frames) - 1):

@@ -32,7 +32,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ColonyTrackError, ValidationError, check_fields, finite_real
+from .errors import ValidationError, check_fields, finite_real
 from .geometry import (
     Frame,
     Rect,
@@ -177,24 +177,43 @@ class SimResult:
         return iter((self.frames, self.lineage))
 
 
+# The colony's per-cell arrays, one row per live cell in the order of
+# ``_Colony.ids``. Cells are added and dropped only by ``_Colony._add`` and
+# ``_Colony._keep``, which change all of them at once.
+_CELL_ARRAYS = ("centers", "axes", "lengths", "widths", "div_len", "anchors")
+
+
 class _Colony:
-    """Mutable simulation state: parallel arrays over live cells."""
+    """Mutable simulation state: the live cells' ``ids`` and the arrays named
+    in ``_CELL_ARRAYS``. ``div_len`` is the length at which a cell divides;
+    ``anchors`` are the positions at the start of the interframe, a newborn
+    taking its parent's, from which the displacement budget is measured."""
 
     def __init__(self, config: SimConfig, rng: np.random.Generator):
         self.cfg = config
         self.rng = rng
         self.ids: list[str] = []
-        self.centers = np.zeros((0, 2))
-        self.axes = np.zeros((0, 2))
-        self.lengths = np.zeros(0)
-        self.widths = np.zeros(0)
-        self.div_len = np.zeros(0)
-        self.anchors = np.zeros((0, 2))  # frame-start reference positions
+        # separate arrays: _enforce_budget writes centers in place
+        self.centers, self.axes, self.anchors = (np.zeros((0, 2)) for _ in range(3))
+        self.lengths, self.widths, self.div_len = (np.zeros(0) for _ in range(3))
         self._id_counter = 0
 
     def next_id(self) -> str:
         self._id_counter += 1
         return f"c{self._id_counter:06d}"
+
+    def _add(self, ids: Iterable[str], *arrays) -> None:
+        """Append the cells ``ids``: one block of rows per array, in
+        ``_CELL_ARRAYS`` order."""
+        self.ids.extend(ids)
+        for name, rows in zip(_CELL_ARRAYS, arrays, strict=True):
+            setattr(self, name, np.concatenate((getattr(self, name), rows)))
+
+    def _keep(self, mask: np.ndarray) -> None:
+        """Drop the cells whose ``mask`` entry is False."""
+        self.ids = [cid for cid, kept in zip(self.ids, mask) if kept]
+        for name in _CELL_ARRAYS:
+            setattr(self, name, getattr(self, name)[mask])
 
     # -- construction -----------------------------------------------------
 
@@ -214,24 +233,19 @@ class _Colony:
             axis = np.array([math.cos(theta), math.sin(theta)])
             length = cfg.birth_length * self.rng.uniform(1.0, 1.8)
             if self._fits(pos, axis, length):
-                self._append(pos, axis, length)
+                div_len = 2 * cfg.birth_length + self.rng.uniform(*cfg.division_eps_range)
+                self._add(
+                    [self.next_id()], [pos], [axis], [length], [cfg.cell_width], [div_len], [pos]
+                )
                 placed += 1
-        self.anchors = self.centers.copy()
 
     def adopt_frame(self, frame: Frame) -> None:
         """Resume from an existing frame; adopted cells count as newborn at
         their current length (division at twice that length plus noise)."""
-        cfg = self.cfg
         centers, axes, lengths, _, _ = rod_arrays(frame)
-        for k, cid in enumerate(frame.ids):
-            self.ids.append(cid)
-            self._id_counter = max(self._id_counter, _numeric_suffix(cid))
-            eps = self.rng.uniform(*cfg.division_eps_range)
-            length = float(lengths[k])
-            self._push_arrays(
-                centers[k], axes[k], length, frame.widths[k], 2 * length + eps
-            )
-        self.anchors = self.centers.copy()
+        eps = self.rng.uniform(*self.cfg.division_eps_range, size=len(frame))
+        self._add(frame.ids, centers, axes, lengths, frame.widths, 2 * lengths + eps, centers)
+        self._id_counter = max([0, *map(_numeric_suffix, frame.ids)])
 
     def _fits(self, pos, axis, length) -> bool:
         if len(self.ids) == 0:
@@ -240,21 +254,6 @@ class _Colony:
         h = pos + axis * length / 2.0
         half_w = (self.widths + self.cfg.cell_width) / 2.0
         return bool((segments_distance(e, h, *self.endpoints()) - half_w > 0.5).all())
-
-    def _append(self, pos, axis, length) -> str:
-        cfg = self.cfg
-        eps = self.rng.uniform(*cfg.division_eps_range)
-        cid = self.next_id()
-        self.ids.append(cid)
-        self._push_arrays(pos, axis, length, cfg.cell_width, 2 * cfg.birth_length + eps)
-        return cid
-
-    def _push_arrays(self, pos, axis, length, width, div_len) -> None:
-        self.centers = np.vstack([self.centers, np.asarray(pos, float)[None]])
-        self.axes = np.vstack([self.axes, np.asarray(axis, float)[None]])
-        self.lengths = np.append(self.lengths, float(length))
-        self.widths = np.append(self.widths, float(width))
-        self.div_len = np.append(self.div_len, float(div_len))
 
     # -- stepping ---------------------------------------------------------
 
@@ -315,45 +314,36 @@ class _Colony:
         ripe = np.flatnonzero(self.lengths >= self.div_len)
         if ripe.size == 0:
             return
-        keep = np.ones(len(self.ids), dtype=bool)
-        children: list[tuple] = []
+        ratios, eps = [], []
         for i in ripe:
-            parent_id = self.ids[i]
-            if parent_id not in start_ids:
-                raise ColonyTrackError(
+            if self.ids[i] not in start_ids:
+                raise ValidationError(
                     "a cell born during this interframe reached its division "
-                    "length; growth is too fast for the frame rate"
+                    "length: growth_rate, growth_jitter and substeps let cells "
+                    "grow too fast for the frame rate"
                 )
-            keep[i] = False
-            L = self.lengths[i]
-            u = self.axes[i]
-            e = self.centers[i] - u * L / 2.0
-            r = self.rng.uniform(*cfg.split_ratio_range)
-            l1, l2 = r * L, (1.0 - r) * L
-            # children split the parent capsule with a 1 px gap along the axis
-            c1 = e + u * (l1 / 2.0) - u * 0.5
-            c2 = e + u * (l1 + l2 / 2.0) + u * 0.5
-            id1, id2 = self.next_id(), self.next_id()
-            eps1 = self.rng.uniform(*cfg.division_eps_range)
-            eps2 = self.rng.uniform(*cfg.division_eps_range)
-            children.append(
-                (id1, c1, u.copy(), l1, self.widths[i], 2 * l1 + eps1, self.anchors[i].copy())
-            )
-            children.append(
-                (id2, c2, u.copy(), l2, self.widths[i], 2 * l2 + eps2, self.anchors[i].copy())
-            )
-            divided[parent_id] = (id1, id2)
-        self.ids = [cid for k, cid in enumerate(self.ids) if keep[k]]
-        self.centers = self.centers[keep]
-        self.axes = self.axes[keep]
-        self.lengths = self.lengths[keep]
-        self.widths = self.widths[keep]
-        self.div_len = self.div_len[keep]
-        self.anchors = self.anchors[keep]
-        for cid, c, u, length, width, div_len, anchor in children:
-            self.ids.append(cid)
-            self._push_arrays(c, u, length, width, div_len)
-            self.anchors = np.vstack([self.anchors, anchor[None]])
+            ratios.append(self.rng.uniform(*cfg.split_ratio_range))
+            eps.extend(self.rng.uniform(*cfg.division_eps_range, size=2))
+        L, u = self.lengths[ripe, None], self.axes[ripe]
+        r = np.array(ratios)[:, None]
+        e = self.centers[ripe] - u * L / 2.0
+        l1, l2 = r * L, (1.0 - r) * L
+        # children split the parent capsule with a 1 px gap along the axis
+        c1 = e + u * (l1 / 2.0) - u * 0.5
+        c2 = e + u * (l1 + l2 / 2.0) + u * 0.5
+        # each parent's two children, one after the other, after the kept cells
+        lengths = np.hstack((l1, l2)).ravel()
+        children = [self.next_id() for _ in range(lengths.size)]
+        for i, pair in zip(ripe, zip(children[::2], children[1::2])):
+            divided[self.ids[i]] = pair
+        parents = np.repeat(ripe, 2)
+        self._add(
+            children, np.hstack((c1, c2)).reshape(-1, 2), self.axes[parents], lengths,
+            self.widths[parents], 2 * lengths + np.array(eps), self.anchors[parents],
+        )
+        keep = np.ones(len(self.ids), dtype=bool)
+        keep[ripe] = False
+        self._keep(keep)
 
     def _relax(self) -> bool:
         """Push overlapping capsules apart; True when within tolerance.

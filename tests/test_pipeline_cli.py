@@ -86,6 +86,12 @@ def test_track_sequence_needs_two_frames():
     f0 = make_frame([make_cell("a", (0, 0))])
     with pytest.raises(ValidationError):
         track_sequence([f0], small_config())
+    # consecutive indices only: a missing frame is named, not tracked across
+    f1, f2, f3 = (make_frame([make_cell("a", (0, 0))], index=k) for k in (1, 2, 3))
+    with pytest.raises(ValidationError, match="frame 0 is followed by 2"):
+        track_sequence([f0, f2, f3], small_config())
+    with pytest.raises(ValidationError, match="frame 2 is followed by 1"):
+        track_sequence([f0, f1, f2, f1], small_config())
 
 
 def test_infeasible_divisions_raise():
@@ -665,6 +671,15 @@ def test_invalid_record_is_reported(tmp_path, monkeypatch, capsys):
     assert io.read_lineage_csv(out / "tracking.csv")[0].moved == record.moved
 
 
+def test_cli_track_rejects_a_missing_frame(tmp_path, capsys, small_run):
+    frames_path = tmp_path / "frames.jsonl"
+    io.write_frames_jsonl([small_run.frames[k] for k in (0, 2, 3)], frames_path)
+    out = tmp_path / "track"
+    assert main(["track", "--frames", str(frames_path), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("error: frame indices must be consecutive")
+    assert not (out / "tracking.csv").exists()
+
+
 def test_cli_exit_codes(tmp_path):
     missing = tmp_path / "missing.json"
     assert main(["simulate", "--config", str(missing), "--out", str(tmp_path / "o")]) == 2
@@ -710,6 +725,9 @@ def test_cli_exit_codes(tmp_path):
         {"trap_bounds": ["0", "0", "600", "600"]},
         {"divide": "false"},
         {"interframe_minutes": 1e308},
+        # a newborn cell reaches its division length within its interframe
+        {"growth_jitter": 1.0, "seed": 1, "n_frames": 40, "initial_cells": 4, "w": 45.0,
+         "substeps": 4},
     ],
 )
 def test_cli_simulate_rejects_bad_config(tmp_path, capsys, bad):
@@ -874,6 +892,19 @@ def test_cli_weights_and_schedule_files(tmp_path, capsys, small_run):
     )
     assert set(meta["children_schedule"]) == {"c", "eta", "epoch_cap"}
     assert "dynamics" not in meta
+    # a partial schedule keeps the rest of its own stage's default
+    config_path = tmp_path / "partial.json"
+    config_path.write_text(json.dumps({"children_schedule": {"c": 1.0}}))
+    schedule_path.write_text(json.dumps({"c": 30.0}))
+    code = main(
+        ["track", "--frames", str(frames_path), "--config", str(config_path),
+         "--schedule", str(schedule_path), "--out", str(out), "--quiet"]
+    )
+    assert code == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    for name, default, c in (("children_schedule", Schedule.children_default(), 1.0),
+                             ("registration_schedule", Schedule.registration_default(), 30.0)):
+        assert meta[name] == dataclasses.asdict(dataclasses.replace(default, c=c))
     capsys.readouterr()
     # the registration dynamics and the stop rule are fixed: these keys are
     # unknown schedule keys
