@@ -17,7 +17,6 @@ from .division import (
     ShortLineage,
     build_children_bm,
     build_pch,
-    distortion,
     estimate_parent,
     reduce_frames,
     solve_children_bm,

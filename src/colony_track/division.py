@@ -21,7 +21,7 @@ import numpy as np
 from . import annealer
 from .annealer import QuadraticBm, Schedule
 from .errors import InfeasibleError, ValidationError, check_fields, finite_real
-from .geometry import CHUNK_ELEMENTS, Cell, Frame, cross2, line_angle, pairs_within, rod_arrays
+from .geometry import CHUNK_ELEMENTS, Frame, cross2, line_angle, pairs_within, rod_arrays
 
 PENALTY_NAMES = ("lin", "gap", "dev", "ratio", "rank")
 
@@ -153,9 +153,9 @@ _ROD = np.dtype(
 )
 
 
-def _rods(cells: Frame | Sequence[Cell]) -> np.ndarray:
-    """The :data:`_ROD` rows of a frame's cells, or of a sequence of cells."""
-    arrays = rod_arrays(cells)
+def _rods(frame: Frame) -> np.ndarray:
+    """The :data:`_ROD` rows of a frame's cells."""
+    arrays = rod_arrays(frame)
     rods = np.empty(len(arrays[0]), _ROD)
     for name, values in zip(_ROD.names, arrays):
         rods[name] = values
@@ -163,27 +163,20 @@ def _rods(cells: Frame | Sequence[Cell]) -> np.ndarray:
 
 
 def _distortion(parent: np.ndarray, c1: np.ndarray, c2: np.ndarray, weights):
-    """:func:`distortion` of the rows of the :data:`_ROD` arrays ``parent``, ``c1``, ``c2``."""
-    axis, mid = parent["axis"], (c1["center"] + c2["center"]) / 2.0
-    cen = np.hypot(*(parent["center"] - mid).T)
-    siz = np.abs(parent["length"] - (c1["length"] + c2["length"]))
-    sep = c2["center"] - c1["center"]
-    ang = line_angle(axis, c1["axis"]) + line_angle(axis, c2["axis"]) + line_angle(axis, sep)
-    return weights.cen * cen + weights.siz * siz + weights.ang * ang
-
-
-def distortion(
-    parent: Cell, c1: Cell, c2: Cell, weights: DistortionWeights = DistortionWeights()
-) -> float:
-    """Geometric distortion of dividing ``parent`` into children ``c1``, ``c2``.
+    """Geometric distortion of dividing each row of the :data:`_ROD` array
+    ``parent`` into the children rows of ``c1``, ``c2``.
 
     Combines the offset of the children midpoint from the parent center, the
     length mismatch, and three line angles (children axes against the parent
     axis, and the children separation direction against the parent axis).
     Angles of coincident children centers count as zero.
     """
-    rods = _rods([parent, c1, c2])
-    return float(_distortion(rods[:1], rods[1:2], rods[2:], weights)[0])
+    axis, mid = parent["axis"], (c1["center"] + c2["center"]) / 2.0
+    cen = np.hypot(*(parent["center"] - mid).T)
+    siz = np.abs(parent["length"] - (c1["length"] + c2["length"]))
+    sep = c2["center"] - c1["center"]
+    ang = line_angle(axis, c1["axis"]) + line_angle(axis, c2["axis"]) + line_angle(axis, sep)
+    return weights.cen * cen + weights.siz * siz + weights.ang * ang
 
 
 def _best_parents(c1: np.ndarray, c2: np.ndarray, source: np.ndarray, ids, w, weights):
@@ -229,22 +222,30 @@ def _best_parents(c1: np.ndarray, c2: np.ndarray, source: np.ndarray, ids, w, we
 
 
 def estimate_parent(
-    b1: Cell, b2: Cell, frame: Frame, w: float,
+    next_frame: Frame, pair: tuple[str, str], frame: Frame, w: float,
     weights: DistortionWeights = DistortionWeights(), exclude: set[str] | None = None,
 ) -> tuple[str, float] | None:
-    """Most likely parent: the distortion minimum over the feasible cells of
-    ``frame`` (see :func:`_best_parents`), or None when no cell is feasible."""
+    """Most likely parent of the children ``pair``, two ids of ``next_frame``:
+    the distortion minimum over the feasible cells of ``frame`` not in
+    ``exclude`` (see :func:`_best_parents`), or None when no cell is feasible."""
     source, ids = _rods(frame), frame.ids
     if exclude:
         keep = [k for k, cid in enumerate(ids) if cid not in exclude]
         source, ids = source[keep], [ids[k] for k in keep]
-    kids = _rods([b1, b2])
+    kids = _rods(next_frame)[list(map(next_frame.position, pair))]
     parent, value = _best_parents(kids[:1], kids[1:], source, ids, w, weights)
     return None if parent[0] < 0 else (ids[parent[0]], float(value[0]))
 
 
 def _pair_penalties(b1: np.ndarray, b2: np.ndarray, l_min: float):
-    """:func:`pair_penalties` of the rows of the :data:`_ROD` arrays ``b1``, ``b2``."""
+    """(gap, dev, ratio, rank) of the candidate children pairs in the rows of
+    the :data:`_ROD` arrays ``b1``, ``b2``.
+
+    ``l_min`` is the minimum cell length over the whole target frame. The
+    deviation penalty uses the two closest endpoints (the first of ee, eh,
+    he, hh on ties) against the line through the centers; coincident centers
+    yield an infinite deviation sentinel.
+    """
     x, y = np.stack([b1["e"], b1["e"], b1["h"], b1["h"]]), np.stack([b2["e"], b2["h"]] * 2)
     tips = np.hypot(x[..., 0] - y[..., 0], x[..., 1] - y[..., 1])
     k, rows = tips.argmin(axis=0), np.arange(len(b1))
@@ -258,18 +259,6 @@ def _pair_penalties(b1: np.ndarray, b2: np.ndarray, l_min: float):
     ratio = np.abs(l1 / l2 + l2 / l1 - 2.0)
     rank = np.abs(l1 / l_min - 1.0) + np.abs(l2 / l_min - 1.0)
     return tips[k, rows], dev, ratio, rank
-
-
-def pair_penalties(b1: Cell, b2: Cell, l_min: float) -> tuple[float, float, float, float]:
-    """(gap, dev, ratio, rank) for a candidate children pair.
-
-    ``l_min`` is the minimum cell length over the whole target frame. The
-    deviation penalty uses the two closest endpoints (the first of ee, eh,
-    he, hh on ties) against the line through the centers; coincident centers
-    yield an infinite deviation sentinel.
-    """
-    rods = _rods([b1, b2])
-    return tuple(float(a[0]) for a in _pair_penalties(rods[:1], rods[1:], l_min))
 
 
 def build_pch(
@@ -488,7 +477,7 @@ def select_short_lineages(
     for j in sorted(selected, key=lambda j: (lin[j], j)):
         pair, parent, value = candidates.pair(j), candidates.parent_id(j), float(lin[j])
         if parent in taken:
-            alt = estimate_parent(*map(next_frame.cell, pair), frame, w, weights, exclude=taken)
+            alt = estimate_parent(next_frame, pair, frame, w, weights, exclude=taken)
             if alt is None:
                 dropped.append(pair)
                 continue

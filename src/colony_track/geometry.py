@@ -154,10 +154,6 @@ class Cell:
     def __hash__(self):
         return hash((self.id, self.width, *self.e.tolist(), *self.h.tolist()))
 
-    def translated(self, offset) -> "Cell":
-        off = _pt(offset)
-        return Cell(self.id, self.e + off, self.h + off, self.width)
-
 
 def _rod_error(length: float, width: float) -> str | None:
     """Why a cell of this length and width is invalid, or None."""
@@ -349,17 +345,13 @@ class FrameCells(Sequence):
         return repr(tuple(self))
 
 
-def rod_arrays(rods) -> tuple[np.ndarray, ...]:
-    """(centers, axes, lengths, E, H) of a frame or a sequence of cells, each
-    (n, 2) but ``lengths`` (n,): row k is cell k's ``center``, ``axis_dir``,
-    ``length``, ``e`` and ``h``, bit for bit. A frame hands out its own
-    read-only arrays; only the axes are computed on each call."""
-    if isinstance(rods, Frame):
-        e, h, lengths, centers = rods.e, rods.h, rods.lengths, rods.centers()
-    else:
-        e, h, _, lengths = _stacked(rods)
-        centers = (e + h) / 2.0
-    return centers, (h - e) / lengths[:, None], lengths, e, h
+def rod_arrays(frame: Frame) -> tuple[np.ndarray, ...]:
+    """(centers, axes, lengths, E, H) of a frame's cells, each (n, 2) but
+    ``lengths`` (n,): row k is cell k's ``center``, ``axis_dir``, ``length``,
+    ``e`` and ``h``, bit for bit. These are the frame's own read-only arrays;
+    only the axes are computed on each call."""
+    e, h, lengths = frame.e, frame.h, frame.lengths
+    return frame.centers(), (h - e) / lengths[:, None], lengths, e, h
 
 
 def cell_from_pixels(pixels, cell_id: str = "px") -> Cell:
@@ -487,11 +479,6 @@ def segment_distance(p0x, p0y, p1x, p1y, q0x, q0y, q1x, q1y) -> float:
     )
 
 
-def capsule_gap(a: Cell, b: Cell):
-    """Clearance between two cell capsules; negative values measure overlap depth."""
-    return segment_distance(*a.e, *a.h, *b.e, *b.h) - (a.width + b.width) / 2.0
-
-
 class NeighborGraph:
     """Symmetric, irreflexive neighbor relation over the cells of one frame.
 
@@ -512,7 +499,6 @@ class NeighborGraph:
             raise ValueError("adjacency must be irreflexive")
         self.ids = tuple(ids)
         self._bits = np.packbits(adj, axis=1)
-        self._index = {cid: k for k, cid in enumerate(self.ids)}
 
     @property
     def adj(self) -> np.ndarray:
@@ -521,15 +507,6 @@ class NeighborGraph:
     @property
     def degrees(self) -> np.ndarray:
         return self.adj.sum(axis=1)
-
-    def degree(self, cell_id: str) -> int:
-        return int(self.adj[self._index[cell_id]].sum())
-
-    def are_neighbors(self, a: str, b: str) -> bool:
-        return bool(self.adj[self._index[a], self._index[b]])
-
-    def n_edges(self) -> int:
-        return int(self.adj.sum()) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         i, j = np.nonzero(np.triu(self.adj, k=1))

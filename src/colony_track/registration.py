@@ -27,15 +27,7 @@ from . import annealer
 from .annealer import RegistrationBm, Schedule
 from .calibration import _weighted_sum
 from .errors import ValidationError, check_fields
-from .geometry import (
-    Cell,
-    Frame,
-    NeighborGraph,
-    build_neighbor_graph,
-    cross2,
-    rod_arrays,
-    window_mask,
-)
+from .geometry import Frame, NeighborGraph, build_neighbor_graph, cross2, rod_arrays, window_mask
 
 LIK_FLOOR = 1e-6
 
@@ -61,12 +53,14 @@ def _rods(frame: Frame, rows: np.ndarray):
 
 
 def _penalty_arrays(src, dst, g_rate: float):
-    """Vectorized (kin, dis, rot) of source against target rods, each given as
+    """(kin, dis, rot) of matching source against target rods, each given as
     (centers, lengths, axes) broadcasting together.
 
-    Written with element-wise ufuncs only so that scalar and batch
-    evaluations are bitwise identical; the empirical CDFs are sampled at
-    exactly these values and re-queried with them, so a one-ulp discrepancy
+    kin is the squared center displacement, dis the squared log-deviation of
+    the length ratio from the expected growth factor, rot the angle between
+    the (non-oriented) long axes in [0, pi/2]. The empirical CDFs are sampled
+    at the flat penalties of :func:`build_problem` and queried again with
+    them, so each sample counts itself; a value recomputed one ulp lower
     would shift a CDF count.
     """
     (sc, sl, sa), (tc, tl, ta) = src, dst
@@ -76,21 +70,6 @@ def _penalty_arrays(src, dst, g_rate: float):
     dis = (np.log(tl / sl) - np.log(g_rate)) ** 2
     cosang = np.minimum(1.0, np.abs(ta[..., 0] * sa[..., 0] + ta[..., 1] * sa[..., 1]))
     return kin, dis, np.arccos(cosang)
-
-
-def pair_penalties(b: Cell, b_plus: Cell, g_rate: float) -> tuple[float, float, float]:
-    """(kin, dis, rot) for matching ``b`` to ``b_plus``.
-
-    kin is the squared center displacement, dis the squared log-deviation of
-    the length ratio from the expected growth factor, rot the angle between
-    the (non-oriented) long axes in [0, pi/2].
-    """
-    kin, dis, rot = _penalty_arrays(
-        (b.center, b.length, b.axis_dir),
-        (b_plus.center, np.float64(b_plus.length), b_plus.axis_dir),
-        g_rate,
-    )
-    return float(kin), float(dis), float(rot)
 
 
 class EmpiricalCdf:

@@ -119,6 +119,10 @@ class SimConfig:
             raise ValidationError("interframe, n_frames, initial_cells must be positive")
         if self.w <= 0 or self.substeps < 1:
             raise ValidationError("w and substeps must be positive")
+        if self.birth_length <= 0 or (self.max_length is not None and self.max_length <= 0):
+            raise ValidationError("birth_length and max_length must be positive")
+        if self.cell_width < 0:
+            raise ValidationError("cell_width must be non-negative")
         if min(self.growth_jitter, self.motion_sigma, self.rotation_sigma) < 0:
             raise ValidationError("noise magnitudes must be non-negative")
         try:
@@ -233,6 +237,11 @@ class _Colony:
             axis = np.array([math.cos(theta), math.sin(theta)])
             length = cfg.birth_length * self.rng.uniform(1.0, 1.8)
             if self._fits(pos, axis, length):
+                if not cfg.trap_bounds.contains(pos, tol=1e-6):
+                    raise ValidationError(
+                        f"trap_bounds too small to seed initial_cells={cfg.initial_cells}: "
+                        f"an initial cell center {pos} lies outside them"
+                    )
                 div_len = 2 * cfg.birth_length + self.rng.uniform(*cfg.division_eps_range)
                 self._add(
                     [self.next_id()], [pos], [axis], [length], [cfg.cell_width], [div_len], [pos]

@@ -20,15 +20,14 @@ from colony_track.division import (
     ShortLineage,
     build_children_bm,
     build_pch,
-    distortion,
     estimate_parent,
-    pair_penalties,
     reduce_frames,
     select_short_lineages,
     solve_children_bm,
     trim_candidates,
 )
 from colony_track.errors import InfeasibleError, ValidationError
+from colony_track.geometry import Frame
 
 from conftest import make_cell, make_frame
 
@@ -88,11 +87,17 @@ def test_pch_matches_bruteforce_pair_filter():
 # -- distortion ---------------------------------------------------------------
 
 
+def distortion_of(parent, c1, c2, weights=DistortionWeights()):
+    """The distortion ``estimate_parent`` reports for the only, feasible, parent."""
+    kids = make_frame([c1, c2], index=1)
+    return estimate_parent(kids, (c1.id, c2.id), make_frame([parent]), 1e3, weights)[1]
+
+
 def test_distortion_zero_for_perfect_split():
     parent = make_cell("p", (0, 0), length=40.0)
     c1 = make_cell("a", (-10, 0), length=20.0)
     c2 = make_cell("b", (10, 0), length=20.0)
-    assert distortion(parent, c1, c2) == pytest.approx(0.0, abs=1e-12)
+    assert distortion_of(parent, c1, c2) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_distortion_maximal_angles():
@@ -101,7 +106,7 @@ def test_distortion_maximal_angles():
     # children pair rotated 90 degrees as a unit around the parent center
     c1 = make_cell("a", (0, -10), angle=np.pi / 2, length=20.0)
     c2 = make_cell("b", (0, 10), angle=np.pi / 2, length=20.0)
-    assert distortion(parent, c1, c2, w) == pytest.approx(3 * np.pi / 2, abs=1e-12)
+    assert distortion_of(parent, c1, c2, w) == pytest.approx(3 * np.pi / 2, abs=1e-12)
 
 
 def test_distortion_coincident_children_centers():
@@ -110,7 +115,7 @@ def test_distortion_coincident_children_centers():
     c1 = make_cell("a", (5, 5), angle=0.0, length=20.0)
     c2 = make_cell("b", (5, 5), angle=0.0, length=20.0)
     # separation angle of coincident centers counts as zero
-    assert distortion(parent, c1, c2, w) == pytest.approx(0.0, abs=1e-12)
+    assert distortion_of(parent, c1, c2, w) == pytest.approx(0.0, abs=1e-12)
 
 
 @given(st.integers(0, 300))
@@ -145,7 +150,7 @@ def test_distortion_matches_reference_formula(seed):
             + line_angle_ref(p.axis_dir, c2.center - c1.center)
         )
     )
-    assert distortion(p, c1, c2, w) == pytest.approx(expected, abs=1e-12)
+    assert distortion_of(p, c1, c2, w) == pytest.approx(expected, abs=1e-12)
 
 
 # -- parent estimation --------------------------------------------------------
@@ -155,18 +160,17 @@ def test_estimate_parent_single_feasible():
     parent = make_cell("p", (0, 0), length=40.0)
     far = make_cell("q", (400, 400), length=40.0)
     frame = make_frame([parent, far])
-    c1 = make_cell("a", (-10, 1), length=20.0)
-    c2 = make_cell("b", (10, 1), length=20.0)
-    got = estimate_parent(c1, c2, frame, w=45.0)
+    kids = make_frame([make_cell("a", (-10, 1), length=20.0), make_cell("b", (10, 1), length=20.0)])
+    got = estimate_parent(kids, ("a", "b"), frame, w=45.0)
+    # only the 1 px offset of the children midpoint costs: cen * 1
     assert got is not None and got[0] == "p"
-    assert got[1] == pytest.approx(distortion(parent, c1, c2))
+    assert got[1] == pytest.approx(DistortionWeights().cen)
 
 
 def test_estimate_parent_empty_feasible_set():
     frame = make_frame([make_cell("p", (400, 400), length=20.0)])
-    c1 = make_cell("a", (-10, 0), length=20.0)
-    c2 = make_cell("b", (10, 0), length=20.0)
-    assert estimate_parent(c1, c2, frame, w=45.0) is None
+    kids = make_frame([make_cell("a", (-10, 0), length=20.0), make_cell("b", (10, 0), length=20.0)])
+    assert estimate_parent(kids, ("a", "b"), frame, w=45.0) is None
 
 
 @given(st.integers(0, 200))
@@ -178,9 +182,11 @@ def test_estimate_parent_symmetric_in_children(seed):
             for i in range(4)
         ]
     )
-    c1 = make_cell("a", rng.uniform(-30, 30, size=2), length=15.0)
-    c2 = make_cell("b", rng.uniform(-30, 30, size=2), length=15.0)
-    assert estimate_parent(c1, c2, frame, w=45.0) == estimate_parent(c2, c1, frame, w=45.0)
+    kids = make_frame(
+        [make_cell(cid, rng.uniform(-30, 30, size=2), length=15.0) for cid in ("a", "b")], index=1
+    )
+    want = estimate_parent(kids, ("a", "b"), frame, w=45.0)
+    assert estimate_parent(kids, ("b", "a"), frame, w=45.0) == want
 
 
 def test_estimate_parent_against_simulator_truth(minute_run):
@@ -191,7 +197,7 @@ def test_estimate_parent_against_simulator_truth(minute_run):
             continue
         f0, f1 = frames[rec.frame_index], frames[rec.frame_index + 1]
         for parent, (k1, k2) in rec.divided.items():
-            got = estimate_parent(f1.cell(k1), f1.cell(k2), f0, w=45.0)
+            got = estimate_parent(f1, (k1, k2), f0, w=45.0)
             total += 1
             correct += got is not None and got[0] == parent
     assert total > 50
@@ -201,10 +207,16 @@ def test_estimate_parent_against_simulator_truth(minute_run):
 # -- pair penalties -----------------------------------------------------------
 
 
+def kid_penalties(c1, c2, l_min):
+    """(gap, dev, ratio, rank) that ``build_pch``'s kernel gives the pair, as floats."""
+    rods = division._rods(make_frame([c1, c2], index=1))
+    return [float(v[0]) for v in division._pair_penalties(rods[:1], rods[1:], l_min)]
+
+
 def test_penalties_ideal_newborn_pair():
     c1 = make_cell("a", (-10, 0), length=20.0)
     c2 = make_cell("b", (10, 0), length=20.0)  # endpoints touch at origin
-    gap, dev, ratio, rank = pair_penalties(c1, c2, l_min=20.0)
+    gap, dev, ratio, rank = kid_penalties(c1, c2, l_min=20.0)
     assert gap == pytest.approx(0.0, abs=1e-12)
     assert dev == pytest.approx(0.0, abs=1e-12)
     assert ratio == pytest.approx(0.0)
@@ -214,14 +226,14 @@ def test_penalties_ideal_newborn_pair():
 def test_ratio_for_double_length():
     c1 = make_cell("a", (-10, 0), length=20.0)
     c2 = make_cell("b", (10, 0), length=10.0)
-    _, _, ratio, _ = pair_penalties(c1, c2, l_min=10.0)
+    _, _, ratio, _ = kid_penalties(c1, c2, l_min=10.0)
     assert ratio == pytest.approx(abs(2.0 + 0.5 - 2.0))
 
 
 def test_dev_sentinel_for_coincident_centers():
     c1 = make_cell("a", (0, 0), length=20.0)
     c2 = make_cell("b", (0, 0), angle=0.3, length=20.0)
-    _, dev, _, _ = pair_penalties(c1, c2, l_min=20.0)
+    _, dev, _, _ = kid_penalties(c1, c2, l_min=20.0)
     assert math.isinf(dev)
 
 
@@ -231,7 +243,7 @@ def test_penalties_match_reference_formulas(seed):
     c1 = make_cell("a", rng.uniform(-20, 20, size=2), angle=rng.uniform(0, np.pi), length=rng.uniform(8, 30))
     c2 = make_cell("b", rng.uniform(-20, 20, size=2), angle=rng.uniform(0, np.pi), length=rng.uniform(8, 30))
     l_min = float(rng.uniform(5, 12))
-    gap, dev, ratio, rank = pair_penalties(c1, c2, l_min)
+    gap, dev, ratio, rank = kid_penalties(c1, c2, l_min)
     tips = [(x, y) for x in (c1.e, c1.h) for y in (c2.e, c2.h)]
     dists = [np.linalg.norm(x - y) for x, y in tips]
     assert gap == pytest.approx(min(dists), abs=1e-12)
@@ -536,6 +548,39 @@ def test_select_short_lineages_resolves_parent_conflicts():
     assert not dropped
     parents = {sl.parent for sl in lineages}
     assert parents == {"p1", "p2"}
+
+
+def test_select_short_lineages_re_estimates_a_taken_parent_from_frame_rows(monkeypatch):
+    # both selected pairs estimate p1; the second is re-estimated, from the
+    # target frame's rows, while frames refuse to build Cell objects
+    frame = make_frame(
+        [make_cell("p1", (0, 0), length=40.0), make_cell("p2", (0, 30), length=40.0)]
+    )
+    kids = {"a1": (-10, 0), "a2": (10, 0), "b1": (-10, 12), "b2": (10, 12)}
+    nxt = make_frame([make_cell(cid, xy, length=20.0) for cid, xy in kids.items()], index=1)
+    cands = build_pch(frame, nxt, tau=45.0, w=45.0)
+    pairs = [cands.pair(j) for j in range(len(cands))]
+    picks = [pairs.index(("a1", "a2")), pairs.index(("b1", "b2"))]
+    assert [cands.parent_id(j) for j in picks] == ["p1", "p1"]
+    want = select_short_lineages(frame, nxt, cands, picks, w=45.0)
+
+    def refuse(*args):
+        raise AssertionError("the children stage built Cell objects from a frame")
+
+    for name in ("cell", "__iter__"):
+        monkeypatch.setattr(Frame, name, refuse)
+    monkeypatch.setattr(Frame, "cells", property(refuse))
+    calls = []
+    estimate = division.estimate_parent
+    monkeypatch.setattr(
+        division, "estimate_parent", lambda *a, **k: calls.append(a) or estimate(*a, **k)
+    )
+    lineages, dropped = select_short_lineages(frame, nxt, cands, picks, w=45.0)
+    assert (lineages, dropped) == want and len(calls) == 1
+    assert [(sl.parent, sl.children) for sl in lineages] == [
+        ("p1", ("a1", "a2")), ("p2", ("b1", "b2"))
+    ]
+    assert not dropped
 
 
 def test_reduce_frames_cardinalities():

@@ -133,9 +133,9 @@ def assert_matches_reference(frame, next_frame, tau, w, weights=DistortionWeight
     for cand in got:
         b1, b2 = next_frame.cell(cand.pair[0]), next_frame.cell(cand.pair[1])
         for exclude in (None, {cand.parent}):
-            assert estimate_parent(b1, b2, frame, w, weights, exclude) == ref_estimate_parent(
-                b1, b2, frame, w, weights, exclude
-            )
+            assert estimate_parent(
+                next_frame, cand.pair, frame, w, weights, exclude
+            ) == ref_estimate_parent(b1, b2, frame, w, weights, exclude)
     return got
 
 
@@ -192,7 +192,7 @@ def test_equal_distortion_parents_resolve_to_the_lower_id():
     kids = make_frame([make_cell("a", (-10, 1), length=20.0), make_cell("b", (10, 1), length=20.0)])
     got = assert_matches_reference(make_frame(twins), kids, tau=45.0, w=45.0)
     assert [c.parent for c in got] == ["p"]
-    assert estimate_parent(*kids.cells, make_frame(twins), 45.0, exclude={"p"})[0] == "q"
+    assert estimate_parent(kids, ("a", "b"), make_frame(twins), 45.0, exclude={"p"})[0] == "q"
 
 
 def test_pair_exactly_tau_apart_is_excluded():
@@ -243,7 +243,7 @@ def test_pair_without_admissible_parent_is_dropped():
     frame = make_frame([make_cell("p", (300, 300), length=40.0)])
     kids = make_frame([make_cell("a", (-10, 0), length=20.0), make_cell("b", (10, 0), length=20.0)])
     assert assert_matches_reference(frame, kids, tau=45.0, w=45.0) == []
-    assert estimate_parent(*kids.cells, frame, 45.0) is None
+    assert estimate_parent(kids, ("a", "b"), frame, 45.0) is None
 
 
 def test_parent_search_chunks_keep_the_lowest_id_tie_rule(monkeypatch):

@@ -728,6 +728,13 @@ def test_cli_exit_codes(tmp_path):
         # a newborn cell reaches its division length within its interframe
         {"growth_jitter": 1.0, "seed": 1, "n_frames": 40, "initial_cells": 4, "w": 45.0,
          "substeps": 4},
+        # traps too small for the seeding disc
+        {"trap_bounds": [0, 0, 5, 5]},
+        {"initial_cells": 500, "trap_bounds": [0, 0, 100, 100]},
+        {"birth_length": -5, "n_frames": 5},
+        {"birth_length": 0},
+        {"cell_width": -3, "n_frames": 5},
+        {"max_length": -1, "divide": False},
     ],
 )
 def test_cli_simulate_rejects_bad_config(tmp_path, capsys, bad):
@@ -735,7 +742,7 @@ def test_cli_simulate_rejects_bad_config(tmp_path, capsys, bad):
     config.write_text(json.dumps({"n_frames": 3, **bad}))
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:")
+    assert err.startswith("error:") and "Traceback" not in err
     assert next(iter(bad)) in err or "growth per interframe too close to 2x" in err
 
 

@@ -11,17 +11,18 @@ from colony_track import annealer
 from colony_track.annealer import RegistrationConfig, Schedule
 from colony_track.division import ShortLineage, reduce_frames
 from colony_track.errors import ValidationError
-from colony_track.geometry import cross2
+from colony_track.geometry import Cell, cross2
 from colony_track.registration import (
     EmpiricalCdf,
     LIK_FLOOR,
     RegistrationWeights,
     _broken,
     _flipped,
+    _penalty_arrays,
+    _rods,
     build_problem,
     fit_likelihood_model,
     initial_assignment,
-    pair_penalties,
     register,
 )
 
@@ -37,10 +38,20 @@ from conftest import (
 # -- penalties ----------------------------------------------------------------
 
 
+def penalties(src, dst, rows, targets, g_rate):
+    """(kin, dis, rot) of the source cells at positions ``rows`` against the
+    target cells at ``targets``, by the array pass ``build_problem`` runs."""
+    return _penalty_arrays(_rods(src, rows), _rods(dst, targets), g_rate)
+
+
+def one_pair(b, b_plus, g_rate):
+    return penalties(make_frame([b]), make_frame([b_plus], index=1), 0, 0, g_rate)
+
+
 def test_pair_penalties_ideal_growth():
     b = make_cell("b", (10, 10), angle=0.4, length=20.0)
     b_plus = make_cell("b+", (10, 10), angle=0.4, length=21.0)
-    kin, dis, rot = pair_penalties(b, b_plus, g_rate=1.05)
+    kin, dis, rot = one_pair(b, b_plus, g_rate=1.05)
     assert kin == pytest.approx(0.0)
     assert dis == pytest.approx(0.0, abs=1e-15)
     assert rot == pytest.approx(0.0, abs=1e-7)
@@ -49,7 +60,7 @@ def test_pair_penalties_ideal_growth():
 def test_pair_penalties_orthogonal_axes():
     b = make_cell("b", (0, 0), angle=0.0)
     b_plus = make_cell("b+", (3, 4), angle=np.pi / 2)
-    kin, dis, rot = pair_penalties(b, b_plus, g_rate=1.0)
+    kin, dis, rot = one_pair(b, b_plus, g_rate=1.0)
     assert kin == pytest.approx(25.0)
     assert rot == pytest.approx(np.pi / 2)
 
@@ -60,7 +71,7 @@ def test_pair_penalties_match_formulas(seed):
     b = make_cell("b", rng.uniform(0, 50, 2), angle=rng.uniform(0, np.pi), length=rng.uniform(10, 40))
     b2 = make_cell("c", rng.uniform(0, 50, 2), angle=rng.uniform(0, np.pi), length=rng.uniform(10, 40))
     g = float(rng.uniform(1.0, 1.4))
-    kin, dis, rot = pair_penalties(b, b2, g)
+    kin, dis, rot = one_pair(b, b2, g)
     assert kin == pytest.approx(np.sum((b.center - b2.center) ** 2), rel=1e-12)
     assert dis == pytest.approx((math.log(b2.length / b.length) - math.log(g)) ** 2, rel=1e-12)
     cosang = abs(float(b.axis_dir @ b2.axis_dir))
@@ -88,13 +99,12 @@ def test_ecdf_monotone(samples, x, dx):
 
 
 def flat_penalties(src, dst, windows, g_rate=1.05):
-    """(kin, dis, rot) rows over the windows, flat in window order, scored one
-    pair at a time, and the per-cell offsets."""
-    pens = [
-        pair_penalties(b, dst.cells[t], g_rate) for b, win in zip(src.cells, windows) for t in win
-    ]
-    offsets = np.cumsum([0, *map(len, windows)])
-    return np.array(pens).reshape(-1, 3).T, offsets
+    """(kin, dis, rot) rows over the windows, flat in window order, and the
+    per-cell offsets."""
+    sizes = [len(win) for win in windows]
+    targets = np.concatenate([np.asarray(win, np.intp) for win in windows])
+    pens = penalties(src, dst, np.repeat(np.arange(len(src)), sizes), targets, g_rate)
+    return np.array(pens), np.cumsum([0, *sizes])
 
 
 def test_likelihood_floor_and_tails():
@@ -105,10 +115,11 @@ def test_likelihood_floor_and_tails():
     # below every sample: all three survival factors are 1
     good = make_cell("g", src.cells[0].center, angle=0.0, length=20.0)
     target = make_cell("t", good.center - 1e-9, angle=0.0, length=20.0 * 1.05)
-    assert model.lik(*pair_penalties(good, target, 1.05)) <= 1.0
-    # a hopeless candidate is floored at exactly the configured value
+    # and a hopeless candidate, floored at exactly the configured value
     far = make_cell("f", good.center + 500.0, angle=np.pi / 2, length=80.0)
-    assert model.lik(*pair_penalties(good, far, 1.05)) == LIK_FLOOR
+    liks = model.lik(*penalties(make_frame([good]), make_frame([target, far]), 0, [0, 1], 1.05))
+    assert liks[0] <= 1.0
+    assert liks[1] == LIK_FLOOR
 
 
 def test_fit_model_requires_windows():
@@ -162,9 +173,7 @@ def brute_force_terms(problem, assignment):
     n = len(src)
     a = np.asarray(assignment)
     lik, g = problem.likelihood, problem.likelihood.growth_rate
-    match = -sum(
-        math.log(lik.lik(*pair_penalties(src.cells[i], dst.cells[a[i]], g))) for i in range(n)
-    ) / n
+    match = -sum(map(math.log, lik.lik(*penalties(src, dst, np.arange(n), a, g)).tolist())) / n
     over = sum(
         1.0
         for i in range(n)
@@ -217,13 +226,13 @@ def test_ideal_registration_scores_zero():
 
 
 def dense_match_cost(problem):
-    """Oracle: every source cell scored against every target cell, one pair
-    at a time."""
-    lik, g = problem.likelihood, problem.likelihood.growth_rate
-    return np.array([
-        [-np.log(lik.lik(*pair_penalties(b, t, g))) / problem.n for t in problem.target.cells]
-        for b in problem.source.cells
-    ])
+    """Oracle: every source cell scored against every target cell."""
+    lik, n, m = problem.likelihood, problem.n, len(problem.target)
+    pens = penalties(
+        problem.source, problem.target, np.repeat(np.arange(n), m), np.tile(np.arange(m), n),
+        lik.growth_rate,
+    )
+    return (-np.log(lik.lik(*pens)) / n).reshape(n, m)
 
 
 @pytest.mark.kernels
@@ -302,8 +311,10 @@ def test_stab_flip_translation_invariant():
     a = np.array([rng.choice(w) for w in problem.windows])
     _, _, stab0, flip0 = problem.cost_terms(a)
     off = np.array([37.0, -19.0])
-    src2 = make_frame([c.translated(off) for c in problem.source.cells])
-    dst2 = make_frame([c.translated(off) for c in problem.target.cells], index=1)
+    src2, dst2 = (
+        make_frame([Cell(c.id, c.e + off, c.h + off, c.width) for c in frame.cells], index=k)
+        for k, frame in enumerate((problem.source, problem.target))
+    )
     moved = build_problem(src2, dst2, w=problem.w, rho=problem.rho, g_rate=1.05)
     _, _, stab1, flip1 = moved.cost_terms(a)
     assert stab1 == pytest.approx(stab0, abs=1e-12)
@@ -468,7 +479,7 @@ def test_initial_assignment_is_likelihood_argmax(seed):
     lik, g = problem.likelihood, problem.likelihood.growth_rate
     for i, cell in enumerate(problem.source.cells):
         cands = [problem.target.cells[int(p)] for p in problem.windows[i]]
-        liks = [lik.lik(*pair_penalties(cell, t, g)) for t in cands]
+        liks = lik.lik(*penalties(problem.source, problem.target, i, problem.windows[i], g))
         kins = [((t.center - cell.center) ** 2).sum() for t in cands]
         best = min(range(len(cands)), key=lambda s: (-liks[s], kins[s], cands[s].id))
         expected.append(int(problem.windows[i][best]))

@@ -10,7 +10,7 @@ from scipy.spatial import cKDTree
 
 from colony_track import io
 from colony_track.errors import ValidationError
-from colony_track.geometry import Rect, capsule_gap, segment_distance, segments_distance
+from colony_track.geometry import Rect, segment_distance, segments_distance
 from colony_track.simulator import (
     RELAX_SKIN,
     LineageRecord,
@@ -470,10 +470,9 @@ def test_emitted_frames_have_no_deep_overlaps():
     cfg = SimConfig(seed=13, n_frames=40, initial_cells=6, motion_sigma=1.2, substeps=3)
     result = simulate(cfg)
     for frame in result.frames:
-        cells = frame.cells
-        for i in range(len(cells)):
-            for j in range(i + 1, len(cells)):
-                assert capsule_gap(cells[i], cells[j]) > -0.5
+        i, j = np.triu_indices(len(frame), 1)
+        dist = segments_distance(frame.e[i], frame.h[i], frame.e[j], frame.h[j])
+        assert (dist - (frame.widths[i] + frame.widths[j]) / 2.0 > -0.5).all()
 
 
 def test_lineage_records_validate_against_frames():
