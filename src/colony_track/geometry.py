@@ -27,6 +27,8 @@ CHUNK_ELEMENTS = 1 << 11
 # Segments whose directions meet at an angle with a smaller sine do not
 # cross properly (see stacked_segments_distance).
 CROSSING_SIN = 1e-12
+# stacked_segments_distance measures row k against the segment _SEG_A[k]-_SEG_B[k]
+_SEG_A, _SEG_B = np.array([2, 2, 0, 0]), np.array([3, 3, 1, 1])
 
 
 def _pt(p) -> np.ndarray:
@@ -390,17 +392,6 @@ def _xy(p) -> tuple[np.ndarray, np.ndarray]:
     return a[..., 0], a[..., 1]
 
 
-def _points_segments_distance(px, py, ax, ay, bx, by):
-    """Distance from points (px, py) to segments a-b, on broadcasting components."""
-    dx = bx - ax
-    dy = by - ay
-    dd = dx * dx + dy * dy
-    safe = np.where(dd > 0.0, dd, 1.0)
-    t = np.clip(((px - ax) * dx + (py - ay) * dy) / safe, 0.0, 1.0)
-    t = np.where(dd > 0.0, t, 0.0)
-    return np.hypot(px - (ax + t * dx), py - (ay + t * dy))
-
-
 def segments_distance(p0, p1, q0, q1):
     """Minimum distance between segments p0-p1 and q0-q1.
 
@@ -419,7 +410,7 @@ def stacked_segments_distance(x, y):
     ``x[0], y[0]`` hold the coordinates of p0, and rows 1 to 3 those of p1,
     q0 and q1. Segments that do not cross attain their minimum at an endpoint
     of one against the other, so four point-segment distances suffice; they
-    come from one elementwise call on four times the rows. A pair crosses,
+    come from one elementwise pass over four times the rows. A pair crosses,
     and is at distance zero, when its segments meet at an angle whose sine
     exceeds ``CROSSING_SIN``: ``den² > CROSSING_SIN² |u|² |v|²``, with ``den``
     the cross product of the directions ``u`` and ``v``. Nearer parallel,
@@ -427,29 +418,22 @@ def stacked_segments_distance(x, y):
     pair takes its endpoint distance, which a true crossing keeps below
     ``CROSSING_SIN`` times a segment length.
     """
-    # rows: p0 and p1 against segment q, then q0 and q1 against segment p
-    a, b = [2, 2, 0, 0], [3, 3, 1, 1]
-    d4 = _points_segments_distance(x, y, x[a], y[a], x[b], y[b])
-    d = np.minimum(np.minimum(d4[0], d4[1]), np.minimum(d4[2], d4[3]))
-    ux, uy, vx, vy = x[1] - x[0], y[1] - y[0], x[3] - x[2], y[3] - y[2]
-    wx, wy = x[2] - x[0], y[2] - y[0]
-    den = ux * vy - uy * vx
-    crossing = den * den > CROSSING_SIN * CROSSING_SIN * (ux * ux + uy * uy) * (vx * vx + vy * vy)
-    safe = np.where(crossing, den, 1.0)
-    t = (wx * vy - wy * vx) / safe
-    s = (wx * uy - wy * ux) / safe
-    crossing &= (t >= 0.0) & (t <= 1.0) & (s >= 0.0) & (s <= 1.0)
-    return np.where(crossing, 0.0, d)
-
-
-def _point_segment_distance(px, py, ax, ay, bx, by) -> float:
-    dx = bx - ax
-    dy = by - ay
+    ax, ay = x[_SEG_A], y[_SEG_A]
+    dx, dy = x[_SEG_B] - ax, y[_SEG_B] - ay
+    px, py = x - ax, y - ay
     dd = dx * dx + dy * dy
-    t = 0.0
-    if dd > 0.0:
-        t = min(max(((px - ax) * dx + (py - ay) * dy) / dd, 0.0), 1.0)
-    return float(np.hypot(px - (ax + t * dx), py - (ay + t * dy)))
+    positive = dd > 0.0
+    t = ((px * dx + py * dy) / np.where(positive, dd, 1.0)).clip(0.0, 1.0)
+    t = np.where(positive, t, 0.0)
+    d = np.hypot(x - (ax + t * dx), y - (ay + t * dy)).min(axis=0)
+    # rows 2 and 0 of dx, dy are u = p1 - p0 and v = q1 - q0; w = q0 - p0 is row 2 of px, py
+    den = dx[2] * dy[0] - dy[2] * dx[0]
+    crossing = den * den > CROSSING_SIN * CROSSING_SIN * dd[2] * dd[0]
+    # the crossing parameters: t along p (row 0) and s along q (row 1)
+    ts = (px[2] * dy[::2] - py[2] * dx[::2]) / np.where(crossing, den, 1.0)
+    inside = (ts >= 0.0) & (ts <= 1.0)
+    crossing &= inside[0] & inside[1]
+    return np.where(crossing, 0.0, d)
 
 
 def segment_distance(p0x, p0y, p1x, p1y, q0x, q0y, q1x, q1y) -> float:
@@ -457,25 +441,35 @@ def segment_distance(p0x, p0y, p1x, p1y, q0x, q0y, q1x, q1y) -> float:
 
     It performs the same float operations in the same order, so it returns
     bit-for-bit the same value without the per-call cost of array dispatch.
-    ``np.hypot`` is kept because ``math.hypot`` can differ in the last bit.
+    A hypot is ``abs(complex(x, y))``, which computes libm's ``hypot`` as
+    ``np.hypot`` does; ``math.hypot`` can differ in the last bit.
     """
     ux, uy, vx, vy = p1x - p0x, p1y - p0y, q1x - q0x, q1y - q0y
+    uu, vv = ux * ux + uy * uy, vx * vx + vy * vy
     den = ux * vy - uy * vx
-    if den * den > CROSSING_SIN * CROSSING_SIN * (ux * ux + uy * uy) * (vx * vx + vy * vy):
+    if den * den > CROSSING_SIN * CROSSING_SIN * uu * vv:
         wx, wy = q0x - p0x, q0y - p0y
         t = (wx * vy - wy * vx) / den
         s = (wx * uy - wy * ux) / den
         if 0.0 <= t <= 1.0 and 0.0 <= s <= 1.0:
             return 0.0
+    # the nearest points to p0 and p1 on segment q, and to q0 and q1 on p
+    a = b = c = d = 0.0
+    if vv > 0.0:
+        a = ((p0x - q0x) * vx + (p0y - q0y) * vy) / vv
+        a = 0.0 if a < 0.0 else 1.0 if a > 1.0 else a
+        b = ((p1x - q0x) * vx + (p1y - q0y) * vy) / vv
+        b = 0.0 if b < 0.0 else 1.0 if b > 1.0 else b
+    if uu > 0.0:
+        c = ((q0x - p0x) * ux + (q0y - p0y) * uy) / uu
+        c = 0.0 if c < 0.0 else 1.0 if c > 1.0 else c
+        d = ((q1x - p0x) * ux + (q1y - p0y) * uy) / uu
+        d = 0.0 if d < 0.0 else 1.0 if d > 1.0 else d
     return min(
-        min(
-            _point_segment_distance(p0x, p0y, q0x, q0y, q1x, q1y),
-            _point_segment_distance(p1x, p1y, q0x, q0y, q1x, q1y),
-        ),
-        min(
-            _point_segment_distance(q0x, q0y, p0x, p0y, p1x, p1y),
-            _point_segment_distance(q1x, q1y, p0x, p0y, p1x, p1y),
-        ),
+        abs(complex(p0x - (q0x + a * vx), p0y - (q0y + a * vy))),
+        abs(complex(p1x - (q0x + b * vx), p1y - (q0y + b * vy))),
+        abs(complex(q0x - (p0x + c * ux), q0y - (p0y + c * uy))),
+        abs(complex(q1x - (p0x + d * ux), q1y - (p0y + d * uy))),
     )
 
 

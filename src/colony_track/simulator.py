@@ -119,8 +119,10 @@ class SimConfig:
             raise ValidationError("interframe, n_frames, initial_cells must be positive")
         if self.w <= 0 or self.substeps < 1:
             raise ValidationError("w and substeps must be positive")
-        if self.birth_length <= 0 or (self.max_length is not None and self.max_length <= 0):
-            raise ValidationError("birth_length and max_length must be positive")
+        if self.birth_length <= 0:
+            raise ValidationError("birth_length must be positive")
+        if self.max_length is not None and self.max_length < self.birth_length:
+            raise ValidationError(f"max_length {self.max_length} is below birth_length")
         if self.cell_width < 0:
             raise ValidationError("cell_width must be non-negative")
         if min(self.growth_jitter, self.motion_sigma, self.rotation_sigma) < 0:
@@ -375,7 +377,9 @@ class _Colony:
         pair after every iteration, bit for bit, whatever ``RELAX_SKIN`` and
         the times the list is rebuilt. A pair is pushed by the gap that
         selected it while neither of its cells has moved in this iteration,
-        and is measured anew after.
+        and is measured anew after by the scalar ``segment_distance``. Norms
+        are ``abs(complex(x, y))``: bit for bit ``np.hypot``, without NumPy's
+        per-call dispatch.
         """
         cfg = self.cfg
         n = len(self.ids)
@@ -398,22 +402,24 @@ class _Colony:
             x, y = xs[i] + dx, ys[i] + dy
             ox, oy = x - ax[i], y - ay[i]
             if ox * ox + oy * oy > within_budget:
-                norm = float(np.hypot(ox, oy))
+                norm = abs(complex(ox, oy))
                 if norm > budget:
                     scale = budget / norm
                     x, y = ax[i] + ox * scale, ay[i] + oy * scale
-            x, y = min(max(x, lox[i]), hix[i]), min(max(y, loy[i]), hiy[i])
+            # min(max(x, lo), hi), as lo <= hi
+            x = lox[i] if x < lox[i] else hix[i] if x > hix[i] else x
+            y = loy[i] if y < loy[i] else hiy[i] if y > hiy[i] else y
             xs[i], ys[i] = x, y
             if not is_moved[i]:
                 is_moved[i] = True
                 moved.append(i)
 
         for _ in range(cfg.relax_iterations):
-            masked = np.flatnonzero(pl.gaps < -half_tol)
+            masked = (pl.gaps < -half_tol).nonzero()[0]
             if masked.size == 0:
                 break
             # deepest first; pairs of equal gap keep the list's (i, j) order
-            ks = masked[np.argsort(pl.gaps[masked], kind="stable")]
+            ks = masked[pl.gaps[masked].argsort(kind="stable")]
             # cells moved in this iteration, in the order of their first move
             is_moved, moved = [False] * n, []
             start = xs[:], ys[:]
@@ -431,7 +437,7 @@ class _Colony:
                 if depth <= half_tol:
                     continue
                 dx, dy = xs[j] - xs[i], ys[j] - ys[i]
-                norm = float(np.hypot(dx, dy))
+                norm = abs(complex(dx, dy))
                 if norm < 1e-9:
                     theta = self.rng.uniform(0, 2 * math.pi)
                     dx, dy = math.cos(theta), math.sin(theta)
@@ -522,7 +528,7 @@ class _PairList:
             gaps[kept], slack[kept] = self.gaps[at[kept]], self.slack[at[kept]]
             fresh[kept] = False
         self.i, self.j, self.hw, self.gaps, self.slack, self.keys = i, j, hw, gaps, slack, keys
-        self._measure(np.flatnonzero(fresh & (gaps < self.threshold)))
+        self._measure((fresh & (gaps < self.threshold)).nonzero()[0])
 
     def _measure(self, k: np.ndarray) -> None:
         """Record the exact gaps of pairs ``k``."""
@@ -536,23 +542,22 @@ class _PairList:
         self.gaps[k] = stacked_segments_distance(x, y) - self.hw[k]
         self.slack[k] = 0.0
 
-    def _drifted(self, moved: list[int]) -> bool:
-        """Whether a cell in ``moved`` is ``RELAX_SKIN / 2`` or more from where
-        it was at the last build."""
-        dx = np.array([self.xs[m] - self.bx[m] for m in moved])
-        dy = np.array([self.ys[m] - self.by[m] for m in moved])
-        return bool((np.hypot(dx, dy) >= RELAX_SKIN / 2.0).any())
-
     def update(self, moved: list[int], x0: list[float], y0: list[float]) -> None:
-        """Bring the bounds up to date after the cells ``moved`` moved from ``x0, y0``."""
-        xs, ys = self.xs, self.ys
+        """Bring the bounds up to date after the cells ``moved`` moved from ``x0, y0``,
+        taking their slack steps and drift since the last build in one pass."""
+        xs, ys, bx, by = self.xs, self.ys, self.bx, self.by
+        steps, drifted = [], False
+        for m in moved:
+            x, y = xs[m], ys[m]
+            steps.append(abs(x - x0[m]) + abs(y - y0[m]) + RELAX_PAD)
+            drifted = drifted or abs(complex(x - bx[m], y - by[m])) >= RELAX_SKIN / 2.0
         step = np.zeros(len(xs))
-        step[moved] = [abs(xs[m] - x0[m]) + abs(ys[m] - y0[m]) + RELAX_PAD for m in moved]
+        step[moved] = steps
         self.slack += step[self.i] + step[self.j]
-        if self._drifted(moved):
+        if drifted:
             self._build()
         stale = (self.slack > 0.0) & (self.gaps - self.slack < self.threshold)
-        self._measure(np.flatnonzero(stale))
+        self._measure(stale.nonzero()[0])
 
 
 def _numeric_suffix(cell_id: str) -> int:

@@ -735,6 +735,7 @@ def test_cli_exit_codes(tmp_path):
         {"birth_length": 0},
         {"cell_width": -3, "n_frames": 5},
         {"max_length": -1, "divide": False},
+        {"max_length": 0.5, "divide": False},
     ],
 )
 def test_cli_simulate_rejects_bad_config(tmp_path, capsys, bad):

@@ -35,6 +35,10 @@ def test_config_validation():
         SimConfig(growth_rate=1.2, interframe_minutes=4.0)  # could divide twice
     with pytest.raises(ValidationError):
         io.from_json(SimConfig, {"nonsense": 1}, "simulator config")
+    # a length cap below the birth length would shrink every cell at once
+    with pytest.raises(ValidationError, match="max_length 19.5 is below birth_length"):
+        SimConfig(divide=False, max_length=19.5)
+    SimConfig(divide=False, max_length=20.0)
 
 
 def test_deterministic_given_seed():
@@ -87,7 +91,14 @@ def _golden_runs():
         initial_frame=dividing.frames[-1],
     )
     crowded = simulate(CROWDED)
-    return {"dividing": dividing, "adopted": adopted, "crowded": crowded}
+    # the benchmark's pipeline colony at another seed: 110 cells at frame 50
+    seed210 = simulate(
+        SimConfig(
+            seed=210, n_frames=51, initial_cells=8, w=45.0, interframe_minutes=1.0,
+            motion_sigma=1.0, substeps=3,
+        )
+    )
+    return {"dividing": dividing, "adopted": adopted, "crowded": crowded, "seed210": seed210}
 
 
 # a dense colony in a small trap: about 13 000 relaxation pushes, enough that a
@@ -108,6 +119,7 @@ GOLDEN_DIGESTS = {
     "dividing": "c054b3e663458a8e10da4541d313fdff1a769c41f23080ea93abb5f55d72d5f2",
     "adopted": "a4774549e5b0cf4a04a0390c74f0ffb5ef80bb8a93592a24ec4af95faea8b06c",
     "crowded": "52b31236d48f0f3e009473788c31523dbeb3a64c9a2a79ec6c6e233d560d0930",
+    "seed210": "d592789d0c0ec4763386067fbef76dd76be37ef31e58120004745e874696df24",
 }
 
 
