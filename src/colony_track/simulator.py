@@ -16,7 +16,8 @@ overlap. Each listed pair also keeps a certified lower bound on its gap, which
 the moves of its cells lower; only pairs whose bound comes near the push
 threshold are measured again. Every pushed pair, and every float it is pushed
 by, is the same as when each listed pair is measured after every iteration,
-so the frames are byte for byte those of that simpler scheme.
+so the frames are byte for byte those of that simpler scheme, whatever the
+skin. At 12 px, half the rebuilds of 4 px, set-up time has levelled off.
 
 The push order is defined by the pairs alone: deepest gap first, and pairs of
 equal gap (common: crossing capsules of equal width all have gap -width) in
@@ -44,7 +45,9 @@ from .geometry import (
 )
 
 # Margin (pixels) of the relaxation's neighbour list beyond the overlap reach.
-RELAX_SKIN = 4.0
+RELAX_SKIN = 12.0
+# Largest batch of pairs that _PairList._measure measures one pair at a time.
+RELAX_SCALAR_BATCH = 16
 # Safety margins (pixels) of the relaxation's gap bounds (see _PairList).
 RELAX_MARGIN = 1e-6
 RELAX_PAD = 1e-9
@@ -225,6 +228,11 @@ class _Colony:
 
     def seed_initial(self) -> None:
         cfg = self.cfg
+        # _grow would cut a seeded length (below 1.8 * birth_length) to its cap at once
+        if not cfg.divide and cfg.max_length is not None:
+            lowest_cap = cfg.max_length * (0.8 if cfg.growth_jitter > 0 else 1.0)
+            if lowest_cap < 1.8 * cfg.birth_length:
+                raise ValidationError(f"max_length {cfg.max_length} would shrink seeded cells")
         center = cfg.trap_bounds.center
         spacing = cfg.birth_length * 1.6
         radius = spacing * max(1.0, math.sqrt(cfg.initial_cells))
@@ -395,7 +403,6 @@ class _Colony:
         ax, ay = self.anchors.T.tolist()
         xs, ys = self.centers.T.tolist()
         reach = float(self.lengths.max() + self.widths.max()) + 1.0
-        offx, offy = half.T.tolist()
         pl = _PairList(xs, ys, half, self.widths, reach, -half_tol + RELAX_MARGIN)
 
         def move(i: int, dx: float, dy: float) -> None:
@@ -427,11 +434,7 @@ class _Colony:
                 pl.i[ks].tolist(), pl.j[ks].tolist(), pl.gaps[ks].tolist(), pl.hw[ks].tolist()
             ):
                 if is_moved[i] or is_moved[j]:
-                    xi, yi, xj, yj = xs[i], ys[i], xs[j], ys[j]
-                    depth = hw - segment_distance(
-                        xi - offx[i], yi - offy[i], xi + offx[i], yi + offy[i],
-                        xj - offx[j], yj - offy[j], xj + offx[j], yj + offy[j],
-                    )
+                    depth = hw - pl.distance(i, j)
                 else:
                     depth = -gap
                 if depth <= half_tol:
@@ -501,11 +504,16 @@ class _PairList:
     more than rounding: a near-parallel crossing, which measures at most
     ``CROSSING_SIN`` times a segment length instead of 0 (see
     :func:`~colony_track.geometry.stacked_segments_distance`).
+
+    Batches of up to ``RELAX_SCALAR_BATCH`` pairs, too small to repay the
+    stacked kernel's fixed cost of some 30 NumPy calls, are measured pair by
+    pair with the scalar ``segment_distance``, which returns the same bits.
     """
 
     def __init__(self, xs, ys, half: np.ndarray, widths: np.ndarray, reach: float, threshold):
         self.xs, self.ys, self.threshold = xs, ys, threshold
         self.hx, self.hy = half.T
+        self.offx, self.offy = half.T.tolist()
         self.widths, self.cutoff = widths, reach + RELAX_SKIN
         self.radius = np.hypot(half[:, 0], half[:, 1])
         self.keys = np.zeros(0, np.intp)  # i * n + j of the listed pairs, ascending
@@ -530,16 +538,28 @@ class _PairList:
         self.i, self.j, self.hw, self.gaps, self.slack, self.keys = i, j, hw, gaps, slack, keys
         self._measure((fresh & (gaps < self.threshold)).nonzero()[0])
 
+    def distance(self, i: int, j: int) -> float:
+        """The distance between the axes of cells ``i`` and ``j``."""
+        xs, ys, hx, hy = self.xs, self.ys, self.offx, self.offy
+        return segment_distance(
+            xs[i] - hx[i], ys[i] - hy[i], xs[i] + hx[i], ys[i] + hy[i],
+            xs[j] - hx[j], ys[j] - hy[j], xs[j] + hx[j], ys[j] + hy[j],
+        )
+
     def _measure(self, k: np.ndarray) -> None:
         """Record the exact gaps of pairs ``k``."""
         if k.size == 0:
             return
-        i, j = self.i[k], self.j[k]
-        ends = np.concatenate((i, i, j, j)).reshape(4, -1)  # cells of p0, p1, q0, q1
-        # x + (-h) rounds exactly as x - h
-        x = np.array(self.xs)[ends] + _END_SIGNS * self.hx[ends]
-        y = np.array(self.ys)[ends] + _END_SIGNS * self.hy[ends]
-        self.gaps[k] = stacked_segments_distance(x, y) - self.hw[k]
+        if k.size <= RELAX_SCALAR_BATCH:
+            ijw = zip(self.i[k].tolist(), self.j[k].tolist(), self.hw[k].tolist())
+            self.gaps[k] = [self.distance(i, j) - hw for i, j, hw in ijw]
+        else:
+            i, j = self.i[k], self.j[k]
+            ends = np.concatenate((i, i, j, j)).reshape(4, -1)  # cells of p0, p1, q0, q1
+            # x + (-h) rounds exactly as x - h
+            x = np.array(self.xs)[ends] + _END_SIGNS * self.hx[ends]
+            y = np.array(self.ys)[ends] + _END_SIGNS * self.hy[ends]
+            self.gaps[k] = stacked_segments_distance(x, y) - self.hw[k]
         self.slack[k] = 0.0
 
     def update(self, moved: list[int], x0: list[float], y0: list[float]) -> None:
@@ -609,8 +629,8 @@ def true_motion_bound(frames: list[Frame], lineage: Iterable[LineageRecord]) -> 
         dst = frame_by_index[rec.frame_index + 1]
         sc, dc = src.centers(), dst.centers()
         for a, b in rec.moved.items():
-            bound = max(bound, float(np.hypot(*(dc[dst.position(b)] - sc[src.position(a)]))))
+            bound = max(bound, abs(complex(*(dc[dst.position(b)] - sc[src.position(a)]))))
         for a, (b1, b2) in rec.divided.items():
             mid = (dc[dst.position(b1)] + dc[dst.position(b2)]) / 2.0
-            bound = max(bound, float(np.hypot(*(mid - sc[src.position(a)]))))
+            bound = max(bound, abs(complex(*(mid - sc[src.position(a)]))))
     return bound

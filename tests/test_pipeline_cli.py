@@ -736,6 +736,8 @@ def test_cli_exit_codes(tmp_path):
         {"cell_width": -3, "n_frames": 5},
         {"max_length": -1, "divide": False},
         {"max_length": 0.5, "divide": False},
+        # the length cap would cut seeded cells short at once
+        {"max_length": 20.0, "divide": False},
     ],
 )
 def test_cli_simulate_rejects_bad_config(tmp_path, capsys, bad):

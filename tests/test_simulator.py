@@ -1,6 +1,8 @@
 import hashlib
 import math
 import struct
+from collections import Counter
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -8,11 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
-from colony_track import io
+from colony_track import io, simulator
 from colony_track.errors import ValidationError
 from colony_track.geometry import Rect, segment_distance, segments_distance
 from colony_track.simulator import (
-    RELAX_SKIN,
     LineageRecord,
     SimConfig,
     _Colony,
@@ -39,6 +40,23 @@ def test_config_validation():
     with pytest.raises(ValidationError, match="max_length 19.5 is below birth_length"):
         SimConfig(divide=False, max_length=19.5)
     SimConfig(divide=False, max_length=20.0)
+
+
+def test_seeded_colony_rejects_a_length_cap_that_shrinks_its_cells():
+    # seeded lengths reach 1.8 * birth_length, and _grow cuts a cell to its cap
+    # at once: 0.8 * max_length at the least, or max_length without jitter
+    shrinking = SimConfig(n_frames=3, max_length=20.0, divide=False, initial_cells=4, seed=0)
+    with pytest.raises(ValidationError, match="max_length 20.0 would shrink seeded cells"):
+        simulate(shrinking)
+    with pytest.raises(ValidationError, match="max_length 35.9 would shrink"):
+        simulate(SimConfig(n_frames=2, max_length=35.9, growth_jitter=0.0, divide=False))
+    # the lowest caps that seeding cannot exceed
+    for cap, jitter in ((45.0, 0.02), (36.0, 0.0)):
+        run = simulate(replace(shrinking, max_length=cap, growth_jitter=jitter))
+        assert (run.frames[1].lengths > 0.95 * run.frames[0].lengths).all()
+    # an adopted frame keeps its cells, capped or not
+    start = make_frame([make_cell("c000001", (300.0, 300.0), length=30.0)])
+    assert len(simulate(shrinking, initial_frame=start).frames) == 3
 
 
 def test_deterministic_given_seed():
@@ -271,7 +289,7 @@ def _relax_against_reference(seed, make=_crowded_colony):
     assert colony.rng.bit_generator.state == reference.rng.bit_generator.state
     moved = np.hypot(*(colony.centers - start).T).max()
     # a cell that ends half the skin away from its start forced a list rebuild
-    return {"rebuilt": bool(moved >= RELAX_SKIN / 2.0), **hits}
+    return {"rebuilt": bool(moved >= simulator.RELAX_SKIN / 2.0), **hits}
 
 
 @settings(max_examples=150)
@@ -318,6 +336,27 @@ def _collinear_row(seed):
     return colony
 
 
+def test_relax_does_not_depend_on_the_skin():
+    # the skin sets only when the neighbour list is rebuilt: every skin gives
+    # the all-pairs reference's centers and RNG state, and the golden colony
+    builds = Counter()
+    build = _PairList._build
+
+    def counted(self):
+        builds[simulator.RELAX_SKIN] += 1
+        build(self)
+
+    for skin in (1.0, 4.0, simulator.RELAX_SKIN, 24.0):
+        with mock.patch.object(simulator, "RELAX_SKIN", skin), mock.patch.object(
+            _PairList, "_build", counted
+        ):
+            for make in (_crowded_colony, _chain_colony, _collinear_row):
+                for seed in range(20):
+                    _relax_against_reference(seed, make)
+            assert _sim_digest(simulate(CROWDED)) == GOLDEN_DIGESTS["crowded"]
+    assert builds[1.0] > builds[4.0] > builds[24.0]
+
+
 def _watch_pair_list(on_update):
     """Patch ``_PairList.update`` to call ``on_update(pair_list, moved, before)``
     before and after it."""
@@ -353,6 +392,28 @@ def test_pair_list_holds_every_gap_below_threshold_exactly(seed, make):
     colony = make(seed)
     with _watch_pair_list(check):
         colony._relax()
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([_crowded_colony, _chain_colony, _collinear_row]))
+def test_measure_writes_the_same_gaps_pair_by_pair_and_stacked(seed, make):
+    # _measure takes the scalar loop or the stacked kernel by batch size; at
+    # every call in a relaxation, both measure all listed pairs to the same bytes
+    measure = _PairList._measure
+
+    def checked(pl, k):
+        out = []
+        for batch in (0, 10**9):
+            gaps, slack = pl.gaps.copy(), pl.slack.copy()
+            with mock.patch.object(simulator, "RELAX_SCALAR_BATCH", batch):
+                measure(pl, np.arange(len(pl.i)))
+            out.append(pl.gaps.tobytes())
+            pl.gaps, pl.slack = gaps, slack
+        assert out[0] == out[1]
+        measure(pl, k)
+
+    with mock.patch.object(_PairList, "_measure", checked):
+        make(seed)._relax()
 
 
 def test_relax_remeasures_fewer_than_half_of_touched_pairs():
