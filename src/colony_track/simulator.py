@@ -228,11 +228,14 @@ class _Colony:
 
     def seed_initial(self) -> None:
         cfg = self.cfg
-        # _grow would cut a seeded length (below 1.8 * birth_length) to its cap at once
-        if not cfg.divide and cfg.max_length is not None:
+        if not cfg.divide and cfg.max_length is not None:  # _grow cuts a cell to its cap at once
             lowest_cap = cfg.max_length * (0.8 if cfg.growth_jitter > 0 else 1.0)
             if lowest_cap < 1.8 * cfg.birth_length:
-                raise ValidationError(f"max_length {cfg.max_length} would shrink seeded cells")
+                raise ValidationError(
+                    f"max_length {cfg.max_length} would shrink seeded cells: its lowest cap "
+                    f"{lowest_cap:g} (growth_jitter {cfg.growth_jitter}) is below "
+                    f"1.8 * birth_length = {1.8 * cfg.birth_length:g}"
+                )
         center = cfg.trap_bounds.center
         spacing = cfg.birth_length * 1.6
         radius = spacing * max(1.0, math.sqrt(cfg.initial_cells))
@@ -433,10 +436,7 @@ class _Colony:
             for i, j, gap, hw in zip(
                 pl.i[ks].tolist(), pl.j[ks].tolist(), pl.gaps[ks].tolist(), pl.hw[ks].tolist()
             ):
-                if is_moved[i] or is_moved[j]:
-                    depth = hw - pl.distance(i, j)
-                else:
-                    depth = -gap
+                depth = hw - pl.distance(i, j) if is_moved[i] or is_moved[j] else -gap
                 if depth <= half_tol:
                     continue
                 dx, dy = xs[j] - xs[i], ys[j] - ys[i]
