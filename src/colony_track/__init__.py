@@ -12,7 +12,6 @@ from .division import (
     ChildrenBmProblem,
     DivisionWeights,
     DistortionWeights,
-    PairCandidate,
     PairCandidates,
     ShortLineage,
     build_children_bm,

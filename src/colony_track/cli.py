@@ -24,19 +24,13 @@ def _say(args, *message):
         print(*message)
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _cmd_simulate(args) -> int:
     data = io.load_json(args.config) if args.config else {}
     if args.seed is not None:
         data["seed"] = args.seed
     config = io.from_json(SimConfig, data, "simulator config")
     result = simulate(config)
-    out = _outdir(args)
+    out = io.output_dir(args.out)
     io.write_frames_jsonl(result.frames, out / "frames.jsonl")
     io.write_lineage_csv(result.lineage, out / "lineage.csv")
     meta = {
@@ -81,7 +75,7 @@ def _cmd_track(args) -> int:
     config = _load_pipeline_config(args)
     frames = io.read_frames_jsonl(args.frames)
     records, diags = pipeline.track_sequence(frames, config)
-    out = _outdir(args)
+    out = io.output_dir(args.out)
     io.write_lineage_csv(records, out / "tracking.csv")
     for diag in diags:
         trace = diag.registration.get("energy_trace", [])
@@ -139,7 +133,7 @@ def _cmd_score(args) -> int:
     truth = io.read_lineage_csv(args.ground_truth)
     report = pipeline.score(predicted, truth)
     if args.out:
-        io.dump_json(report.to_dict(), _outdir(args) / "report.json")
+        io.dump_json(report.to_dict(), Path(args.out) / "report.json")
     for p in report.pairs:
         pcp = "-" if p.pcp_accuracy is None else f"{p.pcp_accuracy:.3f}"
         reg = "-" if p.registration_accuracy is None else f"{p.registration_accuracy:.3f}"
@@ -198,7 +192,7 @@ def _cmd_calibrate(args) -> int:
         rng_seed=config.seed,
     )
     lam = calibration.calibrate(instance)
-    out = _outdir(args)
+    out = io.output_dir(args.out)
     weights = registration.RegistrationWeights(*map(float, lam))
     io.dump_json({"registration": dataclasses.asdict(weights)}, out / "weights.json")
     with open(out / "calibration_report.csv", "w", newline="") as fh:

@@ -3,12 +3,12 @@
 Candidate children pairs are target-frame cell pairs with nearby centers.
 Each carries five penalties (lineage, gap, alignment deviation, length ratio,
 length rank). The candidates of one frame pair are held as arrays
-(:class:`PairCandidates`); :class:`PairCandidate` rows are built only on
-request. A binary Boltzmann machine with the quadratic energy
-E(z) = v . z + lambda * z^T Q z selects the subset of pairs matching the known
-division count: v holds the combined penalties and Q marks pairs that share a
-cell. Swap annealing keeps the count fixed and prices each swap through the
-number of selected pairs holding each cell (see :mod:`colony_track.annealer`).
+(:class:`PairCandidates`), with no object per candidate. A binary Boltzmann
+machine with the quadratic energy E(z) = v . z + lambda * z^T Q z selects the
+subset of pairs matching the known division count: v holds the combined
+penalties and Q marks pairs that share a cell. Swap annealing keeps the count
+fixed and prices each swap through the number of selected pairs holding each
+cell (see :mod:`colony_track.annealer`).
 """
 
 from __future__ import annotations
@@ -53,50 +53,21 @@ class DivisionWeights:
         check_fields(self, nonnegative=("lin", "gap", "dev", "ratio", "rank"))
 
 
-@dataclass(frozen=True)
-class PairCandidate:
-    """A plausible children pair with its penalty vector and estimated parent:
-    one row of :class:`PairCandidates`."""
-
-    pair: tuple[str, str]
-    lin: float
-    gap: float
-    dev: float
-    ratio: float
-    rank: float
-    parent: str | None
-
-
-class PairCandidates(Sequence):
+class PairCandidates:
     """The candidate children pairs of one frame pair, held as read-only arrays.
 
     Candidate j pairs the cells ``ids[cells[j, 0]]`` and ``ids[cells[j, 1]]``
     (``cells`` is ``(m, 2)``), has the penalties ``penalties[j]`` (``(m, 5)``,
     in :data:`PENALTY_NAMES` order) and the estimated parent
-    ``parent_ids[parent[j]]``, or none where ``parent[j]`` is -1.
-    ``PairCandidates(rows)`` stacks :class:`PairCandidate` rows once, numbering
-    ids by first appearance; :meth:`from_arrays` takes the arrays themselves.
-    An integer index or iteration builds rows on request; a slice, index
+    ``parent_ids[parent[j]]``, or none where ``parent[j]`` is -1. The
+    constructor copies the arrays; ``ids`` must be distinct. A slice, index
     array or mask gives the candidates it selects.
     """
 
     __slots__ = ("ids", "cells", "parent_ids", "parent", "penalties")
 
-    def __init__(self, rows: Iterable[PairCandidate] = ()):
-        rows, ids, pids = list(rows), {}, {}
-        cells = [[ids.setdefault(cid, len(ids)) for cid in row.pair] for row in rows]
-        parent = [-1 if r.parent is None else pids.setdefault(r.parent, len(pids)) for r in rows]
-        penalties = [[getattr(row, name) for name in PENALTY_NAMES] for row in rows]
-        self._fill(tuple(ids), np.reshape(cells, (-1, 2)), tuple(pids), parent, penalties)
-
-    @classmethod
-    def from_arrays(cls, ids, cells, parent_ids, parent, penalties) -> "PairCandidates":
-        """The candidates of copies of the given arrays; ``ids`` must be distinct."""
-        cands = object.__new__(cls)
-        cands._fill(tuple(ids), cells, tuple(parent_ids), parent, penalties)
-        return cands
-
-    def _fill(self, ids, cells, parent_ids, parent, penalties) -> None:
+    def __init__(self, ids, cells, parent_ids, parent, penalties):
+        ids, parent_ids = tuple(ids), tuple(parent_ids)
         cells, parent = np.array(cells, np.intp), np.array(parent, np.intp)
         penalties = np.array(penalties, np.float64).reshape(-1, len(PENALTY_NAMES))
         m = len(penalties)
@@ -118,25 +89,10 @@ class PairCandidates(Sequence):
         p = int(self.parent[j])
         return None if p < 0 else self.parent_ids[p]
 
-    def _row(self, j: int) -> PairCandidate:
-        return PairCandidate(self.pair(j), *self.penalties[j].tolist(), self.parent_id(j))
-
-    def __getitem__(self, j):
-        if isinstance(j, (slice, np.ndarray)):
-            return PairCandidates.from_arrays(
-                self.ids, self.cells[j], self.parent_ids, self.parent[j], self.penalties[j]
-            )
-        return self._row(range(len(self))[j])
-
-    def __iter__(self):
-        return map(self._row, range(len(self)))
-
-    def __eq__(self, other):
-        if not isinstance(other, (PairCandidates, list, tuple)):
-            return NotImplemented
-        return list(self) == list(other)
-
-    __hash__ = None
+    def __getitem__(self, j: slice | np.ndarray) -> "PairCandidates":
+        return PairCandidates(
+            self.ids, self.cells[j], self.parent_ids, self.parent[j], self.penalties[j]
+        )
 
 
 @dataclass(frozen=True)
@@ -285,7 +241,7 @@ def build_pch(
     keep = np.isfinite(dev) & (parent >= 0)
     cells = np.stack([i[keep], j[keep]], axis=1)
     penalties = np.stack([v[keep] for v in (lin, gap, dev, ratio, rank)], axis=1)
-    return PairCandidates.from_arrays(next_frame.ids, cells, frame.ids, parent[keep], penalties)
+    return PairCandidates(next_frame.ids, cells, frame.ids, parent[keep], penalties)
 
 
 # touching siblings have endpoint distance ~ width (the rounded caps), so the

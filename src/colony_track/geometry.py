@@ -186,10 +186,10 @@ class Frame:
     ``Frame(index, cells, bounds)`` stacks the given cells once and keeps no
     reference to them; :meth:`from_arrays` takes the arrays themselves, with
     the same checks and the same float operations, so both give equal
-    frames. ``cells``, iteration and :meth:`cell` build :class:`Cell` objects
-    from the rows on request and do not keep them; tracking reads the arrays
-    (see :func:`rod_arrays`). Frames compare and hash by index, bounds, ids
-    and row values.
+    frames. ``cells`` builds :class:`Cell` objects from the rows on request
+    and does not keep them, so ``frame.cells[frame.position(id)]`` is the
+    cell of an id; tracking reads the arrays (see :func:`rod_arrays`). Frames
+    compare and hash by index, bounds, ids and row values.
     """
 
     __slots__ = ("index", "bounds", "ids", "e", "h", "widths", "lengths", "_centers", "_by_id")
@@ -283,9 +283,6 @@ class Frame:
     def cells(self) -> "FrameCells":
         return FrameCells(self)
 
-    def __iter__(self):
-        return iter(self.cells)
-
     def _cell(self, pos: int) -> Cell:
         return Cell._checked(
             self.ids[pos], self.e[pos], self.h[pos],
@@ -297,12 +294,6 @@ class Frame:
 
     def position(self, cell_id: str) -> int:
         return self._by_id[cell_id]
-
-    def cell(self, cell_id: str) -> Cell:
-        return self._cell(self._by_id[cell_id])
-
-    def __contains__(self, cell_id: str) -> bool:
-        return cell_id in self._by_id
 
     def without(self, removed_ids: Iterable[str]) -> "Frame":
         gone = set(removed_ids)
@@ -335,16 +326,6 @@ class FrameCells(Sequence):
 
     def __iter__(self):
         return map(self._frame._cell, range(len(self)))
-
-    def __eq__(self, other):
-        if not isinstance(other, (FrameCells, tuple)):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
 
 
 def rod_arrays(frame: Frame) -> tuple[np.ndarray, ...]:

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError, finite_real
-from .geometry import Cell, Frame, Rect
+from .geometry import Frame, Rect, _rod_error
 
 LINEAGE_HEADER = ["frame_index", "source_id", "kind", "target_id_1", "target_id_2"]
 
@@ -89,7 +89,11 @@ def read_frames_jsonl(path) -> list[Frame]:
                 if not finite_real(width):
                     raise ValueError(f"width must be a finite number, got {width!r}")
                 e, h = _numbers(rec["e"], "e", 2), _numbers(rec["h"], "h", 2)
-                center = Cell(cell_id, e, h, width).center
+                ends = np.array([e, h])
+                error = _rod_error(float(np.hypot(*(ends[1] - ends[0]))), float(width))
+                if error:
+                    raise ValueError(error)
+                center = (ends[0] + ends[1]) / 2.0
                 if not np.isfinite(center).all():
                     raise ValueError("the endpoint midpoint overflows a float")
                 stated = _numbers(rec["center"], "center", 2) if "center" in rec else center
@@ -228,8 +232,19 @@ def from_json(cls, data, what: str, base=None):
         raise ValidationError(f"bad {what}: {exc}") from exc
 
 
+def output_dir(path) -> Path:
+    """The directory ``path``, made with its parents where missing."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot write output directory {path}: {exc}") from exc
+    return Path(path)
+
+
 def dump_json(data: dict, path) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write ``data`` as indented JSON to ``path``, in a directory made where missing."""
+    output_dir(Path(path).parent)
+    try:
+        Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write output file {path}: {exc}") from exc

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from colony_track.division import PairCandidates
 from colony_track.geometry import Cell, Frame, Rect
 
 settings.register_profile(
@@ -173,3 +174,22 @@ def six_minute_chain():
 @pytest.fixture(scope="session")
 def six_minute_run(six_minute_chain):
     return six_minute_chain["bench"]
+
+
+def candidates_from_rows(rows):
+    """The :class:`PairCandidates` of ``(pair, lin, gap, dev, ratio, rank,
+    parent)`` tuples, numbering cell and parent ids by first appearance."""
+    ids, parent_ids = {}, {}
+    cells = [[ids.setdefault(cid, len(ids)) for cid in row[0]] for row in rows]
+    parent = [-1 if row[-1] is None else parent_ids.setdefault(row[-1], len(parent_ids))
+              for row in rows]
+    penalties = [row[1:6] for row in rows]
+    return PairCandidates(ids, np.reshape(cells, (-1, 2)), parent_ids, parent, penalties)
+
+
+def candidate_rows(candidates):
+    """The ``(pair, lin, gap, dev, ratio, rank, parent)`` tuple of each candidate."""
+    return [
+        (candidates.pair(j), *candidates.penalties[j].tolist(), candidates.parent_id(j))
+        for j in range(len(candidates))
+    ]

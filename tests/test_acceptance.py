@@ -36,6 +36,7 @@ from colony_track.simulator import LineageRecord, SimConfig, simulate
 from trackbench import measure, workloads
 
 from conftest import (
+    candidates_from_rows,
     jittered_copy,
     make_cell,
     make_frame,
@@ -43,6 +44,7 @@ from conftest import (
     random_frame,
     small_registration_problem,
 )
+from test_division import _toy_candidates as division_toy_candidates
 from test_simulator import _kdtree_pairs, _sim_digest
 
 BENCHMARK_SCHEDULE = Schedule(c=30.0, eta=0.9995, epoch_cap=400)
@@ -95,27 +97,7 @@ def test_registration_exhaustive_oracle_equivalence():
 
 
 def _toy_candidates(rng, m, cells=8):
-    names = [f"t{i}" for i in range(cells)]
-    cands = []
-    seen = set()
-    while len(cands) < m:
-        a, b = rng.choice(cells, size=2, replace=False)
-        key = frozenset((names[a], names[b]))
-        if key in seen:
-            continue
-        seen.add(key)
-        cands.append(
-            division.PairCandidate(
-                (names[a], names[b]),
-                lin=float(rng.uniform(0, 2)),
-                gap=float(rng.uniform(0, 5)),
-                dev=float(rng.uniform(0, 0.5)),
-                ratio=float(rng.uniform(0, 0.3)),
-                rank=float(rng.uniform(0, 1)),
-                parent=f"p{len(cands)}",
-            )
-        )
-    return division.PairCandidates(cands)
+    return candidates_from_rows(division_toy_candidates(rng, m, cells))
 
 
 def test_children_exhaustive_oracle_equivalence():
@@ -287,9 +269,8 @@ def _assert_same_run(frames, lineage, ref_frames, ref_lineage):
     assert len(frames) == len(ref_frames)
     for f, ref in zip(frames, ref_frames):
         assert (f.index, f.ids) == (ref.index, ref.ids)
-        assert [(c.e.tobytes(), c.h.tobytes(), c.width) for c in f] == [
-            (c.e.tobytes(), c.h.tobytes(), c.width) for c in ref
-        ]
+        rows, ref_rows = ([a.tobytes() for a in (g.e, g.h, g.widths)] for g in (f, ref))
+        assert rows == ref_rows
     assert lineage == ref_lineage
 
 

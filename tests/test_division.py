@@ -15,7 +15,6 @@ from colony_track.division import (
     PENALTY_NAMES,
     DistortionWeights,
     DivisionWeights,
-    PairCandidate,
     PairCandidates,
     ShortLineage,
     build_children_bm,
@@ -29,7 +28,7 @@ from colony_track.division import (
 from colony_track.errors import InfeasibleError, ValidationError
 from colony_track.geometry import Frame
 
-from conftest import make_cell, make_frame
+from conftest import candidate_rows, candidates_from_rows, make_cell, make_frame
 
 
 def cell_between(cid, a, b, length=12.0, angle=0.0):
@@ -45,12 +44,12 @@ def test_pch_center_distance_boundary():
     near = [make_cell("a", (-22, 0), length=18.0), make_cell("b", (22, 0), length=18.0)]
     nxt = make_frame(near, index=1)
     got = build_pch(frame, nxt, tau=45.0, w=45.0)
-    assert [c.pair for c in got] == [("a", "b")]
+    assert [got.pair(j) for j in range(len(got))] == [("a", "b")]
     exact = make_frame(
         [make_cell("a", (-22.5, 0), length=18.0), make_cell("b", (22.5, 0), length=18.0)],
         index=1,
     )
-    assert build_pch(frame, exact, tau=45.0, w=45.0) == []  # distance exactly tau
+    assert len(build_pch(frame, exact, tau=45.0, w=45.0)) == 0  # distance exactly tau
 
 
 def test_pch_drops_pairs_without_feasible_parent():
@@ -59,7 +58,7 @@ def test_pch_drops_pairs_without_feasible_parent():
         [make_cell("a", (0, 0), length=18.0), make_cell("b", (20, 0), length=18.0)],
         index=1,
     )
-    assert build_pch(frame, nxt, tau=45.0, w=45.0) == []
+    assert len(build_pch(frame, nxt, tau=45.0, w=45.0)) == 0
 
 
 def test_pch_matches_bruteforce_pair_filter():
@@ -74,7 +73,8 @@ def test_pch_matches_bruteforce_pair_filter():
         for i in range(10)
     ]
     nxt = make_frame(kids, index=1)
-    got = {frozenset(c.pair) for c in build_pch(frame, nxt, tau=60.0, w=200.0)}
+    cands = build_pch(frame, nxt, tau=60.0, w=200.0)
+    got = {frozenset(cands.pair(j)) for j in range(len(cands))}
     # quadratic oracle: all pairs below tau (every pair has a feasible parent
     # because w is large)
     want = set()
@@ -261,20 +261,20 @@ def test_penalties_match_reference_formulas(seed):
 
 
 def _candidate(pair, lin=0.1, gap=1.0, dev=0.1, ratio=0.1, rank=0.1, parent="p"):
-    return PairCandidate(pair, lin, gap, dev, ratio, rank, parent)
+    return pair, lin, gap, dev, ratio, rank, parent
 
 
 def test_trim_rejects_only_when_all_exceed():
     thresholds = {"gap": 5.0, "dev": 0.5, "rank": 1.0}
     bad = _candidate(("a", "b"), gap=9.0, dev=2.0, rank=3.0)
     saved = _candidate(("a", "c"), gap=9.0, dev=0.2, rank=3.0)
-    kept = trim_candidates(PairCandidates([bad, saved]), thresholds)
-    assert kept == [saved]
+    kept = trim_candidates(candidates_from_rows([bad, saved]), thresholds)
+    assert candidate_rows(kept) == [saved]
 
 
 def test_trim_unknown_name_rejected():
     with pytest.raises(ValidationError):
-        trim_candidates(PairCandidates([_candidate(("a", "b"))]), {"bogus": 1.0})
+        trim_candidates(candidates_from_rows([_candidate(("a", "b"))]), {"bogus": 1.0})
 
 
 # -- children BM --------------------------------------------------------------
@@ -291,7 +291,7 @@ def _toy_candidates(rng, m, cells=8):
             continue
         seen.add(key)
         cands.append(
-            PairCandidate(
+            _candidate(
                 (names[a], names[b]),
                 lin=float(rng.uniform(0, 2)),
                 gap=float(rng.uniform(0, 5)),
@@ -306,7 +306,7 @@ def _toy_candidates(rng, m, cells=8):
 
 def test_children_bm_energy_contract():
     rng = np.random.default_rng(0)
-    cands = PairCandidates(_toy_candidates(rng, 6))
+    cands = candidates_from_rows(_toy_candidates(rng, 6))
     problem = build_children_bm(cands, div_count=2)
     assert problem.energy(np.zeros(6)) == 0.0
     # two candidates sharing exactly one cell score the quadratic penalty
@@ -327,7 +327,7 @@ def test_children_bm_energy_contract():
 
 def test_children_bm_exhaustive_small():
     rng = np.random.default_rng(5)
-    cands = PairCandidates(_toy_candidates(rng, 5))
+    cands = candidates_from_rows(_toy_candidates(rng, 5))
     problem = build_children_bm(cands, div_count=2)
     best = min(
         problem.energy(np.array([1 if i in comb else 0 for i in range(5)]))
@@ -341,9 +341,9 @@ def test_children_bm_exhaustive_small():
 
 def test_children_bm_validation_and_infeasibility():
     with pytest.raises(ValidationError):
-        build_children_bm(PairCandidates(), 1)
+        build_children_bm(candidates_from_rows([]), 1)
     rng = np.random.default_rng(2)
-    cands = PairCandidates(_toy_candidates(rng, 3, cells=3))  # only 3 cells: max 1 disjoint
+    cands = candidates_from_rows(_toy_candidates(rng, 3, cells=3))  # only 3 cells: max 1 disjoint
     problem = build_children_bm(cands, div_count=2)
     assert problem.infeasible
     with pytest.raises(InfeasibleError):
@@ -359,9 +359,9 @@ def test_conflict_matrix_matches_pairwise_loop(seed):
     expected = np.zeros((m, m), dtype=np.uint8)
     for j in range(m):
         for k in range(j + 1, m):
-            if len(set(cands[j].pair) & set(cands[k].pair)) == 1:
+            if len(set(cands[j][0]) & set(cands[k][0])) == 1:
                 expected[j, k] = expected[k, j] = 1
-    q = build_children_bm(PairCandidates(cands), 1).q
+    q = build_children_bm(candidates_from_rows(cands), 1).q
     assert q.dtype == np.uint8 and np.array_equal(q, expected)
 
 
@@ -375,30 +375,29 @@ def test_candidates_from_rows_and_from_arrays_build_the_same_problem(seed):
     rows = _toy_candidates(rng, int(rng.integers(1, cells * (cells - 1) // 2 + 1)), cells)
     div_count = int(rng.integers(1, len(rows) + 1))
     weights = DivisionWeights(**{name: float(rng.uniform(0, 2)) for name in PENALTY_NAMES})
-    ids = sorted({cid for row in rows for cid in row.pair}, reverse=True)
-    parents = sorted({row.parent for row in rows})
-    arrays = PairCandidates.from_arrays(
+    ids = sorted({cid for row in rows for cid in row[0]}, reverse=True)
+    parents = sorted({row[-1] for row in rows})
+    arrays = PairCandidates(
         ids,
-        [[ids.index(cid) for cid in row.pair] for row in rows],
+        [[ids.index(cid) for cid in row[0]] for row in rows],
         parents,
-        [parents.index(row.parent) for row in rows],
-        [[getattr(row, name) for name in PENALTY_NAMES] for row in rows],
+        [parents.index(row[-1]) for row in rows],
+        [row[1:6] for row in rows],
     )
-    assert list(arrays) == rows == list(PairCandidates(rows))
+    from_rows = candidates_from_rows(rows)
+    assert candidate_rows(arrays) == rows == candidate_rows(from_rows)
     w = weights
     combined = [
-        w.lin * r.lin + w.gap * r.gap + w.dev * r.dev + w.ratio * r.ratio + w.rank * r.rank
-        for r in rows
+        w.lin * lin + w.gap * gap + w.dev * dev + w.ratio * ratio + w.rank * rank
+        for _, lin, gap, dev, ratio, rank, _ in rows
     ]
-    problems = [
-        build_children_bm(cands, div_count, weights) for cands in (PairCandidates(rows), arrays)
-    ]
+    problems = [build_children_bm(cands, div_count, weights) for cands in (from_rows, arrays)]
     schedule = Schedule(c=5.0, eta=0.995, epoch_cap=30)
     picks = []
     for problem in problems:
         assert problem.v.tolist() == combined  # bit for bit
         named = [[problem.candidates.ids[c] for c in pair] for pair in problem.cells.tolist()]
-        assert named == [list(row.pair) for row in rows]
+        assert named == [list(row[0]) for row in rows]
         feasible = not problem.infeasible and div_count <= problem.m
         picks.append(solve_children_bm(problem, schedule, rng_seed=seed) if feasible else None)
     first, second = problems
@@ -409,25 +408,27 @@ def test_candidates_from_rows_and_from_arrays_build_the_same_problem(seed):
 
 def test_candidate_arrays_select_by_slice_mask_and_index():
     rows = _toy_candidates(np.random.default_rng(4), 6)
-    cands = PairCandidates(rows)
-    assert len(cands) == 6 and cands[-1] == rows[-1] and cands.pair(2) == rows[2].pair
-    assert list(cands[1:4]) == rows[1:4]
-    assert list(cands[np.array([5, 0])]) == [rows[5], rows[0]]
-    assert list(cands[cands.penalties[:, 0] > 1.0]) == [r for r in rows if r.lin > 1.0]
-    assert list(trim_candidates(cands, {})) == rows and len(PairCandidates()) == 0
+    cands = candidates_from_rows(rows)
+    assert len(cands) == 6 and candidate_rows(cands) == rows
+    assert (cands.pair(2), cands.parent_id(2)) == (rows[2][0], rows[2][-1])
+    assert candidate_rows(cands[1:4]) == rows[1:4]
+    assert candidate_rows(cands[np.array([5, 0])]) == [rows[5], rows[0]]
+    assert candidate_rows(cands[cands.penalties[:, 0] > 1.0]) == [r for r in rows if r[1] > 1.0]
+    assert candidate_rows(trim_candidates(cands, {})) == rows
+    assert len(PairCandidates([], np.empty((0, 2)), [], [], [])) == 0
     with pytest.raises(ValueError):
         cands.cells[0, 0] = 1  # read-only
     with pytest.raises(ValueError, match="distinct ids"):
-        PairCandidates.from_arrays(["a", "a"], [[0, 1]], ["p"], [0], [[0.0] * 5])
+        PairCandidates(["a", "a"], [[0, 1]], ["p"], [0], [[0.0] * 5])
 
 
 def test_children_bm_rejects_repeated_or_one_cell_pairs():
     cands = _toy_candidates(np.random.default_rng(1), 3)
-    flipped = PairCandidate(cands[0].pair[::-1], 0.0, 0.0, 0.0, 0.0, 0.0, None)
-    one_cell = PairCandidate(("t0", "t0"), 0.0, 0.0, 0.0, 0.0, 0.0, None)
+    flipped = (cands[0][0][::-1], 0.0, 0.0, 0.0, 0.0, 0.0, None)
+    one_cell = (("t0", "t0"), 0.0, 0.0, 0.0, 0.0, 0.0, None)
     for bad in (flipped, one_cell):
         with pytest.raises(ValidationError, match="distinct pairs of two cells"):
-            build_children_bm(PairCandidates(cands + [bad]), 1)
+            build_children_bm(candidates_from_rows(cands + [bad]), 1)
 
 
 @given(st.integers(0, 10**6))
@@ -437,19 +438,19 @@ def test_feasibility_certificate_matches_matching_oracle(seed):
     rng = np.random.default_rng(seed)
     cells = int(rng.integers(2, 7))
     cands = _toy_candidates(rng, int(rng.integers(1, cells * (cells - 1) // 2 + 1)), cells)
-    graph = nx.Graph([c.pair for c in cands])
+    graph = nx.Graph([row[0] for row in cands])
     oracle = len(nx.max_weight_matching(graph, maxcardinality=True))
     for div_count in range(1, len(cands) + 1):
         with mock.patch.object(
             division, "max_disjoint_candidates", wraps=division.max_disjoint_candidates
         ) as matching:
-            problem = build_children_bm(PairCandidates(cands), div_count)
+            problem = build_children_bm(candidates_from_rows(cands), div_count)
             assert problem.infeasible == (oracle < div_count)
             order = sorted(range(len(cands)), key=lambda j: (problem.v[j], j))
             used, greedy = set(), 0
             for j in order:
-                if not used & set(cands[j].pair):
-                    used.update(cands[j].pair)
+                if not used & set(cands[j][0]):
+                    used.update(cands[j][0])
                     greedy += 1
             assert matching.call_count == int(greedy < div_count)
             if problem.infeasible:
@@ -466,7 +467,7 @@ def test_selected_pairs_disjoint_when_possible(minute_run):
     cands = trim_candidates(build_pch(f0, f1, tau=45.0, w=45.0))
     problem = build_children_bm(cands, rec.n_divisions)
     picked = solve_children_bm(problem, rng_seed=3)
-    used = [cid for j in picked for cid in cands[j].pair]
+    used = [cid for j in picked for cid in cands.pair(j)]
     assert len(used) == len(set(used))
     assert len(picked) == rec.n_divisions
 
@@ -499,7 +500,7 @@ def test_children_selections_match_golden_digest():
             cfg.children_schedule,
             rng_seed=pipeline._pair_seed(cfg.seed, k, 0),
         )
-        h.update(repr((k, [cands[j].pair for j in picked])).encode())
+        h.update(repr((k, [cands.pair(j) for j in picked])).encode())
     assert h.hexdigest() == GOLDEN_SELECTION_DIGEST
 
 
@@ -542,7 +543,7 @@ def test_select_short_lineages_resolves_parent_conflicts():
     ]
     nxt = make_frame(kids, index=1)
     cands = build_pch(frame, nxt, tau=45.0, w=45.0)
-    by_pair = {frozenset(c.pair): i for i, c in enumerate(cands)}
+    by_pair = {frozenset(cands.pair(j)): j for j in range(len(cands))}
     picks = [by_pair[frozenset(("a1", "a2"))], by_pair[frozenset(("b1", "b2"))]]
     lineages, dropped = select_short_lineages(frame, nxt, cands, picks, w=45.0)
     assert not dropped
@@ -567,8 +568,6 @@ def test_select_short_lineages_re_estimates_a_taken_parent_from_frame_rows(monke
     def refuse(*args):
         raise AssertionError("the children stage built Cell objects from a frame")
 
-    for name in ("cell", "__iter__"):
-        monkeypatch.setattr(Frame, name, refuse)
     monkeypatch.setattr(Frame, "cells", property(refuse))
     calls = []
     estimate = division.estimate_parent
@@ -593,7 +592,7 @@ def test_reduce_frames_cardinalities():
     assert len(red_b) == len(frame) - 2
     assert len(red_b_plus) == len(nxt) - 4
     assert set(div_map) == {"p1", "p3"}
-    assert "p1" not in red_b and "k1" not in red_b_plus
+    assert "p1" not in red_b.ids and "k1" not in red_b_plus.ids
 
 
 def test_reduce_frames_no_divisions_identity():

@@ -1,7 +1,7 @@
 """No command loads scipy, networkx or numpy.ma (which ``np.unique`` and
 numpy's set functions import, at about 1 MB of RSS), the chunked pairwise
 passes keep their working sets small, and frames and children candidates hold
-few bytes per cell and per candidate.
+few bytes per cell and per candidate, with no object per candidate.
 
 The commands run in a fresh interpreter, since this test session has already
 imported both packages elsewhere.
@@ -128,7 +128,7 @@ def test_frames_hold_few_bytes_per_cell(tmp_path):
 def test_children_candidates_hold_few_bytes_each():
     # build_pch returns its candidates as arrays (two cell indices, a parent
     # index and five penalties) beside the frames' own id tuples: 64 B per
-    # candidate and the array headers. A frozen PairCandidate per candidate
+    # candidate and the array headers. A frozen dataclass row per candidate
     # held about 328 B on this pair.
     from colony_track.division import build_pch
     from trackbench import workloads
@@ -138,3 +138,29 @@ def test_children_candidates_hold_few_bytes_each():
     held, candidates = _held_bytes(lambda: build_pch(frame, next_frame))
     assert len(candidates) > 300
     assert held / len(candidates) <= 120
+
+
+def test_children_candidates_have_no_row_type():
+    # the candidates are arrays from build_pch to the lineages: division
+    # defines no class per candidate, and the kept candidates of a tracked
+    # dividing pipeline21 pair hold arrays beside the frames' id tuples only
+    import inspect
+
+    import numpy as np
+
+    from colony_track import division
+    from colony_track.pipeline import track_pair
+    from trackbench import measure, workloads
+
+    own = [name for name, obj in vars(division).items()
+           if inspect.isclass(obj) and obj.__module__ == division.__name__]
+    assert [name for name in own if "Candidate" in name] == ["PairCandidates"]
+    wl = workloads.pipeline21(0)
+    record, diag = track_pair(wl.frames[16], wl.frames[17], measure.PIPELINE_CONFIG, 16)
+    assert len(record.divided) == 2
+    kept = diag.kept
+    assert type(kept) is division.PairCandidates and not hasattr(kept, "__dict__")
+    assert (kept.ids, kept.parent_ids) == (wl.frames[17].ids, wl.frames[16].ids)
+    held = {name: type(getattr(kept, name)) for name in kept.__slots__}
+    assert held == {"ids": tuple, "parent_ids": tuple, "cells": np.ndarray,
+                    "parent": np.ndarray, "penalties": np.ndarray}

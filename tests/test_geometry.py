@@ -643,7 +643,8 @@ def test_simulator_successor_always_in_window(minute_run):
     for rec in lineage[:60]:
         src, dst = frames[rec.frame_index], frames[rec.frame_index + 1]
         for a, b in rec.moved.items():
-            assert dst.cell(b).id in {c.id for c in target_window(src.cell(a), dst, w)}
+            window = target_window(src.cells[src.position(a)], dst, w)
+            assert b in {c.id for c in window}
 
 
 # -- containers ------------------------------------------------------------
@@ -703,7 +704,7 @@ def test_cells_and_frames_hold_read_only_endpoints():
     a[0] = 6.0
     assert c.e.tolist() == [0.0, 0.0] and c.length == 10.0 and hash(c) == before
     assert c.center.tolist() == frame.centers()[0].tolist() == [5.0, 0.0]
-    assert frame.cell("a") == c and frame.cells[0] == c
+    assert frame.cells[frame.position("a")] == c
     e = np.array([[0.0, 0.0]])
     copied = Frame.from_arrays(0, ["a"], e, [[10.0, 0.0]], [8.0], bounds)
     e[0, 0] = 6.0

@@ -3,9 +3,10 @@
 The reference is the per-candidate, per-parent scalar code that
 ``division.build_pch`` ran before its array passes: one ``estimate_parent``
 scan over the source frame per candidate and a 2 x 2 tip loop per pair,
-building one ``PairCandidate`` per candidate. The array passes keep its float
-operations, so the rows of ``build_pch``'s arrays must come out equal to the
-reference's objects, not merely close. No golden float hash is pinned: numpy's SIMD ``arccos``
+emitting one ``(pair, lin, gap, dev, ratio, rank, parent)`` tuple per
+candidate. The array passes keep its float operations, so the rows of
+``build_pch``'s arrays must come out equal to the reference's tuples, not
+merely close. No golden float hash is pinned: numpy's SIMD ``arccos``
 moves the last bits of ``lin`` across CPUs, in both codes alike.
 """
 
@@ -20,10 +21,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from colony_track import division
-from colony_track.division import DistortionWeights, PairCandidate, build_pch, estimate_parent
+from colony_track.division import DistortionWeights, build_pch, estimate_parent
 from colony_track.geometry import Cell
 
-from conftest import make_cell, make_frame, random_frame
+from conftest import candidate_rows, make_cell, make_frame, random_frame
 
 pytestmark = pytest.mark.kernels
 
@@ -113,28 +114,27 @@ def ref_build_pch(frame, next_frame, tau, w, weights):
             parent = ref_estimate_parent(b1, b2, frame, w, weights)
             if parent is None:
                 continue
-            out.append(PairCandidate((b1.id, b2.id), parent[1], gap, dev, ratio, rank, parent[0]))
+            out.append(((b1.id, b2.id), parent[1], gap, dev, ratio, rank, parent[0]))
     return out
 
 
 def assert_same(got, want):
-    """Equal sequences: the rows of ``got`` (for candidates, the row view of
-    ``build_pch``'s arrays) against ``want``. A failure shows the first
+    """Equal sequences ``got`` and ``want``. A failure shows the first
     difference only: pytest's full diff of two long candidate lists takes
     minutes."""
-    got = list(got)
     diff = [(g, w) for g, w in zip(got, want) if g != w]
     assert (len(got), len(diff)) == (len(want), 0), diff[:1]
 
 
 def assert_matches_reference(frame, next_frame, tau, w, weights=DistortionWeights()):
-    got = build_pch(frame, next_frame, tau, w, weights)
+    got = candidate_rows(build_pch(frame, next_frame, tau, w, weights))
     assert_same(got, ref_build_pch(frame, next_frame, tau, w, weights))
-    for cand in got:
-        b1, b2 = next_frame.cell(cand.pair[0]), next_frame.cell(cand.pair[1])
-        for exclude in (None, {cand.parent}):
+    cells = next_frame.cells
+    for pair, *_, parent in got:
+        b1, b2 = (cells[next_frame.position(cid)] for cid in pair)
+        for exclude in (None, {parent}):
             assert estimate_parent(
-                next_frame, cand.pair, frame, w, weights, exclude
+                next_frame, pair, frame, w, weights, exclude
             ) == ref_estimate_parent(b1, b2, frame, w, weights, exclude)
     return got
 
@@ -154,7 +154,7 @@ def test_build_pch_matches_reference_on_every_pipeline_division_pair():
     total = 0
     for k in pairs:
         frame, next_frame = wl.frames[k], wl.frames[k + 1]
-        got = build_pch(frame, next_frame, cfg.tau, cfg.w, weights)
+        got = candidate_rows(build_pch(frame, next_frame, cfg.tau, cfg.w, weights))
         assert_same(got, ref_build_pch(frame, next_frame, cfg.tau, cfg.w, weights))
         total += len(got)
     assert total > 1000
@@ -167,7 +167,9 @@ from trackbench import workloads
 wl = workloads.pipeline21(0)
 pairs = [k for k in wl.pairs if len(wl.frames[k + 1]) > len(wl.frames[k])][-4:]
 for k in pairs:
-    print(*map(repr, division.build_pch(wl.frames[k], wl.frames[k + 1])), sep="\\n")
+    got = division.build_pch(wl.frames[k], wl.frames[k + 1])
+    for j in range(len(got)):
+        print(got.pair(j), *got.penalties[j].tolist(), got.parent_id(j))
 """
 
 
@@ -191,7 +193,7 @@ def test_equal_distortion_parents_resolve_to_the_lower_id():
     twins = [make_cell(cid, (0, 0), length=40.0) for cid in ("q", "p", "r")]
     kids = make_frame([make_cell("a", (-10, 1), length=20.0), make_cell("b", (10, 1), length=20.0)])
     got = assert_matches_reference(make_frame(twins), kids, tau=45.0, w=45.0)
-    assert [c.parent for c in got] == ["p"]
+    assert [row[-1] for row in got] == ["p"]
     assert estimate_parent(kids, ("a", "b"), make_frame(twins), 45.0, exclude={"p"})[0] == "q"
 
 
@@ -207,7 +209,7 @@ def test_child_exactly_at_the_reach_is_admitted():
     # reach = w + L/4 = 10 + 40/4 = 20
     frame = make_frame([make_cell("p", (0, 0), length=40.0)])
     kids = make_frame([make_cell("a", (-20, 0), length=20.0), make_cell("b", (20, 0), length=20.0)])
-    assert [c.parent for c in assert_matches_reference(frame, kids, tau=45.0, w=10.0)] == ["p"]
+    assert [row[-1] for row in assert_matches_reference(frame, kids, tau=45.0, w=10.0)] == ["p"]
     assert assert_matches_reference(frame, kids, tau=45.0, w=9.999999) == []
 
 
@@ -219,7 +221,7 @@ def test_child_at_the_reach_after_rounding_is_admitted():
     kids = make_frame(
         [Cell("a", (-14.22, -10.0), (-14.22, 10.0), 7.0), Cell("b", (2.55, 0.0), (2.55, 20.0), 7.0)]
     )
-    assert [c.parent for c in assert_matches_reference(frame, kids, tau=45.0, w=6.77)] == ["p"]
+    assert [row[-1] for row in assert_matches_reference(frame, kids, tau=45.0, w=6.77)] == ["p"]
 
 
 def test_equidistant_tips_match_the_reference():
@@ -227,8 +229,8 @@ def test_equidistant_tips_match_the_reference():
     kids = make_frame(
         [Cell("a", (0, -10), (0, 10), 7.0), Cell("b", (10, -8), (10, 12), 7.0)]
     )
-    (cand,) = assert_matches_reference(frame, kids, tau=45.0, w=45.0)
-    assert cand.gap == float(np.hypot(10.0, 2.0))
+    ((_, _, gap, *_),) = assert_matches_reference(frame, kids, tau=45.0, w=45.0)
+    assert gap == float(np.hypot(10.0, 2.0))
 
 
 def test_coincident_children_centers_are_dropped():
@@ -262,7 +264,7 @@ def test_parent_search_chunks_keep_the_lowest_id_tie_rule(monkeypatch):
         build_pch(frame, kids, 45.0, 45.0)
     assert len(calls) >= 3
     got = assert_matches_reference(frame, kids, tau=45.0, w=45.0)
-    winners = {c.parent[0] for c in got}
+    winners = {row[-1][0] for row in got}
     assert "a" in winners and "z" not in winners
 
 

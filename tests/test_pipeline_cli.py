@@ -229,33 +229,8 @@ def test_tracking_reads_frames_as_arrays(monkeypatch):
         raise AssertionError("tracking built Cell objects from a frame")
 
     monkeypatch.setattr(Frame, "cells", property(refuse))
-    monkeypatch.setattr(Frame, "__iter__", refuse)
     with pytest.raises(AssertionError, match="built Cell"):
-        list(pipe.frames[16])
-    assert run() == want
-
-
-def test_tracking_builds_no_candidate_rows(monkeypatch):
-    # PairCandidate rows refuse to be built, and a dividing pipeline21 pair
-    # still ends with the same record and the same kept candidates: the
-    # children stage reads build_pch's arrays, never one object per candidate
-    from trackbench import measure, workloads
-
-    pipe = workloads.pipeline21(0)
-
-    def run():
-        record, diag = track_pair(pipe.frames[16], pipe.frames[17], measure.PIPELINE_CONFIG, 16)
-        return record, diag.kept.cells.tolist(), diag.kept.penalties.tolist()
-
-    want = run()
-    assert len(want[0].divided) == 2
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("tracking built a PairCandidate")
-
-    monkeypatch.setattr(division.PairCandidate, "__init__", refuse)
-    with pytest.raises(AssertionError, match="built a PairCandidate"):
-        list(division.build_pch(pipe.frames[16], pipe.frames[17]))
+        pipe.frames[16].cells
     assert run() == want
 
 
@@ -332,8 +307,8 @@ def test_frames_jsonl_roundtrip(tmp_path, small_run):
     io.write_frames_jsonl(small_run.frames[:3], path)
     back = io.read_frames_jsonl(path)
     # the reader bounds each frame by its cells, the simulator by its trap
-    assert [(f.index, f.cells) for f in back] == [
-        (f.index, f.cells) for f in small_run.frames[:3]
+    assert [(f.index, tuple(f.cells)) for f in back] == [
+        (f.index, tuple(f.cells)) for f in small_run.frames[:3]
     ]
     io.write_frames_jsonl(back, path)
     assert io.read_frames_jsonl(path) == back
@@ -705,6 +680,38 @@ def test_cli_exit_codes(tmp_path):
         ["track", "--frames", str(frames_path), "--out", str(tmp_path / "t"), "--quiet"]
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("command", ["simulate", "track", "score", "calibrate"])
+def test_cli_rejects_an_out_that_cannot_be_a_directory(tmp_path, capsys, small_run, command):
+    frames, truth = tmp_path / "frames.jsonl", tmp_path / "lineage.csv"
+    io.write_frames_jsonl(small_run.frames[:3], frames)
+    io.write_lineage_csv(small_run.lineage[:2], truth)
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({"n_frames": 3, "initial_cells": 2}))
+    args = {
+        "simulate": ["--config", str(config)],
+        "track": ["--frames", str(frames)],
+        "score": ["--predicted", str(truth), "--ground-truth", str(truth)],
+        "calibrate": ["--frames", str(frames), "--ground-truth", str(truth)],
+    }[command]
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    for out in (taken, taken / "sub"):
+        assert main([command, *args, "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write output directory {out}: ")
+        assert "Traceback" not in err and taken.read_text() == "a file\n"
+
+
+def test_cli_rejects_an_output_file_it_cannot_write(tmp_path, capsys, small_run):
+    truth = tmp_path / "lineage.csv"
+    io.write_lineage_csv(small_run.lineage[:2], truth)
+    (tmp_path / "score" / "report.json").mkdir(parents=True)
+    args = ["--predicted", str(truth), "--ground-truth", str(truth)]
+    assert main(["score", *args, "--out", str(tmp_path / "score"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write output file {tmp_path / 'score' / 'report.json'}: ")
 
 
 @pytest.mark.parametrize(

@@ -658,3 +658,21 @@ def test_registration_chains_match_golden_digest():
                 h.update(np.float64(c.best_energy).tobytes())
                 h.update(np.array(c.epoch_energies, dtype=np.float64).tobytes())
     assert h.hexdigest() == GOLDEN_REGISTRATION_DIGEST
+
+
+@pytest.mark.xfail(raises=ValidationError, strict=True,
+                   reason="single-site moves can map two sources onto one target (ROADMAP item 4)")
+def test_reg6min_seed_11_pair_5_record_validates():
+    # trackbench's reg6min workload at seed 11 writes an invalid record for
+    # pair 5 with the gate's settings: two sources share a target. Once
+    # registration keeps its map one-to-one this passes and loses its mark.
+    from colony_track.simulator import LineageRecord
+    from trackbench import measure, workloads
+
+    wl = workloads.reg6min(11, pairs=4)
+    src, dst = wl.frames[5], wl.frames[6]
+    problem = build_problem(
+        src, dst, w=100.0, rho=80.0, weights=measure.REG6MIN_WEIGHTS, g_rate=measure.REG6MIN_G_RATE,
+    )
+    result = register(problem, schedule=measure.REG6MIN_SCHEDULE, rng_seed=5, restarts=2)
+    LineageRecord(src.index, result.mapping, {}).validate(src, dst)

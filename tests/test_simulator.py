@@ -480,7 +480,8 @@ def test_children_lengths_sum_to_division_length():
     result = simulate(cfg, initial_frame=start)
     rec = next(r for r in result.lineage if r.n_divisions == 1)
     frame_after = result.frames[rec.frame_index + 1]
-    c1, c2 = (frame_after.cell(t) for t in next(iter(rec.divided.values())))
+    cells, children = frame_after.cells, next(iter(rec.divided.values()))
+    c1, c2 = (cells[frame_after.position(t)] for t in children)
     # with one substep the division happens right after growth, so the
     # children are emitted unchanged
     div_length = L0 * 1.05 ** (rec.frame_index + 1)
