@@ -43,12 +43,6 @@ from .errors import ValidationError, check_fields
 Dynamics = Literal["async", "swap"]
 
 
-# Bits of clique tables staged before one np.packbits call (64 KiB of bool).
-# Small on purpose: the buffer adds to the peak memory of a registration
-# pass, which packing the tables exists to lower.
-_STAGE_BITS = 1 << 16
-
-
 def _bits_at(bits: np.ndarray, at: np.ndarray) -> np.ndarray:
     """The 0/1 entries (int64) at bit positions ``at`` of the packed tables."""
     return (bits[at >> 3] >> (at & 7)) & 1
@@ -99,7 +93,7 @@ class RegistrationBm:
         padded = -(-cells // 8) * 8
         self.base = np.cumsum(padded) - padded
         self.bits = np.zeros(int(padded.sum()) // 8, dtype=np.uint8)
-        self._pack(tables, cells, padded)
+        self._pack(tables, cells)
         # site i's incidence list, in clique order within each site
         clique, pos = np.nonzero(real)
         order = np.argsort(self.sites[clique, pos], kind="stable")
@@ -114,22 +108,18 @@ class RegistrationBm:
         self.inc_weight = self.weights[clique][:, None]
         self.positions = np.arange(int(self.sizes.max(initial=1)))
 
-    def _pack(self, tables: Iterable[np.ndarray], cells: np.ndarray, padded: np.ndarray):
-        """Pack the clique tables into ``bits``: runs of consecutive tables
-        are copied into one small staging buffer, each padded with zeros to
-        a whole byte, and packed by one ``np.packbits`` call per run."""
-        stage = np.empty(max(_STAGE_BITS, int(padded.max(initial=0))), dtype=bool)
-        start = used = given = 0  # the run's first byte in ``bits``, its staged bits
+    def _pack(self, tables: Iterable[np.ndarray], cells: np.ndarray):
+        """Pack each clique table into ``bits`` from byte ``base[c] // 8``
+        by its own ``np.packbits`` call, which pads it with zero bits to a
+        whole byte."""
+        given = 0
         for c, table in enumerate(tables):
-            if used + padded[c] > stage.size:
-                self.bits[start: start + used // 8] = np.packbits(stage[:used], bitorder="little")
-                start, used = start + used // 8, 0
-            stage[used: used + cells[c]] = np.ravel(table)
-            stage[used + cells[c]: used + padded[c]] = False
-            used, given = used + padded[c], c + 1
+            start = self.base[c] // 8
+            packed = np.packbits(np.ravel(table), bitorder="little")
+            self.bits[start: start + -(-cells[c] // 8)] = packed
+            given = c + 1
         if given != len(self.sites):
             raise ValidationError(f"{given} clique tables for {len(self.sites)} cliques")
-        self.bits[start:] = np.packbits(stage[:used], bitorder="little")
 
     def table(self, c: int) -> np.ndarray:
         """Clique c's 0/1 table (uint8, read-only), shaped by its sites' sizes."""

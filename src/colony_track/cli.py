@@ -79,13 +79,12 @@ def _cmd_track(args) -> int:
     io.write_lineage_csv(records, out / "tracking.csv")
     for diag in diags:
         trace = diag.registration.get("energy_trace", [])
-        path = out / f"energy_trace_{diag.frame_index:04d}.csv"
-        with open(path, "w", newline="") as fh:
+        with io.writing(out / f"energy_trace_{diag.frame_index:04d}.csv") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "energy"])
             writer.writerows(enumerate(trace))
         if diag.kept:
-            with open(out / f"scatter_{diag.frame_index:04d}.csv", "w", newline="") as fh:
+            with io.writing(out / f"scatter_{diag.frame_index:04d}.csv") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["candidate_id", "is_true_pair", *division.PENALTY_NAMES])
                 ids = diag.kept.ids
@@ -195,7 +194,7 @@ def _cmd_calibrate(args) -> int:
     out = io.output_dir(args.out)
     weights = registration.RegistrationWeights(*map(float, lam))
     io.dump_json({"registration": dataclasses.asdict(weights)}, out / "weights.json")
-    with open(out / "calibration_report.csv", "w", newline="") as fh:
+    with io.writing(out / "calibration_report.csv") as fh:
         writer = csv.writer(fh)
         writer.writerow(["a", "margin", "slack"])
         writer.writerows(calibration.calibration_report(instance, lam))

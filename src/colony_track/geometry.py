@@ -457,10 +457,9 @@ def segment_distance(p0x, p0y, p1x, p1y, q0x, q0y, q1x, q1y) -> float:
 class NeighborGraph:
     """Symmetric, irreflexive neighbor relation over the cells of one frame.
 
-    The relation is kept as bits, one packed row per cell: a registration
-    problem holds both frames' graphs through its annealing, and the bits
-    take an eighth of the memory of a bool matrix. :attr:`adj` unpacks a
-    dense copy on each read.
+    :attr:`adj` is the relation as an ``(n, n)`` bool matrix, stored once and
+    read-only. A bool array given is kept without a copy and made read-only,
+    so writing to it afterwards raises instead of changing the checked graph.
     """
 
     def __init__(self, ids: tuple[str, ...], adj):
@@ -472,12 +471,9 @@ class NeighborGraph:
             raise ValueError("adjacency must be symmetric")
         if np.any(np.diag(adj)):
             raise ValueError("adjacency must be irreflexive")
+        adj.flags.writeable = False
         self.ids = tuple(ids)
-        self._bits = np.packbits(adj, axis=1)
-
-    @property
-    def adj(self) -> np.ndarray:
-        return np.unpackbits(self._bits, axis=1, count=len(self.ids)).view(bool)
+        self.adj = adj
 
     @property
     def degrees(self) -> np.ndarray:

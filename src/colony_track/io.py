@@ -28,9 +28,20 @@ def _reading(path, what: str):
         raise ValidationError(f"{path}: unreadable {what} ({exc})") from exc
 
 
+@contextmanager
+def writing(path):
+    """``path`` open for writing text, with no newline translation; an
+    :class:`OSError` met opening or writing it raises :class:`ValidationError`."""
+    try:
+        with open(path, "w", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise ValidationError(f"cannot write output file {path}: {exc}") from exc
+
+
 def write_frames_jsonl(frames: Sequence[Frame], path) -> None:
     """One cell per line: {"frame", "id", "center", "e", "h", "width"}."""
-    with open(path, "w") as fh:
+    with writing(path) as fh:
         for frame in frames:
             rows = (frame.centers(), frame.e, frame.h, frame.widths)
             for cid, center, e, h, width in zip(frame.ids, *(a.tolist() for a in rows)):
@@ -130,7 +141,7 @@ def read_frames_jsonl(path) -> list[Frame]:
 
 def write_lineage_csv(records: Iterable, path) -> None:
     """Rows: frame_index,source_id,kind(MOVE|DIV),target_id_1,target_id_2."""
-    with open(path, "w", newline="") as fh:
+    with writing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(LINEAGE_HEADER)
         for rec in records:
@@ -244,7 +255,5 @@ def output_dir(path) -> Path:
 def dump_json(data: dict, path) -> None:
     """Write ``data`` as indented JSON to ``path``, in a directory made where missing."""
     output_dir(Path(path).parent)
-    try:
-        Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise ValidationError(f"cannot write output file {path}: {exc}") from exc
+    with writing(path) as fh:
+        fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")

@@ -789,6 +789,21 @@ def test_neighbor_graph_validation():
         NeighborGraph(("a",), np.array([[True]]))
 
 
+def test_neighbor_graph_adjacency_cannot_change_after_the_checks():
+    edge = [[False, True], [True, False]]
+    given = np.array(edge)
+    graph = NeighborGraph(("a", "b"), given)
+    with pytest.raises(ValueError, match="read-only"):
+        graph.adj[0, 1] = False
+    with pytest.raises(ValueError, match="read-only"):
+        given[0, 1] = False
+    converted = np.array(edge, dtype=np.int8)
+    other = NeighborGraph(("a", "b"), converted)
+    converted[:] = 0
+    assert graph.adj.tolist() == other.adj.tolist() == edge
+    assert graph.edges() == [(0, 1)] and graph.degrees.tolist() == [1, 1]
+
+
 @pytest.mark.kernels
 @pytest.mark.parametrize("name", ["reg6min", "pipeline21", "tiled-large"])
 def test_stacked_geometry_is_bit_identical_to_the_per_cell_formulas(name):

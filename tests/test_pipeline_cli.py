@@ -715,6 +715,36 @@ def test_cli_rejects_an_output_file_it_cannot_write(tmp_path, capsys, small_run)
 
 
 @pytest.mark.parametrize(
+    "command, name",
+    [("simulate", "frames.jsonl"), ("simulate", "lineage.csv"), ("simulate", "metadata.json"),
+     ("track", "tracking.csv"), ("track", "energy_trace_0003.csv"), ("track", "scatter_0003.csv"),
+     ("track", "metadata.json"), ("calibrate", "weights.json"),
+     ("calibrate", "calibration_report.csv")],
+)
+def test_cli_rejects_a_directory_in_place_of_an_output_file(
+    tmp_path, capsys, small_run, command, name
+):
+    # frames 0-4 of small_run: pair 3 has a division, so track writes scatter_0003.csv
+    frames, truth = tmp_path / "frames.jsonl", tmp_path / "lineage.csv"
+    io.write_frames_jsonl(small_run.frames[:5], frames)
+    io.write_lineage_csv(small_run.lineage[:4], truth)
+    assert small_run.lineage[3].n_divisions == 1
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({"n_frames": 3, "initial_cells": 2}))
+    args = {
+        "simulate": ["--config", str(config)],
+        "track": ["--frames", str(frames)],
+        "calibrate": ["--frames", str(frames), "--ground-truth", str(truth)],
+    }[command]
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert main([command, *args, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write output file {out / name}: ")
+    assert err.count("\n") == 1 and (out / name).is_dir()
+
+
+@pytest.mark.parametrize(
     "bad",
     [
         {"relax_iterations": "5"},

@@ -413,9 +413,6 @@ def test_packed_tables_equal_broadcast_oracle():
             got = bm.table(c)
             assert not got.flags.writeable
             assert got.shape == table.shape and got.tobytes() == table.tobytes()
-        # a staging buffer smaller than any table packs one table per call
-        with mock.patch.object(annealer, "_STAGE_BITS", 8):
-            assert problem.to_bm().bits.tobytes() == bm.bits.tobytes()
     bm = small[0].to_bm()
     args = (bm.offsets, bm.targets, bm.match, bm.sites, bm.weights, bm.coef)
     with pytest.raises(ValidationError, match="63 clique tables for 64 cliques"):
