@@ -10,14 +10,16 @@ Match rows are float64; the 2-site (stab) and 3-site (flip) 0/1 tables are
 packed as bits into one uint8 array: each clique's table is C-ordered and
 starts on a byte boundary, and entry e of the packed bits is bit ``e & 7``
 (little bit order) of byte ``e >> 3``. A per-site incidence list in CSR form
-(compressed sparse rows: one start index per site) names the cliques of each
-site. The collision term is kept through per-target occupancy counts. Its
-dynamics is ``async``: one site at a time, priced by one bit gather over the
-site's tables and one reduction. Deltas and full energies add their terms in
-one fixed order, match, then stab, then flip cliques, then collision, each a
-sequential sum rather than a pairwise one, so the incremental and the full
-energy are the same float operations and every chain is reproducible bit
-for bit.
+(compressed sparse rows: one start index per site) holds each of a site's
+cliques as one row: table base, strides, the other sites and the weight.
+No per-clique copy of these is kept; a clique is reached through the row of
+its first site. The collision term is kept through per-target occupancy
+counts. Its dynamics is ``async``: one site at a time, priced by one bit
+gather over the site's tables and one reduction. Deltas and full energies
+add their terms in one fixed order, match, then stab, then flip cliques,
+then collision, each a sequential sum rather than a pairwise one, so the
+incremental and the full energy are the same float operations and every
+chain is reproducible bit for bit.
 
 Children selection uses :class:`QuadraticBm`, the binary quadratic energy
 
@@ -55,16 +57,20 @@ class RegistrationBm:
     positions; candidate a of site i lies at ``offsets[i] + a`` in the flat
     per-candidate arrays ``match`` (the weighted match cost) and ``targets``
     (the target position it reaches; distinct among a site's candidates).
-    Clique c has two or three sites (``sites[c]``, padded with -1), a weight,
-    and a 0/1 table, the c-th of ``tables`` (any iterable of arrays shaped by
-    the clique's sites' sizes, consumed once). The tables are packed as bits
-    into the uint8 array ``bits``: clique c's table is C-ordered from bit
-    ``base[c]``, a multiple of 8, with per-site element strides
-    ``strides[c]`` (0 for padding), and bit e is bit ``e & 7`` of byte
-    ``e >> 3`` (little bit order). :meth:`table` unpacks one table. Entries
-    ``ptr[i]:ptr[i + 1]`` of the ``inc_*`` arrays are site i's incident
-    cliques in clique order: table base, the site's own stride, the two other
-    sites with their strides, and the clique weight.
+    The constructor takes clique c as two or three sites (row c of ``sites``,
+    a third of -1 for a pair), a weight, and a 0/1 table, the c-th of
+    ``tables`` (any iterable of arrays shaped by the clique's sites' sizes,
+    consumed once). The tables are packed as bits into the uint8 array
+    ``bits``: each is C-ordered from a bit position that is a multiple of 8,
+    and bit e is bit ``e & 7`` of byte ``e >> 3`` (little bit order).
+
+    Only the incidence rows keep the cliques. Entries ``ptr[i]:ptr[i + 1]``
+    of the ``inc_*`` arrays are site i's incident cliques in clique order:
+    table base, the site's own element stride, the two other sites (-1 for
+    a pair's padding) with their strides (0 for padding), and the clique
+    weight. ``clique_rows[c]`` is the row of clique c's first site, and
+    ``clique_sites[c]`` that site; from these :meth:`energy` and
+    :meth:`table` read the clique's base, sites, strides and weight.
     """
 
     def __init__(
@@ -82,49 +88,67 @@ class RegistrationBm:
         self.n_sites = len(self.sizes)
         self.targets = np.asarray(targets, dtype=np.int64)
         self.match = np.asarray(match, dtype=np.float64)
-        self.sites = np.asarray(sites, dtype=np.int64).reshape(-1, 3)
-        self.weights = np.asarray(weights, dtype=np.float64)
         self.coef = float(coef)
-        real = self.sites >= 0
-        dims = np.where(real, self.sizes[self.sites], 1)
+        sites = np.asarray(sites, dtype=np.int64).reshape(-1, 3)
         # C order: a site's stride is the product of the later sites' sizes
-        self.strides = np.where(real, dims[:, ::-1].cumprod(axis=1)[:, ::-1] // dims, 0)
-        cells = dims.prod(axis=1)
+        dims = np.where(sites >= 0, self.sizes[sites], 1)
+        strides = np.ones_like(dims)
+        strides[:, 1] = dims[:, 2]
+        strides[:, 0] = dims[:, 1] * dims[:, 2]
+        cells = dims[:, 0] * strides[:, 0]
+        del dims
+        strides[sites < 0] = 0
         padded = -(-cells // 8) * 8
-        self.base = np.cumsum(padded) - padded
+        base = np.cumsum(padded) - padded
         self.bits = np.zeros(int(padded.sum()) // 8, dtype=np.uint8)
-        self._pack(tables, cells)
-        # site i's incidence list, in clique order within each site
-        clique, pos = np.nonzero(real)
-        order = np.argsort(self.sites[clique, pos], kind="stable")
-        clique, pos = clique[order], pos[order]
-        self.ptr = np.concatenate([[0], np.cumsum(np.bincount(
-            self.sites[clique, pos], minlength=self.n_sites))])
-        others = (pos[:, None] + np.array([1, 2])) % 3
-        self.inc_base = self.base[clique]
-        self.inc_stride = self.strides[clique, pos][:, None]
-        self.inc_other = self.sites[clique[:, None], others]
-        self.inc_other_stride = self.strides[clique[:, None], others]
-        self.inc_weight = self.weights[clique][:, None]
+        del padded
+        self._pack(tables, base, cells)
+        del cells
+        # site i's incidence list, in clique order within each site: a stable
+        # sort of the flat sites puts the padding (-1) first; flat = 3 c + pos
+        counts = np.bincount(sites.ravel() + 1, minlength=self.n_sites + 1)
+        self.ptr = np.concatenate([[0], np.cumsum(counts[1:])])
+        flat = np.argsort(sites.ravel(), kind="stable")[counts[0]:]
+        clique = flat // 3
+        first = np.flatnonzero(flat % 3 == 0)
+        if len(first) != len(sites):
+            raise ValidationError("a clique's first site must not be padding")
+        self.clique_rows = np.empty(len(sites), dtype=np.int64)
+        self.clique_rows[clique[first]] = first
+        self.clique_sites = sites[:, 0].copy()
+        self.inc_base = base[clique]
+        self.inc_weight = np.asarray(weights, dtype=np.float64)[clique][:, None]
+        del counts, first, clique, base
+        self.inc_stride = strides.ravel()[flat][:, None]
+        self.inc_other = np.empty((len(flat), 2), dtype=np.int64)
+        self.inc_other_stride = np.empty((len(flat), 2), dtype=np.int64)
+        # the other two sites follow the own one cyclically within the clique
+        for col in range(2):
+            flat += 1
+            flat[flat % 3 == 0] -= 3
+            np.take(sites, flat, out=self.inc_other[:, col])
+            np.take(strides, flat, out=self.inc_other_stride[:, col])
         self.positions = np.arange(int(self.sizes.max(initial=1)))
 
-    def _pack(self, tables: Iterable[np.ndarray], cells: np.ndarray):
+    def _pack(self, tables: Iterable[np.ndarray], base: np.ndarray, cells: np.ndarray):
         """Pack each clique table into ``bits`` from byte ``base[c] // 8``
         by its own ``np.packbits`` call, which pads it with zero bits to a
         whole byte."""
         given = 0
         for c, table in enumerate(tables):
-            start = self.base[c] // 8
+            start = base[c] // 8
             packed = np.packbits(np.ravel(table), bitorder="little")
             self.bits[start: start + -(-cells[c] // 8)] = packed
             given = c + 1
-        if given != len(self.sites):
-            raise ValidationError(f"{given} clique tables for {len(self.sites)} cliques")
+        if given != len(base):
+            raise ValidationError(f"{given} clique tables for {len(base)} cliques")
 
     def table(self, c: int) -> np.ndarray:
         """Clique c's 0/1 table (uint8, read-only), shaped by its sites' sizes."""
-        shape = tuple(self.sizes[s] for s in self.sites[c] if s >= 0)
-        cells, start = math.prod(shape), self.base[c] // 8
+        r = self.clique_rows[c]
+        sites = [self.clique_sites[c], *self.inc_other[r]]
+        shape = tuple(int(self.sizes[s]) for s in sites if s >= 0)
+        cells, start = math.prod(shape), self.inc_base[r] // 8
         out = np.unpackbits(
             self.bits[start: start + -(-cells // 8)], count=cells, bitorder="little"
         ).reshape(shape)
@@ -137,13 +161,19 @@ class RegistrationBm:
         Match, then clique terms are added one after another from 0.0
         (a cumulative sum, never a pairwise one), then the collision term.
         """
-        n = self.n_sites
+        n, rows = self.n_sites, self.clique_rows
         chosen = self.offsets[:-1] + states
-        at = self.base + (states[self.sites] * self.strides).sum(axis=1)
-        terms = np.empty(1 + n + len(at))
+        # np.take gathers rows several times faster than fancy indexing
+        zs = np.take(states, np.take(self.inc_other, rows, axis=0))
+        zs *= np.take(self.inc_other_stride, rows, axis=0)
+        at = np.take(states, self.clique_sites) * np.take(self.inc_stride, rows)
+        at += np.take(self.inc_base, rows)
+        at += zs[:, 0]
+        at += zs[:, 1]
+        terms = np.empty(1 + n + len(rows))
         terms[0] = 0.0
         terms[1 : n + 1] = self.match[chosen]
-        np.multiply(self.weights, _bits_at(self.bits, at), out=terms[n + 1 :])
+        np.multiply(np.take(self.inc_weight, rows), _bits_at(self.bits, at), out=terms[n + 1 :])
         counts = np.bincount(self.targets[chosen])
         pairs = float((counts * (counts - 1) // 2).sum())
         return float(np.cumsum(terms)[-1]) + self.coef * pairs

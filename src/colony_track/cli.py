@@ -1,6 +1,7 @@
 """Command-line driver: simulate, track, score, calibrate.
 
-Exit codes: 0 success, 2 validation error, 3 infeasible problem.
+Exit codes: 0 success, 2 validation error, 3 infeasible problem. A command
+checks its inputs and makes its ``--out`` directory before it computes.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         data["seed"] = args.seed
     config = io.from_json(SimConfig, data, "simulator config")
-    result = simulate(config)
     out = io.output_dir(args.out)
+    result = simulate(config)
     io.write_frames_jsonl(result.frames, out / "frames.jsonl")
     io.write_lineage_csv(result.lineage, out / "lineage.csv")
     meta = {
@@ -74,8 +75,8 @@ def _load_pipeline_config(args) -> PipelineConfig:
 def _cmd_track(args) -> int:
     config = _load_pipeline_config(args)
     frames = io.read_frames_jsonl(args.frames)
-    records, diags = pipeline.track_sequence(frames, config)
     out = io.output_dir(args.out)
+    records, diags = pipeline.track_sequence(frames, config)
     io.write_lineage_csv(records, out / "tracking.csv")
     for diag in diags:
         trace = diag.registration.get("energy_trace", [])
@@ -177,6 +178,7 @@ def _cmd_calibrate(args) -> int:
         rec.validate(source, target)
     except ValidationError as exc:
         raise ValidationError(f"{args.ground_truth}: pair {pair_index}: {exc}") from exc
+    out = io.output_dir(args.out)
     problem = registration.build_problem(
         source, target, w=config.w, rho=config.rho,
         weights=config.registration_weights, g_rate=config.g_rate,
@@ -191,7 +193,6 @@ def _cmd_calibrate(args) -> int:
         rng_seed=config.seed,
     )
     lam = calibration.calibrate(instance)
-    out = io.output_dir(args.out)
     weights = registration.RegistrationWeights(*map(float, lam))
     io.dump_json({"registration": dataclasses.asdict(weights)}, out / "weights.json")
     with io.writing(out / "calibration_report.csv") as fh:

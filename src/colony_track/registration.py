@@ -141,6 +141,9 @@ class RegistrationProblem:
     ``i * len(target) + position`` in ``match_keys``. Stab pairs, flip
     triplets, and the occupancy coefficient carry the ordered-double-sum
     weights of the cost terms, so clique sums reproduce the cost exactly.
+    The source frame's neighbor graph gives the pairs, triplets and weights
+    and is not kept; the target frame's, which prices every configuration,
+    is.
     """
 
     source: Frame
@@ -149,7 +152,6 @@ class RegistrationProblem:
     rho: float
     weights: RegistrationWeights
     likelihood: LikelihoodModel
-    source_graph: NeighborGraph
     target_graph: NeighborGraph
     match_offsets: np.ndarray
     match_targets: np.ndarray
@@ -302,17 +304,21 @@ def build_problem(
     cell = np.repeat(np.arange(n), sizes)
     penalties = _penalty_arrays(_rods(red_b, cell), _rods(red_b_plus, match_targets), g_rate)
     likelihood = fit_likelihood_model(penalties, match_offsets, g_rate)
+    # the source graph gives the cliques and their weights and is not kept
     source_graph = build_neighbor_graph(red_b, rho)
-    target_graph = build_neighbor_graph(red_b_plus, rho)
     degrees = source_graph.degrees
-    stab_pairs = np.array(source_graph.edges(), dtype=np.int64).reshape(-1, 2)
+    rows, cols = np.nonzero(source_graph.adj)
+    del source_graph
+    upper = rows < cols
+    stab_pairs = np.stack([rows[upper], cols[upper]], axis=1)
     # flip triplets (i, then j < k among i's sorted neighbors): each entry p
     # of the row-major neighbor list pairs with the later entries q of its row
-    rows, cols = np.nonzero(source_graph.adj)
     later = np.repeat(np.cumsum(degrees), degrees) - np.arange(len(rows)) - 1
     p = np.repeat(np.arange(len(rows)), later)
     q = p + 1 + np.arange(len(p)) - np.repeat(np.cumsum(later) - later, later)
     i, j, k = rows[p], cols[p], cols[q]
+    del rows, cols, upper, later, p, q
+    target_graph = build_neighbor_graph(red_b_plus, rho)
     return RegistrationProblem(
         source=red_b,
         target=red_b_plus,
@@ -320,7 +326,6 @@ def build_problem(
         rho=rho,
         weights=weights,
         likelihood=likelihood,
-        source_graph=source_graph,
         target_graph=target_graph,
         match_offsets=match_offsets,
         match_targets=match_targets,

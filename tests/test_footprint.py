@@ -1,7 +1,8 @@
 """No command loads scipy, networkx or numpy.ma (which ``np.unique`` and
 numpy's set functions import, at about 1 MB of RSS), the chunked pairwise
-passes keep their working sets small, and frames and children candidates hold
-few bytes per cell and per candidate, with no object per candidate.
+passes keep their working sets small, frames and children candidates hold
+few bytes per cell and per candidate, with no object per candidate, and the
+registration machine keeps no per-clique copy of its incidence rows.
 
 The commands run in a fresh interpreter, since this test session has already
 imported both packages elsewhere.
@@ -164,3 +165,37 @@ def test_children_candidates_have_no_row_type():
     held = {name: type(getattr(kept, name)) for name in kept.__slots__}
     assert held == {"ids": tuple, "parent_ids": tuple, "cells": np.ndarray,
                     "parent": np.ndarray, "penalties": np.ndarray}
+
+
+def test_registration_machine_holds_no_per_clique_copies():
+    # pipeline21 pair 35 (division-free, 47 sites, 475 cliques, 1 323
+    # incidences). Per incidence the machine keeps a table base, its own
+    # stride, two other sites with their strides and a weight (56 B); per
+    # clique only its first site and that site's incidence row (16 B); per
+    # candidate a target and a match cost, and the per-site offsets, sizes,
+    # incidence starts and positions, each no longer than the candidate
+    # list (48 B). A machine that kept each clique's sites, strides, base
+    # and weight instead (64 B per clique) held 107 816 B against this
+    # budget's 88 120 B.
+    import dataclasses
+
+    import numpy as np
+
+    from colony_track.registration import RegistrationProblem, build_problem
+    from trackbench import measure, workloads
+
+    wl, cfg = workloads.pipeline21(0), measure.PIPELINE_CONFIG
+    problem = build_problem(
+        wl.frames[35], wl.frames[36], w=cfg.w, rho=cfg.rho,
+        weights=cfg.registration_weights, g_rate=cfg.g_rate,
+    )
+    assert "source_graph" not in {f.name for f in dataclasses.fields(RegistrationProblem)}
+    assert not hasattr(problem, "source_graph")
+    bm = problem.to_bm()
+    held = vars(bm)
+    assert all(isinstance(v, (np.ndarray, int, float)) for v in held.values())
+    array_bytes = sum(v.nbytes for v in held.values() if isinstance(v, np.ndarray))
+    incidences, cliques = len(bm.inc_base), sum(problem.clique_counts[1:])
+    assert (incidences, cliques) == (1323, 475)
+    budget = 56 * incidences + 16 * cliques + 48 * len(bm.targets)
+    assert array_bytes <= budget + bm.bits.nbytes

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from colony_track import division, io, registration
+from colony_track import cli, division, io, pipeline, registration
 from colony_track.annealer import Schedule
 from colony_track.cli import main
 from colony_track.division import DistortionWeights, DivisionWeights
@@ -702,6 +702,34 @@ def test_cli_rejects_an_out_that_cannot_be_a_directory(tmp_path, capsys, small_r
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write output directory {out}: ")
         assert "Traceback" not in err and taken.read_text() == "a file\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "track", "calibrate"])
+def test_cli_checks_out_before_computing(tmp_path, capsys, monkeypatch, small_run, command):
+    # an --out that is a file is reported before any simulating, tracking or
+    # registration problem is computed
+    def unreachable(*args, **kwargs):
+        raise AssertionError(f"{command} computed before checking --out")
+
+    monkeypatch.setattr(cli, "simulate", unreachable)
+    monkeypatch.setattr(pipeline, "track_sequence", unreachable)
+    monkeypatch.setattr(registration, "build_problem", unreachable)
+    frames, truth = tmp_path / "frames.jsonl", tmp_path / "lineage.csv"
+    io.write_frames_jsonl(small_run.frames[:3], frames)
+    io.write_lineage_csv(small_run.lineage[:2], truth)
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({"n_frames": 3, "initial_cells": 2}))
+    args = {
+        "simulate": ["--config", str(config)],
+        "track": ["--frames", str(frames)],
+        "calibrate": ["--frames", str(frames), "--ground-truth", str(truth)],
+    }[command]
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    assert main([command, *args, "--out", str(taken), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write output directory {taken}: ")
+    assert err.count("\n") == 1 and taken.read_text() == "a file\n"
 
 
 def test_cli_rejects_an_output_file_it_cannot_write(tmp_path, capsys, small_run):

@@ -11,7 +11,7 @@ from colony_track import annealer
 from colony_track.annealer import RegistrationConfig, Schedule
 from colony_track.division import ShortLineage, reduce_frames
 from colony_track.errors import ValidationError
-from colony_track.geometry import Cell, cross2
+from colony_track.geometry import Cell, build_neighbor_graph, cross2
 from colony_track.registration import (
     EmpiricalCdf,
     LIK_FLOOR,
@@ -180,7 +180,7 @@ def brute_force_terms(problem, assignment):
         for j in range(n)
         if i != j and a[i] == a[j]
     ) / n
-    sg, tg = problem.source_graph, problem.target_graph
+    sg, tg = build_neighbor_graph(problem.source, problem.rho), problem.target_graph
     deg = sg.degrees
     stab = sum(
         1.0 / (n * deg[i] * deg[j])
@@ -378,7 +378,7 @@ def test_single_cell_problem_has_only_match_cliques():
     problem = build_problem(src, dst, w=40.0, rho=80.0, g_rate=1.05)
     assert problem.clique_counts == (1, 0, 0)
     bm = problem.to_bm()
-    assert bm.sites.shape == (0, 3) and bm.bits.size == 0
+    assert bm.clique_rows.shape == (0,) and bm.bits.size == 0
     a = np.array([0])
     assert bm.energy(problem.states_for(a)) == pytest.approx(
         problem.weights.match * problem.cost_terms(a)[0], abs=1e-12
@@ -408,13 +408,18 @@ def test_packed_tables_equal_broadcast_oracle():
                      wins[k][None, None, :], sign)
             for (i, j, k), sign in zip(problem.flip_triplets, problem.flip_signs)
         ]
-        assert len(want) == len(bm.sites)
+        assert len(want) == len(bm.clique_rows)
         for c, table in enumerate(want):
             got = bm.table(c)
             assert not got.flags.writeable
             assert got.shape == table.shape and got.tobytes() == table.tobytes()
-    bm = small[0].to_bm()
-    args = (bm.offsets, bm.targets, bm.match, bm.sites, bm.weights, bm.coef)
+    problem = small[0]
+    bm = problem.to_bm()
+    n_stab = len(problem.stab_pairs)
+    sites = np.full((n_stab + len(problem.flip_triplets), 3), -1)
+    sites[:n_stab, :2], sites[n_stab:] = problem.stab_pairs, problem.flip_triplets
+    weights = np.concatenate([problem.stab_weights, problem.flip_weights])
+    args = (bm.offsets, bm.targets, bm.match, sites, weights, bm.coef)
     with pytest.raises(ValidationError, match="63 clique tables for 64 cliques"):
         annealer.RegistrationBm(*args, tables=[bm.table(c) for c in range(63)])
 
@@ -598,7 +603,8 @@ def digest_problems():
 
 def loop_flip_triplets(problem):
     """Reference: flip triplets, weights and signs by the per-cell double loop."""
-    sg, sc, n = problem.source_graph, problem.source.centers(), problem.n
+    sg = build_neighbor_graph(problem.source, problem.rho)
+    sc, n = problem.source.centers(), problem.n
     degrees = sg.degrees
     triplets, weights, signs = [], [], []
     for i in range(n):
