@@ -1,7 +1,7 @@
 """Command-line driver: simulate, track, score, calibrate.
 
 Exit codes: 0 success, 2 validation error, 3 infeasible problem. A command
-checks its inputs and makes its ``--out`` directory before it computes.
+checks its inputs, ``--out`` and the file names in it before it computes.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         data["seed"] = args.seed
     config = io.from_json(SimConfig, data, "simulator config")
-    out = io.output_dir(args.out)
+    out = io.output_dir(args.out, ["frames.jsonl", "lineage.csv", "metadata.json"])
     result = simulate(config)
     io.write_frames_jsonl(result.frames, out / "frames.jsonl")
     io.write_lineage_csv(result.lineage, out / "lineage.csv")
@@ -75,12 +75,13 @@ def _load_pipeline_config(args) -> PipelineConfig:
 def _cmd_track(args) -> int:
     config = _load_pipeline_config(args)
     frames = io.read_frames_jsonl(args.frames)
-    out = io.output_dir(args.out)
+    traces = {f.index: f"energy_trace_{f.index:04d}.csv" for f in frames[:-1]}
+    out = io.output_dir(args.out, ["tracking.csv", "metadata.json", *traces.values()])
     records, diags = pipeline.track_sequence(frames, config)
     io.write_lineage_csv(records, out / "tracking.csv")
     for diag in diags:
         trace = diag.registration.get("energy_trace", [])
-        with io.writing(out / f"energy_trace_{diag.frame_index:04d}.csv") as fh:
+        with io.writing(out / traces[diag.frame_index]) as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "energy"])
             writer.writerows(enumerate(trace))
@@ -178,7 +179,7 @@ def _cmd_calibrate(args) -> int:
         rec.validate(source, target)
     except ValidationError as exc:
         raise ValidationError(f"{args.ground_truth}: pair {pair_index}: {exc}") from exc
-    out = io.output_dir(args.out)
+    out = io.output_dir(args.out, ["weights.json", "calibration_report.csv"])
     problem = registration.build_problem(
         source, target, w=config.w, rho=config.rho,
         weights=config.registration_weights, g_rate=config.g_rate,

@@ -2,13 +2,13 @@
 
 Candidate children pairs are target-frame cell pairs with nearby centers.
 Each carries five penalties (lineage, gap, alignment deviation, length ratio,
-length rank). The candidates of one frame pair are held as arrays
-(:class:`PairCandidates`), with no object per candidate. A binary Boltzmann
-machine with the quadratic energy E(z) = v . z + lambda * z^T Q z selects the
-subset of pairs matching the known division count: v holds the combined
-penalties and Q marks pairs that share a cell. Swap annealing keeps the count
-fixed and prices each swap through the number of selected pairs holding each
-cell (see :mod:`colony_track.annealer`).
+length rank) read from frame rows. The candidates of one frame pair are held
+as arrays (:class:`PairCandidates`), with no object per candidate. A binary
+Boltzmann machine with the quadratic energy E(z) = v . z + lambda * z^T Q z
+selects the subset of pairs matching the known division count: v holds the
+combined penalties and Q marks pairs that share a cell. Swap annealing keeps
+the count fixed and prices each swap through the number of selected pairs
+holding each cell (see :mod:`colony_track.annealer`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from . import annealer
 from .annealer import QuadraticBm, Schedule
 from .errors import InfeasibleError, ValidationError, check_fields, finite_real
-from .geometry import CHUNK_ELEMENTS, Frame, cross2, line_angle, pairs_within, rod_arrays
+from .geometry import CHUNK_ELEMENTS, Frame, cross2, line_angle, pairs_within
 
 PENALTY_NAMES = ("lin", "gap", "dev", "ratio", "rank")
 
@@ -102,43 +102,26 @@ class ShortLineage:
     distortion: float
 
 
-# one row per cell: the fields that the children-pair penalties read, in the
-# order that geometry.rod_arrays returns them
-_ROD = np.dtype(
-    [("center", "f8", 2), ("axis", "f8", 2), ("length", "f8"), ("e", "f8", 2), ("h", "f8", 2)]
-)
-
-
-def _rods(frame: Frame) -> np.ndarray:
-    """The :data:`_ROD` rows of a frame's cells."""
-    arrays = rod_arrays(frame)
-    rods = np.empty(len(arrays[0]), _ROD)
-    for name, values in zip(_ROD.names, arrays):
-        rods[name] = values
-    return rods
-
-
-def _distortion(parent: np.ndarray, c1: np.ndarray, c2: np.ndarray, weights):
-    """Geometric distortion of dividing each row of the :data:`_ROD` array
-    ``parent`` into the children rows of ``c1``, ``c2``.
+def _distortion(frame: Frame, p, kids: Frame, k1, k2, weights):
+    """Geometric distortion of dividing each cell of ``frame`` at rows ``p``
+    into the cells of ``kids`` at rows ``k1``, ``k2``.
 
     Combines the offset of the children midpoint from the parent center, the
     length mismatch, and three line angles (children axes against the parent
     axis, and the children separation direction against the parent axis).
     Angles of coincident children centers count as zero.
     """
-    axis, mid = parent["axis"], (c1["center"] + c2["center"]) / 2.0
-    cen = np.hypot(*(parent["center"] - mid).T)
-    siz = np.abs(parent["length"] - (c1["length"] + c2["length"]))
-    sep = c2["center"] - c1["center"]
-    ang = line_angle(axis, c1["axis"]) + line_angle(axis, c2["axis"]) + line_angle(axis, sep)
+    axis, c1, c2 = frame.axes[p], kids.centers()[k1], kids.centers()[k2]
+    cen = np.hypot(*(frame.centers()[p] - (c1 + c2) / 2.0).T)
+    siz = np.abs(frame.lengths[p] - (kids.lengths[k1] + kids.lengths[k2]))
+    ang = sum(line_angle(axis, u) for u in (kids.axes[k1], kids.axes[k2], c2 - c1))
     return weights.cen * cen + weights.siz * siz + weights.ang * ang
 
 
-def _best_parents(c1: np.ndarray, c2: np.ndarray, source: np.ndarray, ids, w, weights):
-    """Most likely parent of each children pair (rows of ``c1``, ``c2``)
-    among the cells of the :data:`_ROD` rows ``source``, whose ids are
-    ``ids``: a row of ``source`` and its distortion, or -1.
+def _best_parents(kids: Frame, k1, k2, frame: Frame, rows, w, weights):
+    """Most likely parent of each children pair (the cells of ``kids`` at
+    rows ``k1``, ``k2``) among the cells of ``frame`` at rows ``rows``: a
+    frame position and its distortion, or -1.
 
     A cell of length L is feasible when both children centers lie within
     ``w + L/4`` of its center; ties break toward the lowest parent id. The
@@ -146,34 +129,33 @@ def _best_parents(c1: np.ndarray, c2: np.ndarray, source: np.ndarray, ids, w, we
     ``CHUNK_ELEMENTS`` (pair, cell) tests: each chunk against the cells whose
     x lies within the largest reach of the chunk's x range.
     """
-    parent, value = np.full(len(c1), -1), np.full(len(c1), np.nan)
-    if len(source) == 0 or len(c1) == 0:
+    parent, value = np.full(len(k1), -1), np.full(len(k1), np.nan)
+    if len(rows) == 0 or len(k1) == 0:
         return parent, value
-    rank = np.empty(len(source), np.intp)
-    rank[sorted(range(len(source)), key=ids.__getitem__)] = np.arange(len(source))
-    by_x = np.argsort(source["center"][:, 0], kind="stable")
-    source, rank = source[by_x], rank[by_x]
-    x, y = source["center"].T
-    reach = w + source["length"] / 4.0
-    rows = np.argsort(c1["center"][:, 0], kind="stable")
-    k1, k2 = c1["center"][rows], c2["center"][rows]
+    rank = np.empty(len(frame), np.intp)
+    rank[sorted(range(len(frame)), key=frame.ids.__getitem__)] = np.arange(len(frame))
+    by_x = rows[np.argsort(frame.centers()[rows, 0], kind="stable")]
+    x, y = frame.centers()[by_x].T
+    reach = w + frame.lengths[by_x] / 4.0
+    order = np.argsort(kids.centers()[k1, 0], kind="stable")
+    c1, c2 = (kids.centers()[k[order]] for k in (k1, k2))
     far = reach.max()  # widened by a rounding margin, as in pairs_within
-    far += 1e-9 * (abs(far) + max(np.abs(x).max(), np.abs(k1).max()))
-    first = np.searchsorted(x, k1[:, 0] - far, side="left")
-    last = np.searchsorted(x, k1[:, 0] + far, side="right")
+    far += 1e-9 * (abs(far) + max(np.abs(x).max(), np.abs(c1).max()))
+    first = np.searchsorted(x, c1[:, 0] - far, side="left")
+    last = np.searchsorted(x, c1[:, 0] + far, side="right")
     chunk = max(1, CHUNK_ELEMENTS // max(1, int((last - first).max())))
-    for lo in range(0, len(rows), chunk):
+    for lo in range(0, len(order), chunk):
         band = slice(first[lo], last[lo : lo + chunk].max())
         near = True
-        for kid in (k1[lo : lo + chunk], k2[lo : lo + chunk]):
+        for kid in (c1[lo : lo + chunk], c2[lo : lo + chunk]):
             near = near & (np.hypot(kid[:, :1] - x[band], kid[:, 1:] - y[band]) <= reach[band])
         a, p = np.nonzero(near)
-        a, p = rows[lo + a], band.start + p
-        v = _distortion(source[p], c1[a], c2[a], weights)
-        order = np.lexsort((rank[p], v, a))
-        a, p, v = a[order], p[order], v[order]
+        a, p = order[lo + a], by_x[band.start + p]
+        v = _distortion(frame, p, kids, k1[a], k2[a], weights)
+        ranked = np.lexsort((rank[p], v, a))
+        a, p, v = a[ranked], p[ranked], v[ranked]
         best = np.diff(a, prepend=-1) != 0
-        parent[a[best]], value[a[best]] = by_x[p[best]], v[best]
+        parent[a[best]], value[a[best]] = p[best], v[best]
     return parent, value
 
 
@@ -184,34 +166,31 @@ def estimate_parent(
     """Most likely parent of the children ``pair``, two ids of ``next_frame``:
     the distortion minimum over the feasible cells of ``frame`` not in
     ``exclude`` (see :func:`_best_parents`), or None when no cell is feasible."""
-    source, ids = _rods(frame), frame.ids
-    if exclude:
-        keep = [k for k, cid in enumerate(ids) if cid not in exclude]
-        source, ids = source[keep], [ids[k] for k in keep]
-    kids = _rods(next_frame)[list(map(next_frame.position, pair))]
-    parent, value = _best_parents(kids[:1], kids[1:], source, ids, w, weights)
-    return None if parent[0] < 0 else (ids[parent[0]], float(value[0]))
+    rows = np.flatnonzero([cid not in (exclude or ()) for cid in frame.ids])
+    k1, k2 = (np.array([next_frame.position(cid)]) for cid in pair)
+    parent, value = _best_parents(next_frame, k1, k2, frame, rows, w, weights)
+    return None if parent[0] < 0 else (frame.ids[parent[0]], float(value[0]))
 
 
-def _pair_penalties(b1: np.ndarray, b2: np.ndarray, l_min: float):
-    """(gap, dev, ratio, rank) of the candidate children pairs in the rows of
-    the :data:`_ROD` arrays ``b1``, ``b2``.
+def _pair_penalties(kids: Frame, i, j, l_min: float):
+    """(gap, dev, ratio, rank) of the candidate children pairs of the cells
+    of ``kids`` at rows ``i`` and ``j``.
 
     ``l_min`` is the minimum cell length over the whole target frame. The
     deviation penalty uses the two closest endpoints (the first of ee, eh,
     he, hh on ties) against the line through the centers; coincident centers
     yield an infinite deviation sentinel.
     """
-    x, y = np.stack([b1["e"], b1["e"], b1["h"], b1["h"]]), np.stack([b2["e"], b2["h"]] * 2)
+    x, y = np.stack([kids.e, kids.e, kids.h, kids.h])[:, i], np.stack([kids.e, kids.h] * 2)[:, j]
     tips = np.hypot(x[..., 0] - y[..., 0], x[..., 1] - y[..., 1])
-    k, rows = tips.argmin(axis=0), np.arange(len(b1))
-    sep, c1 = b2["center"] - b1["center"], b1["center"]
+    k, rows = tips.argmin(axis=0), np.arange(len(i))
+    sep, c1 = kids.centers()[j] - kids.centers()[i], kids.centers()[i]
     norm = np.hypot(*sep.T)
     with np.errstate(divide="ignore", invalid="ignore"):
         d1 = np.abs(cross2(sep, x[k, rows] - c1)) / norm
         d2 = np.abs(cross2(sep, y[k, rows] - c1)) / norm
         dev = np.where(norm == 0.0, np.inf, (d1 + d2) / norm)
-    l1, l2 = b1["length"], b2["length"]
+    l1, l2 = kids.lengths[i], kids.lengths[j]
     ratio = np.abs(l1 / l2 + l2 / l1 - 2.0)
     rank = np.abs(l1 / l_min - 1.0) + np.abs(l2 / l_min - 1.0)
     return tips[k, rows], dev, ratio, rank
@@ -230,14 +209,12 @@ def build_pch(
     """
     if len(next_frame) == 0:
         raise ValidationError("next frame is empty")
-    kids = _rods(next_frame)
-    x, y = kids["center"].T
+    x, y = next_frame.centers().T
     i, j = pairs_within(x, y, tau * (1.0 + 1e-9))
     near = np.hypot(x[j] - x[i], y[j] - y[i]) < tau
     i, j = i[near], j[near]
-    b1, b2 = kids[i], kids[j]
-    gap, dev, ratio, rank = _pair_penalties(b1, b2, kids["length"].min())
-    parent, lin = _best_parents(b1, b2, _rods(frame), frame.ids, w, weights)
+    gap, dev, ratio, rank = _pair_penalties(next_frame, i, j, next_frame.lengths.min())
+    parent, lin = _best_parents(next_frame, i, j, frame, np.arange(len(frame)), w, weights)
     keep = np.isfinite(dev) & (parent >= 0)
     cells = np.stack([i[keep], j[keep]], axis=1)
     penalties = np.stack([v[keep] for v in (lin, gap, dev, ratio, rank)], axis=1)

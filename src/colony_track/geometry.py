@@ -181,18 +181,20 @@ def _stacked(cells) -> tuple[np.ndarray, ...]:
 class Frame:
     """The cells observed at one time point, held as read-only arrays.
 
-    Row k of ``e`` and ``h`` (each ``(n, 2)``), of ``widths`` and ``lengths``
-    (each ``(n,)``) and of :meth:`centers` belongs to the cell ``ids[k]``.
-    ``Frame(index, cells, bounds)`` stacks the given cells once and keeps no
-    reference to them; :meth:`from_arrays` takes the arrays themselves, with
+    Row k of ``e``, ``h`` and ``axes`` (each ``(n, 2)``), of ``widths`` and
+    ``lengths`` (each ``(n,)``) and of :meth:`centers` is the cell ``ids[k]``'s
+    ``e``, ``h``, ``axis_dir``, ``width``, ``length`` and ``center``, bit for
+    bit. ``Frame(index, cells, bounds)`` stacks the given cells once and keeps
+    no reference to them; :meth:`from_arrays` takes the arrays themselves, with
     the same checks and the same float operations, so both give equal
     frames. ``cells`` builds :class:`Cell` objects from the rows on request
     and does not keep them, so ``frame.cells[frame.position(id)]`` is the
-    cell of an id; tracking reads the arrays (see :func:`rod_arrays`). Frames
-    compare and hash by index, bounds, ids and row values.
+    cell of an id; tracking reads the arrays. Frames compare and hash by
+    index, bounds, ids and row values.
     """
 
-    __slots__ = ("index", "bounds", "ids", "e", "h", "widths", "lengths", "_centers", "_by_id")
+    __slots__ = ("index", "bounds", "ids", "e", "h", "widths", "lengths", "axes",
+                 "_centers", "_by_id")
     index: int
     bounds: Rect
     ids: tuple[str, ...]
@@ -200,6 +202,7 @@ class Frame:
     h: np.ndarray
     widths: np.ndarray
     lengths: np.ndarray
+    axes: np.ndarray
 
     def __init__(self, index: int, cells: Iterable[Cell], bounds: Rect):
         cells = tuple(cells)
@@ -232,7 +235,7 @@ class Frame:
         return frame
 
     def _fill(self, index, ids, e, h, widths, lengths, bounds) -> None:
-        """Check ids and bounds, then store the arrays read-only."""
+        """Check ids and bounds; store the arrays, centers and axes read-only."""
         by_id = dict(zip(ids, range(len(ids))))
         if len(by_id) < len(ids):
             seen = set()
@@ -245,9 +248,10 @@ class Frame:
         if not inside.all():
             k = int(np.argmin(inside))
             raise ValueError(f"cell {ids[k]!r} center {centers[k]} outside frame bounds")
-        for a in (e, h, widths, lengths, centers):
+        axes = (h - e) / lengths[:, None]
+        for a in (e, h, widths, lengths, axes, centers):
             a.flags.writeable = False
-        values = (index, bounds, ids, e, h, widths, lengths, centers, by_id)
+        values = (index, bounds, ids, e, h, widths, lengths, axes, centers, by_id)
         for name, value in zip(Frame.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -326,15 +330,6 @@ class FrameCells(Sequence):
 
     def __iter__(self):
         return map(self._frame._cell, range(len(self)))
-
-
-def rod_arrays(frame: Frame) -> tuple[np.ndarray, ...]:
-    """(centers, axes, lengths, E, H) of a frame's cells, each (n, 2) but
-    ``lengths`` (n,): row k is cell k's ``center``, ``axis_dir``, ``length``,
-    ``e`` and ``h``, bit for bit. These are the frame's own read-only arrays;
-    only the axes are computed on each call."""
-    e, h, lengths = frame.e, frame.h, frame.lengths
-    return frame.centers(), (h - e) / lengths[:, None], lengths, e, h
 
 
 def cell_from_pixels(pixels, cell_id: str = "px") -> Cell:

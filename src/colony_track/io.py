@@ -243,12 +243,16 @@ def from_json(cls, data, what: str, base=None):
         raise ValidationError(f"bad {what}: {exc}") from exc
 
 
-def output_dir(path) -> Path:
-    """The directory ``path``, made with its parents where missing."""
+def output_dir(path, names: Iterable[str] = ()) -> Path:
+    """The directory ``path``, made with its parents where missing, checked
+    to hold no directory under any of the file ``names`` it will receive."""
     try:
         Path(path).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValidationError(f"cannot write output directory {path}: {exc}") from exc
+    for file in (Path(path) / name for name in names):
+        if file.is_dir():
+            raise ValidationError(f"cannot write output file {file}: it is a directory")
     return Path(path)
 
 

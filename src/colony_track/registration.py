@@ -2,17 +2,17 @@
 
 Each source cell carries a finite candidate list (its motion window in the
 target frame), all held in one flat layout: per-cell offsets into one array
-of target positions. One array pass over it gives every entry's penalties,
-which give both the empirical-CDF likelihood and the match costs. A mapping
-is scored by four penalties: the matching log-likelihood, an overlap count
-penalizing many-to-one collisions, a neighbor-stability term, and a
-neighbor-flip term detecting orientation reversals of neighbor pairs around
-a cell. The weighted penalties compile, on the same layout, into one flat
-Boltzmann-machine energy (float64 match rows, 0/1 stab and flip tables
-packed as bits in one uint8 array, occupancy counts for collisions) whose
-value at a configuration equals the cost of the decoded mapping; it sums
-match, stab, flip, then collision terms sequentially, so every chain is
-reproducible.
+of target positions. One array pass over it, on the frames' row arrays, gives
+every entry's penalties, which give both the empirical-CDF likelihood and the
+match costs. A mapping is scored by four penalties: the matching
+log-likelihood, an overlap count penalizing many-to-one collisions, a
+neighbor-stability term, and a neighbor-flip term detecting orientation
+reversals of neighbor pairs around a cell. The weighted penalties compile, on
+the same layout, into one flat Boltzmann-machine energy (float64 match rows,
+0/1 stab and flip tables packed as bits in one uint8 array, occupancy counts
+for collisions) whose value at a configuration equals the cost of the decoded
+mapping; it sums match, stab, flip, then collision terms sequentially, so
+every chain is reproducible.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from . import annealer
 from .annealer import RegistrationBm, Schedule
 from .calibration import _weighted_sum
 from .errors import ValidationError, check_fields
-from .geometry import Frame, NeighborGraph, build_neighbor_graph, cross2, rod_arrays, window_mask
+from .geometry import Frame, NeighborGraph, build_neighbor_graph, cross2, window_mask
 
 LIK_FLOOR = 1e-6
 
@@ -46,15 +46,9 @@ class RegistrationWeights:
         return np.array([self.match, self.over, self.stab, self.flip])
 
 
-def _rods(frame: Frame, rows: np.ndarray):
-    """(centers, lengths, axes) of the frame's cells at positions ``rows``."""
-    centers, axes, lengths, _, _ = rod_arrays(frame)
-    return centers[rows], lengths[rows], axes[rows]
-
-
-def _penalty_arrays(src, dst, g_rate: float):
-    """(kin, dis, rot) of matching source against target rods, each given as
-    (centers, lengths, axes) broadcasting together.
+def _penalty_arrays(source: Frame, rows, target: Frame, cols, g_rate: float):
+    """(kin, dis, rot) of matching the cells of ``source`` at rows ``rows``
+    against those of ``target`` at rows ``cols`` (broadcasting index arrays).
 
     kin is the squared center displacement, dis the squared log-deviation of
     the length ratio from the expected growth factor, rot the angle between
@@ -63,11 +57,12 @@ def _penalty_arrays(src, dst, g_rate: float):
     them, so each sample counts itself; a value recomputed one ulp lower
     would shift a CDF count.
     """
-    (sc, sl, sa), (tc, tl, ta) = src, dst
+    sc, tc = source.centers()[rows], target.centers()[cols]
+    sa, ta = source.axes[rows], target.axes[cols]
     dx = tc[..., 0] - sc[..., 0]
     dy = tc[..., 1] - sc[..., 1]
     kin = dx * dx + dy * dy
-    dis = (np.log(tl / sl) - np.log(g_rate)) ** 2
+    dis = (np.log(target.lengths[cols] / source.lengths[rows]) - np.log(g_rate)) ** 2
     cosang = np.minimum(1.0, np.abs(ta[..., 0] * sa[..., 0] + ta[..., 1] * sa[..., 1]))
     return kin, dis, np.arccos(cosang)
 
@@ -98,6 +93,11 @@ class LikelihoodModel:
         """Joint likelihood of matches with these penalties, floored at LIK_FLOOR."""
         joint = (1.0 - self.cdf_kin(kin)) * (1.0 - self.cdf_dis(dis)) * (1.0 - self.cdf_rot(rot))
         return np.maximum(joint, LIK_FLOOR)
+
+    def match_cost(self, penalties, n: int) -> np.ndarray:
+        """Costs of matches with these (kin, dis, rot) ``penalties``: each one's
+        negative log-likelihood, averaged over the ``n`` source cells."""
+        return -np.log(self.lik(*penalties)) / n
 
 
 def fit_likelihood_model(penalties, offsets: np.ndarray, g_rate: float) -> LikelihoodModel:
@@ -202,10 +202,9 @@ class RegistrationProblem:
         costs = self.match_cost[at]
         out = np.flatnonzero(~inside)
         if out.size:
-            pen = _penalty_arrays(
-                _rods(self.source, out), _rods(self.target, a[out]), self.likelihood.growth_rate
-            )
-            costs[out] = -np.log(self.likelihood.lik(*pen)) / n
+            lik = self.likelihood
+            pen = _penalty_arrays(self.source, out, self.target, a[out], lik.growth_rate)
+            costs[out] = lik.match_cost(pen, n)
         counts = np.bincount(a, minlength=len(self.target))
         adj, ct = self.target_graph.adj, self.target.centers()
         broken = _broken(adj, *a[self.stab_pairs.T])
@@ -302,7 +301,7 @@ def build_problem(
     match_offsets = np.concatenate([[0], np.cumsum(sizes)])
     match_targets = np.concatenate(windows)
     cell = np.repeat(np.arange(n), sizes)
-    penalties = _penalty_arrays(_rods(red_b, cell), _rods(red_b_plus, match_targets), g_rate)
+    penalties = _penalty_arrays(red_b, cell, red_b_plus, match_targets, g_rate)
     likelihood = fit_likelihood_model(penalties, match_offsets, g_rate)
     # the source graph gives the cliques and their weights and is not kept
     source_graph = build_neighbor_graph(red_b, rho)
@@ -330,7 +329,7 @@ def build_problem(
         match_offsets=match_offsets,
         match_targets=match_targets,
         match_keys=cell * len(red_b_plus) + match_targets,
-        match_cost=-np.log(likelihood.lik(*penalties)) / n,
+        match_cost=likelihood.match_cost(penalties, n),
         stab_pairs=stab_pairs,
         stab_weights=2.0 / (n * degrees[stab_pairs[:, 0]] * degrees[stab_pairs[:, 1]]),
         flip_triplets=np.stack([i, j, k], axis=1),

@@ -38,7 +38,6 @@ from .geometry import (
     Frame,
     Rect,
     pairs_within,
-    rod_arrays,
     segment_distance,
     segments_distance,
     stacked_segments_distance,
@@ -264,9 +263,9 @@ class _Colony:
     def adopt_frame(self, frame: Frame) -> None:
         """Resume from an existing frame; adopted cells count as newborn at
         their current length (division at twice that length plus noise)."""
-        centers, axes, lengths, _, _ = rod_arrays(frame)
+        centers, lengths = frame.centers(), frame.lengths
         eps = self.rng.uniform(*self.cfg.division_eps_range, size=len(frame))
-        self._add(frame.ids, centers, axes, lengths, frame.widths, 2 * lengths + eps, centers)
+        self._add(frame.ids, centers, frame.axes, lengths, frame.widths, 2 * lengths + eps, centers)
         self._id_counter = max([0, *map(_numeric_suffix, frame.ids)])
 
     def _fits(self, pos, axis, length) -> bool:

@@ -209,8 +209,8 @@ def test_estimate_parent_against_simulator_truth(minute_run):
 
 def kid_penalties(c1, c2, l_min):
     """(gap, dev, ratio, rank) that ``build_pch``'s kernel gives the pair, as floats."""
-    rods = division._rods(make_frame([c1, c2], index=1))
-    return [float(v[0]) for v in division._pair_penalties(rods[:1], rods[1:], l_min)]
+    kids = make_frame([c1, c2], index=1)
+    return [float(v[0]) for v in division._pair_penalties(kids, [0], [1], l_min)]
 
 
 def test_penalties_ideal_newborn_pair():

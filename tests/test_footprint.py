@@ -112,11 +112,11 @@ def _held_bytes_per_cell(build) -> float:
 
 
 def test_frames_hold_few_bytes_per_cell(tmp_path):
-    # a frame holds its cells as rows of endpoint, width, length and center
-    # arrays plus an id tuple and an id index, and builds Cell objects only
-    # on request: 140 B per simulated cell and 186 B per cell read from a
-    # file (distinct id strings). Frames that kept a Cell per cell, with two
-    # endpoint arrays each, held 457 and 499 B.
+    # a frame holds its cells as rows of endpoint, width, length, axis and
+    # center arrays plus an id tuple and an id index, and builds Cell objects
+    # only on request: 159 B per simulated cell and 207 B per cell read from
+    # a file (distinct id strings). Frames that kept a Cell per cell, with
+    # two endpoint arrays each, held 457 and 499 B.
     from colony_track.io import read_frames_jsonl, write_frames_jsonl
     from trackbench import workloads
 

@@ -709,10 +709,9 @@ def test_cells_and_frames_hold_read_only_endpoints():
     copied = Frame.from_arrays(0, ["a"], e, [[10.0, 0.0]], [8.0], bounds)
     e[0, 0] = 6.0
     assert copied == frame
-    centers, axes, lengths, e_all, h_all = geometry.rod_arrays(frame)
     for array in (
-        c.e, c.h, frame.e, frame.h, frame.widths, frame.lengths, frame.centers(),
-        frame.cells[0].e, centers, lengths, e_all, h_all,
+        c.e, c.h, frame.e, frame.h, frame.widths, frame.lengths, frame.centers(), frame.axes,
+        frame.cells[0].e, copied.axes, frame.without([]).axes,
     ):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
@@ -723,9 +722,10 @@ def test_cells_and_frames_hold_read_only_endpoints():
 @pytest.mark.kernels
 @pytest.mark.parametrize("seed", range(4))
 def test_frames_from_arrays_equal_frames_from_cells(seed):
-    # the two constructors give equal frames with bit-identical lengths,
-    # centers and axes, also for rods a few ulps or subnormals long, far
-    # from the origin, axis-aligned or of zero width
+    # the two constructors, without() and unpickling give equal frames with
+    # bit-identical, read-only lengths, centers and axes, also for rods a few
+    # ulps or subnormals long, far from the origin, axis-aligned or of zero
+    # width
     rng = np.random.default_rng(seed)
     n = 400
     e = rng.uniform(-1.0, 1.0, (n, 2)) * 10.0 ** rng.integers(-3, 8, (n, 1))
@@ -752,11 +752,15 @@ def test_frames_from_arrays_equal_frames_from_cells(seed):
         np.array([c.axis_dir for c in cells]),
         np.array([c.length for c in cells]),
     )
-    for frame in (by_arrays, by_cells):
-        got = geometry.rod_arrays(frame)
-        for value, want in zip(got, per_cell):
-            assert value.tobytes() == want.tobytes()
-        assert got[3].tobytes() == e.tobytes() and got[4].tobytes() == h.tobytes()
+    every, kept = slice(None), np.arange(len(ids)) % 3 > 0
+    for frame, rows in [
+        (by_arrays, every), (by_cells, every), (pickle.loads(pickle.dumps(by_arrays)), every),
+        (by_cells.without(ids[::3]), kept),
+    ]:
+        got = (frame.centers(), frame.axes, frame.lengths, frame.e, frame.h)
+        for value, want in zip(got, (*per_cell, e, h)):
+            assert value.tobytes() == want[rows].tobytes()
+            assert not value.flags.writeable
 
 
 def test_from_arrays_rejects_what_cells_reject():
@@ -807,9 +811,9 @@ def test_neighbor_graph_adjacency_cannot_change_after_the_checks():
 @pytest.mark.kernels
 @pytest.mark.parametrize("name", ["reg6min", "pipeline21", "tiled-large"])
 def test_stacked_geometry_is_bit_identical_to_the_per_cell_formulas(name):
-    # Frame.centers and the penalty builders' stacked passes against each
-    # cell's center, axis_dir and length as one cell's arithmetic gives them
-    from colony_track import division, registration
+    # a frame's centers, axes and lengths, which the penalty kernels read,
+    # against each cell's center, axis_dir and length as one cell's
+    # arithmetic gives them
     from trackbench import workloads
 
     for frame in workloads.GENERATORS[name](0).frames:
@@ -820,20 +824,14 @@ def test_stacked_geometry_is_bit_identical_to_the_per_cell_formulas(name):
         assert np.array([c.length for c in cells]).tobytes() == lengths.tobytes()
         assert np.array([c.center for c in cells]).tobytes() == centers.tobytes()
         assert np.array([c.axis_dir for c in cells]).tobytes() == axes.tobytes()
-        assert frame.centers().tobytes() == centers.tobytes(), frame.index
-        # a frame's own arrays against freshly built cells, which compute
-        # their lengths one at a time (a frame's cells carry its lengths)
+        # the frame's own arrays, and those of a frame of freshly built cells,
+        # which compute their lengths one at a time (a frame's cells carry its
+        # lengths)
         fresh = Frame(frame.index, [Cell(c.id, c.e, c.h, c.width) for c in cells], frame.bounds)
-        for value, want in zip(geometry.rod_arrays(frame), geometry.rod_arrays(fresh)):
-            assert value.tobytes() == want.tobytes(), frame.index
-        rods = division._rods(fresh)
-        assert rods["center"].tobytes() == centers.tobytes(), frame.index
-        assert rods["axis"].tobytes() == axes.tobytes(), frame.index
-        assert rods["length"].tobytes() == lengths.tobytes(), frame.index
-        rows = np.arange(len(frame))[::-1]
-        got = registration._rods(frame, rows)
-        for value, want in zip(got, (centers, lengths, axes)):
-            assert value.tobytes() == want[rows].tobytes(), frame.index
+        for built in (frame, fresh):
+            assert built.centers().tobytes() == centers.tobytes(), frame.index
+            assert built.axes.tobytes() == axes.tobytes(), frame.index
+            assert built.lengths.tobytes() == lengths.tobytes(), frame.index
 
 
 def test_cell_invariants():

@@ -706,8 +706,9 @@ def test_cli_rejects_an_out_that_cannot_be_a_directory(tmp_path, capsys, small_r
 
 @pytest.mark.parametrize("command", ["simulate", "track", "calibrate"])
 def test_cli_checks_out_before_computing(tmp_path, capsys, monkeypatch, small_run, command):
-    # an --out that is a file is reported before any simulating, tracking or
-    # registration problem is computed
+    # an --out that is a file, or a directory in place of an output file, is
+    # reported before any simulating, tracking or registration problem is
+    # computed
     def unreachable(*args, **kwargs):
         raise AssertionError(f"{command} computed before checking --out")
 
@@ -730,6 +731,15 @@ def test_cli_checks_out_before_computing(tmp_path, capsys, monkeypatch, small_ru
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write output directory {taken}: ")
     assert err.count("\n") == 1 and taken.read_text() == "a file\n"
+    names = {"simulate": ["lineage.csv"], "calibrate": ["calibration_report.csv"],
+             "track": ["metadata.json", "energy_trace_0001.csv"]}[command]
+    for name in names:
+        out = tmp_path / name.split(".")[0]
+        (out / name).mkdir(parents=True)
+        assert main([command, *args, "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write output file {out / name}: it is a directory\n"
+        assert [path.name for path in out.iterdir()] == [name]
 
 
 def test_cli_rejects_an_output_file_it_cannot_write(tmp_path, capsys, small_run):

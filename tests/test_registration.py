@@ -19,7 +19,6 @@ from colony_track.registration import (
     _broken,
     _flipped,
     _penalty_arrays,
-    _rods,
     build_problem,
     fit_likelihood_model,
     initial_assignment,
@@ -38,14 +37,8 @@ from conftest import (
 # -- penalties ----------------------------------------------------------------
 
 
-def penalties(src, dst, rows, targets, g_rate):
-    """(kin, dis, rot) of the source cells at positions ``rows`` against the
-    target cells at ``targets``, by the array pass ``build_problem`` runs."""
-    return _penalty_arrays(_rods(src, rows), _rods(dst, targets), g_rate)
-
-
 def one_pair(b, b_plus, g_rate):
-    return penalties(make_frame([b]), make_frame([b_plus], index=1), 0, 0, g_rate)
+    return _penalty_arrays(make_frame([b]), 0, make_frame([b_plus], index=1), 0, g_rate)
 
 
 def test_pair_penalties_ideal_growth():
@@ -103,7 +96,7 @@ def flat_penalties(src, dst, windows, g_rate=1.05):
     per-cell offsets."""
     sizes = [len(win) for win in windows]
     targets = np.concatenate([np.asarray(win, np.intp) for win in windows])
-    pens = penalties(src, dst, np.repeat(np.arange(len(src)), sizes), targets, g_rate)
+    pens = _penalty_arrays(src, np.repeat(np.arange(len(src)), sizes), dst, targets, g_rate)
     return np.array(pens), np.cumsum([0, *sizes])
 
 
@@ -117,7 +110,8 @@ def test_likelihood_floor_and_tails():
     target = make_cell("t", good.center - 1e-9, angle=0.0, length=20.0 * 1.05)
     # and a hopeless candidate, floored at exactly the configured value
     far = make_cell("f", good.center + 500.0, angle=np.pi / 2, length=80.0)
-    liks = model.lik(*penalties(make_frame([good]), make_frame([target, far]), 0, [0, 1], 1.05))
+    pens = _penalty_arrays(make_frame([good]), 0, make_frame([target, far]), [0, 1], 1.05)
+    liks = model.lik(*pens)
     assert liks[0] <= 1.0
     assert liks[1] == LIK_FLOOR
 
@@ -173,7 +167,8 @@ def brute_force_terms(problem, assignment):
     n = len(src)
     a = np.asarray(assignment)
     lik, g = problem.likelihood, problem.likelihood.growth_rate
-    match = -sum(map(math.log, lik.lik(*penalties(src, dst, np.arange(n), a, g)).tolist())) / n
+    pens = _penalty_arrays(src, np.arange(n), dst, a, g)
+    match = -sum(map(math.log, lik.lik(*pens).tolist())) / n
     over = sum(
         1.0
         for i in range(n)
@@ -228,8 +223,8 @@ def test_ideal_registration_scores_zero():
 def dense_match_cost(problem):
     """Oracle: every source cell scored against every target cell."""
     lik, n, m = problem.likelihood, problem.n, len(problem.target)
-    pens = penalties(
-        problem.source, problem.target, np.repeat(np.arange(n), m), np.tile(np.arange(m), n),
+    pens = _penalty_arrays(
+        problem.source, np.repeat(np.arange(n), m), problem.target, np.tile(np.arange(m), n),
         lik.growth_rate,
     )
     return (-np.log(lik.lik(*pens)) / n).reshape(n, m)
@@ -481,7 +476,7 @@ def test_initial_assignment_is_likelihood_argmax(seed):
     lik, g = problem.likelihood, problem.likelihood.growth_rate
     for i, cell in enumerate(problem.source.cells):
         cands = [problem.target.cells[int(p)] for p in problem.windows[i]]
-        liks = lik.lik(*penalties(problem.source, problem.target, i, problem.windows[i], g))
+        liks = lik.lik(*_penalty_arrays(problem.source, i, problem.target, problem.windows[i], g))
         kins = [((t.center - cell.center) ** 2).sum() for t in cands]
         best = min(range(len(cands)), key=lambda s: (-liks[s], kins[s], cands[s].id))
         expected.append(int(problem.windows[i][best]))
