@@ -28,8 +28,6 @@ from .geometry import (
     NeighborGraph,
     Rect,
     build_neighbor_graph,
-    cell_from_pixels,
-    target_window,
 )
 from .pipeline import AccuracyReport, PipelineConfig, score, track_pair, track_sequence
 from .registration import (

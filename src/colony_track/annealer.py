@@ -69,8 +69,8 @@ class RegistrationBm:
     table base, the site's own element stride, the two other sites (-1 for
     a pair's padding) with their strides (0 for padding), and the clique
     weight. ``clique_rows[c]`` is the row of clique c's first site, and
-    ``clique_sites[c]`` that site; from these :meth:`energy` and
-    :meth:`table` read the clique's base, sites, strides and weight.
+    ``clique_sites[c]`` that site; from these :meth:`energy` reads the
+    clique's base, sites, strides and weight.
     """
 
     def __init__(
@@ -142,18 +142,6 @@ class RegistrationBm:
             given = c + 1
         if given != len(base):
             raise ValidationError(f"{given} clique tables for {len(base)} cliques")
-
-    def table(self, c: int) -> np.ndarray:
-        """Clique c's 0/1 table (uint8, read-only), shaped by its sites' sizes."""
-        r = self.clique_rows[c]
-        sites = [self.clique_sites[c], *self.inc_other[r]]
-        shape = tuple(int(self.sizes[s]) for s in sites if s >= 0)
-        cells, start = math.prod(shape), self.inc_base[r] // 8
-        out = np.unpackbits(
-            self.bits[start: start + -(-cells // 8)], count=cells, bitorder="little"
-        ).reshape(shape)
-        out.flags.writeable = False
-        return out
 
     def energy(self, states: np.ndarray) -> float:
         """Full recomputation of E(z); the reference for all bookkeeping.

@@ -14,17 +14,14 @@ which has one row per penalty term, by a bounded-variable simplex.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import InfeasibleError, ValidationError, finite_real
 
-
-class PenaltyEvaluator(Protocol):
-    """Penalty vector of an assignment."""
-
-    def cost_terms(self, assignment: np.ndarray) -> tuple: ...
+if TYPE_CHECKING:
+    from .registration import RegistrationProblem
 
 
 @dataclass
@@ -54,14 +51,15 @@ class CalibrationInstance:
 
 def build_perturbations(
     ground_truth: np.ndarray,
-    evaluator: PenaltyEvaluator,
+    problem: RegistrationProblem,
     windows: Sequence[np.ndarray],
     all_alternatives: bool = False,
     gamma: float = 1e10,
     budget: float = 1000.0,
     rng_seed: int = 0,
 ) -> CalibrationInstance:
-    """Penalty changes of single-point modifications of the known mapping.
+    """Changes of ``problem.cost_terms`` under single-point modifications of
+    the known mapping.
 
     For each source cell the modified target is drawn uniformly from the rest
     of its window (or, with ``all_alternatives``, every other window entry
@@ -69,7 +67,7 @@ def build_perturbations(
     """
     f = np.asarray(ground_truth, dtype=np.int64)
     rng = np.random.default_rng(rng_seed)
-    base = np.asarray(evaluator.cost_terms(f), dtype=np.float64)
+    base = np.asarray(problem.cost_terms(f), dtype=np.float64)
     rows: list[np.ndarray] = []
     labels: list[tuple[int, int]] = []
     for site, window in enumerate(windows):
@@ -80,7 +78,7 @@ def build_perturbations(
         for s in picks:
             g = f.copy()
             g[site] = s
-            rows.append(np.asarray(evaluator.cost_terms(g), dtype=np.float64) - base)
+            rows.append(np.asarray(problem.cost_terms(g), dtype=np.float64) - base)
             labels.append((site, s))
     if not rows:
         raise ValidationError("no admissible single-point modifications")

@@ -76,7 +76,10 @@ def _cmd_track(args) -> int:
     config = _load_pipeline_config(args)
     frames = io.read_frames_jsonl(args.frames)
     traces = {f.index: f"energy_trace_{f.index:04d}.csv" for f in frames[:-1]}
-    out = io.output_dir(args.out, ["tracking.csv", "metadata.json", *traces.values()])
+    scatters = {f.index: f"scatter_{f.index:04d}.csv" for f, g in zip(frames, frames[1:])
+                if len(g) > len(f)}
+    names = ["tracking.csv", "metadata.json", *traces.values(), *scatters.values()]
+    out = io.output_dir(args.out, names)
     records, diags = pipeline.track_sequence(frames, config)
     io.write_lineage_csv(records, out / "tracking.csv")
     for diag in diags:
@@ -86,7 +89,7 @@ def _cmd_track(args) -> int:
             writer.writerow(["epoch", "energy"])
             writer.writerows(enumerate(trace))
         if diag.kept:
-            with io.writing(out / f"scatter_{diag.frame_index:04d}.csv") as fh:
+            with io.writing(out / scatters[diag.frame_index]) as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["candidate_id", "is_true_pair", *division.PENALTY_NAMES])
                 ids = diag.kept.ids

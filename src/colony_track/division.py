@@ -292,9 +292,6 @@ class ChildrenBmProblem:
         np.fill_diagonal(q, 0)
         return q
 
-    def energy(self, z: Sequence[int]) -> float:
-        return self.to_bm().energy(z)
-
     def to_bm(self) -> QuadraticBm:
         return QuadraticBm(self.v, self.cells, self.lambda_q)
 

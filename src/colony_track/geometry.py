@@ -101,11 +101,9 @@ class Cell:
     """A rod-shaped cell: segment from endpoint ``e`` to endpoint ``h`` plus width.
 
     A cell stores its id, read-only copies of its endpoints, its width and
-    ``length``, which is checked at construction. ``center`` and ``axis_dir``
-    (unit, unoriented) are derived from the endpoints on each access. Frames
-    hold their cells as arrays and build a cell from its row only when asked
-    for it (see :class:`Frame`). Cells compare and hash by id, width and
-    endpoint values.
+    ``length``, which is checked at construction. Frames hold their cells as
+    arrays and build a cell from its row only when asked for it (see
+    :class:`Frame`), which also gives the centers and unit axes.
     """
 
     id: str
@@ -135,27 +133,6 @@ class Cell:
             object.__setattr__(cell, name, value)
         return cell
 
-    @property
-    def center(self) -> np.ndarray:
-        return (self.e + self.h) / 2.0
-
-    @property
-    def axis_dir(self) -> np.ndarray:
-        return (self.h - self.e) / self.length
-
-    def __eq__(self, other):
-        if not isinstance(other, Cell):
-            return NotImplemented
-        return (
-            self.id == other.id
-            and self.width == other.width
-            and np.array_equal(self.e, other.e)
-            and np.array_equal(self.h, other.h)
-        )
-
-    def __hash__(self):
-        return hash((self.id, self.width, *self.e.tolist(), *self.h.tolist()))
-
 
 def _rod_error(length: float, width: float) -> str | None:
     """Why a cell of this length and width is invalid, or None."""
@@ -181,16 +158,16 @@ def _stacked(cells) -> tuple[np.ndarray, ...]:
 class Frame:
     """The cells observed at one time point, held as read-only arrays.
 
-    Row k of ``e``, ``h`` and ``axes`` (each ``(n, 2)``), of ``widths`` and
-    ``lengths`` (each ``(n,)``) and of :meth:`centers` is the cell ``ids[k]``'s
-    ``e``, ``h``, ``axis_dir``, ``width``, ``length`` and ``center``, bit for
-    bit. ``Frame(index, cells, bounds)`` stacks the given cells once and keeps
-    no reference to them; :meth:`from_arrays` takes the arrays themselves, with
-    the same checks and the same float operations, so both give equal
-    frames. ``cells`` builds :class:`Cell` objects from the rows on request
+    Row k of ``e`` and ``h`` (each ``(n, 2)``), of ``widths`` and ``lengths``
+    (each ``(n,)``) is the cell ``ids[k]``'s ``e``, ``h``, ``width`` and
+    ``length``, bit for bit; row k of :meth:`centers` is ``(e + h) / 2`` and
+    of ``axes`` the unit, unoriented axis ``(h - e) / length``.
+    ``Frame(index, cells, bounds)`` stacks the given cells once and keeps no
+    reference to them; :meth:`from_arrays` takes the arrays themselves, with
+    the same checks and the same float operations, so both give the same
+    arrays. ``cells`` builds :class:`Cell` objects from the rows on request
     and does not keep them, so ``frame.cells[frame.position(id)]`` is the
-    cell of an id; tracking reads the arrays. Frames compare and hash by
-    index, bounds, ids and row values.
+    cell of an id; tracking reads the arrays.
     """
 
     __slots__ = ("index", "bounds", "ids", "e", "h", "widths", "lengths", "axes",
@@ -261,25 +238,6 @@ class Frame:
     def __reduce__(self):
         return Frame._of, (self.index, self.ids, self.e, self.h, self.widths, self.lengths, self.bounds)
 
-    def __repr__(self) -> str:
-        return f"Frame(index={self.index!r}, cells={len(self)}, bounds={self.bounds!r})"
-
-    def __eq__(self, other):
-        if not isinstance(other, Frame):
-            return NotImplemented
-        return (
-            self.index == other.index
-            and self.bounds == other.bounds
-            and self.ids == other.ids
-            and np.array_equal(self.e, other.e)
-            and np.array_equal(self.h, other.h)
-            and np.array_equal(self.widths, other.widths)
-        )
-
-    def __hash__(self):
-        rows = (*self.e.ravel().tolist(), *self.h.ravel().tolist(), *self.widths.tolist())
-        return hash((self.index, self.bounds, self.ids, rows))
-
     def __len__(self) -> int:
         return len(self.ids)
 
@@ -330,37 +288,6 @@ class FrameCells(Sequence):
 
     def __iter__(self):
         return map(self._frame._cell, range(len(self)))
-
-
-def cell_from_pixels(pixels, cell_id: str = "px") -> Cell:
-    """Fit a rod cell to a set of pixel coordinates.
-
-    Center is the pixel centroid, the axis is the leading principal component,
-    endpoints are the extreme pixel projections onto the axis line, and width
-    is twice the RMS distance of the pixels from that line.
-    """
-    pts = np.asarray(sorted(tuple(map(float, p)) for p in pixels), dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-        raise ValueError("degenerate cell: need at least two pixels")
-    centroid = pts.mean(axis=0)
-    d = pts - centroid
-    cov = d.T @ d / pts.shape[0]
-    evals, evecs = np.linalg.eigh(cov)
-    if evals[-1] <= 1e-12:
-        raise ValueError("degenerate cell: zero covariance")
-    axis = evecs[:, -1]
-    # canonical orientation keeps the fit reproducible across pixel orderings
-    if axis[0] < 0 or (axis[0] == 0 and axis[1] < 0):
-        axis = -axis
-    t = d @ axis
-    tmin, tmax = float(t.min()), float(t.max())
-    if tmax - tmin <= 1e-12:
-        raise ValueError("degenerate cell: zero extent along the fitted axis")
-    e = centroid + tmin * axis
-    h = centroid + tmax * axis
-    normal = np.array([-axis[1], axis[0]])
-    width = 2.0 * float(np.sqrt(np.mean((d @ normal) ** 2)))
-    return Cell(cell_id, e, h, width)
 
 
 def _xy(p) -> tuple[np.ndarray, np.ndarray]:
@@ -473,10 +400,6 @@ class NeighborGraph:
     @property
     def degrees(self) -> np.ndarray:
         return self.adj.sum(axis=1)
-
-    def edges(self) -> list[tuple[int, int]]:
-        i, j = np.nonzero(np.triu(self.adj, k=1))
-        return list(zip(i.tolist(), j.tolist()))
 
 
 def pairs_within(x, y, r: float) -> tuple[np.ndarray, np.ndarray]:
@@ -595,11 +518,3 @@ def window_mask(center, targets: np.ndarray, w: float) -> np.ndarray:
         return np.zeros(0, dtype=bool)
     d = np.abs(targets - np.asarray(center, dtype=np.float64))
     return (d[:, 0] <= w / 2.0) & (d[:, 1] <= w / 2.0)
-
-
-def target_window(cell: Cell, next_frame: Frame, w: float) -> list[Cell]:
-    """Cells of the next frame whose centers lie in the square window of width
-    ``w`` centered on ``cell`` (boundary inclusive). May be empty."""
-    mask = window_mask(cell.center, next_frame.centers(), w)
-    cells = next_frame.cells
-    return [cells[k] for k in np.flatnonzero(mask).tolist()]

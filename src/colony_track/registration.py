@@ -216,9 +216,6 @@ class RegistrationProblem:
             float((self.flip_weights * flipped).sum()),
         )
 
-    def cost(self, assignment: np.ndarray) -> float:
-        return float(_weighted_sum(self.cost_terms(assignment), self.weights.as_array()))
-
     # -- BM compilation -----------------------------------------------------
 
     def to_bm(self) -> RegistrationBm:

@@ -181,9 +181,6 @@ class SimResult:
     lineage: list[LineageRecord]
     truncated: bool = False
 
-    def __iter__(self):
-        return iter((self.frames, self.lineage))
-
 
 # The colony's per-cell arrays, one row per live cell in the order of
 # ``_Colony.ids``. Cells are added and dropped only by ``_Colony._add`` and

@@ -21,7 +21,7 @@ def make_cell(cid, center, angle=0.0, length=20.0, width=7.0):
 
 
 def make_frame(cells, index=0, pad=50.0):
-    centers = np.array([c.center for c in cells])
+    centers = np.array([(c.e + c.h) / 2.0 for c in cells])
     lo = centers.min(axis=0) - pad
     hi = centers.max(axis=0) + pad
     return Frame(index, tuple(cells), Rect(lo[0], lo[1], hi[0], hi[1]))
@@ -55,21 +55,32 @@ def random_frame(rng, n, span=200.0, min_dist=12.0, length_range=(15.0, 40.0), i
 def jittered_copy(frame, rng, shift=3.0, grow=1.05, index=1):
     """A target frame: every cell shifted, slightly rotated, and grown."""
     cells = []
-    for c in frame.cells:
-        u = c.axis_dir
+    rows = zip(frame.ids, frame.centers(), frame.axes, frame.lengths.tolist())
+    for cid, center, u, length in rows:
         theta = rng.normal(0, 0.05)
         rot = np.array(
             [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
         )
         u2 = rot @ u
-        length = c.length * grow * (1 + rng.normal(0, 0.02))
-        center = c.center + rng.normal(0, shift, size=2)
+        length = length * grow * (1 + rng.normal(0, 0.02))
+        center = center + rng.normal(0, shift, size=2)
         cells.append(
             make_cell(
-                c.id + "+", center, angle=np.arctan2(u2[1], u2[0]), length=length
+                cid + "+", center, angle=np.arctan2(u2[1], u2[0]), length=length
             )
         )
     return make_frame(cells, index=index)
+
+
+def same_frame(a, b, bounds=True):
+    """Whether frames ``a`` and ``b`` hold the same index, ids and rows
+    (``e``, ``h``, ``widths``), and with ``bounds`` the same bounds."""
+    return (
+        a.index == b.index
+        and (not bounds or a.bounds == b.bounds)
+        and a.ids == b.ids
+        and all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("e", "h", "widths"))
+    )
 
 
 def random_cells(rng, m, n_cells):

@@ -22,10 +22,16 @@ from colony_track.annealer import (
     anneal,
     step_swap,
 )
-from colony_track.calibration import CalibrationInstance, build_perturbations, calibrate, objective
+from colony_track.calibration import (
+    CalibrationInstance,
+    _weighted_sum,
+    build_perturbations,
+    calibrate,
+    objective,
+)
 from colony_track.division import build_children_bm, solve_children_bm
-from colony_track.geometry import build_neighbor_graph
-from colony_track.pipeline import PipelineConfig, score, track_sequence
+from colony_track.geometry import Frame, Rect, build_neighbor_graph
+from colony_track.pipeline import PipelineConfig, score, track_pair, track_sequence
 from colony_track.registration import (
     EmpiricalCdf,
     RegistrationWeights,
@@ -76,8 +82,9 @@ def test_registration_exhaustive_oracle_equivalence():
         if max(len(w) for w in problem.windows) > 3:
             continue
         done += 1
+        lam = problem.weights.as_array()
         best = min(
-            problem.cost(np.array(combo))
+            _weighted_sum(problem.cost_terms(np.array(combo)), lam)
             for combo in itertools.product(*[w.tolist() for w in problem.windows])
         )
         result = register(problem, rng_seed=seed)
@@ -115,14 +122,15 @@ def test_children_exhaustive_oracle_equivalence():
         if problem.infeasible:
             continue
         done += 1
+        bm = problem.to_bm()
         best = min(
-            problem.energy(np.array([1 if i in combo else 0 for i in range(m)]))
+            bm.energy(np.array([1 if i in combo else 0 for i in range(m)]))
             for combo in itertools.combinations(range(m), div_count)
         )
         selected = solve_children_bm(problem, rng_seed=seed)
         z = np.zeros(m)
         z[selected] = 1
-        hits += problem.energy(z) <= best + 1e-9
+        hits += bm.energy(z) <= best + 1e-9
     elapsed = time.perf_counter() - started
     _report(
         "children-exhaustive-oracle",
@@ -138,11 +146,12 @@ def test_energy_identity_cost_equals_clique_energy():
     worst = 0.0
     for seed in range(20):
         problem = small_registration_problem(seed=seed + 900, n=9, shift=4.0)
-        bm = problem.to_bm()
+        bm, lam = problem.to_bm(), problem.weights.as_array()
         rng = np.random.default_rng(seed)
         for _ in range(100):
             a = np.array([rng.choice(w) for w in problem.windows])
-            err = abs(bm.energy(problem.states_for(a)) - problem.cost(a))
+            cost = _weighted_sum(problem.cost_terms(a), lam)
+            err = abs(bm.energy(problem.states_for(a)) - cost)
             worst = max(worst, err)
     _report(
         "energy-identity",
@@ -173,10 +182,10 @@ def test_incremental_delta_consistency_all_dynamics():
     # swap: the children chain's local-field deltas against the children energy
     rng2 = np.random.default_rng(7)
     cands = _toy_candidates(np.random.default_rng(11), 40, cells=30)
-    children = build_children_bm(cands, 5)
+    children = build_children_bm(cands, 5).to_bm()
     states = np.zeros(40, dtype=np.int64)
     states[:5] = 1
-    config = QuadraticConfig(children.to_bm(), states)
+    config = QuadraticConfig(children, states)
     for step in range(10_000):
         step_swap(config, temp=2.0, rng=rng2)
         if step % 100 == 0:
@@ -260,6 +269,30 @@ def test_full_pipeline_end_to_end_accuracy():
         f"50 pairs, mean end-to-end registration {report.mean_registration:.4f} "
         f"(>=0.97), mean pcp {report.mean_pcp:.3f}",
     )
+
+
+def test_track_pair_records_invariant_under_renaming_and_shift():
+    # prefixing every id keeps the ids' order, and a shift by powers of two
+    # keeps every rounding-sensitive decision of these pairs; pair 2 divides
+    dx, dy = 512.0, 256.0
+
+    def moved(frame):
+        b = frame.bounds
+        bounds = Rect(b.xmin + dx, b.ymin + dy, b.xmax + dx, b.ymax + dy)
+        ids = ["x" + cid for cid in frame.ids]
+        return Frame.from_arrays(
+            frame.index, ids, frame.e + (dx, dy), frame.h + (dx, dy), frame.widths, bounds
+        )
+
+    frames = simulate(PIPELINE_SIM).frames
+    pairs = (0, 2, 22)
+    assert [len(frames[k + 1]) - len(frames[k]) for k in pairs] == [0, 2, 0]
+    for k in pairs:
+        record, _ = track_pair(frames[k], frames[k + 1], PIPELINE_CONFIG, k)
+        renamed, _ = track_pair(moved(frames[k]), moved(frames[k + 1]), PIPELINE_CONFIG, k)
+        assert renamed.frame_index == record.frame_index
+        assert {a[1:]: b[1:] for a, b in renamed.moved.items()} == record.moved
+        assert {p[1:]: (a[1:], b[1:]) for p, (a, b) in renamed.divided.items()} == record.divided
 
 
 # -- benchmark inputs: trackbench's seed-0 workloads are the gates' inputs -------
@@ -366,7 +399,7 @@ def test_property_neighbor_graph_symmetry_rho(seed):
     assert np.array_equal(graph.adj, graph.adj.T)
     assert not np.any(np.diag(graph.adj))
     centers = frame.centers()
-    for i, j in graph.edges():
+    for i, j in np.argwhere(graph.adj):
         assert np.hypot(*(centers[i] - centers[j])) <= rho + 1e-9
 
 

@@ -13,20 +13,7 @@ from colony_track.calibration import (
 from colony_track.errors import InfeasibleError, ValidationError
 from colony_track.registration import build_problem
 
-
-class ToyEvaluator:
-    """Two penalties over integer assignments: distance to a target vector and
-    a parity disagreement count."""
-
-    def __init__(self, truth):
-        self.truth = np.asarray(truth)
-
-    def cost_terms(self, assignment):
-        a = np.asarray(assignment)
-        return (
-            float(np.abs(a - self.truth).sum()),
-            float((a % 2 != self.truth % 2).sum()),
-        )
+from conftest import small_registration_problem
 
 
 def test_instance_validation():
@@ -41,25 +28,31 @@ def test_instance_validation():
             CalibrationInstance(np.ones((2, 2)), budget=bad)
 
 
+def first_candidates(problem):
+    """The assignment of each source cell to the first target of its window."""
+    return problem.match_targets[problem.match_offsets[:-1]]
+
+
 def test_build_perturbations_matches_direct_difference():
-    truth = np.array([2, 4, 6])
-    ev = ToyEvaluator(truth)
-    windows = [np.array([1, 2, 3]), np.array([3, 4, 5]), np.array([5, 6, 7])]
-    inst = build_perturbations(truth, ev, windows, all_alternatives=True)
-    assert inst.perturbations.shape == (6, 2)
-    base = np.array(ev.cost_terms(truth))
+    problem = small_registration_problem(seed=3, n=6)
+    truth = first_candidates(problem)
+    inst = build_perturbations(truth, problem, problem.windows, all_alternatives=True)
+    assert inst.perturbations.shape == (sum(len(w) - 1 for w in problem.windows), 4)
+    base = np.array(problem.cost_terms(truth))
     for (site, alt), row in zip(inst.labels, inst.perturbations):
         g = truth.copy()
         g[site] = alt
-        assert np.allclose(row, np.array(ev.cost_terms(g)) - base)
+        assert row.tolist() == (np.array(problem.cost_terms(g)) - base).tolist()
 
 
 def test_build_perturbations_single_sample_mode():
-    truth = np.array([2, 4])
-    ev = ToyEvaluator(truth)
-    windows = [np.array([1, 2, 3]), np.array([4])]  # second site has no alternative
-    inst = build_perturbations(truth, ev, windows, all_alternatives=False, rng_seed=5)
-    assert inst.perturbations.shape == (1, 2)
+    problem = small_registration_problem(seed=3, n=6)
+    truth = first_candidates(problem)
+    # only the first site has an alternative
+    windows = [problem.windows[0], *(truth[i:i + 1] for i in range(1, problem.n))]
+    assert len(windows[0]) > 1
+    inst = build_perturbations(truth, problem, windows, all_alternatives=False, rng_seed=5)
+    assert inst.perturbations.shape == (1, 4)
     assert inst.labels[0][0] == 0
 
 
@@ -261,9 +254,9 @@ def test_weighted_sums_equal_python_float_loop(six_minute_run):
         assert calibration._weighted_sum(inst.perturbations, lam).tobytes() == want.tobytes()
         margins = [row[1] for row in calibration_report(inst, lam)]
         assert np.array(margins).tobytes() == want.tobytes()
-    for a in (truth, problem.match_targets[problem.match_offsets[:-1]]):
+    for a in (truth, first_candidates(problem)):
         terms = np.array(problem.cost_terms(a))
-        assert problem.cost(a) == loop(terms, weights)
+        assert float(calibration._weighted_sum(terms, weights)) == loop(terms, weights)
 
 
 def test_pivot_cap_raises(monkeypatch):

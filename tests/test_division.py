@@ -78,9 +78,10 @@ def test_pch_matches_bruteforce_pair_filter():
     # quadratic oracle: all pairs below tau (every pair has a feasible parent
     # because w is large)
     want = set()
-    for a, b in itertools.combinations(kids, 2):
-        if np.hypot(*(a.center - b.center)) < 60.0:
-            want.add(frozenset((a.id, b.id)))
+    centers = nxt.centers()
+    for a, b in itertools.combinations(range(len(nxt)), 2):
+        if np.hypot(*(centers[a] - centers[b])) < 60.0:
+            want.add(frozenset((nxt.ids[a], nxt.ids[b])))
     assert got == want
 
 
@@ -140,14 +141,16 @@ def test_distortion_matches_reference_formula(seed):
         c = abs(np.dot(u, v)) / (nu * nv)
         return math.acos(min(1.0, c))
 
+    frame = make_frame(cells)
+    (pc, c1c, c2c), (pa, c1a, c2a) = frame.centers(), frame.axes
     expected = (
-        w.cen * np.linalg.norm(p.center - (c1.center + c2.center) / 2.0)
+        w.cen * np.linalg.norm(pc - (c1c + c2c) / 2.0)
         + w.siz * abs(p.length - c1.length - c2.length)
         + w.ang
         * (
-            line_angle_ref(p.axis_dir, c1.axis_dir)
-            + line_angle_ref(p.axis_dir, c2.axis_dir)
-            + line_angle_ref(p.axis_dir, c2.center - c1.center)
+            line_angle_ref(pa, c1a)
+            + line_angle_ref(pa, c2a)
+            + line_angle_ref(pa, c2c - c1c)
         )
     )
     assert distortion_of(p, c1, c2, w) == pytest.approx(expected, abs=1e-12)
@@ -248,10 +251,11 @@ def test_penalties_match_reference_formulas(seed):
     dists = [np.linalg.norm(x - y) for x, y in tips]
     assert gap == pytest.approx(min(dists), abs=1e-12)
     x1, x2 = tips[int(np.argmin(dists))]
-    sep = c2.center - c1.center
+    m1, m2 = make_frame([c1, c2]).centers()
+    sep = m2 - m1
     norm = np.linalg.norm(sep)
-    d1 = abs(sep[0] * (x1 - c1.center)[1] - sep[1] * (x1 - c1.center)[0]) / norm
-    d2 = abs(sep[0] * (x2 - c1.center)[1] - sep[1] * (x2 - c1.center)[0]) / norm
+    d1 = abs(sep[0] * (x1 - m1)[1] - sep[1] * (x1 - m1)[0]) / norm
+    d2 = abs(sep[0] * (x2 - m1)[1] - sep[1] * (x2 - m1)[0]) / norm
     assert dev == pytest.approx((d1 + d2) / norm, abs=1e-12)
     assert ratio == pytest.approx(abs(c1.length / c2.length + c2.length / c1.length - 2))
     assert rank == pytest.approx(abs(c1.length / l_min - 1) + abs(c2.length / l_min - 1))
@@ -308,7 +312,8 @@ def test_children_bm_energy_contract():
     rng = np.random.default_rng(0)
     cands = candidates_from_rows(_toy_candidates(rng, 6))
     problem = build_children_bm(cands, div_count=2)
-    assert problem.energy(np.zeros(6)) == 0.0
+    bm = problem.to_bm()
+    assert bm.energy(np.zeros(6, np.int64)) == 0.0
     # two candidates sharing exactly one cell score the quadratic penalty
     share = None
     for j in range(6):
@@ -320,23 +325,22 @@ def test_children_bm_energy_contract():
     z = np.zeros(6)
     z[list(share)] = 1
     expected = problem.v[list(share)].sum() + problem.lambda_q * 2.0
-    assert problem.energy(z) == pytest.approx(expected, abs=1e-12)
-    bm = problem.to_bm()
-    assert bm.energy(z.astype(np.int64)) == pytest.approx(problem.energy(z), abs=1e-12)
+    assert bm.energy(z.astype(np.int64)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_children_bm_exhaustive_small():
     rng = np.random.default_rng(5)
     cands = candidates_from_rows(_toy_candidates(rng, 5))
     problem = build_children_bm(cands, div_count=2)
+    bm = problem.to_bm()
     best = min(
-        problem.energy(np.array([1 if i in comb else 0 for i in range(5)]))
+        bm.energy(np.array([1 if i in comb else 0 for i in range(5)]))
         for comb in itertools.combinations(range(5), 2)
     )
     picked = solve_children_bm(problem, rng_seed=1)
-    z = np.zeros(5)
+    z = np.zeros(5, np.int64)
     z[picked] = 1
-    assert problem.energy(z) == pytest.approx(best, abs=1e-9)
+    assert bm.energy(z) == pytest.approx(best, abs=1e-9)
 
 
 def test_children_bm_validation_and_infeasibility():

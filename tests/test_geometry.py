@@ -13,88 +13,15 @@ from colony_track.geometry import (
     NeighborGraph,
     Rect,
     build_neighbor_graph,
-    cell_from_pixels,
+    cross2,
     pairs_within,
     segment_distance,
     segments_distance,
     stacked_segments_distance,
-    target_window,
+    window_mask,
 )
 
-from conftest import make_cell, make_frame, random_frame
-
-
-# -- cell_from_pixels ------------------------------------------------------
-
-
-def test_collinear_pixels():
-    c = cell_from_pixels({(0, 0), (1, 0), (2, 0), (3, 0)})
-    assert np.allclose(c.center, [1.5, 0.0])
-    assert np.allclose(np.abs(c.axis_dir), [1.0, 0.0])
-    assert np.allclose(sorted([tuple(c.e), tuple(c.h)]), [(0, 0), (3, 0)])
-    assert c.length == pytest.approx(3.0)
-    assert c.width == pytest.approx(0.0)
-
-
-def test_symmetric_block_axis():
-    pixels = {(x, y) for x in range(4) for y in range(2)}
-    c = cell_from_pixels(pixels)
-    assert np.allclose(np.abs(c.axis_dir), [1.0, 0.0])
-    assert np.allclose(c.center, [1.5, 0.5])
-
-
-def _rasterize_capsule(center, angle, length, width, step=0.5):
-    u = np.array([np.cos(angle), np.sin(angle)])
-    e = center - u * length / 2.0
-    h = center + u * length / 2.0
-    xs = np.arange(center[0] - length, center[0] + length, step)
-    ys = np.arange(center[1] - length, center[1] + length, step)
-    pts = []
-    for x in xs:
-        for y in ys:
-            p = np.array([x, y])
-            t = np.clip(np.dot(p - e, u) / length, 0.0, 1.0)
-            if np.hypot(*(p - (e + t * length * u))) <= width / 2.0:
-                pts.append((x, y))
-    return pts
-
-
-def test_rasterized_capsule_recovery():
-    theta = np.deg2rad(30.0)
-    pixels = _rasterize_capsule(np.array([10.0, 20.0]), theta, length=20.0, width=6.0)
-    c = cell_from_pixels(pixels)
-    recovered = np.arctan2(abs(c.axis_dir[1]), abs(c.axis_dir[0]))
-    assert abs(np.rad2deg(recovered - theta)) < 2.0
-    assert c.length == pytest.approx(26.0, abs=2.5)  # extreme pixels include caps
-
-
-@pytest.mark.parametrize("pixels", [{(3, 4)}, {(3, 4), (3, 4)}])
-def test_degenerate_pixel_sets(pixels):
-    with pytest.raises(ValueError, match="degenerate cell"):
-        cell_from_pixels(pixels)
-
-
-@given(
-    dx=st.floats(-1e4, 1e4),
-    dy=st.floats(-1e4, 1e4),
-    seed=st.integers(0, 10_000),
-)
-def test_translation_equivariance(dx, dy, seed):
-    rng = np.random.default_rng(seed)
-    base = [tuple(p) for p in rng.integers(0, 30, size=(12, 2))]
-    if len({tuple(p) for p in base}) < 3:
-        return
-    try:
-        c0 = cell_from_pixels(base)
-    except ValueError:
-        return
-    c1 = cell_from_pixels([(x + dx, y + dy) for x, y in base])
-    off = np.array([dx, dy])
-    assert np.allclose(c1.center, c0.center + off, atol=1e-9 * max(1, abs(dx), abs(dy)))
-    assert np.allclose(c1.e, c0.e + off, atol=1e-6)
-    assert np.allclose(c1.h, c0.h + off, atol=1e-6)
-    assert c1.length == pytest.approx(c0.length, abs=1e-6)
-    assert c1.width == pytest.approx(c0.width, abs=1e-6)
+from conftest import make_cell, make_frame, random_frame, same_frame
 
 
 # -- segment distance ------------------------------------------------------
@@ -315,7 +242,7 @@ def test_two_isolated_cells_within_rho_are_neighbors():
     a = make_cell("a", (0, 0))
     b = make_cell("b", (50, 0))
     g = build_neighbor_graph(make_frame([a, b]), rho=80.0)
-    assert g.edges() == [(0, 1)]
+    assert np.argwhere(np.triu(g.adj, 1)).tolist() == [[0, 1]]
 
 
 def test_blocking_capsule_breaks_neighborhood():
@@ -323,14 +250,14 @@ def test_blocking_capsule_breaks_neighborhood():
     b = make_cell("b", (50, 0), angle=0.0)
     blocker = make_cell("x", (25, 0), angle=np.pi / 2, length=20.0, width=8.0)
     g = build_neighbor_graph(make_frame([a, b, blocker]), rho=80.0)
-    assert g.edges() == [(0, 2), (1, 2)]  # a-x and b-x, not a-b
+    assert np.argwhere(np.triu(g.adj, 1)).tolist() == [[0, 2], [1, 2]]  # a-x and b-x, not a-b
 
 
 def test_rho_bound_excludes_far_pair():
     a = make_cell("a", (0, 0))
     b = make_cell("b", (90, 0))
     g = build_neighbor_graph(make_frame([a, b]), rho=80.0)
-    assert g.edges() == []
+    assert not g.adj.any()
 
 
 def _brute_force_graph(frame, rho):
@@ -389,7 +316,7 @@ def test_neighbor_graph_symmetry_and_rho(seed, rho):
     assert np.array_equal(g.adj, g.adj.T)
     assert not np.any(np.diag(g.adj))
     centers = frame.centers()
-    for i, j in g.edges():
+    for i, j in np.argwhere(g.adj):
         assert np.hypot(*(centers[i] - centers[j])) <= rho + 1e-9
 
 
@@ -397,7 +324,7 @@ def test_fallback_below_three_cells():
     a = make_cell("a", (0, 0))
     b = make_cell("b", (40, 0))
     g = build_neighbor_graph(make_frame([a, b]), rho=80.0)
-    assert g.edges() == [(0, 1)]
+    assert np.argwhere(np.triu(g.adj, 1)).tolist() == [[0, 1]]
     lone = build_neighbor_graph(make_frame([a]), rho=80.0)
     assert lone.degrees.tolist() == [0]
 
@@ -405,7 +332,7 @@ def test_fallback_below_three_cells():
 def test_fallback_collinear_centers():
     cells = [make_cell(f"c{i}", (30.0 * i, 0.0), angle=np.pi / 2, length=10) for i in range(4)]
     g = build_neighbor_graph(make_frame(cells), rho=35.0)
-    assert g.edges() == [(0, 1), (1, 2), (2, 3)]
+    assert np.argwhere(np.triu(g.adj, 1)).tolist() == [[0, 1], [1, 2], [2, 3]]
 
 
 def test_cocircular_square_keeps_both_diagonals():
@@ -413,7 +340,7 @@ def test_cocircular_square_keeps_both_diagonals():
     # keeps every edge whose circle has the tied centers on it
     cells = [make_cell(f"s{k}", p) for k, p in enumerate([(0, 0), (40, 0), (40, 40), (0, 40)])]
     g = build_neighbor_graph(make_frame(cells), rho=80.0)
-    assert len(g.edges()) == 6
+    assert g.adj.sum() == 2 * 6
 
 
 # -- neighbor graph against the per-edge reference -------------------------
@@ -543,7 +470,8 @@ def _empty_circle_edges(centers, rho):
     which no capsule can block, and the cells' centers."""
     cells = [Cell(f"c{k}", (x - 0.5, y), (x + 0.5, y), 0.0) for k, (x, y) in enumerate(centers)]
     frame = make_frame(cells)
-    return set(build_neighbor_graph(frame, rho).edges()), frame.centers()
+    edges = np.argwhere(np.triu(build_neighbor_graph(frame, rho).adj, 1)).tolist()
+    return set(map(tuple, edges)), frame.centers()
 
 
 def _qhull_edges(centers, rho):
@@ -614,27 +542,26 @@ def test_pairs_within_pinned_cases():
     assert all(len(a) == 0 for a in pairs_within(x, y, -5.0))
 
 
-# -- target window ---------------------------------------------------------
+# -- motion window ---------------------------------------------------------
 
 
 def test_window_inclusion_boundaries():
-    b = make_cell("b", (0, 0))
     inside = make_cell("t1", (49, 49))
     outside = make_cell("t2", (51, 0))
     edge = make_cell("t3", (50, 0))
     nxt = make_frame([inside, outside, edge], index=1)
-    ids = [c.id for c in target_window(b, nxt, w=100.0)]
-    assert ids == ["t1", "t3"]
+    assert window_mask((0.0, 0.0), nxt.centers(), w=100.0).tolist() == [True, False, True]
+    assert window_mask((0.0, 0.0), nxt.centers()[:0], w=100.0).shape == (0,)
 
 
 @given(st.integers(0, 200), st.floats(10, 60), st.floats(0, 60))
 def test_window_monotone_in_width(seed, w1, extra):
     rng = np.random.default_rng(seed)
     frame = random_frame(rng, 10, span=120.0, index=1)
-    probe = make_cell("p", rng.uniform(0, 120, size=2))
-    small = {c.id for c in target_window(probe, frame, w1)}
-    large = {c.id for c in target_window(probe, frame, w1 + extra)}
-    assert small <= large
+    probe = rng.uniform(0, 120, size=2)
+    small = window_mask(probe, frame.centers(), w1)
+    large = window_mask(probe, frame.centers(), w1 + extra)
+    assert not (small & ~large).any()
 
 
 def test_simulator_successor_always_in_window(minute_run):
@@ -643,8 +570,8 @@ def test_simulator_successor_always_in_window(minute_run):
     for rec in lineage[:60]:
         src, dst = frames[rec.frame_index], frames[rec.frame_index + 1]
         for a, b in rec.moved.items():
-            window = target_window(src.cells[src.position(a)], dst, w)
-            assert b in {c.id for c in window}
+            window = window_mask(src.centers()[src.position(a)], dst.centers(), w)
+            assert window[dst.position(b)]
 
 
 # -- containers ------------------------------------------------------------
@@ -668,47 +595,41 @@ def test_frame_rejects_center_outside_bounds():
     assert Frame(0, (), Rect(0, -10, 50, 10)).centers().shape == (0, 2)
 
 
-def test_cells_and_frames_compare_and_hash_by_value():
+def test_frames_keep_their_values_when_pickled_or_copied():
+    # cells given as ints, tuples or arrays, with -0.0 for 0.0, stack to
+    # equal rows; pickling and deep-copying keep them, read-only
     a = Cell("a", [0, 0], [10, 0], 8)
     same = Cell("a", np.array([-0.0, 0.0]), (10.0, 0.0), 8.0)
-    assert a == same and hash(a) == hash(same) and len({a, same}) == 1
-    for other in [
-        Cell("b", [0, 0], [10, 0], 8),
-        Cell("a", [0, 0], [10, 0], 7),
-        Cell("a", [0, 1e-12], [10, 0], 8),
-        Cell("a", [0, 0], [10, 1e-12], 8),
-        Cell("a", [10, 0], [0, 0], 8),
-    ]:
-        assert a != other and not a == other
-    assert a != "a"
     bounds = Rect(-5, -5, 20, 5)
     frame = Frame(0, (a, make_cell("b", (10, 0))), bounds)
     copy = Frame(0, (same, make_cell("b", (10, 0))), Rect(-5.0, -5.0, 20.0, 5.0))
-    assert frame == copy and hash(frame) == hash(copy)
-    assert frame != Frame(1, frame.cells, bounds)
-    assert frame != Frame(0, frame.cells, Rect(-5, -5, 20, 6))
-    assert frame != Frame(0, frame.cells[::-1], bounds)
-    assert frame != frame.without(["b"])
+    assert same_frame(frame, copy)
+    assert not same_frame(frame, Frame(1, frame.cells, bounds))
+    assert not same_frame(frame, Frame(0, frame.cells, Rect(-5, -5, 20, 6)))
+    assert not same_frame(frame, Frame(0, frame.cells[::-1], bounds))
+    assert not same_frame(frame, frame.without(["b"]))
+    moved = Frame(0, (Cell("a", [0, 1e-12], [10, 0], 8), frame.cells[1]), bounds)
+    assert not same_frame(frame, moved)
     for again in (pickle.loads(pickle.dumps(frame)), deepcopy(frame)):
-        assert again == frame and not again.e.flags.writeable
+        assert same_frame(again, frame) and not again.e.flags.writeable
 
 
 def test_cells_and_frames_hold_read_only_endpoints():
     # a cell copies the caller's array: writing to it afterwards changes
-    # neither the cell (its length, center and hash) nor a frame built from it
+    # neither the cell (its endpoints and length) nor a frame built from it
     a = np.array([0.0, 0.0])
     c = Cell("a", a, [10, 0], 8)
     bounds = Rect(-5, -5, 15, 5)
     frame = Frame(0, (c,), bounds)
-    before = hash(c)
     a[0] = 6.0
-    assert c.e.tolist() == [0.0, 0.0] and c.length == 10.0 and hash(c) == before
-    assert c.center.tolist() == frame.centers()[0].tolist() == [5.0, 0.0]
-    assert frame.cells[frame.position("a")] == c
+    assert c.e.tolist() == [0.0, 0.0] and c.length == 10.0
+    assert frame.centers()[0].tolist() == [5.0, 0.0]
+    again = frame.cells[frame.position("a")]
+    assert (again.id, again.e.tolist(), again.h.tolist(), again.width) == ("a", [0, 0], [10, 0], 8)
     e = np.array([[0.0, 0.0]])
     copied = Frame.from_arrays(0, ["a"], e, [[10.0, 0.0]], [8.0], bounds)
     e[0, 0] = 6.0
-    assert copied == frame
+    assert same_frame(copied, frame)
     for array in (
         c.e, c.h, frame.e, frame.h, frame.widths, frame.lengths, frame.centers(), frame.axes,
         frame.cells[0].e, copied.axes, frame.without([]).axes,
@@ -746,10 +667,10 @@ def test_frames_from_arrays_equal_frames_from_cells(seed):
     cells = [Cell(cid, a, b, w) for cid, a, b, w in zip(ids, e, h, widths)]
     by_cells = Frame(seed, cells, bounds)
     by_arrays = Frame.from_arrays(seed, ids, e, h, widths, bounds)
-    assert by_arrays == by_cells and hash(by_arrays) == hash(by_cells)
+    assert same_frame(by_arrays, by_cells)
     per_cell = (
-        np.array([c.center for c in cells]),
-        np.array([c.axis_dir for c in cells]),
+        np.array([(c.e + c.h) / 2.0 for c in cells]),
+        np.array([(c.h - c.e) / c.length for c in cells]),
         np.array([c.length for c in cells]),
     )
     every, kept = slice(None), np.arange(len(ids)) % 3 > 0
@@ -805,15 +726,15 @@ def test_neighbor_graph_adjacency_cannot_change_after_the_checks():
     other = NeighborGraph(("a", "b"), converted)
     converted[:] = 0
     assert graph.adj.tolist() == other.adj.tolist() == edge
-    assert graph.edges() == [(0, 1)] and graph.degrees.tolist() == [1, 1]
+    assert graph.degrees.tolist() == [1, 1]
 
 
 @pytest.mark.kernels
 @pytest.mark.parametrize("name", ["reg6min", "pipeline21", "tiled-large"])
 def test_stacked_geometry_is_bit_identical_to_the_per_cell_formulas(name):
     # a frame's centers, axes and lengths, which the penalty kernels read,
-    # against each cell's center, axis_dir and length as one cell's
-    # arithmetic gives them
+    # against each cell's center, axis and length as one cell's arithmetic
+    # gives them
     from trackbench import workloads
 
     for frame in workloads.GENERATORS[name](0).frames:
@@ -822,8 +743,6 @@ def test_stacked_geometry_is_bit_identical_to_the_per_cell_formulas(name):
         centers = np.array([(c.e + c.h) / 2.0 for c in cells])
         axes = np.array([(c.h - c.e) / length for c, length in zip(cells, lengths.tolist())])
         assert np.array([c.length for c in cells]).tobytes() == lengths.tobytes()
-        assert np.array([c.center for c in cells]).tobytes() == centers.tobytes()
-        assert np.array([c.axis_dir for c in cells]).tobytes() == axes.tobytes()
         # the frame's own arrays, and those of a frame of freshly built cells,
         # which compute their lengths one at a time (a frame's cells carry its
         # lengths)
@@ -837,8 +756,9 @@ def test_stacked_geometry_is_bit_identical_to_the_per_cell_formulas(name):
 def test_cell_invariants():
     c = make_cell("a", (3, 4), angle=0.3, length=17.0)
     assert np.hypot(*(c.h - c.e)) == pytest.approx(c.length, rel=1e-9)
-    assert np.allclose((c.e + c.h) / 2.0, c.center, atol=1e-6)
-    cross = c.axis_dir[0] * (c.h - c.e)[1] - c.axis_dir[1] * (c.h - c.e)[0]
-    assert abs(cross) < 1e-9
+    frame = make_frame([c])
+    assert np.allclose(frame.centers()[0], (3, 4), atol=1e-6)
+    assert np.hypot(*frame.axes[0]) == pytest.approx(1.0, rel=1e-12)
+    assert abs(cross2(frame.axes[0], c.h - c.e)) < 1e-9
     with pytest.raises(ValueError):
         Cell("bad", [0, 0], [0, 0], 5.0)

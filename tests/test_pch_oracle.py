@@ -43,78 +43,83 @@ def ref_line_angle(u, v) -> float:
     return float(np.arccos(min(1.0, c)))
 
 
-def ref_distortion(parent, c1, c2, weights) -> float:
-    cen = float(np.hypot(*(parent.center - (c1.center + c2.center) / 2.0)))
-    siz = abs(parent.length - (c1.length + c2.length))
-    sep = c2.center - c1.center
-    ang = (
-        ref_line_angle(parent.axis_dir, c1.axis_dir)
-        + ref_line_angle(parent.axis_dir, c2.axis_dir)
-        + ref_line_angle(parent.axis_dir, sep)
-    )
+# A cell is given as its frame and its position there; the references read
+# the frame's centers, unit axes and lengths one row at a time.
+
+
+def ref_distortion(frame, p, kids, k1, k2, weights) -> float:
+    pc, pa, pl = frame.centers()[p], frame.axes[p], frame.lengths[p].item()
+    (c1, c2), (a1, a2) = kids.centers()[[k1, k2]], kids.axes[[k1, k2]]
+    cen = float(np.hypot(*(pc - (c1 + c2) / 2.0)))
+    siz = abs(pl - (kids.lengths[k1].item() + kids.lengths[k2].item()))
+    ang = ref_line_angle(pa, a1) + ref_line_angle(pa, a2) + ref_line_angle(pa, c2 - c1)
     return weights.cen * cen + weights.siz * siz + weights.ang * ang
 
 
-def ref_shlin_admits(parent, c1, c2, w) -> bool:
-    reach = w + parent.length / 4.0
+def ref_shlin_admits(frame, p, kids, k1, k2, w) -> bool:
+    pc, centers = frame.centers()[p], kids.centers()
+    reach = w + frame.lengths[p].item() / 4.0
     return (
-        float(np.hypot(*(c1.center - parent.center))) <= reach
-        and float(np.hypot(*(c2.center - parent.center))) <= reach
+        float(np.hypot(*(centers[k1] - pc))) <= reach
+        and float(np.hypot(*(centers[k2] - pc))) <= reach
     )
 
 
-def ref_estimate_parent(b1, b2, frame, w, weights, exclude=None):
+def ref_estimate_parent(kids, k1, k2, frame, w, weights, exclude=None):
     best = None
-    for cell in frame.cells:
-        if exclude and cell.id in exclude:
+    for p, cid in enumerate(frame.ids):
+        if exclude and cid in exclude:
             continue
-        if not ref_shlin_admits(cell, b1, b2, w):
+        if not ref_shlin_admits(frame, p, kids, k1, k2, w):
             continue
-        key = (ref_distortion(cell, b1, b2, weights), cell.id)
+        key = (ref_distortion(frame, p, kids, k1, k2, weights), cid)
         if best is None or key < best:
             best = key
     return None if best is None else (best[1], best[0])
 
 
-def ref_pair_penalties(b1, b2, l_min):
+def ref_pair_penalties(kids, k1, k2, l_min):
     best = None
-    for x in (b1.e, b1.h):
-        for y in (b2.e, b2.h):
+    for x in (kids.e[k1], kids.h[k1]):
+        for y in (kids.e[k2], kids.h[k2]):
             d = float(np.hypot(*(x - y)))
             if best is None or d < best[0]:
                 best = (d, x, y)
     gap, x1, x2 = best
-    sep = b2.center - b1.center
+    m1, m2 = kids.centers()[[k1, k2]]
+    sep = m2 - m1
     norm = float(np.hypot(*sep))
     if norm == 0.0:
         dev = math.inf
     else:
-        d1 = abs(float(sep[0] * (x1 - b1.center)[1] - sep[1] * (x1 - b1.center)[0])) / norm
-        d2 = abs(float(sep[0] * (x2 - b1.center)[1] - sep[1] * (x2 - b1.center)[0])) / norm
+        d1 = abs(float(sep[0] * (x1 - m1)[1] - sep[1] * (x1 - m1)[0])) / norm
+        d2 = abs(float(sep[0] * (x2 - m1)[1] - sep[1] * (x2 - m1)[0])) / norm
         dev = (d1 + d2) / norm
-    ratio = abs(b1.length / b2.length + b2.length / b1.length - 2.0)
-    rank = abs(b1.length / l_min - 1.0) + abs(b2.length / l_min - 1.0)
+    l1, l2 = kids.lengths[k1].item(), kids.lengths[k2].item()
+    ratio = abs(l1 / l2 + l2 / l1 - 2.0)
+    rank = abs(l1 / l_min - 1.0) + abs(l2 / l_min - 1.0)
     return gap, dev, ratio, rank
 
 
 def ref_build_pch(frame, next_frame, tau, w, weights):
-    l_min = min(c.length for c in next_frame.cells)
+    l_min = min(next_frame.lengths.tolist())
     centers = next_frame.centers()
-    cells = next_frame.cells
+    n = len(next_frame)
     out = []
-    for i in range(len(cells)):
-        dists = np.hypot(*(centers[i + 1 :] - centers[i]).T) if i + 1 < len(cells) else []
+    for i in range(n):
+        dists = np.hypot(*(centers[i + 1 :] - centers[i]).T) if i + 1 < n else []
         for off, d in enumerate(dists):
             if d >= tau:
                 continue
-            b1, b2 = cells[i], cells[i + 1 + off]
-            gap, dev, ratio, rank = ref_pair_penalties(b1, b2, l_min)
+            k = i + 1 + off
+            gap, dev, ratio, rank = ref_pair_penalties(next_frame, i, k, l_min)
             if not math.isfinite(dev):
                 continue
-            parent = ref_estimate_parent(b1, b2, frame, w, weights)
+            parent = ref_estimate_parent(next_frame, i, k, frame, w, weights)
             if parent is None:
                 continue
-            out.append(((b1.id, b2.id), parent[1], gap, dev, ratio, rank, parent[0]))
+            out.append(((next_frame.ids[i], next_frame.ids[k]), parent[1], gap, dev, ratio, rank,
+                        parent[0]))
     return out
 
 
@@ -129,13 +134,12 @@ def assert_same(got, want):
 def assert_matches_reference(frame, next_frame, tau, w, weights=DistortionWeights()):
     got = candidate_rows(build_pch(frame, next_frame, tau, w, weights))
     assert_same(got, ref_build_pch(frame, next_frame, tau, w, weights))
-    cells = next_frame.cells
     for pair, *_, parent in got:
-        b1, b2 = (cells[next_frame.position(cid)] for cid in pair)
+        k1, k2 = map(next_frame.position, pair)
         for exclude in (None, {parent}):
             assert estimate_parent(
                 next_frame, pair, frame, w, weights, exclude
-            ) == ref_estimate_parent(b1, b2, frame, w, weights, exclude)
+            ) == ref_estimate_parent(next_frame, k1, k2, frame, w, weights, exclude)
     return got
 
 

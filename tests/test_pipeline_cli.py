@@ -20,7 +20,7 @@ from colony_track.pipeline import PipelineConfig, score, track_pair, track_seque
 from colony_track.registration import RegistrationWeights
 from colony_track.simulator import LineageRecord, SimConfig, simulate
 
-from conftest import make_cell, make_frame
+from conftest import make_cell, make_frame, same_frame
 
 
 @pytest.fixture(scope="module")
@@ -307,11 +307,11 @@ def test_frames_jsonl_roundtrip(tmp_path, small_run):
     io.write_frames_jsonl(small_run.frames[:3], path)
     back = io.read_frames_jsonl(path)
     # the reader bounds each frame by its cells, the simulator by its trap
-    assert [(f.index, tuple(f.cells)) for f in back] == [
-        (f.index, tuple(f.cells)) for f in small_run.frames[:3]
-    ]
+    assert len(back) == 3
+    assert all(same_frame(a, b, bounds=False) for a, b in zip(back, small_run.frames))
     io.write_frames_jsonl(back, path)
-    assert io.read_frames_jsonl(path) == back
+    again = io.read_frames_jsonl(path)
+    assert len(again) == 3 and all(map(same_frame, again, back))
 
 
 def test_frames_jsonl_rejects_garbage(tmp_path, capsys):
@@ -708,7 +708,7 @@ def test_cli_rejects_an_out_that_cannot_be_a_directory(tmp_path, capsys, small_r
 def test_cli_checks_out_before_computing(tmp_path, capsys, monkeypatch, small_run, command):
     # an --out that is a file, or a directory in place of an output file, is
     # reported before any simulating, tracking or registration problem is
-    # computed
+    # computed; pair 3 of frames 0-4 divides, so track checks scatter_0003.csv
     def unreachable(*args, **kwargs):
         raise AssertionError(f"{command} computed before checking --out")
 
@@ -716,8 +716,9 @@ def test_cli_checks_out_before_computing(tmp_path, capsys, monkeypatch, small_ru
     monkeypatch.setattr(pipeline, "track_sequence", unreachable)
     monkeypatch.setattr(registration, "build_problem", unreachable)
     frames, truth = tmp_path / "frames.jsonl", tmp_path / "lineage.csv"
-    io.write_frames_jsonl(small_run.frames[:3], frames)
-    io.write_lineage_csv(small_run.lineage[:2], truth)
+    io.write_frames_jsonl(small_run.frames[:5], frames)
+    io.write_lineage_csv(small_run.lineage[:4], truth)
+    assert small_run.lineage[3].n_divisions == 1
     config = tmp_path / "sim.json"
     config.write_text(json.dumps({"n_frames": 3, "initial_cells": 2}))
     args = {
@@ -732,7 +733,7 @@ def test_cli_checks_out_before_computing(tmp_path, capsys, monkeypatch, small_ru
     assert err.startswith(f"error: cannot write output directory {taken}: ")
     assert err.count("\n") == 1 and taken.read_text() == "a file\n"
     names = {"simulate": ["lineage.csv"], "calibrate": ["calibration_report.csv"],
-             "track": ["metadata.json", "energy_trace_0001.csv"]}[command]
+             "track": ["metadata.json", "energy_trace_0001.csv", "scatter_0003.csv"]}[command]
     for name in names:
         out = tmp_path / name.split(".")[0]
         (out / name).mkdir(parents=True)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from colony_track import annealer
 from colony_track.annealer import RegistrationConfig, Schedule
+from colony_track.calibration import _weighted_sum
 from colony_track.division import ShortLineage, reduce_frames
 from colony_track.errors import ValidationError
 from colony_track.geometry import Cell, build_neighbor_graph, cross2
@@ -65,9 +66,11 @@ def test_pair_penalties_match_formulas(seed):
     b2 = make_cell("c", rng.uniform(0, 50, 2), angle=rng.uniform(0, np.pi), length=rng.uniform(10, 40))
     g = float(rng.uniform(1.0, 1.4))
     kin, dis, rot = one_pair(b, b2, g)
-    assert kin == pytest.approx(np.sum((b.center - b2.center) ** 2), rel=1e-12)
+    pair = make_frame([b, b2])
+    centers, axes = pair.centers(), pair.axes
+    assert kin == pytest.approx(np.sum((centers[0] - centers[1]) ** 2), rel=1e-12)
     assert dis == pytest.approx((math.log(b2.length / b.length) - math.log(g)) ** 2, rel=1e-12)
-    cosang = abs(float(b.axis_dir @ b2.axis_dir))
+    cosang = abs(float(axes[0] @ axes[1]))
     assert rot == pytest.approx(math.acos(min(1.0, cosang)), abs=1e-12)
     assert 0.0 <= rot <= np.pi / 2 + 1e-12
 
@@ -106,10 +109,11 @@ def test_likelihood_floor_and_tails():
     dst = jittered_copy(src, rng)
     model = fit_likelihood_model(*flat_penalties(src, dst, [range(len(dst))] * len(src)), 1.05)
     # below every sample: all three survival factors are 1
-    good = make_cell("g", src.cells[0].center, angle=0.0, length=20.0)
-    target = make_cell("t", good.center - 1e-9, angle=0.0, length=20.0 * 1.05)
+    at = src.centers()[0]
+    good = make_cell("g", at, angle=0.0, length=20.0)
+    target = make_cell("t", at - 1e-9, angle=0.0, length=20.0 * 1.05)
     # and a hopeless candidate, floored at exactly the configured value
-    far = make_cell("f", good.center + 500.0, angle=np.pi / 2, length=80.0)
+    far = make_cell("f", at + 500.0, angle=np.pi / 2, length=80.0)
     pens = _penalty_arrays(make_frame([good]), 0, make_frame([target, far]), [0, 1], 1.05)
     liks = model.lik(*pens)
     assert liks[0] <= 1.0
@@ -339,10 +343,12 @@ def test_bm_delta_vector_matches_cost_difference(seed):
     if partners:  # put a second cell on the site's target
         a[partners[int(rng.integers(len(partners)))]] = a[site]
     deltas = RegistrationConfig(bm, problem.states_for(a)).delta_vector(site)
+    w = problem.weights.as_array()
     for s, pos in enumerate(problem.windows[site]):
         b = a.copy()
         b[site] = pos
-        assert deltas[s] == pytest.approx(problem.cost(b) - problem.cost(a), abs=1e-9)
+        change = _weighted_sum(problem.cost_terms(b), w) - _weighted_sum(problem.cost_terms(a), w)
+        assert deltas[s] == pytest.approx(change, abs=1e-9)
 
 
 def test_touched_cliques_per_site_matches_bm():
@@ -359,12 +365,13 @@ def test_touched_cliques_per_site_matches_bm():
 def test_energy_identity_cost_equals_clique_sum():
     for seed in range(4):
         problem = small_problem(seed=seed, n=9)
-        bm = problem.to_bm()
+        bm, lam = problem.to_bm(), problem.weights.as_array()
         rng = np.random.default_rng(seed + 50)
         for _ in range(25):
             a = np.array([rng.choice(w) for w in problem.windows])
             states = problem.states_for(a)
-            assert bm.energy(states) == pytest.approx(problem.cost(a), abs=1e-9)
+            cost = _weighted_sum(problem.cost_terms(a), lam)
+            assert bm.energy(states) == pytest.approx(cost, abs=1e-9)
 
 
 def test_single_cell_problem_has_only_match_cliques():
@@ -394,20 +401,23 @@ def test_packed_tables_equal_broadcast_oracle():
     assert any(np.any(np.diff(p.match_offsets) == 1) for p in small)
     assert any(np.prod([len(p.windows[i]) for i in ijk]) % 8
                for p in small for ijk in p.flip_triplets)
-    for problem in [p for _, _, p in digest_problems()] + small:
-        bm, wins = problem.to_bm(), problem.windows
+
+    def oracle_tables(problem):
+        wins = problem.windows
         adj, ct = problem.target_graph.adj, problem.target.centers()
         want = [_broken(adj, wins[i][:, None], wins[j][None, :]) for i, j in problem.stab_pairs]
-        want += [
+        return want + [
             _flipped(adj, ct, wins[i][:, None, None], wins[j][None, :, None],
                      wins[k][None, None, :], sign)
             for (i, j, k), sign in zip(problem.flip_triplets, problem.flip_signs)
         ]
+
+    # each table C-ordered from a byte boundary, in clique order, little bit order
+    for problem in [p for _, _, p in digest_problems()] + small:
+        bm, want = problem.to_bm(), oracle_tables(problem)
         assert len(want) == len(bm.clique_rows)
-        for c, table in enumerate(want):
-            got = bm.table(c)
-            assert not got.flags.writeable
-            assert got.shape == table.shape and got.tobytes() == table.tobytes()
+        packed = b"".join(np.packbits(t.ravel(), bitorder="little").tobytes() for t in want)
+        assert bm.bits.tobytes() == packed
     problem = small[0]
     bm = problem.to_bm()
     n_stab = len(problem.stab_pairs)
@@ -416,7 +426,7 @@ def test_packed_tables_equal_broadcast_oracle():
     weights = np.concatenate([problem.stab_weights, problem.flip_weights])
     args = (bm.offsets, bm.targets, bm.match, sites, weights, bm.coef)
     with pytest.raises(ValidationError, match="63 clique tables for 64 cliques"):
-        annealer.RegistrationBm(*args, tables=[bm.table(c) for c in range(63)])
+        annealer.RegistrationBm(*args, tables=oracle_tables(problem)[:63])
 
 
 def test_to_bm_memory_packed():
@@ -474,11 +484,13 @@ def test_initial_assignment_is_likelihood_argmax(seed):
     problem = small_problem(seed=seed, n=10, w=70.0, shift=6.0)
     expected = []
     lik, g = problem.likelihood, problem.likelihood.growth_rate
-    for i, cell in enumerate(problem.source.cells):
-        cands = [problem.target.cells[int(p)] for p in problem.windows[i]]
+    sc, tc = problem.source.centers(), problem.target.centers()
+    for i in range(problem.n):
+        cands = problem.windows[i].tolist()
         liks = lik.lik(*_penalty_arrays(problem.source, i, problem.target, problem.windows[i], g))
-        kins = [((t.center - cell.center) ** 2).sum() for t in cands]
-        best = min(range(len(cands)), key=lambda s: (-liks[s], kins[s], cands[s].id))
+        kins = [((tc[p] - sc[i]) ** 2).sum() for p in cands]
+        ids = [problem.target.ids[p] for p in cands]
+        best = min(range(len(cands)), key=lambda s: (-liks[s], kins[s], ids[s]))
         expected.append(int(problem.windows[i][best]))
     assert initial_assignment(problem).tolist() == expected
 
@@ -522,7 +534,8 @@ def test_initial_energy_not_below_annealed():
     wins = 0
     for seed in range(50):
         problem = small_problem(seed=seed + 200, n=10, shift=7.0)
-        init_cost = problem.cost(initial_assignment(problem))
+        lam = problem.weights.as_array()
+        init_cost = _weighted_sum(problem.cost_terms(initial_assignment(problem)), lam)
         result = register(problem, rng_seed=seed)
         assert result.energy <= init_cost + 1e-9
         wins += result.energy < init_cost - 1e-9
@@ -541,7 +554,8 @@ def test_register_single_cell_exact():
     )
     problem = build_problem(src, dst, w=60.0, rho=80.0, g_rate=1.05)
     result = register(problem, rng_seed=0)
-    costs = [problem.cost(np.array([p])) for p in range(2)]
+    lam = problem.weights.as_array()
+    costs = [_weighted_sum(problem.cost_terms(np.array([p])), lam) for p in range(2)]
     assert costs[1] < costs[0]  # strict argmin, no tie-break needed
     assert result.assignment[0] == 1
     assert result.mapping == {"a": "t2"}
@@ -553,8 +567,9 @@ def test_register_matches_exhaustive_minimum():
         problem = small_problem(seed=seed + 400, n=6, w=34.0, shift=3.0)
         if max(len(w) for w in problem.windows) > 3:
             continue
+        lam = problem.weights.as_array()
         best = min(
-            problem.cost(np.array(combo))
+            _weighted_sum(problem.cost_terms(np.array(combo)), lam)
             for combo in itertools.product(*[w.tolist() for w in problem.windows])
         )
         result = register(problem, rng_seed=seed)
@@ -566,7 +581,8 @@ def test_register_matches_exhaustive_minimum():
 def test_register_result_energy_is_recomputed_cost():
     problem = small_problem(seed=11, n=8)
     result = register(problem, rng_seed=3)
-    assert result.energy == pytest.approx(problem.cost(result.assignment), abs=1e-9)
+    cost = _weighted_sum(problem.cost_terms(result.assignment), problem.weights.as_array())
+    assert result.energy == pytest.approx(cost, abs=1e-9)
     for i, pos in enumerate(result.assignment):
         assert pos in problem.windows[i]
     assert result.epochs == len(result.energy_trace)
