@@ -109,25 +109,29 @@ class RegistrationBm:
         counts = np.bincount(sites.ravel() + 1, minlength=self.n_sites + 1)
         self.ptr = np.concatenate([[0], np.cumsum(counts[1:])])
         flat = np.argsort(sites.ravel(), kind="stable")[counts[0]:]
-        clique = flat // 3
-        first = np.flatnonzero(flat % 3 == 0)
+        del counts
+        pos = flat % 3
+        first = np.flatnonzero(pos == 0)
         if len(first) != len(sites):
             raise ValidationError("a clique's first site must not be padding")
         self.clique_rows = np.empty(len(sites), dtype=np.int64)
-        self.clique_rows[clique[first]] = first
+        self.clique_rows[flat[first] // 3] = first
+        del first
         self.clique_sites = sites[:, 0].copy()
-        self.inc_base = base[clique]
-        self.inc_weight = np.asarray(weights, dtype=np.float64)[clique][:, None]
-        del counts, first, clique, base
-        self.inc_stride = strides.ravel()[flat][:, None]
+        self.inc_stride = np.take(strides, flat)[:, None]
         self.inc_other = np.empty((len(flat), 2), dtype=np.int64)
         self.inc_other_stride = np.empty((len(flat), 2), dtype=np.int64)
-        # the other two sites follow the own one cyclically within the clique
-        for col in range(2):
+        # the other two sites follow the own one cyclically within the clique;
+        # step 1 wraps back the entries whose own position is 2, step 2 those at 1
+        for col, last in enumerate((2, 1)):
             flat += 1
-            flat[flat % 3 == 0] -= 3
+            flat[pos == last] -= 3
             np.take(sites, flat, out=self.inc_other[:, col])
             np.take(strides, flat, out=self.inc_other_stride[:, col])
+        del pos, strides
+        flat //= 3  # each entry still points into its own clique
+        self.inc_base = base[flat]
+        self.inc_weight = np.asarray(weights, dtype=np.float64)[flat][:, None]
         self.positions = np.arange(int(self.sizes.max(initial=1)))
 
     def _pack(self, tables: Iterable[np.ndarray], base: np.ndarray, cells: np.ndarray):

@@ -10,7 +10,6 @@ import argparse
 import csv
 import dataclasses
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -135,9 +134,10 @@ def _cmd_track(args) -> int:
 def _cmd_score(args) -> int:
     predicted = io.read_lineage_csv(args.predicted)
     truth = io.read_lineage_csv(args.ground_truth)
+    out = io.output_dir(args.out, ["report.json"]) if args.out else None
     report = pipeline.score(predicted, truth)
-    if args.out:
-        io.dump_json(report.to_dict(), Path(args.out) / "report.json")
+    if out:
+        io.dump_json(report.to_dict(), out / "report.json")
     for p in report.pairs:
         pcp = "-" if p.pcp_accuracy is None else f"{p.pcp_accuracy:.3f}"
         reg = "-" if p.registration_accuracy is None else f"{p.registration_accuracy:.3f}"

@@ -22,7 +22,11 @@ DEFAULT_NEIGHBOR_RADIUS = 80.0
 # chunks of 1 << 14 elements gave tracemalloc peaks of 1 083 KiB in
 # ``build_neighbor_graph`` and 842 KiB in ``division.build_pch``; 1 << 11
 # gives 216 and 322 KiB. The extra chunks cost some time: the parent search
-# takes up to about 10% longer on pipeline21's small frames.
+# takes up to about 10% longer on pipeline21's small frames. ``pairs_within``
+# takes its points in runs of at most twice as many candidate pairs: on the
+# last tiled-large frame (380 cells, 19 174 candidates within 80 px) that
+# peaks at 364 KiB against 1 362 KiB in one pass, while frames of up to 99
+# simulated cells (about 2 300 candidates) still take one run.
 CHUNK_ELEMENTS = 1 << 11
 # Segments whose directions meet at an angle with a smaller sine do not
 # cross properly (see stacked_segments_distance).
@@ -408,7 +412,11 @@ def pairs_within(x, y, r: float) -> tuple[np.ndarray, np.ndarray]:
     The pairs come in ``(i, j)`` order; a negative ``r`` gives none. The
     points are sorted by x; each one's candidates are the points after it in
     that order whose x lies within ``r`` (widened by a rounding margin), and
-    each candidate pair then passes the exact test.
+    each candidate pair then passes the exact test. The sorted points are
+    tested in runs of whole points with at most ``2 * CHUNK_ELEMENTS``
+    candidates each (a point with more makes a run of its own), so the
+    working set stays bounded on wide frames; a frame with fewer candidates
+    takes one run. The kept pairs of all runs are then sorted once.
     """
     x = np.asarray(x, np.float64)
     y = np.asarray(y, np.float64)
@@ -418,16 +426,40 @@ def pairs_within(x, y, r: float) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(x, kind="stable")
     xs = x[order]
     pad = 1e-9 * (abs(r) + float(np.abs(xs).max()))
-    counts = np.searchsorted(xs, xs + (r + pad), side="right") - np.arange(1, n + 1)
-    a = np.repeat(np.arange(n), counts)
-    starts = np.cumsum(counts) - counts
-    b = np.arange(a.shape[0]) - np.repeat(starts, counts) + a + 1
-    i = np.minimum(order[a], order[b])
-    j = np.maximum(order[a], order[b])
-    dx = x[j] - x[i]
-    dy = y[j] - y[i]
-    near = dx * dx + dy * dy <= r * r
-    i, j = i[near], j[near]
+    up = np.arange(1, n + 1)
+    counts = np.searchsorted(xs, xs + (r + pad), side="right") - up
+    ends = np.cumsum(counts)
+    # the k-th candidate overall, one of sorted point p's, is sorted point k + shift[p]
+    shift = up - ends + counts
+    limit = 2 * CHUNK_ELEMENTS
+    runs = [(0, order, counts, shift)]
+    if ends[-1] > limit:
+        # runs of whole points, each of at most `limit` candidates or one point
+        runs, lo = [], 0
+        while lo < n:
+            done = int(ends[lo - 1]) if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, done + limit, side="right")))
+            runs.append((done, order[lo:hi], counts[lo:hi], shift[lo:hi]))
+            lo = hi
+    parts = []
+    for done, o, c, s in runs:
+        a = np.repeat(o, c)
+        b = np.repeat(s, c)
+        b += np.arange(done, done + b.shape[0])
+        b = order[b]
+        # (x[b] - x[a])² is (x[j] - x[i])² bit for bit, whichever end is i
+        dx = x[b] - x[a]
+        dx *= dx
+        dy = y[b] - y[a]
+        dy *= dy
+        dx += dy
+        near = dx <= r * r
+        a, b = a[near], b[near]
+        parts.append((np.minimum(a, b), np.maximum(a, b)))
+    if len(parts) == 1:
+        i, j = parts[0]
+    else:
+        i, j = (np.concatenate(p) for p in zip(*parts))
     k = np.argsort(i * n + j)
     return i[k], j[k]
 

@@ -102,6 +102,7 @@ def track_pair(
         kept = division.trim_candidates(candidates, config.trim_thresholds)
         diag.n_trimmed = len(candidates) - len(kept)
         diag.kept = kept
+        del candidates  # the untrimmed set is no longer read; free it before registration
         if not kept:
             raise InfeasibleError(
                 f"frame {frame.index}: {div_count} divisions expected but no "

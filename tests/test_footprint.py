@@ -81,13 +81,38 @@ def test_pairwise_passes_stay_within_their_memory_budget():
     # the last pipeline21 pair, 95 target cells: with chunks of 1 << 14
     # elements the graph peaked at 1 084 KiB and build_pch at 850 KiB
     from colony_track.division import build_pch
-    from colony_track.geometry import build_neighbor_graph
+    from colony_track.geometry import build_neighbor_graph, pairs_within
     from trackbench import workloads
 
     wl = workloads.pipeline21(0)
     frame, next_frame = wl.frames[wl.pairs[-1]], wl.frames[wl.pairs[-1] + 1]
     assert _peak_kib(lambda: build_neighbor_graph(next_frame)) < 400
     assert _peak_kib(lambda: build_pch(frame, next_frame)) < 500
+    # the last tiled-large pair, 380 target cells and 19 174 candidate pairs
+    # within 80 px: a one-pass pair search peaked at 1 362 KiB, the graph
+    # at 1 504 KiB and build_pch at 798 KiB; runs of at most 4 096
+    # candidates give 364, 505 and 579 KiB
+    wl = workloads.tiled_large(0)
+    frame, next_frame = wl.frames[wl.pairs[-1]], wl.frames[wl.pairs[-1] + 1]
+    x, y = next_frame.centers().T
+    assert _peak_kib(lambda: pairs_within(x, y, 80.0)) < 600
+    assert _peak_kib(lambda: build_neighbor_graph(next_frame)) < 800
+    assert _peak_kib(lambda: build_pch(frame, next_frame)) < 700
+
+
+def test_tracking_a_tiled_pair_stays_within_its_memory_budget():
+    # tiled-large pair 2 (368 source and 380 target cells, 12 divisions).
+    # The peak came from the one-pass pair search, then from to_bm while
+    # the untrimmed children candidates were still held, then from the
+    # incidence rows' temporaries: 1 905 KiB with all three, 1 548 without
+    from colony_track.pipeline import track_pair
+    from trackbench import measure, workloads
+
+    wl = workloads.tiled_large(0)
+    k = wl.pairs[-1]
+    frame, next_frame = wl.frames[k], wl.frames[k + 1]
+    assert k == 2 and (len(frame), len(next_frame)) == (368, 380)
+    assert _peak_kib(lambda: track_pair(frame, next_frame, measure.PIPELINE_CONFIG, k)) < 1700
 
 
 def _held_bytes(build):

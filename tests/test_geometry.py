@@ -515,18 +515,30 @@ def test_coincident_centers_share_their_edges(seed):
 # -- pair search -----------------------------------------------------------
 
 
+@pytest.mark.kernels
 @settings(max_examples=300)
-@given(st.integers(0, 2**32 - 1), st.integers(-1, 2))
-def test_pairs_within_matches_kdtree(seed, decimals):
-    # rounded coordinates put coincident points and pairs exactly r apart
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(-1, 2),
+    st.sampled_from([1, 7, 64, geometry.CHUNK_ELEMENTS]),
+)
+def test_pairs_within_matches_kdtree(seed, decimals, budget):
+    # rounded coordinates put coincident points and pairs exactly r apart;
+    # the search takes the points in runs of at most 2 * budget candidates
+    # (or one point), so most larger draws, at the density of the small ones,
+    # make several runs at every budget
     from scipy.spatial import cKDTree
 
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(-50.0, 50.0, size=(int(rng.integers(2, 60)), 2))
+    n = int(rng.choice([rng.integers(2, 60), rng.integers(60, 2001)]))
+    half = 50.0 * max(1.0, np.sqrt(n / 60))
+    pts = rng.uniform(-half, half, size=(n, 2))
     if decimals >= 0:
         pts = np.round(pts, decimals)
     r = float(rng.choice([rng.uniform(0.0, 40.0), 5.0, 1.0, 0.0]))
-    i, j = pairs_within(pts[:, 0], pts[:, 1], r)
+    with mock.patch.object(geometry, "CHUNK_ELEMENTS", budget):
+        i, j = pairs_within(pts[:, 0], pts[:, 1], r)
+    assert i.dtype == j.dtype == np.intp
     got = list(zip(i.tolist(), j.tolist()))
     assert got == sorted(got) and all(a < b for a, b in got)
     expected = cKDTree(pts).query_pairs(r, output_type="ndarray")

@@ -704,16 +704,18 @@ def test_cli_rejects_an_out_that_cannot_be_a_directory(tmp_path, capsys, small_r
         assert "Traceback" not in err and taken.read_text() == "a file\n"
 
 
-@pytest.mark.parametrize("command", ["simulate", "track", "calibrate"])
+@pytest.mark.parametrize("command", ["simulate", "track", "score", "calibrate"])
 def test_cli_checks_out_before_computing(tmp_path, capsys, monkeypatch, small_run, command):
     # an --out that is a file, or a directory in place of an output file, is
-    # reported before any simulating, tracking or registration problem is
-    # computed; pair 3 of frames 0-4 divides, so track checks scatter_0003.csv
+    # reported before any simulating, tracking, scoring or registration
+    # problem is computed; pair 3 of frames 0-4 divides, so track checks
+    # scatter_0003.csv
     def unreachable(*args, **kwargs):
         raise AssertionError(f"{command} computed before checking --out")
 
     monkeypatch.setattr(cli, "simulate", unreachable)
     monkeypatch.setattr(pipeline, "track_sequence", unreachable)
+    monkeypatch.setattr(pipeline, "score", unreachable)
     monkeypatch.setattr(registration, "build_problem", unreachable)
     frames, truth = tmp_path / "frames.jsonl", tmp_path / "lineage.csv"
     io.write_frames_jsonl(small_run.frames[:5], frames)
@@ -724,6 +726,7 @@ def test_cli_checks_out_before_computing(tmp_path, capsys, monkeypatch, small_ru
     args = {
         "simulate": ["--config", str(config)],
         "track": ["--frames", str(frames)],
+        "score": ["--predicted", str(truth), "--ground-truth", str(truth)],
         "calibrate": ["--frames", str(frames), "--ground-truth", str(truth)],
     }[command]
     taken = tmp_path / "taken"
@@ -732,7 +735,8 @@ def test_cli_checks_out_before_computing(tmp_path, capsys, monkeypatch, small_ru
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write output directory {taken}: ")
     assert err.count("\n") == 1 and taken.read_text() == "a file\n"
-    names = {"simulate": ["lineage.csv"], "calibrate": ["calibration_report.csv"],
+    names = {"simulate": ["lineage.csv"], "score": ["report.json"],
+             "calibrate": ["calibration_report.csv"],
              "track": ["metadata.json", "energy_trace_0001.csv", "scatter_0003.csv"]}[command]
     for name in names:
         out = tmp_path / name.split(".")[0]
