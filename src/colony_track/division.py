@@ -261,10 +261,6 @@ class ChildrenBmProblem:
     share a cell, so a selection pays 2 lambda_q per conflicting pair.
     :meth:`to_bm` hands the same arrays to the swap annealer, which counts
     selections per cell.
-
-    ``max_disjoint`` is the exact maximum number of disjoint candidates when
-    :func:`build_children_bm` had to compute it (its greedy certificate fell
-    short of ``div_count``), else None.
     """
 
     candidates: PairCandidates
@@ -272,16 +268,10 @@ class ChildrenBmProblem:
     cells: np.ndarray
     div_count: int
     lambda_q: float
-    max_disjoint: int | None = None
 
     @property
     def m(self) -> int:
         return len(self.candidates)
-
-    @property
-    def infeasible(self) -> bool:
-        """No ``div_count`` pairwise-disjoint candidates exist."""
-        return self.max_disjoint is not None and self.max_disjoint < self.div_count
 
     @property
     def q(self) -> np.ndarray:
@@ -300,30 +290,13 @@ def max_disjoint_candidates(candidates: PairCandidates) -> int:
     """Largest number of pairwise-disjoint candidates: a maximum matching in
     the graph whose vertices are target cells and edges are candidates.
 
-    Edmonds' blossom matching from networkx, imported here so that a run
-    loads networkx only if it calls this. :func:`build_children_bm` calls it
-    once per problem, and only when its greedy disjoint set is smaller than
-    the division count.
+    Edmonds' blossom matching from networkx, an exact oracle for the tests:
+    tracking never calls this, and networkx is a test-only dependency.
     """
     import networkx as nx
 
     graph = nx.Graph(candidates.cells.tolist())
     return len(nx.max_weight_matching(graph, maxcardinality=True))
-
-
-def _greedy_disjoint(cells: np.ndarray, v: np.ndarray, limit: int) -> list[int]:
-    """Up to ``limit`` pairwise-disjoint candidates, with the cell index pairs
-    ``cells``, taken greedily by lowest penalty, then lowest index."""
-    used = bytearray(int(cells.max(initial=-1)) + 1)  # a 0/1 flag per cell
-    pairs, chosen = cells.tolist(), []
-    for j in np.lexsort((np.arange(len(v)), v)).tolist():
-        if len(chosen) == limit:
-            break
-        a, b = pairs[j]
-        if not (used[a] or used[b]):
-            chosen.append(j)
-            used[a] = used[b] = 1
-    return chosen
 
 
 def build_children_bm(
@@ -333,12 +306,7 @@ def build_children_bm(
 
     ``v`` weighs each candidate's penalties, summed elementwise in
     :data:`PENALTY_NAMES` order. Candidates must be distinct pairs of two
-    cells, so two of them share at most one. The problem is infeasible when
-    no ``div_count`` disjoint candidates exist. A greedy disjoint set (the
-    annealer's start) of ``div_count`` candidates certifies feasibility; only
-    when it falls short does the exact maximum matching
-    (:func:`max_disjoint_candidates`) run, once, its count kept in
-    ``max_disjoint``.
+    cells, so two of them share at most one.
     """
     if div_count < 1:
         raise ValidationError("division count must be at least 1")
@@ -354,19 +322,24 @@ def build_children_bm(
     if np.any(lo == hi) or np.any(keys[1:] == keys[:-1]):
         raise ValidationError("candidates must be distinct pairs of two cells")
     lambda_q = 10.0 * max(float(v.max()), 1.0)
-    max_disjoint = None
-    if len(_greedy_disjoint(cells, v, div_count)) < div_count:
-        max_disjoint = max_disjoint_candidates(candidates)
-    return ChildrenBmProblem(candidates, v, cells, div_count, lambda_q, max_disjoint)
+    return ChildrenBmProblem(candidates, v, cells, div_count, lambda_q)
 
 
 def _greedy_initial(problem: ChildrenBmProblem) -> np.ndarray:
-    """Deterministic start: the ``div_count`` lowest-penalty candidates,
-    preferring disjoint ones."""
-    z = np.zeros(problem.m, dtype=np.int64)
-    z[_greedy_disjoint(problem.cells, problem.v, problem.div_count)] = 1
-    rest = [j for j in np.lexsort((np.arange(problem.m), problem.v)) if not z[j]]
-    z[rest[: problem.div_count - int(z.sum())]] = 1
+    """Deterministic start: the ``div_count`` lowest-penalty candidates
+    (ties to the lowest index), preferring disjoint ones: candidates that
+    share no cell with one taken before are taken first, then the rest."""
+    order = np.lexsort((np.arange(problem.m), problem.v)).tolist()
+    used = bytearray(int(problem.cells.max(initial=-1)) + 1)  # a 0/1 flag per cell
+    z, taken = np.zeros(problem.m, dtype=np.int64), 0
+    for j, (a, b) in zip(order, problem.cells[order].tolist()):
+        if taken == problem.div_count:
+            break
+        if not (used[a] or used[b]):
+            z[j], taken = 1, taken + 1
+            used[a] = used[b] = 1
+    rest = [j for j in order if not z[j]]
+    z[rest[: problem.div_count - taken]] = 1
     return z
 
 
@@ -376,19 +349,23 @@ def solve_children_bm(
     """Select exactly ``div_count`` candidates by cardinality-constrained swap
     annealing and return their indices.
 
-    Raises InfeasibleError when no ``div_count`` disjoint candidates exist:
-    any smaller selection leaves a target cell that no source maps to.
+    Raises InfeasibleError when the best selection shares a cell: a selection
+    that is not disjoint leaves a target cell that no source maps to. Every
+    selection of a problem with no ``div_count`` disjoint candidates does.
     """
-    if problem.infeasible:
-        raise InfeasibleError(f"only {problem.max_disjoint} disjoint children pairs "
-                              f"available for {problem.div_count} divisions")
     if problem.div_count > problem.m:
         raise InfeasibleError("fewer candidates than requested divisions")
     result = annealer.anneal(
         problem.to_bm(), dynamics="swap", schedule=schedule or Schedule.children_default(),
         rng_seed=rng_seed, initial_states=_greedy_initial(problem),
     )
-    return np.flatnonzero(result.best_states).tolist()
+    selected = np.flatnonzero(result.best_states)
+    cells = np.sort(problem.cells[selected], axis=None)
+    if np.any(cells[1:] == cells[:-1]):
+        raise InfeasibleError(
+            f"no disjoint selection of {problem.div_count} children pairs was found"
+        )
+    return selected.tolist()
 
 
 def select_short_lineages(

@@ -109,11 +109,14 @@ def track_pair(
                 "plausible children pairs survive"
             )
         problem = division.build_children_bm(kept, div_count, config.division_weights)
-        selected = division.solve_children_bm(
-            problem,
-            config.children_schedule,
-            rng_seed=_pair_seed(config.seed, k, 0),
-        )
+        try:
+            selected = division.solve_children_bm(
+                problem,
+                config.children_schedule,
+                rng_seed=_pair_seed(config.seed, k, 0),
+            )
+        except InfeasibleError as exc:
+            raise InfeasibleError(f"frame {frame.index}: {exc}") from exc
         lineages, dropped = division.select_short_lineages(
             frame, next_frame, kept, selected, config.w,
             config.division_weights.distortion,

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -12,6 +14,10 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 settings.load_profile("default")
+
+# frames in which one source cell divides into three target cells in a row:
+# two divisions, but every pair of the three targets shares a cell
+THREE_IN_A_ROW = Path(__file__).resolve().parent / "data" / "three_in_a_row.jsonl"
 
 
 def make_cell(cid, center, angle=0.0, length=20.0, width=7.0):

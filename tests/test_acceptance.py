@@ -118,9 +118,9 @@ def test_children_exhaustive_oracle_equivalence():
         m = int(rng.integers(5, 13))
         div_count = int(rng.integers(1, 4))
         cands = _toy_candidates(rng, m)
-        problem = build_children_bm(cands, div_count)
-        if problem.infeasible:
+        if division.max_disjoint_candidates(cands) < div_count:
             continue
+        problem = build_children_bm(cands, div_count)
         done += 1
         bm = problem.to_bm()
         best = min(

@@ -1,5 +1,6 @@
-"""No command loads scipy, networkx or numpy.ma (which ``np.unique`` and
-numpy's set functions import, at about 1 MB of RSS), the chunked pairwise
+"""No command loads scipy or numpy.ma (which ``np.unique`` and numpy's set
+functions import, at about 1 MB of RSS), every command runs with networkx
+blocked from import, an infeasible division included, the chunked pairwise
 passes keep their working sets small, frames and children candidates hold
 few bytes per cell and per candidate, with no object per candidate, and the
 registration machine keeps no per-clique copy of its incidence rows.
@@ -15,6 +16,8 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+from conftest import THREE_IN_A_ROW
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 SCRIPT = """
@@ -22,14 +25,16 @@ import json
 import sys
 from pathlib import Path
 
+sys.modules["networkx"] = None  # any import of networkx now fails
+
 from colony_track.cli import main
 from colony_track.io import read_lineage_csv
 
 def loaded():
     names = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
-    return names + [m for m in sys.modules if m in ("networkx", "numpy.ma")]
+    return names + [m for m in sys.modules if m == "numpy.ma"]
 
-out = Path(sys.argv[1])
+out, infeasible = Path(sys.argv[1]), sys.argv[2]
 (out / "sim.json").write_text(json.dumps({
     "seed": 7, "n_frames": 10, "initial_cells": 4, "w": 45.0,
     "interframe_minutes": 1.0, "motion_sigma": 1.5, "substeps": 3,
@@ -44,9 +49,11 @@ commands = {
     "score": ["--predicted", tracked, "--ground-truth", truth],
     "calibrate": ["--frames", frames, "--ground-truth", truth, "--config",
                   str(out / "pipe.json"), "--out", str(out / "cal")],
+    "track-infeasible": ["--frames", infeasible, "--out", str(out / "none")],
 }
 for name, args in commands.items():
-    assert main([name, *args, "--quiet"]) == 0, name
+    expected = 3 if name == "track-infeasible" else 0
+    assert main([name.split("-")[0], *args, "--quiet"]) == expected, name
     print(name, loaded())
 print(sum(len(rec.divided) for rec in read_lineage_csv(tracked)))
 """
@@ -55,12 +62,13 @@ print(sum(len(rec.divided) for rec in read_lineage_csv(tracked)))
 def test_commands_leave_scipy_and_networkx_unloaded(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(tmp_path)],
+        [sys.executable, "-c", SCRIPT, str(tmp_path), str(THREE_IN_A_ROW)],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
     *commands, divisions = done.stdout.splitlines()
-    assert commands == [f"{name} []" for name in ("simulate", "track", "score", "calibrate")]
+    names = ("simulate", "track", "score", "calibrate", "track-infeasible")
+    assert commands == [f"{name} []" for name in names]
     assert int(divisions) > 0
 
 

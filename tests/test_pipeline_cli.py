@@ -20,7 +20,7 @@ from colony_track.pipeline import PipelineConfig, score, track_pair, track_seque
 from colony_track.registration import RegistrationWeights
 from colony_track.simulator import LineageRecord, SimConfig, simulate
 
-from conftest import make_cell, make_frame, same_frame
+from conftest import THREE_IN_A_ROW, make_cell, make_frame, same_frame
 
 
 @pytest.fixture(scope="module")
@@ -680,6 +680,14 @@ def test_cli_exit_codes(tmp_path):
         ["track", "--frames", str(frames_path), "--out", str(tmp_path / "t"), "--quiet"]
     )
     assert code == 3
+
+
+def test_cli_track_names_the_frame_of_an_infeasible_division(tmp_path, capsys):
+    out = tmp_path / "track"
+    assert main(["track", "--frames", str(THREE_IN_A_ROW), "--out", str(out), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: frame 0: ") and err.count("\n") == 1
+    assert not (out / "tracking.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "track", "score", "calibrate"])
