@@ -9,6 +9,11 @@ program: minimize gamma*||y||_1 - sum_a [<Lambda, V_a>]^+ subject to
 The concave part is linearized at the current iterate and the resulting LP is
 re-solved until the objective stabilizes. Each LP is solved through its dual,
 which has one row per penalty term, by a bounded-variable simplex.
+
+Nothing here calls BLAS or LAPACK: the simplex factors its small basis by
+Gaussian elimination in Python floats, and every product is an elementwise
+sum added left to right, so the calibrated weights are the same bit for bit
+on every CPU.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ class CalibrationInstance:
 def build_perturbations(
     ground_truth: np.ndarray,
     problem: RegistrationProblem,
-    windows: Sequence[np.ndarray],
+    windows: Sequence[np.ndarray] | None = None,
     all_alternatives: bool = False,
     gamma: float = 1e10,
     budget: float = 1000.0,
@@ -63,26 +68,30 @@ def build_perturbations(
 
     For each source cell the modified target is drawn uniformly from the rest
     of its window (or, with ``all_alternatives``, every other window entry
-    contributes a row). Cells with singleton windows are skipped.
+    contributes a row). Cells with singleton windows are skipped. ``windows``
+    defaults to ``problem.windows``.
     """
     f = np.asarray(ground_truth, dtype=np.int64)
     rng = np.random.default_rng(rng_seed)
-    base = np.asarray(problem.cost_terms(f), dtype=np.float64)
-    rows: list[np.ndarray] = []
     labels: list[tuple[int, int]] = []
-    for site, window in enumerate(windows):
+    for site, window in enumerate(problem.windows if windows is None else windows):
         alts = [int(p) for p in window if p != f[site]]
         if not alts:
             continue
         picks = alts if all_alternatives else [alts[rng.integers(len(alts))]]
-        for s in picks:
-            g = f.copy()
-            g[site] = s
-            rows.append(np.asarray(problem.cost_terms(g), dtype=np.float64) - base)
-            labels.append((site, s))
-    if not rows:
+        labels.extend((site, s) for s in picks)
+    if not labels:
         raise ValidationError("no admissible single-point modifications")
-    return CalibrationInstance(np.vstack(rows), gamma=gamma, budget=budget, labels=labels)
+    base = np.asarray(problem.cost_terms(f), dtype=np.float64)
+    # each row is written in place, then the base subtracted once
+    rows = np.empty((len(labels), len(base)))
+    g = f.copy()
+    for row, (site, s) in zip(rows, labels):
+        g[site] = s
+        row[:] = problem.cost_terms(g)
+        g[site] = f[site]
+    rows -= base
+    return CalibrationInstance(rows, gamma=gamma, budget=budget, labels=labels)
 
 
 def _weighted_sum(values, weights) -> np.ndarray:
@@ -114,6 +123,59 @@ def objective(instance: CalibrationInstance, lam: np.ndarray) -> float:
 PIVOTS_PER_COLUMN = 10
 
 
+def _factor(bmat: list[list[float]]) -> tuple[list[list[float]], list[int]]:
+    """LU factors of a square matrix by Gaussian elimination with partial
+    pivoting, in Python floats: row ``i`` of ``L U`` is ``bmat[perm[i]]``,
+    with the unit lower L below the diagonal of ``lu`` and U on and above it.
+    An exactly zero pivot raises :class:`InfeasibleError`.
+    """
+    lu = [list(row) for row in bmat]
+    perm = list(range(len(lu)))
+    for j in range(len(lu)):
+        p = max(range(j, len(lu)), key=lambda i: abs(lu[i][j]))
+        if lu[p][j] == 0.0:
+            raise InfeasibleError("singular basis")
+        lu[j], lu[p] = lu[p], lu[j]
+        perm[j], perm[p] = perm[p], perm[j]
+        pivot = lu[j]
+        for row in lu[j + 1:]:
+            row[j] /= pivot[j]
+            for k in range(j + 1, len(row)):
+                row[k] -= row[j] * pivot[k]
+    return lu, perm
+
+
+def _solve(lu, perm, rhs) -> list[float]:
+    """x with ``B x = rhs``, B the matrix :func:`_factor` gave ``lu, perm`` for."""
+    m = len(lu)
+    x = [rhs[i] for i in perm]
+    for i in range(m):
+        for k in range(i):
+            x[i] -= lu[i][k] * x[k]
+    for i in reversed(range(m)):
+        for k in range(i + 1, m):
+            x[i] -= lu[i][k] * x[k]
+        x[i] /= lu[i][i]
+    return x
+
+
+def _solve_transposed(lu, perm, rhs) -> list[float]:
+    """y with ``B^T y = rhs``: U^T, then L^T, then the row order undone."""
+    m = len(lu)
+    z = list(rhs)
+    for i in range(m):
+        for k in range(i):
+            z[i] -= lu[k][i] * z[k]
+        z[i] /= lu[i][i]
+    for i in reversed(range(m)):
+        for k in range(i + 1, m):
+            z[i] -= lu[k][i] * z[k]
+    y = [0.0] * m
+    for i, row in enumerate(perm):
+        y[row] = z[i]
+    return y
+
+
 def _bland_simplex(a, b, cost, upper, basis) -> np.ndarray:
     """Multipliers of an optimal basis of min cost·x, a·x = b, 0 <= x <= upper.
 
@@ -122,32 +184,42 @@ def _bland_simplex(a, b, cost, upper, basis) -> np.ndarray:
     Res. 1977). A nonbasic variable sits at 0 or at its upper bound.
     ``basis`` holds one column per row and must be feasible with every
     nonbasic variable at 0. Returns ``pi`` solving ``B^T pi = cost_B``.
+
+    Each pivot factors the ``m × m`` basis once, in Python floats, and takes
+    the condition check, ``pi``, the basic values and the pivot column from
+    those factors; the products with ``a`` are left-to-right elementwise
+    sums. No step goes through BLAS or LAPACK, so the result is the same
+    bit for bit on every CPU.
     """
     col_norm = np.abs(a).sum(axis=0)
     at_upper = np.zeros(a.shape[1], dtype=bool)
     basis = np.array(basis)
+    unit = np.eye(len(basis)).tolist()
     max_pivots = PIVOTS_PER_COLUMN * a.shape[1]
     for _ in range(max_pivots + 1):
         bmat = a[:, basis]
+        lu, perm = _factor(bmat.tolist())
         # 1-norm condition number ||B||_1 ||B^-1||_1, the inverse's columns
-        # from the LU solve below (no SVD); an exactly zero pivot raises
-        try:
-            inv_norm = max(np.abs(np.linalg.solve(bmat, e)).sum() for e in np.eye(len(basis)))
-        except np.linalg.LinAlgError:
-            inv_norm = np.inf
+        # solved from the factors (no SVD)
+        inv_norm = max(sum(map(abs, _solve(lu, perm, e))) for e in unit)
         if not np.abs(bmat).sum(axis=0).max() * inv_norm <= 1e12:
             raise InfeasibleError("singular basis")
-        pi = np.linalg.solve(bmat.T, cost[basis])
-        reduced = cost - pi @ a
+        pi = np.array(_solve_transposed(lu, perm, cost[basis].tolist()))
+        reduced = cost - _weighted_sum(a.T, pi)
         tol = 1e-9 * (np.abs(cost) + np.abs(pi).max() * col_norm)
         improving = np.where(at_upper, reduced > tol, reduced < -tol)
         improving[basis] = False
         if not improving.any():
             return pi
         q = int(np.argmax(improving))
-        x_b = np.linalg.solve(bmat, b - a[:, at_upper] @ upper[at_upper])
+        rhs = b
+        if at_upper.any():
+            # the columns at their bound, summed left to right by a cumulative
+            # sum (a Python loop over that many columns would be slow)
+            rhs = b - np.cumsum(a[:, at_upper] * upper[at_upper], axis=1)[:, -1]
+        x_b = np.array(_solve(lu, perm, rhs.tolist()))
         # moving x_q off its bound by theta changes x_b by -theta * w
-        w = np.linalg.solve(bmat, a[:, q]) * (-1.0 if at_upper[q] else 1.0)
+        w = np.array(_solve(lu, perm, a[:, q].tolist())) * (-1.0 if at_upper[q] else 1.0)
         big = 1e-9 * np.abs(w).max()
         ratio = np.full(len(basis), np.inf)
         down = w > big

@@ -191,7 +191,6 @@ def _cmd_calibrate(args) -> int:
     instance = calibration.build_perturbations(
         f,
         problem,
-        problem.windows,
         all_alternatives=args.all_alternatives,
         budget=args.budget,
         rng_seed=config.seed,

@@ -213,12 +213,18 @@ def test_singular_basis_raises(eps, singular):
         assert not calibration._bland_simplex(*args).any()
 
 
-def test_reg6min_pair_2_pinned(six_minute_run):
+def _pair_2(six_minute_run):
+    """The registration problem of the six-minute run's pair 2, its known
+    mapping and the calibration instance of every alternative."""
     frames, lineage = six_minute_run.frames, six_minute_run.lineage
     src, dst = frames[2], frames[3]
     problem = build_problem(src, dst, w=100.0, rho=80.0, g_rate=1.005**6)
     truth = np.array([dst.position(lineage[2].moved[c.id]) for c in src.cells])
-    inst = build_perturbations(truth, problem, problem.windows, all_alternatives=True)
+    return problem, truth, build_perturbations(truth, problem, all_alternatives=True)
+
+
+def test_reg6min_pair_2_pinned(six_minute_run):
+    _, _, inst = _pair_2(six_minute_run)
     assert inst.perturbations.shape == (1366, 4)
     lam, trace = calibrate(inst, return_trace=True)
     # the weights and objective that HiGHS's linprog rounds give on this instance
@@ -235,12 +241,18 @@ def test_reg6min_pair_2_pinned(six_minute_run):
 
 
 @pytest.mark.kernels
+def test_reg6min_pair_2_weights_are_exact(six_minute_run):
+    # no step of calibration goes through BLAS or LAPACK and every sum runs
+    # left to right, so these are the weights bit for bit on every CPU, with
+    # numpy's SIMD dispatch on or off (HiGHS's, above, end in ...118)
+    _, _, inst = _pair_2(six_minute_run)
+    want = np.array([374.4733614799883, 625.5266385200117, 0.0, 0.0])
+    assert calibrate(inst).tobytes() == want.tobytes()
+
+
+@pytest.mark.kernels
 def test_weighted_sums_equal_python_float_loop(six_minute_run):
-    frames, lineage = six_minute_run.frames, six_minute_run.lineage
-    src, dst = frames[2], frames[3]
-    problem = build_problem(src, dst, w=100.0, rho=80.0, g_rate=1.005**6)
-    truth = np.array([dst.position(lineage[2].moved[c.id]) for c in src.cells])
-    inst = build_perturbations(truth, problem, problem.windows, all_alternatives=True)
+    problem, truth, inst = _pair_2(six_minute_run)
 
     def loop(row, weights):
         total = 0.0

@@ -1,14 +1,16 @@
 """No command loads scipy or numpy.ma (which ``np.unique`` and numpy's set
 functions import, at about 1 MB of RSS), every command runs with networkx
-blocked from import, an infeasible division included, the chunked pairwise
-passes keep their working sets small, frames and children candidates hold
-few bytes per cell and per candidate, with no object per candidate, and the
-registration machine keeps no per-clique copy of its incidence rows.
+blocked from import, an infeasible division included, no module calls BLAS
+or LAPACK, the chunked pairwise passes and the calibration rows keep their
+working sets small, frames and children candidates hold few bytes per cell
+and per candidate, with no object per candidate, and the registration
+machine keeps no per-clique copy of its incidence rows.
 
 The commands run in a fresh interpreter, since this test session has already
 imported both packages elsewhere.
 """
 
+import ast
 import gc
 import os
 import subprocess
@@ -72,6 +74,34 @@ def test_commands_leave_scipy_and_networkx_unloaded(tmp_path):
     assert int(divisions) > 0
 
 
+# numpy names that hand their work to BLAS or LAPACK
+BLAS_NAMES = {"linalg", "dot", "matmul", "inner", "vdot", "tensordot", "einsum"}
+
+
+def _is_blas(dotted: str) -> bool:
+    head, _, rest = dotted.partition(".")
+    return head in ("np", "numpy") and rest.split(".")[0] in BLAS_NAMES
+
+
+def test_no_module_calls_blas_or_lapack():
+    # BLAS and LAPACK kernels round differently from one CPU to another
+    # (FMA, blocking), so every product and solve in the tracker is written
+    # as elementwise sums; ``@`` also goes to BLAS
+    found = []
+    for path in sorted((SRC / "colony_track").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append((path.name, node.lineno, "@"))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if _is_blas(f"{node.value.id}.{node.attr}"):
+                    found.append((path.name, node.lineno, f"{node.value.id}.{node.attr}"))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                prefix = f"{node.module}." if isinstance(node, ast.ImportFrom) else ""
+                if any(_is_blas(prefix + alias.name) for alias in node.names):
+                    found.append((path.name, node.lineno, "import"))
+    assert found == []
+
+
 def _peak_kib(run) -> float:
     """Peak of traced memory while ``run()`` runs, above what was allocated
     before it, in KiB; a first untraced call warms any caches."""
@@ -106,6 +136,25 @@ def test_pairwise_passes_stay_within_their_memory_budget():
     assert _peak_kib(lambda: pairs_within(x, y, 80.0)) < 600
     assert _peak_kib(lambda: build_neighbor_graph(next_frame)) < 800
     assert _peak_kib(lambda: build_pch(frame, next_frame)) < 700
+
+
+def test_calibration_rows_stay_within_their_memory_budget(six_minute_run):
+    # the six-minute run's pair 2: 1 366 rows of four penalty changes (43 KiB)
+    # and their (site, alternative) labels. Rows written in place into one
+    # array peak at about 140 KiB, mostly the labels; an array per row,
+    # stacked at the end, peaked at 474 KiB
+    import numpy as np
+
+    from colony_track.calibration import build_perturbations
+    from colony_track.registration import build_problem
+
+    frames, lineage = six_minute_run.frames, six_minute_run.lineage
+    src, dst = frames[2], frames[3]
+    problem = build_problem(src, dst, w=100.0, rho=80.0, g_rate=1.005**6)
+    truth = np.array([dst.position(lineage[2].moved[c.id]) for c in src.cells])
+    inst = build_perturbations(truth, problem, all_alternatives=True)
+    assert inst.perturbations.shape == (1366, 4)
+    assert _peak_kib(lambda: build_perturbations(truth, problem, all_alternatives=True)) < 300
 
 
 def test_tracking_a_tiled_pair_stays_within_its_memory_budget():
