@@ -19,7 +19,10 @@ gather over the site's tables and one reduction. Deltas and full energies
 add their terms in one fixed order, match, then stab, then flip cliques,
 then collision, each a sequential sum rather than a pairwise one, so the
 incremental and the full energy are the same float operations and every
-chain is reproducible bit for bit.
+chain is reproducible bit for bit. Only cliques whose table holds a 1 are
+compiled, and a site with one candidate is never priced: a zero table adds
++0.0 to each sum, which changes no partial sum, as none is -0.0 (an energy
+begins with +0.0, a delta with the match difference).
 
 Children selection uses :class:`QuadraticBm`, the binary quadratic energy
 
@@ -50,6 +53,23 @@ def _bits_at(bits: np.ndarray, at: np.ndarray) -> np.ndarray:
     return (bits[at >> 3] >> (at & 7)) & 1
 
 
+def _cyclic_others(per_clique: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """Rows of ``per_clique`` (one row of 3 per clique): for each flat
+    entry ``flat`` = 3 clique + position, the values at the two positions
+    that follow it cyclically within its clique.
+
+    Each step moves ``flat`` in place to the next position, from 2 back to
+    0; the third step returns it to where it started.
+    """
+    out = np.empty((len(flat), 2), dtype=np.int64)
+    for col in range(3):
+        flat += 1
+        flat[flat % 3 == 0] -= 3
+        if col < 2:
+            np.take(per_clique, flat, out=out[:, col])
+    return out
+
+
 class RegistrationBm:
     """Flat compiled registration energy over sites with finite candidate lists.
 
@@ -58,19 +78,20 @@ class RegistrationBm:
     per-candidate arrays ``match`` (the weighted match cost) and ``targets``
     (the target position it reaches; distinct among a site's candidates).
     The constructor takes clique c as two or three sites (row c of ``sites``,
-    a third of -1 for a pair), a weight, and a 0/1 table, the c-th of
-    ``tables`` (any iterable of arrays shaped by the clique's sites' sizes,
-    consumed once). The tables are packed as bits into the uint8 array
-    ``bits``: each is C-ordered from a bit position that is a multiple of 8,
-    and bit e is bit ``e & 7`` of byte ``e >> 3`` (little bit order).
+    a third of -1 for a pair), a non-negative weight, and a 0/1 table, the
+    c-th of ``tables`` (any iterable of arrays shaped by the clique's sites'
+    sizes, consumed once). The cliques whose table holds a 1 are kept, their
+    tables packed as bits into the uint8 array ``bits``: each C-ordered from
+    a bit position that is a multiple of 8, bit e is bit ``e & 7`` of byte
+    ``e >> 3`` (little bit order).
 
     Only the incidence rows keep the cliques. Entries ``ptr[i]:ptr[i + 1]``
-    of the ``inc_*`` arrays are site i's incident cliques in clique order:
-    table base, the site's own element stride, the two other sites (-1 for
-    a pair's padding) with their strides (0 for padding), and the clique
-    weight. ``clique_rows[c]`` is the row of clique c's first site, and
-    ``clique_sites[c]`` that site; from these :meth:`energy` reads the
-    clique's base, sites, strides and weight.
+    of the ``inc_*`` arrays are site i's incident kept cliques in clique
+    order: table base, the site's own element stride, the two other sites
+    (-1 for a pair's padding) with their strides (0 for padding), and the
+    clique weight. ``clique_rows[c]`` is the row of kept clique c's first
+    site, and ``clique_sites[c]`` that site; from these :meth:`energy` reads
+    the clique's base, sites, strides and weight.
     """
 
     def __init__(
@@ -90,62 +111,53 @@ class RegistrationBm:
         self.match = np.asarray(match, dtype=np.float64)
         self.coef = float(coef)
         sites = np.asarray(sites, dtype=np.int64).reshape(-1, 3)
+        if np.any(sites[:, 0] < 0):
+            raise ValidationError("a clique's first site must not be padding")
+        # pack each table as it arrives and keep its clique if a packed byte
+        # is not 0 (the padding bits are 0)
+        live, packed, given = np.zeros(len(sites), dtype=bool), bytearray(), 0
+        for given, table in enumerate(tables, 1):
+            row = np.packbits(np.ravel(table), bitorder="little")
+            if given <= len(live) and np.count_nonzero(row):
+                live[given - 1] = True
+                packed.extend(row)
+        if given != len(live):
+            raise ValidationError(f"{given} clique tables for {len(live)} cliques")
+        self.bits = np.frombuffer(packed, dtype=np.uint8)
+        sites, weights = sites[live], np.asarray(weights, dtype=np.float64)[live]
+        del live
         # C order: a site's stride is the product of the later sites' sizes
         dims = np.where(sites >= 0, self.sizes[sites], 1)
         strides = np.ones_like(dims)
         strides[:, 1] = dims[:, 2]
         strides[:, 0] = dims[:, 1] * dims[:, 2]
-        cells = dims[:, 0] * strides[:, 0]
+        padded = -(-(dims[:, 0] * strides[:, 0]) // 8) * 8
         del dims
         strides[sites < 0] = 0
-        padded = -(-cells // 8) * 8
+        if 8 * len(packed) != padded.sum():
+            raise ValidationError("clique table sizes do not match their sites' candidates")
         base = np.cumsum(padded) - padded
-        self.bits = np.zeros(int(padded.sum()) // 8, dtype=np.uint8)
         del padded
-        self._pack(tables, base, cells)
-        del cells
         # site i's incidence list, in clique order within each site: a stable
         # sort of the flat sites puts the padding (-1) first; flat = 3 c + pos
         counts = np.bincount(sites.ravel() + 1, minlength=self.n_sites + 1)
         self.ptr = np.concatenate([[0], np.cumsum(counts[1:])])
         flat = np.argsort(sites.ravel(), kind="stable")[counts[0]:]
         del counts
-        pos = flat % 3
-        first = np.flatnonzero(pos == 0)
-        if len(first) != len(sites):
-            raise ValidationError("a clique's first site must not be padding")
+        first = np.flatnonzero(flat % 3 == 0)
         self.clique_rows = np.empty(len(sites), dtype=np.int64)
         self.clique_rows[flat[first] // 3] = first
         del first
         self.clique_sites = sites[:, 0].copy()
         self.inc_stride = np.take(strides, flat)[:, None]
-        self.inc_other = np.empty((len(flat), 2), dtype=np.int64)
-        self.inc_other_stride = np.empty((len(flat), 2), dtype=np.int64)
-        # the other two sites follow the own one cyclically within the clique;
-        # step 1 wraps back the entries whose own position is 2, step 2 those at 1
-        for col, last in enumerate((2, 1)):
-            flat += 1
-            flat[pos == last] -= 3
-            np.take(sites, flat, out=self.inc_other[:, col])
-            np.take(strides, flat, out=self.inc_other_stride[:, col])
-        del pos, strides
+        self.inc_other = _cyclic_others(sites, flat)
+        del sites
+        self.inc_other_stride = _cyclic_others(strides, flat)
+        del strides
         flat //= 3  # each entry still points into its own clique
         self.inc_base = base[flat]
-        self.inc_weight = np.asarray(weights, dtype=np.float64)[flat][:, None]
+        self.inc_weight = weights[flat][:, None]
         self.positions = np.arange(int(self.sizes.max(initial=1)))
-
-    def _pack(self, tables: Iterable[np.ndarray], base: np.ndarray, cells: np.ndarray):
-        """Pack each clique table into ``bits`` from byte ``base[c] // 8``
-        by its own ``np.packbits`` call, which pads it with zero bits to a
-        whole byte."""
-        given = 0
-        for c, table in enumerate(tables):
-            start = base[c] // 8
-            packed = np.packbits(np.ravel(table), bitorder="little")
-            self.bits[start: start + -(-cells[c] // 8)] = packed
-            given = c + 1
-        if given != len(base):
-            raise ValidationError(f"{given} clique tables for {len(base)} cliques")
 
     def energy(self, states: np.ndarray) -> float:
         """Full recomputation of E(z); the reference for all bookkeeping.
@@ -347,11 +359,11 @@ def step_async(
     The current state always has delta zero, so including it would make the
     acceptance test vacuous; proposing the delta-minimizing alternative keeps
     improving moves always accepted while uphill moves face exp(-delta/Temp).
-    A site with a single candidate never moves.
+    A site with a single candidate never moves, and is not priced.
     """
-    deltas = config.delta_vector(site)
-    if deltas.size < 2:
+    if config.problem.sizes[site] < 2:
         return False
+    deltas = config.delta_vector(site)
     deltas[config.states[site]] = np.inf
     z = int(np.argmin(deltas))
     d = float(deltas[z])

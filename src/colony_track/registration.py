@@ -9,10 +9,11 @@ log-likelihood, an overlap count penalizing many-to-one collisions, a
 neighbor-stability term, and a neighbor-flip term detecting orientation
 reversals of neighbor pairs around a cell. The weighted penalties compile, on
 the same layout, into one flat Boltzmann-machine energy (float64 match rows,
-0/1 stab and flip tables packed as bits in one uint8 array, occupancy counts
-for collisions) whose value at a configuration equals the cost of the decoded
-mapping; it sums match, stab, flip, then collision terms sequentially, so
-every chain is reproducible.
+the 0/1 stab and flip tables that hold a 1 packed as bits in one uint8 array,
+occupancy counts for collisions) whose value at a configuration equals the
+cost of the decoded mapping; it sums match, stab, flip, then collision terms
+sequentially, so every chain is reproducible. An all-zero table adds +0.0 to
+every such sum, so it is not compiled.
 """
 
 from __future__ import annotations
@@ -223,7 +224,11 @@ class RegistrationProblem:
 
         Each stab and flip table is built by the broadcast ``cost_terms``
         uses and handed to the energy one clique at a time, which packs it
-        as bits, so no dense copy of all the tables exists.
+        as bits, so no dense copy of all the tables exists. The energy keeps
+        only the cliques whose table holds a 1 (a broken pair or a flipped
+        triplet at some candidates); the others add +0.0 to every energy
+        and delta, so every value and chain is the same without them.
+        ``touched_cliques_per_site`` still counts every clique.
         """
         lam, wins = self.weights, self.windows
         adj, ct = self.target_graph.adj, self.target.centers()
@@ -398,6 +403,7 @@ def register(
         )
         if result is None or cand.best_energy < result.best_energy:
             result = cand
+    del bm  # decoding needs no machine: free it before cost_terms allocates
     assignment = problem.assignment_for(result.best_states)
     terms = problem.cost_terms(assignment)
     energy = float(_weighted_sum(terms, problem.weights.as_array()))

@@ -1,14 +1,16 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from colony_track import io
+from colony_track import io, registration
 from colony_track.annealer import (
     QuadraticBm,
     QuadraticConfig,
+    RegistrationBm,
     RegistrationConfig,
     Schedule,
     anneal,
@@ -25,13 +27,30 @@ from conftest import make_cell, make_frame, random_cells, small_registration_pro
 UNIT_WEIGHTS = RegistrationWeights(1.1, 3.0, 3.0, 2.9)
 
 
-def random_problem(rng, n_sites=6, weights=UNIT_WEIGHTS):
-    """Compiled registration energy of a random frame against its jittered
-    copy; the windows overlap, so random states collide."""
-    problem = small_registration_problem(
+def random_registration(rng, n_sites=6, weights=UNIT_WEIGHTS):
+    """A random frame against its jittered copy; the windows overlap, so
+    random states collide."""
+    return small_registration_problem(
         seed=int(rng.integers(2**31)), n=n_sites, w=60.0, shift=8.0, weights=weights
     )
-    return problem.to_bm()
+
+
+def random_problem(rng, n_sites=6, weights=UNIT_WEIGHTS):
+    """Compiled registration energy of :func:`random_registration`."""
+    return random_registration(rng, n_sites, weights).to_bm()
+
+
+def compiled_inputs(problem):
+    """The arguments ``to_bm`` passes to ``RegistrationBm``: offsets, targets,
+    match, sites, weights and coef, then the clique tables as a list."""
+    got = []
+
+    def capture(*args, coef, tables):
+        got.extend([*args, coef, list(tables)])
+
+    with mock.patch.object(registration, "RegistrationBm", capture):
+        problem.to_bm()
+    return got
 
 
 def one_cell_problem():
@@ -186,6 +205,82 @@ def test_joint_moves_keep_collision_occupancy_exact(seed):
         assert_field_exact(config)
 
 
+INCIDENCE = ("ptr", "inc_base", "inc_stride", "inc_other", "inc_other_stride", "inc_weight",
+             "clique_rows", "clique_sites")
+
+
+@given(st.integers(0, 300))
+def test_all_zero_tables_change_nothing(seed):
+    rng = np.random.default_rng(seed)
+    offsets, targets, match, sites, weights, coef, tables = compiled_inputs(
+        random_registration(rng, n_sites=7)
+    )
+    sizes = np.diff(offsets)
+    movable = np.flatnonzero(sizes >= 2)
+    assume(len(movable) >= 3)
+    # a zero triplet over sites that can all move, and a zero pair with
+    # padding, each put at a random place in the clique order
+    triplet = rng.choice(movable, 3, replace=False)
+    pair = rng.choice(len(sizes), 2, replace=False)
+    more_sites, more_weights, more_tables = list(sites), list(weights), list(tables)
+    for clique in (triplet, pair):
+        at = int(rng.integers(len(more_tables) + 1))
+        more_sites.insert(at, [*clique, -1][:3])
+        more_weights.insert(at, float(rng.uniform(0.1, 5.0)))
+        more_tables.insert(at, np.zeros(sizes[clique], dtype=bool))
+    base = RegistrationBm(offsets, targets, match, sites, weights, coef, tables)
+    more = RegistrationBm(offsets, targets, match, more_sites, more_weights, coef, more_tables)
+    packed = [np.packbits(t.ravel(), bitorder="little").tobytes() for t in tables]
+    assert base.bits.tobytes() == b"".join(b for b, t in zip(packed, tables) if t.any())
+    assert more.bits.tobytes() == base.bits.tobytes()
+    for name in INCIDENCE:
+        assert getattr(more, name).tobytes() == getattr(base, name).tobytes(), name
+    for _ in range(4):
+        states = np.array([rng.integers(size) for size in sizes])
+        assert np.float64(more.energy(states)).tobytes() == np.float64(base.energy(states)).tobytes()
+        a, b = RegistrationConfig(base, states), RegistrationConfig(more, states)
+        for site in range(base.n_sites):
+            assert b.delta_vector(site).tobytes() == a.delta_vector(site).tobytes()
+    # a table whose only 1 lies past its first packed byte is compiled
+    big = movable[np.argsort(sizes[movable])[-3:]]
+    assume(np.prod(sizes[big]) > 8)
+    late = np.zeros(sizes[big], dtype=bool)
+    late[-1, -1, -1] = True
+    one = RegistrationBm(offsets, targets, match, [*sites, big], [*weights, 1.0], coef,
+                         [*tables, late])
+    tail = np.packbits(late.ravel(), bitorder="little").tobytes()
+    assert one.bits.tobytes() == base.bits.tobytes() + tail
+    assert len(one.clique_rows) == len(base.clique_rows) + 1
+
+
+def test_machine_of_zero_tables_builds_and_anneals():
+    rng = np.random.default_rng(3)
+    offsets, targets, match, sites, weights, coef, tables = compiled_inputs(
+        random_registration(rng, n_sites=7)
+    )
+    assert any(t.any() for t in tables)
+    zero = RegistrationBm(offsets, targets, match, sites, weights, coef,
+                          [np.zeros_like(t) for t in tables])
+    bare = RegistrationBm(offsets, targets, match, np.empty((0, 3)), [], coef, [])
+    assert zero.bits.size == 0 and zero.clique_rows.size == 0
+    assert zero.ptr.tolist() == [0] * (zero.n_sites + 1)
+    for name in INCIDENCE:
+        assert getattr(zero, name).tobytes() == getattr(bare, name).tobytes(), name
+    sched = Schedule(c=4.0, eta=0.995, epoch_cap=30)
+    a, b = anneal(zero, "async", sched, rng_seed=5), anneal(bare, "async", sched, rng_seed=5)
+    assert chain(a) == chain(b) and a.n_epochs >= 1
+    assert a.best_energy == pytest.approx(zero.energy(a.best_states), abs=1e-9)
+    # one table too few or too many
+    with pytest.raises(ValidationError, match=f"{len(tables) - 1} clique tables for {len(tables)}"):
+        RegistrationBm(offsets, targets, match, sites, weights, coef, tables[:-1])
+    with pytest.raises(ValidationError, match=f"{len(tables) + 1} clique tables for {len(tables)}"):
+        RegistrationBm(offsets, targets, match, sites, weights, coef, tables + tables[:1])
+    # a table a byte longer than its sites' candidates make
+    longer = [np.ones(tables[0].size + 8, dtype=bool)] + tables[1:]
+    with pytest.raises(ValidationError, match="sizes do not match"):
+        RegistrationBm(offsets, targets, match, sites, weights, coef, longer)
+
+
 @given(st.integers(0, 400))
 def test_swap_delta_matches_full_recompute(seed):
     rng = np.random.default_rng(seed)
@@ -265,6 +360,25 @@ def test_zero_temperature_rejects_uphill():
         step_async(RegistrationConfig(problem, [1]), 0, temp=0.0, rng=rng) for _ in range(200)
     )
     assert accepted == 0
+
+
+def test_one_candidate_site_is_not_priced(monkeypatch):
+    # site 0 has one candidate, site 1 two; one stab table over them
+    bm = RegistrationBm([0, 1, 3], [0, 0, 1], [0.5, 0.2, 0.1], [[0, 1, -1]], [2.0], 1.0,
+                        [np.array([[False, True]])])
+    config = RegistrationConfig(bm, [0, 1])
+    rng = np.random.default_rng(4)
+    states, energy, drawn = config.states.copy(), config.energy, rng.bit_generator.state
+
+    def priced(site):
+        raise AssertionError(f"site {site} was priced")
+
+    monkeypatch.setattr(config, "delta_vector", priced)
+    assert step_async(config, 0, temp=5.0, rng=rng) is False
+    assert config.states.tolist() == states.tolist() and config.energy == energy
+    assert rng.bit_generator.state == drawn
+    with pytest.raises(AssertionError, match="site 1 was priced"):
+        step_async(config, 1, temp=5.0, rng=rng)
 
 
 def test_acceptance_monotone_in_temperature():

@@ -250,15 +250,16 @@ def test_children_candidates_have_no_row_type():
 
 
 def test_registration_machine_holds_no_per_clique_copies():
-    # pipeline21 pair 35 (division-free, 47 sites, 475 cliques, 1 323
-    # incidences). Per incidence the machine keeps a table base, its own
-    # stride, two other sites with their strides and a weight (56 B); per
-    # clique only its first site and that site's incidence row (16 B); per
-    # candidate a target and a match cost, and the per-site offsets, sizes,
-    # incidence starts and positions, each no longer than the candidate
-    # list (48 B). A machine that kept each clique's sites, strides, base
-    # and weight instead (64 B per clique) held 107 816 B against this
-    # budget's 88 120 B.
+    # pipeline21 pair 35 (division-free, 47 sites, 475 cliques). Only the
+    # 332 cliques whose table holds a 1 are compiled, with 897 incidences
+    # (1 323 for all 475). Per incidence the machine keeps a table base, its
+    # own stride, two other sites with their strides and a weight (56 B); per
+    # kept clique only its first site and that site's incidence row (16 B);
+    # per candidate a target and a match cost, and the per-site offsets,
+    # sizes, incidence starts and positions, each no longer than the
+    # candidate list (48 B). A machine that also kept each clique's sites,
+    # strides, base and weight (64 B per clique) would hold 81 140 B against
+    # this budget's 62 996 B, bits included.
     import dataclasses
 
     import numpy as np
@@ -277,7 +278,7 @@ def test_registration_machine_holds_no_per_clique_copies():
     held = vars(bm)
     assert all(isinstance(v, (np.ndarray, int, float)) for v in held.values())
     array_bytes = sum(v.nbytes for v in held.values() if isinstance(v, np.ndarray))
-    incidences, cliques = len(bm.inc_base), sum(problem.clique_counts[1:])
-    assert (incidences, cliques) == (1323, 475)
+    incidences, cliques = len(bm.inc_base), len(bm.clique_rows)
+    assert (incidences, cliques, sum(problem.clique_counts[1:])) == (897, 332, 475)
     budget = 56 * incidences + 16 * cliques + 48 * len(bm.targets)
     assert array_bytes <= budget + bm.bits.nbytes

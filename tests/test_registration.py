@@ -351,12 +351,43 @@ def test_bm_delta_vector_matches_cost_difference(seed):
         assert deltas[s] == pytest.approx(change, abs=1e-9)
 
 
+def oracle_tables(problem):
+    """Every stab, then every flip table, built by the broadcasts ``cost_terms`` uses."""
+    wins = problem.windows
+    adj, ct = problem.target_graph.adj, problem.target.centers()
+    want = [_broken(adj, wins[i][:, None], wins[j][None, :]) for i, j in problem.stab_pairs]
+    return want + [
+        _flipped(adj, ct, wins[i][:, None, None], wins[j][None, :, None],
+                 wins[k][None, None, :], sign)
+        for (i, j, k), sign in zip(problem.flip_triplets, problem.flip_signs)
+    ]
+
+
+def clique_sites(problem):
+    """The problem's cliques as rows of three sites, -1 padding a stab pair."""
+    n_stab = len(problem.stab_pairs)
+    sites = np.full((n_stab + len(problem.flip_triplets), 3), -1)
+    sites[:n_stab, :2], sites[n_stab:] = problem.stab_pairs, problem.flip_triplets
+    return sites
+
+
 def test_touched_cliques_per_site_matches_bm():
+    dropped = 0
     for seed in range(3):
         problem = small_problem(seed=seed, n=9)
-        # the match term plus the site's entries in the CSR incidence list
+        sites = clique_sites(problem)
+        live = sites[[bool(t.any()) for t in oracle_tables(problem)]]
+        dropped += len(sites) - len(live)
+        # the match term plus the site's entries in the CSR incidence list:
+        # its incident cliques whose table holds a 1
+        want = 1 + np.bincount(live[live >= 0], minlength=problem.n)
         ptr = problem.to_bm().ptr
-        assert problem.touched_cliques_per_site().tolist() == (1 + np.diff(ptr)).tolist()
+        assert (1 + np.diff(ptr)).tolist() == want.tolist()
+        # the diagnostic counts every clique of the problem
+        touched = problem.touched_cliques_per_site()
+        assert touched.tolist() == (1 + np.bincount(sites[sites >= 0], minlength=problem.n)).tolist()
+        assert np.all(touched >= want)
+    assert dropped > 0
 
 
 # -- BM compilation ------------------------------------------------------------
@@ -402,29 +433,23 @@ def test_packed_tables_equal_broadcast_oracle():
     assert any(np.prod([len(p.windows[i]) for i in ijk]) % 8
                for p in small for ijk in p.flip_triplets)
 
-    def oracle_tables(problem):
-        wins = problem.windows
-        adj, ct = problem.target_graph.adj, problem.target.centers()
-        want = [_broken(adj, wins[i][:, None], wins[j][None, :]) for i, j in problem.stab_pairs]
-        return want + [
-            _flipped(adj, ct, wins[i][:, None, None], wins[j][None, :, None],
-                     wins[k][None, None, :], sign)
-            for (i, j, k), sign in zip(problem.flip_triplets, problem.flip_signs)
-        ]
-
-    # each table C-ordered from a byte boundary, in clique order, little bit order
+    # each table holding a 1 is C-ordered from a byte boundary, in clique
+    # order, little bit order; every other table is all zero
+    dropped = 0
     for problem in [p for _, _, p in digest_problems()] + small:
         bm, want = problem.to_bm(), oracle_tables(problem)
-        assert len(want) == len(bm.clique_rows)
-        packed = b"".join(np.packbits(t.ravel(), bitorder="little").tobytes() for t in want)
+        live = np.array([t.any() for t in want], dtype=bool)
+        dropped += int((~live).sum())
+        assert bm.clique_sites.tolist() == clique_sites(problem)[live, 0].tolist()
+        packed = b"".join(
+            np.packbits(t.ravel(), bitorder="little").tobytes() for t in itertools.compress(want, live)
+        )
         assert bm.bits.tobytes() == packed
+    assert dropped > 0
     problem = small[0]
     bm = problem.to_bm()
-    n_stab = len(problem.stab_pairs)
-    sites = np.full((n_stab + len(problem.flip_triplets), 3), -1)
-    sites[:n_stab, :2], sites[n_stab:] = problem.stab_pairs, problem.flip_triplets
     weights = np.concatenate([problem.stab_weights, problem.flip_weights])
-    args = (bm.offsets, bm.targets, bm.match, sites, weights, bm.coef)
+    args = (bm.offsets, bm.targets, bm.match, clique_sites(problem), weights, bm.coef)
     with pytest.raises(ValidationError, match="63 clique tables for 64 cliques"):
         annealer.RegistrationBm(*args, tables=oracle_tables(problem)[:63])
 
