@@ -25,7 +25,6 @@ from .errors import ColonyTrackError, InfeasibleError, ValidationError
 from .geometry import (
     Cell,
     Frame,
-    NeighborGraph,
     Rect,
     build_neighbor_graph,
 )

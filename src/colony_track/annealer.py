@@ -406,26 +406,22 @@ def anneal(
     problem: RegistrationBm | QuadraticBm,
     dynamics: Dynamics,
     schedule: Schedule,
+    initial_states: Sequence[int],
     rng_seed: int = 0,
-    initial_states: Sequence[int] | None = None,
 ) -> AnnealResult:
-    """Run one annealing chain and return the best configuration seen.
+    """Run one annealing chain from ``initial_states`` and return the best
+    configuration seen.
 
-    ``async`` anneals a :class:`RegistrationBm` (from all zeros by default);
-    ``swap`` anneals a :class:`QuadraticBm` from a given configuration. One
-    epoch is N single-site updates (async) or N swap attempts (swap). The
-    chain stops once the energy spread over one epoch is at most
-    ``STABILITY_TOL`` times max(1, |E|), or at the epoch cap. Deterministic
-    given the seed.
+    ``async`` anneals a :class:`RegistrationBm`, ``swap`` a
+    :class:`QuadraticBm`. One epoch is N single-site updates (async) or N
+    swap attempts (swap). The chain stops once the energy spread over one
+    epoch is at most ``STABILITY_TOL`` times max(1, |E|), or at the epoch
+    cap. Deterministic given the seed.
     """
     rng = np.random.default_rng(rng_seed)
     if dynamics == "async" and isinstance(problem, RegistrationBm):
-        if initial_states is None:
-            initial_states = np.zeros(problem.n_sites, dtype=np.int64)
         config = RegistrationConfig(problem, initial_states)
     elif dynamics == "swap" and isinstance(problem, QuadraticBm):
-        if initial_states is None:
-            raise ValidationError("swap dynamics needs an initial configuration")
         config = QuadraticConfig(problem, initial_states)
     elif dynamics in ("async", "swap"):
         raise ValidationError(f"{dynamics} dynamics cannot anneal a {type(problem).__name__}")

@@ -121,6 +121,10 @@ def objective(instance: CalibrationInstance, lam: np.ndarray) -> float:
 # as a pivot: at gamma = 1, where many u reach their bound, random instances
 # of 100-1 500 rows took up to 2.3 pivots per column.
 PIVOTS_PER_COLUMN = 10
+# Linearization rounds per start of calibrate, at most; a start stops once its
+# objective moves by at most ROUND_TOL times max(1, |objective|).
+MAX_ROUNDS = 100
+ROUND_TOL = 1e-6
 
 
 def _factor(bmat: list[list[float]]) -> tuple[list[list[float]], list[int]]:
@@ -278,12 +282,7 @@ def _in_budget(lam: np.ndarray, budget: float) -> np.ndarray:
     return lam
 
 
-def calibrate(
-    instance: CalibrationInstance,
-    max_rounds: int = 100,
-    tol: float = 1e-6,
-    return_trace: bool = False,
-):
+def calibrate(instance: CalibrationInstance, return_trace: bool = False):
     """Estimate the weight vector by iterated linearization.
 
     Starts from the uniform feasible point (plus the budget corners for small
@@ -298,12 +297,12 @@ def calibrate(
     best_lam, best_obj, best_trace = None, np.inf, None
     for lam in starts:
         trace = [objective(instance, lam)]
-        for _ in range(max_rounds):
+        for _ in range(MAX_ROUNDS):
             active = _weighted_sum(instance.perturbations, lam) > 0.0
             subgrad = instance.perturbations[active].sum(axis=0)
             lam = _solve_linearized(instance, subgrad)
             trace.append(objective(instance, lam))
-            if abs(trace[-2] - trace[-1]) <= tol * max(1.0, abs(trace[-1])):
+            if abs(trace[-2] - trace[-1]) <= ROUND_TOL * max(1.0, abs(trace[-1])):
                 break
         if trace[-1] < best_obj:
             best_obj, best_lam, best_trace = trace[-1], lam, trace

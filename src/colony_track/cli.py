@@ -55,7 +55,7 @@ def _cmd_simulate(args) -> int:
 
 def _load_pipeline_config(args) -> PipelineConfig:
     data = io.load_json(args.config) if args.config else {}
-    if args.weights:
+    if getattr(args, "weights", None):
         wdata = io.load_json(args.weights)
         unknown = set(wdata) - {"registration", "division"}
         if unknown:
@@ -64,8 +64,6 @@ def _load_pipeline_config(args) -> PipelineConfig:
             data["registration_weights"] = wdata["registration"]
         if "division" in wdata:
             data["division_weights"] = wdata["division"]
-    if getattr(args, "schedule", None):
-        data["registration_schedule"] = io.load_json(args.schedule)
     if args.seed is not None:
         data["seed"] = args.seed
     return io.from_json(PipelineConfig, data, "pipeline config")
@@ -82,11 +80,10 @@ def _cmd_track(args) -> int:
     records, diags = pipeline.track_sequence(frames, config)
     io.write_lineage_csv(records, out / "tracking.csv")
     for diag in diags:
-        trace = diag.registration.get("energy_trace", [])
         with io.writing(out / traces[diag.frame_index]) as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "energy"])
-            writer.writerows(enumerate(trace))
+            writer.writerows(enumerate(diag.energy_trace))
         if diag.kept:
             with io.writing(out / scatters[diag.frame_index]) as fh:
                 writer = csv.writer(fh)
@@ -105,9 +102,7 @@ def _cmd_track(args) -> int:
                 "padded_windows": d.padded_windows,
                 "clique_counts": list(d.clique_counts),
                 "max_touched_cliques": d.max_touched_cliques,
-                "registration": {
-                    k: v for k, v in d.registration.items() if k != "energy_trace"
-                },
+                "registration": d.registration,
                 "seconds": d.seconds,
                 "invalid": d.invalid,
             }
@@ -231,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     track.add_argument("--frames", required=True, help="frames JSON-lines file")
     track.add_argument("--config", help="pipeline config JSON")
     track.add_argument("--weights", help="weights JSON")
-    track.add_argument("--schedule", help="annealing schedule JSON")
     track.add_argument("--seed", type=int, default=None)
     track.add_argument("--out", required=True)
     track.add_argument("--quiet", action="store_true")
@@ -248,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--frames", required=True)
     cal.add_argument("--ground-truth", required=True)
     cal.add_argument("--config", help="pipeline config JSON")
-    cal.add_argument("--weights", help="initial weights JSON")
     cal.add_argument("--pair", type=int, default=None, help="source frame index")
     cal.add_argument("--all-alternatives", action="store_true")
     cal.add_argument("--budget", type=float, default=1000.0)

@@ -99,7 +99,6 @@ class PairCandidates:
 class ShortLineage:
     parent: str
     children: tuple[str, str]
-    distortion: float
 
 
 def _distortion(frame: Frame, p, kids: Frame, k1, k2, weights):
@@ -382,14 +381,14 @@ def select_short_lineages(
     lin = candidates.penalties[:, 0]
     taken, lineages, dropped = set(), [], []
     for j in sorted(selected, key=lambda j: (lin[j], j)):
-        pair, parent, value = candidates.pair(j), candidates.parent_id(j), float(lin[j])
+        pair, parent = candidates.pair(j), candidates.parent_id(j)
         if parent in taken:
             alt = estimate_parent(next_frame, pair, frame, w, weights, exclude=taken)
             if alt is None:
                 dropped.append(pair)
                 continue
-            parent, value = alt
-        lineages.append(ShortLineage(parent, pair, value))
+            parent = alt[0]
+        lineages.append(ShortLineage(parent, pair))
         taken.add(parent)
     return lineages, dropped
 

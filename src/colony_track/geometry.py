@@ -15,7 +15,6 @@ from typing import Iterable
 
 import numpy as np
 
-DEFAULT_NEIGHBOR_RADIUS = 80.0
 # Elements per temporary array of a chunked pairwise pass (16 KB of float64):
 # the neighbor graph here and the parent search of ``division``. About ten
 # such arrays are alive at once. On the last pipeline21 pair (95 target cells)
@@ -92,12 +91,12 @@ class Rect:
     def center(self) -> np.ndarray:
         return np.array([(self.xmin + self.xmax) / 2.0, (self.ymin + self.ymax) / 2.0])
 
-    def contains(self, p, tol: float = 1e-9):
-        """Whether point ``p`` lies in the rectangle widened by ``tol``,
+    def contains(self, p):
+        """Whether point ``p`` lies in the rectangle widened by 1e-6,
         broadcasting over the leading axes of ``p``; NaN lies outside."""
         x, y = _xy(p)
-        within_x = (self.xmin - tol <= x) & (x <= self.xmax + tol)
-        return within_x & (self.ymin - tol <= y) & (y <= self.ymax + tol)
+        within_x = (self.xmin - 1e-6 <= x) & (x <= self.xmax + 1e-6)
+        return within_x & (self.ymin - 1e-6 <= y) & (y <= self.ymax + 1e-6)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -225,7 +224,7 @@ class Frame:
                     raise ValueError(f"duplicate cell id {cid!r} in frame {index}")
                 seen.add(cid)
         centers = (e + h) / 2.0
-        inside = bounds.contains(centers, tol=1e-6)
+        inside = bounds.contains(centers)
         if not inside.all():
             k = int(np.argmin(inside))
             raise ValueError(f"cell {ids[k]!r} center {centers[k]} outside frame bounds")
@@ -380,32 +379,6 @@ def segment_distance(p0x, p0y, p1x, p1y, q0x, q0y, q1x, q1y) -> float:
     )
 
 
-class NeighborGraph:
-    """Symmetric, irreflexive neighbor relation over the cells of one frame.
-
-    :attr:`adj` is the relation as an ``(n, n)`` bool matrix, stored once and
-    read-only. A bool array given is kept without a copy and made read-only,
-    so writing to it afterwards raises instead of changing the checked graph.
-    """
-
-    def __init__(self, ids: tuple[str, ...], adj):
-        adj = np.asarray(adj, dtype=bool)
-        n = len(ids)
-        if adj.shape != (n, n):
-            raise ValueError("adjacency shape does not match id count")
-        if np.any(adj != adj.T):
-            raise ValueError("adjacency must be symmetric")
-        if np.any(np.diag(adj)):
-            raise ValueError("adjacency must be irreflexive")
-        adj.flags.writeable = False
-        self.ids = tuple(ids)
-        self.adj = adj
-
-    @property
-    def degrees(self) -> np.ndarray:
-        return self.adj.sum(axis=1)
-
-
 def pairs_within(x, y, r: float) -> tuple[np.ndarray, np.ndarray]:
     """The pairs ``i < j`` of points with ``dx² + dy² <= r²``, as index arrays.
 
@@ -464,8 +437,8 @@ def pairs_within(x, y, r: float) -> tuple[np.ndarray, np.ndarray]:
     return i[k], j[k]
 
 
-def build_neighbor_graph(frame: Frame, rho: float = DEFAULT_NEIGHBOR_RADIUS) -> NeighborGraph:
-    """Neighbor graph of a frame.
+def build_neighbor_graph(frame: Frame, rho: float) -> np.ndarray:
+    """Neighbor graph of a frame, as its read-only ``(n, n)`` bool adjacency.
 
     Two cells are neighbors when (1) their centers are at most ``rho`` apart,
     (2) they are joined by an edge of the Delaunay triangulation of the
@@ -495,7 +468,8 @@ def build_neighbor_graph(frame: Frame, rho: float = DEFAULT_NEIGHBOR_RADIUS) -> 
     n = len(frame)
     adj = np.zeros((n, n), dtype=bool)
     if n < 2:
-        return NeighborGraph(frame.ids, adj)
+        adj.flags.writeable = False
+        return adj
     centers = frame.centers()
     x, y = centers[:, 0], centers[:, 1]
     i, j = pairs_within(x, y, rho)
@@ -541,7 +515,8 @@ def build_neighbor_graph(frame: Frame, rho: float = DEFAULT_NEIGHBOR_RADIUS) -> 
             kept[pair[dist < half_w[k]]] = False
             tests, waiting = [], 0
     adj[i[kept], j[kept]] = adj[j[kept], i[kept]] = True
-    return NeighborGraph(frame.ids, adj)
+    adj.flags.writeable = False
+    return adj
 
 
 def window_mask(center, targets: np.ndarray, w: float) -> np.ndarray:

@@ -67,6 +67,7 @@ class PairDiagnostics:
     clique_counts: tuple[int, int, int] = (0, 0, 0)
     max_touched_cliques: int = 0
     registration: dict = field(default_factory=dict)
+    energy_trace: list[float] = field(default_factory=list)
     seconds: float = 0.0
     invalid: str | None = None  # why the returned record fails validation
 
@@ -136,7 +137,6 @@ def track_pair(
         )
         diag.padded_windows = len(problem.padded_sites)
         diag.clique_counts = problem.clique_counts
-        diag.max_touched_cliques = int(problem.touched_cliques_per_site().max())
         result = registration.register(
             problem,
             schedule=config.registration_schedule,
@@ -144,7 +144,8 @@ def track_pair(
             restarts=config.restarts,
         )
         diag.registration = result.to_metadata()
-        diag.registration["energy_trace"] = result.energy_trace
+        diag.energy_trace = result.energy_trace
+        diag.max_touched_cliques = result.max_touched_cliques
         mapping = dict(result.mapping)
     record = LineageRecord(frame.index, mapping, div_map)
     try:
@@ -196,6 +197,10 @@ class PairScore:
         return self.moves_correct / self.n_moves if self.n_moves > 0 else None
 
 
+# the accuracies that bound AccuracyReport.registration_histogram's bands
+HISTOGRAM_EDGES = (1.0, 0.99, 0.97, 0.945)
+
+
 @dataclass
 class AccuracyReport:
     """Per-pair and aggregate accuracies against ground truth.
@@ -238,14 +243,12 @@ class AccuracyReport:
         vals = self._values("registration_accuracy")
         return float(np.min(vals)) if vals else None
 
-    def registration_histogram(
-        self, edges: Sequence[float] = (1.0, 0.99, 0.97, 0.945)
-    ) -> dict[str, int]:
+    def registration_histogram(self) -> dict[str, int]:
         """Counts of pairs at accuracy 1.0, then within each half-open band."""
         vals = self._values("registration_accuracy")
         out: dict[str, int] = {}
         prev = None
-        for edge in edges:
+        for edge in HISTOGRAM_EDGES:
             if prev is None:
                 out[f"= {edge:g}"] = sum(v >= edge for v in vals)
             else:

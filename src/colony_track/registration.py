@@ -28,7 +28,7 @@ from . import annealer
 from .annealer import RegistrationBm, Schedule
 from .calibration import _weighted_sum
 from .errors import ValidationError, check_fields
-from .geometry import Frame, NeighborGraph, build_neighbor_graph, cross2, window_mask
+from .geometry import Frame, build_neighbor_graph, cross2, window_mask
 
 LIK_FLOOR = 1e-6
 
@@ -143,17 +143,15 @@ class RegistrationProblem:
     triplets, and the occupancy coefficient carry the ordered-double-sum
     weights of the cost terms, so clique sums reproduce the cost exactly.
     The source frame's neighbor graph gives the pairs, triplets and weights
-    and is not kept; the target frame's, which prices every configuration,
-    is.
+    and is not kept; the target frame's adjacency, which prices every
+    configuration, is.
     """
 
     source: Frame
     target: Frame
-    w: float
-    rho: float
     weights: RegistrationWeights
     likelihood: LikelihoodModel
-    target_graph: NeighborGraph
+    target_adj: np.ndarray
     match_offsets: np.ndarray
     match_targets: np.ndarray
     match_keys: np.ndarray  # ascending, as the windows are
@@ -177,11 +175,6 @@ class RegistrationProblem:
     @property
     def clique_counts(self) -> tuple[int, int, int]:
         return self.n, int(self.stab_pairs.shape[0]), int(self.flip_triplets.shape[0])
-
-    def touched_cliques_per_site(self) -> np.ndarray:
-        """Diagnostic r(j): cliques containing each site."""
-        sites = np.concatenate([self.stab_pairs.ravel(), self.flip_triplets.ravel()])
-        return 1 + np.bincount(sites, minlength=self.n)
 
     # -- cost evaluation ----------------------------------------------------
 
@@ -207,7 +200,7 @@ class RegistrationProblem:
             pen = _penalty_arrays(self.source, out, self.target, a[out], lik.growth_rate)
             costs[out] = lik.match_cost(pen, n)
         counts = np.bincount(a, minlength=len(self.target))
-        adj, ct = self.target_graph.adj, self.target.centers()
+        adj, ct = self.target_adj, self.target.centers()
         broken = _broken(adj, *a[self.stab_pairs.T])
         flipped = _flipped(adj, ct, *a[self.flip_triplets.T], self.flip_signs)
         return (
@@ -228,10 +221,9 @@ class RegistrationProblem:
         only the cliques whose table holds a 1 (a broken pair or a flipped
         triplet at some candidates); the others add +0.0 to every energy
         and delta, so every value and chain is the same without them.
-        ``touched_cliques_per_site`` still counts every clique.
         """
         lam, wins = self.weights, self.windows
-        adj, ct = self.target_graph.adj, self.target.centers()
+        adj, ct = self.target_adj, self.target.centers()
         n_stab = self.stab_pairs.shape[0]
         sites = np.full((n_stab + self.flip_triplets.shape[0], 3), -1, dtype=np.int64)
         sites[:n_stab, :2] = self.stab_pairs
@@ -306,10 +298,10 @@ def build_problem(
     penalties = _penalty_arrays(red_b, cell, red_b_plus, match_targets, g_rate)
     likelihood = fit_likelihood_model(penalties, match_offsets, g_rate)
     # the source graph gives the cliques and their weights and is not kept
-    source_graph = build_neighbor_graph(red_b, rho)
-    degrees = source_graph.degrees
-    rows, cols = np.nonzero(source_graph.adj)
-    del source_graph
+    source_adj = build_neighbor_graph(red_b, rho)
+    degrees = source_adj.sum(axis=1)
+    rows, cols = np.nonzero(source_adj)
+    del source_adj
     upper = rows < cols
     stab_pairs = np.stack([rows[upper], cols[upper]], axis=1)
     # flip triplets (i, then j < k among i's sorted neighbors): each entry p
@@ -319,15 +311,12 @@ def build_problem(
     q = p + 1 + np.arange(len(p)) - np.repeat(np.cumsum(later) - later, later)
     i, j, k = rows[p], cols[p], cols[q]
     del rows, cols, upper, later, p, q
-    target_graph = build_neighbor_graph(red_b_plus, rho)
     return RegistrationProblem(
         source=red_b,
         target=red_b_plus,
-        w=w,
-        rho=rho,
         weights=weights,
         likelihood=likelihood,
-        target_graph=target_graph,
+        target_adj=build_neighbor_graph(red_b_plus, rho),
         match_offsets=match_offsets,
         match_targets=match_targets,
         match_keys=cell * len(red_b_plus) + match_targets,
@@ -362,6 +351,7 @@ class RegistrationResult:
     epochs: int
     steps: int
     stopped: str
+    max_touched_cliques: int  # the match term plus the most compiled cliques at one site
 
     def to_metadata(self) -> dict:
         match, over, stab, flip = self.terms
@@ -403,6 +393,7 @@ def register(
         )
         if result is None or cand.best_energy < result.best_energy:
             result = cand
+    max_touched = 1 + int(np.diff(bm.ptr).max())
     del bm  # decoding needs no machine: free it before cost_terms allocates
     assignment = problem.assignment_for(result.best_states)
     terms = problem.cost_terms(assignment)
@@ -416,4 +407,5 @@ def register(
         epochs=result.n_epochs,
         steps=result.n_steps,
         stopped=result.stopped,
+        max_touched_cliques=max_touched,
     )

@@ -246,7 +246,7 @@ class _Colony:
             axis = np.array([math.cos(theta), math.sin(theta)])
             length = cfg.birth_length * self.rng.uniform(1.0, 1.8)
             if self._fits(pos, axis, length):
-                if not cfg.trap_bounds.contains(pos, tol=1e-6):
+                if not cfg.trap_bounds.contains(pos):
                     raise ValidationError(
                         f"trap_bounds too small to seed initial_cells={cfg.initial_cells}: "
                         f"an initial cell center {pos} lies outside them"

@@ -267,7 +267,8 @@ def test_machine_of_zero_tables_builds_and_anneals():
     for name in INCIDENCE:
         assert getattr(zero, name).tobytes() == getattr(bare, name).tobytes(), name
     sched = Schedule(c=4.0, eta=0.995, epoch_cap=30)
-    a, b = anneal(zero, "async", sched, rng_seed=5), anneal(bare, "async", sched, rng_seed=5)
+    a = anneal(zero, "async", sched, start(zero), rng_seed=5)
+    b = anneal(bare, "async", sched, start(bare), rng_seed=5)
     assert chain(a) == chain(b) and a.n_epochs >= 1
     assert a.best_energy == pytest.approx(zero.energy(a.best_states), abs=1e-9)
     # one table too few or too many
@@ -410,6 +411,7 @@ def test_async_reaches_exhaustive_optimum():
             problem,
             dynamics="async",
             schedule=Schedule(c=5.0, eta=0.995, epoch_cap=300),
+            initial_states=start(problem),
             rng_seed=seed,
         )
         if result.best_energy <= best + 1e-9:
@@ -467,7 +469,8 @@ def test_swap_noop_when_all_selected():
 def test_bookkeeping_consistency_during_anneal():
     rng = np.random.default_rng(5)
     problem = random_problem(rng, n_sites=8)
-    result = anneal(problem, "async", Schedule(c=3.0, eta=0.995, epoch_cap=40), rng_seed=8)
+    sched = Schedule(c=3.0, eta=0.995, epoch_cap=40)
+    result = anneal(problem, "async", sched, start(problem), rng_seed=8)
     assert result.final_energy == pytest.approx(problem.energy(result.final_states), abs=1e-9)
     assert result.best_energy == pytest.approx(problem.energy(result.best_states), abs=1e-9)
 
@@ -478,11 +481,17 @@ def test_bookkeeping_consistency_during_anneal():
 def test_constant_energy_stops_after_one_window():
     rng = np.random.default_rng(0)
     problem = random_problem(rng, n_sites=4, weights=RegistrationWeights(0.0, 0.0, 0.0, 0.0))
-    result = anneal(problem, "async", Schedule(c=1.0, eta=0.995, epoch_cap=100), rng_seed=0)
+    sched = Schedule(c=1.0, eta=0.995, epoch_cap=100)
+    result = anneal(problem, "async", sched, start(problem), rng_seed=0)
     assert result.stopped == "stable"
     assert result.n_epochs == 1
     assert result.best_energy == 0.0
     assert result.best_states.tolist() == [0, 0, 0, 0]
+
+
+def start(problem):
+    """The all-zero configuration: every site at its first candidate."""
+    return np.zeros(problem.n_sites, dtype=np.int64)
 
 
 def chain(result):
@@ -494,10 +503,10 @@ def test_determinism_bit_for_bit():
     rng = np.random.default_rng(9)
     problem = random_problem(rng, n_sites=7)
     sched = Schedule(c=4.0, eta=0.995, epoch_cap=30)
-    a = anneal(problem, "async", sched, rng_seed=77)
-    b = anneal(problem, "async", sched, rng_seed=77)
+    a = anneal(problem, "async", sched, start(problem), rng_seed=77)
+    b = anneal(problem, "async", sched, start(problem), rng_seed=77)
     assert chain(a) == chain(b)
-    c = anneal(problem, "async", sched, rng_seed=78)
+    c = anneal(problem, "async", sched, start(problem), rng_seed=78)
     assert chain(a) != chain(c)
 
 
@@ -527,16 +536,16 @@ def test_swap_requires_binary_spaces_and_initial():
     with pytest.raises(ValidationError):
         anneal(registration, "swap", sched, rng_seed=0, initial_states=[0])
     quadratic = QuadraticBm(np.zeros(2), np.array([[0, 1], [2, 3]]), 1.0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(TypeError, match="initial_states"):
         anneal(quadratic, "swap", sched, rng_seed=0)
     with pytest.raises(ValidationError):
         anneal(quadratic, "swap", sched, rng_seed=0, initial_states=[2, 0])
     with pytest.raises(ValidationError):
-        anneal(quadratic, "async", sched, rng_seed=0)
+        anneal(quadratic, "async", sched, [0, 0], rng_seed=0)
 
 
 def test_anneal_rejects_unknown_dynamics():
     problem = one_cell_problem()
     with pytest.raises(ValidationError):
-        anneal(problem, "sync", Schedule(), rng_seed=0)
+        anneal(problem, "sync", Schedule(), [0], rng_seed=0)
 

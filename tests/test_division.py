@@ -592,7 +592,7 @@ def test_reduce_frames_cardinalities():
     frame = make_frame(parents)
     kids = [make_cell(f"k{i}", (40.0 * i, 1.0), length=20.0) for i in range(5)]
     nxt = make_frame(kids + [make_cell("k9", (60, 40), length=20.0)], index=1)
-    lineages = [ShortLineage("p1", ("k1", "k2"), 0.1), ShortLineage("p3", ("k3", "k4"), 0.2)]
+    lineages = [ShortLineage("p1", ("k1", "k2")), ShortLineage("p3", ("k3", "k4"))]
     red_b, red_b_plus, div_map = reduce_frames(frame, nxt, lineages)
     assert len(red_b) == len(frame) - 2
     assert len(red_b_plus) == len(nxt) - 4
@@ -616,7 +616,7 @@ def test_reduce_frames_rejects_overlapping_lineages():
         reduce_frames(
             frame,
             nxt,
-            [ShortLineage("p1", ("k1", "k2"), 0.1), ShortLineage("p2", ("k2", "k3"), 0.1)],
+            [ShortLineage("p1", ("k1", "k2")), ShortLineage("p2", ("k2", "k3"))],
         )
 
 
@@ -624,7 +624,7 @@ def test_reduction_matches_ground_truth(minute_run):
     frames, lineage = minute_run.frames, minute_run.lineage
     rec = max(lineage, key=lambda r: r.n_divisions)
     f0, f1 = frames[rec.frame_index], frames[rec.frame_index + 1]
-    lineages = [ShortLineage(p, kids, 0.0) for p, kids in rec.divided.items()]
+    lineages = [ShortLineage(p, kids) for p, kids in rec.divided.items()]
     red_b, red_b_plus, _ = reduce_frames(f0, f1, lineages)
     assert len(red_b) == len(red_b_plus) == len(f0) - rec.n_divisions
     assert set(red_b.ids) == set(f0.ids) - set(rec.divided)

@@ -124,7 +124,7 @@ def test_pairwise_passes_stay_within_their_memory_budget():
 
     wl = workloads.pipeline21(0)
     frame, next_frame = wl.frames[wl.pairs[-1]], wl.frames[wl.pairs[-1] + 1]
-    assert _peak_kib(lambda: build_neighbor_graph(next_frame)) < 400
+    assert _peak_kib(lambda: build_neighbor_graph(next_frame, 80.0)) < 400
     assert _peak_kib(lambda: build_pch(frame, next_frame)) < 500
     # the last tiled-large pair, 380 target cells and 19 174 candidate pairs
     # within 80 px: a one-pass pair search peaked at 1 362 KiB, the graph
@@ -134,7 +134,7 @@ def test_pairwise_passes_stay_within_their_memory_budget():
     frame, next_frame = wl.frames[wl.pairs[-1]], wl.frames[wl.pairs[-1] + 1]
     x, y = next_frame.centers().T
     assert _peak_kib(lambda: pairs_within(x, y, 80.0)) < 600
-    assert _peak_kib(lambda: build_neighbor_graph(next_frame)) < 800
+    assert _peak_kib(lambda: build_neighbor_graph(next_frame, 80.0)) < 800
     assert _peak_kib(lambda: build_pch(frame, next_frame)) < 700
 
 

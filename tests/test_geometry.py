@@ -10,7 +10,6 @@ from colony_track import geometry
 from colony_track.geometry import (
     Cell,
     Frame,
-    NeighborGraph,
     Rect,
     build_neighbor_graph,
     cross2,
@@ -242,7 +241,7 @@ def test_two_isolated_cells_within_rho_are_neighbors():
     a = make_cell("a", (0, 0))
     b = make_cell("b", (50, 0))
     g = build_neighbor_graph(make_frame([a, b]), rho=80.0)
-    assert np.argwhere(np.triu(g.adj, 1)).tolist() == [[0, 1]]
+    assert np.argwhere(np.triu(g, 1)).tolist() == [[0, 1]]
 
 
 def test_blocking_capsule_breaks_neighborhood():
@@ -250,14 +249,14 @@ def test_blocking_capsule_breaks_neighborhood():
     b = make_cell("b", (50, 0), angle=0.0)
     blocker = make_cell("x", (25, 0), angle=np.pi / 2, length=20.0, width=8.0)
     g = build_neighbor_graph(make_frame([a, b, blocker]), rho=80.0)
-    assert np.argwhere(np.triu(g.adj, 1)).tolist() == [[0, 2], [1, 2]]  # a-x and b-x, not a-b
+    assert np.argwhere(np.triu(g, 1)).tolist() == [[0, 2], [1, 2]]  # a-x and b-x, not a-b
 
 
 def test_rho_bound_excludes_far_pair():
     a = make_cell("a", (0, 0))
     b = make_cell("b", (90, 0))
     g = build_neighbor_graph(make_frame([a, b]), rho=80.0)
-    assert not g.adj.any()
+    assert not g.any()
 
 
 def _brute_force_graph(frame, rho):
@@ -305,7 +304,7 @@ def test_neighbor_graph_matches_brute_force(seed):
     frame = random_frame(rng, 20, span=180.0)
     g = build_neighbor_graph(frame, rho=80.0)
     expected = _brute_force_graph(frame, 80.0)
-    assert np.array_equal(g.adj, expected)
+    assert np.array_equal(g, expected)
 
 
 @given(st.integers(0, 150), st.floats(30.0, 120.0))
@@ -313,10 +312,10 @@ def test_neighbor_graph_symmetry_and_rho(seed, rho):
     rng = np.random.default_rng(seed)
     frame = random_frame(rng, int(rng.integers(2, 14)), span=150.0)
     g = build_neighbor_graph(frame, rho=rho)
-    assert np.array_equal(g.adj, g.adj.T)
-    assert not np.any(np.diag(g.adj))
+    assert np.array_equal(g, g.T)
+    assert not np.any(np.diag(g))
     centers = frame.centers()
-    for i, j in np.argwhere(g.adj):
+    for i, j in np.argwhere(g):
         assert np.hypot(*(centers[i] - centers[j])) <= rho + 1e-9
 
 
@@ -324,15 +323,15 @@ def test_fallback_below_three_cells():
     a = make_cell("a", (0, 0))
     b = make_cell("b", (40, 0))
     g = build_neighbor_graph(make_frame([a, b]), rho=80.0)
-    assert np.argwhere(np.triu(g.adj, 1)).tolist() == [[0, 1]]
+    assert np.argwhere(np.triu(g, 1)).tolist() == [[0, 1]]
     lone = build_neighbor_graph(make_frame([a]), rho=80.0)
-    assert lone.degrees.tolist() == [0]
+    assert lone.sum(axis=1).tolist() == [0]
 
 
 def test_fallback_collinear_centers():
     cells = [make_cell(f"c{i}", (30.0 * i, 0.0), angle=np.pi / 2, length=10) for i in range(4)]
     g = build_neighbor_graph(make_frame(cells), rho=35.0)
-    assert np.argwhere(np.triu(g.adj, 1)).tolist() == [[0, 1], [1, 2], [2, 3]]
+    assert np.argwhere(np.triu(g, 1)).tolist() == [[0, 1], [1, 2], [2, 3]]
 
 
 def test_cocircular_square_keeps_both_diagonals():
@@ -340,7 +339,7 @@ def test_cocircular_square_keeps_both_diagonals():
     # keeps every edge whose circle has the tied centers on it
     cells = [make_cell(f"s{k}", p) for k, p in enumerate([(0, 0), (40, 0), (40, 40), (0, 40)])]
     g = build_neighbor_graph(make_frame(cells), rho=80.0)
-    assert g.adj.sum() == 2 * 6
+    assert g.sum() == 2 * 6
 
 
 # -- neighbor graph against the per-edge reference -------------------------
@@ -397,7 +396,7 @@ def test_neighbor_graph_matches_reference_on_every_workload_frame(name):
     from trackbench import workloads
 
     for frame in workloads.GENERATORS[name](0).frames:
-        got = build_neighbor_graph(frame, 80.0).adj
+        got = build_neighbor_graph(frame, 80.0)
         assert got.tobytes() == ref_neighbor_graph(frame, 80.0).tobytes(), frame.index
 
 
@@ -440,7 +439,7 @@ def degenerate_layouts(draw):
 def test_neighbor_graph_matches_reference_on_degenerate_layouts(frame, rho, budget):
     # tiny float coordinates overflow the same divisions in both forms alike
     with mock.patch.object(geometry, "CHUNK_ELEMENTS", budget), np.errstate(over="ignore"):
-        got = build_neighbor_graph(frame, rho).adj
+        got = build_neighbor_graph(frame, rho)
         assert got.tobytes() == ref_neighbor_graph(frame, rho).tobytes()
 
 
@@ -462,7 +461,7 @@ def test_blocked_edge_across_chunk_boundaries():
     assert not want[a, b] and want[a, x] and want[x, b]
     for budget in range(1, 8 * len(frame)):
         with mock.patch.object(geometry, "CHUNK_ELEMENTS", budget):
-            assert build_neighbor_graph(frame, 80.0).adj.tobytes() == want.tobytes(), budget
+            assert build_neighbor_graph(frame, 80.0).tobytes() == want.tobytes(), budget
 
 
 def _empty_circle_edges(centers, rho):
@@ -470,7 +469,7 @@ def _empty_circle_edges(centers, rho):
     which no capsule can block, and the cells' centers."""
     cells = [Cell(f"c{k}", (x - 0.5, y), (x + 0.5, y), 0.0) for k, (x, y) in enumerate(centers)]
     frame = make_frame(cells)
-    edges = np.argwhere(np.triu(build_neighbor_graph(frame, rho).adj, 1)).tolist()
+    edges = np.argwhere(np.triu(build_neighbor_graph(frame, rho), 1)).tolist()
     return set(map(tuple, edges)), frame.centers()
 
 
@@ -719,26 +718,16 @@ def test_from_arrays_rejects_what_cells_reject():
         Frame.from_arrays(0, ["a", "b"], [[0, 0]], [[5, 0]], [1.0], bounds)
 
 
-def test_neighbor_graph_validation():
-    with pytest.raises(ValueError, match="symmetric"):
-        NeighborGraph(("a", "b"), np.array([[False, True], [False, False]]))
-    with pytest.raises(ValueError, match="irreflexive"):
-        NeighborGraph(("a",), np.array([[True]]))
-
-
 def test_neighbor_graph_adjacency_cannot_change_after_the_checks():
-    edge = [[False, True], [True, False]]
-    given = np.array(edge)
-    graph = NeighborGraph(("a", "b"), given)
+    a, b = make_cell("a", (0, 0)), make_cell("b", (40, 0))
+    graph = build_neighbor_graph(make_frame([a, b]), rho=80.0)
+    lone = build_neighbor_graph(make_frame([a]), rho=80.0)
     with pytest.raises(ValueError, match="read-only"):
-        graph.adj[0, 1] = False
+        graph[0, 1] = False
     with pytest.raises(ValueError, match="read-only"):
-        given[0, 1] = False
-    converted = np.array(edge, dtype=np.int8)
-    other = NeighborGraph(("a", "b"), converted)
-    converted[:] = 0
-    assert graph.adj.tolist() == other.adj.tolist() == edge
-    assert graph.degrees.tolist() == [1, 1]
+        lone[0, 0] = True
+    assert graph.tolist() == [[False, True], [True, False]]
+    assert graph.sum(axis=1).tolist() == [1, 1]
 
 
 @pytest.mark.kernels

@@ -964,15 +964,16 @@ def test_cli_weights_and_schedule_files(tmp_path, capsys, small_run):
     weights_path.write_text(
         json.dumps({"registration": {"match": 50.0, "over": 100.0, "stab": 20.0, "flip": 10.0}})
     )
-    schedule_path = tmp_path / "sched.json"
-    schedule_path.write_text(json.dumps({"c": 20.0, "eta": 0.995, "epoch_cap": 60}))
+    config_path = tmp_path / "pipe.json"
+    schedule = {"c": 20.0, "eta": 0.995, "epoch_cap": 60}
+    config_path.write_text(json.dumps({"registration_schedule": schedule}))
     out = tmp_path / "out"
     code = main(
         [
             "track",
             "--frames", str(frames_path),
             "--weights", str(weights_path),
-            "--schedule", str(schedule_path),
+            "--config", str(config_path),
             "--out", str(out),
             "--quiet",
         ]
@@ -991,12 +992,12 @@ def test_cli_weights_and_schedule_files(tmp_path, capsys, small_run):
     assert set(meta["children_schedule"]) == {"c", "eta", "epoch_cap"}
     assert "dynamics" not in meta
     # a partial schedule keeps the rest of its own stage's default
-    config_path = tmp_path / "partial.json"
-    config_path.write_text(json.dumps({"children_schedule": {"c": 1.0}}))
-    schedule_path.write_text(json.dumps({"c": 30.0}))
+    config_path.write_text(
+        json.dumps({"children_schedule": {"c": 1.0}, "registration_schedule": {"c": 30.0}})
+    )
     code = main(
         ["track", "--frames", str(frames_path), "--config", str(config_path),
-         "--schedule", str(schedule_path), "--out", str(out), "--quiet"]
+         "--out", str(out), "--quiet"]
     )
     assert code == 0
     meta = json.loads((out / "metadata.json").read_text())
@@ -1008,10 +1009,28 @@ def test_cli_weights_and_schedule_files(tmp_path, capsys, small_run):
     # unknown schedule keys
     for extra in ({"dynamics": "async"}, {"alpha": 0.5}, {"stability_window": 5},
                   {"stability_tol": 1e-6}):
-        schedule_path.write_text(json.dumps({"c": 20.0, **extra}))
+        config_path.write_text(json.dumps({"registration_schedule": {"c": 20.0, **extra}}))
         code = main(
-            ["track", "--frames", str(frames_path), "--schedule", str(schedule_path),
+            ["track", "--frames", str(frames_path), "--config", str(config_path),
              "--out", str(out), "--quiet"]
         )
         assert code == 2
         assert_names_removed_keys(capsys.readouterr().err, extra)
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [("track", "--schedule"), ("calibrate", "--weights")],
+)
+def test_cli_removed_options_exit_2(tmp_path, capsys, command, option):
+    # the registration schedule comes from --config; calibration reads no weights
+    path = tmp_path / "x.json"
+    path.write_text("{}")
+    args = [command, "--frames", str(path), option, str(path), "--out", str(tmp_path / "o")]
+    if command == "calibrate":
+        args += ["--ground-truth", str(path)]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -13,6 +13,7 @@ from colony_track.calibration import _weighted_sum
 from colony_track.division import ShortLineage, reduce_frames
 from colony_track.errors import ValidationError
 from colony_track.geometry import Cell, build_neighbor_graph, cross2
+from colony_track.pipeline import PipelineConfig, track_pair
 from colony_track.registration import (
     EmpiricalCdf,
     LIK_FLOOR,
@@ -165,7 +166,8 @@ def test_two_smallest_values_per_cell():
 
 
 def brute_force_terms(problem, assignment):
-    """Literal ordered-sum recomputation of the four cost terms."""
+    """Literal ordered-sum recomputation of the four cost terms (of a problem
+    built with rho = 80, as every problem here is)."""
     src = problem.source
     dst = problem.target
     n = len(src)
@@ -179,13 +181,13 @@ def brute_force_terms(problem, assignment):
         for j in range(n)
         if i != j and a[i] == a[j]
     ) / n
-    sg, tg = build_neighbor_graph(problem.source, problem.rho), problem.target_graph
-    deg = sg.degrees
+    sg, tg = build_neighbor_graph(problem.source, 80.0), problem.target_adj
+    deg = sg.sum(axis=1)
     stab = sum(
         1.0 / (n * deg[i] * deg[j])
         for i in range(n)
         for j in range(n)
-        if i != j and sg.adj[i, j] and not tg.adj[a[i], a[j]]
+        if i != j and sg[i, j] and not tg[a[i], a[j]]
     )
     ct = dst.centers()
     sc = src.centers()
@@ -193,9 +195,9 @@ def brute_force_terms(problem, assignment):
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                if j == k or not (sg.adj[i, j] and sg.adj[i, k]):
+                if j == k or not (sg[i, j] and sg[i, k]):
                     continue
-                if not (tg.adj[a[j], a[i]] and tg.adj[a[k], a[i]]):
+                if not (tg[a[j], a[i]] and tg[a[k], a[i]]):
                     continue
                 alpha = cross2(sc[j] - sc[i], sc[k] - sc[i])
                 alpha_f = cross2(ct[a[j]] - ct[a[i]], ct[a[k]] - ct[a[i]])
@@ -256,7 +258,7 @@ def test_window_sparse_match_costs_equal_dense_oracle():
     pipe, cfg = workloads.pipeline21(0), PIPELINE_CONFIG
     # pair 22 is division-free; pair 46 is reduced by its 7 true divisions
     rec = pipe.lineage[46]
-    lineages = [ShortLineage(p, kids, 0.0) for p, kids in rec.divided.items()]
+    lineages = [ShortLineage(p, kids) for p, kids in rec.divided.items()]
     for red_b, red_b_plus in (
         (pipe.frames[22], pipe.frames[23]),
         reduce_frames(pipe.frames[46], pipe.frames[47], lineages)[:2],
@@ -314,7 +316,7 @@ def test_stab_flip_translation_invariant():
         make_frame([Cell(c.id, c.e + off, c.h + off, c.width) for c in frame.cells], index=k)
         for k, frame in enumerate((problem.source, problem.target))
     )
-    moved = build_problem(src2, dst2, w=problem.w, rho=problem.rho, g_rate=1.05)
+    moved = build_problem(src2, dst2, w=60.0, rho=80.0, g_rate=1.05)
     _, _, stab1, flip1 = moved.cost_terms(a)
     assert stab1 == pytest.approx(stab0, abs=1e-12)
     assert flip1 == pytest.approx(flip0, abs=1e-12)
@@ -354,7 +356,7 @@ def test_bm_delta_vector_matches_cost_difference(seed):
 def oracle_tables(problem):
     """Every stab, then every flip table, built by the broadcasts ``cost_terms`` uses."""
     wins = problem.windows
-    adj, ct = problem.target_graph.adj, problem.target.centers()
+    adj, ct = problem.target_adj, problem.target.centers()
     want = [_broken(adj, wins[i][:, None], wins[j][None, :]) for i, j in problem.stab_pairs]
     return want + [
         _flipped(adj, ct, wins[i][:, None, None], wins[j][None, :, None],
@@ -373,6 +375,8 @@ def clique_sites(problem):
 
 def test_touched_cliques_per_site_matches_bm():
     dropped = 0
+    config = PipelineConfig(w=60.0, rho=80.0, g_rate=1.05,
+                            registration_schedule=Schedule(c=30.0, eta=0.995, epoch_cap=5))
     for seed in range(3):
         problem = small_problem(seed=seed, n=9)
         sites = clique_sites(problem)
@@ -383,10 +387,11 @@ def test_touched_cliques_per_site_matches_bm():
         want = 1 + np.bincount(live[live >= 0], minlength=problem.n)
         ptr = problem.to_bm().ptr
         assert (1 + np.diff(ptr)).tolist() == want.tolist()
-        # the diagnostic counts every clique of the problem
-        touched = problem.touched_cliques_per_site()
-        assert touched.tolist() == (1 + np.bincount(sites[sites >= 0], minlength=problem.n)).tolist()
-        assert np.all(touched >= want)
+        # the metadata reports the machine's count at its busiest site, which
+        # the count of every clique of the problem bounds
+        _, diag = track_pair(problem.source, problem.target, config)
+        assert diag.max_touched_cliques == want.max()
+        assert diag.max_touched_cliques <= (1 + np.bincount(sites[sites >= 0])).max()
     assert dropped > 0
 
 
@@ -638,13 +643,14 @@ def digest_problems():
 
 
 def loop_flip_triplets(problem):
-    """Reference: flip triplets, weights and signs by the per-cell double loop."""
-    sg = build_neighbor_graph(problem.source, problem.rho)
+    """Reference: flip triplets, weights and signs by the per-cell double loop
+    (of a problem built with rho = 80)."""
+    sg = build_neighbor_graph(problem.source, 80.0)
     sc, n = problem.source.centers(), problem.n
-    degrees = sg.degrees
+    degrees = sg.sum(axis=1)
     triplets, weights, signs = [], [], []
     for i in range(n):
-        nbrs = np.flatnonzero(sg.adj[i])
+        nbrs = np.flatnonzero(sg[i])
         for a in range(len(nbrs)):
             for b in range(a + 1, len(nbrs)):
                 j, k = int(nbrs[a]), int(nbrs[b])
