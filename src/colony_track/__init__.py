@@ -13,7 +13,6 @@ from .division import (
     DivisionWeights,
     DistortionWeights,
     PairCandidates,
-    ShortLineage,
     build_children_bm,
     build_pch,
     estimate_parent,

@@ -302,11 +302,12 @@ class QuadraticConfig:
 @dataclass
 class Schedule:
     """Geometric temperature schedule Temp(t) = c * eta**t over update steps,
-    run for at most ``epoch_cap`` epochs of N update events each."""
+    run for at most ``epoch_cap`` epochs of N update events each. Each stage
+    has its own default; any other schedule is given in full."""
 
-    c: float = 50.0
-    eta: float = 0.997
-    epoch_cap: int = 400
+    c: float
+    eta: float
+    epoch_cap: int
 
     def __post_init__(self):
         check_fields(self, integers=("epoch_cap",), reals=("c", "eta"))

@@ -19,14 +19,12 @@ on every CPU.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InfeasibleError, ValidationError, finite_real
-
-if TYPE_CHECKING:
-    from .registration import RegistrationProblem
+from .registration import RegistrationProblem, weighted_sum
 
 
 @dataclass
@@ -94,22 +92,9 @@ def build_perturbations(
     return CalibrationInstance(rows, gamma=gamma, budget=budget, labels=labels)
 
 
-def _weighted_sum(values, weights) -> np.ndarray:
-    """sum_k values[..., k] * weights[k], added left to right per element.
-
-    Not ``values @ weights``: that product goes through BLAS, whose kernels
-    (FMA, blocking) round it differently from one CPU to another.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    total = np.zeros(values.shape[:-1])
-    for k in range(values.shape[-1]):
-        total += values[..., k] * weights[k]
-    return total
-
-
 def objective(instance: CalibrationInstance, lam: np.ndarray) -> float:
     """Exact objective with the slack vector at its optimum y = [-V lam]^+."""
-    margins = _weighted_sum(instance.perturbations, lam)
+    margins = weighted_sum(instance.perturbations, lam)
     return float(
         instance.gamma * np.clip(-margins, 0.0, None).sum()
         - np.clip(margins, 0.0, None).sum()
@@ -209,7 +194,7 @@ def _bland_simplex(a, b, cost, upper, basis) -> np.ndarray:
         if not np.abs(bmat).sum(axis=0).max() * inv_norm <= 1e12:
             raise InfeasibleError("singular basis")
         pi = np.array(_solve_transposed(lu, perm, cost[basis].tolist()))
-        reduced = cost - _weighted_sum(a.T, pi)
+        reduced = cost - weighted_sum(a.T, pi)
         tol = 1e-9 * (np.abs(cost) + np.abs(pi).max() * col_norm)
         improving = np.where(at_upper, reduced > tol, reduced < -tol)
         improving[basis] = False
@@ -298,7 +283,7 @@ def calibrate(instance: CalibrationInstance, return_trace: bool = False):
     for lam in starts:
         trace = [objective(instance, lam)]
         for _ in range(MAX_ROUNDS):
-            active = _weighted_sum(instance.perturbations, lam) > 0.0
+            active = weighted_sum(instance.perturbations, lam) > 0.0
             subgrad = instance.perturbations[active].sum(axis=0)
             lam = _solve_linearized(instance, subgrad)
             trace.append(objective(instance, lam))
@@ -314,7 +299,7 @@ def calibration_report(
     instance: CalibrationInstance, lam: np.ndarray
 ) -> list[list]:
     """Rows a,<Lambda,V_a>,y(a) describing the calibrated margins."""
-    margins = _weighted_sum(instance.perturbations, lam)
+    margins = weighted_sum(instance.perturbations, lam)
     slack = np.clip(-margins, 0.0, None)
     labels = instance.labels or [(i, -1) for i in range(len(margins))]
     return [

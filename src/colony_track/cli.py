@@ -92,22 +92,7 @@ def _cmd_track(args) -> int:
                 for (a, b), values in zip(diag.kept.cells.tolist(), diag.kept.penalties.tolist()):
                     writer.writerow([f"{ids[a]}+{ids[b]}", "", *values])
     meta = {
-        "pairs": [
-            {
-                "frame_index": d.frame_index,
-                "div_count": d.div_count,
-                "candidates": d.n_candidates,
-                "trimmed": d.n_trimmed,
-                "dropped_pairs": [list(p) for p in d.dropped_pairs],
-                "padded_windows": d.padded_windows,
-                "clique_counts": list(d.clique_counts),
-                "max_touched_cliques": d.max_touched_cliques,
-                "registration": d.registration,
-                "seconds": d.seconds,
-                "invalid": d.invalid,
-            }
-            for d in diags
-        ],
+        "pairs": [d.metadata() for d in diags],
         "seed": config.seed,
         "registration_schedule": dataclasses.asdict(config.registration_schedule),
         "children_schedule": dataclasses.asdict(config.children_schedule),

@@ -14,7 +14,7 @@ holding each cell (see :mod:`colony_track.annealer`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -93,12 +93,6 @@ class PairCandidates:
         return PairCandidates(
             self.ids, self.cells[j], self.parent_ids, self.parent[j], self.penalties[j]
         )
-
-
-@dataclass(frozen=True)
-class ShortLineage:
-    parent: str
-    children: tuple[str, str]
 
 
 def _distortion(frame: Frame, p, kids: Frame, k1, k2, weights):
@@ -370,8 +364,9 @@ def solve_children_bm(
 def select_short_lineages(
     frame: Frame, next_frame: Frame, candidates: PairCandidates,
     selected: Iterable[int], w: float, weights: DistortionWeights = DistortionWeights(),
-) -> tuple[list[ShortLineage], list[tuple[str, str]]]:
-    """Turn selected candidates into short lineages with distinct parents.
+) -> tuple[dict[str, tuple[str, str]], list[tuple[str, str]]]:
+    """Turn selected candidates into divisions, a map from each parent to its
+    children pair, so that every parent is distinct.
 
     Selections are consumed in increasing lineage-penalty order; when one
     claims an already-taken parent, the distortion argmin is re-run over the
@@ -379,31 +374,28 @@ def select_short_lineages(
     reported in the second return value.
     """
     lin = candidates.penalties[:, 0]
-    taken, lineages, dropped = set(), [], []
+    divided, dropped = {}, []
     for j in sorted(selected, key=lambda j: (lin[j], j)):
         pair, parent = candidates.pair(j), candidates.parent_id(j)
-        if parent in taken:
-            alt = estimate_parent(next_frame, pair, frame, w, weights, exclude=taken)
+        if parent in divided:
+            alt = estimate_parent(next_frame, pair, frame, w, weights, exclude=set(divided))
             if alt is None:
                 dropped.append(pair)
                 continue
             parent = alt[0]
-        lineages.append(ShortLineage(parent, pair))
-        taken.add(parent)
-    return lineages, dropped
+        divided[parent] = pair
+    return divided, dropped
 
 
 def reduce_frames(
-    frame: Frame, next_frame: Frame, lineages: Sequence[ShortLineage]
-) -> tuple[Frame, Frame, dict[str, tuple[str, str]]]:
-    """Remove each lineage's parent from the source frame and its children
+    frame: Frame, next_frame: Frame, divided: Mapping[str, tuple[str, str]]
+) -> tuple[Frame, Frame]:
+    """Remove each dividing parent from the source frame and its children
     from the target frame, leaving a division-free registration instance.
 
-    Raises on lineages sharing a parent or a child.
+    Raises on divisions sharing a child.
     """
-    parents = [sl.parent for sl in lineages]
-    children = [cid for sl in lineages for cid in sl.children]
-    if len(set(parents)) != len(parents) or len(set(children)) != len(children):
+    children = [cid for kids in divided.values() for cid in kids]
+    if len(set(children)) != len(children):
         raise ValidationError("non-disjoint lineages")
-    div_map = {sl.parent: sl.children for sl in lineages}
-    return frame.without(parents), next_frame.without(children), div_map
+    return frame.without(divided), next_frame.without(children)

@@ -213,7 +213,8 @@ def from_json(cls, data, what: str, base=None):
     """Build the settings dataclass ``cls`` from the JSON value ``data``.
 
     ``data`` must be an object whose keys are fields of ``cls``; a field it
-    leaves out keeps its value in ``base``, by default ``cls()``. A field
+    leaves out keeps its value in ``base``, or without one its default in
+    ``cls``, so ``data`` must then name every field with no default. A field
     whose type is another settings dataclass takes an object, loaded the same
     way over the field's value in ``base``, so a partial schedule keeps the
     rest of its own default. A ``Rect`` or tuple field takes an array of
@@ -227,7 +228,6 @@ def from_json(cls, data, what: str, base=None):
     unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ValidationError(f"unknown {what} keys: {unknown}")
-    base = cls() if base is None else base
     kwargs = {}
     try:
         for name, value in data.items():
@@ -236,9 +236,10 @@ def from_json(cls, data, what: str, base=None):
                 value = _numbers(value, name)
                 value = Rect(*value) if kind is Rect else tuple(value)
             elif dataclasses.is_dataclass(kind):
-                value = from_json(kind, value, name.replace("_", " "), getattr(base, name))
+                outer = cls() if base is None else base
+                value = from_json(kind, value, name.replace("_", " "), getattr(outer, name))
             kwargs[name] = value
-        return dataclasses.replace(base, **kwargs)
+        return cls(**kwargs) if base is None else dataclasses.replace(base, **kwargs)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad {what}: {exc}") from exc
 

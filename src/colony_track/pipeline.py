@@ -9,7 +9,7 @@ cell. Scoring compares reconstructed lineages against ground truth.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -59,8 +59,8 @@ class PipelineConfig:
 class PairDiagnostics:
     frame_index: int
     div_count: int
-    n_candidates: int = 0
-    n_trimmed: int = 0
+    candidates: int = 0
+    trimmed: int = 0
     dropped_pairs: list = field(default_factory=list)
     kept: division.PairCandidates | None = None  # the candidates that survive trimming
     padded_windows: int = 0
@@ -70,6 +70,15 @@ class PairDiagnostics:
     energy_trace: list[float] = field(default_factory=list)
     seconds: float = 0.0
     invalid: str | None = None  # why the returned record fails validation
+
+    def metadata(self) -> dict:
+        """The pair's ``metadata.json`` entry: every field but ``kept`` and
+        ``energy_trace``, which go to the pair's scatter and trace files."""
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("kept", "energy_trace")
+        }
 
 
 def _pair_seed(base: int, k: int, salt: int) -> int:
@@ -94,14 +103,14 @@ def track_pair(
     div_count = n_plus - n
     diag = PairDiagnostics(frame_index=frame.index, div_count=div_count)
     red_b, red_b_plus = frame, next_frame
-    div_map: dict[str, tuple[str, str]] = {}
+    divided: dict[str, tuple[str, str]] = {}
     if div_count > 0:
         candidates = division.build_pch(
             frame, next_frame, config.tau, config.w, config.division_weights.distortion
         )
-        diag.n_candidates = len(candidates)
+        diag.candidates = len(candidates)
         kept = division.trim_candidates(candidates, config.trim_thresholds)
-        diag.n_trimmed = len(candidates) - len(kept)
+        diag.trimmed = len(candidates) - len(kept)
         diag.kept = kept
         del candidates  # the untrimmed set is no longer read; free it before registration
         if not kept:
@@ -118,12 +127,11 @@ def track_pair(
             )
         except InfeasibleError as exc:
             raise InfeasibleError(f"frame {frame.index}: {exc}") from exc
-        lineages, dropped = division.select_short_lineages(
+        divided, diag.dropped_pairs = division.select_short_lineages(
             frame, next_frame, kept, selected, config.w,
             config.division_weights.distortion,
         )
-        diag.dropped_pairs = dropped
-        red_b, red_b_plus, div_map = division.reduce_frames(frame, next_frame, lineages)
+        red_b, red_b_plus = division.reduce_frames(frame, next_frame, divided)
     mapping: dict[str, str] = {}
     # when every source cell divided there is nothing left to register
     if len(red_b) > 0:
@@ -147,7 +155,7 @@ def track_pair(
         diag.energy_trace = result.energy_trace
         diag.max_touched_cliques = result.max_touched_cliques
         mapping = dict(result.mapping)
-    record = LineageRecord(frame.index, mapping, div_map)
+    record = LineageRecord(frame.index, mapping, divided)
     try:
         record.validate(frame, next_frame)
     except ValidationError as exc:
@@ -195,6 +203,14 @@ class PairScore:
     @property
     def registration_accuracy(self) -> float | None:
         return self.moves_correct / self.n_moves if self.n_moves > 0 else None
+
+    def to_dict(self) -> dict:
+        """The pair's ``report.json`` entry: its fields and both accuracies."""
+        return {
+            **asdict(self),
+            "pcp_accuracy": self.pcp_accuracy,
+            "registration_accuracy": self.registration_accuracy,
+        }
 
 
 # the accuracies that bound AccuracyReport.registration_histogram's bands
@@ -259,18 +275,7 @@ class AccuracyReport:
 
     def to_dict(self) -> dict:
         return {
-            "pairs": [
-                {
-                    "frame_index": p.frame_index,
-                    "div_true": p.div_true,
-                    "div_correct": p.div_correct,
-                    "pcp_accuracy": p.pcp_accuracy,
-                    "n_moves": p.n_moves,
-                    "moves_correct": p.moves_correct,
-                    "registration_accuracy": p.registration_accuracy,
-                }
-                for p in self.pairs
-            ],
+            "pairs": [p.to_dict() for p in self.pairs],
             "mean_pcp": self.mean_pcp,
             "min_pcp": self.min_pcp,
             "frac_pcp_perfect": self.frac_pcp_perfect,

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import annealer
 from .annealer import RegistrationBm, Schedule
-from .calibration import _weighted_sum
 from .errors import ValidationError, check_fields
 from .geometry import Frame, build_neighbor_graph, cross2, window_mask
 
@@ -45,6 +44,19 @@ class RegistrationWeights:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.match, self.over, self.stab, self.flip])
+
+
+def weighted_sum(values, weights) -> np.ndarray:
+    """sum_k values[..., k] * weights[k], added left to right per element.
+
+    Not ``values @ weights``: that product goes through BLAS, whose kernels
+    (FMA, blocking) round it differently from one CPU to another.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    total = np.zeros(values.shape[:-1])
+    for k in range(values.shape[-1]):
+        total += values[..., k] * weights[k]
+    return total
 
 
 def _penalty_arrays(source: Frame, rows, target: Frame, cols, g_rate: float):
@@ -397,7 +409,7 @@ def register(
     del bm  # decoding needs no machine: free it before cost_terms allocates
     assignment = problem.assignment_for(result.best_states)
     terms = problem.cost_terms(assignment)
-    energy = float(_weighted_sum(terms, problem.weights.as_array()))
+    energy = float(weighted_sum(terms, problem.weights.as_array()))
     return RegistrationResult(
         mapping=problem.mapping(assignment),
         assignment=assignment,

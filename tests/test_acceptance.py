@@ -24,7 +24,6 @@ from colony_track.annealer import (
 )
 from colony_track.calibration import (
     CalibrationInstance,
-    _weighted_sum,
     build_perturbations,
     calibrate,
     objective,
@@ -37,6 +36,7 @@ from colony_track.registration import (
     RegistrationWeights,
     build_problem,
     register,
+    weighted_sum,
 )
 from colony_track.simulator import LineageRecord, SimConfig, simulate
 from trackbench import measure, workloads
@@ -84,7 +84,7 @@ def test_registration_exhaustive_oracle_equivalence():
         done += 1
         lam = problem.weights.as_array()
         best = min(
-            _weighted_sum(problem.cost_terms(np.array(combo)), lam)
+            weighted_sum(problem.cost_terms(np.array(combo)), lam)
             for combo in itertools.product(*[w.tolist() for w in problem.windows])
         )
         result = register(problem, rng_seed=seed)
@@ -150,7 +150,7 @@ def test_energy_identity_cost_equals_clique_energy():
         rng = np.random.default_rng(seed)
         for _ in range(100):
             a = np.array([rng.choice(w) for w in problem.windows])
-            cost = _weighted_sum(problem.cost_terms(a), lam)
+            cost = weighted_sum(problem.cost_terms(a), lam)
             err = abs(bm.energy(problem.states_for(a)) - cost)
             worst = max(worst, err)
     _report(
@@ -240,11 +240,11 @@ def test_children_pairing_accuracy(minute_run):
         kept = division.trim_candidates(cands)
         problem = division.build_children_bm(kept, rec.n_divisions, weights)
         selected = division.solve_children_bm(problem, rng_seed=k)
-        lineages, _ = division.select_short_lineages(
+        divided, _ = division.select_short_lineages(
             f0, f1, kept, selected, 45.0, weights.distortion
         )
         truth = {(p, frozenset(kids)) for p, kids in rec.divided.items()}
-        val = sum(1 for sl in lineages if (sl.parent, frozenset(sl.children)) in truth)
+        val = sum(1 for p, kids in divided.items() if (p, frozenset(kids)) in truth)
         per_frame.append(val / rec.n_divisions)
     per_frame = np.array(per_frame)
     _report(

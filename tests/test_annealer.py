@@ -518,11 +518,16 @@ def test_schedule_defaults_and_validation():
     assert kids.temperature(0) == 1000.0
     assert kids.temperature(10) == pytest.approx(1000.0 * 0.995**10)
     with pytest.raises(ValidationError):
-        Schedule(c=-1.0)
+        Schedule(c=-1.0, eta=0.995, epoch_cap=30)
     with pytest.raises(ValidationError):
-        Schedule(eta=1.5)
+        Schedule(c=5.0, eta=1.5, epoch_cap=30)
     with pytest.warns(UserWarning):
-        Schedule(eta=0.5)
+        Schedule(c=5.0, eta=0.5, epoch_cap=30)
+    # no third schedule: one given without a stage default names every field
+    with pytest.raises(TypeError):
+        Schedule()
+    with pytest.raises(ValidationError, match="epoch_cap"):
+        io.from_json(Schedule, {"c": 10.0, "eta": 0.995}, "schedule")
     with pytest.raises(ValidationError):
         io.from_json(Schedule, {"c": 10.0, "bogus": 1}, "schedule")
     # the stop rule's window is one epoch and its tolerance a module constant
@@ -532,7 +537,7 @@ def test_schedule_defaults_and_validation():
 
 
 def test_swap_requires_binary_spaces_and_initial():
-    registration, sched = one_cell_problem(), Schedule()
+    registration, sched = one_cell_problem(), Schedule.registration_default()
     with pytest.raises(ValidationError):
         anneal(registration, "swap", sched, rng_seed=0, initial_states=[0])
     quadratic = QuadraticBm(np.zeros(2), np.array([[0, 1], [2, 3]]), 1.0)
@@ -547,5 +552,5 @@ def test_swap_requires_binary_spaces_and_initial():
 def test_anneal_rejects_unknown_dynamics():
     problem = one_cell_problem()
     with pytest.raises(ValidationError):
-        anneal(problem, "sync", Schedule(), [0], rng_seed=0)
+        anneal(problem, "sync", Schedule.registration_default(), [0], rng_seed=0)
 

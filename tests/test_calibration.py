@@ -11,7 +11,7 @@ from colony_track.calibration import (
     objective,
 )
 from colony_track.errors import InfeasibleError, ValidationError
-from colony_track.registration import build_problem
+from colony_track.registration import build_problem, weighted_sum
 
 from conftest import small_registration_problem
 
@@ -263,12 +263,12 @@ def test_weighted_sums_equal_python_float_loop(six_minute_run):
     weights = problem.weights.as_array()
     for lam in (calibrate(inst), np.full(4, inst.budget / 4), weights):
         want = np.array([loop(row, lam) for row in inst.perturbations])
-        assert calibration._weighted_sum(inst.perturbations, lam).tobytes() == want.tobytes()
+        assert weighted_sum(inst.perturbations, lam).tobytes() == want.tobytes()
         margins = [row[1] for row in calibration_report(inst, lam)]
         assert np.array(margins).tobytes() == want.tobytes()
     for a in (truth, first_candidates(problem)):
         terms = np.array(problem.cost_terms(a))
-        assert float(calibration._weighted_sum(terms, weights)) == loop(terms, weights)
+        assert float(weighted_sum(terms, weights)) == loop(terms, weights)
 
 
 def test_pivot_cap_raises(monkeypatch):

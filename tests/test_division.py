@@ -16,7 +16,6 @@ from colony_track.division import (
     DistortionWeights,
     DivisionWeights,
     PairCandidates,
-    ShortLineage,
     build_children_bm,
     build_pch,
     estimate_parent,
@@ -550,10 +549,9 @@ def test_select_short_lineages_resolves_parent_conflicts():
     cands = build_pch(frame, nxt, tau=45.0, w=45.0)
     by_pair = {frozenset(cands.pair(j)): j for j in range(len(cands))}
     picks = [by_pair[frozenset(("a1", "a2"))], by_pair[frozenset(("b1", "b2"))]]
-    lineages, dropped = select_short_lineages(frame, nxt, cands, picks, w=45.0)
+    divided, dropped = select_short_lineages(frame, nxt, cands, picks, w=45.0)
     assert not dropped
-    parents = {sl.parent for sl in lineages}
-    assert parents == {"p1", "p2"}
+    assert set(divided) == {"p1", "p2"}
 
 
 def test_select_short_lineages_re_estimates_a_taken_parent_from_frame_rows(monkeypatch):
@@ -579,11 +577,9 @@ def test_select_short_lineages_re_estimates_a_taken_parent_from_frame_rows(monke
     monkeypatch.setattr(
         division, "estimate_parent", lambda *a, **k: calls.append(a) or estimate(*a, **k)
     )
-    lineages, dropped = select_short_lineages(frame, nxt, cands, picks, w=45.0)
-    assert (lineages, dropped) == want and len(calls) == 1
-    assert [(sl.parent, sl.children) for sl in lineages] == [
-        ("p1", ("a1", "a2")), ("p2", ("b1", "b2"))
-    ]
+    divided, dropped = select_short_lineages(frame, nxt, cands, picks, w=45.0)
+    assert (divided, dropped) == want and len(calls) == 1
+    assert list(divided.items()) == [("p1", ("a1", "a2")), ("p2", ("b1", "b2"))]
     assert not dropped
 
 
@@ -592,19 +588,17 @@ def test_reduce_frames_cardinalities():
     frame = make_frame(parents)
     kids = [make_cell(f"k{i}", (40.0 * i, 1.0), length=20.0) for i in range(5)]
     nxt = make_frame(kids + [make_cell("k9", (60, 40), length=20.0)], index=1)
-    lineages = [ShortLineage("p1", ("k1", "k2")), ShortLineage("p3", ("k3", "k4"))]
-    red_b, red_b_plus, div_map = reduce_frames(frame, nxt, lineages)
+    red_b, red_b_plus = reduce_frames(frame, nxt, {"p1": ("k1", "k2"), "p3": ("k3", "k4")})
     assert len(red_b) == len(frame) - 2
     assert len(red_b_plus) == len(nxt) - 4
-    assert set(div_map) == {"p1", "p3"}
     assert "p1" not in red_b.ids and "k1" not in red_b_plus.ids
 
 
 def test_reduce_frames_no_divisions_identity():
     frame = make_frame([make_cell("a", (0, 0))])
     nxt = make_frame([make_cell("a", (1, 0))], index=1)
-    red_b, red_b_plus, div_map = reduce_frames(frame, nxt, [])
-    assert red_b.ids == frame.ids and red_b_plus.ids == nxt.ids and div_map == {}
+    red_b, red_b_plus = reduce_frames(frame, nxt, {})
+    assert red_b.ids == frame.ids and red_b_plus.ids == nxt.ids
 
 
 def test_reduce_frames_rejects_overlapping_lineages():
@@ -613,19 +607,14 @@ def test_reduce_frames_rejects_overlapping_lineages():
         [make_cell(k, (10.0 * i, 0)) for i, k in enumerate(["k1", "k2", "k3"])], index=1
     )
     with pytest.raises(ValidationError, match="non-disjoint"):
-        reduce_frames(
-            frame,
-            nxt,
-            [ShortLineage("p1", ("k1", "k2")), ShortLineage("p2", ("k2", "k3"))],
-        )
+        reduce_frames(frame, nxt, {"p1": ("k1", "k2"), "p2": ("k2", "k3")})
 
 
 def test_reduction_matches_ground_truth(minute_run):
     frames, lineage = minute_run.frames, minute_run.lineage
     rec = max(lineage, key=lambda r: r.n_divisions)
     f0, f1 = frames[rec.frame_index], frames[rec.frame_index + 1]
-    lineages = [ShortLineage(p, kids) for p, kids in rec.divided.items()]
-    red_b, red_b_plus, _ = reduce_frames(f0, f1, lineages)
+    red_b, red_b_plus = reduce_frames(f0, f1, rec.divided)
     assert len(red_b) == len(red_b_plus) == len(f0) - rec.n_divisions
     assert set(red_b.ids) == set(f0.ids) - set(rec.divided)
 

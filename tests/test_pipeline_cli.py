@@ -120,10 +120,14 @@ def test_pipeline_decisions_deterministic(small_run):
     assert [(r.moved, r.divided) for r in r1] == [(r.moved, r.divided) for r in r2]
 
 
-SETTINGS_CLASSES = (PipelineConfig, SimConfig, Schedule, RegistrationWeights, DivisionWeights)
+# one instance of each settings class: its defaults, or a stage's default schedule
+SETTINGS_DEFAULTS = (
+    PipelineConfig(), SimConfig(), Schedule.registration_default(), RegistrationWeights(),
+    DivisionWeights(),
+)
 # keys of the settings classes (and of the nested distortion weights), and one no class has
 SETTINGS_KEYS = st.sampled_from(sorted(
-    {f.name for cls in (*SETTINGS_CLASSES, DistortionWeights) for f in dataclasses.fields(cls)}
+    {f.name for cls in (*SETTINGS_DEFAULTS, DistortionWeights) for f in dataclasses.fields(cls)}
     | {"bogus"}
 ))
 JSON_LEAVES = (
@@ -153,11 +157,11 @@ def test_settings_loader_loads_or_rejects_any_json(changes, data):
     # only a ValidationError may escape, which the CLI turns into exit 2
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a legal but unusual schedule decay rate
-        for cls in SETTINGS_CLASSES:
+        for default in SETTINGS_DEFAULTS:
             # the defaults with the changes to this class's settings, then any JSON value
-            names = {f.name for f in dataclasses.fields(cls)}
+            cls, names = type(default), {f.name for f in dataclasses.fields(default)}
             own = {k: v for k, v in changes.items() if k in names}
-            for value in ({**as_json(cls()), **own}, data):
+            for value in ({**as_json(default), **own}, data):
                 try:
                     assert isinstance(io.from_json(cls, value, "settings"), cls)
                 except ValidationError:
@@ -193,8 +197,8 @@ def test_pipeline_config_from_dict_roundtrip():
     assert config.registration_weights.over == 200.0
     assert config.registration_schedule.epoch_cap == 50
     assert io.from_json(PipelineConfig, as_json(config), "pipeline config") == config
-    for cls in SETTINGS_CLASSES:
-        assert io.from_json(cls, as_json(cls()), "settings") == cls()
+    for default in SETTINGS_DEFAULTS:
+        assert io.from_json(type(default), as_json(default), "settings") == default
     unknown = re.escape("unknown pipeline config keys: ['a', 'b']")
     with pytest.raises(ValidationError, match=unknown):
         io.from_json(PipelineConfig, {"w": 45.0, "b": 1, "a": 2}, "pipeline config")
@@ -546,6 +550,46 @@ def test_score_rejects_any_malformed_lineage_file(tmp_path_factory, drawn):
 
 
 # -- CLI ---------------------------------------------------------------------
+
+
+def test_cli_track_and_score_entries_hold_their_records_fields(tmp_path, small_run):
+    # a metadata.json pair entry is PairDiagnostics but for the two fields
+    # with files of their own; a report.json pair entry is a PairScore with
+    # both accuracies
+    frames, truth = small_run.frames[:6], small_run.lineage[:5]
+    io.write_frames_jsonl(frames, tmp_path / "frames.jsonl")
+    io.write_lineage_csv(truth, tmp_path / "truth.csv")
+    trim = {"gap": 12.0}  # trims some candidates of the dividing pair 3
+    settings = {"w": 45.0, "rho": 80.0, "tau": 45.0, "g_rate": 1.05, "trim_thresholds": trim}
+    (tmp_path / "pipe.json").write_text(json.dumps(settings))
+    track_out, score_out = tmp_path / "track", tmp_path / "score"
+    assert main(["track", "--frames", str(tmp_path / "frames.jsonl"), "--seed", "3",
+                 "--config", str(tmp_path / "pipe.json"), "--out", str(track_out),
+                 "--quiet"]) == 0
+    meta = json.loads((track_out / "metadata.json").read_text())
+    pair_keys = {"frame_index", "div_count", "candidates", "trimmed", "dropped_pairs",
+                 "padded_windows", "clique_counts", "max_touched_cliques", "registration",
+                 "seconds", "invalid"}
+    assert [set(entry) for entry in meta["pairs"]] == [pair_keys] * 5
+    _, diags = track_sequence(frames, small_config(trim_thresholds=trim))
+    for entry, diag in zip(meta["pairs"], diags):
+        assert (entry["candidates"], entry["trimmed"]) == (diag.candidates, diag.trimmed)
+    dividing = meta["pairs"][3]
+    candidates = division.build_pch(frames[3], frames[4], tau=45.0, w=45.0)
+    assert dividing["div_count"] == 1 and dividing["candidates"] == len(candidates)
+    assert dividing["trimmed"] == len(candidates) - len(division.trim_candidates(candidates, trim))
+    assert dividing["trimmed"] > 0
+
+    assert main(["score", "--predicted", str(track_out / "tracking.csv"), "--ground-truth",
+                 str(tmp_path / "truth.csv"), "--out", str(score_out), "--quiet"]) == 0
+    report = json.loads((score_out / "report.json").read_text())
+    assert set(report) == {"pairs", "mean_pcp", "min_pcp", "frac_pcp_perfect",
+                           "mean_registration", "min_registration", "registration_histogram"}
+    score_keys = {"frame_index", "div_true", "div_correct", "pcp_accuracy", "n_moves",
+                  "moves_correct", "registration_accuracy"}
+    assert [set(entry) for entry in report["pairs"]] == [score_keys] * 5
+    assert report["pairs"][3]["div_true"] == 1
+    assert [entry["pcp_accuracy"] for entry in report["pairs"]] == [None] * 3 + [1.0, None]
 
 
 def test_cli_simulate_track_score_calibrate(tmp_path, capsys):

@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from colony_track import annealer
 from colony_track.annealer import RegistrationConfig, Schedule
-from colony_track.calibration import _weighted_sum
-from colony_track.division import ShortLineage, reduce_frames
+from colony_track.division import reduce_frames
 from colony_track.errors import ValidationError
 from colony_track.geometry import Cell, build_neighbor_graph, cross2
 from colony_track.pipeline import PipelineConfig, track_pair
@@ -25,6 +24,7 @@ from colony_track.registration import (
     fit_likelihood_model,
     initial_assignment,
     register,
+    weighted_sum,
 )
 
 from conftest import (
@@ -257,11 +257,9 @@ def test_window_sparse_match_costs_equal_dense_oracle():
     assert len(problems[-1].padded_sites) == 31
     pipe, cfg = workloads.pipeline21(0), PIPELINE_CONFIG
     # pair 22 is division-free; pair 46 is reduced by its 7 true divisions
-    rec = pipe.lineage[46]
-    lineages = [ShortLineage(p, kids) for p, kids in rec.divided.items()]
     for red_b, red_b_plus in (
         (pipe.frames[22], pipe.frames[23]),
-        reduce_frames(pipe.frames[46], pipe.frames[47], lineages)[:2],
+        reduce_frames(pipe.frames[46], pipe.frames[47], pipe.lineage[46].divided),
     ):
         problems.append(build_problem(
             red_b, red_b_plus, w=cfg.w, rho=cfg.rho,
@@ -349,7 +347,7 @@ def test_bm_delta_vector_matches_cost_difference(seed):
     for s, pos in enumerate(problem.windows[site]):
         b = a.copy()
         b[site] = pos
-        change = _weighted_sum(problem.cost_terms(b), w) - _weighted_sum(problem.cost_terms(a), w)
+        change = weighted_sum(problem.cost_terms(b), w) - weighted_sum(problem.cost_terms(a), w)
         assert deltas[s] == pytest.approx(change, abs=1e-9)
 
 
@@ -406,7 +404,7 @@ def test_energy_identity_cost_equals_clique_sum():
         for _ in range(25):
             a = np.array([rng.choice(w) for w in problem.windows])
             states = problem.states_for(a)
-            cost = _weighted_sum(problem.cost_terms(a), lam)
+            cost = weighted_sum(problem.cost_terms(a), lam)
             assert bm.energy(states) == pytest.approx(cost, abs=1e-9)
 
 
@@ -565,7 +563,7 @@ def test_initial_energy_not_below_annealed():
     for seed in range(50):
         problem = small_problem(seed=seed + 200, n=10, shift=7.0)
         lam = problem.weights.as_array()
-        init_cost = _weighted_sum(problem.cost_terms(initial_assignment(problem)), lam)
+        init_cost = weighted_sum(problem.cost_terms(initial_assignment(problem)), lam)
         result = register(problem, rng_seed=seed)
         assert result.energy <= init_cost + 1e-9
         wins += result.energy < init_cost - 1e-9
@@ -585,7 +583,7 @@ def test_register_single_cell_exact():
     problem = build_problem(src, dst, w=60.0, rho=80.0, g_rate=1.05)
     result = register(problem, rng_seed=0)
     lam = problem.weights.as_array()
-    costs = [_weighted_sum(problem.cost_terms(np.array([p])), lam) for p in range(2)]
+    costs = [weighted_sum(problem.cost_terms(np.array([p])), lam) for p in range(2)]
     assert costs[1] < costs[0]  # strict argmin, no tie-break needed
     assert result.assignment[0] == 1
     assert result.mapping == {"a": "t2"}
@@ -599,7 +597,7 @@ def test_register_matches_exhaustive_minimum():
             continue
         lam = problem.weights.as_array()
         best = min(
-            _weighted_sum(problem.cost_terms(np.array(combo)), lam)
+            weighted_sum(problem.cost_terms(np.array(combo)), lam)
             for combo in itertools.product(*[w.tolist() for w in problem.windows])
         )
         result = register(problem, rng_seed=seed)
@@ -611,7 +609,7 @@ def test_register_matches_exhaustive_minimum():
 def test_register_result_energy_is_recomputed_cost():
     problem = small_problem(seed=11, n=8)
     result = register(problem, rng_seed=3)
-    cost = _weighted_sum(problem.cost_terms(result.assignment), problem.weights.as_array())
+    cost = weighted_sum(problem.cost_terms(result.assignment), problem.weights.as_array())
     assert result.energy == pytest.approx(cost, abs=1e-9)
     for i, pos in enumerate(result.assignment):
         assert pos in problem.windows[i]
