@@ -9,6 +9,8 @@ row, built on request.
 
 from __future__ import annotations
 
+import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -99,7 +101,7 @@ class Rect:
         return within_x & (self.ymin - 1e-6 <= y) & (y <= self.ymax + 1e-6)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Cell:
     """A rod-shaped cell: segment from endpoint ``e`` to endpoint ``h`` plus width.
 
@@ -115,35 +117,39 @@ class Cell:
     width: float
     length: float = field(init=False, repr=False)
 
-    def __post_init__(self):
-        e = _pt(self.e)
-        h = _pt(self.h)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "width", float(self.width))
-        length = float(np.hypot(*(h - e)))
-        error = _rod_error(length, self.width)
+    def __init__(self, id: str, e, h, width: float):
+        e, h, width = _pt(e), _pt(h), float(width)
+        (ex, ey), (hx, hy) = e.tolist(), h.tolist()
+        # abs(complex(dx, dy)) is libm's hypot, as np.hypot; it raises where hypot overflows
+        try:
+            length = abs(complex(hx - ex, hy - ey))
+        except OverflowError:
+            length = math.inf
+        error = _rod_error(length, width)
         if error:
             raise ValueError(error)
-        object.__setattr__(self, "length", length)
+        self._fill(id, e, h, width, length)
 
-    @classmethod
-    def _checked(cls, cell_id: str, e: np.ndarray, h: np.ndarray, width: float, length: float):
-        """A cell of values that a frame has already checked; ``e`` and ``h``
-        are read-only rows of its arrays."""
-        cell = object.__new__(cls)
-        for name, value in zip(("id", "e", "h", "width", "length"), (cell_id, e, h, width, length)):
-            object.__setattr__(cell, name, value)
-        return cell
+    def _fill(self, cell_id: str, e: np.ndarray, h: np.ndarray, width: float, length: float):
+        """Set the five fields past the frozen ``__setattr__``; return the cell.
+        ``Frame._cell`` fills a bare cell with a row it has checked, ``e`` and
+        ``h`` read-only views of its arrays."""
+        put = object.__setattr__
+        put(self, "id", cell_id)
+        put(self, "e", e)
+        put(self, "h", h)
+        put(self, "width", width)
+        put(self, "length", length)
+        return self
 
 
 def _rod_error(length: float, width: float) -> str | None:
     """Why a cell of this length and width is invalid, or None."""
-    if not np.isfinite(length):
+    if not math.isfinite(length):
         return "degenerate cell: length is not a finite number"
     if length <= 0.0:
         return "degenerate cell: endpoints coincide"
-    if width < 0.0 or not np.isfinite(width):
+    if width < 0.0 or not math.isfinite(width):
         return "cell width must be a finite non-negative number"
     return None
 
@@ -249,9 +255,8 @@ class Frame:
         return FrameCells(self)
 
     def _cell(self, pos: int) -> Cell:
-        return Cell._checked(
-            self.ids[pos], self.e[pos], self.h[pos],
-            self.widths[pos].item(), self.lengths[pos].item(),
+        return object.__new__(Cell)._fill(
+            self.ids[pos], self.e[pos], self.h[pos], self.widths.item(pos), self.lengths.item(pos)
         )
 
     def centers(self) -> np.ndarray:
@@ -287,7 +292,8 @@ class FrameCells(Sequence):
     def __getitem__(self, k):
         if isinstance(k, slice):
             return tuple(map(self._frame._cell, range(len(self))[k]))
-        return self._frame._cell(range(len(self))[k])
+        # the ids tuple takes a negative k from the end and raises IndexError out of range
+        return self._frame._cell(operator.index(k))
 
     def __iter__(self):
         return map(self._frame._cell, range(len(self)))

@@ -298,22 +298,24 @@ class _Colony:
             self._enforce_budget()
             if cfg.divide:
                 self._divide_ripe(start_ids, divided)
-            self._clamp_to_trap()
+            limits = self._trap_limits()
+            self._clamp_to_trap(limits)
             # relaxation moves last so its exit condition holds in the
             # emitted state; its pushes respect budget and trap internally
-            ok = self._relax()
+            ok = self._relax(limits)
         return divided, ok
 
     def _grow(self, dt: float) -> None:
         cfg = self.cfg
         noise = self.rng.normal(0.0, cfg.growth_jitter * math.sqrt(dt), size=len(self.lengths))
-        factor = np.clip(cfg.growth_rate**dt * (1.0 + noise), 0.6, 1.6)
+        # np.minimum(np.maximum(...)) is np.clip without its Python-level wrapper
+        factor = np.minimum(np.maximum(cfg.growth_rate**dt * (1.0 + noise), 0.6), 1.6)
         self.lengths = self.lengths * factor
         if not cfg.divide and cfg.max_length is not None:
             wiggle = 1.0 + self.rng.normal(
                 0.0, cfg.growth_jitter * math.sqrt(dt), size=len(self.lengths)
             )
-            cap = cfg.max_length * np.clip(wiggle, 0.8, 1.2)
+            cap = cfg.max_length * np.minimum(np.maximum(wiggle, 0.8), 1.2)
             self.lengths = np.minimum(self.lengths, cap)
 
     def _jitter_axes(self, dt: float) -> None:
@@ -363,8 +365,10 @@ class _Colony:
         keep[ripe] = False
         self._keep(keep)
 
-    def _relax(self) -> bool:
+    def _relax(self, limits: tuple[np.ndarray, np.ndarray] | None = None) -> bool:
         """Push overlapping capsules apart; True when within tolerance.
+
+        ``limits`` are the cells' :meth:`_trap_limits`, computed here when not given.
 
         Pairs are pushed one at a time, deepest first and, at equal gaps, in
         ``(i, j)`` order (a stable sort of the list's ``(i, j)`` order), each
@@ -398,7 +402,7 @@ class _Colony:
         within_budget = budget * budget * (1.0 - 1e-9)
         # lengths, axes and anchors are fixed during relaxation
         half = self.axes * (self.lengths[:, None] / 2.0)
-        (lox, loy), (hix, hiy) = (a.T.tolist() for a in self._trap_limits())
+        (lox, loy), (hix, hiy) = (a.T.tolist() for a in limits or self._trap_limits())
         ax, ay = self.anchors.T.tolist()
         xs, ys = self.centers.T.tolist()
         reach = float(self.lengths.max() + self.widths.max()) + 1.0
@@ -466,8 +470,8 @@ class _Colony:
             scale = budget / norms[over]
             self.centers[over] = self.anchors[over] + disp[over] * scale[:, None]
 
-    def _clamp_to_trap(self) -> None:
-        self.centers = np.clip(self.centers, *self._trap_limits())
+    def _clamp_to_trap(self, limits: tuple[np.ndarray, np.ndarray]) -> None:
+        self.centers = np.minimum(np.maximum(self.centers, limits[0]), limits[1])
 
 
 class _PairList:
@@ -490,15 +494,15 @@ class _PairList:
     distance between two segments changes by at most the length of a
     translation of either, so ``gaps - slack`` bounds the current gap from
     below; a pair is measured anew, and its slack cleared, once that bound
-    falls below ``threshold``. A rebuild keeps the bound of every pair listed
-    before and bounds a newly listed pair by ``|c_i - c_j| - r_i - r_j - hw``
-    (``r`` the half-lengths, ``hw`` the mean width), measuring it at once when
-    that is below ``threshold``. ``RELAX_PAD`` covers the rounding of the
-    slack sums and ``RELAX_MARGIN`` in ``threshold`` that of the distances
-    compared; both are far above float error at trap scale. They also cover
-    the one place where the computed distance departs from the true one by
-    more than rounding: a near-parallel crossing, which measures at most
-    ``CROSSING_SIN`` times a segment length instead of 0 (see
+    falls below ``threshold``. A build bounds every listed pair afresh by
+    ``|c_i - c_j| - r_i - r_j - hw`` (``r`` the half-lengths, ``hw`` the mean
+    width) and measures it at once when that is below ``threshold``.
+    ``RELAX_PAD`` covers the rounding of the slack sums and ``RELAX_MARGIN``
+    in ``threshold`` that of the distances compared; both are far above
+    float error at trap scale. They also cover the one place where the
+    computed distance departs from the true one by more than rounding: a
+    near-parallel crossing, which measures at most ``CROSSING_SIN`` times a
+    segment length instead of 0 (see
     :func:`~colony_track.geometry.stacked_segments_distance`).
 
     Batches of up to ``RELAX_SCALAR_BATCH`` pairs, too small to repay the
@@ -512,27 +516,17 @@ class _PairList:
         self.offx, self.offy = half.T.tolist()
         self.widths, self.cutoff = widths, reach + RELAX_SKIN
         self.radius = np.hypot(half[:, 0], half[:, 1])
-        self.keys = np.zeros(0, np.intp)  # i * n + j of the listed pairs, ascending
         self._build()
 
     def _build(self) -> None:
-        """List the pairs within the cutoff; keep the bounds of pairs listed before."""
+        """List the pairs within the cutoff, bound their gaps and measure those below threshold."""
         self.bx, self.by = self.xs[:], self.ys[:]
         x, y = np.array(self.xs), np.array(self.ys)
         i, j = pairs_within(x, y, self.cutoff)
-        keys = i * len(x) + j
         hw = (self.widths[i] + self.widths[j]) / 2.0
         gaps = np.hypot(x[j] - x[i], y[j] - y[i]) - self.radius[i] - self.radius[j] - hw
-        slack = np.zeros(len(i))
-        fresh = np.ones(len(i), bool)
-        if len(self.keys):
-            # a pair listed before keeps its bound, which is still valid
-            at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
-            kept = self.keys[at] == keys
-            gaps[kept], slack[kept] = self.gaps[at[kept]], self.slack[at[kept]]
-            fresh[kept] = False
-        self.i, self.j, self.hw, self.gaps, self.slack, self.keys = i, j, hw, gaps, slack, keys
-        self._measure((fresh & (gaps < self.threshold)).nonzero()[0])
+        self.i, self.j, self.hw, self.gaps, self.slack = i, j, hw, gaps, np.zeros(len(i))
+        self._measure((gaps < self.threshold).nonzero()[0])
 
     def distance(self, i: int, j: int) -> float:
         """The distance between the axes of cells ``i`` and ``j``."""

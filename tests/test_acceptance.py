@@ -5,8 +5,10 @@ summary lines.
 """
 
 import functools
+import hashlib
 import itertools
 import time
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -331,6 +333,36 @@ def test_benchmark_inputs_equal_gate_inputs(six_minute_run):
     assert measure.REG6MIN_SCHEDULE == BENCHMARK_SCHEDULE
     assert measure.REG6MIN_G_RATE == SIX_MINUTE_G_RATE
     assert measure.PIPELINE_CONFIG == PIPELINE_CONFIG
+
+
+# Every digest above is of seed-0 inputs. At seed 1, pipeline21 lists each
+# frame's cells in a drawn order, a frame rebuilt from its cells by
+# Frame(index, cells, bounds), and tiled-large builds each tile's cells anew
+# through Cell; these digests pin those rebuilt frames.
+TRANSFORMED_INPUT_DIGESTS = {
+    "pipeline21": "88a027e47ef7ee7db8cf75a5dc09f4a4cea5786d451486470b433994b09fba0b",
+    "tiled-large": "746b204332873d4117867cee742ea4c3f81e5c05223f1ff550b8900bd593185b",
+}
+
+
+def _frames_digest(frames):
+    """sha256 of each frame's index, ids and bounds, then of its e, h,
+    widths and lengths as little-endian float64 bytes."""
+    h = hashlib.sha256()
+    for f in frames:
+        h.update(repr((f.index, f.ids, astuple(f.bounds))).encode())
+        for a in (f.e, f.h, f.widths, f.lengths):
+            h.update(np.ascontiguousarray(a, "<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.kernels
+def test_transformed_benchmark_inputs_match_their_digests():
+    got = {
+        name: _frames_digest(workloads.GENERATORS[name](1).frames)
+        for name in TRANSFORMED_INPUT_DIGESTS
+    }
+    assert got == TRANSFORMED_INPUT_DIGESTS
 
 
 @pytest.mark.kernels

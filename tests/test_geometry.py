@@ -1,3 +1,5 @@
+import itertools
+import math
 import pickle
 from copy import deepcopy
 from unittest import mock
@@ -763,3 +765,95 @@ def test_cell_invariants():
     assert abs(cross2(frame.axes[0], c.h - c.e)) < 1e-9
     with pytest.raises(ValueError):
         Cell("bad", [0, 0], [0, 0], 5.0)
+
+
+def test_frame_cells_index_like_a_tuple():
+    # ints from either end, numpy integers, slices and iteration give the
+    # rows in order, each cell carrying its row; an index past either end
+    # raises IndexError, and one that is not an integer TypeError
+    frame = make_frame([make_cell(cid, (30.0 * k, 2.0 * k), angle=k) for k, cid in enumerate("abcd")])
+    cells, n, ids = frame.cells, len(frame), list(frame.ids)
+    assert [c.id for c in cells] == ids
+    for k in range(-n, n):
+        for index in (k, np.int64(k), np.intp(k), np.int32(k)):
+            c = cells[index]
+            assert c.id == ids[k]
+            assert (c.e.tobytes(), c.h.tobytes()) == (frame.e[k].tobytes(), frame.h[k].tobytes())
+            assert (c.width, c.length) == (frame.widths[k], frame.lengths[k])
+            assert type(c.width) is float and type(c.length) is float
+    for index in (n, -n - 1, np.int64(n), np.int64(-n - 1), 10**20, -(10**20)):
+        with pytest.raises(IndexError):
+            cells[index]
+    for index in (1.0, "a", None, np.float64(1.0)):
+        with pytest.raises(TypeError):
+            cells[index]
+    for part in (slice(None), slice(1, 3), slice(None, None, -1), slice(-3, None, 2), slice(5, 9)):
+        got = cells[part]
+        assert type(got) is tuple and [c.id for c in got] == ids[part]
+    empty = Frame(0, (), Rect(0, 0, 1, 1)).cells
+    assert list(empty) == [] and empty[:] == ()
+    for index in (0, -1):
+        with pytest.raises(IndexError):
+            empty[index]
+
+
+def _rod_error_by_np_isfinite(length, width):
+    """``geometry._rod_error`` as written with ``np.isfinite``."""
+    if not np.isfinite(length):
+        return "degenerate cell: length is not a finite number"
+    if length <= 0.0:
+        return "degenerate cell: endpoints coincide"
+    if width < 0.0 or not np.isfinite(width):
+        return "cell width must be a finite non-negative number"
+    return None
+
+
+def test_rod_error_verdicts_of_python_and_numpy_floats():
+    values = [1.0, 0.0, -0.0, -1.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]
+    with np.errstate(over="ignore"):
+        for length, width in itertools.product(values, repeat=2):
+            for kind in (float, np.float64, np.float32):
+                got = geometry._rod_error(kind(length), kind(width))
+                assert got == _rod_error_by_np_isfinite(kind(length), kind(width))
+    assert geometry._rod_error(1.0, -0.0) is None
+    assert geometry._rod_error(-0.0, 1.0) == "degenerate cell: endpoints coincide"
+    assert geometry._rod_error(np.float64(np.nan), 1.0) == (
+        "degenerate cell: length is not a finite number"
+    )
+    assert geometry._rod_error(2.0, -np.inf) == "cell width must be a finite non-negative number"
+
+
+_EXTREME_COORDINATES = [
+    0.0, -0.0, 5e-324, -5e-324, 3e-320, 2.2250738585072014e-308, 1e-300, -1e-300,
+    1e300, -1e300, 1.5e308, -1.5e308,
+]
+_coordinate = st.one_of(
+    st.floats(-1e4, 1e4),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(_EXTREME_COORDINATES),
+)
+
+
+@pytest.mark.kernels
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(_coordinate, _coordinate), st.tuples(_coordinate, _coordinate),
+    st.integers(0, 2**32 - 1),
+)
+def test_cell_length_is_np_hypot_bitwise(e, h, seed):
+    # a cell takes its length as abs(complex(dx, dy)); it must be np.hypot's
+    # bytes, and a length that np.hypot makes 0 or infinite must be rejected.
+    # Besides the drawn endpoints, 64 pairs at scales 1e-3 to 1e6 per example:
+    # math.hypot differs from np.hypot in the last bit of about 0.14% of them
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3.0, 6.0, size=(64, 1, 1))
+    ends = [(e, h), *(rng.uniform(-1.0, 1.0, size=(64, 2, 2)) * scale).tolist()]
+    for e, h in ends:
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = float(np.hypot(*(np.array(h) - np.array(e))))
+        if 0.0 < want < math.inf:
+            length = Cell("a", e, h, 1.0).length
+            assert np.float64(length).tobytes() == np.float64(want).tobytes(), (e, h)
+        else:
+            with pytest.raises(ValueError, match="^degenerate cell: "):
+                Cell("a", e, h, 1.0)
