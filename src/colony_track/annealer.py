@@ -37,7 +37,6 @@ Annealing and Boltzmann Machines*, 1989) is its cells' counts: O(1) swaps, no Q.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
@@ -315,11 +314,6 @@ class Schedule:
             raise ValidationError("initial temperature c must be positive")
         if not (0.0 < self.eta < 1.0):
             raise ValidationError("decay rate eta must lie in (0, 1)")
-        if not (0.99 < self.eta < 1.0):
-            warnings.warn(
-                f"decay rate eta={self.eta} outside the recommended (0.99, 1) range",
-                stacklevel=2,
-            )
         if self.epoch_cap < 1:
             raise ValidationError("epoch_cap must be at least 1")
 

@@ -57,7 +57,6 @@ def build_perturbations(
     problem: RegistrationProblem,
     windows: Sequence[np.ndarray] | None = None,
     all_alternatives: bool = False,
-    gamma: float = 1e10,
     budget: float = 1000.0,
     rng_seed: int = 0,
 ) -> CalibrationInstance:
@@ -89,7 +88,7 @@ def build_perturbations(
         row[:] = problem.cost_terms(g)
         g[site] = f[site]
     rows -= base
-    return CalibrationInstance(rows, gamma=gamma, budget=budget, labels=labels)
+    return CalibrationInstance(rows, budget=budget, labels=labels)
 
 
 def objective(instance: CalibrationInstance, lam: np.ndarray) -> float:

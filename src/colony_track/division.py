@@ -245,38 +245,32 @@ def trim_candidates(
     return candidates[~reject]
 
 
-@dataclass
-class ChildrenBmProblem:
+class ChildrenBmProblem(QuadraticBm):
     """Binary BM over candidate pairs: E(z) = v . z + lambda_q * z^T Q z.
 
     ``v[j]`` is candidate j's combined penalty and ``cells[j]`` its two cells
     as indices into ``candidates.ids``; Q_jk = 1 when candidates j and k
-    share a cell, so a selection pays 2 lambda_q per conflicting pair.
-    :meth:`to_bm` hands the same arrays to the swap annealer, which counts
-    selections per cell.
+    share a cell, so a selection pays 2 lambda_q per conflicting pair. It is
+    the swap annealer's machine over those arrays, which counts selections
+    per cell, and also holds the candidates and the ``div_count`` to select.
     """
 
-    candidates: PairCandidates
-    v: np.ndarray
-    cells: np.ndarray
-    div_count: int
-    lambda_q: float
-
-    @property
-    def m(self) -> int:
-        return len(self.candidates)
+    def __init__(self, candidates: PairCandidates, v, div_count: int, lambda_q: float):
+        super().__init__(v, candidates.cells, lambda_q)
+        self.candidates = candidates
+        self.div_count = div_count
 
     @property
     def q(self) -> np.ndarray:
         """Dense 0/1 uint8 Q, built on each read for inspection and tests; it
-        is quadratic in ``m`` and tracking never reads it."""
+        is quadratic in ``n_sites`` and tracking never reads it."""
         a, b = self.cells[:, :1], self.cells[:, 1:]
         q = ((a == a.T) | (a == b.T) | (b == a.T) | (b == b.T)).view(np.uint8)
         np.fill_diagonal(q, 0)
         return q
 
-    def to_bm(self) -> QuadraticBm:
-        return QuadraticBm(self.v, self.cells, self.lambda_q)
+    def to_bm(self) -> "ChildrenBmProblem":
+        return self
 
 
 def max_disjoint_candidates(candidates: PairCandidates) -> int:
@@ -309,22 +303,21 @@ def build_children_bm(
     v = lin * w.lin + gap * w.gap + dev * w.dev + ratio * w.ratio + rank * w.rank
     if not np.all(np.isfinite(v)) or np.any(v < 0):
         raise ValidationError("candidate penalties must be finite and non-negative")
-    cells = candidates.cells
-    lo, hi = np.sort(cells, axis=1).T
+    lo, hi = np.sort(candidates.cells, axis=1).T
     keys = np.sort(lo * len(candidates.ids) + hi)  # one key per unordered pair
     if np.any(lo == hi) or np.any(keys[1:] == keys[:-1]):
         raise ValidationError("candidates must be distinct pairs of two cells")
     lambda_q = 10.0 * max(float(v.max()), 1.0)
-    return ChildrenBmProblem(candidates, v, cells, div_count, lambda_q)
+    return ChildrenBmProblem(candidates, v, div_count, lambda_q)
 
 
 def _greedy_initial(problem: ChildrenBmProblem) -> np.ndarray:
     """Deterministic start: the ``div_count`` lowest-penalty candidates
     (ties to the lowest index), preferring disjoint ones: candidates that
     share no cell with one taken before are taken first, then the rest."""
-    order = np.lexsort((np.arange(problem.m), problem.v)).tolist()
+    order = np.lexsort((np.arange(problem.n_sites), problem.v)).tolist()
     used = bytearray(int(problem.cells.max(initial=-1)) + 1)  # a 0/1 flag per cell
-    z, taken = np.zeros(problem.m, dtype=np.int64), 0
+    z, taken = np.zeros(problem.n_sites, dtype=np.int64), 0
     for j, (a, b) in zip(order, problem.cells[order].tolist()):
         if taken == problem.div_count:
             break
@@ -346,7 +339,7 @@ def solve_children_bm(
     that is not disjoint leaves a target cell that no source maps to. Every
     selection of a problem with no ``div_count`` disjoint candidates does.
     """
-    if problem.div_count > problem.m:
+    if problem.div_count > problem.n_sites:
         raise InfeasibleError("fewer candidates than requested divisions")
     result = annealer.anneal(
         problem.to_bm(), dynamics="swap", schedule=schedule or Schedule.children_default(),

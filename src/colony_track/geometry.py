@@ -130,6 +130,9 @@ class Cell:
             raise ValueError(error)
         self._fill(id, e, h, width, length)
 
+    def __reduce__(self):
+        return Cell, (self.id, self.e, self.h, self.width)
+
     def _fill(self, cell_id: str, e: np.ndarray, h: np.ndarray, width: float, length: float):
         """Set the five fields past the frozen ``__setattr__``; return the cell.
         ``Frame._cell`` fills a bare cell with a row it has checked, ``e`` and

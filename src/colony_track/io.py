@@ -19,13 +19,19 @@ LINEAGE_HEADER = ["frame_index", "source_id", "kind", "target_id_1", "target_id_
 
 
 @contextmanager
-def _reading(path, what: str):
-    """Raise :class:`ValidationError` for text that is not UTF-8, or for a
-    CSV field over the csv module's size limit, met while reading ``path``."""
+def reading(path, what: str, newline: str | None = None):
+    """``path`` open for reading text. An :class:`OSError` met opening it,
+    text that is not UTF-8, a CSV field over the csv module's size limit or
+    JSON nested past the parser's depth raises :class:`ValidationError`."""
     try:
-        yield
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise ValidationError(f"{path}: unreadable {what} ({exc})") from exc
+        fh = open(path, newline=newline)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
+    with fh:
+        try:
+            yield fh
+        except (UnicodeDecodeError, csv.Error, RecursionError) as exc:
+            raise ValidationError(f"{path}: unreadable {what} ({exc})") from exc
 
 
 @contextmanager
@@ -80,12 +86,8 @@ def read_frames_jsonl(path) -> list[Frame]:
     """
     # per frame: ids, e and h points, widths
     per_frame: dict[int, tuple[list, list, list, list]] = {}
-    try:
-        fh = open(path)
-    except OSError as exc:
-        raise ValidationError(f"cannot read frames file {path}: {exc}") from exc
     # coordinates near the float limit overflow; the checks below reject them
-    with fh, np.errstate(over="ignore"), _reading(path, "frames file"):
+    with reading(path, "frames file") as fh, np.errstate(over="ignore"):
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -155,11 +157,7 @@ def read_lineage_csv(path) -> list:
     from .simulator import LineageRecord
 
     per_frame: dict[int, tuple[dict, dict]] = {}
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise ValidationError(f"cannot read lineage file {path}: {exc}") from exc
-    with fh, _reading(path, "lineage file"):
+    with reading(path, "lineage file", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != LINEAGE_HEADER:
@@ -199,11 +197,11 @@ def read_lineage_csv(path) -> list:
 
 
 def load_json(path) -> dict:
-    try:
-        with open(path) as fh:
+    with reading(path, "JSON config") as fh:
+        try:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read JSON config {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"cannot read JSON config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: expected a JSON object")
     return data

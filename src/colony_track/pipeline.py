@@ -152,7 +152,7 @@ def track_pair(
             restarts=config.restarts,
         )
         diag.registration = result.to_metadata()
-        diag.energy_trace = result.energy_trace
+        diag.energy_trace = result.chain.epoch_energies
         diag.max_touched_cliques = result.max_touched_cliques
         mapping = dict(result.mapping)
     record = LineageRecord(frame.index, mapping, divided)

@@ -359,10 +359,7 @@ class RegistrationResult:
     assignment: np.ndarray
     energy: float
     terms: tuple[float, float, float, float]
-    energy_trace: list[float]
-    epochs: int
-    steps: int
-    stopped: str
+    chain: annealer.AnnealResult  # the winning chain
     max_touched_cliques: int  # the match term plus the most compiled cliques at one site
 
     def to_metadata(self) -> dict:
@@ -373,9 +370,9 @@ class RegistrationResult:
             "over": over,
             "stab": stab,
             "flip": flip,
-            "epochs": self.epochs,
-            "steps": self.steps,
-            "stopped": self.stopped,
+            "epochs": self.chain.n_epochs,
+            "steps": self.chain.n_steps,
+            "stopped": self.chain.stopped,
         }
 
 
@@ -415,9 +412,6 @@ def register(
         assignment=assignment,
         energy=energy,
         terms=terms,
-        energy_trace=result.epoch_energies,
-        epochs=result.n_epochs,
-        steps=result.n_steps,
-        stopped=result.stopped,
+        chain=result,
         max_touched_cliques=max_touched,
     )

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -521,8 +522,11 @@ def test_schedule_defaults_and_validation():
         Schedule(c=-1.0, eta=0.995, epoch_cap=30)
     with pytest.raises(ValidationError):
         Schedule(c=5.0, eta=1.5, epoch_cap=30)
-    with pytest.warns(UserWarning):
-        Schedule(c=5.0, eta=0.5, epoch_cap=30)
+    # any eta in (0, 1) builds without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eta in (0.99, 0.5):
+            assert Schedule(c=5.0, eta=eta, epoch_cap=30).eta == eta
     # no third schedule: one given without a stage default names every field
     with pytest.raises(TypeError):
         Schedule()

@@ -627,6 +627,20 @@ def test_frames_keep_their_values_when_pickled_or_copied():
         assert same_frame(again, frame) and not again.e.flags.writeable
 
 
+def test_cells_keep_their_values_when_pickled_or_copied():
+    # a cell comes back through its checking constructor: read-only endpoints
+    # and the same length bits, for a built cell and for a frame's cell
+    rng = np.random.default_rng(5)
+    e, h = rng.uniform(-50, 50, (2, 2))
+    frame = Frame.from_arrays(0, ["a"], [e], [h], [3.0], Rect(-100, -100, 100, 100))
+    for cell in (Cell("a", [0, 0], [3, 4], 2), Cell("b", e, h, 3.0), frame.cells[0]):
+        for again in (pickle.loads(pickle.dumps(cell)), deepcopy(cell)):
+            assert type(again) is Cell and (again.id, again.width) == (cell.id, cell.width)
+            assert again.e.tolist() == cell.e.tolist() and again.h.tolist() == cell.h.tolist()
+            assert np.float64(again.length).tobytes() == np.float64(cell.length).tobytes()
+            assert not (again.e.flags.writeable or again.h.flags.writeable)
+
+
 def test_cells_and_frames_hold_read_only_endpoints():
     # a cell copies the caller's array: writing to it afterwards changes
     # neither the cell (its endpoints and length) nor a frame built from it

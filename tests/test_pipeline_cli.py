@@ -155,17 +155,15 @@ def as_json(value):
 @example(changes={"interframe_minutes": 1e308}, data=None)
 def test_settings_loader_loads_or_rejects_any_json(changes, data):
     # only a ValidationError may escape, which the CLI turns into exit 2
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a legal but unusual schedule decay rate
-        for default in SETTINGS_DEFAULTS:
-            # the defaults with the changes to this class's settings, then any JSON value
-            cls, names = type(default), {f.name for f in dataclasses.fields(default)}
-            own = {k: v for k, v in changes.items() if k in names}
-            for value in ({**as_json(default), **own}, data):
-                try:
-                    assert isinstance(io.from_json(cls, value, "settings"), cls)
-                except ValidationError:
-                    pass
+    for default in SETTINGS_DEFAULTS:
+        # the defaults with the changes to this class's settings, then any JSON value
+        cls, names = type(default), {f.name for f in dataclasses.fields(default)}
+        own = {k: v for k, v in changes.items() if k in names}
+        for value in ({**as_json(default), **own}, data):
+            try:
+                assert isinstance(io.from_json(cls, value, "settings"), cls)
+            except ValidationError:
+                pass
 
 
 @pytest.mark.parametrize(
@@ -724,6 +722,45 @@ def test_cli_exit_codes(tmp_path):
         ["track", "--frames", str(frames_path), "--out", str(tmp_path / "t"), "--quiet"]
     )
     assert code == 3
+
+
+DEEP = 200_000  # arrays nested far past the JSON parser's depth
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe{}", "{path}: unreadable JSON config ("),
+        (b'{"w": ' + b"[" * DEEP + b"]" * DEEP + b"}", "{path}: unreadable JSON config ("),
+        (None, "cannot read JSON config {path}: "),
+    ],
+    ids=["not-utf8", "deep", "missing"],
+)
+@pytest.mark.parametrize("command, option", [
+    ("simulate", "--config"), ("track", "--config"), ("track", "--weights"),
+])
+def test_cli_rejects_an_unreadable_json_file(tmp_path, capsys, command, option, content, message):
+    # one error line and exit 2, not a UnicodeDecodeError or RecursionError traceback
+    path = tmp_path / "bad.json"
+    if content is not None:
+        path.write_bytes(content)
+    args = [command, option, str(path), "--out", str(tmp_path / "o"), "--quiet"]
+    if command == "track":
+        frames = tmp_path / "frames.jsonl"
+        frames.write_text('{"frame": 0, "id": "a", "e": [0, 0], "h": [20, 0], "width": 6}\n')
+        args += ["--frames", str(frames)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(path=path)) and err.count("\n") == 1
+
+
+def test_cli_rejects_a_frames_line_nested_too_deep(tmp_path, capsys):
+    frames = tmp_path / "frames.jsonl"
+    e = b"[" * DEEP + b"]" * DEEP
+    frames.write_bytes(b'{"frame": 0, "id": "a", "e": ' + e + b', "h": [20, 0], "width": 6}\n')
+    assert main(["track", "--frames", str(frames), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {frames}: unreadable frames file (") and err.count("\n") == 1
 
 
 def test_cli_track_names_the_frame_of_an_infeasible_division(tmp_path, capsys):

@@ -613,7 +613,11 @@ def test_register_result_energy_is_recomputed_cost():
     assert result.energy == pytest.approx(cost, abs=1e-9)
     for i, pos in enumerate(result.assignment):
         assert pos in problem.windows[i]
-    assert result.epochs == len(result.energy_trace)
+    meta, chain = result.to_metadata(), result.chain
+    assert (meta["epochs"], meta["steps"], meta["stopped"]) == (
+        chain.n_epochs, chain.n_steps, chain.stopped
+    )
+    assert chain.n_epochs == len(chain.epoch_energies)
 
 
 def digest_problems():
