@@ -309,13 +309,9 @@ class Schedule:
     epoch_cap: int
 
     def __post_init__(self):
-        check_fields(self, integers=("epoch_cap",), reals=("c", "eta"))
-        if self.c <= 0:
-            raise ValidationError("initial temperature c must be positive")
-        if not (0.0 < self.eta < 1.0):
-            raise ValidationError("decay rate eta must lie in (0, 1)")
-        if self.epoch_cap < 1:
-            raise ValidationError("epoch_cap must be at least 1")
+        check_fields(self, integers=("epoch_cap",), positive=("c", "eta", "epoch_cap"))
+        if self.eta >= 1.0:
+            raise ValidationError(f"decay rate eta must be below 1, got {self.eta!r}")
 
     def temperature(self, t: int) -> float:
         return self.c * self.eta**t

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InfeasibleError, ValidationError, finite_real
+from .errors import InfeasibleError, ValidationError, check_fields
 from .registration import RegistrationProblem, weighted_sum
 
 
@@ -42,10 +42,7 @@ class CalibrationInstance:
             raise ValidationError("need at least one perturbation vector")
         if not np.all(np.isfinite(self.perturbations)):
             raise ValidationError("perturbation vectors must be finite")
-        for name in ("gamma", "budget"):
-            value = getattr(self, name)
-            if not finite_real(value) or value <= 0:
-                raise ValidationError(f"{name} must be a finite positive number, got {value!r}")
+        check_fields(self, positive=("gamma", "budget"))
 
     @property
     def m(self) -> int:

@@ -25,7 +25,7 @@ def _say(args, *message):
 
 
 def _cmd_simulate(args) -> int:
-    data = io.load_json(args.config) if args.config else {}
+    data = io.load_json(args.config, "JSON config") if args.config else {}
     if args.seed is not None:
         data["seed"] = args.seed
     config = io.from_json(SimConfig, data, "simulator config")
@@ -54,9 +54,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _load_pipeline_config(args) -> PipelineConfig:
-    data = io.load_json(args.config) if args.config else {}
+    data = io.load_json(args.config, "JSON config") if args.config else {}
     if getattr(args, "weights", None):
-        wdata = io.load_json(args.weights)
+        wdata = io.load_json(args.weights, "weights file")
         unknown = set(wdata) - {"registration", "division"}
         if unknown:
             raise ValidationError(f"unknown weights sections: {sorted(unknown)}")

@@ -29,10 +29,10 @@ def finite_real(value) -> bool:
         return False
 
 
-def check_fields(config, integers=(), reals=(), nonnegative=(), booleans=()) -> None:
+def check_fields(config, integers=(), reals=(), nonnegative=(), positive=(), booleans=()):
     """Raise :class:`ValidationError` unless the named fields of ``config`` are
-    integers (not bools), finite real numbers, finite non-negative real
-    numbers and bools respectively."""
+    integers (not bools), finite real numbers, finite non-negative and finite
+    positive real numbers, and bools respectively."""
     for name in integers:
         value = getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -45,6 +45,10 @@ def check_fields(config, integers=(), reals=(), nonnegative=(), booleans=()) -> 
         value = getattr(config, name)
         if not finite_real(value) or value < 0:
             raise ValidationError(f"{name} must be a finite non-negative number, got {value!r}")
+    for name in positive:
+        value = getattr(config, name)
+        if not finite_real(value) or value <= 0:
+            raise ValidationError(f"{name} must be a finite positive number, got {value!r}")
     for name in booleans:
         value = getattr(config, name)
         if not isinstance(value, bool):

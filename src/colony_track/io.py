@@ -196,12 +196,12 @@ def read_lineage_csv(path) -> list:
     ]
 
 
-def load_json(path) -> dict:
-    with reading(path, "JSON config") as fh:
+def load_json(path, what: str) -> dict:
+    with reading(path, what) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ValidationError(f"cannot read JSON config {path}: {exc}") from exc
+            raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: expected a JSON object")
     return data
@@ -237,7 +237,12 @@ def from_json(cls, data, what: str, base=None):
                 outer = cls() if base is None else base
                 value = from_json(kind, value, name.replace("_", " "), getattr(outer, name))
             kwargs[name] = value
-        return cls(**kwargs) if base is None else dataclasses.replace(base, **kwargs)
+        if base is None:
+            return cls(**kwargs)
+        try:
+            return dataclasses.replace(base, **kwargs)
+        except ValidationError as exc:  # a nested object's own checks: name the object
+            raise ValidationError(f"{what}: {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad {what}: {exc}") from exc
 

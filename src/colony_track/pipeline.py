@@ -43,14 +43,9 @@ class PipelineConfig:
         check_fields(
             self,
             integers=("restarts", "seed"),
-            reals=("w", "rho", "tau", "g_rate"),
+            nonnegative=("seed",),
+            positive=("restarts", "w", "rho", "tau", "g_rate"),
         )
-        if self.seed < 0 or self.restarts < 1:
-            raise ValidationError("seed must be non-negative and restarts at least 1")
-        if min(self.w, self.rho, self.tau) <= 0:
-            raise ValidationError("w, rho, and tau must be positive")
-        if self.g_rate <= 0:
-            raise ValidationError("g_rate must be positive")
         if self.trim_thresholds is not None:
             division.check_trim_thresholds(self.trim_thresholds)
 

@@ -19,7 +19,6 @@ every such sum, so it is not compiled.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -292,12 +291,6 @@ def build_problem(
     n = len(red_b)
     if n == 0 or len(red_b_plus) == 0:
         raise ValidationError("cannot register empty frames")
-    if n != len(red_b_plus):
-        warnings.warn(
-            f"source and target sizes differ ({n} vs {len(red_b_plus)}); "
-            "a bijective registration is impossible",
-            stacklevel=2,
-        )
     sc, tc = red_b.centers(), red_b_plus.centers()
     windows = [np.flatnonzero(window_mask(center, tc, w)) for center in sc]
     padded = [i for i, pos in enumerate(windows) if pos.size == 0]

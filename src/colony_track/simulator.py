@@ -89,9 +89,14 @@ class SimConfig:
         check_fields(
             self,
             integers=("seed", "n_frames", "initial_cells", "substeps", "relax_iterations"),
-            reals=(
-                "growth_rate", "growth_jitter", "interframe_minutes", "birth_length",
-                "cell_width", "motion_sigma", "rotation_sigma", "w", "overlap_tol",
+            reals=("growth_rate",),
+            nonnegative=(
+                "seed", "relax_iterations", "cell_width", "growth_jitter", "motion_sigma",
+                "rotation_sigma",
+            ),
+            positive=(
+                "n_frames", "initial_cells", "substeps", "interframe_minutes", "birth_length",
+                "w", "overlap_tol",
             ),
             booleans=("divide",),
         )
@@ -104,10 +109,6 @@ class SimConfig:
         b = self.trap_bounds
         if not (isinstance(b, Rect) and all(map(finite_real, astuple(b)))):
             raise ValidationError(f"trap_bounds must be a Rect of finite numbers, got {b!r}")
-        if self.seed < 0 or self.relax_iterations < 0:
-            raise ValidationError("seed and relax_iterations must be non-negative")
-        if self.overlap_tol <= 0:
-            raise ValidationError("overlap_tol must be positive")
         if self.growth_rate <= 1.0:
             raise ValidationError("growth_rate must exceed 1")
         lo, hi = self.split_ratio_range
@@ -117,18 +118,8 @@ class SimConfig:
             )
         if self.division_eps_range[0] > self.division_eps_range[1]:
             raise ValidationError("division_eps_range must be a non-empty interval")
-        if self.interframe_minutes <= 0 or self.n_frames < 1 or self.initial_cells < 1:
-            raise ValidationError("interframe, n_frames, initial_cells must be positive")
-        if self.w <= 0 or self.substeps < 1:
-            raise ValidationError("w and substeps must be positive")
-        if self.birth_length <= 0:
-            raise ValidationError("birth_length must be positive")
         if self.max_length is not None and self.max_length < self.birth_length:
             raise ValidationError(f"max_length {self.max_length} is below birth_length")
-        if self.cell_width < 0:
-            raise ValidationError("cell_width must be non-negative")
-        if min(self.growth_jitter, self.motion_sigma, self.rotation_sigma) < 0:
-            raise ValidationError("noise magnitudes must be non-negative")
         try:
             growth = self.growth_rate**self.interframe_minutes
         except OverflowError:  # far beyond 2x
@@ -281,7 +272,10 @@ class _Colony:
 
     def to_frame(self, index: int) -> Frame:
         e_all, h_all = self.endpoints()
-        return Frame.from_arrays(index, self.ids, e_all, h_all, self.widths, self.cfg.trap_bounds)
+        try:
+            return Frame.from_arrays(index, self.ids, e_all, h_all, self.widths, self.cfg.trap_bounds)
+        except ValueError as exc:  # a cell rounded to a point, at extreme lengths or coordinates
+            raise ValidationError(f"simulated frame {index}: {exc}") from exc
 
     def step_interframe(self) -> tuple[dict[str, tuple[str, str]], bool]:
         """Advance one interframe. Returns (divisions, relaxation_ok)."""

@@ -64,9 +64,7 @@ def one_cell_problem():
         ],
         index=1,
     )
-    with pytest.warns(UserWarning, match="differ"):
-        problem = build_problem(src, dst, w=60.0, rho=80.0, g_rate=1.05)
-    bm = problem.to_bm()
+    bm = build_problem(src, dst, w=60.0, rho=80.0, g_rate=1.05).to_bm()
     assert bm.sizes.tolist() == [2] and bm.energy(np.array([1])) < bm.energy(np.array([0]))
     return bm
 

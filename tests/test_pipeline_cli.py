@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from colony_track import cli, division, io, pipeline, registration
 from colony_track.annealer import Schedule
+from colony_track.calibration import CalibrationInstance
 from colony_track.cli import main
 from colony_track.division import DistortionWeights, DivisionWeights
 from colony_track.errors import InfeasibleError, ValidationError
@@ -178,6 +179,66 @@ def test_settings_reject_an_integer_too_large_for_a_float(build):
     # math.isfinite raises OverflowError for such an int; a caller gets ValidationError
     with pytest.raises(ValidationError, match="must be a finite"):
         build()
+
+
+# (settings instance, range kind, the fields check_fields holds to that kind)
+RANGE_FIELDS = [
+    (SimConfig(), "positive", (
+        "n_frames", "initial_cells", "substeps", "interframe_minutes", "birth_length", "w",
+        "overlap_tol",
+    )),
+    (SimConfig(), "non-negative", (
+        "seed", "relax_iterations", "cell_width", "growth_jitter", "motion_sigma",
+        "rotation_sigma",
+    )),
+    (PipelineConfig(), "positive", ("restarts", "w", "rho", "tau", "g_rate")),
+    (PipelineConfig(), "non-negative", ("seed",)),
+    (Schedule.registration_default(), "positive", ("c", "eta", "epoch_cap")),
+    (CalibrationInstance(np.ones((1, 4))), "positive", ("gamma", "budget")),
+]
+
+
+@pytest.mark.parametrize(
+    "default, kind, name",
+    [(default, kind, name) for default, kind, names in RANGE_FIELDS for name in names],
+    ids=lambda v: type(v).__name__ if dataclasses.is_dataclass(v) else v,
+)
+def test_settings_range_boundaries(default, kind, name):
+    # one rule per kind: the boundary is accepted or rejected, and the error
+    # names the field and the value; an integer too large for a float is not finite
+    number = type(getattr(default, name))  # int or float
+    smallest = (math.ulp(0.0) if number is float else 1) if kind == "positive" else number(0)
+    assert getattr(dataclasses.replace(default, **{name: smallest}), name) == smallest
+    below = (number(-1), number(0)) if kind == "positive" else (number(-1),)
+    for bad in (*below, 10**400):
+        message = f"{name} must be a finite {kind} number, got {bad!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(default, **{name: bad})
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"registration_schedule": {"c": 0}},
+         "registration schedule: c must be a finite positive number, got 0"),
+        ({"children_schedule": {"eta": 1.5}},
+         "children schedule: decay rate eta must be below 1, got 1.5"),
+        ({"children_schedule": {"epoch_cap": 2.5}},
+         "children schedule: epoch_cap must be an integer, got 2.5"),
+        ({"registration_weights": {"match": -1}},
+         "registration weights: match must be a finite non-negative number, got -1"),
+        ({"division_weights": {"distortion": {"cen": "x"}}},
+         "distortion: cen must be a finite non-negative number, got 'x'"),
+        # the loader's own errors and top-level checks keep one name
+        ({"children_schedule": {"bogus": 1}}, "unknown children schedule keys: ['bogus']"),
+        ({"registration_weights": 3}, "registration weights must be a JSON object, got 3"),
+        ({"w": 0}, "w must be a finite positive number, got 0"),
+    ],
+)
+def test_nested_settings_error_names_its_object(data, message):
+    with pytest.raises(ValidationError) as caught:
+        io.from_json(PipelineConfig, data, "pipeline config")
+    assert str(caught.value) == message
 
 
 def test_pipeline_config_from_dict_roundtrip():
@@ -412,7 +473,8 @@ def test_frames_reader_loads_or_rejects_any_file(tmp_path_factory, text):
         frames = None
     out = str(path.parent / "out")
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # frames of different sizes
+        # numpy's "overflow encountered" RuntimeWarning, for cells near 1e308
+        warnings.simplefilter("ignore", RuntimeWarning)
         code = main(["track", "--frames", str(path), "--out", out, "--quiet"])
     assert code in ((0, 2, 3) if frames else (2,))
 
@@ -730,9 +792,9 @@ DEEP = 200_000  # arrays nested far past the JSON parser's depth
 @pytest.mark.parametrize(
     "content, message",
     [
-        (b"\xff\xfe{}", "{path}: unreadable JSON config ("),
-        (b'{"w": ' + b"[" * DEEP + b"]" * DEEP + b"}", "{path}: unreadable JSON config ("),
-        (None, "cannot read JSON config {path}: "),
+        (b"\xff\xfe{}", "{path}: unreadable {what} ("),
+        (b'{"w": ' + b"[" * DEEP + b"]" * DEEP + b"}", "{path}: unreadable {what} ("),
+        (None, "cannot read {what} {path}: "),
     ],
     ids=["not-utf8", "deep", "missing"],
 )
@@ -741,6 +803,7 @@ DEEP = 200_000  # arrays nested far past the JSON parser's depth
 ])
 def test_cli_rejects_an_unreadable_json_file(tmp_path, capsys, command, option, content, message):
     # one error line and exit 2, not a UnicodeDecodeError or RecursionError traceback
+    what = "weights file" if option == "--weights" else "JSON config"
     path = tmp_path / "bad.json"
     if content is not None:
         path.write_bytes(content)
@@ -751,7 +814,7 @@ def test_cli_rejects_an_unreadable_json_file(tmp_path, capsys, command, option, 
         args += ["--frames", str(frames)]
     assert main(args) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: " + message.format(path=path)) and err.count("\n") == 1
+    assert err.startswith("error: " + message.format(path=path, what=what)) and err.count("\n") == 1
 
 
 def test_cli_rejects_a_frames_line_nested_too_deep(tmp_path, capsys):
@@ -916,6 +979,18 @@ def test_cli_simulate_rejects_bad_config(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert next(iter(bad)) in err or "growth per interframe too close to 2x" in err
+
+
+@pytest.mark.parametrize(
+    "config", [{"birth_length": 1e-300}, {"trap_bounds": [0, 0, 1e20, 1e20]}]
+)
+def test_cli_simulate_rejects_a_cell_that_rounds_to_a_point(tmp_path, capsys, config):
+    # a newborn cell's endpoints coincide in floats: one error line, not a traceback
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps({"n_frames": 3, **config}))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: simulated frame 0: cell ") and err.count("\n") == 1
 
 
 # settings the tracker derives or never varies; a file that sets one is rejected

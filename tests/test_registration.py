@@ -496,13 +496,6 @@ def test_empty_window_padding_flagged():
     assert problem.windows[1].tolist() == [1]  # nearest target
 
 
-def test_size_mismatch_warns():
-    src = make_frame([make_cell("a", (0, 0))])
-    dst = make_frame([make_cell("a+", (1, 1)), make_cell("x", (20, 0))], index=1)
-    with pytest.warns(UserWarning, match="differ"):
-        build_problem(src, dst, w=60.0, rho=80.0, g_rate=1.05)
-
-
 # -- initialization and annealing ----------------------------------------------
 
 
@@ -523,7 +516,6 @@ def test_initial_assignment_is_likelihood_argmax(seed):
     assert initial_assignment(problem).tolist() == expected
 
 
-@pytest.mark.filterwarnings("ignore:source and target sizes differ")
 def test_initial_assignment_ties_break_by_distance_then_id():
     # All cells share one axis, so every candidate's rotation penalty is the
     # largest CDF sample and every likelihood sits at the floor: a tie.
@@ -547,7 +539,6 @@ def test_initial_assignment_singleton_windows():
     assert initial_assignment(problem).tolist() == [0, 1]
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_initial_assignment_prefers_ideal_growth():
     src = make_frame([make_cell("a", (0, 0), length=20.0)])
     good = make_cell("g", (1, 0), length=21.0)
@@ -570,7 +561,6 @@ def test_initial_energy_not_below_annealed():
     assert wins >= 1  # annealing actually improves some instances
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_register_single_cell_exact():
     src = make_frame([make_cell("a", (0, 0), length=20.0)])
     dst = make_frame(
